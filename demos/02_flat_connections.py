@@ -2,8 +2,10 @@
 
 A connection assigns an SU(2) element (unit quaternion) to every edge; it is
 flat when every face holonomy is the identity.  Flat connections come from
-analytic parametrizations where available, or from Riemannian gradient
-descent on the flatness residual sum_f dist(H_f, 1)^2.
+analytic parametrizations where available, or from damped Gauss-Newton
+projection: the face-word Jacobian delta1 linearizes log H_f, and
+Levenberg-Marquardt steps drive the flatness residual sum_f dist(H_f, 1)^2
+to zero.
 """
 
 import numpy as np
@@ -31,12 +33,12 @@ s = analytic_flat("torus", rng, psi_a=1.0, psi_b=0.5, axis=[0, 0, 1], sign=+1)
 print("analytic torus sample residual = %.2e, tag = %s"
       % (s.residual, s.component_tag))
 
-# -- descent finds flat connections from Haar-random starts
+# -- Gauss-Newton projection finds flat connections from Haar-random starts
 for name in ("torus", "genus:2", "genus:3"):
     foam = builtin(name)
     samples = find_flat_batch(foam, "su2", rng, 50, tol=1e-24, on_failure="drop")
     worst = max(x.residual for x in samples)
-    print("%-8s descent: %d/50 converged, worst residual %.1e"
+    print("%-8s projection: %d/50 converged, worst residual %.1e"
           % (foam.name, len(samples), worst))
 
 # -- the three-edge foam <a,b,h | [a,h] = [b,h] = 1> has two components of

@@ -11,7 +11,7 @@ from .groups import (SU2, U1, CutLocusError, GroupElement, get_group,
                      group_element_from_json)
 from .connection import (Connection, FlatSample, DescentError, analytic_flat,
                          find_flat, find_flat_batch, flatness_residual,
-                         gauge_act, holonomy, holonomy_word)
+                         gauge_act, holonomy, holonomy_word, word_jacobian)
 from .twisted import (CohomologyReport, MinB2Report, build_delta0, build_delta1,
                       cohomology, min_b2, sample_flat, svd_rank)
 from .torsion import (TorsionValue, gaussian_volume, torsion_at,

@@ -4,7 +4,9 @@ A connection assigns a group element to every edge; the holonomy of a face is
 the left-to-right product of edge elements with the word's exponents, and a
 connection is flat when every face holonomy is the identity.  Flat connections
 are produced either by analytic parametrizations (torus, appendix foam) or by
-Riemannian gradient descent on the flatness residual.
+damped Gauss-Newton projection: the face-word Jacobian (the twisted
+differential delta1) linearizes the curvature map, and Levenberg-Marquardt
+steps drive every face holonomy to the identity.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .foam import Foam, builtin as _builtin_foam
-from .groups import CutLocusError, GroupElement, get_group
+from .groups import EPS_LOG, CutLocusError, GroupElement, get_group
 
 FLAT_TOL = 1e-10
 
@@ -94,6 +96,44 @@ def _holonomy_indices(group, word_idx, g):
     return out
 
 
+def word_jacobian(group, words_idx, g):
+    """Face holonomies and the linearized curvature delta1 in one walk.
+
+    g has shape (..., E, elem_dim) and words_idx lists each face word as
+    (edge index, exponent) pairs.  Returns H of shape (..., F, elem_dim) and
+    J of shape (..., F*d, E*d), d = dim G.  J is the right-trivialized
+    Jacobian of the curvature map, H_f(exp(eps v) g) = exp(eps (J v)_f) H_f(g)
+    to first order: face f's block at edge e sums +Ad(P_{i-1}) over letters
+    l_i = e and -Ad(P_i) over letters l_i = e^-1, with P_i the product of the
+    first i letters.  No log is taken, so J is defined at any connection.
+    """
+    batch = g.shape[:-2]
+    E, d = g.shape[-2], group.dim_g
+    F = len(words_idx)
+    H = np.empty(batch + (F, group.elem_dim))
+    frames = []     # per letter, the prefix product that transports it
+    for f, word_idx in enumerate(words_idx):
+        P = group.identity(batch)
+        for e, s in word_idx:
+            if s > 0:
+                frames.append(P)
+                P = group.mul(P, g[..., e, :])
+            else:
+                P = group.mul(P, group.inv(g[..., e, :]))
+                frames.append(P)
+        H[..., f, :] = P
+    J = np.zeros(batch + (F, d, E, d))
+    if frames:
+        B = group.adjoint(np.stack(frames, axis=-2))
+        letters = [(f, e, s) for f, word_idx in enumerate(words_idx) for e, s in word_idx]
+        for i, (f, e, s) in enumerate(letters):
+            if s > 0:
+                J[..., f, :, e, :] += B[..., i, :, :]
+            else:
+                J[..., f, :, e, :] -= B[..., i, :, :]
+    return H, J.reshape(batch + (F * d, E * d))
+
+
 def holonomy(foam, conn, f):
     """Holonomy of face f: ordered product of g_e^{+-1} along the face word."""
     h = _holonomy_indices(conn.group, foam.word_indices(f), conn.data)
@@ -131,87 +171,91 @@ def gauge_act(h, conn):
 
 
 # ----------------------------------------------------------------------
-# gradient descent to the flat set
+# Gauss-Newton projection onto the flat set
 
-def _grad_batch(group, words_idx, g):
-    """Right-trivialized gradient of the flatness residual.
+LM_LAMBDA0 = 1e-2        # initial Levenberg-Marquardt damping
+LM_SHRINK = 0.1          # damping factor after an accepted step
+LM_GROW = 10.0           # damping factor after a rejected step
+# Damping bounds on the scale of J's O(1) entries (Ad is orthogonal).  J J^T
+# is singular when faces constrain an edge twice or a face word is empty, and
+# a smaller lam is lost to rounding there; a larger one only shrinks steps
+# that are already negligible.
+LM_LAMBDA_RANGE = (1e-12, 1e12)
 
-    grad_e = 2 sum_f B_{f,e}^T log(H_f) with B the per-occurrence adjoint
-    blocks of the linearized curvature (same blocks as the twisted
-    differential delta^1 at the current, generally non-flat, point).
+
+def _curvature(group, words_idx, g):
+    """(residual, cut, r, J) of a batch (n, E, elem_dim) of connections.
+
+    r stacks log H_f per sample, residual = |r|^2, and cut flags the samples
+    with a face holonomy on the cut locus, where log (hence r) is unusable.
     """
-    batch = g.shape[:-2]
-    E = g.shape[-2]
-    grad = np.zeros(batch + (E, group.dim_g))
-    res = np.zeros(batch)
-    for word_idx in words_idx:
-        h = _holonomy_indices(group, word_idx, g)
-        L = group.log(h)  # raises CutLocusError near the cut locus
-        res = res + np.sum(L * L, axis=-1)
-        P = group.identity(batch)
-        for e, s in word_idx:
-            if s > 0:
-                B = group.adjoint(P)
-                P = group.mul(P, g[..., e, :])
-                grad[..., e, :] += 2.0 * np.einsum("...ij,...i->...j", B, L)
-            else:
-                P = group.mul(P, group.inv(g[..., e, :]))
-                B = group.adjoint(P)
-                grad[..., e, :] -= 2.0 * np.einsum("...ij,...i->...j", B, L)
-    return res, grad
+    H, J = word_jacobian(group, words_idx, g)
+    cut = np.any(group.distance(H) > np.pi - EPS_LOG, axis=-1)
+    r = group.log(H, check_cut_locus=False).reshape(g.shape[0], -1)
+    return np.sum(r * r, axis=-1), cut, r, J
 
 
-def _descend(group, words_idx, g, tol, max_iters, step0, rng, retries=10,
-             trace=None):
-    """Batched monotone descent with backtracking; returns (g, residual, iters).
+def _descend(group, words_idx, g, tol, max_iters, rng, retries=10, trace=None):
+    """Batched damped Gauss-Newton projection; returns (g, residual).
 
-    The per-sample residual never increases: a step is accepted only if it
-    decreases, otherwise the step size is halved.  When trace is a list, the
+    Each sample takes the minimum-norm Levenberg-Marquardt step
+    xi = -J^T (J J^T + lam I)^-1 log H and moves g <- exp(xi) g.  The step is
+    accepted per sample only if it lowers the residual without putting a
+    holonomy on the cut locus; lam shrinks on accept and grows on reject, so
+    the per-sample residual never increases.  Once every sample is under tol,
+    one more step polishes the samples it helps, so that rank decisions at
+    the limit point do not sit on the SVD noise floor; samples stalled at a
+    non-flat critical point do not hold that step back.  Starts on the cut
+    locus are jittered up to `retries` times.  When trace is a list, the
     residual vector is appended after every iteration.
     """
-    n = g.shape[0]
-    step = np.full(n, step0)
-    for attempt in range(retries + 1):
-        try:
-            res, grad = _grad_batch(group, words_idx, g)
+    n, E = g.shape[:2]
+    res, cut, r, J = _curvature(group, words_idx, g)
+    for _ in range(retries):
+        if not cut.any():
             break
-        except CutLocusError:
-            if attempt == retries:
-                raise
-            g = group.mul(group.exp(rng.normal(scale=0.05, size=g.shape[:-1] + (group.dim_g,))), g)
-    iters = 0
-    while iters < max_iters and np.any(res > tol):
-        upd = group.exp(-step[:, None, None] * grad)
-        g_new = group.mul(upd, g)
-        try:
-            res_new, grad_new = _grad_batch(group, words_idx, g_new)
-        except CutLocusError:
-            # candidate crossed the cut locus; shrink the step and retry
-            step = np.maximum(step * 0.5, 1e-8)
-            iters += 1
-            continue
-        ok = res_new <= res
-        sel = ok[:, None, None]
-        g = np.where(sel, g_new, g)
+        kick = group.exp(rng.normal(scale=0.05, size=(n, E, group.dim_g)))
+        g = np.where(cut[:, None, None], group.mul(kick, g), g)
+        res, cut, r, J = _curvature(group, words_idx, g)
+    if cut.any():
+        raise CutLocusError("%d starts stay on the cut locus after %d retries"
+                            % (int(cut.sum()), retries))
+    eye = np.eye(r.shape[-1])
+    lam = np.full(n, LM_LAMBDA0)
+    stalled = np.zeros(n, dtype=bool)
+    for _ in range(max_iters):
+        polish = np.all((res <= tol) | stalled)
+        Jt = np.swapaxes(J, -1, -2)
+        y = np.linalg.solve(J @ Jt + lam[:, None, None] * eye, r[..., None])
+        xi = -(Jt @ y).reshape(n, E, group.dim_g)
+        g_new = group.mul(group.exp(xi), g)
+        res_new, cut_new, r_new, J_new = _curvature(group, words_idx, g_new)
+        ok = ~cut_new & (res_new < res)
+        # rejected at the damping cap: g, J and lam stay as they are, so the
+        # same step is rejected forever (a non-flat critical point)
+        stalled = ~ok & (lam == LM_LAMBDA_RANGE[1])
+        g = np.where(ok[:, None, None], g_new, g)
         res = np.where(ok, res_new, res)
-        grad = np.where(sel, grad_new, grad)
-        step = np.where(ok, np.minimum(step * 1.3, 1.0), np.maximum(step * 0.5, 1e-8))
-        iters += 1
+        r = np.where(ok[:, None], r_new, r)
+        J = np.where(ok[:, None, None], J_new, J)
+        lam = np.clip(np.where(ok, lam * LM_SHRINK, lam * LM_GROW), *LM_LAMBDA_RANGE)
         if trace is not None:
             trace.append(res.copy())
-    return g, res, iters
+        if polish:
+            break
+    return g, res
 
 
-def find_flat(foam, group, rng, max_iters=5000, step=0.1, tol=FLAT_TOL, start=None):
-    """Riemannian gradient descent from a Haar-random start; one sample."""
-    samples = find_flat_batch(foam, group, rng, 1, max_iters=max_iters, step=step,
-                              tol=tol, starts=None if start is None else start.data[None])
+def find_flat(foam, group, rng, max_iters=5000, tol=FLAT_TOL, start=None):
+    """Damped Gauss-Newton projection from a Haar-random start; one sample."""
+    samples = find_flat_batch(foam, group, rng, 1, max_iters=max_iters, tol=tol,
+                              starts=None if start is None else start.data[None])
     return samples[0]
 
 
-def find_flat_batch(foam, group, rng, n, max_iters=5000, step=0.1, tol=FLAT_TOL,
+def find_flat_batch(foam, group, rng, n, max_iters=5000, tol=FLAT_TOL,
                     starts=None, on_failure="raise", trace=None):
-    """n independent descent runs, advanced together for speed.
+    """n independent projections onto the flat set, advanced together for speed.
 
     on_failure: 'raise' aborts on any non-converged run, 'drop' discards them.
     """
@@ -224,11 +268,11 @@ def find_flat_batch(foam, group, rng, n, max_iters=5000, step=0.1, tol=FLAT_TOL,
     if foam.E == 0 or foam.F == 0:
         res = _residual_batch(group, words_idx, g)
         return [FlatSample(Connection(foam, group, g[i]), float(res[i])) for i in range(n)]
-    g, res, _ = _descend(group, words_idx, g, tol, max_iters, step, rng, trace=trace)
+    g, res = _descend(group, words_idx, g, tol, max_iters, rng, trace=trace)
     ok = res <= tol
     if not np.all(ok) and on_failure == "raise":
         raise DescentError(
-            "descent failed for %d/%d starts (worst residual %.3e)"
+            "flat projection failed for %d/%d starts (worst residual %.3e)"
             % (int(np.sum(~ok)), n, float(res.max())), residual=float(res.max()))
     return [FlatSample(Connection(foam, group, g[i]), float(res[i]))
             for i in range(n) if ok[i]]
@@ -252,7 +296,7 @@ def analytic_flat(foam_name, rng, group="su2", psi_a=None, psi_b=None, psi_h=Non
     torus: a = exp(psi_a n), b = exp(+-psi_b n) about a common axis n; the sign
     selects the branch.  appendix: family 'irred' has h = +-1 with (a, b) Haar
     random, family 'red' puts a, b, h on a common axis.  sphere: any start is
-    flat.  genus g >= 2 falls back to descent.
+    flat.  genus g >= 2 falls back to Gauss-Newton projection (find_flat).
     """
     group = get_group(group)
     key = foam_name.lower()

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .connection import FlatSample, FLAT_TOL, analytic_flat, \
-    find_flat_batch, flatness_residual
+    find_flat_batch, flatness_residual, word_jacobian
 from .foam import reduce_foam
 from .groups import get_group
 
@@ -48,20 +48,8 @@ def build_delta0(foam, conn):
 
 def build_delta1(foam, conn):
     """(dim G * F) x (dim G * E) word differential (defined at any connection)."""
-    group = conn.group
-    d = group.dim_g
-    E, F = foam.E, foam.F
-    out = np.zeros((d * F, d * E))
-    for f in range(F):
-        P = group.identity()
-        for e, s in foam.word_indices(f):
-            if s > 0:
-                out[d * f:d * f + d, d * e:d * e + d] += group.adjoint(P)
-                P = group.mul(P, conn.data[e])
-            else:
-                P = group.mul(P, group.inv(conn.data[e]))
-                out[d * f:d * f + d, d * e:d * e + d] -= group.adjoint(P)
-    return out
+    words = [foam.word_indices(f) for f in range(foam.F)]
+    return word_jacobian(conn.group, words, conn.data)[1]
 
 
 def _aligned_foam(foam, conn):
@@ -175,9 +163,10 @@ class MinB2Report:
 
 def sample_flat(foam_or_name, group, n_samples, rng, **opts):
     """Flat samples for analysis: analytic families for builtins (torus and
-    the three-edge/two-face foam get every component), descent otherwise.
+    the three-edge/two-face foam get every component), Gauss-Newton
+    projection otherwise.
 
-    Descent targets a much deeper residual than the 1e-10 flatness gate so
+    Projection targets a much deeper residual than the 1e-10 flatness gate so
     that delta1 . delta0, whose entries scale like sqrt(residual), vanishes
     to 1e-10 as well."""
     group = get_group(group)

@@ -1,5 +1,7 @@
+import gc
 import json
 import math
+import warnings
 
 from foamtor.cli import main
 
@@ -69,6 +71,22 @@ def test_ztau_fit_pipeline(tmp_path, capsys):
     assert code == 0
     assert abs(payload["fit"]["omega"] - 1.0) < 0.05
     assert abs(payload["fit"]["dominant_part"] - 2 * math.pi) < 0.2 * 2 * math.pi
+
+
+def test_file_commands_close_their_handles(tmp_path, capsys):
+    csv_path = tmp_path / "ztau.csv"
+    vol_path = tmp_path / "volume.csv"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", ResourceWarning)
+        assert run(capsys, "ztau", "--foam", "torus", "--method", "char",
+                   "--tau-grid", "1e-3:1e-1:8", "--format", "csv",
+                   "--out", str(csv_path))[0] == 0
+        assert run(capsys, "fit", "--in", str(csv_path))[0] == 0
+        assert run(capsys, "torsion", "--foam", "torus", "--check", "torus-volume",
+                   "--grid", "4", "--format", "csv", "--out", str(vol_path))[0] == 0
+        gc.collect()
+    assert vol_path.read_text().startswith("psi_a,")
+    assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
 
 
 def test_ztau_mc(capsys):

@@ -1,13 +1,15 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from foamtor.connection import (Connection, analytic_flat, find_flat,
                                 find_flat_batch, flatness_residual, gauge_act,
-                                holonomy, holonomy_word)
-from foamtor.foam import builtin
+                                holonomy, holonomy_word, word_jacobian)
+from foamtor.foam import builtin, parse_foam
 from foamtor.groups import GroupElement, get_group, su2_mul
+from foamtor.twisted import cohomology
 
 SU2 = get_group("su2")
 
@@ -128,6 +130,76 @@ def test_descent_is_monotone_per_sample():
                     on_failure="drop", trace=trace)
     res = np.stack(trace)
     assert np.all(np.diff(res, axis=0) <= 0.0)
+
+
+def test_dunce_hat_projection_reaches_clean_flat_points():
+    # on <a | a a a^-1> a gradient step of length 1 maps a to a^-1 at constant
+    # residual, so first-order descent stalled here; stopping just under tol
+    # left delta0 on the SVD noise floor (b1 < 0 with rank warnings)
+    foam = builtin("dunce_hat")
+    trace = []
+    samples = find_flat_batch(foam, "su2", np.random.default_rng(0), 40, tol=1e-24,
+                              on_failure="raise", trace=trace)
+    assert len(samples) == 40
+    # once all samples are under tol, one more step polishes them
+    assert np.all(trace[-2] <= 1e-24) and np.all(trace[-1] < trace[-2])
+    for s in samples:
+        rep = cohomology(foam, s)
+        assert rep.betti == (3, 0, 0) and not rep.rank_warning
+
+
+def test_projection_stops_at_nonflat_critical_points():
+    # <e | e^2, e^-1, e^6>: J J^T is singular (the faces constrain one edge
+    # three times) and the residual has non-flat local minima where 6 psi
+    # wraps; starts caught there must end the run instead of using max_iters
+    foam = parse_foam("edges: e\nface: e e\nface: e^-1\nface: e e e e e e\n")
+    trace = []
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        samples = find_flat_batch(foam, "su2", np.random.default_rng(1), 10, tol=1e-24,
+                                  on_failure="drop", trace=trace)
+    assert len(trace) < 100
+    assert len(samples) < 10 and all(s.residual <= 1e-24 for s in samples)
+
+
+def _words(foam):
+    return [foam.word_indices(f) for f in range(foam.F)]
+
+
+@pytest.mark.parametrize("name,group", [
+    ("genus:2", "su2"), ("appendix", "su2"), ("dunce_hat", "su2"),
+    ("projective_plane", "su2"), ("torus", "u1"), ("projective_plane", "u1")])
+def test_word_jacobian_matches_finite_differences(name, group):
+    # H_f(exp(eps v) g) H_f(g)^-1 = exp(eps (J v)_f + O(eps^2)) at any point
+    rng = np.random.default_rng(18)
+    foam = builtin(name)
+    G = get_group(group)
+    conn = Connection.haar(foam, G, rng)
+    H, J = word_jacobian(G, _words(foam), conn.data)
+    for f in range(foam.F):
+        assert np.max(np.abs(H[f] - holonomy(foam, conn, f).data)) == 0.0
+    if not (name == "torus" and group == "u1"):     # abelian torus: always flat
+        assert flatness_residual(foam, conn) > 1e-3
+    v = rng.standard_normal(G.dim_g * foam.E)
+    v /= np.linalg.norm(v)
+    for eps in (1e-4, 1e-5, 1e-6):
+        moved = G.mul(G.exp(eps * v.reshape(foam.E, G.dim_g)), conn.data)
+        H_eps, _ = word_jacobian(G, _words(foam), moved)
+        fd = G.log(G.mul(H_eps, G.inv(H))).reshape(-1) / eps
+        assert np.linalg.norm(fd - J @ v) < 10.0 * eps
+
+
+def test_word_jacobian_batched_equals_stacked_single_calls():
+    rng = np.random.default_rng(19)
+    for name in ("genus:2", "appendix", "projective_plane"):
+        foam = builtin(name)
+        g = SU2.haar(rng, (2, 3, foam.E))
+        H, J = word_jacobian(SU2, _words(foam), g)
+        assert H.shape == (2, 3, foam.F, 4)
+        assert J.shape == (2, 3, 3 * foam.F, 3 * foam.E)
+        for idx in np.ndindex(2, 3):
+            H1, J1 = word_jacobian(SU2, _words(foam), g[idx])
+            assert np.array_equal(H[idx], H1) and np.array_equal(J[idx], J1)
 
 
 def test_find_flat_sphere_trivial():
