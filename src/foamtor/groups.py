@@ -11,8 +11,11 @@ The Haar measure is normalized to total mass 1 throughout, so the heat kernel
     K_tau(g) = sum_rho dim(rho) exp(-tau C(rho)) chi_rho(g)
 
 integrates to 1 for every tau.  Two independent evaluators are provided: the
-truncated character series and a Poisson-resummed Gaussian image sum over the
-cut locus.
+truncated character series, summed by Clenshaw's recurrence, and a
+Poisson-resummed Gaussian image sum over the cut locus.
+
+``word_angle`` gives the class angle of a face word's holonomy without
+forming the product as an element; Monte Carlo uses it with the heat kernel.
 """
 
 from __future__ import annotations
@@ -67,6 +70,42 @@ def su2_exp(v):
     return np.concatenate([np.cos(th), sinc * v], axis=-1)
 
 
+def su2_word_angle(word_idx, g):
+    """Class angle of the holonomy of a face word, g of shape (..., E, 4).
+
+    One multiply chain per quaternion component: an inverse letter enters as
+    a sign flip of its vector part, and the product is neither stacked nor
+    renormalized, since atan2(|v|, w) does not depend on its norm.
+    """
+    if not word_idx:
+        return np.zeros(g.shape[:-2])
+    (e, s), rest = word_idx[0], word_idx[1:]
+    w = g[..., e, 0].copy()
+    x, y, z = (g[..., e, i] * (1.0 if s > 0 else -1.0) for i in (1, 2, 3))
+    for e, s in rest:
+        w2, x2, y2, z2 = (g[..., e, i] for i in range(4))
+        # (w, v)(w2, s v2) = (w w2 - s v.v2, v w2 + s (w v2 + v x v2))
+        dot = x * x2 + y * y2 + z * z2
+        cx = w * x2 + y * z2 - z * y2
+        cy = w * y2 + z * x2 - x * z2
+        cz = w * z2 + x * y2 - y * x2
+        w *= w2
+        x *= w2
+        y *= w2
+        z *= w2
+        if s > 0:
+            w -= dot
+            x += cx
+            y += cy
+            z += cz
+        else:
+            w += dot
+            x -= cx
+            y -= cy
+            z -= cz
+    return np.arctan2(np.sqrt(x * x + y * y + z * z), w)
+
+
 def su2_class_angle(q):
     # atan2 keeps full precision near psi = 0 and pi, unlike arccos(w)
     q = np.asarray(q)
@@ -104,7 +143,13 @@ def su2_adjoint(q):
 def su2_haar(rng, shape=()):
     """Haar-uniform unit quaternions: four normals, normalized."""
     q = rng.standard_normal(tuple(shape) + (4,))
-    return q / np.linalg.norm(q, axis=-1, keepdims=True)
+    # the squared norm summed in np.linalg.norm's order, without the cost of
+    # its reduction over a length-4 axis
+    n2 = q[..., 0] * q[..., 0]
+    for i in (1, 2, 3):
+        n2 = n2 + q[..., i] * q[..., i]
+    q /= np.sqrt(n2)[..., None]
+    return q
 
 
 def su2_character(j, psi):
@@ -130,32 +175,22 @@ def _su2_nmax(tau):
 
 
 def su2_heat_kernel_series(tau, psi):
-    """Truncated character series sum_j (2j+1) e^{-tau j(j+1)} chi_j(psi)."""
+    """Truncated character series sum_j (2j+1) e^{-tau j(j+1)} chi_j(psi).
+
+    With n = 2j+1, chi_j(psi) = U_{n-1}(cos psi), so the series is
+    sum_n n e^{-tau (n^2-1)/4} U_{n-1}(cos psi), summed by Clenshaw's
+    recurrence; U_{n-1} is a polynomial, so psi = 0 and pi need no care.
+    """
     if tau <= 0:
         raise ValueError("tau must be positive")
     psi = np.atleast_1d(np.asarray(psi, dtype=float))
-    nmax = _su2_nmax(tau)
-    out = np.zeros_like(psi)
-    # chunk over n to bound the (len(psi) x nmax) intermediate
-    for n0 in range(1, nmax + 1, 512):
-        n = np.arange(n0, min(n0 + 512, nmax + 1), dtype=float)
-        w = n * np.exp(-tau * (n * n - 1.0) / 4.0)
-        s = np.sin(psi)
-        near0 = psi < 1e-5
-        nearpi = np.pi - psi < 1e-5
-        generic = ~(near0 | nearpi)
-        if np.any(generic):
-            out[generic] += (np.sin(np.outer(psi[generic], n)) @ w) / s[generic]
-        if np.any(near0):
-            u = psi[near0]
-            chi = n - np.outer(u * u, n * (n * n - 1.0) / 6.0)
-            out[near0] += chi @ w
-        if np.any(nearpi):
-            u = np.pi - psi[nearpi]
-            sgn = (-1.0) ** (n + 1)
-            chi = sgn * (n - np.outer(u * u, n * (n * n - 1.0) / 6.0))
-            out[nearpi] += chi @ w
-    return out
+    n = np.arange(1, _su2_nmax(tau) + 1, dtype=float)
+    coef = n * np.exp(-tau * (n * n - 1.0) / 4.0)
+    x2 = 2.0 * np.cos(psi)
+    b1, b2 = np.full_like(psi, coef[-1]), np.zeros_like(psi)
+    for c in coef[-2::-1]:
+        b1, b2 = c + x2 * b1 - b2, b1
+    return b1
 
 
 def su2_heat_kernel_images(tau, psi):
@@ -170,7 +205,10 @@ def su2_heat_kernel_images(tau, psi):
         raise ValueError("tau must be positive")
     psi = np.atleast_1d(np.asarray(psi, dtype=float))
     pref = math.exp(tau / 4.0) * math.sqrt(4.0 * math.pi) * tau ** -1.5
-    kmax = max(3, int(math.ceil(math.sqrt(45.0 * tau) / (2 * math.pi))) + 2)
+    # images beyond |k| = K are e^{-((2K+1)^2-1) pi^2/tau} <= 1e-17 of the
+    # leading ones (worst at psi = pi); K = 1 for tau <= 2
+    kmax = math.ceil((math.sqrt(1.0 + 17.0 * math.log(10.0) * tau / math.pi ** 2)
+                      - 1.0) / 2.0)
     ks = np.arange(-kmax, kmax + 1, dtype=float)
 
     def f(x):
@@ -257,6 +295,7 @@ class SU2:
     adjoint = staticmethod(su2_adjoint)
     haar = staticmethod(su2_haar)
     identity = staticmethod(su2_identity)
+    word_angle = staticmethod(su2_word_angle)
 
     @staticmethod
     def log(g, check_cut_locus=True):
@@ -282,9 +321,11 @@ class SU2:
         return int(round(2 * label)) + 1
 
     @staticmethod
-    def heat_kernel(tau, g_or_angle, method="auto"):
+    def heat_kernel(tau, g_or_angle, method="auto", *, angle=False):
+        """K_tau at elements, or at class angles if angle=True or if the
+        trailing axis is not 4."""
         x = np.asarray(g_or_angle, dtype=float)
-        psi = su2_class_angle(x) if x.shape and x.shape[-1] == 4 else x
+        psi = su2_class_angle(x) if not angle and x.shape and x.shape[-1] == 4 else x
         if method == "auto":
             method = "gaussian-images" if tau <= 1.0 else "char-series"
         if method == "char-series":
@@ -341,6 +382,14 @@ class U1:
         return u1_distance(np.asarray(g)[..., 0])
 
     @staticmethod
+    def word_angle(word_idx, g):
+        """Distance to the identity of a face word's holonomy sum_l s_l theta_l."""
+        t = np.zeros(g.shape[:-2])
+        for e, s in word_idx:
+            t = t + g[..., e, 0] if s > 0 else t - g[..., e, 0]
+        return u1_distance(t)
+
+    @staticmethod
     def character(label, g_or_angle):
         x = np.asarray(g_or_angle, dtype=float)
         theta = x[..., 0] if x.shape and x.shape[-1] == 1 else x
@@ -355,9 +404,11 @@ class U1:
         return 1
 
     @staticmethod
-    def heat_kernel(tau, g_or_angle, method="auto"):
+    def heat_kernel(tau, g_or_angle, method="auto", *, angle=False):
+        """K_tau at elements, or at angles if angle=True or if the trailing
+        axis is not 1."""
         x = np.asarray(g_or_angle, dtype=float)
-        theta = x[..., 0] if x.shape and x.shape[-1] == 1 else x
+        theta = x[..., 0] if not angle and x.shape and x.shape[-1] == 1 else x
         if method == "auto":
             method = "gaussian-images" if tau <= 1.0 else "char-series"
         if method == "char-series":

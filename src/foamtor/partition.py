@@ -10,7 +10,9 @@ quantified against Lambda_tau = (4 pi tau)^{-1/2}.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass, field
+from functools import reduce
 
 import numpy as np
 
@@ -57,11 +59,26 @@ def zestimates_from_csv(text):
 # ----------------------------------------------------------------------
 # Monte Carlo
 
+def _merge_moments(a, b):
+    """Chan et al.'s pairwise update of (count, mean, M2), M2 = sum (x - mean)^2."""
+    na, ma, qa = a
+    nb, mb, qb = b
+    n = na + nb
+    d = mb - ma
+    return n, ma + d * (nb / n), qa + qb + d * d * (na * nb / n)
+
+
 def z_mc(foam, group, tau, n_samples, rng=None, seed=None, n_workers=1,
-         chunk=100_000):
+         chunk=50_000):
     """Sample mean of prod_f K_tau(H_f(A)) over A ~ Haar^E.
 
-    Deterministic given a seed: worker w draws from default_rng([seed, w]).
+    The n_samples draws are split into n_workers streams, stream w drawing
+    from default_rng([seed, w]); the streams run concurrently on at most
+    os.cpu_count() threads, and their moments are merged in stream order, so
+    the result depends on the seed and n_workers only.  At most about chunk
+    samples are held in memory at once across all streams.  From the CLI:
+    ``foamtor ztau --method mc --workers N``.
+
     Below the MC floor the integrand variance swamps 1e7-sample estimates;
     use the character evaluators there.
     """
@@ -69,6 +86,11 @@ def z_mc(foam, group, tau, n_samples, rng=None, seed=None, n_workers=1,
         raise ValueError(
             "tau=%g is below the MC floor %g; use a character-sum evaluator"
             % (tau, MC_TAU_FLOOR))
+    if n_samples < 2:
+        raise ValueError("n_samples=%r: Monte Carlo needs at least 2 samples "
+                         "for a standard error" % (n_samples,))
+    if n_workers < 1:
+        raise ValueError("n_workers=%r: need at least one worker stream" % (n_workers,))
     group = get_group(group)
     foam = reduce_foam(foam)
     words = [foam.word_indices(f) for f in range(foam.F)]
@@ -83,27 +105,34 @@ def z_mc(foam, group, tau, n_samples, rng=None, seed=None, n_workers=1,
         raise ValueError("z_mc needs rng or seed")
     per = [n_samples // n_workers] * n_workers
     per[-1] += n_samples - sum(per)
-    total = 0.0
-    total_sq = 0.0
-    n_done = 0
-    from .connection import _holonomy_indices
-    for w, n_w in enumerate(per):
+    step = -(-chunk // n_workers)
+
+    def stream(w):
         wrng = np.random.default_rng([seed, w])
-        left = n_w
-        while left > 0:
-            m = min(chunk, left)
+        parts = []
+        for start in range(0, per[w], step):
+            m = min(step, per[w] - start)
+            # one copy makes each edge's component rows contiguous for word_angle
             g = group.haar(wrng, (m, foam.E))
+            g = np.moveaxis(np.ascontiguousarray(np.moveaxis(g, 0, -1)), -1, 0)
             vals = np.ones(m)
             for word in words:
-                h = _holonomy_indices(group, word, g)
-                vals *= group.heat_kernel(tau, h)
-            total += float(vals.sum())
-            total_sq += float((vals * vals).sum())
-            n_done += m
-            left -= m
-    mean = total / n_done
-    var = max(total_sq / n_done - mean * mean, 0.0) * n_done / max(n_done - 1, 1)
-    stderr = math.sqrt(var / n_done)
+                vals *= group.heat_kernel(tau, group.word_angle(word, g), angle=True)
+            mean = float(vals.mean())
+            vals -= mean
+            vals *= vals
+            parts.append((m, mean, float(vals.sum())))
+        return reduce(_merge_moments, parts)
+
+    if n_workers == 1:
+        streams = [stream(0)]
+    else:
+        from concurrent.futures import ThreadPoolExecutor
+        # numpy releases the GIL in the Haar draws and the kernels
+        with ThreadPoolExecutor(min(n_workers, os.cpu_count() or 1)) as pool:
+            streams = list(pool.map(stream, [w for w in range(n_workers) if per[w]]))
+    n_done, mean, m2 = reduce(_merge_moments, streams)
+    stderr = math.sqrt(m2 / (n_done - 1) / n_done)
     return ZEstimate(tau, mean, stderr, "mc",
                      {"n_samples": n_done, "seed": seed, "n_workers": n_workers})
 

@@ -153,3 +153,12 @@ def test_parse_error_exit_code(tmp_path, capsys):
     path.write_text("edges: a\nface: b\n")
     code = main(["analyze", "--foam", str(path)])
     assert code == 2
+
+
+def test_ztau_mc_refuses_bad_counts(capsys):
+    for flag, value in (("--workers", "0"), ("--samples", "1"), ("--samples", "0")):
+        code = main(["ztau", "--foam", "torus", "--method", "mc", "--tau-grid",
+                     "0.5:0.5:1", "--seed", "1", flag, value])
+        err = capsys.readouterr().err
+        assert code == 2, (flag, value)
+        assert err.startswith("error: "), (flag, value)

@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 
+from foamtor.connection import _holonomy_indices
+from foamtor.foam import builtin, reduce_foam
 from foamtor.groups import (EPS_LOG, CutLocusError, GroupElement, get_group,
                             group_element_from_json, su2_haar, su2_mul)
 
@@ -120,13 +122,34 @@ def test_heat_kernel_methods_agree():
     psi = np.concatenate([np.array([0.0, 1e-9, 1e-6, 1e-3]),
                           np.linspace(0.01, math.pi - 0.01, 200),
                           math.pi - np.array([1e-3, 1e-6, 1e-9, 0.0])])
-    for tau in (0.01, 0.03, 0.1, 0.3, 1.0):
+    for tau in (0.01, 0.03, 0.1, 0.3, 1.0, 1.5, 2.0):
         a = SU2G.heat_kernel(tau, psi, "char-series")
         b = SU2G.heat_kernel(tau, psi, "gaussian-images")
         peak = float(SU2G.heat_kernel(tau, np.zeros(1))[0])
         ok = np.abs(a - b) <= np.maximum(1e-10 * np.maximum(np.abs(a), np.abs(b)),
                                          1e-12 * peak)
         assert np.all(ok), (tau, psi[~ok], a[~ok], b[~ok])
+
+
+def test_su2_haar_normalizes_the_normal_stream():
+    # Haar draws are the normals of the generator's stream over their norm, so
+    # every seeded Monte Carlo estimate keeps its value
+    for shape in ((), (5,), (300, 6), (4, 7, 3)):
+        q = np.random.default_rng(8).standard_normal(shape + (4,))
+        ref = q / np.linalg.norm(q, axis=-1, keepdims=True)
+        got = su2_haar(np.random.default_rng(8), shape)
+        assert got.shape == ref.shape
+        assert np.allclose(got, ref, rtol=1e-15, atol=0)
+
+
+def test_heat_kernel_reads_angles_when_told():
+    # four class angles are not one quaternion
+    psi = np.array([0.1, 0.7, 1.9, 3.0])
+    each = np.concatenate([SU2G.heat_kernel(0.5, psi[i:i + 1]) for i in range(4)])
+    assert np.allclose(SU2G.heat_kernel(0.5, psi, angle=True), each, rtol=1e-14, atol=0)
+    theta = np.array([2.5])
+    assert np.allclose(U1G.heat_kernel(0.5, theta, angle=True),
+                       U1G.heat_kernel(0.5, theta[None]), rtol=1e-14, atol=0)
 
 
 def test_heat_kernel_positive():
@@ -215,3 +238,28 @@ def test_group_element_json_roundtrip():
     assert group_element_from_json(g.to_json()).allclose(g, 1e-15)
     t = GroupElement.haar("u1", rng)
     assert group_element_from_json(t.to_json()).allclose(t, 1e-15)
+
+
+@pytest.mark.parametrize("group", ["su2", "u1"])
+@pytest.mark.parametrize("name", ["sphere", "torus", "genus:2", "genus:3", "appendix",
+                                  "dunce_hat", "projective_plane"])
+def test_word_angle_equals_class_angle_of_holonomy(name, group):
+    G = get_group(group)
+    foam = reduce_foam(builtin(name))
+    rng = np.random.default_rng(21)
+    g = G.haar(rng, (3, 80, foam.E))[:, ::2]           # non-contiguous batch
+    if G.name == "su2":
+        # off the unit sphere: class angles do not depend on the norm
+        raw = g * rng.uniform(0.3, 3.0, g.shape[:-1] + (1,))
+    else:
+        # angles outside [0, 2 pi)
+        raw = g + 2.0 * np.pi * rng.integers(-3, 4, g.shape)
+    edge_major = np.moveaxis(np.ascontiguousarray(np.moveaxis(raw, (0, 1), (-2, -1))),
+                             (-2, -1), (0, 1))
+    for f in range(foam.F):
+        word = foam.word_indices(f)
+        ref = G.distance(_holonomy_indices(G, word, np.ascontiguousarray(g)))
+        for x in (g, raw, edge_major):
+            got = G.word_angle(word, x)
+            assert got.shape == ref.shape
+            assert np.max(np.abs(got - ref)) <= 1e-12, (name, group, f)

@@ -1,4 +1,6 @@
 import math
+import os
+import threading
 
 import numpy as np
 import pytest
@@ -44,6 +46,97 @@ def test_z_mc_deterministic_and_worker_streams():
     # different worker partition => different stream, statistically compatible
     assert c.value != a.value
     assert abs(c.value - a.value) < 5.0 * math.hypot(a.stderr, c.stderr)
+
+
+def test_z_mc_refuses_too_few_samples():
+    # one sample has no variance estimate (stderr 0 would read as exact);
+    # zero samples divided by zero
+    for n in (-1, 0, 1):
+        with pytest.raises(ValueError, match="n_samples"):
+            z_mc(builtin("torus"), "su2", 0.5, n, seed=0)
+
+
+def test_z_mc_refuses_no_workers():
+    for w in (-1, 0):
+        with pytest.raises(ValueError, match="n_workers"):
+            z_mc(builtin("torus"), "su2", 0.5, 1000, seed=0, n_workers=w)
+
+
+# z_mc(foam, "su2", tau, 20_001, seed=2024, n_workers=w) -> (value, stderr),
+# recorded with the unfused kernel (one su2_mul per letter, renormalized)
+GOLDEN_MC = {
+    ("torus", 0.5, 1): (2.2579646232789394, 0.0213433806996446),
+    ("torus", 0.5, 3): (2.2731579277420226, 0.021403085703779176),
+    ("torus", 1.5, 1): (1.3771083706757103, 0.0055228358499751565),
+    ("torus", 1.5, 3): (1.3827691423772854, 0.005514101550351057),
+    ("genus:2", 0.5, 1): (1.2226173041239488, 0.01481712734305439),
+    ("genus:2", 0.5, 3): (1.2301473047356188, 0.015008508310620613),
+    ("genus:2", 1.5, 1): (1.0874441780740463, 0.004907970910442823),
+    ("genus:2", 1.5, 3): (1.0879269113633436, 0.004912616577819709),
+    ("appendix", 0.5, 1): (7.031600061520076, 0.12153255724830546),
+    ("appendix", 0.5, 3): (7.17925924437807, 0.12264454586799003),
+    ("appendix", 1.5, 1): (2.030987565567377, 0.012928411500937678),
+    ("appendix", 1.5, 3): (2.0565350173209587, 0.012978519568558297),
+}
+
+
+@pytest.mark.parametrize("key", sorted(GOLDEN_MC))
+def test_z_mc_matches_recorded_values(key):
+    foam, tau, workers = key
+    value, stderr = GOLDEN_MC[key]
+    # chunk=7000 splits every stream into several draws; the Haar stream and
+    # hence the estimate do not depend on how a stream is chunked
+    for chunk in (50_000, 7000):
+        est = z_mc(builtin(foam), "su2", tau, 20_001, seed=2024, n_workers=workers,
+                   chunk=chunk)
+        assert abs(est.value - value) <= 1e-12 * value
+        assert abs(est.stderr - stderr) <= 1e-12 * stderr
+
+
+def test_z_mc_matches_recorded_values_tiny_chunks():
+    # streams of elem_dim = 4 samples and near it: four class angles must
+    # not be read as one quaternion by the heat kernel
+    for foam, tau, n, workers, value, stderr in (
+            ("torus", 0.5, 4, 1, 0.18015804865263976, 0.1009629109373803),
+            ("genus:2", 1.5, 8, 2, 0.948406281503321, 0.23634509663515021),
+            ("appendix", 0.5, 6, 1, 0.8747979208742357, 0.4705969818424466)):
+        est = z_mc(builtin(foam), "su2", tau, n, seed=31, n_workers=workers)
+        assert abs(est.value - value) <= 1e-12 * value, foam
+        assert abs(est.stderr - stderr) <= 1e-12 * stderr, foam
+
+
+def test_z_mc_threaded_streams_are_reproducible():
+    t = builtin("genus:2")
+    a = z_mc(t, "su2", 0.7, 30_001, seed=11, n_workers=3, chunk=4000)
+    b = z_mc(t, "su2", 0.7, 30_001, seed=11, n_workers=3, chunk=4000)
+    assert (a.value, a.stderr) == (b.value, b.stderr)
+    assert a.meta["n_samples"] == 30_001 and a.meta["n_workers"] == 3
+
+
+def test_z_mc_pool_is_capped_at_cpu_count(monkeypatch):
+    cpus = os.cpu_count() or 1
+    workers = 4 * cpus
+    seen = set()
+    real_haar = SU2.haar
+
+    def haar(rng, shape=()):
+        seen.add(threading.get_ident())
+        return real_haar(rng, shape)
+
+    t = builtin("torus")
+    ref = z_mc(t, "su2", 0.5, 1000 * workers + 3, seed=5, n_workers=workers)
+    monkeypatch.setattr(type(SU2), "haar", staticmethod(haar))
+    est = z_mc(t, "su2", 0.5, 1000 * workers + 3, seed=5, n_workers=workers)
+    assert (est.value, est.stderr) == (ref.value, ref.stderr)
+    assert est.meta["n_workers"] == workers
+    assert 1 <= len(seen) <= cpus
+
+
+def test_z_mc_variance_of_a_constant_integrand_is_zero():
+    # U(1) torus: every commutator word is trivial, so the integrand is the
+    # constant K_tau(0); merged chunk moments carry no cancellation residue
+    est = z_mc(builtin("torus"), "u1", 0.5, 20_001, seed=3, n_workers=3, chunk=3000)
+    assert est.stderr <= 1e-14 * est.value
 
 
 def test_z_mc_refuses_below_floor():
