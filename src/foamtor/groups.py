@@ -143,13 +143,7 @@ def su2_adjoint(q):
 def su2_haar(rng, shape=()):
     """Haar-uniform unit quaternions: four normals, normalized."""
     q = rng.standard_normal(tuple(shape) + (4,))
-    # the squared norm summed in np.linalg.norm's order, without the cost of
-    # its reduction over a length-4 axis
-    n2 = q[..., 0] * q[..., 0]
-    for i in (1, 2, 3):
-        n2 = n2 + q[..., i] * q[..., i]
-    q /= np.sqrt(n2)[..., None]
-    return q
+    return q / np.linalg.norm(q, axis=-1, keepdims=True)
 
 
 def su2_character(j, psi):

@@ -59,6 +59,13 @@ def zestimates_from_csv(text):
 # ----------------------------------------------------------------------
 # Monte Carlo
 
+def usable_cpus():
+    """CPUs this process may run on: its affinity set where the OS has one."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _merge_moments(a, b):
     """Chan et al.'s pairwise update of (count, mean, M2), M2 = sum (x - mean)^2."""
     na, ma, qa = a
@@ -73,9 +80,9 @@ def z_mc(foam, group, tau, n_samples, rng=None, seed=None, n_workers=1,
     """Sample mean of prod_f K_tau(H_f(A)) over A ~ Haar^E.
 
     The n_samples draws are split into n_workers streams, stream w drawing
-    from default_rng([seed, w]); the streams run concurrently on at most
-    os.cpu_count() threads, and their moments are merged in stream order, so
-    the result depends on the seed and n_workers only.  At most about chunk
+    from default_rng([seed, w]); the streams run concurrently on a thread
+    pool of at most usable_cpus() threads, and their moments are merged in
+    stream order, so the result depends on the seed and n_workers only.  At most about chunk
     samples are held in memory at once across all streams.  From the CLI:
     ``foamtor ztau --method mc --workers N``.
 
@@ -86,9 +93,6 @@ def z_mc(foam, group, tau, n_samples, rng=None, seed=None, n_workers=1,
         raise ValueError(
             "tau=%g is below the MC floor %g; use a character-sum evaluator"
             % (tau, MC_TAU_FLOOR))
-    if n_samples < 2:
-        raise ValueError("n_samples=%r: Monte Carlo needs at least 2 samples "
-                         "for a standard error" % (n_samples,))
     if n_workers < 1:
         raise ValueError("n_workers=%r: need at least one worker stream" % (n_workers,))
     group = get_group(group)
@@ -99,6 +103,9 @@ def z_mc(foam, group, tau, n_samples, rng=None, seed=None, n_workers=1,
         for _ in range(foam.F):
             val *= float(group.heat_kernel(tau, group.identity((1,)))[0])
         return ZEstimate(tau, val, 0.0, "mc", {"n_samples": 0, "exact": True})
+    if n_samples < 2:
+        raise ValueError("n_samples=%r: Monte Carlo needs at least 2 samples "
+                         "for a standard error" % (n_samples,))
     if rng is not None and seed is None:
         seed = int(rng.integers(2 ** 63))
     if seed is None:
@@ -124,13 +131,11 @@ def z_mc(foam, group, tau, n_samples, rng=None, seed=None, n_workers=1,
             parts.append((m, mean, float(vals.sum())))
         return reduce(_merge_moments, parts)
 
-    if n_workers == 1:
-        streams = [stream(0)]
-    else:
-        from concurrent.futures import ThreadPoolExecutor
-        # numpy releases the GIL in the Haar draws and the kernels
-        with ThreadPoolExecutor(min(n_workers, os.cpu_count() or 1)) as pool:
-            streams = list(pool.map(stream, [w for w in range(n_workers) if per[w]]))
+    # imported here so that importing foamtor does not pay for it
+    from concurrent.futures import ThreadPoolExecutor
+    # numpy releases the GIL in the Haar draws and the kernels
+    with ThreadPoolExecutor(min(n_workers, usable_cpus())) as pool:
+        streams = list(pool.map(stream, [w for w in range(n_workers) if per[w]]))
     n_done, mean, m2 = reduce(_merge_moments, streams)
     stderr = math.sqrt(m2 / (n_done - 1) / n_done)
     return ZEstimate(tau, mean, stderr, "mc",

@@ -139,7 +139,7 @@ def test_su2_haar_normalizes_the_normal_stream():
         ref = q / np.linalg.norm(q, axis=-1, keepdims=True)
         got = su2_haar(np.random.default_rng(8), shape)
         assert got.shape == ref.shape
-        assert np.allclose(got, ref, rtol=1e-15, atol=0)
+        assert np.array_equal(got, ref)
 
 
 def test_heat_kernel_reads_angles_when_told():

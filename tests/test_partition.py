@@ -11,7 +11,7 @@ from foamtor.foam import builtin
 from foamtor.groups import get_group, su2_haar, su2_mul
 from foamtor.partition import (MC_TAU_FLOOR, ZEstimate, char_sum_limit,
                                fit_scaling, fit_toy, lambda_tau, toy_laplace,
-                               z_char_appendix, z_char_surface, z_mc,
+                               usable_cpus, z_char_appendix, z_char_surface, z_mc,
                                zestimates_csv, zestimates_from_csv)
 
 SU2 = get_group("su2")
@@ -54,6 +54,15 @@ def test_z_mc_refuses_too_few_samples():
     for n in (-1, 0, 1):
         with pytest.raises(ValueError, match="n_samples"):
             z_mc(builtin("torus"), "su2", 0.5, n, seed=0)
+
+
+def test_z_mc_without_edges_needs_no_samples():
+    # a foam with no edges has no integral to sample: the exact value comes
+    # back whatever the sample count
+    for n in (0, 1):
+        est = z_mc(builtin("sphere"), "su2", 0.5, n, seed=0)
+        assert est.stderr == 0.0 and est.meta["exact"]
+        assert est.value == z_mc(builtin("sphere"), "su2", 0.5, 1000, seed=0).value
 
 
 def test_z_mc_refuses_no_workers():
@@ -113,8 +122,14 @@ def test_z_mc_threaded_streams_are_reproducible():
     assert a.meta["n_samples"] == 30_001 and a.meta["n_workers"] == 3
 
 
-def test_z_mc_pool_is_capped_at_cpu_count(monkeypatch):
-    cpus = os.cpu_count() or 1
+@pytest.mark.parametrize("pinned", [False, True])
+def test_z_mc_pool_is_capped_at_cpu_count(monkeypatch, pinned):
+    if pinned:
+        # a process pinned to one CPU runs on one thread, whatever
+        # os.cpu_count() says about the host
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    cpus = 1 if pinned else usable_cpus()
     workers = 4 * cpus
     seen = set()
     real_haar = SU2.haar
