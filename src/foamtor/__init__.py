@@ -13,8 +13,8 @@ from .connection import (Connection, FlatSample, DescentError, analytic_flat,
                          find_flat, find_flat_batch, flatness_residual,
                          gauge_act, holonomy, holonomy_word, word_jacobian)
 from .twisted import (CohomologyReport, MinB2Report, build_delta0, build_delta1,
-                      cohomology, min_b2, sample_flat, svd_rank)
-from .torsion import (TorsionValue, gaussian_volume, torsion_at,
+                      cohomology, cohomology_batch, min_b2, sample_flat, svd_rank)
+from .torsion import (TorsionValue, gaussian_volume, torsion_at, torsion_batch,
                       torus_dominant_part, torus_volume_grid)
 from .partition import (ScalingFit, ZEstimate, char_sum_limit, fit_scaling,
                         fit_toy, lambda_tau, toy_laplace, z_char_appendix,

@@ -21,7 +21,7 @@ from .foam import FoamError, builtin, cellular_homology, parse_foam, reduce_foam
 from .groups import get_group
 from .partition import (fit_scaling, fit_toy, toy_laplace, z_char_appendix,
                         z_char_surface, z_mc, zestimates_csv, zestimates_from_csv)
-from .torsion import torsion_at, torus_volume_csv, torus_volume_grid
+from .torsion import TorsionValue, torsion_batch, torus_volume_csv, torus_volume_grid
 from .twisted import min_b2
 
 
@@ -191,12 +191,10 @@ def cmd_torsion(args):
         return 0 if max_err < 1e-10 else 1
     from .twisted import sample_flat
     foam, samples = sample_flat(_load_foam(args.foam), args.group, args.samples, rng)
-    values = []
-    for s in samples:
-        try:
-            values.append(torsion_at(foam, s, rng).to_json())
-        except ValueError as exc:
-            values.append({"error": str(exc)})
+    if not samples:
+        raise RuntimeError("no flat connection found within budget")
+    values = [v.to_json() if isinstance(v, TorsionValue) else {"error": str(v)}
+              for v in torsion_batch(foam, samples, rng)]
     payload = {"config": _config_echo(args, seed), "foam": foam.name,
                "torsion": values}
     _emit(args, payload)
@@ -272,7 +270,8 @@ def main(argv=None):
     args = _parser().parse_args(argv)
     try:
         return args.func(args)
-    except (FoamError, ValueError) as exc:
+    # RuntimeError covers DescentError and "no flat connection found"
+    except (FoamError, ValueError, OSError, RuntimeError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
 

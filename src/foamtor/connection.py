@@ -281,12 +281,17 @@ def find_flat_batch(foam, group, rng, n, max_iters=5000, tol=FLAT_TOL,
 # ----------------------------------------------------------------------
 # analytic flat families for the builtin foams
 
+def unit_vectors(v):
+    """v (..., 3) over the norms of its rows.  Each squared norm is the row's
+    dot product with itself, as in np.linalg.norm of one vector, so a row
+    scales by the same bits alone or in a stack (a sum-reduction over the
+    last axis rounds differently)."""
+    return v / np.sqrt(v[..., None, :] @ v[..., :, None])[..., 0]
+
+
 def _unit_vector(rng, axis=None):
-    if axis is not None:
-        v = np.asarray(axis, dtype=float)
-        return v / np.linalg.norm(v)
-    v = rng.standard_normal(3)
-    return v / np.linalg.norm(v)
+    v = rng.standard_normal(3) if axis is None else np.asarray(axis, dtype=float)
+    return unit_vectors(v)
 
 
 def analytic_flat(foam_name, rng, group="su2", psi_a=None, psi_b=None, psi_h=None,

@@ -275,6 +275,21 @@ def u1_heat_kernel_images(tau, theta):
 # ----------------------------------------------------------------------
 # uniform group interface used by the foam-analysis modules
 
+def _class_angle(group, g, angle):
+    """Where the class functions (character, heat_kernel) decide what they
+    were given: g holds elements (trailing axis elem_dim) unless angle=True,
+    in which case it holds class angles.  The shape alone cannot tell: four
+    SU(2) class angles look like one quaternion."""
+    x = np.asarray(g, dtype=float)
+    if angle:
+        return x
+    if x.shape[-1:] != (group.elem_dim,):
+        raise ValueError("%s elements need a trailing axis of %d, got shape %r; "
+                         "pass angle=True for class angles"
+                         % (group.name, group.elem_dim, x.shape))
+    return group.distance(x)
+
+
 class SU2:
     """SU(2) as unit quaternions; all methods are vectorized over leading axes."""
 
@@ -301,10 +316,9 @@ class SU2:
         return su2_class_angle(g)
 
     @staticmethod
-    def character(label, g_or_angle):
-        x = np.asarray(g_or_angle, dtype=float)
-        psi = su2_class_angle(x) if x.shape and x.shape[-1] == 4 else x
-        return su2_character(label, psi)
+    def character(label, g, *, angle=False):
+        """chi_label at elements g, or at class angles g if angle=True."""
+        return su2_character(label, _class_angle(SU2, g, angle))
 
     @staticmethod
     def casimir(label):
@@ -315,11 +329,9 @@ class SU2:
         return int(round(2 * label)) + 1
 
     @staticmethod
-    def heat_kernel(tau, g_or_angle, method="auto", *, angle=False):
-        """K_tau at elements, or at class angles if angle=True or if the
-        trailing axis is not 4."""
-        x = np.asarray(g_or_angle, dtype=float)
-        psi = su2_class_angle(x) if not angle and x.shape and x.shape[-1] == 4 else x
+    def heat_kernel(tau, g, method="auto", *, angle=False):
+        """K_tau at elements g, or at class angles g if angle=True."""
+        psi = _class_angle(SU2, g, angle)
         if method == "auto":
             method = "gaussian-images" if tau <= 1.0 else "char-series"
         if method == "char-series":
@@ -384,10 +396,9 @@ class U1:
         return u1_distance(t)
 
     @staticmethod
-    def character(label, g_or_angle):
-        x = np.asarray(g_or_angle, dtype=float)
-        theta = x[..., 0] if x.shape and x.shape[-1] == 1 else x
-        return np.cos(label * theta)
+    def character(label, g, *, angle=False):
+        """cos(label theta) at elements g, or at angles g if angle=True."""
+        return np.cos(label * _class_angle(U1, g, angle))
 
     @staticmethod
     def casimir(label):
@@ -398,11 +409,9 @@ class U1:
         return 1
 
     @staticmethod
-    def heat_kernel(tau, g_or_angle, method="auto", *, angle=False):
-        """K_tau at elements, or at angles if angle=True or if the trailing
-        axis is not 1."""
-        x = np.asarray(g_or_angle, dtype=float)
-        theta = x[..., 0] if not angle and x.shape and x.shape[-1] == 1 else x
+    def heat_kernel(tau, g, method="auto", *, angle=False):
+        """K_tau at elements g, or at angles g if angle=True."""
+        theta = _class_angle(U1, g, angle)
         if method == "auto":
             method = "gaussian-images" if tau <= 1.0 else "char-series"
         if method == "char-series":

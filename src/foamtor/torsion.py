@@ -10,6 +10,12 @@ reduces to the ratio (product of nonzero singular values of delta0) /
 determinants are nevertheless built explicitly from random orthonormal
 completions d^0, d^1, which gives the basis-independence check for free:
 the reported magnitude must not depend on the random completions.
+
+torsion_batch reads a whole sample set's complexes from one
+cohomology_batch call, and torsion_at reuses each sample's report and its
+delta0/delta1.  The torus-chart grids stack every flat point to one
+(n, 2, 4) array and read the Gaussian volumes off one face walk and one
+stacked SVD.
 """
 
 from __future__ import annotations
@@ -19,11 +25,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .connection import FlatSample
-from .twisted import EPS_RANK, build_delta0, build_delta1, cohomology, svd_rank
+from .connection import FlatSample, unit_vectors, word_jacobian
+from .foam import builtin
+from .groups import SU2
+from .twisted import EPS_RANK, build_delta0, build_delta1, cohomology, \
+    cohomology_batch, svd_rank
 
-__all__ = ["TorsionValue", "torsion_at", "torus_volume_grid", "torus_dominant_part",
-           "gaussian_volume"]
+__all__ = ["TorsionValue", "torsion_at", "torsion_batch", "torus_volume_grid",
+           "torus_dominant_part", "gaussian_volume"]
 
 
 class SingularSampleError(ValueError):
@@ -63,16 +72,18 @@ def _split_svd(mat, rank):
     return vt[:rank].T, vt[rank:].T, u[:, :rank], u[:, rank:]
 
 
-def torsion_at(foam, sample, rng, expected_b0=None, eps_rank=EPS_RANK):
+def torsion_at(foam, sample, rng, expected_b0=None, eps_rank=EPS_RANK, report=None):
     """Torsion magnitude at a flat sample via the explicit basis pipeline.
 
     Refuses samples flagged possibly singular, samples with a thin
     singular-value gap, and (when expected_b0 is given) samples whose
-    isotropy dimension differs from their component's modal value.
+    isotropy dimension differs from their component's modal value.  report
+    is the sample's CohomologyReport if the caller already has it; it is
+    computed otherwise.  One seed is drawn from rng per accepted sample.
     """
     if isinstance(sample, FlatSample) and sample.possibly_singular:
         raise SingularSampleError("sample is flagged possibly singular")
-    rep = cohomology(foam, sample, eps_rank=eps_rank)
+    rep = cohomology(foam, sample, eps_rank=eps_rank) if report is None else report
     if rep.rank_warning:
         raise SingularSampleError(
             "ill-conditioned rank decision (gaps %.2e, %.2e)" % (rep.gap0, rep.gap1))
@@ -80,9 +91,7 @@ def torsion_at(foam, sample, rng, expected_b0=None, eps_rank=EPS_RANK):
         raise SingularSampleError(
             "isotropy dimension b0=%d differs from the component value %d"
             % (rep.b0, expected_b0))
-    conn = sample.connection if isinstance(sample, FlatSample) else sample
-    d0 = build_delta0(conn.foam, conn)
-    d1 = build_delta1(conn.foam, conn)
+    d0, d1 = rep.delta0, rep.delta1
     n0 = d0.shape[1]
     seed_meta = int(rng.integers(2 ** 32))
     sub = np.random.default_rng(seed_meta)
@@ -120,6 +129,22 @@ def torsion_at(foam, sample, rng, expected_b0=None, eps_rank=EPS_RANK):
                                              "h2": h2.shape[1]}})
 
 
+def torsion_batch(foam, samples, rng, eps_rank=EPS_RANK):
+    """torsion_at at every sample, in order, from one batched complex.
+
+    A refused sample gives its ValueError in place of a TorsionValue and
+    draws nothing from rng, so every other sample gets the seed it would get
+    on its own.  Raises ValueError if any sample is not flat.
+    """
+    out = []
+    for s, rep in zip(samples, cohomology_batch(foam, samples, eps_rank=eps_rank)):
+        try:
+            out.append(torsion_at(foam, s, rng, eps_rank=eps_rank, report=rep))
+        except ValueError as exc:
+            out.append(exc)
+    return out
+
+
 def singular_value_torsion(foam, sample, eps_rank=EPS_RANK):
     """Independent route: |tor| = prod sv(delta0) / prod sv(delta1) over the ranks."""
     conn = sample.connection if isinstance(sample, FlatSample) else sample
@@ -149,22 +174,37 @@ def gaussian_volume(foam, sample, rank=None, eps_rank=EPS_RANK):
     return float(np.prod(sv[:rank]))
 
 
+def _torus_chart_volumes(psi_a, psi_b, rng):
+    """Gaussian volumes at the torus flat points a = exp(psi_a n),
+    b = exp(psi_b n), one axis n per point drawn in order from rng.
+
+    The flat points are one (n, 2, 4) array; delta1 comes from one face walk
+    and its rank-2 volume from one stacked SVD.  Point for point this is
+    gaussian_volume(torus, analytic_flat("torus", rng, psi_a=.., psi_b=..),
+    rank=2), with the same draws.
+    """
+    axes = unit_vectors(rng.standard_normal((len(psi_a), 3)))
+    g = np.stack([SU2.exp(psi_a[:, None] * axes), SU2.exp(psi_b[:, None] * axes)], axis=1)
+    torus = builtin("torus")
+    d1 = word_jacobian(SU2, [torus.word_indices(0)], g)[1]
+    sv = np.linalg.svd(d1, compute_uv=False)
+    return np.prod(sv[:, :2], axis=-1)
+
+
 def torus_volume_grid(n_grid=20, rng=None, lo=0.1):
     """Gaussian volume over the torus flat chart vs 4(sin^2 psi_a + sin^2 psi_b).
 
     Returns rows (psi_a, psi_b, volume, formula, abs error) on an n x n
     interior grid of class angles.
     """
-    from .connection import analytic_flat
     rng = np.random.default_rng(0) if rng is None else rng
     grid = np.linspace(lo, math.pi - lo, n_grid)
+    psi_a, psi_b = np.repeat(grid, n_grid), np.tile(grid, n_grid)
     rows = []
-    for pa in grid:
-        for pb in grid:
-            s = analytic_flat("torus", rng, "su2", psi_a=pa, psi_b=pb)
-            vol = gaussian_volume(s.connection.foam, s, rank=2)
-            formula = 4.0 * (math.sin(pa) ** 2 + math.sin(pb) ** 2)
-            rows.append((pa, pb, vol, formula, abs(vol - formula)))
+    for pa, pb, vol in zip(psi_a, psi_b, _torus_chart_volumes(psi_a, psi_b, rng)):
+        vol = float(vol)
+        formula = 4.0 * (math.sin(pa) ** 2 + math.sin(pb) ** 2)
+        rows.append((pa, pb, vol, formula, abs(vol - formula)))
     return rows
 
 
@@ -194,18 +234,16 @@ def torus_dominant_part(n_quad=24, rng=None):
     and vol_B2 evaluated numerically from the singular values of delta1.
     The result must match the tau -> 0 limit of the character sum.
     """
-    from .connection import analytic_flat
     rng = np.random.default_rng(1) if rng is None else rng
     nodes, weights = np.polynomial.legendre.leggauss(n_quad)
     psi = 0.5 * math.pi * (nodes + 1.0)
     w = 0.5 * math.pi * weights
+    vols = _torus_chart_volumes(np.repeat(psi, n_quad), np.tile(psi, n_quad), rng)
     acc = 0.0
-    for i, pa in enumerate(psi):
-        for j, pb in enumerate(psi):
-            s = analytic_flat("torus", rng, "su2", psi_a=pa, psi_b=pb)
-            vol_b2 = gaussian_volume(s.connection.foam, s, rank=2)
-            chart = math.sin(pa) ** 2 + math.sin(pb) ** 2
-            acc += w[i] * w[j] * chart / vol_b2
+    for k, vol_b2 in enumerate(vols):
+        i, j = divmod(k, n_quad)
+        chart = math.sin(psi[i]) ** 2 + math.sin(psi[j]) ** 2
+        acc += w[i] * w[j] * chart / float(vol_b2)
     sphere_area = 4.0 * math.pi      # exact angular integral over the axis
     vol_su2 = 2.0 * math.pi ** 2
     pref = vol_su2 ** -2 * (4.0 * math.pi) ** 2 * 2.0 ** -2

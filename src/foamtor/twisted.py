@@ -14,6 +14,13 @@ b0 = dim G - rk delta0, b1 = dim G * E - rk delta0 - rk delta1,
 b2 = dim G * F - rk delta1.  Ranks are decided by SVD with a relative
 threshold and an explicit spectral-gap diagnostic; a thin gap raises a
 warning flag, never a silent answer.
+
+The complex is built for a whole sample set at once: the connections are
+stacked to (n, E, elem_dim), one word_jacobian walk over the face words
+gives the holonomies (the flatness gate) and delta1, delta0 is I - Ad(g)
+over all edges in one call, and each differential gets one stacked SVD.
+Every rank is then decided per sample, by the same rule as a lone matrix;
+cohomology() is the batch of one.
 """
 
 from __future__ import annotations
@@ -24,7 +31,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .connection import FlatSample, FLAT_TOL, analytic_flat, \
-    find_flat_batch, flatness_residual, word_jacobian
+    find_flat_batch, word_jacobian
 from .foam import reduce_foam
 from .groups import get_group
 
@@ -34,16 +41,15 @@ EPS_ABS = 1e-12      # absolute floor: the differentials have O(1) entries (Ad i
 GAP_WARN = 1e2       # warn when min(counted)/max(discarded) is below this
 
 
+def _delta0(group, g):
+    """delta0 of connections g (..., E, elem_dim): shape (..., dim G * E, dim G)."""
+    d = group.dim_g
+    return (np.eye(d) - group.adjoint(g)).reshape(g.shape[:-2] + (g.shape[-2] * d, d))
+
+
 def build_delta0(foam, conn):
     """(dim G * E) x (dim G) matrix with edge blocks I - Ad(g_e)."""
-    group = conn.group
-    d = group.dim_g
-    E = foam.E
-    out = np.zeros((d * E, d))
-    eye = np.eye(d)
-    for e in range(E):
-        out[d * e:d * e + d, :] = eye - group.adjoint(conn.data[e])
-    return out
+    return _delta0(conn.group, conn.data)
 
 
 def build_delta1(foam, conn):
@@ -52,22 +58,19 @@ def build_delta1(foam, conn):
     return word_jacobian(conn.group, words, conn.data)[1]
 
 
-def _aligned_foam(foam, conn):
-    """Reduce a multi-vertex foam and check the connection was built on it."""
+def _aligned_foam(foam, conns):
+    """Reduce a multi-vertex foam and check the connections were built on it."""
     f = foam if foam.is_reduced() else reduce_foam(foam)
-    if f.edge_ids != conn.foam.edge_ids:
+    if any(c.foam.edge_ids != f.edge_ids for c in conns):
         raise ValueError("connection does not match (the reduction of) this foam")
     return f
 
 
-def svd_rank(mat, eps_rank=EPS_RANK, eps_abs=EPS_ABS):
-    """(rank, singular values, gap, warn): gap = min(counted)/max(discarded)."""
-    if mat.size == 0:
-        return 0, np.zeros(0), np.inf, False
-    s = np.linalg.svd(mat, compute_uv=False)
+def _rank_rule(s, eps_rank, eps_abs):
+    """(rank, gap, warn) from descending singular values s."""
     smax = s[0] if len(s) else 0.0
     if smax <= eps_abs:
-        return 0, s, np.inf, False
+        return 0, np.inf, False
     counted = s > max(eps_rank * smax, eps_abs)
     rank = int(np.sum(counted))
     if rank == len(s):
@@ -78,7 +81,23 @@ def svd_rank(mat, eps_rank=EPS_RANK, eps_abs=EPS_ABS):
     # thin gap around the cut, or counted values hugging the noise floor:
     # either way the rank decision is not trustworthy
     warn = gap < GAP_WARN or (rank > 0 and s[rank - 1] < GAP_WARN * eps_abs)
-    return rank, s, gap, warn
+    return rank, gap, warn
+
+
+def _svd_ranks(mats, eps_rank=EPS_RANK, eps_abs=EPS_ABS):
+    """svd_rank of every matrix in a stack (n, rows, cols), from one stacked SVD."""
+    if mats.shape[-1] * mats.shape[-2] == 0:
+        return [(0, np.zeros(0), np.inf, False)] * len(mats)
+    out = []
+    for s in np.linalg.svd(mats, compute_uv=False):
+        rank, gap, warn = _rank_rule(s, eps_rank, eps_abs)
+        out.append((rank, s, gap, warn))
+    return out
+
+
+def svd_rank(mat, eps_rank=EPS_RANK, eps_abs=EPS_ABS):
+    """(rank, singular values, gap, warn): gap = min(counted)/max(discarded)."""
+    return _svd_ranks(mat[None], eps_rank, eps_abs)[0]
 
 
 @dataclass(frozen=True)
@@ -90,6 +109,9 @@ class CohomologyReport:
     b2: int
     sv0: np.ndarray = field(compare=False)
     sv1: np.ndarray = field(compare=False)
+    # the differentials the ranks were read from, for torsion to reuse
+    delta0: np.ndarray = field(compare=False, repr=False)
+    delta1: np.ndarray = field(compare=False, repr=False)
     gap0: float = np.inf
     gap1: float = np.inf
     euler_ok: bool = True
@@ -115,30 +137,51 @@ class CohomologyReport:
         }
 
 
+def cohomology_batch(foam, samples, eps_rank=EPS_RANK, flat_tol=FLAT_TOL):
+    """Twisted Betti numbers at every flat connection of a sample set.
+
+    samples are FlatSamples or Connections on one foam and group.  Raises
+    ValueError if any of them is not flat.  Returns one CohomologyReport per
+    sample, in order; each equals what that sample gives on its own.
+    """
+    conns = [s.connection if isinstance(s, FlatSample) else s for s in samples]
+    if not conns:
+        return []
+    foam = _aligned_foam(foam, conns)
+    group = conns[0].group
+    d = group.dim_g
+    g = np.stack([c.data for c in conns])
+    H, d1 = word_jacobian(group, [foam.word_indices(f) for f in range(foam.F)], g)
+    # flatness_residual of every sample, read off the same walk's holonomies
+    dist = group.distance(H)
+    res = np.zeros(len(conns))
+    for f in range(foam.F):
+        res = res + dist[:, f] * dist[:, f]
+    if np.any(res > flat_tol):
+        i = int(np.argmax(res > flat_tol))
+        raise ValueError("connection %d is not flat (residual %.3e > %.1e)"
+                         % (i, res[i], flat_tol))
+    d0 = _delta0(group, g)
+    reports = []
+    for i, ((r0, sv0, gap0, warn0), (r1, sv1, gap1, warn1)) in enumerate(
+            zip(_svd_ranks(d0, eps_rank), _svd_ranks(d1, eps_rank))):
+        b0 = d - r0
+        b1 = d * foam.E - r0 - r1
+        b2 = d * foam.F - r1
+        # b1 < 0 means the two independent rank decisions contradict im d0 < ker d1
+        inconsistent = b1 < 0
+        reports.append(CohomologyReport(
+            rank0=r0, rank1=r1, b0=b0, b1=b1, b2=b2, sv0=sv0, sv1=sv1,
+            delta0=d0[i], delta1=d1[i], gap0=gap0, gap1=gap1,
+            euler_ok=(b0 - b1 + b2) == d * foam.euler,
+            regular=(b2 == 0), reducible=(b0 > group.center_dim), central=(r0 == 0),
+            rank_warning=(warn0 or warn1 or inconsistent)))
+    return reports
+
+
 def cohomology(foam, sample, eps_rank=EPS_RANK, flat_tol=FLAT_TOL):
     """Twisted Betti numbers at a flat connection, with rank diagnostics."""
-    conn = sample.connection if isinstance(sample, FlatSample) else sample
-    foam = _aligned_foam(foam, conn)
-    res = flatness_residual(foam, conn)
-    if res > flat_tol:
-        raise ValueError("connection is not flat (residual %.3e > %.1e)" % (res, flat_tol))
-    group = conn.group
-    d = group.dim_g
-    d0 = build_delta0(foam, conn)
-    d1 = build_delta1(foam, conn)
-    r0, sv0, gap0, warn0 = svd_rank(d0, eps_rank)
-    r1, sv1, gap1, warn1 = svd_rank(d1, eps_rank)
-    b0 = d - r0
-    b1 = d * foam.E - r0 - r1
-    b2 = d * foam.F - r1
-    euler_ok = (b0 - b1 + b2) == d * foam.euler
-    # b1 < 0 means the two independent rank decisions contradict im d0 < ker d1
-    inconsistent = b1 < 0
-    return CohomologyReport(
-        rank0=r0, rank1=r1, b0=b0, b1=b1, b2=b2, sv0=sv0, sv1=sv1,
-        gap0=gap0, gap1=gap1, euler_ok=euler_ok,
-        regular=(b2 == 0), reducible=(b0 > group.center_dim), central=(r0 == 0),
-        rank_warning=(warn0 or warn1 or inconsistent))
+    return cohomology_batch(foam, [sample], eps_rank, flat_tol)[0]
 
 
 @dataclass(frozen=True)
@@ -175,6 +218,8 @@ def sample_flat(foam_or_name, group, n_samples, rng, **opts):
         foam = builtin(foam_or_name)
     else:
         foam = foam_or_name
+    if n_samples < 1:
+        raise ValueError("the number of samples must be at least 1, got %d" % n_samples)
     foam = reduce_foam(foam)
     name = foam.name
     samples = []
@@ -207,10 +252,8 @@ def min_b2(foam_or_name, group, n_samples, rng, **opts):
     strata = Counter()
     warnings = 0
     kernel_by_tag = {}
-    reports = []
-    for s in samples:
-        rep = cohomology(foam, s)
-        reports.append(rep)
+    reports = cohomology_batch(foam, samples)
+    for s, rep in zip(samples, reports):
         warnings += int(rep.rank_warning)
         hist[rep.b2] += 1
         strata[(rep.b0, rep.b2)] += 1

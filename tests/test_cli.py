@@ -162,3 +162,32 @@ def test_ztau_mc_refuses_bad_counts(capsys):
         err = capsys.readouterr().err
         assert code == 2, (flag, value)
         assert err.startswith("error: "), (flag, value)
+
+
+def test_missing_foam_file_is_an_error_not_a_traceback(tmp_path, capsys):
+    code = main(["analyze", "--foam", "@" + str(tmp_path / "missing.foam")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: ") and "missing.foam" in err
+
+
+def test_sample_counts_below_one_are_refused(capsys):
+    for command in ("analyze", "flat", "torsion"):
+        for foam in ("torus", "genus:2"):
+            for count in ("0", "-3"):
+                code = main([command, "--foam", foam, "--samples", count, "--seed", "1"])
+                err = capsys.readouterr().err
+                assert code == 2, (command, foam, count)
+                assert err.startswith("error: ") and "at least 1" in err, (command, foam, err)
+
+
+def test_no_flat_connection_found_is_an_error(tmp_path, capsys):
+    # <e | e^2, e^-1, e^6>: every projection from these starts stalls at a
+    # non-flat critical point, so no flat sample is kept
+    path = tmp_path / "stalls.foam"
+    path.write_text("edges: e\nface: e e\nface: e^-1\nface: e e e e e e\n")
+    for command in ("analyze", "torsion"):
+        code = main([command, "--foam", str(path), "--samples", "3", "--seed", "0"])
+        err = capsys.readouterr().err
+        assert code == 2, command
+        assert err.startswith("error: ") and "no flat connection" in err, command

@@ -1,0 +1,53 @@
+"""Outputs recorded when the twisted complex was still built one sample at a
+time, which batching must reproduce bit for bit.
+
+The CLI files in tests/golden/ are the stdout of the commands in CASES;
+torus_grids.json holds torus_volume_grid(8) and torus_dominant_part(12) at
+their default seeds.  The stacked SVD and the batched face walk give the same
+bits per matrix as single calls with numpy's LAPACK; the files were recorded
+with numpy 2.4.6 on OpenBLAS 0.3.31, and a different LAPACK build may round
+the printed torsion magnitudes differently.
+"""
+
+import json
+import pathlib
+
+import numpy as np
+import pytest
+
+from foamtor.cli import main
+from foamtor.torsion import torus_dominant_part, torus_volume_grid
+
+GOLDEN = pathlib.Path(__file__).parent / "golden"
+
+CASES = {
+    "analyze_genus3": "analyze --foam genus:3 --samples 12 --seed 5",
+    "analyze_dunce_hat": "analyze --foam dunce_hat --samples 12 --seed 5",
+    "analyze_appendix": "analyze --foam appendix --samples 40 --seed 3",
+    "analyze_torus": "analyze --foam torus --samples 20 --seed 7",
+    "torsion_genus3": "torsion --foam genus:3 --samples 6 --seed 5",
+    "torsion_dunce_hat": "torsion --foam dunce_hat --samples 6 --seed 5",
+    "torsion_appendix": "torsion --foam appendix --samples 20 --seed 3",
+    "torsion_torus": "torsion --foam torus --samples 20 --seed 7",
+    "torsion_torus_volume": "torsion --foam torus --check torus-volume --grid 30 --seed 2",
+}
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_cli_output_is_unchanged(name, capsys):
+    code = main(CASES[name].split())
+    out = capsys.readouterr().out
+    assert code == 0
+    assert out == (GOLDEN / (name + ".json")).read_text()
+
+
+def test_torus_chart_values_are_unchanged():
+    ref = json.loads((GOLDEN / "torus_grids.json").read_text())
+    rows = np.array(torus_volume_grid(8))
+    want = np.array(ref["torus_volume_grid_8"])
+    # psi_a, psi_b, volume, formula to 1e-14 relative; the error column is a
+    # difference of near-equal volumes, so it is held to 1e-14 of the volume
+    np.testing.assert_allclose(rows[:, :4], want[:, :4], rtol=1e-14, atol=0)
+    assert np.all(np.abs(rows[:, 4] - want[:, 4]) <= 1e-14 * want[:, 3])
+    dom = torus_dominant_part(12)
+    assert abs(dom - ref["torus_dominant_part_12"]) <= 1e-14 * abs(dom)

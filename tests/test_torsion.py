@@ -7,8 +7,8 @@ from foamtor.connection import analytic_flat, find_flat_batch, gauge_act
 from foamtor.foam import builtin
 from foamtor.groups import GroupElement
 from foamtor.partition import char_sum_limit
-from foamtor.torsion import (SingularSampleError, gaussian_volume,
-                             singular_value_torsion, torsion_at,
+from foamtor.torsion import (SingularSampleError, TorsionValue, gaussian_volume,
+                             singular_value_torsion, torsion_at, torsion_batch,
                              torus_dominant_part, torus_volume_grid)
 
 
@@ -140,6 +140,16 @@ def test_gaussian_volume_torus_formula_small_grid():
     assert max(r[4] for r in rows) < 1e-10
 
 
+def test_torus_volume_grid_equals_point_by_point_volumes():
+    # the stacked grid draws the same axes and gives the same bits as one
+    # analytic flat point and one gaussian_volume at a time
+    rows = torus_volume_grid(8, np.random.default_rng(4))
+    rng = np.random.default_rng(4)
+    for pa, pb, vol, _, _ in rows:
+        s = analytic_flat("torus", rng, psi_a=pa, psi_b=pb)
+        assert vol == gaussian_volume(builtin("torus"), s, rank=2)
+
+
 def test_gaussian_volume_respects_fixed_rank():
     rng = np.random.default_rng(9)
     s = analytic_flat("torus", rng, psi_a=0.02, psi_b=0.03)  # near-central
@@ -154,3 +164,26 @@ def test_torus_dominant_part_matches_character_limit():
     quad = torus_dominant_part(n_quad=16)
     assert abs(limit - 2 * math.pi) < 1e-5
     assert abs(quad - limit) < 1e-3 * abs(limit)
+
+
+def test_torsion_batch_refuses_only_the_refused_samples():
+    from foamtor.connection import FlatSample
+    rng = np.random.default_rng(23)
+    foam = builtin("torus")
+    good = [analytic_flat("torus", rng) for _ in range(3)]
+    flagged = FlatSample(good[0].connection, good[0].residual, possibly_singular=True)
+    # near-central: the counted singular values sit at the SVD noise floor
+    thin = analytic_flat("torus", rng, psi_a=2e-11, psi_b=3e-11)
+    samples = [good[0], flagged, good[1], thin, good[2]]
+    got = torsion_batch(foam, samples, np.random.default_rng(5))
+    assert [type(v) for v in got] == [TorsionValue, SingularSampleError, TorsionValue,
+                                      SingularSampleError, TorsionValue]
+    assert "possibly singular" in str(got[1]) and "ill-conditioned" in str(got[3])
+    # the per-sample loop: refused samples draw no seed
+    ref_rng = np.random.default_rng(5)
+    for s, v in zip(samples, got):
+        if isinstance(v, TorsionValue):
+            assert v == torsion_at(foam, s, ref_rng)
+    seeds = np.random.default_rng(5)
+    assert [v.bases_meta["seed"] for v in got if isinstance(v, TorsionValue)] == \
+        [int(seeds.integers(2 ** 32)) for _ in range(3)]

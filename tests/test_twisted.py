@@ -3,11 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from foamtor.connection import Connection, analytic_flat, find_flat_batch
+from foamtor.connection import Connection, FlatSample, analytic_flat, find_flat_batch
 from foamtor.foam import builtin, tietze2_add_face
 from foamtor.groups import GroupElement, get_group
-from foamtor.twisted import (build_delta0, build_delta1, cohomology, min_b2,
-                             svd_rank)
+from foamtor.twisted import (build_delta0, build_delta1, cohomology, cohomology_batch,
+                             min_b2, sample_flat, svd_rank)
 
 SU2 = get_group("su2")
 
@@ -225,3 +225,63 @@ def test_euler_identity_exact():
         rep = cohomology(foam, conn)
         assert rep.b0 - rep.b1 + rep.b2 == 3 * foam.euler
         assert rep.euler_ok
+
+
+@pytest.mark.parametrize("group", ["su2", "u1"])
+@pytest.mark.parametrize("name", ["sphere", "torus", "genus:2", "genus:3", "appendix",
+                                  "dunce_hat", "projective_plane"])
+def test_cohomology_batch_equals_one_sample_at_a_time(name, group):
+    rng = np.random.default_rng(13)
+    foam, samples = sample_flat(name, group, 8, rng)
+    samples = samples + [Connection.identity(foam, group)]
+    G = get_group(group)
+    d = G.dim_g
+    batch = cohomology_batch(foam, samples)
+    assert len(batch) == len(samples)
+    for s, rep in zip(samples, batch):
+        one = cohomology(foam, s)
+        assert rep == one
+        for attr in ("sv0", "sv1", "delta0", "delta1"):
+            assert np.array_equal(getattr(rep, attr), getattr(one, attr)), attr
+        # references built one matrix at a time: delta0 edge by edge, delta1
+        # by an unbatched face walk, singular values by one SVD each
+        data = (s.connection if isinstance(s, FlatSample) else s).data
+        ref0 = np.zeros((d * foam.E, d))
+        for e in range(foam.E):
+            ref0[d * e:d * e + d] = np.eye(d) - G.adjoint(data[e])
+        ref1 = build_delta1(foam, Connection(foam, group, data))
+        assert np.array_equal(rep.delta0, ref0)
+        assert np.array_equal(rep.delta1, ref1)
+        for mat, sv in ((ref0, rep.sv0), (ref1, rep.sv1)):
+            if mat.size:
+                assert np.array_equal(sv, np.linalg.svd(mat, compute_uv=False))
+    if (name, group) == ("appendix", "su2"):
+        assert {rep.b0 for rep in batch} == {0, 1, 3}   # irreducible, reducible, trivial
+
+
+def test_cohomology_batch_of_nothing_is_empty():
+    assert cohomology_batch(builtin("torus"), []) == []
+
+
+def test_cohomology_batch_names_the_nonflat_sample():
+    rng = np.random.default_rng(14)
+    t = builtin("torus")
+    samples = [analytic_flat("torus", rng), Connection.haar(t, "su2", rng)]
+    with pytest.raises(ValueError, match="connection 1 is not flat"):
+        cohomology_batch(t, samples)
+    # the gate is the flatness residual sum_f psi(H_f)^2 against flat_tol
+    from foamtor.connection import flatness_residual
+    a = SU2.exp(np.array([0.5, 0.0, 0.0]))
+    for eps in (1e-7, 1e-6, 1e-5, 1e-4):
+        conn = Connection(t, "su2", np.stack([a, SU2.exp(np.array([0.0, eps, 0.0]))]))
+        if flatness_residual(t, conn) <= 1e-10:
+            assert cohomology_batch(t, [conn], flat_tol=1e-10)
+        else:
+            with pytest.raises(ValueError, match="not flat"):
+                cohomology_batch(t, [conn], flat_tol=1e-10)
+
+
+def test_sample_flat_refuses_fewer_than_one_sample():
+    for n in (0, -3):
+        with pytest.raises(ValueError, match="at least 1"):
+            sample_flat("genus:2", "su2", n, np.random.default_rng(0))
