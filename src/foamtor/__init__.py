@@ -4,14 +4,16 @@ heat-kernel-regularized flat gauge models on cell 2-complexes."""
 __version__ = "0.1.0"
 
 from .foam import (Foam, FaceWord, Letter, CellularReport, FoamError, builtin,
-                   cellular_homology, parse_foam, reduce_foam, serialize_foam,
+                   cellular_homology, match_builtin, parse_foam, reduce_foam,
+                   serialize_foam,
                    tietze1_collapse, tietze1_expand, tietze2_add_face,
                    verify_redundancy)
 from .groups import (SU2, U1, CutLocusError, GroupElement, get_group,
                      group_element_from_json)
 from .connection import (Connection, FlatSample, DescentError, analytic_flat,
-                         find_flat, find_flat_batch, flatness_residual,
-                         gauge_act, holonomy, holonomy_word, word_jacobian)
+                         analytic_flat_batch, find_flat, find_flat_batch,
+                         flatness_residual, gauge_act, holonomy, holonomy_word,
+                         word_jacobian)
 from .twisted import (CohomologyReport, MinB2Report, build_delta0, build_delta1,
                       cohomology, cohomology_batch, min_b2, sample_flat, svd_rank)
 from .torsion import (TorsionValue, gaussian_volume, torsion_at, torsion_batch,

@@ -17,7 +17,8 @@ import sys
 import numpy as np
 
 from . import __version__
-from .foam import FoamError, builtin, cellular_homology, parse_foam, reduce_foam
+from .foam import (FoamError, builtin, cellular_homology, match_builtin, parse_foam,
+                   reduce_foam)
 from .groups import get_group
 from .partition import (fit_scaling, fit_toy, toy_laplace, z_char_appendix,
                         z_char_surface, z_mc, zestimates_csv, zestimates_from_csv)
@@ -124,13 +125,12 @@ def cmd_ztau(args):
     seed = _seed_of(args)
     foam = reduce_foam(_load_foam(args.foam))
     taus = _tau_grid(args.tau_grid)
-    points = []
-    for tau in taus:
-        if args.method == "mc":
-            points.append(z_mc(foam, args.group, float(tau), args.samples,
-                               seed=seed, n_workers=args.workers))
-        else:
-            points.append(_char_point(foam, args.group, float(tau)))
+    if args.method == "mc":
+        points = [z_mc(foam, args.group, float(tau), args.samples, seed=seed,
+                       n_workers=args.workers) for tau in taus]
+    else:
+        z_char = _char_evaluator(foam, args.group)
+        points = [z_char(float(tau)) for tau in taus]
     if args.format == "csv":
         text = zestimates_csv(points)
         if args.out:
@@ -144,17 +144,18 @@ def cmd_ztau(args):
     return 0
 
 
-def _char_point(foam, group, tau):
+def _char_evaluator(foam, group):
+    """tau -> Z_tau by the character sum of the builtin foam that has this
+    foam's presentation (genus:0 is the sphere); refuses any other foam."""
     if get_group(group).name != "su2":
-        raise SystemExit("character evaluators are implemented for SU(2)")
-    name = foam.name
-    if name.startswith("genus"):
-        return z_char_surface(int(name[5:]), tau)
-    if name == "sphere":
-        return z_char_surface(0, tau)
-    if name == "appendix":
-        return z_char_appendix(tau)
-    raise SystemExit("no character evaluator for foam %r; use --method mc" % name)
+        raise ValueError("character evaluators are implemented for SU(2)")
+    genus = foam.E // 2
+    key = match_builtin(foam, ("genus:%d" % genus, "appendix"))
+    if key == "appendix":
+        return z_char_appendix
+    if key is not None:
+        return functools.partial(z_char_surface, genus)
+    raise ValueError("no character evaluator for foam %r; use --method mc" % foam.name)
 
 
 def cmd_fit(args):

@@ -289,9 +289,61 @@ def unit_vectors(v):
     return v / np.sqrt(v[..., None, :] @ v[..., :, None])[..., 0]
 
 
-def _unit_vector(rng, axis=None):
-    v = rng.standard_normal(3) if axis is None else np.asarray(axis, dtype=float)
-    return unit_vectors(v)
+PSI_RANGE = (0.15, np.pi - 0.15)    # class angles drawn by the analytic families
+
+
+def analytic_flat_batch(kind, rng, signs, families=None, group="su2", psi_a=None,
+                        psi_b=None, psi_h=None, axis=None):
+    """Exact SU(2) flat samples on the builtin torus or appendix foam, one per
+    entry of signs, built together.
+
+    torus: a = exp(psi_a n), b = exp(sign psi_b n) about a common axis n.
+    appendix: families[i] is 'irred' (a, b Haar random, h = sign * identity)
+    or 'red' (a, b, h on a common axis n, with class angles psi_a, psi_b,
+    psi_h; the sign is not used).  An axis or angle left as None is drawn.
+
+    A first loop draws each sample's numbers in turn, in this order: the torus
+    and 'red' draw the axis (three normals) and then their angles, 'irred'
+    draws a and b (four normals each).  The samples are then built at once:
+    one unit_vectors call, one exp over every (sample, edge), one stacked
+    (n, E, 4) array and one residual walk over the face words.  Sample for
+    sample this gives the bits of building each one alone, so a batch of one
+    (analytic_flat) and a batch of n draw and compute the same numbers.
+    """
+    n = len(signs)
+    if kind == "torus":
+        chart = np.ones(n, dtype=bool)      # samples on a common-axis chart
+    elif kind != "appendix":
+        raise ValueError("no analytic flat family for %r" % kind)
+    elif families is None or any(fam not in ("irred", "red") for fam in families):
+        raise ValueError("appendix family must be 'irred' or 'red'")
+    else:
+        chart = np.array([fam == "red" for fam in families], dtype=bool)
+    group = get_group(group)
+    if group.name != "su2":
+        raise ValueError("analytic %s families are SU(2)-specific" % kind)
+    foam = _builtin_foam(kind)
+    signs = np.asarray(signs, dtype=float)
+    fixed = (psi_a, psi_b, psi_h)[:foam.E]
+    v = np.empty((n, 3))
+    psi = np.empty((n, foam.E))
+    g = np.empty((n, foam.E, 4))
+    for i in range(n):
+        if chart[i]:
+            v[i] = rng.standard_normal(3) if axis is None else axis
+            psi[i] = [rng.uniform(*PSI_RANGE) if p is None else float(p) for p in fixed]
+        else:
+            g[i, :2] = group.haar(rng, (2,))
+    if kind == "torus":
+        psi[:, 1] *= signs
+    else:
+        g[~chart, 2] = group.identity() * signs[~chart, None]
+    g[chart] = group.exp(psi[chart][..., None] * unit_vectors(v[chart])[:, None, :])
+    res = _residual_batch(group, [foam.word_indices(f) for f in range(foam.F)], g)
+    tags = (["torus:+" if sgn > 0 else "torus:-" for sgn in signs] if kind == "torus"
+            else families)
+    return [FlatSample(Connection(foam, group, g[i]), float(res[i]), component_tag=tags[i])
+            for i in range(n)]
 
 
 def analytic_flat(foam_name, rng, group="su2", psi_a=None, psi_b=None, psi_h=None,
@@ -300,46 +352,23 @@ def analytic_flat(foam_name, rng, group="su2", psi_a=None, psi_b=None, psi_h=Non
 
     torus: a = exp(psi_a n), b = exp(+-psi_b n) about a common axis n; the sign
     selects the branch.  appendix: family 'irred' has h = +-1 with (a, b) Haar
-    random, family 'red' puts a, b, h on a common axis.  sphere: any start is
-    flat.  genus g >= 2 falls back to Gauss-Newton projection (find_flat).
+    random, family 'red' puts a, b, h on a common axis.  For SU(2) these are
+    analytic_flat_batch with one sample.  The U(1) torus takes a Haar pair.
+    sphere: any start is flat.  genus g >= 2 falls back to Gauss-Newton
+    projection (find_flat).
     """
     group = get_group(group)
     key = foam_name.lower()
     if key in ("torus", "genus:1"):
-        foam = _builtin_foam("torus")
         if group.name == "u1":
-            data = group.haar(rng, (2,))
-            conn = Connection(foam, group, data)
-        else:
-            n = _unit_vector(rng, axis)
-            pa = rng.uniform(0.15, np.pi - 0.15) if psi_a is None else float(psi_a)
-            pb = rng.uniform(0.15, np.pi - 0.15) if psi_b is None else float(psi_b)
-            a = group.exp(pa * n)
-            b = group.exp(float(sign) * pb * n)
-            conn = Connection(foam, group, np.stack([a, b]))
-        res = flatness_residual(foam, conn)
-        return FlatSample(conn, res, component_tag="torus:%s" % ("+" if sign > 0 else "-"))
+            conn = Connection(_builtin_foam("torus"), group, group.haar(rng, (2,)))
+            return FlatSample(conn, flatness_residual(conn.foam, conn),
+                              component_tag="torus:%s" % ("+" if sign > 0 else "-"))
+        return analytic_flat_batch("torus", rng, [sign], group=group, psi_a=psi_a,
+                                   psi_b=psi_b, axis=axis)[0]
     if key == "appendix":
-        foam = _builtin_foam("appendix")
-        if group.name != "su2":
-            raise ValueError("analytic appendix families are SU(2)-specific")
-        fam = family or "irred"
-        if fam == "irred":
-            a = group.haar(rng)
-            b = group.haar(rng)
-            h = group.identity() * float(sign)  # +-identity quaternion
-            conn = Connection(foam, group, np.stack([a, b, h]))
-        elif fam == "red":
-            n = _unit_vector(rng, axis)
-            pa = rng.uniform(0.15, np.pi - 0.15) if psi_a is None else float(psi_a)
-            pb = rng.uniform(0.15, np.pi - 0.15) if psi_b is None else float(psi_b)
-            ph = rng.uniform(0.15, np.pi - 0.15) if psi_h is None else float(psi_h)
-            conn = Connection(foam, group,
-                              np.stack([group.exp(pa * n), group.exp(pb * n),
-                                        group.exp(ph * n)]))
-        else:
-            raise ValueError("appendix family must be 'irred' or 'red'")
-        return FlatSample(conn, flatness_residual(foam, conn), component_tag=fam)
+        return analytic_flat_batch("appendix", rng, [sign], [family or "irred"], group,
+                                   psi_a=psi_a, psi_b=psi_b, psi_h=psi_h, axis=axis)[0]
     if key in ("sphere", "genus:0"):
         foam = _builtin_foam("sphere")
         conn = Connection.haar(foam, group, rng)

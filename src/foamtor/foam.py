@@ -16,7 +16,7 @@ __all__ = [
     "Letter", "FaceWord", "Foam", "CellularReport", "FoamError",
     "parse_foam", "serialize_foam", "reduce_foam", "cellular_homology",
     "tietze1_expand", "tietze1_collapse", "tietze2_add_face",
-    "verify_redundancy", "builtin", "BUILTIN_NAMES",
+    "verify_redundancy", "builtin", "match_builtin", "BUILTIN_NAMES",
 ]
 
 _ID_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*$")
@@ -497,6 +497,20 @@ def builtin(name, g=None):
         return Foam(name="projective_plane", edges=(("a", 0, 0),),
                     faces=(FaceWord((Letter("a", 1), Letter("a", 1)),),))
     raise FoamError("unknown builtin %r" % name)
+
+
+def _presentation(foam):
+    return foam.edge_ids, tuple(f.letters for f in foam.faces)
+
+
+def match_builtin(foam, keys):
+    """The first of the builtin keys whose foam has this foam's presentation
+    once reduced: the same edge ids in the same order and the same face words,
+    letter for letter and in the same order.  Names, of the foam and of its
+    faces, play no part.  None if no key matches.
+    """
+    shape = _presentation(reduce_foam(foam))
+    return next((key for key in keys if _presentation(builtin(key)) == shape), None)
 
 
 BUILTIN_NAMES = ("sphere", "torus", "genus:g", "appendix", "dunce_hat", "projective_plane")

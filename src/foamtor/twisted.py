@@ -30,9 +30,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .connection import FlatSample, FLAT_TOL, analytic_flat, \
+from .connection import FlatSample, FLAT_TOL, analytic_flat_batch, \
     find_flat_batch, word_jacobian
-from .foam import reduce_foam
+from .foam import match_builtin, reduce_foam
 from .groups import get_group
 
 EPS_RANK = 1e-9      # relative SVD threshold: sigma counts iff sigma > EPS_RANK * sigma_max
@@ -205,9 +205,18 @@ class MinB2Report:
 
 
 def sample_flat(foam_or_name, group, n_samples, rng, **opts):
-    """Flat samples for analysis: analytic families for builtins (torus and
-    the three-edge/two-face foam get every component), Gauss-Newton
+    """Flat samples for analysis: analytic families where the foam is the
+    builtin torus or three-edge/two-face appendix foam, Gauss-Newton
     projection otherwise.
+
+    The foam is recognised by structure (foam.match_builtin: its edge ids and
+    face words after reduction), never by name, so a renamed copy of a builtin
+    gets its families and a builtin changed by a Tietze move is projected.
+    Over SU(2) the torus alternates the two commuting branches (sign +, -)
+    and the appendix foam cycles irred +, red, irred -, red, so every
+    component is sampled.  analytic_flat_batch builds the whole set at once
+    from one draw loop, with each sample's draws in the order and bits of
+    building it alone.
 
     Projection targets a much deeper residual than the 1e-10 flatness gate so
     that delta1 . delta0, whose entries scale like sqrt(residual), vanishes
@@ -221,18 +230,14 @@ def sample_flat(foam_or_name, group, n_samples, rng, **opts):
     if n_samples < 1:
         raise ValueError("the number of samples must be at least 1, got %d" % n_samples)
     foam = reduce_foam(foam)
-    name = foam.name
-    samples = []
-    if name == "appendix" and group.name == "su2":
-        for i in range(n_samples):
-            fam = ("irred", "red")[i % 2]
-            sgn = +1 if (i // 2) % 2 == 0 else -1
-            samples.append(analytic_flat("appendix", rng, group, family=fam, sign=sgn))
-    elif name in ("torus", "genus1") and group.name == "su2":
-        for i in range(n_samples):
-            samples.append(analytic_flat("torus", rng, group, sign=+1 if i % 2 == 0 else -1))
-    elif foam.E == 0 or foam.F == 0:
-        samples = find_flat_batch(foam, group, rng, n_samples)
+    kind = match_builtin(foam, ("torus", "appendix")) if group.name == "su2" else None
+    index = range(n_samples)
+    if kind == "torus":
+        samples = analytic_flat_batch(kind, rng, [(+1, -1)[i % 2] for i in index],
+                                      group=group)
+    elif kind == "appendix":
+        samples = analytic_flat_batch(kind, rng, [(+1, -1)[i // 2 % 2] for i in index],
+                                      [("irred", "red")[i % 2] for i in index], group)
     else:
         opts.setdefault("tol", 1e-24)
         samples = find_flat_batch(foam, group, rng, n_samples, on_failure="drop", **opts)

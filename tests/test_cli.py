@@ -191,3 +191,45 @@ def test_no_flat_connection_found_is_an_error(tmp_path, capsys):
         err = capsys.readouterr().err
         assert code == 2, command
         assert err.startswith("error: ") and "no flat connection" in err, command
+
+
+TORUS_FILE = "edges: a1 b1\nface: a1 b1 a1^-1 b1^-1\n"
+
+
+def test_file_foams_are_recognised_by_structure_not_name(tmp_path, capsys):
+    # a file named torus that relabels the edges is projected; a file named
+    # appendix that holds the builtin torus gets the torus's analytic samples
+    (tmp_path / "torus").write_text("edges: x y\nface: x y x^-1 y^-1\n")
+    (tmp_path / "appendix").write_text(TORUS_FILE)
+    for name in ("torus", "appendix"):
+        code, out = run(capsys, "analyze", "--foam", str(tmp_path / name),
+                        "--samples", "20", "--seed", "8")
+        assert code == 0, name
+        assert json.loads(out)["twisted"]["b2_0"] == 1, name
+    code, out = run(capsys, "flat", "--foam", str(tmp_path / "appendix"), "--samples", "2",
+                    "--seed", "8")
+    tags = [s["component_tag"] for s in json.loads(out)["samples"]]
+    assert tags == ["torus:+", "torus:-"]
+
+
+def test_ztau_char_sums_the_foam_it_was_given(tmp_path, capsys):
+    from foamtor.partition import z_char_surface
+    (tmp_path / "genus3").write_text(TORUS_FILE)
+    (tmp_path / "surface.foam").write_text(
+        "edges: a1 b1 a2 b2\nface: a1 b1 a1^-1 b1^-1 a2 b2 a2^-1 b2^-1\n")
+    for name, genus in (("genus3", 1), ("surface.foam", 2)):
+        code, out = run(capsys, "ztau", "--foam", str(tmp_path / name), "--method", "char",
+                        "--tau-grid", "0.01:0.01:1")
+        (p,) = json.loads(out)["points"]
+        assert code == 0
+        assert p["value"] == z_char_surface(genus, 0.01).value, name
+
+
+def test_ztau_char_refusals_exit_2(tmp_path, capsys):
+    (tmp_path / "torus").write_text(TORUS_FILE + "face: a1 b1 a1^-1 b1^-1\n")
+    for extra in (["--foam", "torus", "--group", "u1"], ["--foam", "dunce_hat"],
+                  ["--foam", str(tmp_path / "torus")]):
+        code = main(["ztau", "--method", "char", "--tau-grid", "0.1:0.1:1"] + extra)
+        captured = capsys.readouterr()
+        assert code == 2, extra
+        assert captured.err.startswith("error: ") and captured.out == "", extra

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from foamtor.foam import (FaceWord, Foam, FoamError, Letter, builtin,
-                          cellular_homology, parse_foam, reduce_foam,
+                          cellular_homology, match_builtin, parse_foam, reduce_foam,
                           serialize_foam, tietze1_collapse, tietze1_expand,
                           tietze2_add_face, verify_redundancy)
 
@@ -232,3 +232,21 @@ def test_parse_serialize_roundtrip_property(f):
     assert parse_foam(serialize_foam(f), name="h") == f
     rep = cellular_homology(f)
     assert rep.betti[0] - rep.betti[1] + rep.betti[2] == rep.euler
+
+
+def test_match_builtin_compares_presentations_not_names():
+    keys = ("sphere", "torus", "genus:2", "appendix")
+    for key in keys:
+        text = serialize_foam(builtin(key)).replace("face f_a:", "face:")
+        assert match_builtin(parse_foam(text, name="genus3"), keys) == key
+    assert match_builtin(parse_foam(TORUS_TEXT, name="torus"), keys) is None  # edges a, b
+    t = builtin("torus")
+    assert match_builtin(tietze1_expand(t, "a1 b1", "c"), keys) is None
+    assert match_builtin(tietze2_add_face(t, "a1 b1 a1^-1 b1^-1"), keys) is None
+    swapped = parse_foam("edges: b1 a1\nface: a1 b1 a1^-1 b1^-1\n", name="torus")
+    assert match_builtin(swapped, keys) is None                   # edge order
+    assert match_builtin(builtin("genus:0"), ("genus:0",)) == "genus:0"
+    # a multi-vertex foam is compared after reduction
+    two = parse_foam("edges: t a1 b1\nvertices: 2\nedge t: 0 1\nedge a1: 0 0\n"
+                     "edge b1: 0 0\nface: a1 b1 a1^-1 b1^-1\n")
+    assert match_builtin(two, keys) == "torus"

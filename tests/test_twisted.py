@@ -3,8 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from foamtor.connection import Connection, FlatSample, analytic_flat, find_flat_batch
-from foamtor.foam import builtin, tietze2_add_face
+from foamtor.connection import (Connection, FlatSample, analytic_flat, find_flat_batch,
+                                flatness_residual)
+from foamtor.foam import (builtin, parse_foam, serialize_foam, tietze1_expand,
+                          tietze2_add_face)
 from foamtor.groups import GroupElement, get_group
 from foamtor.twisted import (build_delta0, build_delta1, cohomology, cohomology_batch,
                              min_b2, sample_flat, svd_rank)
@@ -270,7 +272,6 @@ def test_cohomology_batch_names_the_nonflat_sample():
     with pytest.raises(ValueError, match="connection 1 is not flat"):
         cohomology_batch(t, samples)
     # the gate is the flatness residual sum_f psi(H_f)^2 against flat_tol
-    from foamtor.connection import flatness_residual
     a = SU2.exp(np.array([0.5, 0.0, 0.0]))
     for eps in (1e-7, 1e-6, 1e-5, 1e-4):
         conn = Connection(t, "su2", np.stack([a, SU2.exp(np.array([0.0, eps, 0.0]))]))
@@ -285,3 +286,80 @@ def test_sample_flat_refuses_fewer_than_one_sample():
     for n in (0, -3):
         with pytest.raises(ValueError, match="at least 1"):
             sample_flat("genus:2", "su2", n, np.random.default_rng(0))
+
+
+def _per_sample_analytic(kind, n, rng):
+    """sample_flat's analytic samples built one at a time, each with its own
+    draws, its own edge elements and its own residual walk: (data, residual,
+    tag) per sample.  This is the construction the batched build replaced."""
+    foam = builtin(kind)
+    lo, hi = 0.15, math.pi - 0.15
+
+    def axis():
+        v = rng.standard_normal(3)
+        return v / np.linalg.norm(v)
+
+    out = []
+    for i in range(n):
+        if kind == "torus":
+            sign = +1 if i % 2 == 0 else -1
+            u = axis()
+            pa = rng.uniform(lo, hi)
+            pb = rng.uniform(lo, hi)
+            data = np.stack([SU2.exp(pa * u), SU2.exp(float(sign) * pb * u)])
+            tag = "torus:+" if sign > 0 else "torus:-"
+        elif i % 2 == 0:
+            sign = +1 if (i // 2) % 2 == 0 else -1
+            a = SU2.haar(rng)
+            b = SU2.haar(rng)
+            data = np.stack([a, b, SU2.identity() * float(sign)])
+            tag = "irred"
+        else:
+            u = axis()
+            pa = rng.uniform(lo, hi)
+            pb = rng.uniform(lo, hi)
+            ph = rng.uniform(lo, hi)
+            data = np.stack([SU2.exp(pa * u), SU2.exp(pb * u), SU2.exp(ph * u)])
+            tag = "red"
+        out.append((data, flatness_residual(foam, Connection(foam, SU2, data)), tag))
+    return out
+
+
+@pytest.mark.parametrize("kind", ["torus", "appendix"])
+def test_sample_flat_batched_equals_per_sample_loop(kind):
+    for n in (1, 2, 3, 4, 5, 200):
+        for seed in (0, 1, 2, 31):
+            rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            foam, samples = sample_flat(kind, "su2", n, rng)
+            ref = _per_sample_analytic(kind, n, ref_rng)
+            assert len(samples) == n
+            for s, (data, residual, tag) in zip(samples, ref):
+                # bytes, so that -0.0 (the zeros of h = -1) is told from 0.0
+                assert s.connection.data.tobytes() == data.tobytes(), (n, seed)
+                assert np.float64(s.residual).tobytes() == np.float64(residual).tobytes()
+                assert s.component_tag == tag
+            assert rng.standard_normal() == ref_rng.standard_normal(), (n, seed)
+
+
+def test_sample_flat_takes_renamed_builtins_analytically():
+    text = serialize_foam(builtin("torus"))
+    for name in ("mytorus", "genus3", "appendix"):
+        renamed = parse_foam(text, name=name)
+        _, samples = sample_flat(renamed, "su2", 6, np.random.default_rng(4))
+        _, ref = sample_flat("torus", "su2", 6, np.random.default_rng(4))
+        assert [s.component_tag for s in samples] == [s.component_tag for s in ref]
+        for s, r in zip(samples, ref):
+            assert np.array_equal(s.connection.data, r.connection.data), name
+
+
+def test_sample_flat_projects_foams_that_are_not_builtins():
+    # a relabelled torus and a Tietze-moved torus are not the builtin, whatever
+    # their names: they are projected, and keep the torus's b2_0 = 1
+    relabelled = parse_foam("edges: x y\nface: x y x^-1 y^-1\n", name="torus")
+    moved = tietze1_expand(builtin("torus"), "a1 b1", "c")
+    assert moved.name == "genus1"
+    for foam in (relabelled, moved):
+        report = min_b2(foam, "su2", 20, np.random.default_rng(5))
+        assert report.b2_0 == 1 and report.histogram == {1: 20}, foam
+        assert report.rank_warnings == 0
+        assert all(s.component_tag is None for s in report.samples)
