@@ -55,8 +55,6 @@ def _common(sub, samples_default=100):
     sub.add_argument("--group", default="su2", choices=["su2", "u1"])
     sub.add_argument("--samples", type=int, default=samples_default)
     sub.add_argument("--seed", type=int, default=None)
-    sub.add_argument("--workers", type=int, default=1)
-    sub.add_argument("--format", default="json", choices=["json", "csv"])
     sub.add_argument("--out", default=None)
 
 
@@ -159,8 +157,6 @@ def _char_evaluator(foam, group):
 
 
 def cmd_fit(args):
-    if not args.infile:
-        raise SystemExit("fit needs --in CSV produced by ztau")
     with open(args.infile, encoding="utf-8") as fh:
         points = zestimates_from_csv(fh.read())
     fit = fit_scaling(points, model=args.model)
@@ -235,6 +231,8 @@ def build_parser():
 
     s = subs.add_parser("ztau", help="evaluate Z_tau on a tau grid")
     _common(s, samples_default=10 ** 6)
+    s.add_argument("--format", default="json", choices=["json", "csv"])
+    s.add_argument("--workers", type=int, default=1)
     s.add_argument("--method", default="char", choices=["char", "mc"])
     s.add_argument("--tau-grid", default="1e-3:1e-1:8")
     s.set_defaults(func=cmd_ztau)
@@ -247,6 +245,7 @@ def build_parser():
 
     s = subs.add_parser("torsion", help="torsion at flat samples, or --check torus-volume")
     _common(s, samples_default=10)
+    s.add_argument("--format", default="json", choices=["json", "csv"])
     s.add_argument("--check", default=None, choices=[None, "torus-volume"])
     s.add_argument("--grid", type=int, default=20)
     s.set_defaults(func=cmd_torsion)

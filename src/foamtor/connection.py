@@ -7,6 +7,11 @@ are produced either by analytic parametrizations (torus, appendix foam) or by
 damped Gauss-Newton projection: the face-word Jacobian (the twisted
 differential delta1) linearizes the curvature map, and Levenberg-Marquardt
 steps drive every face holonomy to the identity.
+
+One walk, _face_walk, multiplies out the face words: its products are the
+holonomies and its prefix products the frames of delta1 (word_jacobian).
+Every holonomy and residual here is read off it (face_residual sums the
+residual); only the fused Monte Carlo word_angle walks faces on its own.
 """
 
 from __future__ import annotations
@@ -86,14 +91,36 @@ class FlatSample:
 
 
 # ----------------------------------------------------------------------
-# holonomy and residual (batched: edge arrays of shape (..., E, elem_dim))
+# the face walk: holonomies, residual and delta1 (edge arrays (..., E, elem_dim))
 
-def _holonomy_indices(group, word_idx, g):
-    out = group.identity(g.shape[:-2])
-    for e, s in word_idx:
-        ge = g[..., e, :]
-        out = group.mul(out, ge if s > 0 else group.inv(ge))
-    return out
+def _face_walk(group, words_idx, g):
+    """Face holonomies H (..., F, elem_dim) and, per letter in word order, the
+    prefix product that transports it.  The one place face words are
+    multiplied out (besides the fused Monte Carlo word_angle)."""
+    batch = g.shape[:-2]
+    H = np.empty(batch + (len(words_idx), group.elem_dim))
+    frames = []
+    for f, word_idx in enumerate(words_idx):
+        P = group.identity(batch)
+        for e, s in word_idx:
+            if s > 0:
+                frames.append(P)
+                P = group.mul(P, g[..., e, :])
+            else:
+                P = group.mul(P, group.inv(g[..., e, :]))
+                frames.append(P)
+        H[..., f, :] = P
+    return H, frames
+
+
+def face_residual(group, H):
+    """Flatness residual sum_f distance(H_f, 1)^2 of face holonomies H
+    (..., F, elem_dim), summed face by face."""
+    res = np.zeros(H.shape[:-2])
+    for f in range(H.shape[-2]):
+        d = group.distance(H[..., f, :])
+        res = res + d * d
+    return res
 
 
 def word_jacobian(group, words_idx, g):
@@ -107,21 +134,10 @@ def word_jacobian(group, words_idx, g):
     l_i = e and -Ad(P_i) over letters l_i = e^-1, with P_i the product of the
     first i letters.  No log is taken, so J is defined at any connection.
     """
+    H, frames = _face_walk(group, words_idx, g)
     batch = g.shape[:-2]
     E, d = g.shape[-2], group.dim_g
     F = len(words_idx)
-    H = np.empty(batch + (F, group.elem_dim))
-    frames = []     # per letter, the prefix product that transports it
-    for f, word_idx in enumerate(words_idx):
-        P = group.identity(batch)
-        for e, s in word_idx:
-            if s > 0:
-                frames.append(P)
-                P = group.mul(P, g[..., e, :])
-            else:
-                P = group.mul(P, group.inv(g[..., e, :]))
-                frames.append(P)
-        H[..., f, :] = P
     J = np.zeros(batch + (F, d, E, d))
     if frames:
         B = group.adjoint(np.stack(frames, axis=-2))
@@ -136,29 +152,20 @@ def word_jacobian(group, words_idx, g):
 
 def holonomy(foam, conn, f):
     """Holonomy of face f: ordered product of g_e^{+-1} along the face word."""
-    h = _holonomy_indices(conn.group, foam.word_indices(f), conn.data)
-    return GroupElement(conn.group, h)
+    H = _face_walk(conn.group, [foam.word_indices(f)], conn.data)[0]
+    return GroupElement(conn.group, H[0])
 
 
 def holonomy_word(foam, conn, word):
     """Holonomy of an arbitrary word in the foam's edges (raw element array)."""
     idx = [(foam.edge_index(l.edge), l.exponent) for l in word.letters]
-    return _holonomy_indices(conn.group, idx, conn.data)
-
-
-def _residual_batch(group, words_idx, g):
-    res = np.zeros(g.shape[:-2])
-    for word_idx in words_idx:
-        h = _holonomy_indices(group, word_idx, g)
-        d = group.distance(h)
-        res = res + d * d
-    return res
+    return _face_walk(conn.group, [idx], conn.data)[0][0]
 
 
 def flatness_residual(foam, conn):
     """Sum over faces of distance(H_f, 1)^2; zero iff the connection is flat."""
-    words = [foam.word_indices(f) for f in range(foam.F)]
-    return float(_residual_batch(conn.group, words, conn.data))
+    H = _face_walk(conn.group, [foam.word_indices(f) for f in range(foam.F)], conn.data)[0]
+    return float(face_residual(conn.group, H))
 
 
 def gauge_act(h, conn):
@@ -181,6 +188,7 @@ LM_GROW = 10.0           # damping factor after a rejected step
 # a smaller lam is lost to rounding there; a larger one only shrinks steps
 # that are already negligible.
 LM_LAMBDA_RANGE = (1e-12, 1e12)
+CUT_RETRIES = 10         # jitters of the starts on the cut locus before giving up
 
 
 def _curvature(group, words_idx, g):
@@ -195,7 +203,7 @@ def _curvature(group, words_idx, g):
     return np.sum(r * r, axis=-1), cut, r, J
 
 
-def _descend(group, words_idx, g, tol, max_iters, rng, retries=10, trace=None):
+def _descend(group, words_idx, g, tol, max_iters, rng, trace=None):
     """Batched damped Gauss-Newton projection; returns (g, residual).
 
     Each sample takes the minimum-norm Levenberg-Marquardt step
@@ -206,12 +214,12 @@ def _descend(group, words_idx, g, tol, max_iters, rng, retries=10, trace=None):
     one more step polishes the samples it helps, so that rank decisions at
     the limit point do not sit on the SVD noise floor; samples stalled at a
     non-flat critical point do not hold that step back.  Starts on the cut
-    locus are jittered up to `retries` times.  When trace is a list, the
+    locus are jittered up to CUT_RETRIES times.  When trace is a list, the
     residual vector is appended after every iteration.
     """
     n, E = g.shape[:2]
     res, cut, r, J = _curvature(group, words_idx, g)
-    for _ in range(retries):
+    for _ in range(CUT_RETRIES):
         if not cut.any():
             break
         kick = group.exp(rng.normal(scale=0.05, size=(n, E, group.dim_g)))
@@ -219,7 +227,7 @@ def _descend(group, words_idx, g, tol, max_iters, rng, retries=10, trace=None):
         res, cut, r, J = _curvature(group, words_idx, g)
     if cut.any():
         raise CutLocusError("%d starts stay on the cut locus after %d retries"
-                            % (int(cut.sum()), retries))
+                            % (int(cut.sum()), CUT_RETRIES))
     eye = np.eye(r.shape[-1])
     lam = np.full(n, LM_LAMBDA0)
     stalled = np.zeros(n, dtype=bool)
@@ -246,15 +254,13 @@ def _descend(group, words_idx, g, tol, max_iters, rng, retries=10, trace=None):
     return g, res
 
 
-def find_flat(foam, group, rng, max_iters=5000, tol=FLAT_TOL, start=None):
+def find_flat(foam, group, rng, max_iters=5000, tol=FLAT_TOL):
     """Damped Gauss-Newton projection from a Haar-random start; one sample."""
-    samples = find_flat_batch(foam, group, rng, 1, max_iters=max_iters, tol=tol,
-                              starts=None if start is None else start.data[None])
-    return samples[0]
+    return find_flat_batch(foam, group, rng, 1, max_iters=max_iters, tol=tol)[0]
 
 
 def find_flat_batch(foam, group, rng, n, max_iters=5000, tol=FLAT_TOL,
-                    starts=None, on_failure="raise", trace=None):
+                    on_failure="raise", trace=None):
     """n independent projections onto the flat set, advanced together for speed.
 
     on_failure: 'raise' aborts on any non-converged run, 'drop' discards them.
@@ -264,9 +270,9 @@ def find_flat_batch(foam, group, rng, n, max_iters=5000, tol=FLAT_TOL,
         from .foam import reduce_foam
         foam = reduce_foam(foam)
     words_idx = [foam.word_indices(f) for f in range(foam.F)]
-    g = group.haar(rng, (n, foam.E)) if starts is None else np.array(starts, dtype=float)
+    g = group.haar(rng, (n, foam.E))
     if foam.E == 0 or foam.F == 0:
-        res = _residual_batch(group, words_idx, g)
+        res = face_residual(group, _face_walk(group, words_idx, g)[0])
         return [FlatSample(Connection(foam, group, g[i]), float(res[i])) for i in range(n)]
     g, res = _descend(group, words_idx, g, tol, max_iters, rng, trace=trace)
     ok = res <= tol
@@ -339,7 +345,8 @@ def analytic_flat_batch(kind, rng, signs, families=None, group="su2", psi_a=None
     else:
         g[~chart, 2] = group.identity() * signs[~chart, None]
     g[chart] = group.exp(psi[chart][..., None] * unit_vectors(v[chart])[:, None, :])
-    res = _residual_batch(group, [foam.word_indices(f) for f in range(foam.F)], g)
+    H = _face_walk(group, [foam.word_indices(f) for f in range(foam.F)], g)[0]
+    res = face_residual(group, H)
     tags = (["torus:+" if sgn > 0 else "torus:-" for sgn in signs] if kind == "torus"
             else families)
     return [FlatSample(Connection(foam, group, g[i]), float(res[i]), component_tag=tags[i])

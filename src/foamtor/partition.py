@@ -20,6 +20,7 @@ from .foam import reduce_foam
 from .groups import get_group
 
 MC_TAU_FLOOR = 0.02
+SELECT_FACTOR = 5.0     # the log model is chosen iff it cuts the residual RMS this much
 
 
 def lambda_tau(tau):
@@ -276,13 +277,13 @@ def _wls(X, y, w):
     return coef, r
 
 
-def fit_scaling(points, model="auto", select_factor=5.0):
+def fit_scaling(points, model="auto"):
     """Weighted least squares of log Z against log Lambda_tau.
 
     model 'pure':     log Z ~ omega log Lambda + c
     model 'with-log': log Z ~ omega log Lambda + beta log log(1/tau) + c
     model 'auto' fits both and prefers with-log iff it reduces the residual
-    RMS by select_factor.  Both RMS values are always reported.
+    RMS by SELECT_FACTOR.  Both RMS values are always reported.
     """
     points = sorted(points, key=lambda p: p.tau)
     taus = np.array([p.tau for p in points])
@@ -316,7 +317,7 @@ def fit_scaling(points, model="auto", select_factor=5.0):
     elif model == "with-log":
         use_log = True
     else:
-        use_log = rms_p >= select_factor * rms_l
+        use_log = rms_p >= SELECT_FACTOR * rms_l
     if use_log:
         return ScalingFit(float(cl[0]), float(cl[2]), True, rms_l, rms_p, rms_l,
                           tuple(map(float, rl)), tuple(map(float, taus)),
@@ -328,11 +329,11 @@ def fit_scaling(points, model="auto", select_factor=5.0):
 # ----------------------------------------------------------------------
 # toy Laplace integral with a non-integrable transverse singularity
 
-def toy_laplace(tau, box_halfwidth=1.0, quadrature_n=24):
+def toy_laplace(tau, box_halfwidth=1.0):
     """z_tau = int_{[-L,L]^2} e^{-(x y)^2 / tau} dx dy.
 
     Tensor Gauss-Legendre panels on a geometric grid refined toward the axes
-    (the integrand crosses over at |x y| ~ sqrt(tau)).
+    (the integrand crosses over at |x y| ~ sqrt(tau)), 24 nodes per panel.
     """
     if tau <= 0:
         raise ValueError("tau must be positive")
@@ -340,7 +341,7 @@ def toy_laplace(tau, box_halfwidth=1.0, quadrature_n=24):
     n_levels = max(4, int(math.ceil(math.log2(L / math.sqrt(tau)))) + 4)
     bounds = [L * 2.0 ** -k for k in range(n_levels + 1)] + [0.0]
     bounds = np.array(bounds[::-1])
-    nodes, weights = np.polynomial.legendre.leggauss(quadrature_n)
+    nodes, weights = np.polynomial.legendre.leggauss(24)
     xs, ws = [], []
     for a, b in zip(bounds[:-1], bounds[1:]):
         xs.append(0.5 * (b - a) * nodes + 0.5 * (a + b))
@@ -351,13 +352,13 @@ def toy_laplace(tau, box_halfwidth=1.0, quadrature_n=24):
     return 4.0 * float(ws @ vals @ ws)
 
 
-def fit_toy(taus=None, values=None, box_halfwidth=1.0, select_factor=5.0):
+def fit_toy(taus=None, values=None, box_halfwidth=1.0):
     """Fit the toy integral against the sqrt(tau) log(1/tau) law.
 
     Pure model:    log z ~ omega log Lambda + c.
     Log-amplitude: log z ~ omega log Lambda + log(beta log(1/tau) + c), the
     sqrt(tau)-times-logarithm law; selected when it beats the pure power by
-    select_factor in residual RMS.
+    SELECT_FACTOR in residual RMS.
     """
     if taus is None:
         taus = np.logspace(-6, -2, 9)
@@ -391,7 +392,7 @@ def fit_toy(taus=None, values=None, box_halfwidth=1.0, select_factor=5.0):
     om, beta, c = best.x
     rl = resid(best.x)
     rms_l = float(np.sqrt(np.mean(rl ** 2)))
-    use_log = rms_p >= select_factor * rms_l
+    use_log = rms_p >= SELECT_FACTOR * rms_l
     if use_log:
         return ScalingFit(float(om), float(math.log(c) if c > 0 else -math.inf), True,
                           rms_l, rms_p, rms_l, tuple(map(float, rl)),

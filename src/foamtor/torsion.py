@@ -28,8 +28,7 @@ import numpy as np
 from .connection import FlatSample, unit_vectors, word_jacobian
 from .foam import builtin
 from .groups import SU2
-from .twisted import EPS_RANK, build_delta0, build_delta1, cohomology, \
-    cohomology_batch, svd_rank
+from .twisted import _svd_ranks, cohomology, cohomology_batch
 
 __all__ = ["TorsionValue", "torsion_at", "torsion_batch", "torus_volume_grid",
            "torus_dominant_part", "gaussian_volume"]
@@ -72,7 +71,7 @@ def _split_svd(mat, rank):
     return vt[:rank].T, vt[rank:].T, u[:, :rank], u[:, rank:]
 
 
-def torsion_at(foam, sample, rng, expected_b0=None, eps_rank=EPS_RANK, report=None):
+def torsion_at(foam, sample, rng, expected_b0=None, report=None):
     """Torsion magnitude at a flat sample via the explicit basis pipeline.
 
     Refuses samples flagged possibly singular, samples with a thin
@@ -83,7 +82,7 @@ def torsion_at(foam, sample, rng, expected_b0=None, eps_rank=EPS_RANK, report=No
     """
     if isinstance(sample, FlatSample) and sample.possibly_singular:
         raise SingularSampleError("sample is flagged possibly singular")
-    rep = cohomology(foam, sample, eps_rank=eps_rank) if report is None else report
+    rep = cohomology(foam, sample) if report is None else report
     if rep.rank_warning:
         raise SingularSampleError(
             "ill-conditioned rank decision (gaps %.2e, %.2e)" % (rep.gap0, rep.gap1))
@@ -129,7 +128,7 @@ def torsion_at(foam, sample, rng, expected_b0=None, eps_rank=EPS_RANK, report=No
                                              "h2": h2.shape[1]}})
 
 
-def torsion_batch(foam, samples, rng, eps_rank=EPS_RANK):
+def torsion_batch(foam, samples, rng):
     """torsion_at at every sample, in order, from one batched complex.
 
     A refused sample gives its ValueError in place of a TorsionValue and
@@ -137,68 +136,67 @@ def torsion_batch(foam, samples, rng, eps_rank=EPS_RANK):
     on its own.  Raises ValueError if any sample is not flat.
     """
     out = []
-    for s, rep in zip(samples, cohomology_batch(foam, samples, eps_rank=eps_rank)):
+    for s, rep in zip(samples, cohomology_batch(foam, samples)):
         try:
-            out.append(torsion_at(foam, s, rng, eps_rank=eps_rank, report=rep))
+            out.append(torsion_at(foam, s, rng, report=rep))
         except ValueError as exc:
             out.append(exc)
     return out
 
 
-def singular_value_torsion(foam, sample, eps_rank=EPS_RANK):
-    """Independent route: |tor| = prod sv(delta0) / prod sv(delta1) over the ranks."""
-    conn = sample.connection if isinstance(sample, FlatSample) else sample
-    d0 = build_delta0(conn.foam, conn)
-    d1 = build_delta1(conn.foam, conn)
-    r0, sv0, _, _ = svd_rank(d0, eps_rank)
-    r1, sv1, _, _ = svd_rank(d1, eps_rank)
-    return float(np.prod(sv0[:r0]) / np.prod(sv1[:r1]))
+def singular_value_torsion(foam, sample):
+    """Independent route: |tor| = prod sv(delta0) / prod sv(delta1) over the
+    ranks of the sample's cohomology report (which refuses a non-flat one)."""
+    rep = cohomology(foam, sample)
+    return float(np.prod(rep.sv0[:rep.rank0]) / np.prod(rep.sv1[:rep.rank1]))
 
 
 # ----------------------------------------------------------------------
 # Gaussian volumes and the torus dominant part
 
-def gaussian_volume(foam, sample, rank=None, eps_rank=EPS_RANK):
+def _gaussian_volumes(foam, group, g, rank):
+    """vol(delta1) at every connection of a stack g (n, E, elem_dim) on foam:
+    delta1 from one face walk, and the product of its rank largest singular
+    values from one stacked SVD.  rank None takes each point's SVD rank."""
+    d1 = word_jacobian(group, [foam.word_indices(f) for f in range(foam.F)], g)[1]
+    if rank is None:
+        return np.array([np.prod(s[:r]) for r, s, _, _ in _svd_ranks(d1)])
+    return np.prod(np.linalg.svd(d1, compute_uv=False)[:, :rank], axis=-1)
+
+
+def gaussian_volume(foam, sample, rank=None):
     """vol(delta1(d1)): product of the nonzero singular values of delta1.
 
     This is the Hessian volume of the Gaussian transverse integral.  For a
     family of fixed generic rank pass rank explicitly so near-degenerate
-    points do not flip the count.
+    points do not flip the count.  The batch of one of _gaussian_volumes.
     """
     conn = sample.connection if isinstance(sample, FlatSample) else sample
-    d1 = build_delta1(conn.foam, conn)
-    if rank is None:
-        rank, sv, _, _ = svd_rank(d1, eps_rank)
-    else:
-        sv = np.linalg.svd(d1, compute_uv=False)
-    return float(np.prod(sv[:rank]))
+    return float(_gaussian_volumes(conn.foam, conn.group, conn.data[None], rank)[0])
 
 
 def _torus_chart_volumes(psi_a, psi_b, rng):
     """Gaussian volumes at the torus flat points a = exp(psi_a n),
     b = exp(psi_b n), one axis n per point drawn in order from rng.
 
-    The flat points are one (n, 2, 4) array; delta1 comes from one face walk
-    and its rank-2 volume from one stacked SVD.  Point for point this is
-    gaussian_volume(torus, analytic_flat("torus", rng, psi_a=.., psi_b=..),
-    rank=2), with the same draws.
+    The flat points are one (n, 2, 4) array, and _gaussian_volumes reads
+    their rank-2 volumes off one face walk and one stacked SVD.  Point for
+    point this is gaussian_volume(torus, analytic_flat("torus", rng,
+    psi_a=.., psi_b=..), rank=2), with the same draws.
     """
     axes = unit_vectors(rng.standard_normal((len(psi_a), 3)))
     g = np.stack([SU2.exp(psi_a[:, None] * axes), SU2.exp(psi_b[:, None] * axes)], axis=1)
-    torus = builtin("torus")
-    d1 = word_jacobian(SU2, [torus.word_indices(0)], g)[1]
-    sv = np.linalg.svd(d1, compute_uv=False)
-    return np.prod(sv[:, :2], axis=-1)
+    return _gaussian_volumes(builtin("torus"), SU2, g, 2)
 
 
-def torus_volume_grid(n_grid=20, rng=None, lo=0.1):
+def torus_volume_grid(n_grid=20, rng=None):
     """Gaussian volume over the torus flat chart vs 4(sin^2 psi_a + sin^2 psi_b).
 
-    Returns rows (psi_a, psi_b, volume, formula, abs error) on an n x n
-    interior grid of class angles.
+    Returns rows (psi_a, psi_b, volume, formula, abs error) on an n x n grid
+    of class angles in [0.1, pi - 0.1].
     """
     rng = np.random.default_rng(0) if rng is None else rng
-    grid = np.linspace(lo, math.pi - lo, n_grid)
+    grid = np.linspace(0.1, math.pi - 0.1, n_grid)
     psi_a, psi_b = np.repeat(grid, n_grid), np.tile(grid, n_grid)
     rows = []
     for pa, pb, vol in zip(psi_a, psi_b, _torus_chart_volumes(psi_a, psi_b, rng)):

@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .connection import FlatSample, FLAT_TOL, analytic_flat_batch, \
+from .connection import FlatSample, FLAT_TOL, analytic_flat_batch, face_residual, \
     find_flat_batch, word_jacobian
 from .foam import match_builtin, reduce_foam
 from .groups import get_group
@@ -66,12 +66,12 @@ def _aligned_foam(foam, conns):
     return f
 
 
-def _rank_rule(s, eps_rank, eps_abs):
-    """(rank, gap, warn) from descending singular values s."""
+def _rank_rule(s):
+    """(rank, s, gap, warn) from descending singular values s."""
     smax = s[0] if len(s) else 0.0
-    if smax <= eps_abs:
-        return 0, np.inf, False
-    counted = s > max(eps_rank * smax, eps_abs)
+    if smax <= EPS_ABS:
+        return 0, s, np.inf, False
+    counted = s > max(EPS_RANK * smax, EPS_ABS)
     rank = int(np.sum(counted))
     if rank == len(s):
         gap = np.inf
@@ -80,24 +80,20 @@ def _rank_rule(s, eps_rank, eps_abs):
         gap = np.inf if below == 0.0 else float(s[rank - 1] / below) if rank else 0.0
     # thin gap around the cut, or counted values hugging the noise floor:
     # either way the rank decision is not trustworthy
-    warn = gap < GAP_WARN or (rank > 0 and s[rank - 1] < GAP_WARN * eps_abs)
-    return rank, gap, warn
+    warn = gap < GAP_WARN or (rank > 0 and s[rank - 1] < GAP_WARN * EPS_ABS)
+    return rank, s, gap, warn
 
 
-def _svd_ranks(mats, eps_rank=EPS_RANK, eps_abs=EPS_ABS):
+def _svd_ranks(mats):
     """svd_rank of every matrix in a stack (n, rows, cols), from one stacked SVD."""
     if mats.shape[-1] * mats.shape[-2] == 0:
         return [(0, np.zeros(0), np.inf, False)] * len(mats)
-    out = []
-    for s in np.linalg.svd(mats, compute_uv=False):
-        rank, gap, warn = _rank_rule(s, eps_rank, eps_abs)
-        out.append((rank, s, gap, warn))
-    return out
+    return [_rank_rule(s) for s in np.linalg.svd(mats, compute_uv=False)]
 
 
-def svd_rank(mat, eps_rank=EPS_RANK, eps_abs=EPS_ABS):
+def svd_rank(mat):
     """(rank, singular values, gap, warn): gap = min(counted)/max(discarded)."""
-    return _svd_ranks(mat[None], eps_rank, eps_abs)[0]
+    return _svd_ranks(mat[None])[0]
 
 
 @dataclass(frozen=True)
@@ -137,7 +133,7 @@ class CohomologyReport:
         }
 
 
-def cohomology_batch(foam, samples, eps_rank=EPS_RANK, flat_tol=FLAT_TOL):
+def cohomology_batch(foam, samples):
     """Twisted Betti numbers at every flat connection of a sample set.
 
     samples are FlatSamples or Connections on one foam and group.  Raises
@@ -152,19 +148,15 @@ def cohomology_batch(foam, samples, eps_rank=EPS_RANK, flat_tol=FLAT_TOL):
     d = group.dim_g
     g = np.stack([c.data for c in conns])
     H, d1 = word_jacobian(group, [foam.word_indices(f) for f in range(foam.F)], g)
-    # flatness_residual of every sample, read off the same walk's holonomies
-    dist = group.distance(H)
-    res = np.zeros(len(conns))
-    for f in range(foam.F):
-        res = res + dist[:, f] * dist[:, f]
-    if np.any(res > flat_tol):
-        i = int(np.argmax(res > flat_tol))
+    res = face_residual(group, H)
+    if np.any(res > FLAT_TOL):
+        i = int(np.argmax(res > FLAT_TOL))
         raise ValueError("connection %d is not flat (residual %.3e > %.1e)"
-                         % (i, res[i], flat_tol))
+                         % (i, res[i], FLAT_TOL))
     d0 = _delta0(group, g)
     reports = []
     for i, ((r0, sv0, gap0, warn0), (r1, sv1, gap1, warn1)) in enumerate(
-            zip(_svd_ranks(d0, eps_rank), _svd_ranks(d1, eps_rank))):
+            zip(_svd_ranks(d0), _svd_ranks(d1))):
         b0 = d - r0
         b1 = d * foam.E - r0 - r1
         b2 = d * foam.F - r1
@@ -179,9 +171,9 @@ def cohomology_batch(foam, samples, eps_rank=EPS_RANK, flat_tol=FLAT_TOL):
     return reports
 
 
-def cohomology(foam, sample, eps_rank=EPS_RANK, flat_tol=FLAT_TOL):
+def cohomology(foam, sample):
     """Twisted Betti numbers at a flat connection, with rank diagnostics."""
-    return cohomology_batch(foam, [sample], eps_rank, flat_tol)[0]
+    return cohomology_batch(foam, [sample])[0]
 
 
 @dataclass(frozen=True)
@@ -204,7 +196,7 @@ class MinB2Report:
         return "\n".join(lines) + "\n"
 
 
-def sample_flat(foam_or_name, group, n_samples, rng, **opts):
+def sample_flat(foam_or_name, group, n_samples, rng):
     """Flat samples for analysis: analytic families where the foam is the
     builtin torus or three-edge/two-face appendix foam, Gauss-Newton
     projection otherwise.
@@ -239,18 +231,17 @@ def sample_flat(foam_or_name, group, n_samples, rng, **opts):
         samples = analytic_flat_batch(kind, rng, [(+1, -1)[i // 2 % 2] for i in index],
                                       [("irred", "red")[i % 2] for i in index], group)
     else:
-        opts.setdefault("tol", 1e-24)
-        samples = find_flat_batch(foam, group, rng, n_samples, on_failure="drop", **opts)
+        samples = find_flat_batch(foam, group, rng, n_samples, tol=1e-24, on_failure="drop")
     return foam, samples
 
 
-def min_b2(foam_or_name, group, n_samples, rng, **opts):
+def min_b2(foam_or_name, group, n_samples, rng):
     """Minimum twisted b2 over flat samples, with the stratification histogram.
 
     Samples whose kernel dimension exceeds the minimum seen within their
     component tag are flagged possibly singular.
     """
-    foam, samples = sample_flat(foam_or_name, group, n_samples, rng, **opts)
+    foam, samples = sample_flat(foam_or_name, group, n_samples, rng)
     if not samples:
         raise RuntimeError("no flat connection found within budget")
     hist = Counter()

@@ -1,9 +1,10 @@
+import argparse
 import gc
 import json
 import math
 import warnings
 
-from foamtor.cli import main
+from foamtor.cli import _parser, main
 
 
 def run(capsys, *argv):
@@ -233,3 +234,51 @@ def test_ztau_char_refusals_exit_2(tmp_path, capsys):
         captured = capsys.readouterr()
         assert code == 2, extra
         assert captured.err.startswith("error: ") and captured.out == "", extra
+
+
+def test_fit_with_an_empty_path_is_an_error_not_exit_1(capsys):
+    code = main(["fit", "--in", ""])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith("error: ") and captured.out == ""
+
+
+class _ReadRecorder(argparse.Namespace):
+    """Namespace that records which attributes a command reads."""
+
+    def __getattribute__(self, name):
+        if not name.startswith("_"):
+            self.__dict__.setdefault("_reads", set()).add(name)
+        return super().__getattribute__(name)
+
+
+def test_every_option_is_read_by_its_command(tmp_path, capsys):
+    # an option that a command declares but never reads is a knob that does nothing
+    csv = str(tmp_path / "z.csv")
+    out = str(tmp_path / "out.json")
+    runs = [
+        ["analyze", "--foam", "torus", "--samples", "4"],
+        ["flat", "--foam", "torus", "--samples", "2"],
+        ["torsion", "--foam", "torus", "--samples", "2"],
+        ["torsion", "--foam", "torus", "--check", "torus-volume", "--grid", "3",
+         "--format", "csv"],
+        ["ztau", "--foam", "torus", "--tau-grid", "1e-3:1e-1:8", "--format", "csv",
+         "--out", csv],
+        ["ztau", "--foam", "torus", "--method", "mc", "--samples", "1000",
+         "--workers", "2", "--tau-grid", "0.5:0.5:1"],
+        ["fit", "--in", csv],
+        ["toy", "--tau-grid", "1e-4:1e-2:5"],
+    ]
+    declared, read = {}, {}
+    for argv in runs:
+        args = _parser().parse_args(argv + ["--out", out] * ("--out" not in argv),
+                                    namespace=_ReadRecorder())
+        options = set(vars(args)) - {"command", "func", "_reads"}
+        args.__dict__["_reads"] = set()     # forget the reads made while parsing
+        assert args.func(args) == 0, argv
+        declared.setdefault(argv[0], set()).update(options)
+        read.setdefault(argv[0], set()).update(args.__dict__["_reads"])
+    capsys.readouterr()
+    unread = {cmd: sorted(declared[cmd] - read[cmd]) for cmd in declared
+              if declared[cmd] - read[cmd]}
+    assert unread == {}

@@ -2,6 +2,11 @@
 time, which batching must reproduce bit for bit.
 
 The CLI files in tests/golden/ are the stdout of the commands in CASES;
+the flat_* files were recorded while holonomies and residuals still had a
+walk of their own apart from delta1's, and pin the connection data and
+residual bits of the single face walk.  The config echoes later lost the
+lines of the flags their commands ignored (--workers on analyze, flat and
+torsion, --format on analyze and flat); nothing else moved.
 torus_grids.json holds torus_volume_grid(8) and torus_dominant_part(12) at
 their default seeds.  The stacked SVD and the batched face walk give the same
 bits per matrix as single calls with numpy's LAPACK; the files were recorded
@@ -30,6 +35,11 @@ CASES = {
     "torsion_appendix": "torsion --foam appendix --samples 20 --seed 3",
     "torsion_torus": "torsion --foam torus --samples 20 --seed 7",
     "torsion_torus_volume": "torsion --foam torus --check torus-volume --grid 30 --seed 2",
+    "flat_torus": "flat --foam torus --samples 5 --seed 3",
+    "flat_appendix": "flat --foam appendix --samples 5 --seed 3",
+    "flat_genus2": "flat --foam genus:2 --samples 5 --seed 3",
+    "flat_dunce_hat": "flat --foam dunce_hat --samples 5 --seed 3",
+    "flat_torus_u1": "flat --foam torus --group u1 --samples 5 --seed 3",
 }
 
 

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from foamtor.connection import _holonomy_indices
+from foamtor.connection import word_jacobian
 from foamtor.foam import builtin, reduce_foam
 from foamtor.groups import (EPS_LOG, CutLocusError, GroupElement, get_group,
                             group_element_from_json, su2_haar, su2_mul)
@@ -284,7 +284,7 @@ def test_word_angle_equals_class_angle_of_holonomy(name, group):
                              (-2, -1), (0, 1))
     for f in range(foam.F):
         word = foam.word_indices(f)
-        ref = G.distance(_holonomy_indices(G, word, np.ascontiguousarray(g)))
+        ref = G.distance(word_jacobian(G, [word], np.ascontiguousarray(g))[0][..., 0, :])
         for x in (g, raw, edge_major):
             got = G.word_angle(word, x)
             assert got.shape == ref.shape

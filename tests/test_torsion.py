@@ -187,3 +187,11 @@ def test_torsion_batch_refuses_only_the_refused_samples():
     seeds = np.random.default_rng(5)
     assert [v.bases_meta["seed"] for v in got if isinstance(v, TorsionValue)] == \
         [int(seeds.integers(2 ** 32)) for _ in range(3)]
+
+
+def test_singular_value_torsion_refuses_a_connection_that_is_not_flat():
+    from foamtor.connection import Connection
+    torus = builtin("torus")
+    conn = Connection.haar(torus, "su2", np.random.default_rng(8))
+    with pytest.raises(ValueError, match="not flat"):
+        singular_value_torsion(torus, conn)

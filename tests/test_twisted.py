@@ -271,15 +271,15 @@ def test_cohomology_batch_names_the_nonflat_sample():
     samples = [analytic_flat("torus", rng), Connection.haar(t, "su2", rng)]
     with pytest.raises(ValueError, match="connection 1 is not flat"):
         cohomology_batch(t, samples)
-    # the gate is the flatness residual sum_f psi(H_f)^2 against flat_tol
+    # the gate is the flatness residual sum_f psi(H_f)^2 against FLAT_TOL = 1e-10
     a = SU2.exp(np.array([0.5, 0.0, 0.0]))
     for eps in (1e-7, 1e-6, 1e-5, 1e-4):
         conn = Connection(t, "su2", np.stack([a, SU2.exp(np.array([0.0, eps, 0.0]))]))
         if flatness_residual(t, conn) <= 1e-10:
-            assert cohomology_batch(t, [conn], flat_tol=1e-10)
+            assert cohomology_batch(t, [conn])
         else:
             with pytest.raises(ValueError, match="not flat"):
-                cohomology_batch(t, [conn], flat_tol=1e-10)
+                cohomology_batch(t, [conn])
 
 
 def test_sample_flat_refuses_fewer_than_one_sample():
