@@ -10,9 +10,8 @@ to zero.
 
 import numpy as np
 
-from foamtor import (Connection, analytic_flat, builtin, find_flat_batch,
+from foamtor import (SU2, Connection, analytic_flat, builtin, find_flat_batch,
                      flatness_residual, gauge_act, holonomy)
-from foamtor.groups import GroupElement
 
 rng = np.random.default_rng(0)
 torus = builtin("torus")
@@ -21,10 +20,10 @@ torus = builtin("torus")
 conn = Connection.haar(torus, "su2", rng)
 h = holonomy(torus, conn, 0)
 print("random connection: commutator class angle = %.4f, residual = %.4f"
-      % (h.class_angle(), flatness_residual(torus, conn)))
+      % (SU2.distance(h), flatness_residual(torus, conn)))
 
 # -- gauge transformations conjugate every edge; the residual is invariant
-g = GroupElement.haar("su2", rng)
+g = SU2.haar(rng)
 moved = gauge_act(g, conn)
 print("gauge moved residual: %.12f (same)" % flatness_residual(torus, moved))
 

@@ -39,13 +39,16 @@ def _tau_grid(source):
     return np.logspace(math.log10(float(lo)), math.log10(float(hi)), int(n))
 
 
-def _emit(args, payload, default=str):
-    text = json.dumps(payload, indent=2, default=default)
+def _emit(args, payload):
+    """Write payload to --out, or to stdout without one: a str (CSV) as it is,
+    anything else as indented JSON."""
+    if not isinstance(payload, str):
+        payload = json.dumps(payload, indent=2, default=str) + "\n"
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
+            fh.write(payload)
     else:
-        print(text)
+        sys.stdout.write(payload)
 
 
 def _common(sub, samples_default=100):
@@ -123,6 +126,8 @@ def cmd_ztau(args):
     seed = _seed_of(args)
     foam = reduce_foam(_load_foam(args.foam))
     taus = _tau_grid(args.tau_grid)
+    if args.workers < 1:
+        raise ValueError("--workers %d: need at least 1" % args.workers)
     if args.method == "mc":
         points = [z_mc(foam, args.group, float(tau), args.samples, seed=seed,
                        n_workers=args.workers) for tau in taus]
@@ -130,12 +135,7 @@ def cmd_ztau(args):
         z_char = _char_evaluator(foam, args.group)
         points = [z_char(float(tau)) for tau in taus]
     if args.format == "csv":
-        text = zestimates_csv(points)
-        if args.out:
-            with open(args.out, "w", encoding="utf-8") as fh:
-                fh.write(text)
-        else:
-            sys.stdout.write(text)
+        _emit(args, zestimates_csv(points))
     else:
         _emit(args, {"config": _config_echo(args, seed),
                      "points": [p.to_json() for p in points]})
@@ -170,16 +170,13 @@ def cmd_fit(args):
 def cmd_torsion(args):
     seed = _seed_of(args)
     rng = np.random.default_rng(seed)
+    if args.format == "csv" and args.check != "torus-volume":
+        raise ValueError("--format csv applies only to --check torus-volume")
     if args.check == "torus-volume":
         rows = torus_volume_grid(args.grid, rng)
         max_err = max(r[4] for r in rows)
         if args.format == "csv":
-            text = torus_volume_csv(rows)
-            if args.out:
-                with open(args.out, "w", encoding="utf-8") as fh:
-                    fh.write(text)
-            else:
-                sys.stdout.write(text)
+            _emit(args, torus_volume_csv(rows))
         else:
             _emit(args, {"config": _config_echo(args, seed),
                          "check": "torus-volume",

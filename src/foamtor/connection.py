@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .foam import Foam, builtin as _builtin_foam
-from .groups import EPS_LOG, CutLocusError, GroupElement, get_group
+from .groups import EPS_LOG, CutLocusError, get_group
 
 FLAT_TOL = 1e-10
 
@@ -38,7 +38,8 @@ class DescentError(RuntimeError):
 class Connection:
     """Edge assignment e -> g_e, ordered by the foam's edge list.
 
-    data has shape (E, elem_dim); rows follow foam.edge_ids.
+    data has shape (E, elem_dim); rows follow foam.edge_ids, and conn[e] is
+    edge e's row.
     """
 
     foam: Foam
@@ -51,7 +52,7 @@ class Connection:
         object.__setattr__(self, "data", arr)
 
     def __getitem__(self, edge_id):
-        return GroupElement(self.group, self.data[self.foam.edge_index(edge_id)])
+        return self.data[self.foam.edge_index(edge_id)]
 
     def to_json(self):
         return {e: self.group.to_json(self.data[i])
@@ -151,9 +152,9 @@ def word_jacobian(group, words_idx, g):
 
 
 def holonomy(foam, conn, f):
-    """Holonomy of face f: ordered product of g_e^{+-1} along the face word."""
-    H = _face_walk(conn.group, [foam.word_indices(f)], conn.data)[0]
-    return GroupElement(conn.group, H[0])
+    """Holonomy of face f: ordered product of g_e^{+-1} along the face word
+    (raw element array)."""
+    return _face_walk(conn.group, [foam.word_indices(f)], conn.data)[0][0]
 
 
 def holonomy_word(foam, conn, word):
@@ -169,10 +170,10 @@ def flatness_residual(foam, conn):
 
 
 def gauge_act(h, conn):
-    """Conjugate every edge element by h (single-vertex gauge transformation)."""
+    """Conjugate every edge element by the element array h (single-vertex
+    gauge transformation)."""
     group = conn.group
-    hd = h.data if isinstance(h, GroupElement) else np.asarray(h, dtype=float)
-    hb = np.broadcast_to(hd, conn.data.shape)
+    hb = np.broadcast_to(np.asarray(h, dtype=float), conn.data.shape)
     new = group.mul(group.mul(hb, conn.data), group.inv(hb))
     return Connection(conn.foam, group, new)
 
@@ -254,9 +255,9 @@ def _descend(group, words_idx, g, tol, max_iters, rng, trace=None):
     return g, res
 
 
-def find_flat(foam, group, rng, max_iters=5000, tol=FLAT_TOL):
+def find_flat(foam, group, rng, tol=FLAT_TOL):
     """Damped Gauss-Newton projection from a Haar-random start; one sample."""
-    return find_flat_batch(foam, group, rng, 1, max_iters=max_iters, tol=tol)[0]
+    return find_flat_batch(foam, group, rng, 1, tol=tol)[0]
 
 
 def find_flat_batch(foam, group, rng, n, max_iters=5000, tol=FLAT_TOL,

@@ -25,7 +25,6 @@ import math
 import numpy as np
 
 EPS_LOG = 1e-8          # cut-locus guard for log
-UNIT_TOL = 1e-12        # unit-norm tolerance for SU(2) quaternions
 HK_TRUNC_C = 12.0       # character series truncated at j_max = ceil(c/sqrt(tau))
 
 
@@ -290,6 +289,20 @@ def _class_angle(group, g, angle):
     return group.distance(x)
 
 
+def _heat_kernel(group, series, images, tau, g, method, angle):
+    """K_tau at g by one of the group's two independent evaluators: method
+    'char-series' or 'gaussian-images', or 'auto', which takes the image sum
+    for tau <= 1 and the character series above."""
+    x = _class_angle(group, g, angle)
+    if method == "auto":
+        method = "gaussian-images" if tau <= 1.0 else "char-series"
+    if method == "char-series":
+        return series(tau, x)
+    if method == "gaussian-images":
+        return images(tau, x)
+    raise ValueError("unknown heat-kernel method %r" % method)
+
+
 class SU2:
     """SU(2) as unit quaternions; all methods are vectorized over leading axes."""
 
@@ -331,14 +344,8 @@ class SU2:
     @staticmethod
     def heat_kernel(tau, g, method="auto", *, angle=False):
         """K_tau at elements g, or at class angles g if angle=True."""
-        psi = _class_angle(SU2, g, angle)
-        if method == "auto":
-            method = "gaussian-images" if tau <= 1.0 else "char-series"
-        if method == "char-series":
-            return su2_heat_kernel_series(tau, psi)
-        if method == "gaussian-images":
-            return su2_heat_kernel_images(tau, psi)
-        raise ValueError("unknown heat-kernel method %r" % method)
+        return _heat_kernel(SU2, su2_heat_kernel_series, su2_heat_kernel_images,
+                            tau, g, method, angle)
 
     @staticmethod
     def to_json(data):
@@ -411,14 +418,8 @@ class U1:
     @staticmethod
     def heat_kernel(tau, g, method="auto", *, angle=False):
         """K_tau at elements g, or at angles g if angle=True."""
-        theta = _class_angle(U1, g, angle)
-        if method == "auto":
-            method = "gaussian-images" if tau <= 1.0 else "char-series"
-        if method == "char-series":
-            return u1_heat_kernel_series(tau, theta)
-        if method == "gaussian-images":
-            return u1_heat_kernel_images(tau, theta)
-        raise ValueError("unknown heat-kernel method %r" % method)
+        return _heat_kernel(U1, u1_heat_kernel_series, u1_heat_kernel_images,
+                            tau, g, method, angle)
 
     @staticmethod
     def to_json(data):
@@ -435,77 +436,3 @@ def get_group(name):
         return GROUPS[name.lower()]
     except (KeyError, AttributeError):
         raise ValueError("unknown group %r (expected 'su2' or 'u1')" % (name,)) from None
-
-
-# ----------------------------------------------------------------------
-# scalar wrapper
-
-class GroupElement:
-    """A single group element; thin wrapper over the raw array representation."""
-
-    __slots__ = ("group", "data")
-
-    def __init__(self, group, data):
-        self.group = get_group(group)
-        data = np.asarray(data, dtype=float).reshape(self.group.elem_dim)
-        if self.group.name == "su2":
-            nrm = np.linalg.norm(data)
-            if abs(nrm - 1.0) > 1e-9:
-                raise ValueError("quaternion norm %g too far from 1" % nrm)
-            if abs(nrm - 1.0) > UNIT_TOL:
-                data = data / nrm
-        else:
-            data = u1_wrap(data)
-        self.data = data
-
-    @classmethod
-    def identity(cls, group):
-        g = get_group(group)
-        return cls(g, g.identity())
-
-    @classmethod
-    def exp(cls, group, v):
-        g = get_group(group)
-        return cls(g, g.exp(np.asarray(v, dtype=float).reshape(g.dim_g)))
-
-    @classmethod
-    def haar(cls, group, rng):
-        g = get_group(group)
-        return cls(g, g.haar(rng))
-
-    def __mul__(self, other):
-        if self.group is not other.group:
-            raise ValueError("elements of different groups")
-        return GroupElement(self.group, self.group.mul(self.data, other.data))
-
-    def inverse(self):
-        return GroupElement(self.group, self.group.inv(self.data))
-
-    def log(self):
-        return self.group.log(self.data)
-
-    def adjoint(self):
-        return self.group.adjoint(self.data)
-
-    def distance(self):
-        return float(self.group.distance(self.data))
-
-    def class_angle(self):
-        return self.distance()
-
-    def allclose(self, other, tol=1e-12):
-        return bool(np.max(np.abs(self.data - other.data)) <= tol)
-
-    def to_json(self):
-        return self.group.to_json(self.data)
-
-    def __repr__(self):
-        return "GroupElement(%s, %s)" % (self.group.name, np.array2string(self.data, precision=6))
-
-
-def group_element_from_json(obj):
-    if "su2" in obj:
-        return GroupElement("su2", obj["su2"])
-    if "u1" in obj:
-        return GroupElement("u1", [obj["u1"]])
-    raise ValueError("not a serialized group element: %r" % (obj,))

@@ -76,8 +76,7 @@ def _merge_moments(a, b):
     return n, ma + d * (nb / n), qa + qb + d * d * (na * nb / n)
 
 
-def z_mc(foam, group, tau, n_samples, rng=None, seed=None, n_workers=1,
-         chunk=50_000):
+def z_mc(foam, group, tau, n_samples, seed, n_workers=1, chunk=50_000):
     """Sample mean of prod_f K_tau(H_f(A)) over A ~ Haar^E.
 
     The n_samples draws are split into n_workers streams, stream w drawing
@@ -107,10 +106,6 @@ def z_mc(foam, group, tau, n_samples, rng=None, seed=None, n_workers=1,
     if n_samples < 2:
         raise ValueError("n_samples=%r: Monte Carlo needs at least 2 samples "
                          "for a standard error" % (n_samples,))
-    if rng is not None and seed is None:
-        seed = int(rng.integers(2 ** 63))
-    if seed is None:
-        raise ValueError("z_mc needs rng or seed")
     per = [n_samples // n_workers] * n_workers
     per[-1] += n_samples - sum(per)
     step = -(-chunk // n_workers)

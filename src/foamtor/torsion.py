@@ -28,7 +28,7 @@ import numpy as np
 from .connection import FlatSample, unit_vectors, word_jacobian
 from .foam import builtin
 from .groups import SU2
-from .twisted import _svd_ranks, cohomology, cohomology_batch
+from .twisted import cohomology, cohomology_batch
 
 __all__ = ["TorsionValue", "torsion_at", "torsion_batch", "torus_volume_grid",
            "torus_dominant_part", "gaussian_volume"]
@@ -157,19 +157,17 @@ def singular_value_torsion(foam, sample):
 def _gaussian_volumes(foam, group, g, rank):
     """vol(delta1) at every connection of a stack g (n, E, elem_dim) on foam:
     delta1 from one face walk, and the product of its rank largest singular
-    values from one stacked SVD.  rank None takes each point's SVD rank."""
+    values from one stacked SVD."""
     d1 = word_jacobian(group, [foam.word_indices(f) for f in range(foam.F)], g)[1]
-    if rank is None:
-        return np.array([np.prod(s[:r]) for r, s, _, _ in _svd_ranks(d1)])
     return np.prod(np.linalg.svd(d1, compute_uv=False)[:, :rank], axis=-1)
 
 
-def gaussian_volume(foam, sample, rank=None):
-    """vol(delta1(d1)): product of the nonzero singular values of delta1.
+def gaussian_volume(foam, sample, rank):
+    """vol(delta1): product of the rank largest singular values of delta1.
 
-    This is the Hessian volume of the Gaussian transverse integral.  For a
-    family of fixed generic rank pass rank explicitly so near-degenerate
-    points do not flip the count.  The batch of one of _gaussian_volumes.
+    This is the Hessian volume of the Gaussian transverse integral.  rank is
+    the family's generic rank, fixed so that near-degenerate points do not
+    flip the count.  The batch of one of _gaussian_volumes.
     """
     conn = sample.connection if isinstance(sample, FlatSample) else sample
     return float(_gaussian_volumes(conn.foam, conn.group, conn.data[None], rank)[0])

@@ -11,7 +11,7 @@ import numpy as np
 from foamtor.connection import Connection, find_flat_batch, gauge_act
 from foamtor.foam import (FaceWord, Foam, Letter, builtin, cellular_homology,
                           tietze1_collapse, tietze1_expand, tietze2_add_face)
-from foamtor.groups import GroupElement, get_group
+from foamtor.groups import get_group
 from foamtor.partition import (char_sum_limit, fit_scaling, fit_toy,
                                z_char_appendix, z_char_surface, z_mc)
 from foamtor.torsion import (SingularSampleError, torsion_at,
@@ -170,7 +170,7 @@ def test_criterion_9_structural_invariants():
                 assert np.max(np.abs(d1 @ d0)) < 1e-10, foam.name
             rep = cohomology(foam, conn)
             assert rep.b0 - rep.b1 + rep.b2 == 3 * foam.euler, foam.name
-            h = GroupElement.haar("su2", rng)
+            h = SU2.haar(rng)
             rep_g = cohomology(foam, gauge_act(h, conn))
             if not (rep.rank_warning or rep_g.rank_warning):
                 assert rep_g.betti == rep.betti, foam.name

@@ -236,6 +236,24 @@ def test_ztau_char_refusals_exit_2(tmp_path, capsys):
         assert captured.err.startswith("error: ") and captured.out == "", extra
 
 
+def test_ztau_workers_below_one_are_refused_by_both_methods(capsys):
+    errors = set()
+    for method in ("char", "mc"):
+        code = main(["ztau", "--foam", "torus", "--method", method, "--tau-grid",
+                     "0.5:0.5:1", "--workers", "0"])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == "", method
+        errors.add(captured.err)
+    assert len(errors) == 1 and errors.pop().startswith("error: --workers")
+
+
+def test_torsion_csv_needs_the_torus_volume_check(capsys):
+    code = main(["torsion", "--foam", "torus", "--samples", "1", "--format", "csv"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == "error: --format csv applies only to --check torus-volume\n"
+
+
 def test_fit_with_an_empty_path_is_an_error_not_exit_1(capsys):
     code = main(["fit", "--in", ""])
     captured = capsys.readouterr()

@@ -5,7 +5,7 @@ import pytest
 
 from foamtor.connection import analytic_flat, find_flat_batch, gauge_act
 from foamtor.foam import builtin
-from foamtor.groups import GroupElement
+from foamtor.groups import SU2
 from foamtor.partition import char_sum_limit
 from foamtor.torsion import (SingularSampleError, TorsionValue, gaussian_volume,
                              singular_value_torsion, torsion_at, torsion_batch,
@@ -51,7 +51,7 @@ def test_gauge_invariance_of_magnitude():
              else find_flat_batch(foam, "su2", rng, 1, tol=1e-24, on_failure="drop")[0])
         base = torsion_at(foam, s, rng).magnitude
         for _ in range(5):
-            h = GroupElement.haar("su2", rng)
+            h = SU2.haar(rng)
             moved = gauge_act(h, s.connection)
             val = torsion_at(foam, moved, rng).magnitude
             assert abs(val - base) < 1e-10 * base
