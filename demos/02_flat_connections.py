@@ -18,14 +18,14 @@ torus = builtin("torus")
 
 # -- holonomy of the torus face is the group commutator [a, b]
 conn = Connection.haar(torus, "su2", rng)
-h = holonomy(torus, conn, 0)
+h = holonomy(conn, 0)
 print("random connection: commutator class angle = %.4f, residual = %.4f"
-      % (SU2.distance(h), flatness_residual(torus, conn)))
+      % (SU2.distance(h), flatness_residual(conn)))
 
 # -- gauge transformations conjugate every edge; the residual is invariant
 g = SU2.haar(rng)
 moved = gauge_act(g, conn)
-print("gauge moved residual: %.12f (same)" % flatness_residual(torus, moved))
+print("gauge moved residual: %.12f (same)" % flatness_residual(moved))
 
 # -- the torus flat set: commuting pairs = common rotation axis
 s = analytic_flat("torus", rng, psi_a=1.0, psi_b=0.5, axis=[0, 0, 1], sign=+1)

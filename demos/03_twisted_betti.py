@@ -16,12 +16,11 @@ from foamtor import (Connection, analytic_flat, build_delta0, build_delta1,
 rng = np.random.default_rng(1)
 
 # -- exactness delta1 . delta0 = 0 at a flat point
-torus = builtin("torus")
 s = analytic_flat("torus", rng)
-d0, d1 = build_delta0(torus, s.connection), build_delta1(torus, s.connection)
+d0, d1 = build_delta0(s.connection), build_delta1(s.connection)
 print("||delta1 delta0|| at a flat torus point: %.2e" % np.max(np.abs(d1 @ d0)))
 
-rep = cohomology(torus, s)
+rep = cohomology(s)
 print("torus twisted Betti:", rep.betti, " rank delta1 =", rep.rank1,
       " regular =", rep.regular, " reducible =", rep.reducible)
 
@@ -30,7 +29,7 @@ print("torus twisted Betti:", rep.betti, " rank delta1 =", rep.rank1,
 for name in ("sphere", "torus", "genus:2", "dunce_hat"):
     foam = builtin(name)
     cell = cellular_homology(foam).betti
-    triv = cohomology(foam, Connection.identity(foam, "su2")).betti
+    triv = cohomology(Connection.identity(foam, "su2")).betti
     print("%-10s cellular %s -> twisted at trivial %s" % (foam.name, cell, triv))
 
 # -- the genus table: b2_0 = 3, 1, 0, 0 for genus 0..3 over SU(2)

@@ -19,24 +19,23 @@ rng = np.random.default_rng(2)
 # -- basis independence at a generic genus-2 flat connection
 foam = builtin("genus:2")
 s = find_flat_batch(foam, "su2", rng, 1, tol=1e-24, on_failure="drop")[0]
-vals = [torsion_at(foam, s, rng).magnitude for _ in range(10)]
+vals = [torsion_at(s, rng).magnitude for _ in range(10)]
 print("genus-2 torsion over 10 random basis completions:")
 print("  mean %.12f  relative spread %.1e"
       % (np.mean(vals), (max(vals) - min(vals)) / np.mean(vals)))
 
 # -- on the torus the restricted delta0 and delta1 span equal volumes, so
 # |tor| = 1 along the whole flat family
-t = torsion_at(builtin("torus"), analytic_flat("torus", rng), rng)
+t = torsion_at(analytic_flat("torus", rng), rng)
 print("torus torsion: %.12f (case %s, b = (%d, %d, %d))"
       % (t.magnitude, t.case, t.b0, t.b1, t.b2))
 
 # -- the appendix foam is not a surface and its Abelian stratum carries the
 # nontrivial density |tor| = 1/(4 sin^2 psi_h), whose integral over the
 # moduli chart diverges -- the source of its anomalous scaling (demo 06)
-app = builtin("appendix")
 for ph in (0.5, 1.0, 1.5):
     s = analytic_flat("appendix", rng, family="red", psi_h=ph)
-    t = torsion_at(app, s, rng)
+    t = torsion_at(s, rng)
     print("appendix red psi_h=%.1f: |tor| = %.8f  vs 1/(4 sin^2) = %.8f"
           % (ph, t.magnitude, 1 / (4 * math.sin(ph) ** 2)))
 

@@ -128,6 +128,8 @@ def cmd_ztau(args):
     taus = _tau_grid(args.tau_grid)
     if args.workers < 1:
         raise ValueError("--workers %d: need at least 1" % args.workers)
+    if args.samples < 1:
+        raise ValueError("--samples %d: need at least 1" % args.samples)
     if args.method == "mc":
         points = [z_mc(foam, args.group, float(tau), args.samples, seed=seed,
                        n_workers=args.workers) for tau in taus]
@@ -188,7 +190,7 @@ def cmd_torsion(args):
     if not samples:
         raise RuntimeError("no flat connection found within budget")
     values = [v.to_json() if isinstance(v, TorsionValue) else {"error": str(v)}
-              for v in torsion_batch(foam, samples, rng)]
+              for v in torsion_batch(samples, rng)]
     payload = {"config": _config_echo(args, seed), "foam": foam.name,
                "torsion": values}
     _emit(args, payload)

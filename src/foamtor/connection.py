@@ -151,22 +151,27 @@ def word_jacobian(group, words_idx, g):
     return H, J.reshape(batch + (F * d, E * d))
 
 
-def holonomy(foam, conn, f):
-    """Holonomy of face f: ordered product of g_e^{+-1} along the face word
-    (raw element array)."""
-    return _face_walk(conn.group, [foam.word_indices(f)], conn.data)[0][0]
+def connection_of(sample):
+    """The Connection of a FlatSample, or the sample itself if it is one."""
+    return sample.connection if isinstance(sample, FlatSample) else sample
 
 
-def holonomy_word(foam, conn, word):
-    """Holonomy of an arbitrary word in the foam's edges (raw element array)."""
-    idx = [(foam.edge_index(l.edge), l.exponent) for l in word.letters]
+def holonomy(conn, f):
+    """Holonomy of face f of conn.foam: ordered product of g_e^{+-1} along
+    the face word (raw element array)."""
+    return _face_walk(conn.group, [conn.foam.word_indices(f)], conn.data)[0][0]
+
+
+def holonomy_word(conn, word):
+    """Holonomy of a word in the edges of conn.foam (raw element array)."""
+    idx = [(conn.foam.edge_index(l.edge), l.exponent) for l in word.letters]
     return _face_walk(conn.group, [idx], conn.data)[0][0]
 
 
-def flatness_residual(foam, conn):
+def flatness_residual(conn):
     """Sum over faces of distance(H_f, 1)^2; zero iff the connection is flat."""
-    H = _face_walk(conn.group, [foam.word_indices(f) for f in range(foam.F)], conn.data)[0]
-    return float(face_residual(conn.group, H))
+    words = [conn.foam.word_indices(f) for f in range(conn.foam.F)]
+    return float(face_residual(conn.group, _face_walk(conn.group, words, conn.data)[0]))
 
 
 def gauge_act(h, conn):
@@ -355,33 +360,24 @@ def analytic_flat_batch(kind, rng, signs, families=None, group="su2", psi_a=None
 
 
 def analytic_flat(foam_name, rng, group="su2", psi_a=None, psi_b=None, psi_h=None,
-                  axis=None, sign=+1, family=None, **descent_opts):
-    """Exact flat samples on the builtin foams.
+                  axis=None, sign=+1, family=None):
+    """One exact flat sample of an analytic family of a builtin foam.
 
-    torus: a = exp(psi_a n), b = exp(+-psi_b n) about a common axis n; the sign
-    selects the branch.  appendix: family 'irred' has h = +-1 with (a, b) Haar
-    random, family 'red' puts a, b, h on a common axis.  For SU(2) these are
-    analytic_flat_batch with one sample.  The U(1) torus takes a Haar pair.
-    sphere: any start is flat.  genus g >= 2 falls back to Gauss-Newton
-    projection (find_flat).
+    torus (genus:1): a = exp(psi_a n), b = exp(+-psi_b n) about a common axis
+    n; the sign selects the branch.  appendix: family 'irred' has h = +-1
+    with (a, b) Haar random, family 'red' puts a, b, h on a common axis.
+    These two are SU(2)-only and are analytic_flat_batch with one sample.
+    sphere (genus:0): any start is flat.  Any other foam, or the torus or
+    appendix over U(1), is refused with ValueError: find_flat projects.
     """
-    group = get_group(group)
     key = foam_name.lower()
     if key in ("torus", "genus:1"):
-        if group.name == "u1":
-            conn = Connection(_builtin_foam("torus"), group, group.haar(rng, (2,)))
-            return FlatSample(conn, flatness_residual(conn.foam, conn),
-                              component_tag="torus:%s" % ("+" if sign > 0 else "-"))
         return analytic_flat_batch("torus", rng, [sign], group=group, psi_a=psi_a,
                                    psi_b=psi_b, axis=axis)[0]
     if key == "appendix":
         return analytic_flat_batch("appendix", rng, [sign], [family or "irred"], group,
                                    psi_a=psi_a, psi_b=psi_b, psi_h=psi_h, axis=axis)[0]
     if key in ("sphere", "genus:0"):
-        foam = _builtin_foam("sphere")
-        conn = Connection.haar(foam, group, rng)
+        conn = Connection.haar(_builtin_foam("sphere"), group, rng)
         return FlatSample(conn, 0.0, component_tag="sphere")
-    if key.startswith("genus:"):
-        foam = _builtin_foam(key)
-        return find_flat(foam, group, rng, **descent_opts)
     raise ValueError("no analytic flat family for %r" % foam_name)

@@ -431,15 +431,15 @@ def tietze2_add_face(foam, word, name=None):
                 faces=foam.faces + (FaceWord(word.letters, name),))
 
 
-def verify_redundancy(foam, word, samples):
-    """Max distance to the identity of the word's holonomy over flat samples."""
-    from .connection import holonomy_word
+def verify_redundancy(word, samples):
+    """Max distance to the identity of the word's holonomy over flat samples,
+    the word read in the edges of each sample's own foam."""
+    from .connection import connection_of, holonomy_word
     word = _as_word(word)
     worst = 0.0
     for s in samples:
-        conn = getattr(s, "connection", s)
-        h = holonomy_word(foam, conn, word)
-        worst = max(worst, float(conn.group.distance(h)))
+        conn = connection_of(s)
+        worst = max(worst, float(conn.group.distance(holonomy_word(conn, word))))
     return worst
 
 

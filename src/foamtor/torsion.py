@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .connection import FlatSample, unit_vectors, word_jacobian
+from .connection import FlatSample, connection_of, unit_vectors, word_jacobian
 from .foam import builtin
 from .groups import SU2
 from .twisted import cohomology, cohomology_batch
@@ -71,7 +71,7 @@ def _split_svd(mat, rank):
     return vt[:rank].T, vt[rank:].T, u[:, :rank], u[:, rank:]
 
 
-def torsion_at(foam, sample, rng, expected_b0=None, report=None):
+def torsion_at(sample, rng, expected_b0=None, report=None):
     """Torsion magnitude at a flat sample via the explicit basis pipeline.
 
     Refuses samples flagged possibly singular, samples with a thin
@@ -82,7 +82,7 @@ def torsion_at(foam, sample, rng, expected_b0=None, report=None):
     """
     if isinstance(sample, FlatSample) and sample.possibly_singular:
         raise SingularSampleError("sample is flagged possibly singular")
-    rep = cohomology(foam, sample) if report is None else report
+    rep = cohomology(sample) if report is None else report
     if rep.rank_warning:
         raise SingularSampleError(
             "ill-conditioned rank decision (gaps %.2e, %.2e)" % (rep.gap0, rep.gap1))
@@ -128,7 +128,7 @@ def torsion_at(foam, sample, rng, expected_b0=None, report=None):
                                              "h2": h2.shape[1]}})
 
 
-def torsion_batch(foam, samples, rng):
+def torsion_batch(samples, rng):
     """torsion_at at every sample, in order, from one batched complex.
 
     A refused sample gives its ValueError in place of a TorsionValue and
@@ -136,18 +136,18 @@ def torsion_batch(foam, samples, rng):
     on its own.  Raises ValueError if any sample is not flat.
     """
     out = []
-    for s, rep in zip(samples, cohomology_batch(foam, samples)):
+    for s, rep in zip(samples, cohomology_batch(samples)):
         try:
-            out.append(torsion_at(foam, s, rng, report=rep))
+            out.append(torsion_at(s, rng, report=rep))
         except ValueError as exc:
             out.append(exc)
     return out
 
 
-def singular_value_torsion(foam, sample):
+def singular_value_torsion(sample):
     """Independent route: |tor| = prod sv(delta0) / prod sv(delta1) over the
     ranks of the sample's cohomology report (which refuses a non-flat one)."""
-    rep = cohomology(foam, sample)
+    rep = cohomology(sample)
     return float(np.prod(rep.sv0[:rep.rank0]) / np.prod(rep.sv1[:rep.rank1]))
 
 
@@ -162,14 +162,15 @@ def _gaussian_volumes(foam, group, g, rank):
     return np.prod(np.linalg.svd(d1, compute_uv=False)[:, :rank], axis=-1)
 
 
-def gaussian_volume(foam, sample, rank):
-    """vol(delta1): product of the rank largest singular values of delta1.
+def gaussian_volume(sample, rank):
+    """vol(delta1) on the sample's foam: product of the rank largest
+    singular values of delta1.
 
     This is the Hessian volume of the Gaussian transverse integral.  rank is
     the family's generic rank, fixed so that near-degenerate points do not
     flip the count.  The batch of one of _gaussian_volumes.
     """
-    conn = sample.connection if isinstance(sample, FlatSample) else sample
+    conn = connection_of(sample)
     return float(_gaussian_volumes(conn.foam, conn.group, conn.data[None], rank)[0])
 
 
@@ -179,8 +180,8 @@ def _torus_chart_volumes(psi_a, psi_b, rng):
 
     The flat points are one (n, 2, 4) array, and _gaussian_volumes reads
     their rank-2 volumes off one face walk and one stacked SVD.  Point for
-    point this is gaussian_volume(torus, analytic_flat("torus", rng,
-    psi_a=.., psi_b=..), rank=2), with the same draws.
+    point this is gaussian_volume(analytic_flat("torus", rng, psi_a=..,
+    psi_b=..), rank=2), with the same draws.
     """
     axes = unit_vectors(rng.standard_normal((len(psi_a), 3)))
     g = np.stack([SU2.exp(psi_a[:, None] * axes), SU2.exp(psi_b[:, None] * axes)], axis=1)

@@ -30,9 +30,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .connection import FlatSample, FLAT_TOL, analytic_flat_batch, face_residual, \
-    find_flat_batch, word_jacobian
-from .foam import match_builtin, reduce_foam
+from .connection import FlatSample, FLAT_TOL, analytic_flat_batch, connection_of, \
+    face_residual, find_flat_batch, word_jacobian
+from .foam import _presentation, match_builtin, reduce_foam
 from .groups import get_group
 
 EPS_RANK = 1e-9      # relative SVD threshold: sigma counts iff sigma > EPS_RANK * sigma_max
@@ -47,23 +47,15 @@ def _delta0(group, g):
     return (np.eye(d) - group.adjoint(g)).reshape(g.shape[:-2] + (g.shape[-2] * d, d))
 
 
-def build_delta0(foam, conn):
+def build_delta0(conn):
     """(dim G * E) x (dim G) matrix with edge blocks I - Ad(g_e)."""
     return _delta0(conn.group, conn.data)
 
 
-def build_delta1(foam, conn):
-    """(dim G * F) x (dim G * E) word differential (defined at any connection)."""
-    words = [foam.word_indices(f) for f in range(foam.F)]
+def build_delta1(conn):
+    """(dim G * F) x (dim G * E) word differential of conn.foam, at any connection."""
+    words = [conn.foam.word_indices(f) for f in range(conn.foam.F)]
     return word_jacobian(conn.group, words, conn.data)[1]
-
-
-def _aligned_foam(foam, conns):
-    """Reduce a multi-vertex foam and check the connections were built on it."""
-    f = foam if foam.is_reduced() else reduce_foam(foam)
-    if any(c.foam.edge_ids != f.edge_ids for c in conns):
-        raise ValueError("connection does not match (the reduction of) this foam")
-    return f
 
 
 def _rank_rule(s):
@@ -133,18 +125,27 @@ class CohomologyReport:
         }
 
 
-def cohomology_batch(foam, samples):
+def cohomology_batch(samples):
     """Twisted Betti numbers at every flat connection of a sample set.
 
-    samples are FlatSamples or Connections on one foam and group.  Raises
-    ValueError if any of them is not flat.  Returns one CohomologyReport per
-    sample, in order; each equals what that sample gives on its own.
+    samples are FlatSamples or Connections; the complex is that of their
+    foam.  Raises ValueError unless they share one group and presentation
+    (edge ids and face words, as foam.match_builtin compares them) on a
+    single-vertex foam, or if any of them is not flat.  Returns one
+    CohomologyReport per sample, in order; each equals what that sample
+    gives on its own.
     """
-    conns = [s.connection if isinstance(s, FlatSample) else s for s in samples]
+    conns = [connection_of(s) for s in samples]
     if not conns:
         return []
-    foam = _aligned_foam(foam, conns)
-    group = conns[0].group
+    foam, group = conns[0].foam, conns[0].group
+    for c in conns:
+        if (c.foam is not foam or c.group is not group) and (
+                (c.foam.V, _presentation(c.foam), c.group.name)
+                != (foam.V, _presentation(foam), group.name)):
+            raise ValueError("the connections do not share one foam presentation and group")
+    if not foam.is_reduced():
+        raise ValueError("foam %r has %d vertices; reduce it first" % (foam.name, foam.V))
     d = group.dim_g
     g = np.stack([c.data for c in conns])
     H, d1 = word_jacobian(group, [foam.word_indices(f) for f in range(foam.F)], g)
@@ -171,9 +172,9 @@ def cohomology_batch(foam, samples):
     return reports
 
 
-def cohomology(foam, sample):
+def cohomology(sample):
     """Twisted Betti numbers at a flat connection, with rank diagnostics."""
-    return cohomology_batch(foam, [sample])[0]
+    return cohomology_batch([sample])[0]
 
 
 @dataclass(frozen=True)
@@ -241,14 +242,14 @@ def min_b2(foam_or_name, group, n_samples, rng):
     Samples whose kernel dimension exceeds the minimum seen within their
     component tag are flagged possibly singular.
     """
-    foam, samples = sample_flat(foam_or_name, group, n_samples, rng)
+    samples = sample_flat(foam_or_name, group, n_samples, rng)[1]
     if not samples:
         raise RuntimeError("no flat connection found within budget")
     hist = Counter()
     strata = Counter()
     warnings = 0
     kernel_by_tag = {}
-    reports = cohomology_batch(foam, samples)
+    reports = cohomology_batch(samples)
     for s, rep in zip(samples, reports):
         warnings += int(rep.rank_warning)
         hist[rep.b2] += 1

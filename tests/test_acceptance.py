@@ -164,33 +164,33 @@ def test_criterion_9_structural_invariants():
     for foam in foams:
         cell = cellular_homology(foam).betti
         for conn in _flat_probes(foam, rng):
-            d0 = build_delta0(foam, conn)
-            d1 = build_delta1(foam, conn)
+            d0 = build_delta0(conn)
+            d1 = build_delta1(conn)
             if d0.size and d1.size:
                 assert np.max(np.abs(d1 @ d0)) < 1e-10, foam.name
-            rep = cohomology(foam, conn)
+            rep = cohomology(conn)
             assert rep.b0 - rep.b1 + rep.b2 == 3 * foam.euler, foam.name
             h = SU2.haar(rng)
-            rep_g = cohomology(foam, gauge_act(h, conn))
+            rep_g = cohomology(gauge_act(h, conn))
             if not (rep.rank_warning or rep_g.rank_warning):
                 assert rep_g.betti == rep.betti, foam.name
             # |tor| gauge invariance wherever the sample qualifies
             try:
-                base = torsion_at(foam, conn, rng).magnitude
+                base = torsion_at(conn, rng).magnitude
             except SingularSampleError:
                 base = None
             if base is not None:
-                moved = torsion_at(foam, gauge_act(h, conn), rng).magnitude
+                moved = torsion_at(gauge_act(h, conn), rng).magnitude
                 assert abs(moved - base) < 1e-8 * max(base, 1.0), foam.name
                 checked_torsion += 1
             # face duplication raises b2 by dim G (rank decisions permitting)
             if foam.F and not rep.rank_warning:
                 dup = tietze2_add_face(foam, str(foam.faces[0]))
-                rep_dup = cohomology(dup, Connection(dup, "su2", conn.data))
+                rep_dup = cohomology(Connection(dup, "su2", conn.data))
                 if not rep_dup.rank_warning:
                     assert rep_dup.b2 == rep.b2 + 3, foam.name
         # trivial-connection reduction to cellular cohomology
-        rep_triv = cohomology(foam, Connection.identity(foam, "su2"))
+        rep_triv = cohomology(Connection.identity(foam, "su2"))
         assert rep_triv.betti == tuple(3 * b for b in cell), foam.name
         # Tietze-1 round trip, and Z_tau invariance under 2-expansion
         word = ""
@@ -217,7 +217,7 @@ def test_criterion_10_torsion_stability():
     assert len(samples) == 10
     worst = 0.0
     for s in samples:
-        vals = np.array([torsion_at(foam, s, rng).magnitude for _ in range(20)])
+        vals = np.array([torsion_at(s, rng).magnitude for _ in range(20)])
         worst = max(worst, (vals.max() - vals.min()) / vals.mean())
     ok = worst < 1e-8
     assert report(10, "|tor| spread over 20 basis completions < 1e-8 at 10 genus-2 samples",

@@ -157,12 +157,13 @@ def test_parse_error_exit_code(tmp_path, capsys):
 
 
 def test_ztau_mc_refuses_bad_counts(capsys):
-    for flag, value in (("--workers", "0"), ("--samples", "1"), ("--samples", "0")):
-        code = main(["ztau", "--foam", "torus", "--method", "mc", "--tau-grid",
+    for method, flag, value in (("mc", "--workers", "0"), ("mc", "--samples", "1"),
+                                ("mc", "--samples", "0"), ("char", "--samples", "0")):
+        code = main(["ztau", "--foam", "torus", "--method", method, "--tau-grid",
                      "0.5:0.5:1", "--seed", "1", flag, value])
         err = capsys.readouterr().err
-        assert code == 2, (flag, value)
-        assert err.startswith("error: "), (flag, value)
+        assert code == 2, (method, flag, value)
+        assert err.startswith("error: "), (method, flag, value)
 
 
 def test_missing_foam_file_is_an_error_not_a_traceback(tmp_path, capsys):

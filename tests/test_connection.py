@@ -30,14 +30,14 @@ def test_holonomy_torus_is_group_commutator():
     conn = Connection.haar(t, "su2", rng)
     a, b = conn.data
     expected = su2_mul(su2_mul(a, b), su2_mul(SU2.inv(a), SU2.inv(b)))
-    assert np.max(np.abs(holonomy(t, conn, 0) - expected)) < 1e-12
+    assert np.max(np.abs(holonomy(conn, 0) - expected)) < 1e-12
 
 
 def test_holonomy_empty_word_is_identity():
     rng = np.random.default_rng(1)
     s = builtin("sphere")
     conn = Connection.haar(s, "su2", rng)
-    assert np.max(np.abs(holonomy(s, conn, 0) - SU2.identity())) <= 1e-12
+    assert np.max(np.abs(holonomy(conn, 0) - SU2.identity())) <= 1e-12
 
 
 def test_holonomy_matches_naive_oracle_on_builtins():
@@ -47,7 +47,7 @@ def test_holonomy_matches_naive_oracle_on_builtins():
         foam = builtin(name)
         conn = Connection.haar(foam, "su2", rng)
         for f in range(foam.F):
-            assert np.max(np.abs(holonomy(foam, conn, f) - naive_holonomy(foam, conn, f))) <= 1e-12
+            assert np.max(np.abs(holonomy(conn, f) - naive_holonomy(foam, conn, f))) <= 1e-12
 
 
 def test_holonomy_gauge_covariance():
@@ -56,8 +56,8 @@ def test_holonomy_gauge_covariance():
     for _ in range(10):
         conn = Connection.haar(foam, "su2", rng)
         h = SU2.haar(rng)
-        lhs = holonomy(foam, gauge_act(h, conn), 0)
-        rhs = SU2.mul(SU2.mul(h, holonomy(foam, conn, 0)), SU2.inv(h))
+        lhs = holonomy(gauge_act(h, conn), 0)
+        rhs = SU2.mul(SU2.mul(h, holonomy(conn, 0)), SU2.inv(h))
         assert np.max(np.abs(lhs - rhs)) <= 1e-12
 
 
@@ -66,7 +66,7 @@ def test_residual_commuting_pair_is_flat():
     n = np.array([0.3, -0.5, 0.7])
     n /= np.linalg.norm(n)
     conn = Connection(t, "su2", np.stack([SU2.exp(1.2 * n), SU2.exp(0.4 * n)]))
-    assert flatness_residual(t, conn) < 1e-15
+    assert flatness_residual(conn) < 1e-15
 
 
 def test_residual_quarter_turn_pair():
@@ -76,15 +76,15 @@ def test_residual_quarter_turn_pair():
     a = SU2.exp(np.array([0.0, 0.0, math.pi / 2]))
     b = SU2.exp(np.array([math.pi / 2, 0.0, 0.0]))
     conn = Connection(t, "su2", np.stack([a, b]))
-    h = holonomy(t, conn, 0)
+    h = holonomy(conn, 0)
     assert abs(h[0] + 1.0) < 1e-12
-    assert abs(flatness_residual(t, conn) - math.pi ** 2) < 1e-10
+    assert abs(flatness_residual(conn) - math.pi ** 2) < 1e-10
 
 
 def test_residual_sphere_always_zero():
     rng = np.random.default_rng(4)
     s = builtin("sphere")
-    assert flatness_residual(s, Connection.haar(s, "su2", rng)) == 0.0
+    assert flatness_residual(Connection.haar(s, "su2", rng)) == 0.0
 
 
 def test_gauge_act_trivial_and_central():
@@ -102,8 +102,8 @@ def test_gauge_invariance_of_residual():
     for _ in range(20):
         conn = Connection.haar(foam, "su2", rng)
         h = SU2.haar(rng)
-        assert abs(flatness_residual(foam, gauge_act(h, conn))
-                   - flatness_residual(foam, conn)) < 1e-12
+        assert abs(flatness_residual(gauge_act(h, conn))
+                   - flatness_residual(conn)) < 1e-12
 
 
 def test_find_flat_genus2_success_rate():
@@ -120,7 +120,7 @@ def test_find_flat_torus_lands_on_commuting_pairs():
     samples = find_flat_batch(t, "su2", rng, 20, tol=1e-14, on_failure="drop")
     assert len(samples) >= 18
     for s in samples:
-        assert SU2.distance(holonomy(t, s.connection, 0).data) < 1e-7
+        assert SU2.distance(holonomy(s.connection, 0)) < 1e-7
 
 
 def test_descent_is_monotone_per_sample():
@@ -144,7 +144,7 @@ def test_dunce_hat_projection_reaches_clean_flat_points():
     # once all samples are under tol, one more step polishes them
     assert np.all(trace[-2] <= 1e-24) and np.all(trace[-1] < trace[-2])
     for s in samples:
-        rep = cohomology(foam, s)
+        rep = cohomology(s)
         assert rep.betti == (3, 0, 0) and not rep.rank_warning
 
 
@@ -177,9 +177,9 @@ def test_word_jacobian_matches_finite_differences(name, group):
     conn = Connection.haar(foam, G, rng)
     H, J = word_jacobian(G, _words(foam), conn.data)
     for f in range(foam.F):
-        assert np.max(np.abs(H[f] - holonomy(foam, conn, f).data)) == 0.0
+        assert np.max(np.abs(H[f] - holonomy(conn, f))) == 0.0
     if not (name == "torus" and group == "u1"):     # abelian torus: always flat
-        assert flatness_residual(foam, conn) > 1e-3
+        assert flatness_residual(conn) > 1e-3
     v = rng.standard_normal(G.dim_g * foam.E)
     v /= np.linalg.norm(v)
     for eps in (1e-4, 1e-5, 1e-6):
@@ -227,16 +227,10 @@ def test_analytic_flat_appendix_families():
     rng = np.random.default_rng(12)
     irred = analytic_flat("appendix", rng, family="irred", sign=-1)
     assert irred.residual < 1e-15
-    assert abs(irred.connection["h"].data[0] + 1.0) < 1e-15
+    assert abs(irred.connection["h"][0] + 1.0) < 1e-15
     red = analytic_flat("appendix", rng, family="red")
     assert red.residual < 1e-15
     assert red.component_tag == "red"
-
-
-def test_analytic_flat_genus_descent_fallback():
-    rng = np.random.default_rng(17)
-    s = analytic_flat("genus:2", rng, tol=1e-14)
-    assert s.residual < 1e-14
 
 
 def test_analytic_flat_rejects_unknown():
@@ -245,6 +239,11 @@ def test_analytic_flat_rejects_unknown():
         analytic_flat("dunce_hat", rng)
     with pytest.raises(ValueError):
         analytic_flat("appendix", rng, family="nope")
+    # genus g >= 2 and the U(1) torus have no analytic family: find_flat projects
+    with pytest.raises(ValueError, match="no analytic flat family"):
+        analytic_flat("genus:2", rng)
+    with pytest.raises(ValueError, match="SU\\(2\\)"):
+        analytic_flat("torus", rng, group="u1")
 
 
 def test_holonomy_word_arbitrary():
@@ -254,7 +253,7 @@ def test_holonomy_word_arbitrary():
     conn = Connection.haar(foam, "su2", rng)
     w = FaceWord((Letter("a", 1), Letter("h", -1), Letter("b", 1)))
     expected = SU2.mul(SU2.mul(conn["a"], SU2.inv(conn["h"])), conn["b"])
-    assert np.max(np.abs(holonomy_word(foam, conn, w) - expected)) < 1e-12
+    assert np.max(np.abs(holonomy_word(conn, w) - expected)) < 1e-12
 
 
 def test_connection_json():

@@ -173,11 +173,11 @@ def test_tietze2_and_redundancy():
     dup = tietze2_add_face(t, "a1 b1 a1^-1 b1^-1")
     assert dup.F == 2 and dup.E == 2
     samples = [analytic_flat("torus", rng) for _ in range(50)]
-    assert verify_redundancy(t, FaceWord((Letter("a1", 1), Letter("b1", 1),
+    assert verify_redundancy(FaceWord((Letter("a1", 1), Letter("b1", 1),
                                           Letter("a1", -1), Letter("b1", -1))),
                              samples) < 1e-12
     # the word "a1" is unconstrained on the flat set: holonomy = a itself
-    worst = verify_redundancy(t, "a1", samples)
+    worst = verify_redundancy("a1", samples)
     assert worst > 0.1
 
 

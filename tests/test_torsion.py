@@ -16,7 +16,7 @@ def test_basis_independence_genus2():
     rng = np.random.default_rng(0)
     foam = builtin("genus:2")
     s = find_flat_batch(foam, "su2", rng, 1, tol=1e-24, on_failure="drop")[0]
-    vals = np.array([torsion_at(foam, s, rng).magnitude for _ in range(20)])
+    vals = np.array([torsion_at(s, rng).magnitude for _ in range(20)])
     spread = (vals.max() - vals.min()) / vals.mean()
     assert spread < 1e-8
 
@@ -27,8 +27,8 @@ def test_matches_singular_value_route():
         foam = builtin(name)
         s = (analytic_flat(name, rng) if name != "genus:2"
              else find_flat_batch(foam, "su2", rng, 1, tol=1e-24, on_failure="drop")[0])
-        t = torsion_at(foam, s, rng)
-        ref = singular_value_torsion(foam, s)
+        t = torsion_at(s, rng)
+        ref = singular_value_torsion(s)
         assert abs(t.magnitude - ref) < 1e-10 * ref
 
 
@@ -38,7 +38,7 @@ def test_torus_torsion_is_one():
     rng = np.random.default_rng(2)
     for _ in range(10):
         s = analytic_flat("torus", rng)
-        t = torsion_at(builtin("torus"), s, rng)
+        t = torsion_at(s, rng)
         assert abs(t.magnitude - 1.0) < 1e-10
         assert t.case == "reducible"
 
@@ -49,22 +49,21 @@ def test_gauge_invariance_of_magnitude():
         foam = builtin(name)
         s = (analytic_flat(name, rng) if name != "genus:2"
              else find_flat_batch(foam, "su2", rng, 1, tol=1e-24, on_failure="drop")[0])
-        base = torsion_at(foam, s, rng).magnitude
+        base = torsion_at(s, rng).magnitude
         for _ in range(5):
             h = SU2.haar(rng)
             moved = gauge_act(h, s.connection)
-            val = torsion_at(foam, moved, rng).magnitude
+            val = torsion_at(moved, rng).magnitude
             assert abs(val - base) < 1e-10 * base
 
 
 def test_continuity_along_torus_family():
     rng = np.random.default_rng(4)
-    foam = builtin("torus")
     grid = np.linspace(0.3, math.pi - 0.3, 12)
     prev = None
     for pa in grid:
         s = analytic_flat("torus", rng, psi_a=pa, psi_b=1.0, axis=[0, 0, 1])
-        val = torsion_at(foam, s, rng).magnitude
+        val = torsion_at(s, rng).magnitude
         if prev is not None:
             assert abs(val - prev) < 1e-3
         prev = val
@@ -77,7 +76,7 @@ def test_genus2_torsion_is_constant_one():
     rng = np.random.default_rng(21)
     foam = builtin("genus:2")
     for s in find_flat_batch(foam, "su2", rng, 5, tol=1e-24, on_failure="drop"):
-        assert abs(torsion_at(foam, s, rng).magnitude - 1.0) < 1e-8
+        assert abs(torsion_at(s, rng).magnitude - 1.0) < 1e-8
 
 
 def test_appendix_torsion_closed_forms():
@@ -88,17 +87,16 @@ def test_appendix_torsion_closed_forms():
     # giving 16 sh^2 (sa^2+sb^2+sh^2).  Hence |tor| = 1/(4 sin^2 psi_h) -- the
     # non-integrable density behind the anomalous scaling of this foam.
     rng = np.random.default_rng(22)
-    foam = builtin("appendix")
     for ph in (0.4, 1.0, 2.3):
         s = analytic_flat("appendix", rng, family="red",
                           psi_a=0.8, psi_b=1.4, psi_h=ph)
-        t = torsion_at(foam, s, rng)
+        t = torsion_at(s, rng)
         assert t.case == "reducible"
         assert abs(t.magnitude - 1.0 / (4 * math.sin(ph) ** 2)) < 1e-10
     # on the central-h stratum delta0 and delta1 restrict to the same stacked
     # block, so the torsion is 1
     s = analytic_flat("appendix", rng, family="irred")
-    t = torsion_at(foam, s, rng)
+    t = torsion_at(s, rng)
     assert t.case == "irreducible"
     assert abs(t.magnitude - 1.0) < 1e-10
 
@@ -106,7 +104,7 @@ def test_appendix_torsion_closed_forms():
 def test_sphere_torsion_is_one():
     rng = np.random.default_rng(5)
     s = analytic_flat("sphere", rng)
-    t = torsion_at(builtin("sphere"), s, rng)
+    t = torsion_at(s, rng)
     assert abs(t.magnitude - 1.0) < 1e-12
 
 
@@ -114,7 +112,7 @@ def test_refuses_b0_mismatch():
     rng = np.random.default_rng(6)
     s = analytic_flat("torus", rng)
     with pytest.raises(SingularSampleError, match="isotropy"):
-        torsion_at(builtin("torus"), s, rng, expected_b0=0)
+        torsion_at(s, rng, expected_b0=0)
 
 
 def test_refuses_flagged_singular():
@@ -123,13 +121,13 @@ def test_refuses_flagged_singular():
     s = analytic_flat("torus", rng)
     flagged = FlatSample(s.connection, s.residual, possibly_singular=True)
     with pytest.raises(SingularSampleError):
-        torsion_at(builtin("torus"), flagged, rng)
+        torsion_at(flagged, rng)
 
 
 def test_bases_meta_records_dimensions():
     rng = np.random.default_rng(8)
     s = analytic_flat("torus", rng)
-    t = torsion_at(builtin("torus"), s, rng)
+    t = torsion_at(s, rng)
     dims = t.bases_meta["dims"]
     assert dims == {"d0": 2, "d1": 2, "h0": 1, "h1": 2, "h2": 1}
     assert (t.b0, t.b1, t.b2) == (1, 2, 1)
@@ -147,13 +145,13 @@ def test_torus_volume_grid_equals_point_by_point_volumes():
     rng = np.random.default_rng(4)
     for pa, pb, vol, _, _ in rows:
         s = analytic_flat("torus", rng, psi_a=pa, psi_b=pb)
-        assert vol == gaussian_volume(builtin("torus"), s, rank=2)
+        assert vol == gaussian_volume(s, rank=2)
 
 
 def test_gaussian_volume_respects_fixed_rank():
     rng = np.random.default_rng(9)
     s = analytic_flat("torus", rng, psi_a=0.02, psi_b=0.03)  # near-central
-    vol = gaussian_volume(builtin("torus"), s, rank=2)
+    vol = gaussian_volume(s, rank=2)
     target = 4 * (math.sin(0.02) ** 2 + math.sin(0.03) ** 2)
     assert abs(vol - target) < 1e-12
 
@@ -169,13 +167,12 @@ def test_torus_dominant_part_matches_character_limit():
 def test_torsion_batch_refuses_only_the_refused_samples():
     from foamtor.connection import FlatSample
     rng = np.random.default_rng(23)
-    foam = builtin("torus")
     good = [analytic_flat("torus", rng) for _ in range(3)]
     flagged = FlatSample(good[0].connection, good[0].residual, possibly_singular=True)
     # near-central: the counted singular values sit at the SVD noise floor
     thin = analytic_flat("torus", rng, psi_a=2e-11, psi_b=3e-11)
     samples = [good[0], flagged, good[1], thin, good[2]]
-    got = torsion_batch(foam, samples, np.random.default_rng(5))
+    got = torsion_batch(samples, np.random.default_rng(5))
     assert [type(v) for v in got] == [TorsionValue, SingularSampleError, TorsionValue,
                                       SingularSampleError, TorsionValue]
     assert "possibly singular" in str(got[1]) and "ill-conditioned" in str(got[3])
@@ -183,7 +180,7 @@ def test_torsion_batch_refuses_only_the_refused_samples():
     ref_rng = np.random.default_rng(5)
     for s, v in zip(samples, got):
         if isinstance(v, TorsionValue):
-            assert v == torsion_at(foam, s, ref_rng)
+            assert v == torsion_at(s, ref_rng)
     seeds = np.random.default_rng(5)
     assert [v.bases_meta["seed"] for v in got if isinstance(v, TorsionValue)] == \
         [int(seeds.integers(2 ** 32)) for _ in range(3)]
@@ -194,4 +191,4 @@ def test_singular_value_torsion_refuses_a_connection_that_is_not_flat():
     torus = builtin("torus")
     conn = Connection.haar(torus, "su2", np.random.default_rng(8))
     with pytest.raises(ValueError, match="not flat"):
-        singular_value_torsion(torus, conn)
+        singular_value_torsion(conn)

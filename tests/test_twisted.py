@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from foamtor.connection import (Connection, FlatSample, analytic_flat, find_flat_batch,
-                                flatness_residual)
+                                flatness_residual, holonomy)
 from foamtor.foam import (builtin, parse_foam, serialize_foam, tietze1_expand,
                           tietze2_add_face)
 from foamtor.groups import get_group
@@ -17,14 +17,14 @@ SU2 = get_group("su2")
 def test_delta0_trivial_connection_is_zero():
     t = builtin("torus")
     conn = Connection.identity(t, "su2")
-    assert np.max(np.abs(build_delta0(t, conn))) == 0.0
+    assert np.max(np.abs(build_delta0(conn))) == 0.0
 
 
 def test_delta0_u1_always_zero():
     rng = np.random.default_rng(0)
     t = builtin("torus")
     conn = Connection.haar(t, "u1", rng)
-    assert np.max(np.abs(build_delta0(t, conn))) == 0.0
+    assert np.max(np.abs(build_delta0(conn))) == 0.0
 
 
 def test_delta0_quarter_turn_block():
@@ -32,7 +32,7 @@ def test_delta0_quarter_turn_block():
     t = builtin("torus")
     a = SU2.exp(np.array([0.0, 0.0, math.pi / 2]))
     b = SU2.exp(np.array([0.0, 0.0, 0.4]))
-    d0 = build_delta0(t, Connection(t, "su2", np.stack([a, b])))
+    d0 = build_delta0(Connection(t, "su2", np.stack([a, b])))
     assert np.allclose(d0[0:3, :], np.diag([2.0, 2.0, 0.0]), atol=1e-12)
 
 
@@ -40,7 +40,7 @@ def test_delta1_torus_blocks():
     rng = np.random.default_rng(1)
     s = analytic_flat("torus", rng, psi_a=1.1, psi_b=0.6)
     conn = s.connection
-    d1 = build_delta1(conn.foam, conn)
+    d1 = build_delta1(conn)
     Ia = np.eye(3) - SU2.adjoint(conn.data[0])
     Ib = np.eye(3) - SU2.adjoint(conn.data[1])
     assert np.allclose(d1[:, 0:3], Ib, atol=1e-12)
@@ -52,7 +52,7 @@ def test_delta1_at_trivial_connection_is_cellular():
     for name in ("torus", "appendix", "dunce_hat", "projective_plane"):
         foam = builtin(name)
         conn = Connection.identity(foam, "su2")
-        d1 = build_delta1(foam, conn)
+        d1 = build_delta1(conn)
         d2 = np.array(cellular_homology(foam).boundary2, dtype=float)
         expected = np.kron(d2.T, np.eye(3))
         assert np.allclose(d1, expected, atol=1e-14)
@@ -66,8 +66,8 @@ def test_delta1_directional_derivative_oracle():
         s = (analytic_flat(name, rng) if name != "genus:2"
              else find_flat_batch(foam, "su2", rng, 1, tol=1e-24, on_failure="drop")[0])
         conn = s.connection
-        d1 = build_delta1(foam, conn)
-        base = np.concatenate([SU2.log(_hol(foam, conn, f)) for f in range(foam.F)])
+        d1 = build_delta1(conn)
+        base = np.concatenate([SU2.log(holonomy(conn, f)) for f in range(foam.F)])
         u = rng.standard_normal(3 * foam.E)
         u /= np.linalg.norm(u)
         errs = []
@@ -75,15 +75,10 @@ def test_delta1_directional_derivative_oracle():
             moved = SU2.mul(SU2.exp(t * u.reshape(foam.E, 3)), conn.data)
             moved_conn = Connection(foam, "su2", moved)
             vec = np.concatenate([
-                (SU2.log(_hol(foam, moved_conn, f))) for f in range(foam.F)])
+                (SU2.log(holonomy(moved_conn, f))) for f in range(foam.F)])
             errs.append(np.linalg.norm((vec - base) / t - d1 @ u))
         assert errs[0] < 5e-4
         assert errs[0] / errs[1] > 5.0  # first-order convergence
-
-
-def _hol(foam, conn, f):
-    from foamtor.connection import holonomy
-    return holonomy(foam, conn, f).data
 
 
 def test_delta1_delta0_vanishes_at_flat_samples():
@@ -100,13 +95,13 @@ def test_delta1_delta0_vanishes_at_flat_samples():
                                       on_failure="drop")
         assert len(samples) >= 95
         for s in samples:
-            comp = build_delta1(foam, s.connection) @ build_delta0(foam, s.connection)
+            comp = build_delta1(s.connection) @ build_delta0(s.connection)
             assert np.max(np.abs(comp)) < 1e-10
 
 
 def test_cohomology_torus_noncentral():
     rng = np.random.default_rng(4)
-    rep = cohomology(builtin("torus"), analytic_flat("torus", rng))
+    rep = cohomology(analytic_flat("torus", rng))
     assert (rep.rank1, rep.betti) == (2, (1, 2, 1))
     assert not rep.regular and rep.reducible and not rep.central
     assert rep.euler_ok and not rep.rank_warning
@@ -116,7 +111,7 @@ def test_cohomology_torus_central():
     t = builtin("torus")
     minus = np.array([-1.0, 0.0, 0.0, 0.0])
     plus = np.array([1.0, 0.0, 0.0, 0.0])
-    rep = cohomology(t, Connection(t, "su2", np.stack([minus, plus])))
+    rep = cohomology(Connection(t, "su2", np.stack([minus, plus])))
     assert rep.rank1 == 0 and rep.b2 == 3
     assert rep.central
 
@@ -125,7 +120,7 @@ def test_cohomology_genus2_generic():
     rng = np.random.default_rng(5)
     samples = find_flat_batch(builtin("genus:2"), "su2", rng, 10, on_failure="drop")
     for s in samples:
-        rep = cohomology(builtin("genus:2"), s)
+        rep = cohomology(s)
         assert rep.betti == (0, 6, 0)
         assert rep.b1 + rep.rank0 == 9  # dim ker delta1 = 6g - 3
         assert rep.regular and not rep.reducible
@@ -136,7 +131,7 @@ def test_cohomology_rejects_nonflat():
     t = builtin("torus")
     conn = Connection.haar(t, "su2", rng)
     with pytest.raises(ValueError, match="not flat"):
-        cohomology(t, conn)
+        cohomology(conn)
 
 
 def test_twisted_equals_cellular_times_dimg_at_trivial():
@@ -146,7 +141,7 @@ def test_twisted_equals_cellular_times_dimg_at_trivial():
         foam = builtin(name)
         cell = cellular_homology(foam).betti
         for group, d in (("su2", 3), ("u1", 1)):
-            rep = cohomology(foam, Connection.identity(foam, group))
+            rep = cohomology(Connection.identity(foam, group))
             assert rep.betti == tuple(d * b for b in cell), (name, group)
 
 
@@ -157,10 +152,10 @@ def test_gauge_invariance_of_betti():
         foam = builtin(name)
         s = (analytic_flat(name, rng) if name != "genus:2"
              else find_flat_batch(foam, "su2", rng, 1, on_failure="drop")[0])
-        rep = cohomology(foam, s)
+        rep = cohomology(s)
         for _ in range(5):
             h = SU2.haar(rng)
-            rep2 = cohomology(foam, gauge_act(h, s.connection))
+            rep2 = cohomology(gauge_act(h, s.connection))
             assert rep2.betti == rep.betti
 
 
@@ -172,15 +167,15 @@ def test_face_duplication_raises_b2_by_dimg():
              else find_flat_batch(foam, "su2", rng, 1, tol=1e-24, on_failure="drop")[0])
         dup = tietze2_add_face(foam, str(foam.faces[0]))
         conn2 = Connection(dup, s.connection.group, s.connection.data)
-        rep = cohomology(foam, s)
-        rep2 = cohomology(dup, conn2)
+        rep = cohomology(s)
+        rep2 = cohomology(conn2)
         assert rep2.b2 == rep.b2 + 3
         assert rep2.b0 == rep.b0 and rep2.b1 == rep.b1
 
 
 def test_dunce_hat_b2_zero_at_trivial():
     foam = builtin("dunce_hat")
-    rep = cohomology(foam, Connection.identity(foam, "su2"))
+    rep = cohomology(Connection.identity(foam, "su2"))
     assert rep.b2 == 0  # matches cellular b2 = 0
 
 
@@ -224,7 +219,7 @@ def test_euler_identity_exact():
     for name in ("torus", "genus:2", "appendix", "dunce_hat"):
         foam = builtin(name)
         conn = Connection.identity(foam, "su2")
-        rep = cohomology(foam, conn)
+        rep = cohomology(conn)
         assert rep.b0 - rep.b1 + rep.b2 == 3 * foam.euler
         assert rep.euler_ok
 
@@ -238,10 +233,10 @@ def test_cohomology_batch_equals_one_sample_at_a_time(name, group):
     samples = samples + [Connection.identity(foam, group)]
     G = get_group(group)
     d = G.dim_g
-    batch = cohomology_batch(foam, samples)
+    batch = cohomology_batch(samples)
     assert len(batch) == len(samples)
     for s, rep in zip(samples, batch):
-        one = cohomology(foam, s)
+        one = cohomology(s)
         assert rep == one
         for attr in ("sv0", "sv1", "delta0", "delta1"):
             assert np.array_equal(getattr(rep, attr), getattr(one, attr)), attr
@@ -251,7 +246,7 @@ def test_cohomology_batch_equals_one_sample_at_a_time(name, group):
         ref0 = np.zeros((d * foam.E, d))
         for e in range(foam.E):
             ref0[d * e:d * e + d] = np.eye(d) - G.adjoint(data[e])
-        ref1 = build_delta1(foam, Connection(foam, group, data))
+        ref1 = build_delta1(Connection(foam, group, data))
         assert np.array_equal(rep.delta0, ref0)
         assert np.array_equal(rep.delta1, ref1)
         for mat, sv in ((ref0, rep.sv0), (ref1, rep.sv1)):
@@ -262,7 +257,7 @@ def test_cohomology_batch_equals_one_sample_at_a_time(name, group):
 
 
 def test_cohomology_batch_of_nothing_is_empty():
-    assert cohomology_batch(builtin("torus"), []) == []
+    assert cohomology_batch([]) == []
 
 
 def test_cohomology_batch_names_the_nonflat_sample():
@@ -270,16 +265,40 @@ def test_cohomology_batch_names_the_nonflat_sample():
     t = builtin("torus")
     samples = [analytic_flat("torus", rng), Connection.haar(t, "su2", rng)]
     with pytest.raises(ValueError, match="connection 1 is not flat"):
-        cohomology_batch(t, samples)
+        cohomology_batch(samples)
     # the gate is the flatness residual sum_f psi(H_f)^2 against FLAT_TOL = 1e-10
     a = SU2.exp(np.array([0.5, 0.0, 0.0]))
     for eps in (1e-7, 1e-6, 1e-5, 1e-4):
         conn = Connection(t, "su2", np.stack([a, SU2.exp(np.array([0.0, eps, 0.0]))]))
-        if flatness_residual(t, conn) <= 1e-10:
-            assert cohomology_batch(t, [conn])
+        if flatness_residual(conn) <= 1e-10:
+            assert cohomology_batch([conn])
         else:
             with pytest.raises(ValueError, match="not flat"):
-                cohomology_batch(t, [conn])
+                cohomology_batch([conn])
+
+
+def test_cohomology_batch_refuses_samples_off_one_reduced_foam():
+    rng = np.random.default_rng(15)
+    t = builtin("torus")
+    s = analytic_flat("torus", rng)
+    # the same edge elements on the torus with its face doubled: a flat
+    # connection of another complex, whose b2 is higher by dim G
+    dup = tietze2_add_face(t, "a1 b1 a1^-1 b1^-1")
+    c_dup = Connection(dup, "su2", s.connection.data)
+    assert cohomology(s).b2 == 1 and cohomology(c_dup).b2 == 4
+    for other in (c_dup, Connection.identity(t, "u1")):
+        with pytest.raises(ValueError, match="one foam presentation and group"):
+            cohomology_batch([s, other])
+    # a multi-vertex foam has one gauge block per vertex: reduce it first
+    multi = parse_foam("edges: a1 b1 c\nvertices: 2\nedge c: 0 1\n"
+                       "face: a1 b1 a1^-1 b1^-1\n")
+    with pytest.raises(ValueError, match="2 vertices"):
+        cohomology_batch([Connection.identity(multi, "su2")])
+    # the same edge ids and face words on one vertex and on two
+    one = parse_foam("edges: a c\nface: a a\n")
+    two = parse_foam("edges: a c\nvertices: 2\nedge c: 0 1\nface: a a\n")
+    with pytest.raises(ValueError, match="one foam presentation and group"):
+        cohomology_batch([Connection.identity(one, "su2"), Connection.identity(two, "su2")])
 
 
 def test_sample_flat_refuses_fewer_than_one_sample():
@@ -321,7 +340,7 @@ def _per_sample_analytic(kind, n, rng):
             ph = rng.uniform(lo, hi)
             data = np.stack([SU2.exp(pa * u), SU2.exp(pb * u), SU2.exp(ph * u)])
             tag = "red"
-        out.append((data, flatness_residual(foam, Connection(foam, SU2, data)), tag))
+        out.append((data, flatness_residual(Connection(foam, SU2, data)), tag))
     return out
 
 
