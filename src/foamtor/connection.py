@@ -368,16 +368,33 @@ def analytic_flat(foam_name, rng, group="su2", psi_a=None, psi_b=None, psi_h=Non
     with (a, b) Haar random, family 'red' puts a, b, h on a common axis.
     These two are SU(2)-only and are analytic_flat_batch with one sample.
     sphere (genus:0): any start is flat.  Any other foam, or the torus or
-    appendix over U(1), is refused with ValueError: find_flat projects.
+    appendix over U(1), is refused with ValueError: find_flat projects.  So
+    is a parameter the family does not use (the sphere uses none of them).
     """
     key = foam_name.lower()
+    off = None if sign == +1 else sign      # the sign, if set off its default
     if key in ("torus", "genus:1"):
+        _refuse_unused("torus", psi_h=psi_h, family=family)
         return analytic_flat_batch("torus", rng, [sign], group=group, psi_a=psi_a,
                                    psi_b=psi_b, axis=axis)[0]
     if key == "appendix":
+        if family == "red":
+            _refuse_unused("appendix 'red'", sign=off)
+        elif family in (None, "irred"):
+            _refuse_unused("appendix 'irred'", psi_a=psi_a, psi_b=psi_b, psi_h=psi_h,
+                           axis=axis)
         return analytic_flat_batch("appendix", rng, [sign], [family or "irred"], group,
                                    psi_a=psi_a, psi_b=psi_b, psi_h=psi_h, axis=axis)[0]
     if key in ("sphere", "genus:0"):
+        _refuse_unused("sphere", psi_a=psi_a, psi_b=psi_b, psi_h=psi_h, axis=axis,
+                       sign=off, family=family)
         conn = Connection.haar(_builtin_foam("sphere"), group, rng)
         return FlatSample(conn, 0.0, component_tag="sphere")
     raise ValueError("no analytic flat family for %r" % foam_name)
+
+
+def _refuse_unused(label, **params):
+    """ValueError naming each parameter set that the family label does not use."""
+    named = [k for k, v in params.items() if v is not None]
+    if named:
+        raise ValueError("the %s family does not use %s" % (label, ", ".join(named)))

@@ -103,6 +103,8 @@ class Foam:
         return tuple(e for e, _, _ in self.edges)
 
     def edge_index(self, edge_id):
+        if edge_id not in self._index:
+            raise FoamError("foam %r has no edge %r" % (self.name, edge_id))
         return self._index[edge_id]
 
     def is_reduced(self):

@@ -11,11 +11,16 @@ determinants are nevertheless built explicitly from random orthonormal
 completions d^0, d^1, which gives the basis-independence check for free:
 the reported magnitude must not depend on the random completions.
 
-torsion_batch reads a whole sample set's complexes from one
-cohomology_batch call, and torsion_at reuses each sample's report and its
-delta0/delta1.  The torus-chart grids stack every flat point to one
-(n, 2, 4) array and read the Gaussian volumes off one face walk and one
-stacked SVD.
+torsion_batch reads a sample set's complexes from one cohomology_batch call
+and runs one stacked pipeline per completion group (the samples of equal
+ranks; one foam and group fix the Betti numbers by the ranks, and make every
+completed basis square): one full SVD per differential, one QR per
+completion, one SVD for h^1 and one det per tau^k.  A sample flagged
+possibly singular or with a rank warning is refused before it draws a seed;
+every other one draws its seed from rng in input order and its rotations
+from default_rng(seed), so it gets the bits it gets alone.  The torus-chart
+grids stack their flat points to one (n, 2, 4) array and read the Gaussian
+volumes off one face walk and one stacked SVD.
 """
 
 from __future__ import annotations
@@ -53,95 +58,89 @@ class TorsionValue:
                 "bases_meta": self.bases_meta}
 
 
-def _random_orthonormal(rng, basis):
-    """Random rotation of an orthonormal column basis within its span."""
-    k = basis.shape[1]
-    if k == 0:
+def _random_orthonormal(basis, z):
+    """Rotate a stack (m, n, k) of orthonormal bases within their spans by the
+    Q factors of normal draws z (m, k, k)."""
+    if basis.shape[-1] == 0:
         return basis
-    q, r = np.linalg.qr(rng.standard_normal((k, k)))
-    return basis @ (q * np.sign(np.diag(r)))
+    q, r = np.linalg.qr(z)
+    return basis @ (q * np.sign(np.diagonal(r, axis1=-2, axis2=-1))[:, None, :])
 
 
-def _split_svd(mat, rank):
-    """(row-space basis, kernel basis, image basis, co-image basis)."""
-    if mat.size == 0:
-        n1, n0 = mat.shape
-        return (np.zeros((n0, 0)), np.eye(n0), np.zeros((n1, 0)), np.eye(n1))
-    u, s, vt = np.linalg.svd(mat)
-    return vt[:rank].T, vt[rank:].T, u[:, :rank], u[:, rank:]
+def _basis_pipeline(reps, seeds):
+    """TorsionValues or refusals at the reports of one completion group,
+    sample i completing its bases from default_rng(seeds[i])."""
+    rep = reps[0]
+    d0 = np.stack([r.delta0 for r in reps])
+    d1 = np.stack([r.delta1 for r in reps])
+    (u0, _, vt0), (u1, _, vt1) = np.linalg.svd(d0), np.linalg.svd(d1)
+    img0, ker1 = u0[..., :rep.rank0], np.swapaxes(vt1[:, rep.rank1:], -1, -2)
+    # h^1: harmonic representatives, ker delta1 minus im delta0
+    uh = np.linalg.svd(ker1 - img0 @ (np.swapaxes(img0, -1, -2) @ ker1), full_matrices=False)[0]
+    # d^0, d^1 complete the kernels of delta0, delta1; each sample rotates
+    # d^0, d^1, h^0, h^2, h^1 in that order, with k x k normals from its rng
+    subs = [np.random.default_rng(seed) for seed in seeds]
+    dd0, dd1, h0, h2, h1 = (
+        _random_orthonormal(b, np.stack([sub.standard_normal((b.shape[-1],) * 2)
+                                         for sub in subs]))
+        for b in (np.swapaxes(vt0[:, :rep.rank0], -1, -2),
+                  np.swapaxes(vt1[:, :rep.rank1], -1, -2),
+                  np.swapaxes(vt0[:, rep.rank0:], -1, -2), u1[..., rep.rank1:],
+                  uh[..., :rep.b1]))
+    cols = [np.concatenate(c, axis=-1)
+            for c in ([h0, dd0], [d0 @ dd0, h1, dd1], [d1 @ dd1, h2])]
+    case = "irreducible" if rep.b0 == 0 else "reducible"
+    dims = {k: b.shape[-1] for k, b in zip(("d0", "d1", "h0", "h1", "h2"),
+                                           (dd0, dd1, h0, h1, h2))}
+    return [SingularSampleError("zero pivot in a torsion determinant; misclassified rank")
+            if abs(tau0) < 1e-12 or abs(tau2) < 1e-12 else
+            TorsionValue(float(abs(tau1) / (abs(tau0) * abs(tau2))), case, rep.b0, rep.b1,
+                         rep.b2, {"seed": seed, "dims": dict(dims)})
+            for tau0, tau1, tau2, seed in zip(*map(np.linalg.det, cols), seeds)]
 
 
-def torsion_at(sample, rng, expected_b0=None, report=None):
+def _torsion(samples, reports, rng, expected_b0=None):
+    """Torsion, or the ValueError refusing it, at every sample with its report.
+    The refusals here draw no seed; every other sample draws one from rng,
+    in order, and joins the completion group of its ranks."""
+    out, groups = [], {}
+    for i, (s, rep) in enumerate(zip(samples, reports)):
+        if isinstance(s, FlatSample) and s.possibly_singular:
+            out.append(SingularSampleError("sample is flagged possibly singular"))
+        elif rep.rank_warning:
+            out.append(SingularSampleError(
+                "ill-conditioned rank decision (gaps %.2e, %.2e)" % (rep.gap0, rep.gap1)))
+        elif expected_b0 is not None and rep.b0 != expected_b0:
+            out.append(SingularSampleError(
+                "isotropy dimension b0=%d differs from the component value %d"
+                % (rep.b0, expected_b0)))
+        else:
+            out.append(None)
+            groups.setdefault((rep.rank0, rep.rank1), []).append((i, rep, int(rng.integers(2 ** 32))))
+    for index, reps, seeds in (zip(*members) for members in groups.values()):
+        for i, value in zip(index, _basis_pipeline(reps, seeds)):
+            out[i] = value
+    return out
+
+
+def torsion_at(sample, rng, expected_b0=None):
     """Torsion magnitude at a flat sample via the explicit basis pipeline.
 
     Refuses samples flagged possibly singular, samples with a thin
     singular-value gap, and (when expected_b0 is given) samples whose
-    isotropy dimension differs from their component's modal value.  report
-    is the sample's CohomologyReport if the caller already has it; it is
-    computed otherwise.  One seed is drawn from rng per accepted sample.
+    isotropy dimension differs from their component's modal value.  One
+    seed is drawn from rng per accepted sample.  torsion_batch of one sample.
     """
-    if isinstance(sample, FlatSample) and sample.possibly_singular:
-        raise SingularSampleError("sample is flagged possibly singular")
-    rep = cohomology(sample) if report is None else report
-    if rep.rank_warning:
-        raise SingularSampleError(
-            "ill-conditioned rank decision (gaps %.2e, %.2e)" % (rep.gap0, rep.gap1))
-    if expected_b0 is not None and rep.b0 != expected_b0:
-        raise SingularSampleError(
-            "isotropy dimension b0=%d differs from the component value %d"
-            % (rep.b0, expected_b0))
-    d0, d1 = rep.delta0, rep.delta1
-    n0 = d0.shape[1]
-    seed_meta = int(rng.integers(2 ** 32))
-    sub = np.random.default_rng(seed_meta)
-
-    # d^0, d^1: random orthonormal bases of the kernel complements
-    coimg0, ker0, img0, _ = _split_svd(d0, rep.rank0)
-    coimg1, ker1, _, coker1 = _split_svd(d1, rep.rank1)
-    dd0 = _random_orthonormal(sub, coimg0)
-    dd1 = _random_orthonormal(sub, coimg1)
-    h0 = _random_orthonormal(sub, ker0)
-    h2 = _random_orthonormal(sub, coker1)
-    # h^1: harmonic representatives, ker delta1 minus im delta0
-    proj = ker1 - img0 @ (img0.T @ ker1)
-    uh, sh, _ = np.linalg.svd(proj, full_matrices=False)
-    h1 = _random_orthonormal(sub, uh[:, :rep.b1])
-
-    tau0_cols = np.hstack([h0, dd0]) if rep.b0 else dd0
-    tau1_cols = np.hstack([d0 @ dd0, h1, dd1])
-    tau2_cols = np.hstack([d1 @ dd1, h2])
-    for cols in (tau0_cols, tau1_cols, tau2_cols):
-        if cols.shape[0] != cols.shape[1]:
-            raise SingularSampleError("basis completion dimensions inconsistent with ranks")
-    tau0 = np.linalg.det(tau0_cols) if n0 else 1.0
-    tau1 = np.linalg.det(tau1_cols) if tau1_cols.shape[0] else 1.0
-    tau2 = np.linalg.det(tau2_cols) if tau2_cols.shape[0] else 1.0
-    if abs(tau0) < 1e-12 or abs(tau2) < 1e-12:
-        raise SingularSampleError("zero pivot in a torsion determinant; misclassified rank")
-    magnitude = abs(tau1) / (abs(tau0) * abs(tau2))
-    case = "irreducible" if rep.b0 == 0 else "reducible"
-    return TorsionValue(magnitude=float(magnitude), case=case,
-                        b0=rep.b0, b1=rep.b1, b2=rep.b2,
-                        bases_meta={"seed": seed_meta,
-                                    "dims": {"d0": dd0.shape[1], "d1": dd1.shape[1],
-                                             "h0": h0.shape[1], "h1": h1.shape[1],
-                                             "h2": h2.shape[1]}})
+    (value,) = _torsion([sample], [cohomology(sample)], rng, expected_b0)
+    if isinstance(value, ValueError):
+        raise value
+    return value
 
 
 def torsion_batch(samples, rng):
-    """torsion_at at every sample, in order, from one batched complex.
-
-    A refused sample gives its ValueError in place of a TorsionValue and
-    draws nothing from rng, so every other sample gets the seed it would get
-    on its own.  Raises ValueError if any sample is not flat.
-    """
-    out = []
-    for s, rep in zip(samples, cohomology_batch(samples)):
-        try:
-            out.append(torsion_at(s, rng, report=rep))
-        except ValueError as exc:
-            out.append(exc)
-    return out
+    """torsion_at at every sample, in order, a refusal giving its ValueError in
+    place of a TorsionValue.  Raises ValueError if any sample is not flat."""
+    return _torsion(samples, cohomology_batch(samples), rng)
 
 
 def singular_value_torsion(sample):

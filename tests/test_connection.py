@@ -246,6 +246,34 @@ def test_analytic_flat_rejects_unknown():
         analytic_flat("torus", rng, group="u1")
 
 
+def test_analytic_flat_refuses_parameters_its_family_does_not_use():
+    # a knob the family ignores is refused by name, before anything is drawn
+    rng = np.random.default_rng(16)
+    cases = [("torus", {"psi_h": 0.3}, "psi_h"),
+             ("torus", {"family": "red"}, "family"),
+             ("appendix", {"psi_a": 0.4}, "psi_a"),            # 'irred' by default
+             ("appendix", {"family": "irred", "psi_b": 0.4}, "psi_b"),
+             ("appendix", {"family": "irred", "psi_h": 0.4}, "psi_h"),
+             ("appendix", {"family": "irred", "axis": [0, 0, 1]}, "axis"),
+             ("appendix", {"family": "red", "sign": -1}, "sign"),
+             ("sphere", {"psi_a": 0.4}, "psi_a"),
+             ("sphere", {"axis": [0, 0, 1]}, "axis"),
+             ("sphere", {"sign": -1}, "sign"),
+             ("genus:0", {"family": "red"}, "family")]
+    for name, kwargs, param in cases:
+        state = rng.bit_generator.state
+        with pytest.raises(ValueError, match=param):
+            analytic_flat(name, rng, **kwargs)
+        assert rng.bit_generator.state == state
+
+
+def test_holonomy_word_refuses_an_edge_the_foam_lacks():
+    from foamtor.foam import FaceWord, FoamError, Letter
+    conn = analytic_flat("torus", np.random.default_rng(17)).connection
+    with pytest.raises(FoamError, match="'zz'"):
+        holonomy_word(conn, FaceWord((Letter("a1", 1), Letter("zz", -1))))
+
+
 def test_holonomy_word_arbitrary():
     from foamtor.foam import FaceWord, Letter
     rng = np.random.default_rng(14)

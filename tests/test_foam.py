@@ -181,6 +181,17 @@ def test_tietze2_and_redundancy():
     assert worst > 0.1
 
 
+def test_verify_redundancy_refuses_a_word_off_the_foam():
+    # the word names an edge the samples' foam lacks: refused as
+    # tietze2_add_face refuses it, not a bare KeyError
+    from foamtor.connection import analytic_flat
+    samples = [analytic_flat("torus", np.random.default_rng(2))]
+    with pytest.raises(FoamError, match="'zz'"):
+        verify_redundancy("zz", samples)
+    with pytest.raises(FoamError, match="'zz'"):
+        tietze2_add_face(builtin("torus"), "a1 zz")
+
+
 def test_builtin_catalog():
     g2 = builtin("genus:2")
     assert g2.E == 4 and g2.F == 1 and len(g2.faces[0]) == 8

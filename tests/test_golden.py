@@ -8,10 +8,16 @@ residual bits of the single face walk.  The config echoes later lost the
 lines of the flags their commands ignored (--workers on analyze, flat and
 torsion, --format on analyze and flat); nothing else moved.
 torus_grids.json holds torus_volume_grid(8) and torus_dominant_part(12) at
-their default seeds.  The stacked SVD and the batched face walk give the same
-bits per matrix as single calls with numpy's LAPACK; the files were recorded
-with numpy 2.4.6 on OpenBLAS 0.3.31, and a different LAPACK build may round
-the printed torsion magnitudes differently.
+their default seeds.  torsion_torus_u1 (the torus over U(1), b0 = 1) and
+torsion_genus2_dup (genus 2 with its face duplicated by a Tietze-2 move,
+b2 = 3, read from genus2_dup.foam) were recorded while torsion_batch still
+ran the basis pipeline one sample at a time; torsion_appendix already
+interleaves the appendix foam's two completion groups.  Every command runs
+from tests/golden/, so a foam file is echoed as a relative path.  The
+stacked SVD and the batched face walk give the same bits per matrix as
+single calls with numpy's LAPACK; the files were recorded with numpy 2.4.6
+on OpenBLAS 0.3.31, and a different LAPACK build may round the printed
+torsion magnitudes differently.
 """
 
 import json
@@ -35,6 +41,8 @@ CASES = {
     "torsion_appendix": "torsion --foam appendix --samples 20 --seed 3",
     "torsion_torus": "torsion --foam torus --samples 20 --seed 7",
     "torsion_torus_volume": "torsion --foam torus --check torus-volume --grid 30 --seed 2",
+    "torsion_torus_u1": "torsion --foam torus --group u1 --samples 10 --seed 3",
+    "torsion_genus2_dup": "torsion --foam genus2_dup.foam --samples 20 --seed 5",
     "flat_torus": "flat --foam torus --samples 5 --seed 3",
     "flat_appendix": "flat --foam appendix --samples 5 --seed 3",
     "flat_genus2": "flat --foam genus:2 --samples 5 --seed 3",
@@ -44,7 +52,8 @@ CASES = {
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
-def test_cli_output_is_unchanged(name, capsys):
+def test_cli_output_is_unchanged(name, capsys, monkeypatch):
+    monkeypatch.chdir(GOLDEN)
     code = main(CASES[name].split())
     out = capsys.readouterr().out
     assert code == 0

@@ -192,3 +192,31 @@ def test_singular_value_torsion_refuses_a_connection_that_is_not_flat():
     conn = Connection.haar(torus, "su2", np.random.default_rng(8))
     with pytest.raises(ValueError, match="not flat"):
         singular_value_torsion(conn)
+
+
+def test_torsion_batch_keeps_input_order_across_completion_groups():
+    # the appendix foam's irreducible and reducible samples complete their
+    # bases in two stacked groups; refusals before the seed draw sit between
+    from foamtor.connection import FlatSample
+    from foamtor.twisted import cohomology
+    rng = np.random.default_rng(31)
+    irred = [analytic_flat("appendix", rng, family="irred", sign=(-1) ** i) for i in range(3)]
+    red = [analytic_flat("appendix", rng, family="red") for _ in range(3)]
+    flagged = FlatSample(red[0].connection, red[0].residual, possibly_singular=True)
+    thin = analytic_flat("appendix", rng, family="red", psi_a=2e-11, psi_b=3e-11,
+                         psi_h=1e-11)
+    samples = [red[0], irred[0], flagged, irred[1], red[1], thin, red[2], irred[2]]
+    got = torsion_batch(samples, np.random.default_rng(5))
+    refused = {2: "possibly singular", 5: "ill-conditioned"}
+    # the one-sample-at-a-time loop drew one seed per accepted sample, in order
+    seeds = np.random.default_rng(5)
+    for i, (s, v) in enumerate(zip(samples, got)):
+        if i in refused:
+            assert isinstance(v, SingularSampleError) and refused[i] in str(v)
+            continue
+        rep = cohomology(s)
+        assert (v.b0, v.b1, v.b2) == rep.betti
+        assert v.case == ("irreducible" if rep.b0 == 0 else "reducible")
+        assert abs(v.magnitude - singular_value_torsion(s)) <= 1e-10 * v.magnitude
+        assert v.bases_meta["seed"] == int(seeds.integers(2 ** 32))
+    assert {v.b0 for v in got if isinstance(v, TorsionValue)} == {0, 1}
