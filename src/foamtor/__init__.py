@@ -10,7 +10,7 @@ from .foam import (Foam, FaceWord, Letter, CellularReport, FoamError, builtin,
                    verify_redundancy)
 from .groups import SU2, U1, CutLocusError, get_group
 from .connection import (Connection, FlatSample, DescentError, analytic_flat,
-                         analytic_flat_batch, find_flat, find_flat_batch,
+                         analytic_flat_batch, find_flat_batch,
                          flatness_residual, gauge_act, holonomy, holonomy_word,
                          word_jacobian)
 from .twisted import (CohomologyReport, MinB2Report, build_delta0, build_delta1,

@@ -81,7 +81,6 @@ def cmd_analyze(args):
     foam = reduce_foam(_load_foam(args.foam))
     cell = cellular_homology(foam)
     report = min_b2(foam, args.group, args.samples, rng)
-    group = get_group(args.group)
     warnings = []
     if report.stratified:
         warnings.append("multiple (b0, b2) strata sampled: representation variety "
@@ -101,8 +100,7 @@ def cmd_analyze(args):
             "possibly_singular": sum(s.possibly_singular for s in report.samples),
         },
         "predicted_omega": report.b2_0,
-        "euler_identity_ok": all(
-            (row[0] - row[1] + row[2]) == group.dim_g * foam.euler for row in report.rows),
+        "euler_identity_ok": report.euler_ok,
         "warnings": warnings,
     }
     _emit(args, payload)
@@ -175,6 +173,9 @@ def cmd_torsion(args):
     if args.format == "csv" and args.check != "torus-volume":
         raise ValueError("--format csv applies only to --check torus-volume")
     if args.check == "torus-volume":
+        if args.group != "su2" or match_builtin(_load_foam(args.foam), ("torus",)) is None:
+            raise ValueError("--check torus-volume checks the SU(2) torus, not --foam %s "
+                             "--group %s" % (args.foam, args.group))
         rows = torus_volume_grid(args.grid, rng)
         max_err = max(r[4] for r in rows)
         if args.format == "csv":

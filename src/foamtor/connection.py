@@ -27,7 +27,7 @@ FLAT_TOL = 1e-10
 
 
 class DescentError(RuntimeError):
-    """find_flat failed to reach the flat set within its budget."""
+    """find_flat_batch failed to reach the flat set within its budget."""
 
     def __init__(self, msg, residual=None):
         super().__init__(msg)
@@ -260,11 +260,6 @@ def _descend(group, words_idx, g, tol, max_iters, rng, trace=None):
     return g, res
 
 
-def find_flat(foam, group, rng, tol=FLAT_TOL):
-    """Damped Gauss-Newton projection from a Haar-random start; one sample."""
-    return find_flat_batch(foam, group, rng, 1, tol=tol)[0]
-
-
 def find_flat_batch(foam, group, rng, n, max_iters=5000, tol=FLAT_TOL,
                     on_failure="raise", trace=None):
     """n independent projections onto the flat set, advanced together for speed.
@@ -307,7 +302,7 @@ PSI_RANGE = (0.15, np.pi - 0.15)    # class angles drawn by the analytic familie
 def analytic_flat_batch(kind, rng, signs, families=None, group="su2", psi_a=None,
                         psi_b=None, psi_h=None, axis=None):
     """Exact SU(2) flat samples on the builtin torus or appendix foam, one per
-    entry of signs, built together.
+    entry of signs (each +1 or -1), built together.
 
     torus: a = exp(psi_a n), b = exp(sign psi_b n) about a common axis n.
     appendix: families[i] is 'irred' (a, b Haar random, h = sign * identity)
@@ -331,6 +326,8 @@ def analytic_flat_batch(kind, rng, signs, families=None, group="su2", psi_a=None
         raise ValueError("appendix family must be 'irred' or 'red'")
     else:
         chart = np.array([fam == "red" for fam in families], dtype=bool)
+    if any(sgn not in (1, -1) for sgn in signs):
+        raise ValueError("each sign must be +1 or -1, got %r" % (list(signs),))
     group = get_group(group)
     if group.name != "su2":
         raise ValueError("analytic %s families are SU(2)-specific" % kind)
@@ -368,8 +365,9 @@ def analytic_flat(foam_name, rng, group="su2", psi_a=None, psi_b=None, psi_h=Non
     with (a, b) Haar random, family 'red' puts a, b, h on a common axis.
     These two are SU(2)-only and are analytic_flat_batch with one sample.
     sphere (genus:0): any start is flat.  Any other foam, or the torus or
-    appendix over U(1), is refused with ValueError: find_flat projects.  So
-    is a parameter the family does not use (the sphere uses none of them).
+    appendix over U(1), is refused with ValueError: find_flat_batch
+    projects.  So is a parameter the family does not use (the sphere uses
+    none of them), and a sign other than +1 or -1.
     """
     key = foam_name.lower()
     off = None if sign == +1 else sign      # the sign, if set off its default

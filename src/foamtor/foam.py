@@ -16,7 +16,7 @@ __all__ = [
     "Letter", "FaceWord", "Foam", "CellularReport", "FoamError",
     "parse_foam", "serialize_foam", "reduce_foam", "cellular_homology",
     "tietze1_expand", "tietze1_collapse", "tietze2_add_face",
-    "verify_redundancy", "builtin", "match_builtin", "BUILTIN_NAMES",
+    "verify_redundancy", "builtin", "match_builtin",
 ]
 
 _ID_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*$")
@@ -168,25 +168,6 @@ class Foam:
             cur = d
         if cur != start:
             raise FoamError("face %d: word does not close into a loop" % fi)
-
-    def to_json(self):
-        return {
-            "name": self.name,
-            "vertices": self.n_vertices,
-            "edges": [{"id": e, "src": s, "dst": d} for e, s, d in self.edges],
-            "faces": [{"name": f.name, "word": [[l.edge, l.exponent] for l in f.letters]}
-                      for f in self.faces],
-        }
-
-    @classmethod
-    def from_json(cls, obj):
-        return cls(
-            name=obj.get("name", "foam"),
-            n_vertices=obj.get("vertices", 1),
-            edges=tuple((e["id"], e["src"], e["dst"]) for e in obj["edges"]),
-            faces=tuple(FaceWord(tuple(Letter(a, b) for a, b in f["word"]), f.get("name"))
-                        for f in obj["faces"]),
-        )
 
 
 # ----------------------------------------------------------------------
@@ -348,14 +329,6 @@ class CellularReport:
     betti: tuple       # (b0, b1, b2) over Q
     euler: int
 
-    def to_json(self):
-        return {
-            "boundary1": [list(r) for r in self.boundary1],
-            "boundary2": [list(r) for r in self.boundary2],
-            "betti": list(self.betti),
-            "euler": self.euler,
-        }
-
 
 def cellular_homology(foam):
     """Exact rational Betti numbers of the chain complex Z^F -> Z^E -> Z^V."""
@@ -396,8 +369,7 @@ def tietze1_expand(foam, word, new_edge):
     for l in word.letters:
         if l.edge == new_edge:
             raise FoamError("defining word may not reference the new edge")
-        if l.edge not in foam._index:
-            raise FoamError("defining word uses undeclared edge %r" % l.edge)
+        foam.edge_index(l.edge)
     new_face = FaceWord((Letter(new_edge, 1),) + word.inverse().letters)
     return Foam(name=foam.name, n_vertices=foam.n_vertices,
                 edges=foam.edges + ((new_edge, 0, 0),),
@@ -406,8 +378,7 @@ def tietze1_expand(foam, word, new_edge):
 
 def tietze1_collapse(foam, edge_id):
     """Inverse of tietze1_expand: exact round trip on the foam encoding."""
-    if edge_id not in foam._index:
-        raise FoamError("no edge %r" % edge_id)
+    foam.edge_index(edge_id)
     uses = [(fi, [i for i, l in enumerate(f.letters) if l.edge == edge_id])
             for fi, f in enumerate(foam.faces)]
     uses = [(fi, pos) for fi, pos in uses if pos]
@@ -427,8 +398,7 @@ def tietze2_add_face(foam, word, name=None):
     """Add a relation claimed redundant; pair with verify_redundancy."""
     word = _as_word(word)
     for l in word.letters:
-        if l.edge not in foam._index:
-            raise FoamError("word uses undeclared edge %r" % l.edge)
+        foam.edge_index(l.edge)
     return Foam(name=foam.name, n_vertices=foam.n_vertices, edges=foam.edges,
                 faces=foam.faces + (FaceWord(word.letters, name),))
 
@@ -513,6 +483,3 @@ def match_builtin(foam, keys):
     """
     shape = _presentation(reduce_foam(foam))
     return next((key for key in keys if _presentation(builtin(key)) == shape), None)
-
-
-BUILTIN_NAMES = ("sphere", "torus", "genus:g", "appendix", "dunce_hat", "projective_plane")

@@ -14,8 +14,11 @@ integrates to 1 for every tau.  Two independent evaluators are provided: the
 truncated character series, summed by Clenshaw's recurrence, and a
 Poisson-resummed Gaussian image sum over the cut locus.
 
-``word_angle`` gives the class angle of a face word's holonomy without
-forming the product as an element; Monte Carlo uses it with the heat kernel.
+A group is its class: SU2 and U1 are never instantiated, and get_group
+returns the class for its name.  The class functions (character,
+heat_kernel) take class angles, distance(g) for elements g.  ``word_angle``
+gives the class angle of a face word's holonomy without forming the product
+as an element; Monte Carlo uses it with the heat kernel.
 """
 
 from __future__ import annotations
@@ -106,6 +109,7 @@ def su2_word_angle(word_idx, g):
 
 
 def su2_class_angle(q):
+    """Riemannian distance to the identity = class angle psi in [0, pi]."""
     # atan2 keeps full precision near psi = 0 and pi, unlike arccos(w)
     q = np.asarray(q)
     return np.arctan2(np.linalg.norm(q[..., 1:], axis=-1), q[..., 0])
@@ -274,32 +278,16 @@ def u1_heat_kernel_images(tau, theta):
 # ----------------------------------------------------------------------
 # uniform group interface used by the foam-analysis modules
 
-def _class_angle(group, g, angle):
-    """Where the class functions (character, heat_kernel) decide what they
-    were given: g holds elements (trailing axis elem_dim) unless angle=True,
-    in which case it holds class angles.  The shape alone cannot tell: four
-    SU(2) class angles look like one quaternion."""
-    x = np.asarray(g, dtype=float)
-    if angle:
-        return x
-    if x.shape[-1:] != (group.elem_dim,):
-        raise ValueError("%s elements need a trailing axis of %d, got shape %r; "
-                         "pass angle=True for class angles"
-                         % (group.name, group.elem_dim, x.shape))
-    return group.distance(x)
-
-
-def _heat_kernel(group, series, images, tau, g, method, angle):
-    """K_tau at g by one of the group's two independent evaluators: method
-    'char-series' or 'gaussian-images', or 'auto', which takes the image sum
-    for tau <= 1 and the character series above."""
-    x = _class_angle(group, g, angle)
+def _heat_kernel(series, images, tau, psi, method):
+    """K_tau at class angles psi by one of the group's two independent
+    evaluators: method 'char-series' or 'gaussian-images', or 'auto', which
+    takes the image sum for tau <= 1 and the character series above."""
     if method == "auto":
         method = "gaussian-images" if tau <= 1.0 else "char-series"
     if method == "char-series":
-        return series(tau, x)
+        return series(tau, psi)
     if method == "gaussian-images":
-        return images(tau, x)
+        return images(tau, psi)
     raise ValueError("unknown heat-kernel method %r" % method)
 
 
@@ -319,19 +307,9 @@ class SU2:
     identity = staticmethod(su2_identity)
     word_angle = staticmethod(su2_word_angle)
 
-    @staticmethod
-    def log(g, check_cut_locus=True):
-        return su2_log(g, check_cut_locus=check_cut_locus)
-
-    @staticmethod
-    def distance(g):
-        """Riemannian distance to the identity = class angle psi in [0, pi]."""
-        return su2_class_angle(g)
-
-    @staticmethod
-    def character(label, g, *, angle=False):
-        """chi_label at elements g, or at class angles g if angle=True."""
-        return su2_character(label, _class_angle(SU2, g, angle))
+    log = staticmethod(su2_log)
+    distance = staticmethod(su2_class_angle)
+    character = staticmethod(su2_character)
 
     @staticmethod
     def casimir(label):
@@ -342,10 +320,10 @@ class SU2:
         return int(round(2 * label)) + 1
 
     @staticmethod
-    def heat_kernel(tau, g, method="auto", *, angle=False):
-        """K_tau at elements g, or at class angles g if angle=True."""
-        return _heat_kernel(SU2, su2_heat_kernel_series, su2_heat_kernel_images,
-                            tau, g, method, angle)
+    def heat_kernel(tau, psi, method="auto"):
+        """K_tau at class angles psi."""
+        return _heat_kernel(su2_heat_kernel_series, su2_heat_kernel_images,
+                            tau, psi, method)
 
     @staticmethod
     def to_json(data):
@@ -403,9 +381,9 @@ class U1:
         return u1_distance(t)
 
     @staticmethod
-    def character(label, g, *, angle=False):
-        """cos(label theta) at elements g, or at angles g if angle=True."""
-        return np.cos(label * _class_angle(U1, g, angle))
+    def character(label, theta):
+        """cos(label theta) at angles theta."""
+        return np.cos(label * np.asarray(theta, dtype=float))
 
     @staticmethod
     def casimir(label):
@@ -416,23 +394,24 @@ class U1:
         return 1
 
     @staticmethod
-    def heat_kernel(tau, g, method="auto", *, angle=False):
-        """K_tau at elements g, or at angles g if angle=True."""
-        return _heat_kernel(U1, u1_heat_kernel_series, u1_heat_kernel_images,
-                            tau, g, method, angle)
+    def heat_kernel(tau, theta, method="auto"):
+        """K_tau at angles theta."""
+        return _heat_kernel(u1_heat_kernel_series, u1_heat_kernel_images,
+                            tau, theta, method)
 
     @staticmethod
     def to_json(data):
         return {"u1": float(np.asarray(data).reshape(1)[0])}
 
 
-GROUPS = {"su2": SU2(), "u1": U1()}
+GROUPS = {"su2": SU2, "u1": U1}
 
 
-def get_group(name):
-    if isinstance(name, (SU2, U1)):
-        return name
+def get_group(group):
+    """The group class SU2 or U1, given as itself or by name ('su2', 'u1')."""
+    if group is SU2 or group is U1:
+        return group
     try:
-        return GROUPS[name.lower()]
+        return GROUPS[group.lower()]
     except (KeyError, AttributeError):
-        raise ValueError("unknown group %r (expected 'su2' or 'u1')" % (name,)) from None
+        raise ValueError("unknown group %r (expected 'su2' or 'u1')" % (group,)) from None

@@ -101,7 +101,7 @@ def z_mc(foam, group, tau, n_samples, seed, n_workers=1, chunk=50_000):
     if foam.E == 0:
         val = 1.0
         for _ in range(foam.F):
-            val *= float(group.heat_kernel(tau, group.identity((1,)))[0])
+            val *= float(group.heat_kernel(tau, np.zeros(1))[0])
         return ZEstimate(tau, val, 0.0, "mc", {"n_samples": 0, "exact": True})
     if n_samples < 2:
         raise ValueError("n_samples=%r: Monte Carlo needs at least 2 samples "
@@ -120,7 +120,7 @@ def z_mc(foam, group, tau, n_samples, seed, n_workers=1, chunk=50_000):
             g = np.moveaxis(np.ascontiguousarray(np.moveaxis(g, 0, -1)), -1, 0)
             vals = np.ones(m)
             for word in words:
-                vals *= group.heat_kernel(tau, group.word_angle(word, g), angle=True)
+                vals *= group.heat_kernel(tau, group.word_angle(word, g))
             mean = float(vals.mean())
             vals -= mean
             vals *= vals

@@ -99,7 +99,7 @@ def _basis_pipeline(reps, seeds):
             for tau0, tau1, tau2, seed in zip(*map(np.linalg.det, cols), seeds)]
 
 
-def _torsion(samples, reports, rng, expected_b0=None):
+def _torsion(samples, reports, rng):
     """Torsion, or the ValueError refusing it, at every sample with its report.
     The refusals here draw no seed; every other sample draws one from rng,
     in order, and joins the completion group of its ranks."""
@@ -110,10 +110,6 @@ def _torsion(samples, reports, rng, expected_b0=None):
         elif rep.rank_warning:
             out.append(SingularSampleError(
                 "ill-conditioned rank decision (gaps %.2e, %.2e)" % (rep.gap0, rep.gap1)))
-        elif expected_b0 is not None and rep.b0 != expected_b0:
-            out.append(SingularSampleError(
-                "isotropy dimension b0=%d differs from the component value %d"
-                % (rep.b0, expected_b0)))
         else:
             out.append(None)
             groups.setdefault((rep.rank0, rep.rank1), []).append((i, rep, int(rng.integers(2 ** 32))))
@@ -123,15 +119,14 @@ def _torsion(samples, reports, rng, expected_b0=None):
     return out
 
 
-def torsion_at(sample, rng, expected_b0=None):
+def torsion_at(sample, rng):
     """Torsion magnitude at a flat sample via the explicit basis pipeline.
 
-    Refuses samples flagged possibly singular, samples with a thin
-    singular-value gap, and (when expected_b0 is given) samples whose
-    isotropy dimension differs from their component's modal value.  One
-    seed is drawn from rng per accepted sample.  torsion_batch of one sample.
+    Refuses samples flagged possibly singular and samples with a thin
+    singular-value gap.  One seed is drawn from rng per accepted sample.
+    torsion_batch of one sample.
     """
-    (value,) = _torsion([sample], [cohomology(sample)], rng, expected_b0)
+    (value,) = _torsion([sample], [cohomology(sample)], rng)
     if isinstance(value, ValueError):
         raise value
     return value

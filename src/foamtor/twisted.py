@@ -112,18 +112,6 @@ class CohomologyReport:
     def betti(self):
         return (self.b0, self.b1, self.b2)
 
-    def to_json(self):
-        return {
-            "rank0": self.rank0, "rank1": self.rank1,
-            "b0": self.b0, "b1": self.b1, "b2": self.b2,
-            "singular_values": {"delta0": list(map(float, self.sv0)),
-                                "delta1": list(map(float, self.sv1))},
-            "gap": {"delta0": self.gap0, "delta1": self.gap1},
-            "euler_ok": self.euler_ok,
-            "flags": {"regular": self.regular, "reducible": self.reducible,
-                      "central": self.central, "rank_warning": self.rank_warning},
-        }
-
 
 def cohomology_batch(samples):
     """Twisted Betti numbers at every flat connection of a sample set.
@@ -183,18 +171,12 @@ class MinB2Report:
     histogram: dict            # b2 -> count
     strata: dict               # (b0, b2) -> count
     samples: list              # FlatSamples annotated with b0/b2
-    rows: tuple = ()           # (b0, b1, b2, tag) per sample
+    euler_ok: bool = True      # every sample's CohomologyReport.euler_ok
     rank_warnings: int = 0
 
     @property
     def stratified(self):
         return len(self.strata) > 1
-
-    def histogram_csv(self):
-        lines = ["b0,b1,b2,count,tag"]
-        for key, c in sorted(Counter(self.rows).items()):
-            lines.append("%d,%d,%d,%d,%s" % (key[0], key[1], key[2], c, key[3]))
-        return "\n".join(lines) + "\n"
 
 
 def sample_flat(foam_or_name, group, n_samples, rng):
@@ -257,14 +239,12 @@ def min_b2(foam_or_name, group, n_samples, rng):
         tag = s.component_tag or "unknown"
         kernel_by_tag.setdefault(tag, []).append(rep.b1 + rep.rank0)  # dim ker delta1
     flagged = []
-    rows = []
     for s, rep in zip(samples, reports):
         tag = s.component_tag or "unknown"
         singular = (rep.b1 + rep.rank0) > min(kernel_by_tag[tag])
         flagged.append(FlatSample(s.connection, s.residual, b0=rep.b0, b2=rep.b2,
                                   component_tag=s.component_tag, possibly_singular=singular))
-        rows.append((rep.b0, rep.b1, rep.b2, tag))
     return MinB2Report(
         b2_0=min(hist), histogram=dict(sorted(hist.items())),
         strata=dict(sorted(strata.items())), samples=flagged,
-        rows=tuple(rows), rank_warnings=warnings)
+        euler_ok=all(rep.euler_ok for rep in reports), rank_warnings=warnings)

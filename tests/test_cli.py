@@ -116,6 +116,21 @@ def test_torsion_volume_check(capsys):
     assert payload["max_abs_error"] < 1e-10
 
 
+def test_torus_volume_check_refuses_other_foams_and_groups(capsys):
+    # the check is of the SU(2) torus chart; another foam or group is refused,
+    # not silently swapped for it
+    for argv in (["--foam", "genus:3"], ["--foam", "torus", "--group", "u1"],
+                 ["--foam", "genus:3", "--group", "u1"]):
+        code = main(["torsion", *argv, "--check", "torus-volume", "--grid", "3"])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err.startswith("error: --check torus-volume ")
+    # the torus by structure, under any builtin key, is checked
+    code, out = run(capsys, "torsion", "--foam", "genus:1", "--check", "torus-volume",
+                    "--grid", "3")
+    assert code == 0 and json.loads(out)["passed"] is True
+
+
 def test_torsion_samples(capsys):
     code, out = run(capsys, "torsion", "--foam", "genus:2", "--samples", "3",
                     "--seed", "4")

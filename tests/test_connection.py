@@ -4,7 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
-from foamtor.connection import (Connection, analytic_flat, find_flat,
+from foamtor.connection import (Connection, analytic_flat, analytic_flat_batch,
                                 find_flat_batch, flatness_residual, gauge_act,
                                 holonomy, holonomy_word, word_jacobian)
 from foamtor.foam import builtin, parse_foam
@@ -204,7 +204,7 @@ def test_word_jacobian_batched_equals_stacked_single_calls():
 
 def test_find_flat_sphere_trivial():
     rng = np.random.default_rng(9)
-    s = find_flat(builtin("sphere"), "su2", rng)
+    s = find_flat_batch(builtin("sphere"), "su2", rng, 1)[0]
     assert s.residual == 0.0
 
 
@@ -239,7 +239,7 @@ def test_analytic_flat_rejects_unknown():
         analytic_flat("dunce_hat", rng)
     with pytest.raises(ValueError):
         analytic_flat("appendix", rng, family="nope")
-    # genus g >= 2 and the U(1) torus have no analytic family: find_flat projects
+    # genus g >= 2 and the U(1) torus have no analytic family: find_flat_batch projects
     with pytest.raises(ValueError, match="no analytic flat family"):
         analytic_flat("genus:2", rng)
     with pytest.raises(ValueError, match="SU\\(2\\)"):
@@ -292,3 +292,18 @@ def test_connection_json():
     s = analytic_flat("torus", rng)
     payload = s.to_json()
     assert payload["residual"] < 1e-14 and "component_tag" in payload
+
+
+def test_analytic_flat_refuses_a_sign_other_than_plus_or_minus_one():
+    # h = sign * identity is an SU(2) element only for sign = +-1, and the
+    # torus branch b = exp(sign psi_b n) is one of two; refused before any draw
+    rng = np.random.default_rng(17)
+    state = rng.bit_generator.state
+    for sign in (0, 0.5, -2, 1.5):
+        with pytest.raises(ValueError, match="sign"):
+            analytic_flat("torus", rng, sign=sign)
+        with pytest.raises(ValueError, match="sign"):
+            analytic_flat("appendix", rng, family="irred", sign=sign)
+        with pytest.raises(ValueError, match="sign"):
+            analytic_flat_batch("appendix", rng, [1, sign], ["red", "irred"])
+    assert rng.bit_generator.state == state

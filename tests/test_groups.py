@@ -82,7 +82,7 @@ def test_haar_character_orthogonality():
     n = 10 ** 6
     g = su2_haar(rng, (n,))
     psi = SU2G.distance(g)
-    chi_half = SU2G.character(0.5, psi, angle=True)
+    chi_half = SU2G.character(0.5, psi)
     m = chi_half.mean()
     assert abs(m) < 3.0 / math.sqrt(n)
     m2 = (chi_half ** 2).mean()
@@ -90,15 +90,15 @@ def test_haar_character_orthogonality():
     assert abs(m2 - 1.0) < 3.0 * s2
     for j in (0.5, 1.0, 1.5, 2.0):
         for k in (0.5, 1.0, 1.5, 2.0):
-            prod = SU2G.character(j, psi, angle=True) * SU2G.character(k, psi, angle=True)
+            prod = SU2G.character(j, psi) * SU2G.character(k, psi)
             target = 1.0 if j == k else 0.0
             assert abs(prod.mean() - target) < 3.0 * prod.std() / math.sqrt(n)
 
 
 def test_character_values_and_casimir():
-    assert abs(SU2G.character(0.5, SU2G.identity()) - 2.0) < 1e-12
+    assert abs(SU2G.character(0.5, SU2G.distance(SU2G.identity())) - 2.0) < 1e-12
     # chi_1 at psi = pi/2: sin(3 pi/2)/sin(pi/2) = -1
-    assert abs(SU2G.character(1.0, np.array(math.pi / 2), angle=True) + 1.0) < 1e-12
+    assert abs(SU2G.character(1.0, np.array(math.pi / 2)) + 1.0) < 1e-12
     assert SU2G.casimir(0.5) == 0.75
     assert SU2G.dim(1.5) == 4
     assert U1G.casimir(3) == 9.0
@@ -110,7 +110,7 @@ def test_heat_kernel_at_identity_vs_partial_sum():
     direct = sum((2 * j + 1) ** 2 * math.exp(-tau * j * (j + 1))
                  for j in [x / 2.0 for x in range(0, 61)])
     for method in ("char-series", "gaussian-images"):
-        val = float(SU2G.heat_kernel(tau, SU2G.identity((1,)), method)[0])
+        val = float(SU2G.heat_kernel(tau, SU2G.distance(SU2G.identity((1,))), method)[0])
         assert abs(val - direct) < 1e-10 * direct
 
 
@@ -122,9 +122,9 @@ def test_heat_kernel_methods_agree():
                           np.linspace(0.01, math.pi - 0.01, 200),
                           math.pi - np.array([1e-3, 1e-6, 1e-9, 0.0])])
     for tau in (0.01, 0.03, 0.1, 0.3, 1.0, 1.5, 2.0):
-        a = SU2G.heat_kernel(tau, psi, "char-series", angle=True)
-        b = SU2G.heat_kernel(tau, psi, "gaussian-images", angle=True)
-        peak = float(SU2G.heat_kernel(tau, np.zeros(1), angle=True)[0])
+        a = SU2G.heat_kernel(tau, psi, "char-series")
+        b = SU2G.heat_kernel(tau, psi, "gaussian-images")
+        peak = float(SU2G.heat_kernel(tau, np.zeros(1))[0])
         ok = np.abs(a - b) <= np.maximum(1e-10 * np.maximum(np.abs(a), np.abs(b)),
                                          1e-12 * peak)
         assert np.all(ok), (tau, psi[~ok], a[~ok], b[~ok])
@@ -142,65 +142,55 @@ def test_su2_haar_normalizes_the_normal_stream():
 
 
 def test_heat_kernel_reads_angles_when_told():
-    # four class angles are not one quaternion
+    # four class angles are four angles, not one quaternion
     psi = np.array([0.1, 0.7, 1.9, 3.0])
-    each = np.concatenate([SU2G.heat_kernel(0.5, psi[i:i + 1], angle=True)
+    each = np.concatenate([SU2G.heat_kernel(0.5, psi[i:i + 1])
                            for i in range(4)])
-    assert np.allclose(SU2G.heat_kernel(0.5, psi, angle=True), each, rtol=1e-14, atol=0)
+    assert np.allclose(SU2G.heat_kernel(0.5, psi), each, rtol=1e-14, atol=0)
     theta = np.array([2.5])
-    assert np.allclose(U1G.heat_kernel(0.5, theta, angle=True),
-                       U1G.heat_kernel(0.5, theta[None]), rtol=1e-14, atol=0)
+    assert np.allclose(U1G.heat_kernel(0.5, theta),
+                       U1G.heat_kernel(0.5, U1G.distance(theta[None])), rtol=1e-14, atol=0)
 
 
 def test_character_reads_angles_when_told():
-    # four class angles are not one quaternion: chi_1/2(psi) = 2 cos(psi)
+    # four class angles are four angles, not one quaternion: chi_1/2(psi) = 2 cos(psi)
     psi = np.array([0.1, 0.2, 0.3, 0.4])
-    chi = SU2G.character(0.5, psi, angle=True)
+    chi = SU2G.character(0.5, psi)
     assert chi.shape == (4,)
     assert np.allclose(chi, 2.0 * np.cos(psi), rtol=1e-14, atol=0)
     elements = SU2G.exp(np.outer(psi, [0.0, 0.6, 0.8]))
-    assert np.allclose(SU2G.character(0.5, elements), chi, rtol=1e-14, atol=0)
+    assert np.allclose(SU2G.character(0.5, SU2G.distance(elements)), chi, rtol=1e-14, atol=0)
     theta = np.array([0.3, 2.0, 4.5, 6.0])
-    assert np.allclose(U1G.character(2, theta, angle=True), np.cos(2 * theta),
+    assert np.allclose(U1G.character(2, theta), np.cos(2 * theta),
                        rtol=1e-14, atol=0)
-    assert np.allclose(U1G.character(2, theta[:, None]), np.cos(2 * theta),
+    assert np.allclose(U1G.character(2, U1G.distance(theta[:, None])), np.cos(2 * theta),
                        rtol=1e-14, atol=1e-14)
-
-
-def test_class_functions_refuse_angles_passed_as_elements():
-    # without angle=True the trailing axis must hold one element
-    for group, angles in ((SU2G, np.array([0.1, 0.2, 0.3])), (SU2G, np.array(0.5)),
-                          (U1G, np.array([0.1, 0.2]))):
-        with pytest.raises(ValueError, match="angle=True"):
-            group.character(1, angles)
-        with pytest.raises(ValueError, match="angle=True"):
-            group.heat_kernel(0.5, angles)
 
 
 def test_heat_kernel_positive():
     psi = np.linspace(0.0, math.pi, 500)
     for tau in (0.01, 0.05, 0.2, 1.0):
-        vals = SU2G.heat_kernel(tau, psi, "gaussian-images", angle=True)
+        vals = SU2G.heat_kernel(tau, psi, "gaussian-images")
         assert np.all(vals >= 0.0)
         representable = psi * psi / tau < 600.0  # above double-precision underflow
         assert np.all(vals[representable] > 0.0)
     for tau in (2.0, 5.0):
-        assert np.all(SU2G.heat_kernel(tau, psi, "char-series", angle=True) > 0.0)
+        assert np.all(SU2G.heat_kernel(tau, psi, "char-series") > 0.0)
 
 
 def test_heat_kernel_is_class_function():
     rng = np.random.default_rng(6)
     g, h = su2_haar(rng, (2, 50))
     conj = su2_mul(su2_mul(h, g), SU2G.inv(h))
-    a = SU2G.heat_kernel(0.5, g)
-    b = SU2G.heat_kernel(0.5, conj)
+    a = SU2G.heat_kernel(0.5, SU2G.distance(g))
+    b = SU2G.heat_kernel(0.5, SU2G.distance(conj))
     assert np.max(np.abs(a - b)) < 1e-12 * np.max(np.abs(a))
 
 
 def test_heat_kernel_normalization_mc():
     rng = np.random.default_rng(7)
     n = 10 ** 6
-    vals = SU2G.heat_kernel(0.5, su2_haar(rng, (n,)))
+    vals = SU2G.heat_kernel(0.5, SU2G.distance(su2_haar(rng, (n,))))
     m, s = vals.mean(), vals.std() / math.sqrt(n)
     assert abs(m - 1.0) < 3.0 * s
 
@@ -212,8 +202,9 @@ def test_heat_kernel_semigroup_mc():
     n = 400_000
     g = su2_haar(rng, ())
     h = su2_haar(rng, (n,))
-    vals = SU2G.heat_kernel(s, su2_mul(g, SU2G.inv(h))) * SU2G.heat_kernel(t, h)
-    target = float(SU2G.heat_kernel(s + t, g[None])[0])
+    vals = (SU2G.heat_kernel(s, SU2G.distance(su2_mul(g, SU2G.inv(h))))
+            * SU2G.heat_kernel(t, SU2G.distance(h)))
+    target = float(SU2G.heat_kernel(s + t, SU2G.distance(g[None]))[0])
     assert abs(vals.mean() - target) < 3.0 * vals.std() / math.sqrt(n)
 
 
@@ -228,9 +219,9 @@ def test_unit_norm_maintained_over_long_chains():
 
 def test_heat_kernel_rejects_bad_tau():
     with pytest.raises(ValueError):
-        SU2G.heat_kernel(0.0, np.array(0.5), angle=True)
+        SU2G.heat_kernel(0.0, np.array(0.5))
     with pytest.raises(ValueError):
-        SU2G.heat_kernel(-1.0, np.array(0.5), angle=True)
+        SU2G.heat_kernel(-1.0, np.array(0.5))
 
 
 def test_u1_basics():
@@ -245,15 +236,15 @@ def test_u1_basics():
 def test_u1_heat_kernel_methods_agree():
     theta = np.linspace(0.0, 2 * math.pi, 300, endpoint=False)
     for tau in (0.01, 0.1, 1.0):
-        a = U1G.heat_kernel(tau, theta, "char-series", angle=True)
-        b = U1G.heat_kernel(tau, theta, "gaussian-images", angle=True)
+        a = U1G.heat_kernel(tau, theta, "char-series")
+        b = U1G.heat_kernel(tau, theta, "gaussian-images")
         assert np.max(np.abs(a - b)) < 1e-10 * np.max(np.abs(a))
 
 
 def test_u1_heat_kernel_normalization():
     rng = np.random.default_rng(11)
     n = 200_000
-    vals = U1G.heat_kernel(0.5, U1G.haar(rng, (n,)))
+    vals = U1G.heat_kernel(0.5, U1G.distance(U1G.haar(rng, (n,))))
     assert abs(vals.mean() - 1.0) < 3.0 * vals.std() / math.sqrt(n)
 
 

@@ -140,7 +140,7 @@ def test_z_mc_pool_is_capped_at_cpu_count(monkeypatch, pinned):
 
     t = builtin("torus")
     ref = z_mc(t, "su2", 0.5, 1000 * workers + 3, seed=5, n_workers=workers)
-    monkeypatch.setattr(type(SU2), "haar", staticmethod(haar))
+    monkeypatch.setattr(SU2, "haar", staticmethod(haar))
     est = z_mc(t, "su2", 0.5, 1000 * workers + 3, seed=5, n_workers=workers)
     assert (est.value, est.stderr) == (ref.value, ref.stderr)
     assert est.meta["n_workers"] == workers
@@ -183,7 +183,7 @@ def test_z_char_surface_torus_vs_bruteforce():
 
 def test_z_char_surface_sphere_equals_heat_kernel_at_identity():
     for method in ("char-series", "gaussian-images"):
-        k1 = float(SU2.heat_kernel(1.0, np.zeros(1), method, angle=True)[0])
+        k1 = float(SU2.heat_kernel(1.0, np.zeros(1), method)[0])
         assert abs(z_char_surface(0, 1.0).value - k1) < 1e-10 * k1
 
 
@@ -218,8 +218,8 @@ def test_commutator_character_identity_mc():
     comm = su2_mul(su2_mul(a, hb), su2_mul(SU2.inv(a), SU2.inv(hb)))
     psi_h = SU2.distance(h)
     for j in (0.5, 1.0, 1.5):
-        vals = SU2.character(j, SU2.distance(comm), angle=True)
-        target = SU2.character(j, psi_h, angle=True) ** 2 / (2 * j + 1)
+        vals = SU2.character(j, SU2.distance(comm))
+        target = SU2.character(j, psi_h) ** 2 / (2 * j + 1)
         assert abs(vals.mean() - float(target)) < 4.0 * vals.std() / math.sqrt(n)
 
 
@@ -227,7 +227,7 @@ def test_appendix_invariant_dimension_mc():
     # N(1/2, 1/2) = dim Inv(1/2 x 1/2 x 1/2 x 1/2) = int |chi_1/2|^4 = 2
     rng = np.random.default_rng(5)
     n = 10 ** 6
-    chi = SU2.character(0.5, SU2.distance(su2_haar(rng, (n,))), angle=True)
+    chi = SU2.character(0.5, SU2.distance(su2_haar(rng, (n,))))
     m = (chi ** 4).mean()
     assert abs(m - 2.0) < 3.0 * (chi ** 4).std() / math.sqrt(n)
 

@@ -108,13 +108,6 @@ def test_sphere_torsion_is_one():
     assert abs(t.magnitude - 1.0) < 1e-12
 
 
-def test_refuses_b0_mismatch():
-    rng = np.random.default_rng(6)
-    s = analytic_flat("torus", rng)
-    with pytest.raises(SingularSampleError, match="isotropy"):
-        torsion_at(s, rng, expected_b0=0)
-
-
 def test_refuses_flagged_singular():
     from foamtor.connection import FlatSample
     rng = np.random.default_rng(7)

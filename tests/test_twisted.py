@@ -193,8 +193,7 @@ def test_min_b2_appendix_strata():
     assert report.b2_0 == 2
     assert report.stratified
     assert set(report.strata) == {(0, 3), (1, 2)}
-    csv = report.histogram_csv()
-    assert csv.splitlines()[0] == "b0,b1,b2,count,tag"
+    assert report.euler_ok
 
 
 def test_min_b2_torus_u1():
