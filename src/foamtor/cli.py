@@ -36,6 +36,8 @@ def _load_foam(source):
 
 def _tau_grid(source):
     lo, hi, n = source.split(":")
+    if int(n) < 1:
+        raise ValueError("--tau-grid %s: need at least 1 point" % source)
     return np.logspace(math.log10(float(lo)), math.log10(float(hi)), int(n))
 
 
@@ -176,6 +178,8 @@ def cmd_torsion(args):
         if args.group != "su2" or match_builtin(_load_foam(args.foam), ("torus",)) is None:
             raise ValueError("--check torus-volume checks the SU(2) torus, not --foam %s "
                              "--group %s" % (args.foam, args.group))
+        if args.grid < 1:
+            raise ValueError("--grid %d: need at least 1 point" % args.grid)
         rows = torus_volume_grid(args.grid, rng)
         max_err = max(r[4] for r in rows)
         if args.format == "csv":

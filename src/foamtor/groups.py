@@ -19,6 +19,12 @@ returns the class for its name.  The class functions (character,
 heat_kernel) take class angles, distance(g) for elements g.  ``word_angle``
 gives the class angle of a face word's holonomy without forming the product
 as an element; Monte Carlo uses it with the heat kernel.
+
+Haar draws are Fortran-ordered: the batch axes vary fastest, so the row
+g[..., e, i] of one edge's component is contiguous, which is what
+word_angle reads once per face letter.  The values are those of the
+generator's stream (SU(2): its normals over their norm), so seeded Monte
+Carlo estimates do not depend on the layout.
 """
 
 from __future__ import annotations
@@ -144,9 +150,20 @@ def su2_adjoint(q):
 
 
 def su2_haar(rng, shape=()):
-    """Haar-uniform unit quaternions: four normals, normalized."""
-    q = rng.standard_normal(tuple(shape) + (4,))
-    return q / np.linalg.norm(q, axis=-1, keepdims=True)
+    """Haar-uniform unit quaternions: four normals, normalized.
+
+    The result is Fortran-ordered, so each component row g[..., e, i] is
+    contiguous and word_angle reads it without a copy: a Monte Carlo chunk
+    would otherwise pay a transposing copy on top of the draw.  The normals
+    are copied once into component-major memory and normalized there.  The
+    squared norm is summed left to right, w^2 + x^2 + y^2 + z^2, which is
+    how np.linalg.norm sums four components, so each draw has the bits of
+    q / np.linalg.norm(q, axis=-1, keepdims=True).
+    """
+    c = np.ascontiguousarray(rng.standard_normal(tuple(shape) + (4,)).T)
+    s = c * c
+    c /= np.sqrt(s[0] + s[1] + s[2] + s[3])
+    return c.T
 
 
 def su2_character(j, psi):
@@ -186,7 +203,11 @@ def su2_heat_kernel_series(tau, psi):
     x2 = 2.0 * np.cos(psi)
     b1, b2 = np.full_like(psi, coef[-1]), np.zeros_like(psi)
     for c in coef[-2::-1]:
-        b1, b2 = c + x2 * b1 - b2, b1
+        # b1, b2 = c + x2 b1 - b2, b1 with one temporary, not three
+        t = x2 * b1
+        t += c
+        t -= b2
+        b1, b2 = t, b1
     return b1
 
 
@@ -226,8 +247,19 @@ def su2_heat_kernel_images(tau, psi):
     nearpi = np.pi - psi < cut_pi
     generic = ~(near0 | nearpi)
     if np.any(generic):
-        x = psi[generic][:, None] + 2 * np.pi * ks[None, :]
-        out[generic] = f(x).sum(axis=1) / np.sin(psi[generic])
+        pg = psi if generic.all() else psi[generic]
+        if len(ks) < 8:
+            # numpy sums a row of fewer than 8 terms left to right, so adding
+            # the images one at a time, k = -kmax..kmax (tau up to ~12), into
+            # one accumulator has the bits of the row sum without its 2-D
+            # temporaries
+            acc = np.zeros_like(pg)
+            for k in ks:
+                acc += f(pg + 2 * np.pi * k)
+        else:
+            acc = f(pg[:, None] + 2 * np.pi * ks[None, :]).sum(axis=1)
+        acc /= np.sin(pg)
+        out[generic] = acc
     if np.any(near0):
         d1 = fp(2 * np.pi * ks).sum()
         d3 = fppp(2 * np.pi * ks).sum()
@@ -362,7 +394,8 @@ class U1:
 
     @staticmethod
     def haar(rng, shape=()):
-        return rng.uniform(0.0, 2.0 * np.pi, size=tuple(shape) + (1,))
+        """Uniform angles, Fortran-ordered like su2_haar."""
+        return np.asfortranarray(rng.uniform(0.0, 2.0 * np.pi, size=tuple(shape) + (1,)))
 
     @staticmethod
     def identity(shape=()):

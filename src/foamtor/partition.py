@@ -115,9 +115,7 @@ def z_mc(foam, group, tau, n_samples, seed, n_workers=1, chunk=50_000):
         parts = []
         for start in range(0, per[w], step):
             m = min(step, per[w] - start)
-            # one copy makes each edge's component rows contiguous for word_angle
             g = group.haar(wrng, (m, foam.E))
-            g = np.moveaxis(np.ascontiguousarray(np.moveaxis(g, 0, -1)), -1, 0)
             vals = np.ones(m)
             for word in words:
                 vals *= group.heat_kernel(tau, group.word_angle(word, g))
@@ -324,6 +322,13 @@ def fit_scaling(points, model="auto"):
 # ----------------------------------------------------------------------
 # toy Laplace integral with a non-integrable transverse singularity
 
+def _box(box_halfwidth):
+    L = float(box_halfwidth)
+    if not 0.0 < L < math.inf:
+        raise ValueError("box half-width (--box) must be positive and finite, got %r" % L)
+    return L
+
+
 def toy_laplace(tau, box_halfwidth=1.0):
     """z_tau = int_{[-L,L]^2} e^{-(x y)^2 / tau} dx dy.
 
@@ -332,7 +337,7 @@ def toy_laplace(tau, box_halfwidth=1.0):
     """
     if tau <= 0:
         raise ValueError("tau must be positive")
-    L = float(box_halfwidth)
+    L = _box(box_halfwidth)
     n_levels = max(4, int(math.ceil(math.log2(L / math.sqrt(tau)))) + 4)
     bounds = [L * 2.0 ** -k for k in range(n_levels + 1)] + [0.0]
     bounds = np.array(bounds[::-1])
@@ -355,9 +360,13 @@ def fit_toy(taus=None, values=None, box_halfwidth=1.0):
     sqrt(tau)-times-logarithm law; selected when it beats the pure power by
     SELECT_FACTOR in residual RMS.
     """
+    _box(box_halfwidth)
     if taus is None:
         taus = np.logspace(-6, -2, 9)
     taus = np.asarray(taus, dtype=float)
+    if len(taus) < 3:
+        raise ValueError("the toy fit has 3 parameters: need at least 3 tau points "
+                         "(--tau-grid), got %d" % len(taus))
     if values is None:
         values = np.array([toy_laplace(t, box_halfwidth) for t in taus])
     vals = np.asarray(values, dtype=float)

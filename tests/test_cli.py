@@ -148,6 +148,38 @@ def test_toy_command(capsys):
     assert payload["selected_model"] == "sqrt(tau)*log(1/tau)"
 
 
+def test_grids_without_enough_points_are_refused(capsys):
+    # a zero-point grid gave empty output (ztau), a bare max() error (torsion)
+    # or scipy's complaint (toy); the toy fit has three parameters
+    for argv, option in (
+            (["ztau", "--foam", "torus", "--method", "char", "--tau-grid", "0.1:1:0"],
+             "--tau-grid"),
+            (["ztau", "--foam", "torus", "--method", "mc", "--tau-grid", "0.5:0.5:-1"],
+             "--tau-grid"),
+            (["torsion", "--foam", "torus", "--check", "torus-volume", "--grid", "0"],
+             "--grid"),
+            (["torsion", "--foam", "torus", "--check", "torus-volume", "--grid", "-3"],
+             "--grid"),
+            (["toy", "--tau-grid", "1e-3:1e-2:0"], "--tau-grid"),
+            (["toy", "--tau-grid", "1e-3:1e-2:2"], "--tau-grid")):
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == "", argv
+        assert captured.err.startswith("error: ") and option in captured.err, (argv, captured.err)
+    code, out = run(capsys, "ztau", "--foam", "torus", "--tau-grid", "0.5:0.5:1")
+    assert code == 0 and len(json.loads(out)["points"]) == 1
+    code, out = run(capsys, "toy", "--tau-grid", "1e-4:1e-2:3")
+    assert code == 0 and len(json.loads(out)["points"]) == 3
+
+
+def test_toy_refuses_a_box_that_is_not_positive_and_finite(capsys):
+    for box in ("0", "-1", "nan", "inf"):
+        code = main(["toy", "--box", box, "--tau-grid", "1e-3:1e-2:3"])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == "", box
+        assert captured.err.startswith("error: ") and "--box" in captured.err, box
+
+
 def test_foam_file_input(tmp_path, capsys):
     path = tmp_path / "t.foam"
     path.write_text("# the flat torus\nedges: a b\nface: a b a^-1 b^-1\n")

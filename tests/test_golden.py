@@ -12,8 +12,14 @@ their default seeds.  torsion_torus_u1 (the torus over U(1), b0 = 1) and
 torsion_genus2_dup (genus 2 with its face duplicated by a Tietze-2 move,
 b2 = 3, read from genus2_dup.foam) were recorded while torsion_batch still
 ran the basis pipeline one sample at a time; torsion_appendix already
-interleaves the appendix foam's two completion groups.  Every command runs
-from tests/golden/, so a foam file is echoed as a relative path.  The
+interleaves the appendix foam's two completion groups.  The ztau_mc_* files
+were recorded while the Haar draws were still C-ordered and copied into
+component rows by z_mc: genus 2 at tau = 0.6 runs the image-sum heat
+kernel, the appendix at tau = 1.5 the character series on two faces, and
+the torus over U(1) both U(1) evaluators on a constant integrand (its face
+is a commutator), so projective_plane over U(1) pins the U(1) draws.
+Every command runs from tests/golden/, so a foam file is echoed as a
+relative path.  The
 stacked SVD and the batched face walk give the same bits per matrix as
 single calls with numpy's LAPACK; the files were recorded with numpy 2.4.6
 on OpenBLAS 0.3.31, and a different LAPACK build may round the printed
@@ -48,6 +54,15 @@ CASES = {
     "flat_genus2": "flat --foam genus:2 --samples 5 --seed 3",
     "flat_dunce_hat": "flat --foam dunce_hat --samples 5 --seed 3",
     "flat_torus_u1": "flat --foam torus --group u1 --samples 5 --seed 3",
+    "ztau_mc_genus2": "ztau --foam genus:2 --method mc --workers 2 --samples 20000 "
+                      "--tau-grid 0.6:0.6:1 --seed 4",
+    "ztau_mc_appendix": "ztau --foam appendix --method mc --workers 2 --samples 20000 "
+                        "--tau-grid 1.5:1.5:1 --seed 4",
+    "ztau_mc_torus_u1": "ztau --foam torus --group u1 --method mc --workers 2 "
+                        "--samples 20000 --tau-grid 0.6:1.5:2 --seed 4",
+    "ztau_mc_projective_plane_u1": "ztau --foam projective_plane --group u1 --method mc "
+                                   "--workers 2 --samples 20000 --tau-grid 0.6:1.5:2 "
+                                   "--seed 4",
 }
 
 

@@ -1,11 +1,16 @@
+import json
 import math
+import pathlib
 
 import numpy as np
 import pytest
 
 from foamtor.connection import word_jacobian
 from foamtor.foam import builtin, reduce_foam
-from foamtor.groups import EPS_LOG, CutLocusError, get_group, su2_haar, su2_mul
+from foamtor.groups import (EPS_LOG, CutLocusError, get_group, su2_haar,
+                            su2_heat_kernel_images, su2_heat_kernel_series, su2_mul)
+
+GOLDEN = pathlib.Path(__file__).parent / "golden"
 
 SU2G = get_group("su2")
 U1G = get_group("u1")
@@ -133,12 +138,49 @@ def test_heat_kernel_methods_agree():
 def test_su2_haar_normalizes_the_normal_stream():
     # Haar draws are the normals of the generator's stream over their norm, so
     # every seeded Monte Carlo estimate keeps its value
-    for shape in ((), (5,), (300, 6), (4, 7, 3)):
+    for shape in ((), (2,), (5,), (20, 3), (300, 6), (4, 7, 3), (25000, 4)):
         q = np.random.default_rng(8).standard_normal(shape + (4,))
         ref = q / np.linalg.norm(q, axis=-1, keepdims=True)
         got = su2_haar(np.random.default_rng(8), shape)
         assert got.shape == ref.shape
         assert np.array_equal(got, ref)
+
+
+def test_haar_component_rows_are_contiguous():
+    # the Monte Carlo kernel reads g[..., e, i] once per face letter; the Haar
+    # draw lays those rows out contiguously so that no copy is needed
+    for G in (SU2G, U1G):
+        g = G.haar(np.random.default_rng(3), (50, 4))
+        for e in range(4):
+            for i in range(G.elem_dim):
+                assert g[..., e, i].flags.c_contiguous, (G.name, e, i)
+
+
+# angles on which the two SU(2) heat-kernel evaluators keep recorded bits:
+# 'generic' stays off both boundary layers of the image sum, 'boundary' adds
+# points in them (the layer at pi widens with tau, so pi - 5e-4 is in it for
+# tau >= 3 only)
+HK_ANGLES = {
+    "generic": np.linspace(0.01, math.pi - 0.01, 48),
+    "boundary": np.concatenate([[0.0, 1e-9, 5e-8], np.linspace(0.01, math.pi - 0.01, 48),
+                                math.pi - np.array([5e-4, 1e-5, 1e-9, 0.0])]),
+}
+HK_TAUS = (0.05, 0.6, 1.0, 1.5, 3.0, 10.0, 25.0)     # 3, 3, 3, 3, 5, 7 and 11 images
+HK_EVALUATORS = {"series": su2_heat_kernel_series, "images": su2_heat_kernel_images}
+
+
+def su2_heat_kernel_table():
+    """{angles: {evaluator: {repr(tau): values}}} over HK_ANGLES and HK_TAUS."""
+    return {name: {key: {repr(tau): fn(tau, psi).tolist() for tau in HK_TAUS}
+                   for key, fn in HK_EVALUATORS.items()}
+            for name, psi in HK_ANGLES.items()}
+
+
+def test_su2_heat_kernels_keep_their_recorded_bits():
+    # recorded while the image sum still summed a 2-D array of images row by
+    # row; the JSON floats round-trip exactly
+    ref = json.loads((GOLDEN / "su2_heat_kernels.json").read_text())
+    assert su2_heat_kernel_table() == ref
 
 
 def test_heat_kernel_reads_angles_when_told():

@@ -348,6 +348,20 @@ def test_toy_pure_fit_drifts_with_window():
     assert lo > 0.0
 
 
+def test_toy_refuses_a_box_that_is_not_positive_and_finite():
+    for box in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="--box"):
+            toy_laplace(1e-3, box)
+        with pytest.raises(ValueError, match="--box"):
+            fit_toy(np.logspace(-4, -2, 3), box_halfwidth=box)
+
+
+def test_fit_toy_refuses_fewer_points_than_parameters():
+    for n in (0, 1, 2):
+        with pytest.raises(ValueError, match="--tau-grid"):
+            fit_toy(np.logspace(-4, -2, n))
+
+
 def _pure_omega(taus):
     vals = [toy_laplace(float(t)) for t in taus]
     x = np.log(lambda_tau(np.asarray(taus)))
