@@ -35,7 +35,7 @@ print("analytic torus sample residual = %.2e, tag = %s"
 # -- Gauss-Newton projection finds flat connections from Haar-random starts
 for name in ("torus", "genus:2", "genus:3"):
     foam = builtin(name)
-    samples = find_flat_batch(foam, "su2", rng, 50, tol=1e-24, on_failure="drop")
+    samples = find_flat_batch(foam, "su2", rng, 50)
     worst = max(x.residual for x in samples)
     print("%-8s projection: %d/50 converged, worst residual %.1e"
           % (foam.name, len(samples), worst))

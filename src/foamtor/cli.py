@@ -35,10 +35,16 @@ def _load_foam(source):
 
 
 def _tau_grid(source):
-    lo, hi, n = source.split(":")
-    if int(n) < 1:
-        raise ValueError("--tau-grid %s: need at least 1 point" % source)
-    return np.logspace(math.log10(float(lo)), math.log10(float(hi)), int(n))
+    """n log-spaced taus from lo to hi, from --tau-grid lo:hi:n."""
+    try:
+        lo, hi, n = source.split(":")
+        lo, hi, n = float(lo), float(hi), int(n)
+    except ValueError:
+        lo = hi = n = math.nan
+    if not (0.0 < lo < math.inf and 0.0 < hi < math.inf and n >= 1):
+        raise ValueError("--tau-grid %s: need lo:hi:n with finite positive bounds and "
+                         "an integer n of at least 1 point" % source)
+    return np.logspace(math.log10(lo), math.log10(hi), n)
 
 
 def _emit(args, payload):
@@ -274,7 +280,7 @@ def main(argv=None):
     args = _parser().parse_args(argv)
     try:
         return args.func(args)
-    # RuntimeError covers DescentError and "no flat connection found"
+    # RuntimeError is "no flat connection found": every start was dropped
     except (FoamError, ValueError, OSError, RuntimeError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2

@@ -20,18 +20,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .foam import Foam, builtin as _builtin_foam
-from .groups import EPS_LOG, CutLocusError, get_group
+from .foam import Foam, builtin as _builtin_foam, match_builtin
+from .groups import EPS_LOG, SU2, CutLocusError, get_group
 
 FLAT_TOL = 1e-10
-
-
-class DescentError(RuntimeError):
-    """find_flat_batch failed to reach the flat set within its budget."""
-
-    def __init__(self, msg, residual=None):
-        super().__init__(msg)
-        self.residual = residual
 
 
 @dataclass(frozen=True, eq=False)
@@ -195,6 +187,12 @@ LM_GROW = 10.0           # damping factor after a rejected step
 # that are already negligible.
 LM_LAMBDA_RANGE = (1e-12, 1e12)
 CUT_RETRIES = 10         # jitters of the starts on the cut locus before giving up
+# Projection goes far below the FLAT_TOL gate.  At the singular points of the
+# representation variety delta1 . delta0 grows like sqrt(residual): stopping
+# at the gate's 1e-10 would leave it near 1e-5, while 1e-24 puts it near
+# 1e-12, the absolute floor of the SVD rank decisions.
+PROJECT_TOL = 1e-24
+MAX_ITERS = 5000         # steps before the starts still above PROJECT_TOL are dropped
 
 
 def _curvature(group, words_idx, g):
@@ -209,19 +207,18 @@ def _curvature(group, words_idx, g):
     return np.sum(r * r, axis=-1), cut, r, J
 
 
-def _descend(group, words_idx, g, tol, max_iters, rng, trace=None):
+def _descend(group, words_idx, g, rng, trace=None):
     """Batched damped Gauss-Newton projection; returns (g, residual).
 
     Each sample takes the minimum-norm Levenberg-Marquardt step
     xi = -J^T (J J^T + lam I)^-1 log H and moves g <- exp(xi) g.  The step is
     accepted per sample only if it lowers the residual without putting a
     holonomy on the cut locus; lam shrinks on accept and grows on reject, so
-    the per-sample residual never increases.  Once every sample is under tol,
-    one more step polishes the samples it helps, so that rank decisions at
-    the limit point do not sit on the SVD noise floor; samples stalled at a
-    non-flat critical point do not hold that step back.  Starts on the cut
-    locus are jittered up to CUT_RETRIES times.  When trace is a list, the
-    residual vector is appended after every iteration.
+    the per-sample residual never increases.  Once every sample is under
+    PROJECT_TOL, one more step polishes the samples it helps, so that rank
+    decisions at the limit point do not sit on the SVD noise floor; samples
+    stalled at a non-flat critical point do not hold that step back.  Starts
+    on the cut locus are jittered up to CUT_RETRIES times.
     """
     n, E = g.shape[:2]
     res, cut, r, J = _curvature(group, words_idx, g)
@@ -237,8 +234,8 @@ def _descend(group, words_idx, g, tol, max_iters, rng, trace=None):
     eye = np.eye(r.shape[-1])
     lam = np.full(n, LM_LAMBDA0)
     stalled = np.zeros(n, dtype=bool)
-    for _ in range(max_iters):
-        polish = np.all((res <= tol) | stalled)
+    for _ in range(MAX_ITERS):
+        polish = np.all((res <= PROJECT_TOL) | stalled)
         Jt = np.swapaxes(J, -1, -2)
         y = np.linalg.solve(J @ Jt + lam[:, None, None] * eye, r[..., None])
         xi = -(Jt @ y).reshape(n, E, group.dim_g)
@@ -260,11 +257,13 @@ def _descend(group, words_idx, g, tol, max_iters, rng, trace=None):
     return g, res
 
 
-def find_flat_batch(foam, group, rng, n, max_iters=5000, tol=FLAT_TOL,
-                    on_failure="raise", trace=None):
+def find_flat_batch(foam, group, rng, n, trace=None):
     """n independent projections onto the flat set, advanced together for speed.
 
-    on_failure: 'raise' aborts on any non-converged run, 'drop' discards them.
+    Each of the n Haar starts is projected to a residual of PROJECT_TOL within
+    MAX_ITERS steps; the starts that do not get there are dropped, so fewer
+    than n samples may come back.  When trace is a list, the residual vector
+    is appended after every step.
     """
     group = get_group(group)
     if not foam.is_reduced():
@@ -275,12 +274,8 @@ def find_flat_batch(foam, group, rng, n, max_iters=5000, tol=FLAT_TOL,
     if foam.E == 0 or foam.F == 0:
         res = face_residual(group, _face_walk(group, words_idx, g)[0])
         return [FlatSample(Connection(foam, group, g[i]), float(res[i])) for i in range(n)]
-    g, res = _descend(group, words_idx, g, tol, max_iters, rng, trace=trace)
-    ok = res <= tol
-    if not np.all(ok) and on_failure == "raise":
-        raise DescentError(
-            "flat projection failed for %d/%d starts (worst residual %.3e)"
-            % (int(np.sum(~ok)), n, float(res.max())), residual=float(res.max()))
+    g, res = _descend(group, words_idx, g, rng, trace=trace)
+    ok = res <= PROJECT_TOL
     return [FlatSample(Connection(foam, group, g[i]), float(res[i]))
             for i in range(n) if ok[i]]
 
@@ -299,15 +294,18 @@ def unit_vectors(v):
 PSI_RANGE = (0.15, np.pi - 0.15)    # class angles drawn by the analytic families
 
 
-def analytic_flat_batch(kind, rng, signs, families=None, group="su2", psi_a=None,
-                        psi_b=None, psi_h=None, axis=None):
+def analytic_flat_batch(kind, rng, signs, families=None, psi_a=None, psi_b=None,
+                        psi_h=None, axis=None):
     """Exact SU(2) flat samples on the builtin torus or appendix foam, one per
     entry of signs (each +1 or -1), built together.
 
     torus: a = exp(psi_a n), b = exp(sign psi_b n) about a common axis n.
     appendix: families[i] is 'irred' (a, b Haar random, h = sign * identity)
     or 'red' (a, b, h on a common axis n, with class angles psi_a, psi_b,
-    psi_h; the sign is not used).  An axis or angle left as None is drawn.
+    psi_h; sign +1 only).  An axis or angle left as None is drawn.  Before
+    any draw, ValueError names each parameter that no sample uses: psi_h and
+    families on the torus, the angles and axis when no sample is 'red', and
+    a sign -1 on a 'red' sample.
 
     A first loop draws each sample's numbers in turn, in this order: the torus
     and 'red' draw the axis (three normals) and then their angles, 'irred'
@@ -318,7 +316,10 @@ def analytic_flat_batch(kind, rng, signs, families=None, group="su2", psi_a=None
     (analytic_flat) and a batch of n draw and compute the same numbers.
     """
     n = len(signs)
+    if any(sgn not in (1, -1) for sgn in signs):
+        raise ValueError("each sign must be +1 or -1, got %r" % (list(signs),))
     if kind == "torus":
+        _refuse_unused("torus", psi_h=psi_h, families=families)
         chart = np.ones(n, dtype=bool)      # samples on a common-axis chart
     elif kind != "appendix":
         raise ValueError("no analytic flat family for %r" % kind)
@@ -326,11 +327,11 @@ def analytic_flat_batch(kind, rng, signs, families=None, group="su2", psi_a=None
         raise ValueError("appendix family must be 'irred' or 'red'")
     else:
         chart = np.array([fam == "red" for fam in families], dtype=bool)
-    if any(sgn not in (1, -1) for sgn in signs):
-        raise ValueError("each sign must be +1 or -1, got %r" % (list(signs),))
-    group = get_group(group)
-    if group.name != "su2":
-        raise ValueError("analytic %s families are SU(2)-specific" % kind)
+        if not chart.any():
+            _refuse_unused("appendix 'irred'", psi_a=psi_a, psi_b=psi_b, psi_h=psi_h,
+                           axis=axis)
+        if any(sgn != 1 for sgn, red in zip(signs, chart) if red):
+            _refuse_unused("appendix 'red'", sign=-1)
     foam = _builtin_foam(kind)
     signs = np.asarray(signs, dtype=float)
     fixed = (psi_a, psi_b, psi_h)[:foam.E]
@@ -342,53 +343,41 @@ def analytic_flat_batch(kind, rng, signs, families=None, group="su2", psi_a=None
             v[i] = rng.standard_normal(3) if axis is None else axis
             psi[i] = [rng.uniform(*PSI_RANGE) if p is None else float(p) for p in fixed]
         else:
-            g[i, :2] = group.haar(rng, (2,))
+            g[i, :2] = SU2.haar(rng, (2,))
     if kind == "torus":
         psi[:, 1] *= signs
     else:
-        g[~chart, 2] = group.identity() * signs[~chart, None]
-    g[chart] = group.exp(psi[chart][..., None] * unit_vectors(v[chart])[:, None, :])
-    H = _face_walk(group, [foam.word_indices(f) for f in range(foam.F)], g)[0]
-    res = face_residual(group, H)
+        g[~chart, 2] = SU2.identity() * signs[~chart, None]
+    g[chart] = SU2.exp(psi[chart][..., None] * unit_vectors(v[chart])[:, None, :])
+    H = _face_walk(SU2, [foam.word_indices(f) for f in range(foam.F)], g)[0]
+    res = face_residual(SU2, H)
     tags = (["torus:+" if sgn > 0 else "torus:-" for sgn in signs] if kind == "torus"
             else families)
-    return [FlatSample(Connection(foam, group, g[i]), float(res[i]), component_tag=tags[i])
+    return [FlatSample(Connection(foam, SU2, g[i]), float(res[i]), component_tag=tags[i])
             for i in range(n)]
 
 
-def analytic_flat(foam_name, rng, group="su2", psi_a=None, psi_b=None, psi_h=None,
-                  axis=None, sign=+1, family=None):
-    """One exact flat sample of an analytic family of a builtin foam.
+def analytic_flat(foam, rng, sign=+1, family=None, psi_a=None, psi_b=None, psi_h=None,
+                  axis=None):
+    """One exact SU(2) flat sample of an analytic family: analytic_flat_batch
+    with one sample.
 
-    torus (genus:1): a = exp(psi_a n), b = exp(+-psi_b n) about a common axis
-    n; the sign selects the branch.  appendix: family 'irred' has h = +-1
-    with (a, b) Haar random, family 'red' puts a, b, h on a common axis.
-    These two are SU(2)-only and are analytic_flat_batch with one sample.
-    sphere (genus:0): any start is flat.  Any other foam, or the torus or
-    appendix over U(1), is refused with ValueError: find_flat_batch
-    projects.  So is a parameter the family does not use (the sphere uses
-    none of them), and a sign other than +1 or -1.
+    foam is a Foam or a builtin key, recognised by structure
+    (foam.match_builtin).  The torus (genus:1) has a = exp(psi_a n),
+    b = exp(sign psi_b n) about a common axis n; the appendix foam has family
+    'irred' (the default: h = sign * identity, a and b Haar random) or 'red'
+    (a, b, h on a common axis).  Any other foam is refused with ValueError
+    (find_flat_batch projects), and so is a parameter the family does not use.
     """
-    key = foam_name.lower()
-    off = None if sign == +1 else sign      # the sign, if set off its default
-    if key in ("torus", "genus:1"):
-        _refuse_unused("torus", psi_h=psi_h, family=family)
-        return analytic_flat_batch("torus", rng, [sign], group=group, psi_a=psi_a,
-                                   psi_b=psi_b, axis=axis)[0]
-    if key == "appendix":
-        if family == "red":
-            _refuse_unused("appendix 'red'", sign=off)
-        elif family in (None, "irred"):
-            _refuse_unused("appendix 'irred'", psi_a=psi_a, psi_b=psi_b, psi_h=psi_h,
-                           axis=axis)
-        return analytic_flat_batch("appendix", rng, [sign], [family or "irred"], group,
-                                   psi_a=psi_a, psi_b=psi_b, psi_h=psi_h, axis=axis)[0]
-    if key in ("sphere", "genus:0"):
-        _refuse_unused("sphere", psi_a=psi_a, psi_b=psi_b, psi_h=psi_h, axis=axis,
-                       sign=off, family=family)
-        conn = Connection.haar(_builtin_foam("sphere"), group, rng)
-        return FlatSample(conn, 0.0, component_tag="sphere")
-    raise ValueError("no analytic flat family for %r" % foam_name)
+    if isinstance(foam, str):
+        foam = _builtin_foam(foam)
+    kind = match_builtin(foam, ("torus", "appendix"))
+    if kind is None:
+        raise ValueError("no analytic flat family for foam %r" % foam.name)
+    if kind == "appendix" and family is None:
+        family = "irred"
+    return analytic_flat_batch(kind, rng, [sign], None if family is None else [family],
+                               psi_a=psi_a, psi_b=psi_b, psi_h=psi_h, axis=axis)[0]
 
 
 def _refuse_unused(label, **params):

@@ -375,8 +375,7 @@ def fit_toy(taus=None, values=None, box_halfwidth=1.0):
     s = np.log(1.0 / taus)
 
     Xp = np.column_stack([x, np.ones_like(x)])
-    cp, *_ = np.linalg.lstsq(Xp, y, rcond=None)
-    rp = y - Xp @ cp
+    cp, rp = _wls(Xp, y, np.ones_like(y))
     rms_p = float(np.sqrt(np.mean(rp ** 2)))
 
     from scipy.optimize import least_squares

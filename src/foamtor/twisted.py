@@ -191,11 +191,8 @@ def sample_flat(foam_or_name, group, n_samples, rng):
     and the appendix foam cycles irred +, red, irred -, red, so every
     component is sampled.  analytic_flat_batch builds the whole set at once
     from one draw loop, with each sample's draws in the order and bits of
-    building it alone.
-
-    Projection targets a much deeper residual than the 1e-10 flatness gate so
-    that delta1 . delta0, whose entries scale like sqrt(residual), vanishes
-    to 1e-10 as well."""
+    building it alone.  find_flat_batch projects every other foam to its
+    PROJECT_TOL and drops the starts that do not get there."""
     group = get_group(group)
     if isinstance(foam_or_name, str):
         from .foam import builtin
@@ -208,13 +205,12 @@ def sample_flat(foam_or_name, group, n_samples, rng):
     kind = match_builtin(foam, ("torus", "appendix")) if group.name == "su2" else None
     index = range(n_samples)
     if kind == "torus":
-        samples = analytic_flat_batch(kind, rng, [(+1, -1)[i % 2] for i in index],
-                                      group=group)
+        samples = analytic_flat_batch(kind, rng, [(+1, -1)[i % 2] for i in index])
     elif kind == "appendix":
-        samples = analytic_flat_batch(kind, rng, [(+1, -1)[i // 2 % 2] for i in index],
-                                      [("irred", "red")[i % 2] for i in index], group)
+        samples = analytic_flat_batch(kind, rng, [(+1, +1, -1, +1)[i % 4] for i in index],
+                                      [("irred", "red")[i % 2] for i in index])
     else:
-        samples = find_flat_batch(foam, group, rng, n_samples, tol=1e-24, on_failure="drop")
+        samples = find_flat_batch(foam, group, rng, n_samples)
     return foam, samples
 
 

@@ -172,6 +172,22 @@ def test_grids_without_enough_points_are_refused(capsys):
     assert code == 0 and len(json.loads(out)["points"]) == 3
 
 
+def test_a_malformed_tau_grid_is_refused_naming_the_option(capsys):
+    # these failed with math domain error, unpacking, int() or NaN-conversion
+    # messages that did not name the option
+    for grid in ("0:1:3", "0.1:1", "1e-3:1e-1:x", ":2.5", "1e-3:inf:3", "nan:1:3",
+                 "-1:1:3", "0.1:1:3:4", "0.1:1:2.5"):
+        for argv in (["ztau", "--foam", "torus", "--tau-grid=" + grid],
+                     ["toy", "--tau-grid=" + grid]):
+            code = main(argv)
+            captured = capsys.readouterr()
+            assert code == 2 and captured.out == "", argv
+            assert captured.err.startswith("error: --tau-grid"), (argv, captured.err)
+    code, out = run(capsys, "ztau", "--foam", "torus", "--tau-grid", "0.3:0.3:1")
+    points = json.loads(out)["points"]
+    assert code == 0 and len(points) == 1 and abs(points[0]["tau"] - 0.3) < 1e-15
+
+
 def test_toy_refuses_a_box_that_is_not_positive_and_finite(capsys):
     for box in ("0", "-1", "nan", "inf"):
         code = main(["toy", "--box", box, "--tau-grid", "1e-3:1e-2:3"])

@@ -7,7 +7,7 @@ import pytest
 from foamtor.connection import (Connection, analytic_flat, analytic_flat_batch,
                                 find_flat_batch, flatness_residual, gauge_act,
                                 holonomy, holonomy_word, word_jacobian)
-from foamtor.foam import builtin, parse_foam
+from foamtor.foam import builtin, parse_foam, serialize_foam
 from foamtor.groups import get_group, su2_mul
 from foamtor.twisted import cohomology
 
@@ -108,16 +108,17 @@ def test_gauge_invariance_of_residual():
 
 def test_find_flat_genus2_success_rate():
     rng = np.random.default_rng(7)
-    samples = find_flat_batch(builtin("genus:2"), "su2", rng, 100, on_failure="drop")
+    samples = find_flat_batch(builtin("genus:2"), "su2", rng, 100)
     assert len(samples) >= 95
     assert all(s.residual < 1e-10 for s in samples)
 
 
 def test_find_flat_torus_lands_on_commuting_pairs():
-    # distance([a,b]) < 1e-7 needs residual = distance^2 below 1e-14
+    # distance([a,b]) < 1e-7 needs residual = distance^2 below 1e-14, which
+    # the projection tolerance 1e-24 is
     rng = np.random.default_rng(8)
     t = builtin("torus")
-    samples = find_flat_batch(t, "su2", rng, 20, tol=1e-14, on_failure="drop")
+    samples = find_flat_batch(t, "su2", rng, 20)
     assert len(samples) >= 18
     for s in samples:
         assert SU2.distance(holonomy(s.connection, 0)) < 1e-7
@@ -126,8 +127,7 @@ def test_find_flat_torus_lands_on_commuting_pairs():
 def test_descent_is_monotone_per_sample():
     rng = np.random.default_rng(16)
     trace = []
-    find_flat_batch(builtin("genus:2"), "su2", rng, 8, tol=1e-24,
-                    on_failure="drop", trace=trace)
+    find_flat_batch(builtin("genus:2"), "su2", rng, 8, trace=trace)
     res = np.stack(trace)
     assert np.all(np.diff(res, axis=0) <= 0.0)
 
@@ -138,10 +138,9 @@ def test_dunce_hat_projection_reaches_clean_flat_points():
     # left delta0 on the SVD noise floor (b1 < 0 with rank warnings)
     foam = builtin("dunce_hat")
     trace = []
-    samples = find_flat_batch(foam, "su2", np.random.default_rng(0), 40, tol=1e-24,
-                              on_failure="raise", trace=trace)
+    samples = find_flat_batch(foam, "su2", np.random.default_rng(0), 40, trace=trace)
     assert len(samples) == 40
-    # once all samples are under tol, one more step polishes them
+    # once all samples are under the tolerance, one more step polishes them
     assert np.all(trace[-2] <= 1e-24) and np.all(trace[-1] < trace[-2])
     for s in samples:
         rep = cohomology(s)
@@ -151,13 +150,12 @@ def test_dunce_hat_projection_reaches_clean_flat_points():
 def test_projection_stops_at_nonflat_critical_points():
     # <e | e^2, e^-1, e^6>: J J^T is singular (the faces constrain one edge
     # three times) and the residual has non-flat local minima where 6 psi
-    # wraps; starts caught there must end the run instead of using max_iters
+    # wraps; starts caught there must end the run instead of using MAX_ITERS
     foam = parse_foam("edges: e\nface: e e\nface: e^-1\nface: e e e e e e\n")
     trace = []
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        samples = find_flat_batch(foam, "su2", np.random.default_rng(1), 10, tol=1e-24,
-                                  on_failure="drop", trace=trace)
+        samples = find_flat_batch(foam, "su2", np.random.default_rng(1), 10, trace=trace)
     assert len(trace) < 100
     assert len(samples) < 10 and all(s.residual <= 1e-24 for s in samples)
 
@@ -239,11 +237,10 @@ def test_analytic_flat_rejects_unknown():
         analytic_flat("dunce_hat", rng)
     with pytest.raises(ValueError):
         analytic_flat("appendix", rng, family="nope")
-    # genus g >= 2 and the U(1) torus have no analytic family: find_flat_batch projects
-    with pytest.raises(ValueError, match="no analytic flat family"):
-        analytic_flat("genus:2", rng)
-    with pytest.raises(ValueError, match="SU\\(2\\)"):
-        analytic_flat("torus", rng, group="u1")
+    # the sphere and genus g >= 2 have no analytic family: find_flat_batch projects
+    for name in ("sphere", "genus:0", "genus:2"):
+        with pytest.raises(ValueError, match="no analytic flat family"):
+            analytic_flat(name, rng)
 
 
 def test_analytic_flat_refuses_parameters_its_family_does_not_use():
@@ -255,16 +252,45 @@ def test_analytic_flat_refuses_parameters_its_family_does_not_use():
              ("appendix", {"family": "irred", "psi_b": 0.4}, "psi_b"),
              ("appendix", {"family": "irred", "psi_h": 0.4}, "psi_h"),
              ("appendix", {"family": "irred", "axis": [0, 0, 1]}, "axis"),
-             ("appendix", {"family": "red", "sign": -1}, "sign"),
-             ("sphere", {"psi_a": 0.4}, "psi_a"),
-             ("sphere", {"axis": [0, 0, 1]}, "axis"),
-             ("sphere", {"sign": -1}, "sign"),
-             ("genus:0", {"family": "red"}, "family")]
+             ("appendix", {"family": "red", "sign": -1}, "sign")]
     for name, kwargs, param in cases:
         state = rng.bit_generator.state
         with pytest.raises(ValueError, match=param):
             analytic_flat(name, rng, **kwargs)
         assert rng.bit_generator.state == state
+
+
+def test_analytic_flat_batch_refuses_parameters_no_sample_uses():
+    # these were ignored in silence: the torus reads no psi_h or families, an
+    # all-'irred' appendix batch no angle or axis, and a 'red' sample no sign
+    rng = np.random.default_rng(16)
+    cases = [("torus", [1, -1], None, {"psi_h": 0.3}, "psi_h"),
+             ("torus", [1, -1], ["red", "red"], {}, "families"),
+             ("appendix", [1, -1], ["irred", "irred"], {"psi_a": 0.4}, "psi_a"),
+             ("appendix", [1], ["irred"], {"psi_b": 0.4, "psi_h": 0.2}, "psi_b, psi_h"),
+             ("appendix", [1, 1], ["irred", "irred"], {"axis": [0, 0, 1]}, "axis"),
+             ("appendix", [1, -1], ["irred", "red"], {}, "sign"),
+             ("appendix", [-1], ["red"], {"psi_a": 0.4}, "sign")]
+    for kind, signs, families, kwargs, param in cases:
+        state = rng.bit_generator.state
+        with pytest.raises(ValueError, match=param):
+            analytic_flat_batch(kind, rng, signs, families, **kwargs)
+        assert rng.bit_generator.state == state
+    # once one sample is 'red', the angles and axis are its own
+    mixed = analytic_flat_batch("appendix", rng, [1, 1], ["irred", "red"], psi_a=0.4,
+                                axis=[0, 0, 1])
+    assert mixed[1].residual < 1e-15
+
+
+def test_analytic_flat_recognises_a_foam_by_structure():
+    # a renamed copy of a builtin takes the builtin's family with the same
+    # bits; a Foam argument used to fail on foam_name.lower()
+    for name, kwargs in (("torus", {}), ("appendix", {"family": "red"})):
+        mine = parse_foam(serialize_foam(builtin(name)), name="mine")
+        a = analytic_flat(mine, np.random.default_rng(3), **kwargs)
+        b = analytic_flat(name, np.random.default_rng(3), **kwargs)
+        assert a.connection.data.tobytes() == b.connection.data.tobytes()
+        assert a.residual == b.residual and a.component_tag == b.component_tag
 
 
 def test_holonomy_word_refuses_an_edge_the_foam_lacks():

@@ -15,7 +15,7 @@ from foamtor.torsion import (SingularSampleError, TorsionValue, gaussian_volume,
 def test_basis_independence_genus2():
     rng = np.random.default_rng(0)
     foam = builtin("genus:2")
-    s = find_flat_batch(foam, "su2", rng, 1, tol=1e-24, on_failure="drop")[0]
+    s = find_flat_batch(foam, "su2", rng, 1)[0]
     vals = np.array([torsion_at(s, rng).magnitude for _ in range(20)])
     spread = (vals.max() - vals.min()) / vals.mean()
     assert spread < 1e-8
@@ -26,7 +26,7 @@ def test_matches_singular_value_route():
     for name in ("torus", "genus:2", "appendix"):
         foam = builtin(name)
         s = (analytic_flat(name, rng) if name != "genus:2"
-             else find_flat_batch(foam, "su2", rng, 1, tol=1e-24, on_failure="drop")[0])
+             else find_flat_batch(foam, "su2", rng, 1)[0])
         t = torsion_at(s, rng)
         ref = singular_value_torsion(s)
         assert abs(t.magnitude - ref) < 1e-10 * ref
@@ -48,7 +48,7 @@ def test_gauge_invariance_of_magnitude():
     for name in ("torus", "genus:2"):
         foam = builtin(name)
         s = (analytic_flat(name, rng) if name != "genus:2"
-             else find_flat_batch(foam, "su2", rng, 1, tol=1e-24, on_failure="drop")[0])
+             else find_flat_batch(foam, "su2", rng, 1)[0])
         base = torsion_at(s, rng).magnitude
         for _ in range(5):
             h = SU2.haar(rng)
@@ -75,7 +75,7 @@ def test_genus2_torsion_is_constant_one():
     # (for genus 3 it varies over moduli, so no analogous pin exists there)
     rng = np.random.default_rng(21)
     foam = builtin("genus:2")
-    for s in find_flat_batch(foam, "su2", rng, 5, tol=1e-24, on_failure="drop"):
+    for s in find_flat_batch(foam, "su2", rng, 5):
         assert abs(torsion_at(s, rng).magnitude - 1.0) < 1e-8
 
 
@@ -103,7 +103,7 @@ def test_appendix_torsion_closed_forms():
 
 def test_sphere_torsion_is_one():
     rng = np.random.default_rng(5)
-    s = analytic_flat("sphere", rng)
+    s = find_flat_batch(builtin("sphere"), "su2", rng, 1)[0]
     t = torsion_at(s, rng)
     assert abs(t.magnitude - 1.0) < 1e-12
 

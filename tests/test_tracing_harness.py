@@ -4,6 +4,7 @@ The harness module is only imported, never changed or run."""
 
 import importlib
 import importlib.util
+import inspect
 import pathlib
 
 import pytest
@@ -25,3 +26,9 @@ def test_traced_group_methods_resolve():
     for cls in (SU2, U1):
         for method in tracing.GROUP_METHODS:
             assert isinstance(cls.__dict__.get(method), staticmethod), (cls, method)
+
+
+def test_descent_counter_binds_find_flat_batch_parameters():
+    # _count_descent binds n and trace by name; losing either breaks --trace 1
+    from foamtor.connection import find_flat_batch
+    assert {"n", "trace"} <= set(inspect.signature(find_flat_batch).parameters)

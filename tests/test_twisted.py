@@ -64,7 +64,7 @@ def test_delta1_directional_derivative_oracle():
     for name in ("torus", "genus:2", "appendix"):
         foam = builtin(name)
         s = (analytic_flat(name, rng) if name != "genus:2"
-             else find_flat_batch(foam, "su2", rng, 1, tol=1e-24, on_failure="drop")[0])
+             else find_flat_batch(foam, "su2", rng, 1)[0])
         conn = s.connection
         d1 = build_delta1(conn)
         base = np.concatenate([SU2.log(holonomy(conn, f)) for f in range(foam.F)])
@@ -91,8 +91,7 @@ def test_delta1_delta0_vanishes_at_flat_samples():
             samples = [analytic_flat("appendix", rng, family=fam)
                        for fam in ("irred", "red") for _ in range(50)]
         else:
-            samples = find_flat_batch(foam, "su2", rng, 100, tol=1e-24,
-                                      on_failure="drop")
+            samples = find_flat_batch(foam, "su2", rng, 100)
         assert len(samples) >= 95
         for s in samples:
             comp = build_delta1(s.connection) @ build_delta0(s.connection)
@@ -118,7 +117,7 @@ def test_cohomology_torus_central():
 
 def test_cohomology_genus2_generic():
     rng = np.random.default_rng(5)
-    samples = find_flat_batch(builtin("genus:2"), "su2", rng, 10, on_failure="drop")
+    samples = find_flat_batch(builtin("genus:2"), "su2", rng, 10)
     for s in samples:
         rep = cohomology(s)
         assert rep.betti == (0, 6, 0)
@@ -151,7 +150,7 @@ def test_gauge_invariance_of_betti():
     for name in ("torus", "genus:2", "appendix"):
         foam = builtin(name)
         s = (analytic_flat(name, rng) if name != "genus:2"
-             else find_flat_batch(foam, "su2", rng, 1, on_failure="drop")[0])
+             else find_flat_batch(foam, "su2", rng, 1)[0])
         rep = cohomology(s)
         for _ in range(5):
             h = SU2.haar(rng)
@@ -164,7 +163,7 @@ def test_face_duplication_raises_b2_by_dimg():
     for name in ("torus", "genus:2", "appendix"):
         foam = builtin(name)
         s = (analytic_flat(name, rng) if name != "genus:2"
-             else find_flat_batch(foam, "su2", rng, 1, tol=1e-24, on_failure="drop")[0])
+             else find_flat_batch(foam, "su2", rng, 1)[0])
         dup = tietze2_add_face(foam, str(foam.faces[0]))
         conn2 = Connection(dup, s.connection.group, s.connection.data)
         rep = cohomology(s)
