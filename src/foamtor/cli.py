@@ -44,7 +44,10 @@ def _tau_grid(source):
     if not (0.0 < lo < math.inf and 0.0 < hi < math.inf and n >= 1):
         raise ValueError("--tau-grid %s: need lo:hi:n with finite positive bounds and "
                          "an integer n of at least 1 point" % source)
-    return np.logspace(math.log10(lo), math.log10(hi), n)
+    grid = np.logspace(math.log10(lo), math.log10(hi), n)
+    # logspace rounds its ends (0.3:0.3:1 gave 0.29999999999999993)
+    grid[0], grid[-1] = lo, hi
+    return grid
 
 
 def _emit(args, payload):
@@ -121,11 +124,13 @@ def cmd_flat(args):
     rng = np.random.default_rng(seed)
     from .twisted import sample_flat
     foam, samples = sample_flat(_load_foam(args.foam), args.group, args.samples, rng)
+    if not samples:
+        raise RuntimeError("no flat connection found within budget")
     payload = {"config": _config_echo(args, seed),
                "foam": foam.name,
                "samples": [s.to_json() for s in samples]}
     _emit(args, payload)
-    return 0 if samples else 1
+    return 0
 
 
 def cmd_ztau(args):

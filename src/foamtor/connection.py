@@ -12,6 +12,13 @@ One walk, _face_walk, multiplies out the face words: its products are the
 holonomies and its prefix products the frames of delta1 (word_jacobian).
 Every holonomy and residual here is read off it (face_residual sums the
 residual); only the fused Monte Carlo word_angle walks faces on its own.
+The walk is laid out component-major: it builds the right-multiplication
+tables (group.right_table) of every edge element and its inverse once, keeps
+the running product as (elem_dim, ...) and multiplies it by one table per
+letter (group.right_mul), and writes the frames into one (L, elem_dim, ...)
+array, L the number of letters.  H (..., F, elem_dim) and the frames
+(..., L, elem_dim) it returns are views of that memory, so delta1 reads the
+frames without stacking them.
 """
 
 from __future__ import annotations
@@ -31,7 +38,9 @@ class Connection:
     """Edge assignment e -> g_e, ordered by the foam's edge list.
 
     data has shape (E, elem_dim); rows follow foam.edge_ids, and conn[e] is
-    edge e's row.
+    edge e's row.  A row that is not a group element (group.is_element: a
+    unit quaternion to ELEMENT_TOL, a finite angle) is refused with
+    ValueError naming its edge.
     """
 
     foam: Foam
@@ -41,6 +50,11 @@ class Connection:
     def __post_init__(self):
         object.__setattr__(self, "group", get_group(self.group))
         arr = np.asarray(self.data, dtype=float).reshape(self.foam.E, self.group.elem_dim)
+        ok = self.group.is_element(arr)
+        if np.count_nonzero(ok) < len(ok):         # ok.all() costs twice as much
+            e = int(np.argmin(ok))
+            raise ValueError("edge %r carries %r, which is not an element of %s"
+                             % (self.foam.edge_ids[e], arr[e].tolist(), self.group.name))
         object.__setattr__(self, "data", arr)
 
     def __getitem__(self, edge_id):
@@ -88,22 +102,30 @@ class FlatSample:
 
 def _face_walk(group, words_idx, g):
     """Face holonomies H (..., F, elem_dim) and, per letter in word order, the
-    prefix product that transports it.  The one place face words are
-    multiplied out (besides the fused Monte Carlo word_angle)."""
+    prefix product that transports it (..., L, elem_dim).  The one place face
+    words are multiplied out (besides the fused Monte Carlo word_angle), laid
+    out component-major as the module docstring describes."""
     batch = g.shape[:-2]
-    H = np.empty(batch + (len(words_idx), group.elem_dim))
-    frames = []
+    # tables (..., E) of every edge element and its inverse; [..., e] is edge e's
+    fwd, back = group.right_table(g), group.right_table(group.inv(g))
+    L = sum(len(word_idx) for word_idx in words_idx)
+    H = np.empty((len(words_idx), group.elem_dim) + batch)
+    frames = np.empty((L, group.elem_dim) + batch)
+    one = group.identity().reshape((group.elem_dim,) + (1,) * len(batch))
+    i = 0
     for f, word_idx in enumerate(words_idx):
-        P = group.identity(batch)
+        P = one
         for e, s in word_idx:
             if s > 0:
-                frames.append(P)
-                P = group.mul(P, g[..., e, :])
+                frames[i] = P
+                P = group.right_mul(P, fwd[..., e])
             else:
-                P = group.mul(P, group.inv(g[..., e, :]))
-                frames.append(P)
-        H[..., f, :] = P
-    return H, frames
+                P = group.right_mul(P, back[..., e])
+                frames[i] = P
+            i += 1
+        H[f] = P
+    axes = tuple(range(2, H.ndim)) + (0, 1)     # (X, elem_dim, ...) -> (..., X, elem_dim)
+    return H.transpose(axes), frames.transpose(axes)
 
 
 def face_residual(group, H):
@@ -132,8 +154,8 @@ def word_jacobian(group, words_idx, g):
     E, d = g.shape[-2], group.dim_g
     F = len(words_idx)
     J = np.zeros(batch + (F, d, E, d))
-    if frames:
-        B = group.adjoint(np.stack(frames, axis=-2))
+    if frames.shape[-2]:
+        B = group.adjoint(frames)
         letters = [(f, e, s) for f, word_idx in enumerate(words_idx) for e, s in word_idx]
         for i, (f, e, s) in enumerate(letters):
             if s > 0:

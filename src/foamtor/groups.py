@@ -1,10 +1,14 @@
 """Structure-group arithmetic for SU(2) and U(1).
 
 SU(2) is realized as the unit quaternions q = (w, x, y, z) with the Hamilton
-product.  Lie-algebra vectors live in R^3 (orthonormal basis {i sigma_1,
-i sigma_2, i sigma_3}), the class angle of g = exp(psi n.sigma_vec) is
-psi = arccos(w) in [0, pi], and Ad_g is the rotation by 2 psi about the axis
-of g.  U(1) elements are angles theta in [0, 2 pi) with Lie algebra R.
+product, which has one formula: p q = sum_i p_i R[i] over the signed
+right-multiplication table R of q (su2_right_table), summed in component
+order and renormalized (su2_right_mul) on a component-major p (4, ...).
+su2_mul broadcasts (..., 4) arrays through it, and U(1) has the same two
+hooks, so a walk over many products builds each table once.  Lie-algebra
+vectors live in R^3 (orthonormal basis {i sigma_1, i sigma_2, i sigma_3}),
+the class angle of g = exp(psi n.sigma_vec) is psi = arccos(w) in [0, pi],
+and Ad_g is the rotation by 2 psi about the axis of g.  U(1) elements are angles theta in [0, 2 pi) with Lie algebra R.
 
 The Haar measure is normalized to total mass 1 throughout, so the heat kernel
 
@@ -34,6 +38,7 @@ import math
 import numpy as np
 
 EPS_LOG = 1e-8          # cut-locus guard for log
+ELEMENT_TOL = 1e-9      # | |q|^2 - 1 | of an SU(2) element; renormalized products: ~1e-16
 HK_TRUNC_C = 12.0       # character series truncated at j_max = ceil(c/sqrt(tau))
 
 
@@ -44,17 +49,49 @@ class CutLocusError(ValueError):
 # ----------------------------------------------------------------------
 # vectorized SU(2) primitives (trailing axis of length 4, batch in front)
 
+def su2_right_table(q):
+    """The right-multiplication table R of q (..., 4): p q = sum_i p_i R[i].
+
+    R has shape (4, 4, ...): row i holds the signed components of q that
+    component i of p multiplies, column j the output component j.  Written
+    out, the Hamilton product (w1, x1, y1, z1)(w2, x2, y2, z2) is
+
+        w = w1 w2 + x1 (-x2) + y1 (-y2) + z1 (-z2)
+        x = w1 x2 + x1 w2    + y1 z2    + z1 (-y2)
+        y = w1 y2 + x1 (-z2) + y1 w2    + z1 x2
+        z = w1 z2 + x1 y2    + y1 (-x2) + z1 w2
+
+    summed in the order w1, x1, y1, z1.  In IEEE arithmetic a - b is
+    a + (-b) and x (-y) is -(x y), signed zeros included, so these are the
+    bits of the textbook formula with its minus signs.
+    """
+    q = np.asarray(q, dtype=float)
+    w, x, y, z = q[..., 0], q[..., 1], q[..., 2], q[..., 3]
+    nx, ny, nz = -x, -y, -z
+    return np.array([[w, x, y, z], [nx, w, nz, y], [ny, z, w, nx], [nz, ny, x, w]])
+
+
+def su2_right_mul(p, R):
+    """p q for a component-major p (4, ...) and the table R of q, renormalized.
+
+    The four partial products are summed in component order and the squared
+    norm left to right, s0 + s1 + s2 + s3, which is how np.linalg.norm sums
+    four components (see su2_haar), so long product chains stay on the unit
+    sphere with the bits of out / np.linalg.norm(out, axis=-1).
+    """
+    t = p[:, None] * R
+    out = t[0] + t[1]
+    out += t[2]
+    out += t[3]
+    s = out * out
+    out /= np.sqrt(s[0] + s[1] + s[2] + s[3])
+    return out
+
+
 def su2_mul(a, b):
-    w1, x1, y1, z1 = a[..., 0], a[..., 1], a[..., 2], a[..., 3]
-    w2, x2, y2, z2 = b[..., 0], b[..., 1], b[..., 2], b[..., 3]
-    out = np.stack([
-        w1 * w2 - x1 * x2 - y1 * y2 - z1 * z2,
-        w1 * x2 + x1 * w2 + y1 * z2 - z1 * y2,
-        w1 * y2 - x1 * z2 + y1 * w2 + z1 * x2,
-        w1 * z2 + x1 * y2 - y1 * x2 + z1 * w2,
-    ], axis=-1)
-    # renormalize to keep long product chains on the unit sphere
-    return out / np.linalg.norm(out, axis=-1, keepdims=True)
+    """The renormalized Hamilton product of a and b (..., 4), broadcast."""
+    a, b = np.broadcast_arrays(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
+    return np.moveaxis(su2_right_mul(np.moveaxis(a, -1, 0), su2_right_table(b)), 0, -1)
 
 
 def su2_inv(a):
@@ -332,6 +369,8 @@ class SU2:
     center_dim = 0     # Lie-algebra dimension of the center
 
     mul = staticmethod(su2_mul)
+    right_table = staticmethod(su2_right_table)
+    right_mul = staticmethod(su2_right_mul)
     inv = staticmethod(su2_inv)
     exp = staticmethod(su2_exp)
     adjoint = staticmethod(su2_adjoint)
@@ -342,6 +381,13 @@ class SU2:
     log = staticmethod(su2_log)
     distance = staticmethod(su2_class_angle)
     character = staticmethod(su2_character)
+
+    @staticmethod
+    def is_element(g):
+        """Per row of g (..., 4): a unit quaternion to ELEMENT_TOL in |q|^2
+        (False for a row with a NaN or an infinity)."""
+        g = np.asarray(g, dtype=float)
+        return np.abs(np.add.reduce(g * g, axis=-1) - 1.0) <= ELEMENT_TOL
 
     @staticmethod
     def casimir(label):
@@ -374,6 +420,16 @@ class U1:
         return u1_wrap(a + b)
 
     @staticmethod
+    def right_table(q):
+        """The angles of q (..., 1) moved component-major (1, ...)."""
+        return np.asarray(q, dtype=float)[None, ..., 0]
+
+    @staticmethod
+    def right_mul(p, R):
+        """p q for component-major angles p (1, ...) and the table R of q."""
+        return u1_wrap(p + R)
+
+    @staticmethod
     def inv(a):
         return u1_wrap(-a)
 
@@ -404,6 +460,11 @@ class U1:
     @staticmethod
     def distance(g):
         return u1_distance(np.asarray(g)[..., 0])
+
+    @staticmethod
+    def is_element(g):
+        """Per row of g (..., 1): a finite angle."""
+        return np.isfinite(np.asarray(g, dtype=float)[..., 0])
 
     @staticmethod
     def word_angle(word_idx, g):

@@ -183,9 +183,12 @@ def test_a_malformed_tau_grid_is_refused_naming_the_option(capsys):
             captured = capsys.readouterr()
             assert code == 2 and captured.out == "", argv
             assert captured.err.startswith("error: --tau-grid"), (argv, captured.err)
-    code, out = run(capsys, "ztau", "--foam", "torus", "--tau-grid", "0.3:0.3:1")
-    points = json.loads(out)["points"]
-    assert code == 0 and len(points) == 1 and abs(points[0]["tau"] - 0.3) < 1e-15
+    # a grid ends on the values typed: logspace gave 0.29999999999999993
+    for grid, n in (("0.3:0.3:1", 1), ("0.3:1:4", 4)):
+        code, out = run(capsys, "ztau", "--foam", "torus", "--tau-grid", grid)
+        points = json.loads(out)["points"]
+        assert code == 0 and len(points) == n, grid
+        assert points[0]["tau"] == 0.3 and points[-1]["tau"] == float(grid.split(":")[1]), grid
 
 
 def test_toy_refuses_a_box_that_is_not_positive_and_finite(capsys):
@@ -256,6 +259,16 @@ def test_no_flat_connection_found_is_an_error(tmp_path, capsys):
         err = capsys.readouterr().err
         assert code == 2, command
         assert err.startswith("error: ") and "no flat connection" in err, command
+
+
+def test_flat_refuses_a_foam_without_a_flat_connection_like_analyze(tmp_path, capsys):
+    # flat wrote the empty sample list and exited 1, with nothing on stderr
+    path = tmp_path / "stalls.foam"
+    path.write_text("edges: e\nface: e e\nface: e^-1\nface: e e e e e e\n")
+    code = main(["flat", "--foam", str(path), "--samples", "2", "--seed", "0"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == "error: no flat connection found within budget\n"
 
 
 TORUS_FILE = "edges: a1 b1\nface: a1 b1 a1^-1 b1^-1\n"

@@ -333,3 +333,19 @@ def test_analytic_flat_refuses_a_sign_other_than_plus_or_minus_one():
         with pytest.raises(ValueError, match="sign"):
             analytic_flat_batch("appendix", rng, [1, sign], ["red", "irred"])
     assert rng.bit_generator.state == state
+
+
+def test_connection_refuses_rows_that_are_not_group_elements():
+    # 0.5 * identity is no unit quaternion and a NaN angle no U(1) element;
+    # both passed as connections and gave holonomies off the group
+    torus = builtin("torus")
+    with pytest.raises(ValueError, match="edge 'a1'"):
+        Connection(torus, "su2", 0.5 * SU2.identity((2,)))
+    bad = np.array([[0.3], [np.nan]])
+    with pytest.raises(ValueError, match="edge 'b1'"):
+        Connection(torus, "u1", bad)
+    with pytest.raises(ValueError, match="edge 'b1'"):
+        Connection(torus, "su2", np.array([[1.0, 0.0, 0.0, 0.0], [np.inf, 0.0, 0.0, 0.0]]))
+    # rows within rounding of the unit sphere pass
+    near = SU2.identity((2,)) * (1.0 + 1e-12)
+    assert Connection(torus, "su2", near).data.shape == (2, 4)
