@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .foam import Foam, builtin as _builtin_foam, match_builtin
+from .foam import Foam, builtin as _builtin_foam, match_builtin, reduce_foam
 from .groups import EPS_LOG, SU2, CutLocusError, get_group
 
 FLAT_TOL = 1e-10
@@ -173,7 +173,7 @@ def connection_of(sample):
 def holonomy(conn, f):
     """Holonomy of face f of conn.foam: ordered product of g_e^{+-1} along
     the face word (raw element array)."""
-    return _face_walk(conn.group, [conn.foam.word_indices(f)], conn.data)[0][0]
+    return _face_walk(conn.group, [conn.foam.words_idx[f]], conn.data)[0][0]
 
 
 def holonomy_word(conn, word):
@@ -184,8 +184,8 @@ def holonomy_word(conn, word):
 
 def flatness_residual(conn):
     """Sum over faces of distance(H_f, 1)^2; zero iff the connection is flat."""
-    words = [conn.foam.word_indices(f) for f in range(conn.foam.F)]
-    return float(face_residual(conn.group, _face_walk(conn.group, words, conn.data)[0]))
+    H = _face_walk(conn.group, conn.foam.words_idx, conn.data)[0]
+    return float(face_residual(conn.group, H))
 
 
 def gauge_act(h, conn):
@@ -288,15 +288,12 @@ def find_flat_batch(foam, group, rng, n, trace=None):
     is appended after every step.
     """
     group = get_group(group)
-    if not foam.is_reduced():
-        from .foam import reduce_foam
-        foam = reduce_foam(foam)
-    words_idx = [foam.word_indices(f) for f in range(foam.F)]
+    foam = reduce_foam(foam)
     g = group.haar(rng, (n, foam.E))
     if foam.E == 0 or foam.F == 0:
-        res = face_residual(group, _face_walk(group, words_idx, g)[0])
+        res = face_residual(group, _face_walk(group, foam.words_idx, g)[0])
         return [FlatSample(Connection(foam, group, g[i]), float(res[i])) for i in range(n)]
-    g, res = _descend(group, words_idx, g, rng, trace=trace)
+    g, res = _descend(group, foam.words_idx, g, rng, trace=trace)
     ok = res <= PROJECT_TOL
     return [FlatSample(Connection(foam, group, g[i]), float(res[i]))
             for i in range(n) if ok[i]]
@@ -371,7 +368,7 @@ def analytic_flat_batch(kind, rng, signs, families=None, psi_a=None, psi_b=None,
     else:
         g[~chart, 2] = SU2.identity() * signs[~chart, None]
     g[chart] = SU2.exp(psi[chart][..., None] * unit_vectors(v[chart])[:, None, :])
-    H = _face_walk(SU2, [foam.word_indices(f) for f in range(foam.F)], g)[0]
+    H = _face_walk(SU2, foam.words_idx, g)[0]
     res = face_residual(SU2, H)
     tags = (["torus:+" if sgn > 0 else "torus:-" for sgn in signs] if kind == "torus"
             else families)

@@ -67,6 +67,7 @@ class Foam:
     edges is a tuple of (id, source vertex, target vertex); for a reduced foam
     all sources and targets are 0.  Face words are ordered: the holonomy is
     the left-to-right product of edge elements with the written exponents.
+    words_idx[f] is face f's word as (edge index, exponent) pairs, built once.
     """
 
     name: str = "foam"
@@ -74,12 +75,15 @@ class Foam:
     edges: tuple = ()      # ((id, src, dst), ...)
     faces: tuple = ()      # (FaceWord, ...)
     _index: dict = field(default_factory=dict, repr=False, compare=False)
+    words_idx: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "edges", tuple((str(e), int(s), int(d)) for e, s, d in self.edges))
         object.__setattr__(self, "faces", tuple(self.faces))
         object.__setattr__(self, "_index", {e: i for i, (e, _, _) in enumerate(self.edges)})
         self._validate()
+        object.__setattr__(self, "words_idx", tuple(
+            tuple((self._index[l.edge], l.exponent) for l in f.letters) for f in self.faces))
 
     # -- basic counts
     @property
@@ -109,10 +113,6 @@ class Foam:
 
     def is_reduced(self):
         return self.n_vertices == 1
-
-    def word_indices(self, f):
-        """Face word as (edge_index, exponent) pairs."""
-        return [(self._index[l.edge], l.exponent) for l in self.faces[f].letters]
 
     # -- validation
     def _validate(self):
@@ -338,8 +338,8 @@ def cellular_homology(foam):
         d1[d][j] += 1
         d1[s][j] -= 1
     d2 = [[0] * F for _ in range(E)]
-    for fi in range(F):
-        for ei, exp in foam.word_indices(fi):
+    for fi, word_idx in enumerate(foam.words_idx):
+        for ei, exp in word_idx:
             d2[ei][fi] += exp
     r1 = _rank_bareiss(d1)
     r2 = _rank_bareiss(d2)
@@ -442,14 +442,15 @@ def builtin(name, g=None):
     projective_plane.  genus:0 is the sphere (one trivially attached face)."""
     key = name.lower()
     if key.startswith("genus:"):
-        key, g = "genus", int(key.split(":", 1)[1])
+        key, g = "genus", key.split(":", 1)[1]
+        g = int(g) if g.isdecimal() else -1
     if key == "torus":
         key, g = "genus", 1
     if key == "sphere" or (key == "genus" and g == 0):
         return Foam(name="sphere", edges=(), faces=(FaceWord((), "disk"),))
     if key == "genus":
         if g is None or g < 0:
-            raise FoamError("genus needs g >= 0")
+            raise FoamError("builtin %r: genus:g needs an integer g >= 0" % name)
         edges, word = [], ()
         for i in range(1, g + 1):
             a, b = "a%d" % i, "b%d" % i

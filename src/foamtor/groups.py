@@ -14,9 +14,11 @@ The Haar measure is normalized to total mass 1 throughout, so the heat kernel
 
     K_tau(g) = sum_rho dim(rho) exp(-tau C(rho)) chi_rho(g)
 
-integrates to 1 for every tau.  Two independent evaluators are provided: the
-truncated character series, summed by Clenshaw's recurrence, and a
-Poisson-resummed Gaussian image sum over the cut locus.
+integrates to 1 for every tau.  Each group has two independent evaluators,
+which cross-check each other: the truncated character series (SU(2): summed
+by Clenshaw's recurrence) and the Poisson-resummed Gaussian image sum
+(su2_heat_kernel_series / _images, u1_heat_kernel_series / _images).
+heat_kernel has one rule: the image sum for tau <= 1, the series above.
 
 A group is its class: SU2 and U1 are never instantiated, and get_group
 returns the class for its name.  The class functions (character,
@@ -347,19 +349,6 @@ def u1_heat_kernel_images(tau, theta):
 # ----------------------------------------------------------------------
 # uniform group interface used by the foam-analysis modules
 
-def _heat_kernel(series, images, tau, psi, method):
-    """K_tau at class angles psi by one of the group's two independent
-    evaluators: method 'char-series' or 'gaussian-images', or 'auto', which
-    takes the image sum for tau <= 1 and the character series above."""
-    if method == "auto":
-        method = "gaussian-images" if tau <= 1.0 else "char-series"
-    if method == "char-series":
-        return series(tau, psi)
-    if method == "gaussian-images":
-        return images(tau, psi)
-    raise ValueError("unknown heat-kernel method %r" % method)
-
-
 class SU2:
     """SU(2) as unit quaternions; all methods are vectorized over leading axes."""
 
@@ -398,10 +387,11 @@ class SU2:
         return int(round(2 * label)) + 1
 
     @staticmethod
-    def heat_kernel(tau, psi, method="auto"):
-        """K_tau at class angles psi."""
-        return _heat_kernel(su2_heat_kernel_series, su2_heat_kernel_images,
-                            tau, psi, method)
+    def heat_kernel(tau, psi):
+        """K_tau at class angles psi: the image sum for tau <= 1, the series above."""
+        if tau <= 1.0:
+            return su2_heat_kernel_images(tau, psi)
+        return su2_heat_kernel_series(tau, psi)
 
     @staticmethod
     def to_json(data):
@@ -488,10 +478,11 @@ class U1:
         return 1
 
     @staticmethod
-    def heat_kernel(tau, theta, method="auto"):
-        """K_tau at angles theta."""
-        return _heat_kernel(u1_heat_kernel_series, u1_heat_kernel_images,
-                            tau, theta, method)
+    def heat_kernel(tau, theta):
+        """K_tau at angles theta: the image sum for tau <= 1, the series above."""
+        if tau <= 1.0:
+            return u1_heat_kernel_images(tau, theta)
+        return u1_heat_kernel_series(tau, theta)
 
     @staticmethod
     def to_json(data):

@@ -20,6 +20,8 @@ from .foam import reduce_foam
 from .groups import get_group
 
 MC_TAU_FLOOR = 0.02
+MC_CHUNK = 50_000       # z_mc holds at most about this many samples at once
+CSV_COLUMNS = "tau,lambda_tau,value,stderr,method"
 SELECT_FACTOR = 5.0     # the log model is chosen iff it cuts the residual RMS this much
 
 
@@ -42,7 +44,7 @@ class ZEstimate:
 
 
 def zestimates_csv(points):
-    lines = ["tau,lambda_tau,value,stderr,method"]
+    lines = [CSV_COLUMNS]
     for p in points:
         lines.append("%.12g,%.12g,%.15g,%.6g,%s"
                      % (p.tau, float(lambda_tau(p.tau)), p.value, p.stderr, p.method))
@@ -50,10 +52,16 @@ def zestimates_csv(points):
 
 
 def zestimates_from_csv(text):
+    """The points of a zestimates_csv text, whose first non-blank line is the
+    header; ValueError names the first line that is not a row of CSV_COLUMNS."""
+    rows = [(n, line) for n, line in enumerate(text.splitlines(), 1) if line.strip()]
     points = []
-    for line in text.strip().splitlines()[1:]:
-        tau, _, value, stderr, method = line.split(",")
-        points.append(ZEstimate(float(tau), float(value), float(stderr), method))
+    for n, line in rows[1:]:
+        try:
+            tau, _, value, stderr, method = line.split(",")
+            points.append(ZEstimate(float(tau), float(value), float(stderr), method))
+        except ValueError:
+            raise ValueError("line %d: %r is not a row of %s" % (n, line, CSV_COLUMNS)) from None
     return points
 
 
@@ -76,14 +84,15 @@ def _merge_moments(a, b):
     return n, ma + d * (nb / n), qa + qb + d * d * (na * nb / n)
 
 
-def z_mc(foam, group, tau, n_samples, seed, n_workers=1, chunk=50_000):
+def z_mc(foam, group, tau, n_samples, seed, n_workers=1):
     """Sample mean of prod_f K_tau(H_f(A)) over A ~ Haar^E.
 
     The n_samples draws are split into n_workers streams, stream w drawing
     from default_rng([seed, w]); the streams run concurrently on a thread
     pool of at most usable_cpus() threads, and their moments are merged in
-    stream order, so the result depends on the seed and n_workers only.  At most about chunk
-    samples are held in memory at once across all streams.  From the CLI:
+    stream order, so the result depends on the seed and n_workers only.  At
+    most about MC_CHUNK samples are held in memory at once across all streams
+    (a stream's draws do not depend on how it is chunked).  From the CLI:
     ``foamtor ztau --method mc --workers N``.
 
     Below the MC floor the integrand variance swamps 1e7-sample estimates;
@@ -97,7 +106,6 @@ def z_mc(foam, group, tau, n_samples, seed, n_workers=1, chunk=50_000):
         raise ValueError("n_workers=%r: need at least one worker stream" % (n_workers,))
     group = get_group(group)
     foam = reduce_foam(foam)
-    words = [foam.word_indices(f) for f in range(foam.F)]
     if foam.E == 0:
         val = 1.0
         for _ in range(foam.F):
@@ -108,7 +116,7 @@ def z_mc(foam, group, tau, n_samples, seed, n_workers=1, chunk=50_000):
                          "for a standard error" % (n_samples,))
     per = [n_samples // n_workers] * n_workers
     per[-1] += n_samples - sum(per)
-    step = -(-chunk // n_workers)
+    step = -(-MC_CHUNK // n_workers)
 
     def stream(w):
         wrng = np.random.default_rng([seed, w])
@@ -117,7 +125,7 @@ def z_mc(foam, group, tau, n_samples, seed, n_workers=1, chunk=50_000):
             m = min(step, per[w] - start)
             g = group.haar(wrng, (m, foam.E))
             vals = np.ones(m)
-            for word in words:
+            for word in foam.words_idx:
                 vals *= group.heat_kernel(tau, group.word_angle(word, g))
             mean = float(vals.mean())
             vals -= mean
@@ -139,24 +147,6 @@ def z_mc(foam, group, tau, n_samples, seed, n_workers=1, chunk=50_000):
 # ----------------------------------------------------------------------
 # character sums (SU(2), normalized Haar: no volume prefactors)
 
-def _theta_images(tau, power):
-    """sum_{n>=1} n^power e^{-tau n^2/4} by Poisson resummation (power 0 or 2).
-
-    Exact for tau below ~0.1 where the image corrections e^{-4 pi^2 k^2/tau}
-    are at machine precision; used to keep small-tau evaluation O(1).
-    """
-    a = tau / 4.0
-    if power == 0:
-        # sum_{n in Z} = sqrt(pi/a) (1 + 2 e^{-pi^2/a} + ...)
-        img = sum(2.0 * math.exp(-math.pi ** 2 * k * k / a) for k in range(1, 4))
-        return 0.5 * (math.sqrt(math.pi / a) * (1.0 + img) - 1.0)
-    if power == 2:
-        img = sum(2.0 * (1.0 - 2.0 * math.pi ** 2 * k * k / a)
-                  * math.exp(-math.pi ** 2 * k * k / a) for k in range(1, 4))
-        return 0.25 * math.sqrt(math.pi) * a ** -1.5 * (1.0 + img)
-    raise ValueError(power)
-
-
 def _surface_sum_direct(g, tau, nmax):
     total = 0.0
     n0 = 1
@@ -172,8 +162,10 @@ def z_char_surface(g, tau):
 
         Z_tau = sum_{j in N/2} (2j+1)^{2-2g} e^{-tau j(j+1)}.
 
-    tau = 0 is allowed for g >= 2 where the series converges (Euler-Maclaurin
-    tail); for g <= 1 the tau = 0 series diverges.
+    tau > 0 is summed term by term up to n = 2j+1 = 24/sqrt(tau) + 1, where
+    the terms fall below e^-144, at a cost that grows like tau^-1/2.  tau = 0
+    is allowed for g >= 2 where the series converges (Euler-Maclaurin tail);
+    for g <= 1 the tau = 0 series diverges.
     """
     if g < 0:
         raise ValueError("genus must be >= 0")
@@ -190,11 +182,6 @@ def z_char_surface(g, tau):
         return ZEstimate(0.0, head + tail, 0.0, "char-surface",
                          {"g": g, "truncation": N, "tail": "euler-maclaurin"})
     nmax = int(math.ceil(2.0 * 12.0 / math.sqrt(tau))) + 1
-    if g <= 1 and tau < 0.1:
-        ex = math.exp(tau / 4.0)
-        val = ex * _theta_images(tau, 0) if g == 1 else ex * _theta_images(tau, 2)
-        return ZEstimate(tau, val, 0.0, "char-surface",
-                         {"g": g, "evaluator": "poisson-images"})
     val = _surface_sum_direct(g, tau, nmax)
     return ZEstimate(tau, val, 0.0, "char-surface", {"g": g, "truncation": nmax})
 
@@ -270,6 +257,28 @@ def _wls(X, y, w):
     return coef, r
 
 
+def _select(taus, x, y, w, alternative, model="auto"):
+    """The ScalingFit of log Z = y against log Lambda = x on the grid taus.
+
+    Fits the pure power law y ~ omega x + c by least squares with weights w,
+    and the alternative model: alternative(omega), given the pure fit's
+    omega as a start, returns its (omega, log_const, residuals, coeffs).
+    model 'pure' or 'with-log' takes that model; any other takes the
+    alternative iff it cuts the residual RMS by SELECT_FACTOR.  Both RMS
+    values are always reported.
+    """
+    cp, rp = _wls(np.column_stack([x, np.ones_like(x)]), y, w)
+    om, log_const, rl, coeffs = alternative(cp[0])
+    rms_p, rms_l = (float(np.sqrt(np.mean(r ** 2))) for r in (rp, rl))
+    use_log = {"pure": False, "with-log": True}.get(model, rms_p >= SELECT_FACTOR * rms_l)
+    grid = tuple(map(float, taus))
+    if use_log:
+        return ScalingFit(float(om), float(log_const), True, rms_l, rms_p, rms_l,
+                          tuple(map(float, rl)), grid, coeffs)
+    return ScalingFit(float(cp[0]), float(cp[1]), False, rms_p, rms_p, rms_l,
+                      tuple(map(float, rp)), grid, {})
+
+
 def fit_scaling(points, model="auto"):
     """Weighted least squares of log Z against log Lambda_tau.
 
@@ -297,26 +306,12 @@ def fit_scaling(points, model="auto"):
     w = 1.0 / sig
     w = w / w.max()
 
-    Xp = np.column_stack([x, np.ones_like(x)])
-    cp, rp = _wls(Xp, y, w)
-    rms_p = float(np.sqrt(np.mean(rp ** 2)))
-    s = np.log(np.log(1.0 / taus))
-    Xl = np.column_stack([x, s, np.ones_like(x)])
-    cl, rl = _wls(Xl, y, w)
-    rms_l = float(np.sqrt(np.mean(rl ** 2)))
+    def with_log(_):
+        s = np.log(np.log(1.0 / taus))
+        cl, rl = _wls(np.column_stack([x, s, np.ones_like(x)]), y, w)
+        return cl[0], cl[2], rl, {"beta_loglog": float(cl[1])}
 
-    if model == "pure":
-        use_log = False
-    elif model == "with-log":
-        use_log = True
-    else:
-        use_log = rms_p >= SELECT_FACTOR * rms_l
-    if use_log:
-        return ScalingFit(float(cl[0]), float(cl[2]), True, rms_l, rms_p, rms_l,
-                          tuple(map(float, rl)), tuple(map(float, taus)),
-                          {"beta_loglog": float(cl[1])})
-    return ScalingFit(float(cp[0]), float(cp[1]), False, rms_p, rms_p, rms_l,
-                      tuple(map(float, rp)), tuple(map(float, taus)), {})
+    return _select(taus, x, y, w, with_log, model)
 
 
 # ----------------------------------------------------------------------
@@ -374,10 +369,6 @@ def fit_toy(taus=None, values=None, box_halfwidth=1.0):
     y = np.log(vals)
     s = np.log(1.0 / taus)
 
-    Xp = np.column_stack([x, np.ones_like(x)])
-    cp, rp = _wls(Xp, y, np.ones_like(y))
-    rms_p = float(np.sqrt(np.mean(rp ** 2)))
-
     from scipy.optimize import least_squares
 
     def resid(p):
@@ -387,20 +378,15 @@ def fit_toy(taus=None, values=None, box_halfwidth=1.0):
             return np.full_like(y, 1e3)
         return om * x + np.log(inner) - y
 
-    best = None
-    for beta0 in (0.1, 1.0):
-        sol = least_squares(resid, [cp[0], beta0, 1.0], method="lm", max_nfev=20000)
-        if best is None or sol.cost < best.cost:
-            best = sol
-    om, beta, c = best.x
-    rl = resid(best.x)
-    rms_l = float(np.sqrt(np.mean(rl ** 2)))
-    use_log = rms_p >= SELECT_FACTOR * rms_l
-    if use_log:
-        return ScalingFit(float(om), float(math.log(c) if c > 0 else -math.inf), True,
-                          rms_l, rms_p, rms_l, tuple(map(float, rl)),
-                          tuple(map(float, taus)),
-                          {"beta_log": float(beta), "const": float(c),
-                           "law": "lambda^omega * (beta ln(1/tau) + c)"})
-    return ScalingFit(float(cp[0]), float(cp[1]), False, rms_p, rms_p, rms_l,
-                      tuple(map(float, rp)), tuple(map(float, taus)), {})
+    def log_amplitude(omega0):
+        best = None
+        for beta0 in (0.1, 1.0):
+            sol = least_squares(resid, [omega0, beta0, 1.0], method="lm", max_nfev=20000)
+            if best is None or sol.cost < best.cost:
+                best = sol
+        om, beta, c = best.x
+        return om, math.log(c) if c > 0 else -math.inf, resid(best.x), {
+            "beta_log": float(beta), "const": float(c),
+            "law": "lambda^omega * (beta ln(1/tau) + c)"}
+
+    return _select(taus, x, y, np.ones_like(y), log_amplitude)

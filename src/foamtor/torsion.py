@@ -152,7 +152,7 @@ def _gaussian_volumes(foam, group, g, rank):
     """vol(delta1) at every connection of a stack g (n, E, elem_dim) on foam:
     delta1 from one face walk, and the product of its rank largest singular
     values from one stacked SVD."""
-    d1 = word_jacobian(group, [foam.word_indices(f) for f in range(foam.F)], g)[1]
+    d1 = word_jacobian(group, foam.words_idx, g)[1]
     return np.prod(np.linalg.svd(d1, compute_uv=False)[:, :rank], axis=-1)
 
 

@@ -32,7 +32,7 @@ import numpy as np
 
 from .connection import FlatSample, FLAT_TOL, analytic_flat_batch, connection_of, \
     face_residual, find_flat_batch, word_jacobian
-from .foam import _presentation, match_builtin, reduce_foam
+from .foam import _presentation, builtin, match_builtin, reduce_foam
 from .groups import get_group
 
 EPS_RANK = 1e-9      # relative SVD threshold: sigma counts iff sigma > EPS_RANK * sigma_max
@@ -54,8 +54,7 @@ def build_delta0(conn):
 
 def build_delta1(conn):
     """(dim G * F) x (dim G * E) word differential of conn.foam, at any connection."""
-    words = [conn.foam.word_indices(f) for f in range(conn.foam.F)]
-    return word_jacobian(conn.group, words, conn.data)[1]
+    return word_jacobian(conn.group, conn.foam.words_idx, conn.data)[1]
 
 
 def _rank_rule(s):
@@ -136,7 +135,7 @@ def cohomology_batch(samples):
         raise ValueError("foam %r has %d vertices; reduce it first" % (foam.name, foam.V))
     d = group.dim_g
     g = np.stack([c.data for c in conns])
-    H, d1 = word_jacobian(group, [foam.word_indices(f) for f in range(foam.F)], g)
+    H, d1 = word_jacobian(group, foam.words_idx, g)
     res = face_residual(group, H)
     if np.any(res > FLAT_TOL):
         i = int(np.argmax(res > FLAT_TOL))
@@ -192,16 +191,12 @@ def sample_flat(foam_or_name, group, n_samples, rng):
     component is sampled.  analytic_flat_batch builds the whole set at once
     from one draw loop, with each sample's draws in the order and bits of
     building it alone.  find_flat_batch projects every other foam to its
-    PROJECT_TOL and drops the starts that do not get there."""
+    PROJECT_TOL and drops the starts that do not get there; RuntimeError
+    ("no flat connection found within budget") if it drops them all."""
     group = get_group(group)
-    if isinstance(foam_or_name, str):
-        from .foam import builtin
-        foam = builtin(foam_or_name)
-    else:
-        foam = foam_or_name
     if n_samples < 1:
         raise ValueError("the number of samples must be at least 1, got %d" % n_samples)
-    foam = reduce_foam(foam)
+    foam = reduce_foam(builtin(foam_or_name) if isinstance(foam_or_name, str) else foam_or_name)
     kind = match_builtin(foam, ("torus", "appendix")) if group.name == "su2" else None
     index = range(n_samples)
     if kind == "torus":
@@ -211,6 +206,8 @@ def sample_flat(foam_or_name, group, n_samples, rng):
                                       [("irred", "red")[i % 2] for i in index])
     else:
         samples = find_flat_batch(foam, group, rng, n_samples)
+    if not samples:
+        raise RuntimeError("no flat connection found within budget")
     return foam, samples
 
 
@@ -221,8 +218,6 @@ def min_b2(foam_or_name, group, n_samples, rng):
     component tag are flagged possibly singular.
     """
     samples = sample_flat(foam_or_name, group, n_samples, rng)[1]
-    if not samples:
-        raise RuntimeError("no flat connection found within budget")
     hist = Counter()
     strata = Counter()
     warnings = 0

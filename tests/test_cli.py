@@ -338,6 +338,30 @@ def test_fit_with_an_empty_path_is_an_error_not_exit_1(capsys):
     assert captured.err.startswith("error: ") and captured.out == ""
 
 
+def test_fit_refuses_a_malformed_row_naming_its_line(tmp_path, capsys):
+    # a short row and a non-numeric cell were refused with Python's own words
+    # ("not enough values to unpack", "could not convert string to float")
+    header = "tau,lambda_tau,value,stderr,method\n"
+    good = "0.001,8.92,3.1,0,char-surface\n"
+    for row in ("0.01,2.82,1.5\n", "0.01,2.82,x,0,char-surface\n"):
+        path = tmp_path / "bad.csv"
+        path.write_text(header + good + row)
+        code = main(["fit", "--in", str(path)])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == "", row
+        assert captured.err.startswith("error: line 3: "), captured.err
+        assert "tau,lambda_tau,value,stderr,method" in captured.err, captured.err
+
+
+def test_a_genus_that_is_not_an_integer_is_refused_naming_the_key(capsys):
+    # analyze --foam genus:x printed "invalid literal for int() with base 10: 'x'"
+    for key in ("genus:x", "genus:1.5", "genus:-1"):
+        code = main(["analyze", "--foam", key, "--samples", "2", "--seed", "1"])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == "", key
+        assert captured.err.startswith("error: ") and repr(key) in captured.err, captured.err
+
+
 class _ReadRecorder(argparse.Namespace):
     """Namespace that records which attributes a command reads."""
 

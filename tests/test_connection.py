@@ -160,10 +160,6 @@ def test_projection_stops_at_nonflat_critical_points():
     assert len(samples) < 10 and all(s.residual <= 1e-24 for s in samples)
 
 
-def _words(foam):
-    return [foam.word_indices(f) for f in range(foam.F)]
-
-
 @pytest.mark.parametrize("name,group", [
     ("genus:2", "su2"), ("appendix", "su2"), ("dunce_hat", "su2"),
     ("projective_plane", "su2"), ("torus", "u1"), ("projective_plane", "u1")])
@@ -173,7 +169,7 @@ def test_word_jacobian_matches_finite_differences(name, group):
     foam = builtin(name)
     G = get_group(group)
     conn = Connection.haar(foam, G, rng)
-    H, J = word_jacobian(G, _words(foam), conn.data)
+    H, J = word_jacobian(G, foam.words_idx, conn.data)
     for f in range(foam.F):
         assert np.max(np.abs(H[f] - holonomy(conn, f))) == 0.0
     if not (name == "torus" and group == "u1"):     # abelian torus: always flat
@@ -182,7 +178,7 @@ def test_word_jacobian_matches_finite_differences(name, group):
     v /= np.linalg.norm(v)
     for eps in (1e-4, 1e-5, 1e-6):
         moved = G.mul(G.exp(eps * v.reshape(foam.E, G.dim_g)), conn.data)
-        H_eps, _ = word_jacobian(G, _words(foam), moved)
+        H_eps, _ = word_jacobian(G, foam.words_idx, moved)
         fd = G.log(G.mul(H_eps, G.inv(H))).reshape(-1) / eps
         assert np.linalg.norm(fd - J @ v) < 10.0 * eps
 
@@ -192,11 +188,11 @@ def test_word_jacobian_batched_equals_stacked_single_calls():
     for name in ("genus:2", "appendix", "projective_plane"):
         foam = builtin(name)
         g = SU2.haar(rng, (2, 3, foam.E))
-        H, J = word_jacobian(SU2, _words(foam), g)
+        H, J = word_jacobian(SU2, foam.words_idx, g)
         assert H.shape == (2, 3, foam.F, 4)
         assert J.shape == (2, 3, 3 * foam.F, 3 * foam.E)
         for idx in np.ndindex(2, 3):
-            H1, J1 = word_jacobian(SU2, _words(foam), g[idx])
+            H1, J1 = word_jacobian(SU2, foam.words_idx, g[idx])
             assert np.array_equal(H[idx], H1) and np.array_equal(J[idx], J1)
 
 

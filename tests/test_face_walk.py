@@ -75,7 +75,7 @@ def face_walk_table():
     shape, plus {case: digest} for su2_mul."""
     table = {}
     for name, foam in _foams().items():
-        words = [foam.word_indices(f) for f in range(foam.F)]
+        words = foam.words_idx
         for gname in ("su2", "u1"):
             G = get_group(gname)
             cases = {}

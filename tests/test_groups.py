@@ -8,7 +8,8 @@ import pytest
 from foamtor.connection import word_jacobian
 from foamtor.foam import builtin, reduce_foam
 from foamtor.groups import (EPS_LOG, CutLocusError, get_group, su2_haar,
-                            su2_heat_kernel_images, su2_heat_kernel_series, su2_mul)
+                            su2_heat_kernel_images, su2_heat_kernel_series, su2_mul,
+                            u1_heat_kernel_images, u1_heat_kernel_series)
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
@@ -114,8 +115,8 @@ def test_heat_kernel_at_identity_vs_partial_sum():
     tau = 1.0
     direct = sum((2 * j + 1) ** 2 * math.exp(-tau * j * (j + 1))
                  for j in [x / 2.0 for x in range(0, 61)])
-    for method in ("char-series", "gaussian-images"):
-        val = float(SU2G.heat_kernel(tau, SU2G.distance(SU2G.identity((1,))), method)[0])
+    for evaluator in (su2_heat_kernel_series, su2_heat_kernel_images):
+        val = float(evaluator(tau, SU2G.distance(SU2G.identity((1,))))[0])
         assert abs(val - direct) < 1e-10 * direct
 
 
@@ -127,8 +128,8 @@ def test_heat_kernel_methods_agree():
                           np.linspace(0.01, math.pi - 0.01, 200),
                           math.pi - np.array([1e-3, 1e-6, 1e-9, 0.0])])
     for tau in (0.01, 0.03, 0.1, 0.3, 1.0, 1.5, 2.0):
-        a = SU2G.heat_kernel(tau, psi, "char-series")
-        b = SU2G.heat_kernel(tau, psi, "gaussian-images")
+        a = su2_heat_kernel_series(tau, psi)
+        b = su2_heat_kernel_images(tau, psi)
         peak = float(SU2G.heat_kernel(tau, np.zeros(1))[0])
         ok = np.abs(a - b) <= np.maximum(1e-10 * np.maximum(np.abs(a), np.abs(b)),
                                          1e-12 * peak)
@@ -212,12 +213,12 @@ def test_character_reads_angles_when_told():
 def test_heat_kernel_positive():
     psi = np.linspace(0.0, math.pi, 500)
     for tau in (0.01, 0.05, 0.2, 1.0):
-        vals = SU2G.heat_kernel(tau, psi, "gaussian-images")
+        vals = su2_heat_kernel_images(tau, psi)
         assert np.all(vals >= 0.0)
         representable = psi * psi / tau < 600.0  # above double-precision underflow
         assert np.all(vals[representable] > 0.0)
     for tau in (2.0, 5.0):
-        assert np.all(SU2G.heat_kernel(tau, psi, "char-series") > 0.0)
+        assert np.all(su2_heat_kernel_series(tau, psi) > 0.0)
 
 
 def test_heat_kernel_is_class_function():
@@ -278,9 +279,23 @@ def test_u1_basics():
 def test_u1_heat_kernel_methods_agree():
     theta = np.linspace(0.0, 2 * math.pi, 300, endpoint=False)
     for tau in (0.01, 0.1, 1.0):
-        a = U1G.heat_kernel(tau, theta, "char-series")
-        b = U1G.heat_kernel(tau, theta, "gaussian-images")
+        a = u1_heat_kernel_series(tau, theta)
+        b = u1_heat_kernel_images(tau, theta)
         assert np.max(np.abs(a - b)) < 1e-10 * np.max(np.abs(a))
+
+
+@pytest.mark.parametrize("G,images,series", [
+    (SU2G, su2_heat_kernel_images, su2_heat_kernel_series),
+    (U1G, u1_heat_kernel_images, u1_heat_kernel_series)])
+def test_heat_kernel_sums_images_up_to_tau_1_and_the_series_above(G, images, series):
+    # the one rule of G.heat_kernel, bit for bit on both sides of tau = 1
+    angles = np.concatenate([[0.0, 1e-9], np.linspace(0.01, math.pi - 0.01, 40),
+                             [math.pi - 1e-9, math.pi]])
+    for tau, rule in ((0.02, images), (0.3, images), (1.0, images),
+                      (np.nextafter(1.0, 2.0), series), (1.5, series), (3.0, series)):
+        # the two evaluators differ in their last bits, so the rule shows
+        assert not np.array_equal(images(tau, angles), series(tau, angles)), tau
+        assert np.array_equal(G.heat_kernel(tau, angles), rule(tau, angles)), tau
 
 
 def test_u1_heat_kernel_normalization():
@@ -307,7 +322,7 @@ def test_word_angle_equals_class_angle_of_holonomy(name, group):
     edge_major = np.moveaxis(np.ascontiguousarray(np.moveaxis(raw, (0, 1), (-2, -1))),
                              (-2, -1), (0, 1))
     for f in range(foam.F):
-        word = foam.word_indices(f)
+        word = foam.words_idx[f]
         ref = G.distance(word_jacobian(G, [word], np.ascontiguousarray(g))[0][..., 0, :])
         for x in (g, raw, edge_major):
             got = G.word_angle(word, x)

@@ -7,8 +7,10 @@ import pytest
 from scipy.integrate import quad
 from scipy.special import erf
 
+from foamtor import partition
 from foamtor.foam import builtin
-from foamtor.groups import get_group, su2_haar, su2_mul
+from foamtor.groups import (get_group, su2_haar, su2_heat_kernel_images,
+                            su2_heat_kernel_series, su2_mul)
 from foamtor.partition import (MC_TAU_FLOOR, ZEstimate, char_sum_limit,
                                fit_scaling, fit_toy, lambda_tau, toy_laplace,
                                usable_cpus, z_char_appendix, z_char_surface, z_mc,
@@ -90,14 +92,14 @@ GOLDEN_MC = {
 
 
 @pytest.mark.parametrize("key", sorted(GOLDEN_MC))
-def test_z_mc_matches_recorded_values(key):
+def test_z_mc_matches_recorded_values(key, monkeypatch):
     foam, tau, workers = key
     value, stderr = GOLDEN_MC[key]
-    # chunk=7000 splits every stream into several draws; the Haar stream and
-    # hence the estimate do not depend on how a stream is chunked
+    # MC_CHUNK = 7000 splits every stream into several draws; the Haar stream
+    # and hence the estimate do not depend on how a stream is chunked
     for chunk in (50_000, 7000):
-        est = z_mc(builtin(foam), "su2", tau, 20_001, seed=2024, n_workers=workers,
-                   chunk=chunk)
+        monkeypatch.setattr(partition, "MC_CHUNK", chunk)
+        est = z_mc(builtin(foam), "su2", tau, 20_001, seed=2024, n_workers=workers)
         assert abs(est.value - value) <= 1e-12 * value
         assert abs(est.stderr - stderr) <= 1e-12 * stderr
 
@@ -114,10 +116,11 @@ def test_z_mc_matches_recorded_values_tiny_chunks():
         assert abs(est.stderr - stderr) <= 1e-12 * stderr, foam
 
 
-def test_z_mc_threaded_streams_are_reproducible():
+def test_z_mc_threaded_streams_are_reproducible(monkeypatch):
+    monkeypatch.setattr(partition, "MC_CHUNK", 4000)
     t = builtin("genus:2")
-    a = z_mc(t, "su2", 0.7, 30_001, seed=11, n_workers=3, chunk=4000)
-    b = z_mc(t, "su2", 0.7, 30_001, seed=11, n_workers=3, chunk=4000)
+    a = z_mc(t, "su2", 0.7, 30_001, seed=11, n_workers=3)
+    b = z_mc(t, "su2", 0.7, 30_001, seed=11, n_workers=3)
     assert (a.value, a.stderr) == (b.value, b.stderr)
     assert a.meta["n_samples"] == 30_001 and a.meta["n_workers"] == 3
 
@@ -147,10 +150,11 @@ def test_z_mc_pool_is_capped_at_cpu_count(monkeypatch, pinned):
     assert 1 <= len(seen) <= cpus
 
 
-def test_z_mc_variance_of_a_constant_integrand_is_zero():
+def test_z_mc_variance_of_a_constant_integrand_is_zero(monkeypatch):
     # U(1) torus: every commutator word is trivial, so the integrand is the
     # constant K_tau(0); merged chunk moments carry no cancellation residue
-    est = z_mc(builtin("torus"), "u1", 0.5, 20_001, seed=3, n_workers=3, chunk=3000)
+    monkeypatch.setattr(partition, "MC_CHUNK", 3000)
+    est = z_mc(builtin("torus"), "u1", 0.5, 20_001, seed=3, n_workers=3)
     assert est.stderr <= 1e-14 * est.value
 
 
@@ -182,18 +186,33 @@ def test_z_char_surface_torus_vs_bruteforce():
 
 
 def test_z_char_surface_sphere_equals_heat_kernel_at_identity():
-    for method in ("char-series", "gaussian-images"):
-        k1 = float(SU2.heat_kernel(1.0, np.zeros(1), method)[0])
+    for evaluator in (su2_heat_kernel_series, su2_heat_kernel_images):
+        k1 = float(evaluator(1.0, np.zeros(1))[0])
         assert abs(z_char_surface(0, 1.0).value - k1) < 1e-10 * k1
 
 
+def poisson_images(g, tau):
+    """sum_{n>=1} n^(2-2g) e^{-tau (n^2-1)/4} for g = 0, 1 in closed form, by
+    Poisson resummation: the image corrections e^{-4 pi^2 k^2/tau} beyond
+    k = 3 are far below machine precision for tau < 0.1."""
+    a = tau / 4.0
+    ks = range(1, 4)
+    if g == 1:
+        img = sum(2.0 * math.exp(-math.pi ** 2 * k * k / a) for k in ks)
+        val = 0.5 * (math.sqrt(math.pi / a) * (1.0 + img) - 1.0)
+    else:
+        img = sum(2.0 * (1.0 - 2.0 * math.pi ** 2 * k * k / a)
+                  * math.exp(-math.pi ** 2 * k * k / a) for k in ks)
+        val = 0.25 * math.sqrt(math.pi) * a ** -1.5 * (1.0 + img)
+    return math.exp(tau / 4.0) * val
+
+
 def test_z_char_surface_poisson_images_match_direct():
-    # the small-tau evaluator and the direct truncated sum agree in overlap
+    # the direct sum, which z_char_surface takes for every tau > 0, against
+    # the closed form of the Poisson-resummed series down to tau = 1e-6
     for g in (0, 1):
-        for tau in (0.02, 0.05, 0.09):
-            nmax = int(math.ceil(24.0 / math.sqrt(tau))) + 1
-            n = np.arange(1, nmax + 1, dtype=float)
-            ref = float(np.sum(n ** (2 - 2 * g) * np.exp(-tau * (n * n - 1) / 4)))
+        for tau in (0.09, 1e-2, 1e-4, 1e-6):
+            ref = poisson_images(g, tau)
             val = z_char_surface(g, tau).value
             assert abs(val - ref) < 1e-12 * ref, (g, tau)
 
