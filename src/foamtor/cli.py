@@ -209,7 +209,7 @@ def cmd_torsion(args):
 
 def cmd_toy(args):
     taus = _tau_grid(args.tau_grid)
-    values = [toy_laplace(float(t), args.box) for t in taus]
+    values = toy_laplace(taus, args.box).tolist()
     fit = fit_toy(taus, values, box_halfwidth=args.box)
     payload = {
         "config": {"tau_grid": list(map(float, taus)), "box": args.box,

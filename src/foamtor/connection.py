@@ -51,8 +51,8 @@ class Connection:
         object.__setattr__(self, "group", get_group(self.group))
         arr = np.asarray(self.data, dtype=float).reshape(self.foam.E, self.group.elem_dim)
         ok = self.group.is_element(arr)
-        if np.count_nonzero(ok) < len(ok):         # ok.all() costs twice as much
-            e = int(np.argmin(ok))
+        if not all(ok):
+            e = ok.index(False)
             raise ValueError("edge %r carries %r, which is not an element of %s"
                              % (self.foam.edge_ids[e], arr[e].tolist(), self.group.name))
         object.__setattr__(self, "data", arr)

@@ -19,6 +19,7 @@ which cross-check each other: the truncated character series (SU(2): summed
 by Clenshaw's recurrence) and the Poisson-resummed Gaussian image sum
 (su2_heat_kernel_series / _images, u1_heat_kernel_series / _images).
 heat_kernel has one rule: the image sum for tau <= 1, the series above.
+Every evaluator returns one value per angle, in the shape of its angles.
 
 A group is its class: SU2 and U1 are never instantiated, and get_group
 returns the class for its name.  The class functions (character,
@@ -261,6 +262,7 @@ def su2_heat_kernel_images(tau, psi):
     if tau <= 0:
         raise ValueError("tau must be positive")
     psi = np.atleast_1d(np.asarray(psi, dtype=float))
+    shape, psi = psi.shape, psi.ravel()
     pref = math.exp(tau / 4.0) * math.sqrt(4.0 * math.pi) * tau ** -1.5
     # images beyond |k| = K are e^{-((2K+1)^2-1) pi^2/tau} <= 1e-17 of the
     # leading ones (worst at psi = pi); K = 1 for tau <= 2
@@ -310,7 +312,7 @@ def su2_heat_kernel_images(tau, psi):
         d3 = fppp(xs).sum()
         u = np.pi - psi[nearpi]
         out[nearpi] = -(d1 + u * u * (d3 + d1) / 6.0)
-    return pref * out
+    return (pref * out).reshape(shape)
 
 
 # ----------------------------------------------------------------------
@@ -332,7 +334,7 @@ def u1_heat_kernel_series(tau, theta):
     nmax = math.ceil(HK_TRUNC_C / math.sqrt(tau))
     n = np.arange(1, nmax + 1, dtype=float)
     w = np.exp(-tau * n * n)
-    return 1.0 + 2.0 * (np.cos(np.outer(theta, n)) @ w)
+    return (1.0 + 2.0 * (np.cos(np.outer(theta, n)) @ w)).reshape(theta.shape)
 
 
 def u1_heat_kernel_images(tau, theta):
@@ -342,8 +344,8 @@ def u1_heat_kernel_images(tau, theta):
     theta = np.atleast_1d(np.asarray(theta, dtype=float))
     kmax = max(2, int(math.ceil(math.sqrt(180.0 * tau) / (2 * math.pi))) + 2)
     ks = np.arange(-kmax, kmax + 1, dtype=float)
-    x = theta[:, None] + 2 * np.pi * ks[None, :]
-    return math.sqrt(math.pi / tau) * np.exp(-x * x / (4.0 * tau)).sum(axis=1)
+    x = theta[..., None] + 2 * np.pi * ks
+    return math.sqrt(math.pi / tau) * np.exp(-x * x / (4.0 * tau)).sum(axis=-1)
 
 
 # ----------------------------------------------------------------------
@@ -373,10 +375,12 @@ class SU2:
 
     @staticmethod
     def is_element(g):
-        """Per row of g (..., 4): a unit quaternion to ELEMENT_TOL in |q|^2
-        (False for a row with a NaN or an infinity)."""
-        g = np.asarray(g, dtype=float)
-        return np.abs(np.add.reduce(g * g, axis=-1) - 1.0) <= ELEMENT_TOL
+        """Per row of g (E, 4), as a list of bools: a unit quaternion to
+        ELEMENT_TOL in |q|^2 (False for a row with a NaN or an infinity).
+        Plain floats: a connection has a handful of rows, and NumPy's call
+        overhead would cost more than the arithmetic."""
+        return [abs(w * w + x * x + y * y + z * z - 1.0) <= ELEMENT_TOL
+                for w, x, y, z in g.tolist()]
 
     @staticmethod
     def casimir(label):
@@ -453,8 +457,8 @@ class U1:
 
     @staticmethod
     def is_element(g):
-        """Per row of g (..., 1): a finite angle."""
-        return np.isfinite(np.asarray(g, dtype=float)[..., 0])
+        """Per row of g (E, 1), as a list of bools: a finite angle."""
+        return [math.isfinite(t) for (t,) in g.tolist()]
 
     @staticmethod
     def word_angle(word_idx, g):

@@ -53,8 +53,11 @@ def zestimates_csv(points):
 
 def zestimates_from_csv(text):
     """The points of a zestimates_csv text, whose first non-blank line is the
-    header; ValueError names the first line that is not a row of CSV_COLUMNS."""
+    header CSV_COLUMNS; ValueError names the line of a missing header, or the
+    first line that is not a row of CSV_COLUMNS."""
     rows = [(n, line) for n, line in enumerate(text.splitlines(), 1) if line.strip()]
+    if rows and rows[0][1].strip() != CSV_COLUMNS:
+        raise ValueError("line %d: %r is not the header %s" % (rows[0] + (CSV_COLUMNS,)))
     points = []
     for n, line in rows[1:]:
         try:
@@ -325,26 +328,36 @@ def _box(box_halfwidth):
 
 
 def toy_laplace(tau, box_halfwidth=1.0):
-    """z_tau = int_{[-L,L]^2} e^{-(x y)^2 / tau} dx dy.
+    """z_tau = int_{[-L,L]^2} e^{-(x y)^2 / tau} dx dy, for a tau or a 1-D
+    array of taus (a float, or one value per tau).
 
     Tensor Gauss-Legendre panels on a geometric grid refined toward the axes
     (the integrand crosses over at |x y| ~ sqrt(tau)), 24 nodes per panel.
+    The 24-node rule is built once per call; each tau gets the bits of its
+    own scalar call.
     """
-    if tau <= 0:
+    taus = np.asarray(tau, dtype=float)
+    if np.any(taus <= 0):
         raise ValueError("tau must be positive")
     L = _box(box_halfwidth)
-    n_levels = max(4, int(math.ceil(math.log2(L / math.sqrt(tau)))) + 4)
-    bounds = [L * 2.0 ** -k for k in range(n_levels + 1)] + [0.0]
-    bounds = np.array(bounds[::-1])
     nodes, weights = np.polynomial.legendre.leggauss(24)
-    xs, ws = [], []
-    for a, b in zip(bounds[:-1], bounds[1:]):
-        xs.append(0.5 * (b - a) * nodes + 0.5 * (a + b))
-        ws.append(0.5 * (b - a) * weights)
-    xs = np.concatenate(xs)
-    ws = np.concatenate(ws)
-    vals = np.exp(-np.outer(xs, xs) ** 2 / tau)
-    return 4.0 * float(ws @ vals @ ws)
+
+    def z(t):
+        n_levels = max(4, int(math.ceil(math.log2(L / math.sqrt(t)))) + 4)
+        bounds = [L * 2.0 ** -k for k in range(n_levels + 1)] + [0.0]
+        bounds = np.array(bounds[::-1])
+        xs, ws = [], []
+        for a, b in zip(bounds[:-1], bounds[1:]):
+            xs.append(0.5 * (b - a) * nodes + 0.5 * (a + b))
+            ws.append(0.5 * (b - a) * weights)
+        xs = np.concatenate(xs)
+        ws = np.concatenate(ws)
+        vals = np.exp(-np.outer(xs, xs) ** 2 / t)
+        return 4.0 * float(ws @ vals @ ws)
+
+    if taus.ndim == 0:
+        return z(float(taus))
+    return np.array([z(t) for t in taus.tolist()])
 
 
 def fit_toy(taus=None, values=None, box_halfwidth=1.0):
@@ -363,7 +376,7 @@ def fit_toy(taus=None, values=None, box_halfwidth=1.0):
         raise ValueError("the toy fit has 3 parameters: need at least 3 tau points "
                          "(--tau-grid), got %d" % len(taus))
     if values is None:
-        values = np.array([toy_laplace(t, box_halfwidth) for t in taus])
+        values = toy_laplace(taus, box_halfwidth)
     vals = np.asarray(values, dtype=float)
     x = np.log(lambda_tau(taus))
     y = np.log(vals)

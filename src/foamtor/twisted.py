@@ -19,8 +19,9 @@ The complex is built for a whole sample set at once: the connections are
 stacked to (n, E, elem_dim), one word_jacobian walk over the face words
 gives the holonomies (the flatness gate) and delta1, delta0 is I - Ad(g)
 over all edges in one call, and each differential gets one stacked SVD.
-Every rank is then decided per sample, by the same rule as a lone matrix;
-cohomology() is the batch of one.
+The ranks of the whole stack are then decided in one array pass of the rank
+rule (_svd_ranks), which gives every sample what it gets alone; a lone
+matrix (svd_rank) is the stack of one, and cohomology() the batch of one.
 """
 
 from __future__ import annotations
@@ -57,29 +58,34 @@ def build_delta1(conn):
     return word_jacobian(conn.group, conn.foam.words_idx, conn.data)[1]
 
 
-def _rank_rule(s):
-    """(rank, s, gap, warn) from descending singular values s."""
-    smax = s[0] if len(s) else 0.0
-    if smax <= EPS_ABS:
-        return 0, s, np.inf, False
-    counted = s > max(EPS_RANK * smax, EPS_ABS)
-    rank = int(np.sum(counted))
-    if rank == len(s):
-        gap = np.inf
-    else:
-        below = s[rank]
-        gap = np.inf if below == 0.0 else float(s[rank - 1] / below) if rank else 0.0
-    # thin gap around the cut, or counted values hugging the noise floor:
-    # either way the rank decision is not trustworthy
-    warn = gap < GAP_WARN or (rank > 0 and s[rank - 1] < GAP_WARN * EPS_ABS)
-    return rank, s, gap, warn
-
-
 def _svd_ranks(mats):
-    """svd_rank of every matrix in a stack (n, rows, cols), from one stacked SVD."""
+    """svd_rank of every matrix in a stack (n, rows, cols): one stacked SVD,
+    then the rank rule over all its (n, k) singular values at once.
+
+    The rule: sigma counts iff sigma > max(EPS_RANK * sigma_max, EPS_ABS), so
+    a stack entry with sigma_max <= EPS_ABS has rank 0, gap inf and no
+    warning.  The gap is min(counted)/max(discarded): inf when the rank is
+    full or the first discarded value is 0, and 0 at rank 0.  A thin gap
+    around the cut, or a counted value hugging the noise floor, warns: either
+    way the rank decision is not trustworthy.
+    """
+    n = len(mats)
     if mats.shape[-1] * mats.shape[-2] == 0:
-        return [(0, np.zeros(0), np.inf, False)] * len(mats)
-    return [_rank_rule(s) for s in np.linalg.svd(mats, compute_uv=False)]
+        return [(0, np.zeros(0), np.inf, False)] * n
+    s = np.linalg.svd(mats, compute_uv=False)
+    k = s.shape[1]
+    smax = s[:, 0]
+    live = smax > EPS_ABS
+    cut = np.maximum(EPS_RANK * smax, EPS_ABS)
+    rank = np.count_nonzero(s > cut[:, None], axis=1)
+    rank[~live] = 0
+    at = np.arange(n)
+    last = s[at, np.maximum(rank - 1, 0)]       # least counted value
+    below = s[at, np.minimum(rank, k - 1)]      # first discarded value, if any
+    gap = np.where(rank > 0, last / np.where(below == 0.0, 1.0, below), 0.0)
+    gap[(rank == k) | (below == 0.0) | ~live] = np.inf
+    warn = live & ((gap < GAP_WARN) | ((rank > 0) & (last < GAP_WARN * EPS_ABS)))
+    return list(zip(rank.tolist(), s, gap.tolist(), warn.tolist()))
 
 
 def svd_rank(mat):
@@ -142,18 +148,19 @@ def cohomology_batch(samples):
         raise ValueError("connection %d is not flat (residual %.3e > %.1e)"
                          % (i, res[i], FLAT_TOL))
     d0 = _delta0(group, g)
+    dE, dF, chi = d * foam.E, d * foam.F, d * foam.euler
     reports = []
     for i, ((r0, sv0, gap0, warn0), (r1, sv1, gap1, warn1)) in enumerate(
             zip(_svd_ranks(d0), _svd_ranks(d1))):
         b0 = d - r0
-        b1 = d * foam.E - r0 - r1
-        b2 = d * foam.F - r1
+        b1 = dE - r0 - r1
+        b2 = dF - r1
         # b1 < 0 means the two independent rank decisions contradict im d0 < ker d1
         inconsistent = b1 < 0
         reports.append(CohomologyReport(
             rank0=r0, rank1=r1, b0=b0, b1=b1, b2=b2, sv0=sv0, sv1=sv1,
             delta0=d0[i], delta1=d1[i], gap0=gap0, gap1=gap1,
-            euler_ok=(b0 - b1 + b2) == d * foam.euler,
+            euler_ok=(b0 - b1 + b2) == chi,
             regular=(b2 == 0), reducible=(b0 > group.center_dim), central=(r0 == 0),
             rank_warning=(warn0 or warn1 or inconsistent)))
     return reports
@@ -229,10 +236,10 @@ def min_b2(foam_or_name, group, n_samples, rng):
         strata[(rep.b0, rep.b2)] += 1
         tag = s.component_tag or "unknown"
         kernel_by_tag.setdefault(tag, []).append(rep.b1 + rep.rank0)  # dim ker delta1
+    least = {tag: min(kernels) for tag, kernels in kernel_by_tag.items()}
     flagged = []
     for s, rep in zip(samples, reports):
-        tag = s.component_tag or "unknown"
-        singular = (rep.b1 + rep.rank0) > min(kernel_by_tag[tag])
+        singular = (rep.b1 + rep.rank0) > least[s.component_tag or "unknown"]
         flagged.append(FlatSample(s.connection, s.residual, b0=rep.b0, b2=rep.b2,
                                   component_tag=s.component_tag, possibly_singular=singular))
     return MinB2Report(

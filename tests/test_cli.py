@@ -353,6 +353,18 @@ def test_fit_refuses_a_malformed_row_naming_its_line(tmp_path, capsys):
         assert "tau,lambda_tau,value,stderr,method" in captured.err, captured.err
 
 
+def test_fit_refuses_a_csv_without_its_header(tmp_path, capsys):
+    # the first row was taken for the header unread, and one point fewer fit
+    rows = "".join("%r,%r,%r,0,char-surface\n" % (t, 1.0, 2.0) for t in (1e-3, 1e-2, 1e-1))
+    path = tmp_path / "headless.csv"
+    path.write_text("\n" + rows)
+    code = main(["fit", "--in", str(path)])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith("error: line 2: "), captured.err
+    assert "tau,lambda_tau,value,stderr,method" in captured.err, captured.err
+
+
 def test_a_genus_that_is_not_an_integer_is_refused_naming_the_key(capsys):
     # analyze --foam genus:x printed "invalid literal for int() with base 10: 'x'"
     for key in ("genus:x", "genus:1.5", "genus:-1"):

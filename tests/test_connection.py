@@ -342,6 +342,10 @@ def test_connection_refuses_rows_that_are_not_group_elements():
         Connection(torus, "u1", bad)
     with pytest.raises(ValueError, match="edge 'b1'"):
         Connection(torus, "su2", np.array([[1.0, 0.0, 0.0, 0.0], [np.inf, 0.0, 0.0, 0.0]]))
+    with pytest.raises(ValueError, match="edge 'b1'"):
+        Connection(torus, "su2", np.array([[1.0, 0.0, 0.0, 0.0], [np.nan] * 4]))
+    with pytest.raises(ValueError, match="edge 'a1'"):
+        Connection(torus, "u1", np.array([[-np.inf], [0.3]]))
     # rows within rounding of the unit sphere pass
     near = SU2.identity((2,)) * (1.0 + 1e-12)
     assert Connection(torus, "su2", near).data.shape == (2, 4)

@@ -18,8 +18,11 @@ component rows by z_mc: genus 2 at tau = 0.6 runs the image-sum heat
 kernel, the appendix at tau = 1.5 the character series on two faces, and
 the torus over U(1) both U(1) evaluators on a constant integrand (its face
 is a commutator), so projective_plane over U(1) pins the U(1) draws.
-Every command runs from tests/golden/, so a foam file is echoed as a
-relative path.  The
+The toy_* files were recorded while toy built its Gauss-Legendre rule once
+per tau, and the ztau_char_*.csv files (CSV_CASES) with the fit_* outputs
+that read them back, while fit still took the first CSV line for the header
+unread.  Every command runs from tests/golden/, so a foam file is echoed as
+a relative path.  The
 stacked SVD and the batched face walk give the same bits per matrix as
 single calls with numpy's LAPACK; the files were recorded with numpy 2.4.6
 on OpenBLAS 0.3.31, and a different LAPACK build may round the printed
@@ -63,6 +66,16 @@ CASES = {
     "ztau_mc_projective_plane_u1": "ztau --foam projective_plane --group u1 --method mc "
                                    "--workers 2 --samples 20000 --tau-grid 0.6:1.5:2 "
                                    "--seed 4",
+    "toy": "toy",
+    "toy_box2": "toy --tau-grid 1e-5:1e-1:6 --box 2",
+    "fit_torus": "fit --in ztau_char_torus.csv",
+    "fit_genus2": "fit --in ztau_char_genus2.csv --model pure",
+}
+# CSV outputs, which the fit_* cases above read back
+CSV_CASES = {
+    "ztau_char_torus": "ztau --foam torus --method char --format csv",
+    "ztau_char_genus2": "ztau --foam genus:2 --method char --format csv "
+                        "--tau-grid 1e-4:1e-1:6",
 }
 
 
@@ -73,6 +86,15 @@ def test_cli_output_is_unchanged(name, capsys, monkeypatch):
     out = capsys.readouterr().out
     assert code == 0
     assert out == (GOLDEN / (name + ".json")).read_text()
+
+
+@pytest.mark.parametrize("name", sorted(CSV_CASES))
+def test_cli_csv_output_is_unchanged(name, capsys, monkeypatch):
+    monkeypatch.chdir(GOLDEN)
+    code = main(CSV_CASES[name].split())
+    out = capsys.readouterr().out
+    assert code == 0
+    assert out == (GOLDEN / (name + ".csv")).read_text()
 
 
 def test_torus_chart_values_are_unchanged():

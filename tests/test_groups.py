@@ -328,3 +328,30 @@ def test_word_angle_equals_class_angle_of_holonomy(name, group):
             got = G.word_angle(word, x)
             assert got.shape == ref.shape
             assert np.max(np.abs(got - ref)) <= 1e-12, (name, group, f)
+
+
+HK_SHAPE_CASES = {"SU2-0.3": (SU2G.heat_kernel, 0.3), "SU2-1.5": (SU2G.heat_kernel, 1.5),
+                  "su2_images-0.3": (su2_heat_kernel_images, 0.3),
+                  "su2_images-13": (su2_heat_kernel_images, 13.0),
+                  "su2_series-0.3": (su2_heat_kernel_series, 0.3),
+                  "U1-0.3": (U1G.heat_kernel, 0.3), "U1-1.5": (U1G.heat_kernel, 1.5),
+                  "u1_images-0.3": (u1_heat_kernel_images, 0.3),
+                  "u1_images-13": (u1_heat_kernel_images, 13.0),
+                  "u1_series-0.3": (u1_heat_kernel_series, 0.3)}
+
+
+@pytest.mark.parametrize("case", sorted(HK_SHAPE_CASES))
+@pytest.mark.parametrize("shape", [(2, 3), (3, 1, 2)], ids=["2x3", "3x1x2"])
+@pytest.mark.parametrize("boundary", [False, True], ids=["generic", "boundary"])
+def test_heat_kernels_keep_the_shape_of_their_angles(case, shape, boundary):
+    # SU2.heat_kernel(0.3, psi) raised TypeError on 2-D angles that were all
+    # generic, the image sums at tau = 13 and U(1)'s images failed to
+    # broadcast, and U(1)'s series returned the angles flattened
+    fn, tau = HK_SHAPE_CASES[case]
+    angles = np.linspace(0.05, 3.0, 6)
+    if boundary:
+        angles[0] = 0.0           # inside the Taylor layers at 0 ...
+        angles[-1] = math.pi      # ... and at pi
+    out = fn(tau, angles.reshape(shape))
+    assert out.shape == shape
+    assert np.array_equal(out.ravel(), fn(tau, angles))

@@ -11,7 +11,7 @@ from foamtor import partition
 from foamtor.foam import builtin
 from foamtor.groups import (get_group, su2_haar, su2_heat_kernel_images,
                             su2_heat_kernel_series, su2_mul)
-from foamtor.partition import (MC_TAU_FLOOR, ZEstimate, char_sum_limit,
+from foamtor.partition import (CSV_COLUMNS, MC_TAU_FLOOR, ZEstimate, char_sum_limit,
                                fit_scaling, fit_toy, lambda_tau, toy_laplace,
                                usable_cpus, z_char_appendix, z_char_surface, z_mc,
                                zestimates_csv, zestimates_from_csv)
@@ -358,6 +358,20 @@ def test_fit_toy_selects_log_law():
     assert abs(fit.omega + 1.0) < 1e-6  # z ~ Lambda^-1 log(1/tau)
 
 
+def test_toy_laplace_of_an_array_equals_scalar_calls():
+    # one Gauss rule for the whole array, and the bits of each scalar call
+    taus = np.concatenate([np.logspace(-6, -1, 7), [0.37, 2.0, 50.0]])
+    for box in (1.0, 2.5):
+        vals = toy_laplace(taus, box)
+        assert isinstance(vals, np.ndarray) and vals.shape == taus.shape
+        assert vals.tolist() == [toy_laplace(float(t), box) for t in taus]
+        assert isinstance(toy_laplace(1e-3, box), float)
+    assert toy_laplace(np.array([]), 1.0).shape == (0,)
+    for bad in (np.array([1e-3, 0.0]), np.array([-1.0])):
+        with pytest.raises(ValueError, match="positive"):
+            toy_laplace(bad)
+
+
 def test_toy_pure_fit_drifts_with_window():
     # a pure power law cannot hold: the fitted exponent depends on the window
     lo = fit_toy(np.logspace(-6, -4, 6)).residual_rms_pure
@@ -395,3 +409,15 @@ def test_zestimates_csv_roundtrip():
     assert len(back) == 2
     assert abs(back[0].value - pts[0].value) < 1e-12
     assert back[0].method == "char-surface"
+
+
+def test_zestimates_from_csv_refuses_a_missing_header_by_line():
+    # the first non-blank line was dropped unread, so a CSV without its
+    # header silently lost its first row
+    rows = "0.001,8.92,3.1,0,a\n0.002,1,2.9,0,a\n"
+    with pytest.raises(ValueError, match=r"^line 1: .* is not the header"):
+        zestimates_from_csv(rows)
+    with pytest.raises(ValueError, match=r"^line 3: 'tau,value' is not the header"):
+        zestimates_from_csv("\n\ntau,value\n" + rows)
+    assert len(zestimates_from_csv("\n" + CSV_COLUMNS + "\n" + rows)) == 2
+    assert zestimates_from_csv("") == []

@@ -2,14 +2,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from foamtor.connection import (Connection, FlatSample, analytic_flat, find_flat_batch,
                                 flatness_residual, holonomy)
 from foamtor.foam import (builtin, parse_foam, serialize_foam, tietze1_expand,
                           tietze2_add_face)
 from foamtor.groups import get_group
-from foamtor.twisted import (build_delta0, build_delta1, cohomology, cohomology_batch,
-                             min_b2, sample_flat, svd_rank)
+from foamtor.twisted import (EPS_ABS, EPS_RANK, GAP_WARN, _svd_ranks, build_delta0,
+                             build_delta1, cohomology, cohomology_batch, min_b2,
+                             sample_flat, svd_rank)
 
 SU2 = get_group("su2")
 
@@ -210,6 +212,97 @@ def test_svd_rank_gap_warning():
     m = np.diag([1.0, 1e-8, 5e-10])
     rank, _, gap, warn = svd_rank(m)
     assert rank == 2 and warn and gap < 1e2
+
+
+def _rank_rule(s):
+    """The rank rule as it was written per sample, on descending singular values."""
+    smax = s[0] if len(s) else 0.0
+    if smax <= EPS_ABS:
+        return 0, s, np.inf, False
+    counted = s > max(EPS_RANK * smax, EPS_ABS)
+    rank = int(np.sum(counted))
+    if rank == len(s):
+        gap = np.inf
+    else:
+        below = s[rank]
+        gap = np.inf if below == 0.0 else float(s[rank - 1] / below) if rank else 0.0
+    warn = gap < GAP_WARN or (rank > 0 and s[rank - 1] < GAP_WARN * EPS_ABS)
+    return rank, s, gap, warn
+
+
+def _assert_rank_rule(mats):
+    got = _svd_ranks(mats)
+    assert len(got) == len(mats)
+    if mats.shape[-1] * mats.shape[-2] == 0:
+        want = [(0, np.zeros(0), np.inf, False)] * len(mats)
+    else:
+        want = [_rank_rule(s) for s in np.linalg.svd(mats, compute_uv=False)]
+    for (rank, sv, gap, warn), (rank_, sv_, gap_, warn_) in zip(got, want):
+        assert (rank, gap, warn) == (rank_, gap_, bool(warn_))
+        assert np.array_equal(sv, sv_)
+        assert (type(rank), type(gap), type(warn)) == (int, float, bool)
+    return want
+
+
+# singular values around every cut of the rule: exact zeros, the absolute
+# floor EPS_ABS, the relative threshold EPS_RANK and the GAP_WARN band
+_SV_LEVELS = (0.0, 5e-13, 1e-12, 1.0000001e-12, 2e-12, 5e-11, 1e-10, 1.01e-10,
+              3e-10, 1e-9, 1e-8, 1e-7, 1e-3, 0.5, 1.0, 2.0)
+
+
+@st.composite
+def _singular_value_stacks(draw):
+    n = draw(st.integers(1, 5))
+    rows, cols = draw(st.integers(0, 4)), draw(st.integers(0, 4))
+    k = min(rows, cols)
+    scale = draw(st.sampled_from((1.0, 1e-3, 3.0)))
+    mats = np.zeros((n, rows, cols))
+    for i in range(n):
+        s = sorted((scale * draw(st.sampled_from(_SV_LEVELS)) for _ in range(k)),
+                   reverse=True)
+        mats[i, range(k), range(k)] = s
+    if draw(st.booleans()) and k:
+        # rotate, so LAPACK sees a dense matrix and rounds its values
+        rng = np.random.default_rng(draw(st.integers(0, 2 ** 16)))
+        u = np.linalg.qr(rng.standard_normal((n, rows, rows)))[0]
+        v = np.linalg.qr(rng.standard_normal((n, cols, cols)))[0]
+        mats = u @ mats @ v
+    return mats
+
+
+@settings(max_examples=300, deadline=None)
+@given(_singular_value_stacks())
+def test_svd_ranks_follow_the_rank_rule_on_random_stacks(mats):
+    _assert_rank_rule(mats)
+
+
+def test_svd_ranks_cover_every_branch_of_the_rank_rule():
+    # one stack whose samples take each branch of the rule
+    cases = {
+        "zero matrix": [0.0, 0.0, 0.0],
+        "below the absolute floor": [5e-13, 1e-13, 0.0],
+        "at the absolute floor": [1e-12, 0.0, 0.0],
+        "full rank": [2.0, 1.0, 0.5],
+        "full rank near the floor": [3e-12, 2e-12, 1.5e-12],
+        "discarded exact zero": [1.0, 0.5, 0.0],
+        "thin gap": [1.0, 1e-8, 5e-10],
+        "wide gap": [1.0, 1e-2, 1e-11],
+        "at the relative threshold": [1.0, 1e-9, 1e-13],
+        "counted value near the floor": [1e-3, 5e-11, 0.0],
+    }
+    mats = np.stack([np.diag(s) for s in cases.values()])
+    want = _assert_rank_rule(mats)
+    ranks = dict(zip(cases, (w[0] for w in want)))
+    gaps = dict(zip(cases, (w[2] for w in want)))
+    warns = dict(zip(cases, (bool(w[3]) for w in want)))
+    assert ranks["zero matrix"] == ranks["below the absolute floor"] == 0
+    assert ranks["at the absolute floor"] == 0 and ranks["full rank"] == 3
+    assert gaps["full rank"] == gaps["discarded exact zero"] == math.inf
+    assert warns["full rank near the floor"] and warns["thin gap"]
+    assert warns["counted value near the floor"] and not warns["wide gap"]
+    assert ranks["at the relative threshold"] == 1
+    for rows, cols in ((0, 3), (3, 0), (0, 0)):
+        _assert_rank_rule(np.zeros((2, rows, cols)))
 
 
 def test_euler_identity_exact():
