@@ -44,6 +44,9 @@ def _tau_grid(source):
     if not (0.0 < lo < math.inf and 0.0 < hi < math.inf and n >= 1):
         raise ValueError("--tau-grid %s: need lo:hi:n with finite positive bounds and "
                          "an integer n of at least 1 point" % source)
+    if n == 1 and lo != hi:
+        raise ValueError("--tau-grid %s: one point begins and ends the grid, so lo "
+                         "and hi must be equal" % source)
     grid = np.logspace(math.log10(lo), math.log10(hi), n)
     # logspace rounds its ends (0.3:0.3:1 gave 0.29999999999999993)
     grid[0], grid[-1] = lo, hi

@@ -19,6 +19,10 @@ letter (group.right_mul), and writes the frames into one (L, elem_dim, ...)
 array, L the number of letters.  H (..., F, elem_dim) and the frames
 (..., L, elem_dim) it returns are views of that memory, so delta1 reads the
 frames without stacking them.
+
+A sample set's records are built in one pass (_connections, _flat_samples):
+one element check over all its rows, refusing as Connection does, and the
+frozen records filled without their per-instance __init__ (_records).
 """
 
 from __future__ import annotations
@@ -28,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .foam import Foam, builtin as _builtin_foam, match_builtin, reduce_foam
-from .groups import EPS_LOG, SU2, CutLocusError, get_group
+from .groups import EPS_LOG, SU2, CutLocusError, get_group, su2_normalize
 
 FLAT_TOL = 1e-10
 
@@ -50,11 +54,7 @@ class Connection:
     def __post_init__(self):
         object.__setattr__(self, "group", get_group(self.group))
         arr = np.asarray(self.data, dtype=float).reshape(self.foam.E, self.group.elem_dim)
-        ok = self.group.is_element(arr)
-        if not all(ok):
-            e = ok.index(False)
-            raise ValueError("edge %r carries %r, which is not an element of %s"
-                             % (self.foam.edge_ids[e], arr[e].tolist(), self.group.name))
+        _check_elements(self.foam, self.group, arr)
         object.__setattr__(self, "data", arr)
 
     def __getitem__(self, edge_id):
@@ -95,6 +95,57 @@ class FlatSample:
             "component_tag": self.component_tag,
             "possibly_singular": self.possibly_singular,
         }
+
+
+# ----------------------------------------------------------------------
+# records of a whole sample set
+
+def _check_elements(foam, group, g):
+    """ValueError naming the edge of the first row of g (..., E, elem_dim)
+    that is not an element of group, from one group.is_element call over all
+    its rows: the one element check of every Connection."""
+    rows = g.reshape(-1, group.elem_dim)
+    ok = group.is_element(rows)
+    if not ok.all():
+        k = int(np.argmin(ok))
+        raise ValueError("edge %r carries %r, which is not an element of %s"
+                         % (foam.edge_ids[k % foam.E], rows[k].tolist(), group.name))
+
+
+def _records(cls, **columns):
+    """One instance of the frozen dataclass cls per row of columns (each field
+    -> a sequence of its values), without the generated __init__ and its
+    object.__setattr__ per field.  The instances keep cls's equality, hash,
+    repr and immutability; the caller supplies what __post_init__ computes."""
+    names = tuple(cls.__dataclass_fields__)
+    if set(columns) != set(names):
+        raise TypeError("%s records need the columns %s" % (cls.__name__, ", ".join(names)))
+    new = object.__new__
+    out = []
+    for row in zip(*(columns[name] for name in names)):
+        obj = new(cls)
+        obj.__dict__.update(zip(names, row))
+        out.append(obj)
+    return out
+
+
+def _connections(foam, group, g):
+    """Connection(foam, group, g[i]) for every i of a stack g (n, E,
+    elem_dim), group a group class: one element check over all n*E rows,
+    refusing as Connection does."""
+    _check_elements(foam, group, g)
+    return _records(Connection, foam=[foam] * len(g), group=[group] * len(g), data=list(g))
+
+
+def _flat_samples(connections, residuals, component_tags=None, b0=None, b2=None,
+                  possibly_singular=None):
+    """FlatSample per row of the columns (sequences); a column left as None
+    takes its field's default."""
+    n = len(connections)
+    return _records(FlatSample, connection=connections, residual=residuals,
+                    b0=b0 or [None] * n, b2=b2 or [None] * n,
+                    component_tag=component_tags or [None] * n,
+                    possibly_singular=possibly_singular or [False] * n)
 
 
 # ----------------------------------------------------------------------
@@ -292,11 +343,10 @@ def find_flat_batch(foam, group, rng, n, trace=None):
     g = group.haar(rng, (n, foam.E))
     if foam.E == 0 or foam.F == 0:
         res = face_residual(group, _face_walk(group, foam.words_idx, g)[0])
-        return [FlatSample(Connection(foam, group, g[i]), float(res[i])) for i in range(n)]
+        return _flat_samples(_connections(foam, group, g), res.tolist())
     g, res = _descend(group, foam.words_idx, g, rng, trace=trace)
     ok = res <= PROJECT_TOL
-    return [FlatSample(Connection(foam, group, g[i]), float(res[i]))
-            for i in range(n) if ok[i]]
+    return _flat_samples(_connections(foam, group, g[ok]), res[ok].tolist())
 
 
 # ----------------------------------------------------------------------
@@ -327,12 +377,15 @@ def analytic_flat_batch(kind, rng, signs, families=None, psi_a=None, psi_b=None,
     a sign -1 on a 'red' sample.
 
     A first loop draws each sample's numbers in turn, in this order: the torus
-    and 'red' draw the axis (three normals) and then their angles, 'irred'
-    draws a and b (four normals each).  The samples are then built at once:
-    one unit_vectors call, one exp over every (sample, edge), one stacked
-    (n, E, 4) array and one residual walk over the face words.  Sample for
-    sample this gives the bits of building each one alone, so a batch of one
-    (analytic_flat) and a batch of n draw and compute the same numbers.
+    and 'red' draw the axis (three normals) and then their free angles (one
+    uniform call), 'irred' draws the normals of a and b (one (2, 4) call).
+    The samples are then built at once: one unit_vectors call, one exp over
+    every (sample, edge), one su2_normalize of every 'irred' sample's
+    normals (the arithmetic of SU2.haar), one stacked (n, E, 4) array, one
+    residual walk over the face words and one element check over all rows.
+    Sample for sample this gives the bits of building each one alone, so a
+    batch of one (analytic_flat) and a batch of n draw and compute the same
+    numbers.
     """
     n = len(signs)
     if any(sgn not in (1, -1) for sgn in signs):
@@ -352,28 +405,33 @@ def analytic_flat_batch(kind, rng, signs, families=None, psi_a=None, psi_b=None,
         if any(sgn != 1 for sgn, red in zip(signs, chart) if red):
             _refuse_unused("appendix 'red'", sign=-1)
     foam = _builtin_foam(kind)
-    signs = np.asarray(signs, dtype=float)
     fixed = (psi_a, psi_b, psi_h)[:foam.E]
-    v = np.empty((n, 3))
-    psi = np.empty((n, foam.E))
-    g = np.empty((n, foam.E, 4))
-    for i in range(n):
-        if chart[i]:
-            v[i] = rng.standard_normal(3) if axis is None else axis
-            psi[i] = [rng.uniform(*PSI_RANGE) if p is None else float(p) for p in fixed]
+    free = [k for k, p in enumerate(fixed) if p is None]
+    axes, angles, normals = [], [], []
+    for on_chart in chart.tolist():
+        if on_chart:
+            axes.append(rng.standard_normal(3) if axis is None else axis)
+            angles.append(rng.uniform(*PSI_RANGE, size=len(free)))
         else:
-            g[i, :2] = SU2.haar(rng, (2,))
+            normals.append(rng.standard_normal((2, 4)))
+    m = len(axes)
+    psi = np.tile([np.nan if p is None else float(p) for p in fixed], (m, 1))
+    psi[:, free] = np.reshape(angles, (m, len(free)))
+    signs = np.asarray(signs, dtype=float)
+    g = np.empty((n, foam.E, 4))
     if kind == "torus":
         psi[:, 1] *= signs
     else:
+        c = np.ascontiguousarray(np.reshape(normals, (n - m, 2, 4)).T)
+        g[~chart, :2] = su2_normalize(c).T
         g[~chart, 2] = SU2.identity() * signs[~chart, None]
-    g[chart] = SU2.exp(psi[chart][..., None] * unit_vectors(v[chart])[:, None, :])
+    axes = unit_vectors(np.reshape(np.asarray(axes, dtype=float), (m, 3)))
+    g[chart] = SU2.exp(psi[..., None] * axes[:, None, :])
     H = _face_walk(SU2, foam.words_idx, g)[0]
     res = face_residual(SU2, H)
     tags = (["torus:+" if sgn > 0 else "torus:-" for sgn in signs] if kind == "torus"
             else families)
-    return [FlatSample(Connection(foam, SU2, g[i]), float(res[i]), component_tag=tags[i])
-            for i in range(n)]
+    return _flat_samples(_connections(foam, SU2, g), res.tolist(), list(tags))
 
 
 def analytic_flat(foam, rng, sign=+1, family=None, psi_a=None, psi_b=None, psi_h=None,

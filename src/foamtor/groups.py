@@ -195,15 +195,22 @@ def su2_haar(rng, shape=()):
     The result is Fortran-ordered, so each component row g[..., e, i] is
     contiguous and word_angle reads it without a copy: a Monte Carlo chunk
     would otherwise pay a transposing copy on top of the draw.  The normals
-    are copied once into component-major memory and normalized there.  The
-    squared norm is summed left to right, w^2 + x^2 + y^2 + z^2, which is
-    how np.linalg.norm sums four components, so each draw has the bits of
-    q / np.linalg.norm(q, axis=-1, keepdims=True).
+    are copied once into component-major memory, and freed, before
+    su2_normalize divides the copy by its norms.
     """
-    c = np.ascontiguousarray(rng.standard_normal(tuple(shape) + (4,)).T)
+    return su2_normalize(np.ascontiguousarray(rng.standard_normal(tuple(shape) + (4,)).T)).T
+
+
+def su2_normalize(c):
+    """Divide component-major quaternions c (4, ...) by their norms, in place,
+    and return c.  The squared norm is summed left to right,
+    w^2 + x^2 + y^2 + z^2, which is how np.linalg.norm sums four components,
+    so each quaternion has the bits of q / np.linalg.norm(q, axis=-1,
+    keepdims=True), alone or in any stack.
+    """
     s = c * c
     c /= np.sqrt(s[0] + s[1] + s[2] + s[3])
-    return c.T
+    return c
 
 
 def su2_character(j, psi):
@@ -375,12 +382,15 @@ class SU2:
 
     @staticmethod
     def is_element(g):
-        """Per row of g (E, 4), as a list of bools: a unit quaternion to
-        ELEMENT_TOL in |q|^2 (False for a row with a NaN or an infinity).
-        Plain floats: a connection has a handful of rows, and NumPy's call
-        overhead would cost more than the arithmetic."""
-        return [abs(w * w + x * x + y * y + z * z - 1.0) <= ELEMENT_TOL
-                for w, x, y, z in g.tolist()]
+        """Per row of g (m, 4), as a bool array: a unit quaternion to
+        ELEMENT_TOL in |q|^2, summed w^2 + x^2 + y^2 + z^2 left to right
+        (False for a row with a NaN or an infinity)."""
+        s = np.square(np.asarray(g, dtype=float)).T
+        q = s[0] + s[1]
+        q += s[2]
+        q += s[3]
+        q -= 1.0
+        return np.abs(q, out=q) <= ELEMENT_TOL
 
     @staticmethod
     def casimir(label):
@@ -457,8 +467,8 @@ class U1:
 
     @staticmethod
     def is_element(g):
-        """Per row of g (E, 1), as a list of bools: a finite angle."""
-        return [math.isfinite(t) for (t,) in g.tolist()]
+        """Per row of g (m, 1), as a bool array: a finite angle."""
+        return np.isfinite(np.asarray(g, dtype=float)[:, 0])
 
     @staticmethod
     def word_angle(word_idx, g):

@@ -51,10 +51,24 @@ def zestimates_csv(points):
     return "\n".join(lines) + "\n"
 
 
+def _impossible(point):
+    """Why a point cannot be a Z_tau estimate (a tau that is not finite and
+    positive, a value that is not finite, or a stderr that is not finite and
+    >= 0), or None."""
+    if not 0.0 < point.tau < math.inf:
+        return "tau %r is not finite and positive" % point.tau
+    if not math.isfinite(point.value):
+        return "value %r is not finite" % point.value
+    if not 0.0 <= point.stderr < math.inf:
+        return "stderr %r is not finite and >= 0" % point.stderr
+    return None
+
+
 def zestimates_from_csv(text):
     """The points of a zestimates_csv text, whose first non-blank line is the
     header CSV_COLUMNS; ValueError names the line of a missing header, or the
-    first line that is not a row of CSV_COLUMNS."""
+    first line that is not a row of CSV_COLUMNS or holds an impossible point
+    (see _impossible)."""
     rows = [(n, line) for n, line in enumerate(text.splitlines(), 1) if line.strip()]
     if rows and rows[0][1].strip() != CSV_COLUMNS:
         raise ValueError("line %d: %r is not the header %s" % (rows[0] + (CSV_COLUMNS,)))
@@ -62,9 +76,13 @@ def zestimates_from_csv(text):
     for n, line in rows[1:]:
         try:
             tau, _, value, stderr, method = line.split(",")
-            points.append(ZEstimate(float(tau), float(value), float(stderr), method))
+            point = ZEstimate(float(tau), float(value), float(stderr), method)
         except ValueError:
             raise ValueError("line %d: %r is not a row of %s" % (n, line, CSV_COLUMNS)) from None
+        why = _impossible(point)
+        if why:
+            raise ValueError("line %d: %s" % (n, why))
+        points.append(point)
     return points
 
 
@@ -288,8 +306,13 @@ def fit_scaling(points, model="auto"):
     model 'pure':     log Z ~ omega log Lambda + c
     model 'with-log': log Z ~ omega log Lambda + beta log log(1/tau) + c
     model 'auto' fits both and prefers with-log iff it reduces the residual
-    RMS by SELECT_FACTOR.  Both RMS values are always reported.
+    RMS by SELECT_FACTOR.  Both RMS values are always reported.  ValueError
+    names the first impossible point (see _impossible), counting from 1.
     """
+    for i, p in enumerate(points, 1):
+        why = _impossible(p)
+        if why:
+            raise ValueError("point %d: %s" % (i, why))
     points = sorted(points, key=lambda p: p.tau)
     taus = np.array([p.tau for p in points])
     vals = np.array([p.value for p in points])
@@ -334,7 +357,9 @@ def toy_laplace(tau, box_halfwidth=1.0):
     Tensor Gauss-Legendre panels on a geometric grid refined toward the axes
     (the integrand crosses over at |x y| ~ sqrt(tau)), 24 nodes per panel.
     The 24-node rule is built once per call; each tau gets the bits of its
-    own scalar call.
+    own scalar call.  The integrand matrix e^{-(x_i x_j)^2 / tau} is exactly
+    symmetric (x_i x_j = x_j x_i in IEEE arithmetic), so only its upper
+    strips of one panel's rows are evaluated and mirrored.
     """
     taus = np.asarray(tau, dtype=float)
     if np.any(taus <= 0):
@@ -352,7 +377,12 @@ def toy_laplace(tau, box_halfwidth=1.0):
             ws.append(0.5 * (b - a) * weights)
         xs = np.concatenate(xs)
         ws = np.concatenate(ws)
-        vals = np.exp(-np.outer(xs, xs) ** 2 / t)
+        vals = np.empty((len(xs), len(xs)))
+        for a in range(0, len(xs), len(nodes)):
+            b = a + len(nodes)
+            strip = np.exp(-np.outer(xs[a:b], xs[a:]) ** 2 / t)
+            vals[a:b, a:] = strip
+            vals[b:, a:b] = strip[:, len(nodes):].T
         return 4.0 * float(ws @ vals @ ws)
 
     if taus.ndim == 0:

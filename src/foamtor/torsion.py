@@ -20,7 +20,8 @@ possibly singular or with a rank warning is refused before it draws a seed;
 every other one draws its seed from rng in input order and its rotations
 from default_rng(seed), so it gets the bits it gets alone.  The torus-chart
 grids stack their flat points to one (n, 2, 4) array and read the Gaussian
-volumes off one face walk and one stacked SVD.
+volumes off one face walk and one stacked SVD; their rows and quadrature
+terms are array operations on one math.sin per distinct angle.
 """
 
 from __future__ import annotations
@@ -185,18 +186,18 @@ def _torus_chart_volumes(psi_a, psi_b, rng):
 def torus_volume_grid(n_grid=20, rng=None):
     """Gaussian volume over the torus flat chart vs 4(sin^2 psi_a + sin^2 psi_b).
 
-    Returns rows (psi_a, psi_b, volume, formula, abs error) on an n x n grid
-    of class angles in [0.1, pi - 0.1].
+    Returns rows (psi_a, psi_b, volume, formula, abs error) of Python floats
+    on an n x n grid of class angles in [0.1, pi - 0.1], formed as arrays
+    from math.sin(x) ** 2 of each grid angle.
     """
     rng = np.random.default_rng(0) if rng is None else rng
     grid = np.linspace(0.1, math.pi - 0.1, n_grid)
     psi_a, psi_b = np.repeat(grid, n_grid), np.tile(grid, n_grid)
-    rows = []
-    for pa, pb, vol in zip(psi_a, psi_b, _torus_chart_volumes(psi_a, psi_b, rng)):
-        vol = float(vol)
-        formula = 4.0 * (math.sin(pa) ** 2 + math.sin(pb) ** 2)
-        rows.append((pa, pb, vol, formula, abs(vol - formula)))
-    return rows
+    vol = _torus_chart_volumes(psi_a, psi_b, rng)
+    sin2 = _sin2(grid)
+    formula = 4.0 * (np.repeat(sin2, n_grid) + np.tile(sin2, n_grid))
+    return list(zip(psi_a.tolist(), psi_b.tolist(), vol.tolist(), formula.tolist(),
+                    np.abs(vol - formula).tolist()))
 
 
 def torus_volume_csv(rows):
@@ -223,19 +224,26 @@ def torus_dominant_part(n_quad=24, rng=None):
     factor 2 counting the two commuting-axis branches, the chart volume form
     vol_F = (sin^2 psi_a + sin^2 psi_b) dpsi_a dpsi_b sin(theta) dtheta dphi,
     and vol_B2 evaluated numerically from the singular values of delta1.
-    The result must match the tau -> 0 limit of the character sum.
+    The result must match the tau -> 0 limit of the character sum.  The
+    quadrature terms are formed as arrays and summed in node order; the
+    result is a Python float.
     """
     rng = np.random.default_rng(1) if rng is None else rng
     nodes, weights = np.polynomial.legendre.leggauss(n_quad)
     psi = 0.5 * math.pi * (nodes + 1.0)
     w = 0.5 * math.pi * weights
     vols = _torus_chart_volumes(np.repeat(psi, n_quad), np.tile(psi, n_quad), rng)
-    acc = 0.0
-    for k, vol_b2 in enumerate(vols):
-        i, j = divmod(k, n_quad)
-        chart = math.sin(psi[i]) ** 2 + math.sin(psi[j]) ** 2
-        acc += w[i] * w[j] * chart / float(vol_b2)
+    sin2 = _sin2(psi)
+    chart = np.repeat(sin2, n_quad) + np.tile(sin2, n_quad)
+    terms = np.repeat(w, n_quad) * np.tile(w, n_quad) * chart / vols
+    # np.add.accumulate adds left to right, in node order (a sum may pair terms)
+    acc = float(np.add.accumulate(terms)[-1])
     sphere_area = 4.0 * math.pi      # exact angular integral over the axis
     vol_su2 = 2.0 * math.pi ** 2
     pref = vol_su2 ** -2 * (4.0 * math.pi) ** 2 * 2.0 ** -2
     return pref * 2.0 * sphere_area * acc
+
+
+def _sin2(angles):
+    """sin(x)^2 of each angle as math.sin(x) ** 2, once per angle."""
+    return np.array([math.sin(x) ** 2 for x in angles.tolist()])

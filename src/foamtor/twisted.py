@@ -20,8 +20,10 @@ stacked to (n, E, elem_dim), one word_jacobian walk over the face words
 gives the holonomies (the flatness gate) and delta1, delta0 is I - Ad(g)
 over all edges in one call, and each differential gets one stacked SVD.
 The ranks of the whole stack are then decided in one array pass of the rank
-rule (_svd_ranks), which gives every sample what it gets alone; a lone
+rule (_rank_arrays), which gives every sample what it gets alone; a lone
 matrix (svd_rank) is the stack of one, and cohomology() the batch of one.
+The Betti numbers and flags are array operations on the ranks, and the
+reports are built from those columns in one pass (connection._records).
 """
 
 from __future__ import annotations
@@ -31,8 +33,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .connection import FlatSample, FLAT_TOL, analytic_flat_batch, connection_of, \
-    face_residual, find_flat_batch, word_jacobian
+from .connection import FLAT_TOL, _flat_samples, _records, analytic_flat_batch, \
+    connection_of, face_residual, find_flat_batch, word_jacobian
 from .foam import _presentation, builtin, match_builtin, reduce_foam
 from .groups import get_group
 
@@ -58,9 +60,10 @@ def build_delta1(conn):
     return word_jacobian(conn.group, conn.foam.words_idx, conn.data)[1]
 
 
-def _svd_ranks(mats):
-    """svd_rank of every matrix in a stack (n, rows, cols): one stacked SVD,
-    then the rank rule over all its (n, k) singular values at once.
+def _rank_arrays(mats):
+    """The rank decisions of a stack (n, rows, cols) as arrays (rank, s, gap,
+    warn) of shapes (n,), (n, k), (n,), (n,): one stacked SVD, then the rank
+    rule over all its (n, k) singular values at once.
 
     The rule: sigma counts iff sigma > max(EPS_RANK * sigma_max, EPS_ABS), so
     a stack entry with sigma_max <= EPS_ABS has rank 0, gap inf and no
@@ -71,7 +74,7 @@ def _svd_ranks(mats):
     """
     n = len(mats)
     if mats.shape[-1] * mats.shape[-2] == 0:
-        return [(0, np.zeros(0), np.inf, False)] * n
+        return np.zeros(n, int), np.zeros((n, 0)), np.full(n, np.inf), np.zeros(n, bool)
     s = np.linalg.svd(mats, compute_uv=False)
     k = s.shape[1]
     smax = s[:, 0]
@@ -85,6 +88,12 @@ def _svd_ranks(mats):
     gap = np.where(rank > 0, last / np.where(below == 0.0, 1.0, below), 0.0)
     gap[(rank == k) | (below == 0.0) | ~live] = np.inf
     warn = live & ((gap < GAP_WARN) | ((rank > 0) & (last < GAP_WARN * EPS_ABS)))
+    return rank, s, gap, warn
+
+
+def _svd_ranks(mats):
+    """svd_rank of every matrix in a stack (n, rows, cols), from _rank_arrays."""
+    rank, s, gap, warn = _rank_arrays(mats)
     return list(zip(rank.tolist(), s, gap.tolist(), warn.tolist()))
 
 
@@ -148,22 +157,20 @@ def cohomology_batch(samples):
         raise ValueError("connection %d is not flat (residual %.3e > %.1e)"
                          % (i, res[i], FLAT_TOL))
     d0 = _delta0(group, g)
-    dE, dF, chi = d * foam.E, d * foam.F, d * foam.euler
-    reports = []
-    for i, ((r0, sv0, gap0, warn0), (r1, sv1, gap1, warn1)) in enumerate(
-            zip(_svd_ranks(d0), _svd_ranks(d1))):
-        b0 = d - r0
-        b1 = dE - r0 - r1
-        b2 = dF - r1
-        # b1 < 0 means the two independent rank decisions contradict im d0 < ker d1
-        inconsistent = b1 < 0
-        reports.append(CohomologyReport(
-            rank0=r0, rank1=r1, b0=b0, b1=b1, b2=b2, sv0=sv0, sv1=sv1,
-            delta0=d0[i], delta1=d1[i], gap0=gap0, gap1=gap1,
-            euler_ok=(b0 - b1 + b2) == chi,
-            regular=(b2 == 0), reducible=(b0 > group.center_dim), central=(r0 == 0),
-            rank_warning=(warn0 or warn1 or inconsistent)))
-    return reports
+    r0, sv0, gap0, warn0 = _rank_arrays(d0)
+    r1, sv1, gap1, warn1 = _rank_arrays(d1)
+    b0 = d - r0
+    b1 = d * foam.E - r0 - r1
+    b2 = d * foam.F - r1
+    # b1 < 0 means the two independent rank decisions contradict im d0 < ker d1
+    inconsistent = b1 < 0
+    return _records(
+        CohomologyReport, rank0=r0.tolist(), rank1=r1.tolist(), b0=b0.tolist(),
+        b1=b1.tolist(), b2=b2.tolist(), sv0=list(sv0), sv1=list(sv1), delta0=list(d0),
+        delta1=list(d1), gap0=gap0.tolist(), gap1=gap1.tolist(),
+        euler_ok=(b0 - b1 + b2 == d * foam.euler).tolist(), regular=(b2 == 0).tolist(),
+        reducible=(b0 > group.center_dim).tolist(), central=(r0 == 0).tolist(),
+        rank_warning=(warn0 | warn1 | inconsistent).tolist())
 
 
 def cohomology(sample):
@@ -225,24 +232,21 @@ def min_b2(foam_or_name, group, n_samples, rng):
     component tag are flagged possibly singular.
     """
     samples = sample_flat(foam_or_name, group, n_samples, rng)[1]
-    hist = Counter()
-    strata = Counter()
-    warnings = 0
-    kernel_by_tag = {}
     reports = cohomology_batch(samples)
-    for s, rep in zip(samples, reports):
-        warnings += int(rep.rank_warning)
-        hist[rep.b2] += 1
-        strata[(rep.b0, rep.b2)] += 1
-        tag = s.component_tag or "unknown"
-        kernel_by_tag.setdefault(tag, []).append(rep.b1 + rep.rank0)  # dim ker delta1
-    least = {tag: min(kernels) for tag, kernels in kernel_by_tag.items()}
-    flagged = []
-    for s, rep in zip(samples, reports):
-        singular = (rep.b1 + rep.rank0) > least[s.component_tag or "unknown"]
-        flagged.append(FlatSample(s.connection, s.residual, b0=rep.b0, b2=rep.b2,
-                                  component_tag=s.component_tag, possibly_singular=singular))
+    b0 = [rep.b0 for rep in reports]
+    b2 = [rep.b2 for rep in reports]
+    tags = [s.component_tag for s in samples]
+    kernels = [rep.b1 + rep.rank0 for rep in reports]     # dim ker delta1
+    least = {}
+    for tag, kernel in zip(tags, kernels):
+        least[tag] = min(kernel, least.get(tag, kernel))
+    hist = Counter(b2)
+    strata = Counter(zip(b0, b2))
+    flagged = _flat_samples([s.connection for s in samples],
+                            [s.residual for s in samples], tags, b0, b2,
+                            [kernel > least[tag] for tag, kernel in zip(tags, kernels)])
     return MinB2Report(
         b2_0=min(hist), histogram=dict(sorted(hist.items())),
         strata=dict(sorted(strata.items())), samples=flagged,
-        euler_ok=all(rep.euler_ok for rep in reports), rank_warnings=warnings)
+        euler_ok=all(rep.euler_ok for rep in reports),
+        rank_warnings=sum(rep.rank_warning for rep in reports))

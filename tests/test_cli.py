@@ -365,6 +365,39 @@ def test_fit_refuses_a_csv_without_its_header(tmp_path, capsys):
     assert "tau,lambda_tau,value,stderr,method" in captured.err, captured.err
 
 
+def test_fit_refuses_an_impossible_point_naming_its_line(tmp_path, capsys):
+    # a NaN or overflowing value printed "omega": NaN with exit 0, tau = 0
+    # died in the SVD, and a negative stderr was taken for an exact point
+    header = "tau,lambda_tau,value,stderr,method\n"
+    good = "".join("%r,1,%r,0,char-surface\n" % (t, 1.0 / t) for t in (1e-3, 1e-2, 1e-1))
+    for row, reason in (("0.5,1,nan,0,x", "value nan is not finite"),
+                        ("0.5,1,1e400,0,x", "value inf is not finite"),
+                        ("0,1,2.0,0,x", "tau 0.0 is not finite and positive"),
+                        ("-0.5,1,2.0,0,x", "tau -0.5 is not finite and positive"),
+                        ("inf,1,2.0,0,x", "tau inf is not finite and positive"),
+                        ("0.5,1,2.0,-0.1,x", "stderr -0.1 is not finite and >= 0"),
+                        ("0.5,1,2.0,nan,x", "stderr nan is not finite and >= 0")):
+        path = tmp_path / "bad.csv"
+        path.write_text(header + good + row + "\n")
+        code = main(["fit", "--in", str(path)])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == "", row
+        assert captured.err == "error: line 5: %s\n" % reason, (row, captured.err)
+
+
+def test_a_one_point_tau_grid_needs_equal_bounds(capsys):
+    # --tau-grid 0.01:1:1 evaluated at tau = 1 alone, though a grid begins on lo
+    for argv in (["ztau", "--foam", "torus", "--tau-grid", "0.01:1:1"],
+                 ["ztau", "--foam", "torus", "--method", "mc", "--tau-grid", "0.3:1:1"],
+                 ["toy", "--tau-grid", "1e-3:1e-2:1"]):
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == "", argv
+        assert captured.err.startswith("error: --tau-grid"), (argv, captured.err)
+    code, out = run(capsys, "ztau", "--foam", "torus", "--tau-grid", "0.3:0.3:1")
+    assert code == 0 and [p["tau"] for p in json.loads(out)["points"]] == [0.3]
+
+
 def test_a_genus_that_is_not_an_integer_is_refused_naming_the_key(capsys):
     # analyze --foam genus:x printed "invalid literal for int() with base 10: 'x'"
     for key in ("genus:x", "genus:1.5", "genus:-1"):

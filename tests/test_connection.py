@@ -4,9 +4,9 @@ import warnings
 import numpy as np
 import pytest
 
-from foamtor.connection import (Connection, analytic_flat, analytic_flat_batch,
-                                find_flat_batch, flatness_residual, gauge_act,
-                                holonomy, holonomy_word, word_jacobian)
+from foamtor.connection import (Connection, _connections, analytic_flat,
+                                analytic_flat_batch, find_flat_batch, flatness_residual,
+                                gauge_act, holonomy, holonomy_word, word_jacobian)
 from foamtor.foam import builtin, parse_foam, serialize_foam
 from foamtor.groups import get_group, su2_mul
 from foamtor.twisted import cohomology
@@ -276,6 +276,56 @@ def test_analytic_flat_batch_refuses_parameters_no_sample_uses():
     mixed = analytic_flat_batch("appendix", rng, [1, 1], ["irred", "red"], psi_a=0.4,
                                 axis=[0, 0, 1])
     assert mixed[1].residual < 1e-15
+
+
+def _fields(sample):
+    """Every field of a FlatSample, data and residual as bytes (-0.0 is not 0.0)."""
+    conn = sample.connection
+    return (conn.foam, conn.group, conn.data.shape, conn.data.tobytes(),
+            np.float64(sample.residual).tobytes(), type(sample.residual), sample.b0,
+            sample.b2, sample.component_tag, sample.possibly_singular)
+
+
+def test_analytic_flat_batch_equals_single_calls_field_for_field():
+    # draws come in one call per sample and irred normals are normalized in
+    # one pass; each sample keeps the draws and bits of analytic_flat
+    fams = ["irred", "irred", "red", "irred", "irred", "irred", "red", "irred"]
+    signs = [1, -1, 1, -1, 1, 1, 1, -1]
+    cases = [("appendix", signs, fams, {}),
+             ("appendix", signs, fams, {"psi_a": 0.4, "psi_h": 1.1}),
+             ("appendix", signs, fams, {"psi_b": 2.0, "axis": [0.0, 3.0, 4.0]}),
+             ("appendix", signs, fams, {"psi_a": 0.4, "psi_b": 0.5, "psi_h": 0.6}),
+             ("appendix", [1, -1, -1], ["irred"] * 3, {}),
+             ("torus", signs, None, {"psi_b": 0.7}),
+             ("torus", signs, None, {"psi_a": 0.2, "psi_b": 0.3, "axis": [1.0, 1.0, 0.0]})]
+    for seed in (0, 5):
+        for kind, sgns, families, fixed in cases:
+            rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            batch = analytic_flat_batch(kind, rng, sgns, families, **fixed)
+            singles = []
+            for i, sign in enumerate(sgns):
+                family = None if families is None else families[i]
+                kwargs = {} if family == "irred" else fixed
+                singles.append(analytic_flat(kind, ref_rng, sign, family, **kwargs))
+            assert list(map(_fields, batch)) == list(map(_fields, singles)), (kind, fixed)
+            assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+def test_a_sample_set_refuses_a_row_that_is_not_an_element_naming_its_edge():
+    # one element check over every row of the stack, refusing as Connection does
+    appendix = builtin("appendix")
+    g = SU2.haar(np.random.default_rng(1), (4, 3))
+    for i, e, name in ((0, 0, "a"), (2, 2, "h"), (3, 1, "b")):
+        bad = np.array(g)
+        bad[i, e] *= 1.5
+        with pytest.raises(ValueError, match="^edge '%s' carries .* not an element of su2$"
+                           % name):
+            _connections(appendix, SU2, bad)
+    assert [c.data.tolist() for c in _connections(appendix, SU2, g)] == g.tolist()
+    # a zero axis puts NaN rows in an analytic batch
+    with np.errstate(invalid="ignore"):
+        with pytest.raises(ValueError, match="^edge 'a1' carries "):
+            analytic_flat_batch("torus", np.random.default_rng(0), [1, -1], axis=[0, 0, 0])
 
 
 def test_analytic_flat_recognises_a_foam_by_structure():

@@ -21,8 +21,12 @@ is a commutator), so projective_plane over U(1) pins the U(1) draws.
 The toy_* files were recorded while toy built its Gauss-Legendre rule once
 per tau, and the ztau_char_*.csv files (CSV_CASES) with the fit_* outputs
 that read them back, while fit still took the first CSV line for the header
-unread.  Every command runs from tests/golden/, so a foam file is echoed as
-a relative path.  The
+unread.  analyze_torus_200, analyze_appendix_200, flat_appendix_12 (irred
++1 and -1 and red) and the CSV torsion_torus_volume (all 900 rows, where
+the JSON pins only the largest error) were recorded while a sample set's
+draws, element checks and records, and the torus grid's rows, were still
+made one at a time.  Every command runs from tests/golden/, so a foam file
+is echoed as a relative path.  The
 stacked SVD and the batched face walk give the same bits per matrix as
 single calls with numpy's LAPACK; the files were recorded with numpy 2.4.6
 on OpenBLAS 0.3.31, and a different LAPACK build may round the printed
@@ -32,7 +36,6 @@ torsion magnitudes differently.
 import json
 import pathlib
 
-import numpy as np
 import pytest
 
 from foamtor.cli import main
@@ -45,6 +48,8 @@ CASES = {
     "analyze_dunce_hat": "analyze --foam dunce_hat --samples 12 --seed 5",
     "analyze_appendix": "analyze --foam appendix --samples 40 --seed 3",
     "analyze_torus": "analyze --foam torus --samples 20 --seed 7",
+    "analyze_torus_200": "analyze --foam torus --samples 200 --seed 9",
+    "analyze_appendix_200": "analyze --foam appendix --samples 200 --seed 9",
     "torsion_genus3": "torsion --foam genus:3 --samples 6 --seed 5",
     "torsion_dunce_hat": "torsion --foam dunce_hat --samples 6 --seed 5",
     "torsion_appendix": "torsion --foam appendix --samples 20 --seed 3",
@@ -54,6 +59,7 @@ CASES = {
     "torsion_genus2_dup": "torsion --foam genus2_dup.foam --samples 20 --seed 5",
     "flat_torus": "flat --foam torus --samples 5 --seed 3",
     "flat_appendix": "flat --foam appendix --samples 5 --seed 3",
+    "flat_appendix_12": "flat --foam appendix --samples 12 --seed 9",
     "flat_genus2": "flat --foam genus:2 --samples 5 --seed 3",
     "flat_dunce_hat": "flat --foam dunce_hat --samples 5 --seed 3",
     "flat_torus_u1": "flat --foam torus --group u1 --samples 5 --seed 3",
@@ -76,6 +82,8 @@ CSV_CASES = {
     "ztau_char_torus": "ztau --foam torus --method char --format csv",
     "ztau_char_genus2": "ztau --foam genus:2 --method char --format csv "
                         "--tau-grid 1e-4:1e-1:6",
+    "torsion_torus_volume": "torsion --foam torus --check torus-volume --grid 30 "
+                            "--format csv --seed 2",
 }
 
 
@@ -99,11 +107,5 @@ def test_cli_csv_output_is_unchanged(name, capsys, monkeypatch):
 
 def test_torus_chart_values_are_unchanged():
     ref = json.loads((GOLDEN / "torus_grids.json").read_text())
-    rows = np.array(torus_volume_grid(8))
-    want = np.array(ref["torus_volume_grid_8"])
-    # psi_a, psi_b, volume, formula to 1e-14 relative; the error column is a
-    # difference of near-equal volumes, so it is held to 1e-14 of the volume
-    np.testing.assert_allclose(rows[:, :4], want[:, :4], rtol=1e-14, atol=0)
-    assert np.all(np.abs(rows[:, 4] - want[:, 4]) <= 1e-14 * want[:, 3])
-    dom = torus_dominant_part(12)
-    assert abs(dom - ref["torus_dominant_part_12"]) <= 1e-14 * abs(dom)
+    assert torus_volume_grid(8) == [tuple(row) for row in ref["torus_volume_grid_8"]]
+    assert torus_dominant_part(12) == ref["torus_dominant_part_12"]

@@ -332,6 +332,23 @@ def test_fit_scaling_validates_input():
         fit_scaling(bad)
 
 
+def test_fit_scaling_refuses_impossible_points():
+    # a NaN point gave omega = nan, tau = 0 died in the SVD after warnings,
+    # and a negative stderr was weighted as an exact point
+    good = [z_char_surface(1, t) for t in np.logspace(-3, -1, 5)]
+    for tau, value, stderr, reason in (
+            (0.5, math.nan, 0.0, "value nan is not finite"),
+            (0.5, math.inf, 0.0, "value inf is not finite"),
+            (0.0, 2.0, 0.0, "tau 0.0 is not finite and positive"),
+            (math.nan, 2.0, 0.0, "tau nan is not finite and positive"),
+            (-0.5, 2.0, 0.0, "tau -0.5 is not finite and positive"),
+            (0.5, 2.0, -0.1, "stderr -0.1 is not finite and >= 0"),
+            (0.5, 2.0, math.inf, "stderr inf is not finite and >= 0")):
+        bad = ZEstimate(tau, value, stderr, "x")
+        with pytest.raises(ValueError, match="^point 3: " + reason + "$"):
+            fit_scaling(good[:2] + [bad] + good[2:])
+
+
 def test_toy_laplace_matches_reduced_oracle():
     # reduce along y: z = 2 sqrt(pi tau) int_0^L erf(L x / sqrt(tau)) dx / x,
     # evaluated independently by adaptive quadrature
@@ -370,6 +387,24 @@ def test_toy_laplace_of_an_array_equals_scalar_calls():
     for bad in (np.array([1e-3, 0.0]), np.array([-1.0])):
         with pytest.raises(ValueError, match="positive"):
             toy_laplace(bad)
+
+
+def _toy_full_matrix(t, L):
+    """toy_laplace at one tau as it evaluated the whole integrand matrix."""
+    nodes, weights = np.polynomial.legendre.leggauss(24)
+    n_levels = max(4, int(math.ceil(math.log2(L / math.sqrt(t)))) + 4)
+    bounds = np.array(([L * 2.0 ** -k for k in range(n_levels + 1)] + [0.0])[::-1])
+    xs = np.concatenate([0.5 * (b - a) * nodes + 0.5 * (a + b)
+                         for a, b in zip(bounds[:-1], bounds[1:])])
+    ws = np.concatenate([0.5 * (b - a) * weights for a, b in zip(bounds[:-1], bounds[1:])])
+    vals = np.exp(-np.outer(xs, xs) ** 2 / t)
+    return 4.0 * float(ws @ vals @ ws)
+
+
+def test_toy_laplace_mirrors_its_symmetric_matrix_with_the_same_bits():
+    taus = np.concatenate([np.logspace(-8, -1, 15), [0.37, 2.0, 50.0]])
+    for box in (1.0, 0.3, 2.5):
+        assert toy_laplace(taus, box).tolist() == [_toy_full_matrix(t, box) for t in taus]
 
 
 def test_toy_pure_fit_drifts_with_window():

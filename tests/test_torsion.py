@@ -7,9 +7,9 @@ from foamtor.connection import analytic_flat, find_flat_batch, gauge_act
 from foamtor.foam import builtin
 from foamtor.groups import SU2
 from foamtor.partition import char_sum_limit
-from foamtor.torsion import (SingularSampleError, TorsionValue, gaussian_volume,
-                             singular_value_torsion, torsion_at, torsion_batch,
-                             torus_dominant_part, torus_volume_grid)
+from foamtor.torsion import (SingularSampleError, TorsionValue, _torus_chart_volumes,
+                             gaussian_volume, singular_value_torsion, torsion_at,
+                             torsion_batch, torus_dominant_part, torus_volume_grid)
 
 
 def test_basis_independence_genus2():
@@ -139,6 +139,46 @@ def test_torus_volume_grid_equals_point_by_point_volumes():
     for pa, pb, vol, _, _ in rows:
         s = analytic_flat("torus", rng, psi_a=pa, psi_b=pb)
         assert vol == gaussian_volume(s, rank=2)
+
+
+def _volume_grid_per_point(n_grid, rng):
+    """torus_volume_grid's rows as they were formed point by point."""
+    grid = np.linspace(0.1, math.pi - 0.1, n_grid)
+    psi_a, psi_b = np.repeat(grid, n_grid), np.tile(grid, n_grid)
+    rows = []
+    for pa, pb, vol in zip(psi_a, psi_b, _torus_chart_volumes(psi_a, psi_b, rng)):
+        vol = float(vol)
+        formula = 4.0 * (math.sin(pa) ** 2 + math.sin(pb) ** 2)
+        rows.append((pa, pb, vol, formula, abs(vol - formula)))
+    return rows
+
+
+def _dominant_part_per_node(n_quad, rng):
+    """torus_dominant_part as it summed its quadrature node by node."""
+    nodes, weights = np.polynomial.legendre.leggauss(n_quad)
+    psi = 0.5 * math.pi * (nodes + 1.0)
+    w = 0.5 * math.pi * weights
+    vols = _torus_chart_volumes(np.repeat(psi, n_quad), np.tile(psi, n_quad), rng)
+    acc = 0.0
+    for k, vol_b2 in enumerate(vols):
+        i, j = divmod(k, n_quad)
+        chart = math.sin(psi[i]) ** 2 + math.sin(psi[j]) ** 2
+        acc += w[i] * w[j] * chart / float(vol_b2)
+    pref = (2.0 * math.pi ** 2) ** -2 * (4.0 * math.pi) ** 2 * 2.0 ** -2
+    return pref * 2.0 * (4.0 * math.pi) * acc
+
+
+def test_torus_chart_rows_keep_the_bits_of_the_per_point_loops():
+    # rows and quadrature terms are formed as arrays, the sum still in node order
+    for n, seed in ((1, 0), (2, 3), (8, 0), (30, 2), (31, 7)):
+        rows = torus_volume_grid(n, np.random.default_rng(seed))
+        want = _volume_grid_per_point(n, np.random.default_rng(seed))
+        assert rows == want, (n, seed)
+        assert all(type(x) is float for row in rows for x in row)
+    for n, seed in ((1, 1), (5, 1), (12, 1), (24, 9)):
+        value = torus_dominant_part(n, np.random.default_rng(seed))
+        assert value == _dominant_part_per_node(n, np.random.default_rng(seed)), (n, seed)
+        assert type(value) is float
 
 
 def test_gaussian_volume_respects_fixed_rank():
