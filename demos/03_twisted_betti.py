@@ -17,7 +17,7 @@ rng = np.random.default_rng(1)
 
 # -- exactness delta1 . delta0 = 0 at a flat point
 s = analytic_flat("torus", rng)
-d0, d1 = build_delta0(s.connection), build_delta1(s.connection)
+d0, d1 = build_delta0(s), build_delta1(s)
 print("||delta1 delta0|| at a flat torus point: %.2e" % np.max(np.abs(d1 @ d0)))
 
 rep = cohomology(s)

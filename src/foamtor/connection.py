@@ -20,9 +20,11 @@ array, L the number of letters.  H (..., F, elem_dim) and the frames
 (..., L, elem_dim) it returns are views of that memory, so delta1 reads the
 frames without stacking them.
 
-A sample set's records are built in one pass (_connections, _flat_samples):
-one element check over all its rows, refusing as Connection does, and the
-frozen records filled without their per-instance __init__ (_records).
+A flat sample is a Connection: FlatSample adds the residual and the
+classification, so every function of a connection takes a sample as it is.
+A sample set's records are built in one pass (_flat_samples): one element
+check over all its rows, refusing as Connection does, and the frozen records
+filled without their per-instance __init__ (_records).
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .foam import Foam, builtin as _builtin_foam, match_builtin, reduce_foam
+from .foam import Foam, _as_word, builtin as _builtin_foam, match_builtin, reduce_foam
 from .groups import EPS_LOG, SU2, CutLocusError, get_group, su2_normalize
 
 FLAT_TOL = 1e-10
@@ -76,10 +78,10 @@ class Connection:
 
 
 @dataclass(frozen=True, eq=False)
-class FlatSample:
-    """A connection on the flat set, with its residual and classification."""
+class FlatSample(Connection):
+    """A connection on the flat set, with its residual and classification;
+    its JSON nests the connection's edge map under "connection"."""
 
-    connection: Connection
     residual: float
     b0: int | None = None
     b2: int | None = None
@@ -88,7 +90,7 @@ class FlatSample:
 
     def to_json(self):
         return {
-            "connection": self.connection.to_json(),
+            "connection": super().to_json(),
             "residual": self.residual,
             "b0": self.b0,
             "b2": self.b2,
@@ -129,21 +131,16 @@ def _records(cls, **columns):
     return out
 
 
-def _connections(foam, group, g):
-    """Connection(foam, group, g[i]) for every i of a stack g (n, E,
-    elem_dim), group a group class: one element check over all n*E rows,
-    refusing as Connection does."""
-    _check_elements(foam, group, g)
-    return _records(Connection, foam=[foam] * len(g), group=[group] * len(g), data=list(g))
-
-
-def _flat_samples(connections, residuals, component_tags=None, b0=None, b2=None,
+def _flat_samples(foam, group, g, residuals, component_tags=None, b0=None, b2=None,
                   possibly_singular=None):
-    """FlatSample per row of the columns (sequences); a column left as None
-    takes its field's default."""
-    n = len(connections)
-    return _records(FlatSample, connection=connections, residual=residuals,
-                    b0=b0 or [None] * n, b2=b2 or [None] * n,
+    """FlatSample(foam, group, g[i], residuals[i], ...) for every i of a stack
+    g (n, E, elem_dim), group a group class: one element check over all n*E
+    rows, refusing as Connection does.  The other columns are sequences; one
+    left as None takes its field's default."""
+    _check_elements(foam, group, g)
+    n = len(g)
+    return _records(FlatSample, foam=[foam] * n, group=[group] * n, data=list(g),
+                    residual=residuals, b0=b0 or [None] * n, b2=b2 or [None] * n,
                     component_tag=component_tags or [None] * n,
                     possibly_singular=possibly_singular or [False] * n)
 
@@ -216,11 +213,6 @@ def word_jacobian(group, words_idx, g):
     return H, J.reshape(batch + (F * d, E * d))
 
 
-def connection_of(sample):
-    """The Connection of a FlatSample, or the sample itself if it is one."""
-    return sample.connection if isinstance(sample, FlatSample) else sample
-
-
 def holonomy(conn, f):
     """Holonomy of face f of conn.foam: ordered product of g_e^{+-1} along
     the face word (raw element array)."""
@@ -228,8 +220,9 @@ def holonomy(conn, f):
 
 
 def holonomy_word(conn, word):
-    """Holonomy of a word in the edges of conn.foam (raw element array)."""
-    idx = [(conn.foam.edge_index(l.edge), l.exponent) for l in word.letters]
+    """Holonomy of a word in the edges of conn.foam (raw element array); the
+    word is a FaceWord, a sequence of Letters or a string such as "a b^-1"."""
+    idx = [(conn.foam.edge_index(l.edge), l.exponent) for l in _as_word(word).letters]
     return _face_walk(conn.group, [idx], conn.data)[0][0]
 
 
@@ -343,10 +336,10 @@ def find_flat_batch(foam, group, rng, n, trace=None):
     g = group.haar(rng, (n, foam.E))
     if foam.E == 0 or foam.F == 0:
         res = face_residual(group, _face_walk(group, foam.words_idx, g)[0])
-        return _flat_samples(_connections(foam, group, g), res.tolist())
+        return _flat_samples(foam, group, g, res.tolist())
     g, res = _descend(group, foam.words_idx, g, rng, trace=trace)
     ok = res <= PROJECT_TOL
-    return _flat_samples(_connections(foam, group, g[ok]), res[ok].tolist())
+    return _flat_samples(foam, group, g[ok], res[ok].tolist())
 
 
 # ----------------------------------------------------------------------
@@ -431,7 +424,7 @@ def analytic_flat_batch(kind, rng, signs, families=None, psi_a=None, psi_b=None,
     res = face_residual(SU2, H)
     tags = (["torus:+" if sgn > 0 else "torus:-" for sgn in signs] if kind == "torus"
             else families)
-    return _flat_samples(_connections(foam, SU2, g), res.tolist(), list(tags))
+    return _flat_samples(foam, SU2, g, res.tolist(), list(tags))
 
 
 def analytic_flat(foam, rng, sign=+1, family=None, psi_a=None, psi_b=None, psi_h=None,

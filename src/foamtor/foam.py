@@ -406,12 +406,11 @@ def tietze2_add_face(foam, word, name=None):
 def verify_redundancy(word, samples):
     """Max distance to the identity of the word's holonomy over flat samples,
     the word read in the edges of each sample's own foam."""
-    from .connection import connection_of, holonomy_word
+    from .connection import holonomy_word
     word = _as_word(word)
     worst = 0.0
     for s in samples:
-        conn = connection_of(s)
-        worst = max(worst, float(conn.group.distance(holonomy_word(conn, word))))
+        worst = max(worst, float(s.group.distance(holonomy_word(s, word))))
     return worst
 
 

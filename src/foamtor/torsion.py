@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .connection import FlatSample, connection_of, unit_vectors, word_jacobian
+from .connection import FlatSample, unit_vectors, word_jacobian
 from .foam import builtin
 from .groups import SU2
 from .twisted import cohomology, cohomology_batch
@@ -152,7 +152,12 @@ def singular_value_torsion(sample):
 def _gaussian_volumes(foam, group, g, rank):
     """vol(delta1) at every connection of a stack g (n, E, elem_dim) on foam:
     delta1 from one face walk, and the product of its rank largest singular
-    values from one stacked SVD."""
+    values from one stacked SVD.  ValueError names a rank outside
+    0..min(dim G * F, dim G * E), the number of singular values of delta1."""
+    top = group.dim_g * min(foam.F, foam.E)
+    if not 0 <= rank <= top:
+        raise ValueError("rank %d is outside 0..%d, the singular values of delta1 on foam %r"
+                         % (rank, top, foam.name))
     d1 = word_jacobian(group, foam.words_idx, g)[1]
     return np.prod(np.linalg.svd(d1, compute_uv=False)[:, :rank], axis=-1)
 
@@ -165,8 +170,7 @@ def gaussian_volume(sample, rank):
     the family's generic rank, fixed so that near-degenerate points do not
     flip the count.  The batch of one of _gaussian_volumes.
     """
-    conn = connection_of(sample)
-    return float(_gaussian_volumes(conn.foam, conn.group, conn.data[None], rank)[0])
+    return float(_gaussian_volumes(sample.foam, sample.group, sample.data[None], rank)[0])
 
 
 def _torus_chart_volumes(psi_a, psi_b, rng):

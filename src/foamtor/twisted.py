@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .connection import FLAT_TOL, _flat_samples, _records, analytic_flat_batch, \
-    connection_of, face_residual, find_flat_batch, word_jacobian
+    face_residual, find_flat_batch, word_jacobian
 from .foam import _presentation, builtin, match_builtin, reduce_foam
 from .groups import get_group
 
@@ -116,7 +116,6 @@ class CohomologyReport:
     delta1: np.ndarray = field(compare=False, repr=False)
     gap0: float = np.inf
     gap1: float = np.inf
-    euler_ok: bool = True
     regular: bool = False     # b2 == 0 (curvature map submersive)
     reducible: bool = False   # isotropy above the center
     central: bool = False     # rank delta0 == 0
@@ -130,18 +129,18 @@ class CohomologyReport:
 def cohomology_batch(samples):
     """Twisted Betti numbers at every flat connection of a sample set.
 
-    samples are FlatSamples or Connections; the complex is that of their
-    foam.  Raises ValueError unless they share one group and presentation
-    (edge ids and face words, as foam.match_builtin compares them) on a
-    single-vertex foam, or if any of them is not flat.  Returns one
+    samples are Connections (a FlatSample is one); the complex is that of
+    their foam.  Raises ValueError unless they share one group and
+    presentation (edge ids and face words, as foam.match_builtin compares
+    them) on a single-vertex foam, or if any of them is not flat.  Returns one
     CohomologyReport per sample, in order; each equals what that sample
     gives on its own.
     """
-    conns = [connection_of(s) for s in samples]
-    if not conns:
+    samples = list(samples)
+    if not samples:
         return []
-    foam, group = conns[0].foam, conns[0].group
-    for c in conns:
+    foam, group = samples[0].foam, samples[0].group
+    for c in samples:
         if (c.foam is not foam or c.group is not group) and (
                 (c.foam.V, _presentation(c.foam), c.group.name)
                 != (foam.V, _presentation(foam), group.name)):
@@ -149,7 +148,7 @@ def cohomology_batch(samples):
     if not foam.is_reduced():
         raise ValueError("foam %r has %d vertices; reduce it first" % (foam.name, foam.V))
     d = group.dim_g
-    g = np.stack([c.data for c in conns])
+    g = np.stack([c.data for c in samples])
     H, d1 = word_jacobian(group, foam.words_idx, g)
     res = face_residual(group, H)
     if np.any(res > FLAT_TOL):
@@ -168,7 +167,7 @@ def cohomology_batch(samples):
         CohomologyReport, rank0=r0.tolist(), rank1=r1.tolist(), b0=b0.tolist(),
         b1=b1.tolist(), b2=b2.tolist(), sv0=list(sv0), sv1=list(sv1), delta0=list(d0),
         delta1=list(d1), gap0=gap0.tolist(), gap1=gap1.tolist(),
-        euler_ok=(b0 - b1 + b2 == d * foam.euler).tolist(), regular=(b2 == 0).tolist(),
+        regular=(b2 == 0).tolist(),
         reducible=(b0 > group.center_dim).tolist(), central=(r0 == 0).tolist(),
         rank_warning=(warn0 | warn1 | inconsistent).tolist())
 
@@ -184,7 +183,6 @@ class MinB2Report:
     histogram: dict            # b2 -> count
     strata: dict               # (b0, b2) -> count
     samples: list              # FlatSamples annotated with b0/b2
-    euler_ok: bool = True      # every sample's CohomologyReport.euler_ok
     rank_warnings: int = 0
 
     @property
@@ -242,11 +240,11 @@ def min_b2(foam_or_name, group, n_samples, rng):
         least[tag] = min(kernel, least.get(tag, kernel))
     hist = Counter(b2)
     strata = Counter(zip(b0, b2))
-    flagged = _flat_samples([s.connection for s in samples],
+    flagged = _flat_samples(samples[0].foam, samples[0].group,
+                            np.stack([s.data for s in samples]),
                             [s.residual for s in samples], tags, b0, b2,
                             [kernel > least[tag] for tag, kernel in zip(tags, kernels)])
     return MinB2Report(
         b2_0=min(hist), histogram=dict(sorted(hist.items())),
         strata=dict(sorted(strata.items())), samples=flagged,
-        euler_ok=all(rep.euler_ok for rep in reports),
         rank_warnings=sum(rep.rank_warning for rep in reports))

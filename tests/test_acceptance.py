@@ -147,7 +147,7 @@ def _flat_probes(foam, rng):
     probes = [Connection.identity(foam, "su2")]
     try:
         found = find_flat_batch(foam, "su2", rng, 3)
-        probes += [s.connection for s in found]
+        probes += found
     except Exception:
         pass
     return probes

@@ -4,7 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
-from foamtor.connection import (Connection, _connections, analytic_flat,
+from foamtor.connection import (Connection, _flat_samples, analytic_flat,
                                 analytic_flat_batch, find_flat_batch, flatness_residual,
                                 gauge_act, holonomy, holonomy_word, word_jacobian)
 from foamtor.foam import builtin, parse_foam, serialize_foam
@@ -121,7 +121,7 @@ def test_find_flat_torus_lands_on_commuting_pairs():
     samples = find_flat_batch(t, "su2", rng, 20)
     assert len(samples) >= 18
     for s in samples:
-        assert SU2.distance(holonomy(s.connection, 0)) < 1e-7
+        assert SU2.distance(holonomy(s, 0)) < 1e-7
 
 
 def test_descent_is_monotone_per_sample():
@@ -221,7 +221,7 @@ def test_analytic_flat_appendix_families():
     rng = np.random.default_rng(12)
     irred = analytic_flat("appendix", rng, family="irred", sign=-1)
     assert irred.residual < 1e-15
-    assert abs(irred.connection["h"][0] + 1.0) < 1e-15
+    assert abs(irred["h"][0] + 1.0) < 1e-15
     red = analytic_flat("appendix", rng, family="red")
     assert red.residual < 1e-15
     assert red.component_tag == "red"
@@ -280,7 +280,7 @@ def test_analytic_flat_batch_refuses_parameters_no_sample_uses():
 
 def _fields(sample):
     """Every field of a FlatSample, data and residual as bytes (-0.0 is not 0.0)."""
-    conn = sample.connection
+    conn = sample
     return (conn.foam, conn.group, conn.data.shape, conn.data.tobytes(),
             np.float64(sample.residual).tobytes(), type(sample.residual), sample.b0,
             sample.b2, sample.component_tag, sample.possibly_singular)
@@ -320,8 +320,8 @@ def test_a_sample_set_refuses_a_row_that_is_not_an_element_naming_its_edge():
         bad[i, e] *= 1.5
         with pytest.raises(ValueError, match="^edge '%s' carries .* not an element of su2$"
                            % name):
-            _connections(appendix, SU2, bad)
-    assert [c.data.tolist() for c in _connections(appendix, SU2, g)] == g.tolist()
+            _flat_samples(appendix, SU2, bad, [0.0] * 4)
+    assert [c.data.tolist() for c in _flat_samples(appendix, SU2, g, [0.0] * 4)] == g.tolist()
     # a zero axis puts NaN rows in an analytic batch
     with np.errstate(invalid="ignore"):
         with pytest.raises(ValueError, match="^edge 'a1' carries "):
@@ -335,15 +335,25 @@ def test_analytic_flat_recognises_a_foam_by_structure():
         mine = parse_foam(serialize_foam(builtin(name)), name="mine")
         a = analytic_flat(mine, np.random.default_rng(3), **kwargs)
         b = analytic_flat(name, np.random.default_rng(3), **kwargs)
-        assert a.connection.data.tobytes() == b.connection.data.tobytes()
+        assert a.data.tobytes() == b.data.tobytes()
         assert a.residual == b.residual and a.component_tag == b.component_tag
 
 
 def test_holonomy_word_refuses_an_edge_the_foam_lacks():
     from foamtor.foam import FaceWord, FoamError, Letter
-    conn = analytic_flat("torus", np.random.default_rng(17)).connection
+    conn = analytic_flat("torus", np.random.default_rng(17))
     with pytest.raises(FoamError, match="'zz'"):
         holonomy_word(conn, FaceWord((Letter("a1", 1), Letter("zz", -1))))
+
+
+def test_holonomy_word_takes_a_word_as_a_string():
+    # read by foam._as_word, as verify_redundancy and the Tietze moves read it
+    conn = analytic_flat("torus", np.random.default_rng(17))
+    got = holonomy_word(conn, "a1 b1 a1^-1 b1^-1")
+    assert got.tobytes() == holonomy(conn, 0).tobytes()
+    from foamtor.foam import FaceWord, Letter
+    want = holonomy_word(conn, FaceWord((Letter("b1", -1), Letter("a1", 1))))
+    assert holonomy_word(conn, "b1^-1 a1").tobytes() == want.tobytes()
 
 
 def test_holonomy_word_arbitrary():

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -52,7 +53,7 @@ def test_gauge_invariance_of_magnitude():
         base = torsion_at(s, rng).magnitude
         for _ in range(5):
             h = SU2.haar(rng)
-            moved = gauge_act(h, s.connection)
+            moved = gauge_act(h, s)
             val = torsion_at(moved, rng).magnitude
             assert abs(val - base) < 1e-10 * base
 
@@ -109,10 +110,9 @@ def test_sphere_torsion_is_one():
 
 
 def test_refuses_flagged_singular():
-    from foamtor.connection import FlatSample
     rng = np.random.default_rng(7)
     s = analytic_flat("torus", rng)
-    flagged = FlatSample(s.connection, s.residual, possibly_singular=True)
+    flagged = dataclasses.replace(s, possibly_singular=True)
     with pytest.raises(SingularSampleError):
         torsion_at(flagged, rng)
 
@@ -189,6 +189,17 @@ def test_gaussian_volume_respects_fixed_rank():
     assert abs(vol - target) < 1e-12
 
 
+def test_gaussian_volume_refuses_a_rank_delta1_cannot_have():
+    # on the torus delta1 is 3 x 6, so it has 3 singular values: rank 5 used
+    # to give the rank-3 product and rank -1 the rank-2 volume
+    s = analytic_flat("torus", np.random.default_rng(9))
+    for rank in (-1, 4, 5):
+        with pytest.raises(ValueError, match="rank %d " % rank):
+            gaussian_volume(s, rank)
+    assert gaussian_volume(s, 0) == 1.0
+    assert gaussian_volume(s, 3) < 1e-12 < gaussian_volume(s, 2)
+
+
 def test_torus_dominant_part_matches_character_limit():
     # both routes independently produce the tau->0 constant of Z_tau(torus)
     limit = char_sum_limit(1)
@@ -198,10 +209,9 @@ def test_torus_dominant_part_matches_character_limit():
 
 
 def test_torsion_batch_refuses_only_the_refused_samples():
-    from foamtor.connection import FlatSample
     rng = np.random.default_rng(23)
     good = [analytic_flat("torus", rng) for _ in range(3)]
-    flagged = FlatSample(good[0].connection, good[0].residual, possibly_singular=True)
+    flagged = dataclasses.replace(good[0], possibly_singular=True)
     # near-central: the counted singular values sit at the SVD noise floor
     thin = analytic_flat("torus", rng, psi_a=2e-11, psi_b=3e-11)
     samples = [good[0], flagged, good[1], thin, good[2]]
@@ -230,12 +240,11 @@ def test_singular_value_torsion_refuses_a_connection_that_is_not_flat():
 def test_torsion_batch_keeps_input_order_across_completion_groups():
     # the appendix foam's irreducible and reducible samples complete their
     # bases in two stacked groups; refusals before the seed draw sit between
-    from foamtor.connection import FlatSample
     from foamtor.twisted import cohomology
     rng = np.random.default_rng(31)
     irred = [analytic_flat("appendix", rng, family="irred", sign=(-1) ** i) for i in range(3)]
     red = [analytic_flat("appendix", rng, family="red") for _ in range(3)]
-    flagged = FlatSample(red[0].connection, red[0].residual, possibly_singular=True)
+    flagged = dataclasses.replace(red[0], possibly_singular=True)
     thin = analytic_flat("appendix", rng, family="red", psi_a=2e-11, psi_b=3e-11,
                          psi_h=1e-11)
     samples = [red[0], irred[0], flagged, irred[1], red[1], thin, red[2], irred[2]]

@@ -32,3 +32,34 @@ def test_descent_counter_binds_find_flat_batch_parameters():
     # _count_descent binds n and trace by name; losing either breaks --trace 1
     from foamtor.connection import find_flat_batch
     assert {"n", "trace"} <= set(inspect.signature(find_flat_batch).parameters)
+
+
+def test_counted_functions_keep_the_attributes_the_counters_read():
+    # the counters read results by attribute: cohomology(...).rank_warning,
+    # z_mc(...).meta["n_samples"], and find_flat_batch's n and trace by name.
+    # No CLI command calls cohomology, so the traced smoke rounds would not
+    # notice a renamed field; each counted function is called once here.
+    import dataclasses
+
+    import numpy as np
+
+    from foamtor.connection import find_flat_batch
+    from foamtor.foam import builtin
+    from foamtor.groups import SU2
+    from foamtor.partition import z_mc
+    from foamtor.torsion import torsion_at
+    from foamtor.twisted import cohomology
+
+    assert set(tracing.COUNTERS) <= set(tracing.SPANS)
+    rng = np.random.default_rng(0)
+    trace = []
+    found = find_flat_batch(builtin("torus"), "su2", rng, n=2, trace=trace)
+    assert trace and len(found) <= 2
+    assert isinstance(cohomology(found[0]).rank_warning, bool)
+    assert z_mc(builtin("torus"), "su2", 0.5, 100, seed=1).meta["n_samples"] == 100
+    # _count_refusals counts the ValueErrors of torsion_at
+    with pytest.raises(ValueError):
+        torsion_at(dataclasses.replace(found[0], possibly_singular=True), rng)
+    g = SU2.mul(SU2.identity((3,)), SU2.identity((3,)))
+    assert g.size // g.shape[-1] == 3
+    assert SU2.heat_kernel(0.3, np.array([0.5, 1.0])).size == 2
