@@ -30,8 +30,11 @@ as an element; Monte Carlo uses it with the heat kernel.
 Haar draws are Fortran-ordered: the batch axes vary fastest, so the row
 g[..., e, i] of one edge's component is contiguous, which is what
 word_angle reads once per face letter.  The values are those of the
-generator's stream (SU(2): its normals over their norm), so seeded Monte
-Carlo estimates do not depend on the layout.
+generator's stream (SU(2): its normals over their norm, drawn in cache-sized
+blocks by su2_haar_normals), so seeded draws do not depend on the layout or
+the blocking.  Monte Carlo draws through each group's ``mc_draw``: for SU(2)
+the normals unnormalized, since word_angle reads rows of any positive scale;
+for U(1) the Haar angles.
 """
 
 from __future__ import annotations
@@ -43,6 +46,7 @@ import numpy as np
 EPS_LOG = 1e-8          # cut-locus guard for log
 ELEMENT_TOL = 1e-9      # | |q|^2 - 1 | of an SU(2) element; renormalized products: ~1e-16
 HK_TRUNC_C = 12.0       # character series truncated at j_max = ceil(c/sqrt(tau))
+HAAR_BLOCK = 512        # leading-axis rows su2_haar_normals draws at a time
 
 
 class CutLocusError(ValueError):
@@ -123,20 +127,31 @@ def su2_word_angle(word_idx, g):
 
     One multiply chain per quaternion component: an inverse letter enters as
     a sign flip of its vector part, and the product is neither stacked nor
-    renormalized, since atan2(|v|, w) does not depend on its norm.
+    renormalized, since atan2(|v|, w) does not depend on its norm.  So the
+    rows of g may carry any positive scale, such as the raw normals of
+    su2_haar_normals: the angle then differs from that of the unit rows by
+    rounding only.  The chains run in place, on rows allocated once per call.
     """
     if not word_idx:
         return np.zeros(g.shape[:-2])
     (e, s), rest = word_idx[0], word_idx[1:]
-    w = g[..., e, 0].copy()
-    x, y, z = (g[..., e, i] * (1.0 if s > 0 else -1.0) for i in (1, 2, 3))
+    w, x, y, z, dot, cx, cy, cz, t = (np.empty(g.shape[:-2]) for _ in range(9))
+    np.copyto(w, g[..., e, 0])
+    for r, i in ((x, 1), (y, 2), (z, 3)):
+        np.multiply(g[..., e, i], 1.0 if s > 0 else -1.0, out=r)
     for e, s in rest:
         w2, x2, y2, z2 = (g[..., e, i] for i in range(4))
-        # (w, v)(w2, s v2) = (w w2 - s v.v2, v w2 + s (w v2 + v x v2))
-        dot = x * x2 + y * y2 + z * z2
-        cx = w * x2 + y * z2 - z * y2
-        cy = w * y2 + z * x2 - x * z2
-        cz = w * z2 + x * y2 - y * x2
+        # (w, v)(w2, s v2) = (w w2 - s v.v2, v w2 + s (w v2 + v x v2)), as
+        # dot = x x2 + y y2 + z z2 and cx = w x2 + y z2 - z y2, summed left
+        # to right
+        for out, (a1, b1), (a2, b2), (a3, b3), op in (
+                (dot, (x, x2), (y, y2), (z, z2), np.add),
+                (cx, (w, x2), (y, z2), (z, y2), np.subtract),
+                (cy, (w, y2), (z, x2), (x, z2), np.subtract),
+                (cz, (w, z2), (x, y2), (y, x2), np.subtract)):
+            np.multiply(a1, b1, out=out)
+            out += np.multiply(a2, b2, out=t)
+            op(out, np.multiply(a3, b3, out=t), out=out)
         w *= w2
         x *= w2
         y *= w2
@@ -151,7 +166,12 @@ def su2_word_angle(word_idx, g):
             x -= cx
             y -= cy
             z -= cz
-    return np.arctan2(np.sqrt(x * x + y * y + z * z), w)
+    np.multiply(x, x, out=x)
+    np.multiply(y, y, out=y)
+    x += y
+    np.multiply(z, z, out=z)
+    x += z
+    return np.arctan2(np.sqrt(x, out=x), w, out=w)
 
 
 def su2_class_angle(q):
@@ -189,16 +209,36 @@ def su2_adjoint(q):
     return R
 
 
-def su2_haar(rng, shape=()):
-    """Haar-uniform unit quaternions: four normals, normalized.
+def su2_haar_normals(rng, shape=()):
+    """The four normals of Haar-uniform quaternions, unnormalized: the
+    generator's stream rng.standard_normal(shape + (4,)) bit for bit, and the
+    generator left as that one call leaves it.
 
     The result is Fortran-ordered, so each component row g[..., e, i] is
-    contiguous and word_angle reads it without a copy: a Monte Carlo chunk
-    would otherwise pay a transposing copy on top of the draw.  The normals
-    are copied once into component-major memory, and freed, before
-    su2_normalize divides the copy by its norms.
+    contiguous and word_angle reads it without a copy.  The normals are drawn
+    HAAR_BLOCK leading-axis rows at a time into one reused buffer, which
+    stays in cache while it is copied into component-major (4, ...) memory;
+    the stream does not depend on the blocking.
     """
-    return su2_normalize(np.ascontiguousarray(rng.standard_normal(tuple(shape) + (4,)).T)).T
+    shape = tuple(shape)
+    c = np.empty((4,) + shape[::-1])
+    if not shape:
+        rng.standard_normal(out=c)
+        return c
+    n, rest = shape[0], shape[1:]
+    buf = np.empty((min(n, HAAR_BLOCK),) + rest + (4,))
+    for a in range(0, n, HAAR_BLOCK):
+        m = min(HAAR_BLOCK, n - a)
+        rng.standard_normal(out=buf[:m])
+        c[..., a:a + m] = buf[:m].T
+    return c.T
+
+
+def su2_haar(rng, shape=()):
+    """Haar-uniform unit quaternions: su2_haar_normals over their norms,
+    bit for bit q / np.linalg.norm(q, axis=-1, keepdims=True), and
+    Fortran-ordered like the normals."""
+    return su2_normalize(su2_haar_normals(rng, shape).T).T
 
 
 def su2_normalize(c):
@@ -373,6 +413,7 @@ class SU2:
     exp = staticmethod(su2_exp)
     adjoint = staticmethod(su2_adjoint)
     haar = staticmethod(su2_haar)
+    mc_draw = staticmethod(su2_haar_normals)     # z_mc's draw: word_angle needs no norm
     identity = staticmethod(su2_identity)
     word_angle = staticmethod(su2_word_angle)
 
@@ -456,6 +497,8 @@ class U1:
     def haar(rng, shape=()):
         """Uniform angles, Fortran-ordered like su2_haar."""
         return np.asfortranarray(rng.uniform(0.0, 2.0 * np.pi, size=tuple(shape) + (1,)))
+
+    mc_draw = haar     # word_angle reads the angles as drawn
 
     @staticmethod
     def identity(shape=()):

@@ -21,6 +21,7 @@ from .groups import get_group
 
 MC_TAU_FLOOR = 0.02
 MC_CHUNK = 50_000       # z_mc holds at most about this many samples at once
+MC_RAW_LETTERS = 256    # longest face word z_mc walks on unnormalized draws
 CSV_COLUMNS = "tau,lambda_tau,value,stderr,method"
 SELECT_FACTOR = 5.0     # the log model is chosen iff it cuts the residual RMS this much
 
@@ -109,12 +110,21 @@ def z_mc(foam, group, tau, n_samples, seed, n_workers=1):
     """Sample mean of prod_f K_tau(H_f(A)) over A ~ Haar^E.
 
     The n_samples draws are split into n_workers streams, stream w drawing
-    from default_rng([seed, w]); the streams run concurrently on a thread
-    pool of at most usable_cpus() threads, and their moments are merged in
-    stream order, so the result depends on the seed and n_workers only.  At
-    most about MC_CHUNK samples are held in memory at once across all streams
-    (a stream's draws do not depend on how it is chunked).  From the CLI:
+    from default_rng([seed, w]): each stream gets n_samples // n_workers and
+    the last one the rest too, so with fewer samples than workers only the
+    last stream draws, and the work grows with the samples, not the workers.
+    The non-empty streams run concurrently on a thread pool of at most
+    usable_cpus() threads, and their moments are merged in stream order, so
+    the result depends on the seed and n_workers only.  At most about
+    MC_CHUNK samples are held in memory at once across all streams (a
+    stream's draws do not depend on how it is chunked).  From the CLI:
     ``foamtor ztau --method mc --workers N``.
+
+    A chunk is drawn by group.mc_draw, which for SU(2) gives the Haar normals
+    unnormalized: word_angle reads angles that do not depend on the scale, so
+    an estimate can differ from one on unit quaternions in its last bits
+    only.  A word longer than MC_RAW_LETTERS could overflow the product of
+    unnormalized rows, so such a foam draws unit rows (group.haar) instead.
 
     Below the MC floor the integrand variance swamps 1e7-sample estimates;
     use the character evaluators there.
@@ -135,16 +145,18 @@ def z_mc(foam, group, tau, n_samples, seed, n_workers=1):
     if n_samples < 2:
         raise ValueError("n_samples=%r: Monte Carlo needs at least 2 samples "
                          "for a standard error" % (n_samples,))
-    per = [n_samples // n_workers] * n_workers
-    per[-1] += n_samples - sum(per)
+    per, rest = divmod(n_samples, n_workers)
     step = -(-MC_CHUNK // n_workers)
+    long_words = max(map(len, foam.words_idx), default=0) > MC_RAW_LETTERS
+    draw = group.haar if long_words else group.mc_draw
 
     def stream(w):
         wrng = np.random.default_rng([seed, w])
+        n = per + rest if w == n_workers - 1 else per
         parts = []
-        for start in range(0, per[w], step):
-            m = min(step, per[w] - start)
-            g = group.haar(wrng, (m, foam.E))
+        for start in range(0, n, step):
+            m = min(step, n - start)
+            g = draw(wrng, (m, foam.E))
             vals = np.ones(m)
             for word in foam.words_idx:
                 vals *= group.heat_kernel(tau, group.word_angle(word, g))
@@ -156,9 +168,11 @@ def z_mc(foam, group, tau, n_samples, seed, n_workers=1):
 
     # imported here so that importing foamtor does not pay for it
     from concurrent.futures import ThreadPoolExecutor
+    # the non-empty streams: all of them, or the last one alone
+    drawing = range(0 if per else n_workers - 1, n_workers)
     # numpy releases the GIL in the Haar draws and the kernels
-    with ThreadPoolExecutor(min(n_workers, usable_cpus())) as pool:
-        streams = list(pool.map(stream, [w for w in range(n_workers) if per[w]]))
+    with ThreadPoolExecutor(min(len(drawing), usable_cpus())) as pool:
+        streams = list(pool.map(stream, drawing))
     n_done, mean, m2 = reduce(_merge_moments, streams)
     stderr = math.sqrt(m2 / (n_done - 1) / n_done)
     return ZEstimate(tau, mean, stderr, "mc",

@@ -324,6 +324,16 @@ def test_ztau_workers_below_one_are_refused_by_both_methods(capsys):
     assert len(errors) == 1 and errors.pop().startswith("error: --workers")
 
 
+def test_ztau_mc_takes_more_workers_than_memory(capsys):
+    # one list entry per worker asked 800 TB and raised MemoryError, a
+    # traceback from user input; the samples, not the workers, set the work
+    code, out = run(capsys, "ztau", "--foam", "torus", "--method", "mc", "--samples",
+                    "1000", "--workers", str(10 ** 14), "--tau-grid", "0.5:0.5:1")
+    (p,) = json.loads(out)["points"]
+    assert code == 0
+    assert p["meta"]["n_samples"] == 1000 and p["meta"]["n_workers"] == 10 ** 14
+
+
 def test_torsion_csv_needs_the_torus_volume_check(capsys):
     code = main(["torsion", "--foam", "torus", "--samples", "1", "--format", "csv"])
     captured = capsys.readouterr()

@@ -7,8 +7,9 @@ import pytest
 
 from foamtor.connection import word_jacobian
 from foamtor.foam import builtin, reduce_foam
-from foamtor.groups import (EPS_LOG, CutLocusError, get_group, su2_haar,
-                            su2_heat_kernel_images, su2_heat_kernel_series, su2_mul,
+from foamtor.groups import (EPS_LOG, HAAR_BLOCK, CutLocusError, get_group, su2_haar,
+                            su2_haar_normals, su2_heat_kernel_images,
+                            su2_heat_kernel_series, su2_mul, su2_word_angle,
                             u1_heat_kernel_images, u1_heat_kernel_series)
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
@@ -138,13 +139,47 @@ def test_heat_kernel_methods_agree():
 
 def test_su2_haar_normalizes_the_normal_stream():
     # Haar draws are the normals of the generator's stream over their norm, so
-    # every seeded Monte Carlo estimate keeps its value
+    # every seeded draw (descent starts, Connection.haar) keeps its bits
     for shape in ((), (2,), (5,), (20, 3), (300, 6), (4, 7, 3), (25000, 4)):
         q = np.random.default_rng(8).standard_normal(shape + (4,))
         ref = q / np.linalg.norm(q, axis=-1, keepdims=True)
         got = su2_haar(np.random.default_rng(8), shape)
         assert got.shape == ref.shape
         assert np.array_equal(got, ref)
+
+
+@pytest.mark.parametrize("n", [1, HAAR_BLOCK - 1, HAAR_BLOCK, HAAR_BLOCK + 1,
+                               2 * HAAR_BLOCK + 3])
+@pytest.mark.parametrize("tail", [None, (), (3,)], ids=["scalar", "n", "nxE"])
+def test_blocked_haar_draw_reads_one_normal_call(n, tail):
+    # su2_haar_normals draws HAAR_BLOCK leading rows at a time: the blocks
+    # must give the normals of one standard_normal call, leave the generator
+    # where that call leaves it, and su2_haar their unit quaternions
+    shape = () if tail is None else (n,) + tail
+    ref_rng = np.random.default_rng(12)
+    q = ref_rng.standard_normal(shape + (4,))
+    for draw, want in ((su2_haar_normals, q),
+                       (su2_haar, q / np.linalg.norm(q, axis=-1, keepdims=True))):
+        rng = np.random.default_rng(12)
+        got = draw(rng, shape)
+        assert got.shape == want.shape and np.array_equal(got, want)
+        assert got.flags.f_contiguous
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+@pytest.mark.parametrize("name", ["torus", "genus:3", "appendix", "dunce_hat"])
+def test_su2_word_angle_does_not_depend_on_row_scale(name):
+    # z_mc walks the raw normals of su2_haar_normals: rows of any positive
+    # scale give the class angle of the unit rows to rounding
+    foam = reduce_foam(builtin(name))
+    rng = np.random.default_rng(22)
+    g = su2_haar(rng, (4000, foam.E))
+    scaled = g * rng.uniform(0.1, 10.0, g.shape[:-1] + (1,))
+    words = [w for w in foam.words_idx if w]
+    assert any(s < 0 for w in words for _, s in w)
+    for word in words:
+        ref = su2_word_angle(word, g)
+        assert np.max(np.abs(su2_word_angle(word, scaled) - ref)) <= 2e-15, name
 
 
 def test_haar_component_rows_are_contiguous():

@@ -8,7 +8,7 @@ from scipy.integrate import quad
 from scipy.special import erf
 
 from foamtor import partition
-from foamtor.foam import builtin
+from foamtor.foam import builtin, parse_foam
 from foamtor.groups import (get_group, su2_haar, su2_heat_kernel_images,
                             su2_heat_kernel_series, su2_mul)
 from foamtor.partition import (CSV_COLUMNS, MC_TAU_FLOOR, ZEstimate, char_sum_limit,
@@ -125,6 +125,19 @@ def test_z_mc_threaded_streams_are_reproducible(monkeypatch):
     assert a.meta["n_samples"] == 30_001 and a.meta["n_workers"] == 3
 
 
+def spy_draw_threads(monkeypatch):
+    """Make SU2.mc_draw record the threads that call it, in the set returned."""
+    seen = set()
+    real_draw = SU2.mc_draw
+
+    def mc_draw(rng, shape=()):
+        seen.add(threading.get_ident())
+        return real_draw(rng, shape)
+
+    monkeypatch.setattr(SU2, "mc_draw", staticmethod(mc_draw))
+    return seen
+
+
 @pytest.mark.parametrize("pinned", [False, True])
 def test_z_mc_pool_is_capped_at_cpu_count(monkeypatch, pinned):
     if pinned:
@@ -134,20 +147,46 @@ def test_z_mc_pool_is_capped_at_cpu_count(monkeypatch, pinned):
         monkeypatch.setattr(os, "cpu_count", lambda: 64)
     cpus = 1 if pinned else usable_cpus()
     workers = 4 * cpus
-    seen = set()
-    real_haar = SU2.haar
-
-    def haar(rng, shape=()):
-        seen.add(threading.get_ident())
-        return real_haar(rng, shape)
-
     t = builtin("torus")
     ref = z_mc(t, "su2", 0.5, 1000 * workers + 3, seed=5, n_workers=workers)
-    monkeypatch.setattr(SU2, "haar", staticmethod(haar))
+    seen = spy_draw_threads(monkeypatch)
     est = z_mc(t, "su2", 0.5, 1000 * workers + 3, seed=5, n_workers=workers)
     assert (est.value, est.stderr) == (ref.value, ref.stderr)
     assert est.meta["n_workers"] == workers
     assert 1 <= len(seen) <= cpus
+
+
+@pytest.mark.parametrize("workers", [10 ** 14, 10 ** 18])
+def test_z_mc_work_grows_with_samples_not_workers(monkeypatch, workers):
+    # with fewer samples than workers only the last stream draws; a list of
+    # one entry per worker asked 800 TB of memory for 10**14 workers, which
+    # no allocator grants, and raised MemoryError
+    t = builtin("torus")
+    seen = spy_draw_threads(monkeypatch)
+    est = z_mc(t, "su2", 0.5, 1000, seed=5, n_workers=workers)
+    assert est.meta == {"n_samples": 1000, "seed": 5, "n_workers": workers}
+    assert 1 <= len(seen) <= usable_cpus()
+    # the last stream's 1000 samples, drawn in one piece: the stream does not
+    # depend on its chunks, only the moment merge rounds differently
+    g = SU2.haar(np.random.default_rng([5, workers - 1]), (1000, t.E))
+    vals = SU2.heat_kernel(0.5, SU2.word_angle(t.words_idx[0], g))
+    assert abs(est.value - vals.mean()) <= 1e-12 * vals.mean()
+    stderr = vals.std(ddof=1) / math.sqrt(1000)
+    assert abs(est.stderr - stderr) <= 1e-12 * stderr
+
+
+def test_z_mc_walks_long_words_on_unit_rows():
+    # a product of raw normals grows like 1.75 per letter and overflows
+    # within about 600 letters (the estimate came back NaN): longer words
+    # than MC_RAW_LETTERS read the unit quaternions of SU2.haar instead
+    foam = parse_foam("edges: a b\nface: " + "a b a^-1 b^-1 " * 175)
+    assert len(foam.words_idx[0]) > partition.MC_RAW_LETTERS
+    est = z_mc(foam, "su2", 0.5, 2000, seed=3)
+    g = SU2.haar(np.random.default_rng([3, 0]), (2000, 2))
+    vals = SU2.heat_kernel(0.5, SU2.word_angle(foam.words_idx[0], g))
+    assert est.value == vals.mean()
+    stderr = vals.std(ddof=1) / math.sqrt(2000)
+    assert abs(est.stderr - stderr) <= 1e-12 * stderr
 
 
 def test_z_mc_variance_of_a_constant_integrand_is_zero(monkeypatch):
