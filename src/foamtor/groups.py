@@ -209,7 +209,7 @@ def su2_adjoint(q):
     return R
 
 
-def su2_haar_normals(rng, shape=()):
+def su2_haar_normals(rng, shape=(), out=None):
     """The four normals of Haar-uniform quaternions, unnormalized: the
     generator's stream rng.standard_normal(shape + (4,)) bit for bit, and the
     generator left as that one call leaves it.
@@ -218,10 +218,12 @@ def su2_haar_normals(rng, shape=()):
     contiguous and word_angle reads it without a copy.  The normals are drawn
     HAAR_BLOCK leading-axis rows at a time into one reused buffer, which
     stays in cache while it is copied into component-major (4, ...) memory;
-    the stream does not depend on the blocking.
+    the stream does not depend on the blocking.  With out, an array of shape
+    shape + (4,) such as a leading slice of a Fortran-ordered buffer, the
+    normals are written into out instead of new memory.
     """
     shape = tuple(shape)
-    c = np.empty((4,) + shape[::-1])
+    c = np.empty((4,) + shape[::-1]) if out is None else out.T
     if not shape:
         rng.standard_normal(out=c)
         return c
@@ -234,11 +236,11 @@ def su2_haar_normals(rng, shape=()):
     return c.T
 
 
-def su2_haar(rng, shape=()):
+def su2_haar(rng, shape=(), out=None):
     """Haar-uniform unit quaternions: su2_haar_normals over their norms,
     bit for bit q / np.linalg.norm(q, axis=-1, keepdims=True), and
-    Fortran-ordered like the normals."""
-    return su2_normalize(su2_haar_normals(rng, shape).T).T
+    Fortran-ordered like the normals (or written into out, as there)."""
+    return su2_normalize(su2_haar_normals(rng, shape, out).T).T
 
 
 def su2_normalize(c):
@@ -494,9 +496,13 @@ class U1:
         return np.ones(np.asarray(g).shape[:-1] + (1, 1))
 
     @staticmethod
-    def haar(rng, shape=()):
-        """Uniform angles, Fortran-ordered like su2_haar."""
-        return np.asfortranarray(rng.uniform(0.0, 2.0 * np.pi, size=tuple(shape) + (1,)))
+    def haar(rng, shape=(), out=None):
+        """Uniform angles, Fortran-ordered like su2_haar (or written into out)."""
+        theta = rng.uniform(0.0, 2.0 * np.pi, size=tuple(shape) + (1,))
+        if out is None:
+            return np.asfortranarray(theta)
+        out[...] = theta
+        return out
 
     mc_draw = haar     # word_angle reads the angles as drawn
 

@@ -120,6 +120,10 @@ def z_mc(foam, group, tau, n_samples, seed, n_workers=1):
     stream's draws do not depend on how it is chunked).  From the CLI:
     ``foamtor ztau --method mc --workers N``.
 
+    The draw buffers, one per pool thread, are allocated by the calling
+    thread before the pool starts and reused by every chunk, so the memory
+    the process holds does not depend on how the pool threads interleave.
+
     A chunk is drawn by group.mc_draw, which for SU(2) gives the Haar normals
     unnormalized: word_angle reads angles that do not depend on the scale, so
     an estimate can differ from one on unit quaternions in its last bits
@@ -150,13 +154,22 @@ def z_mc(foam, group, tau, n_samples, seed, n_workers=1):
     long_words = max(map(len, foam.words_idx), default=0) > MC_RAW_LETTERS
     draw = group.haar if long_words else group.mc_draw
 
+    # the non-empty streams: all of them, or the last one alone
+    drawing = range(0 if per else n_workers - 1, n_workers)
+    threads = min(len(drawing), usable_cpus())
+    # at most `threads` streams run at once, so each takes a buffer off this
+    # list and puts it back when done (list pop and append are atomic)
+    buffers = [np.empty((min(step, per + rest), foam.E, group.elem_dim), order="F")
+               for _ in range(threads)]
+
     def stream(w):
         wrng = np.random.default_rng([seed, w])
         n = per + rest if w == n_workers - 1 else per
+        buf = buffers.pop()
         parts = []
         for start in range(0, n, step):
             m = min(step, n - start)
-            g = draw(wrng, (m, foam.E))
+            g = draw(wrng, (m, foam.E), out=buf[:m])
             vals = np.ones(m)
             for word in foam.words_idx:
                 vals *= group.heat_kernel(tau, group.word_angle(word, g))
@@ -164,14 +177,13 @@ def z_mc(foam, group, tau, n_samples, seed, n_workers=1):
             vals -= mean
             vals *= vals
             parts.append((m, mean, float(vals.sum())))
+        buffers.append(buf)
         return reduce(_merge_moments, parts)
 
     # imported here so that importing foamtor does not pay for it
     from concurrent.futures import ThreadPoolExecutor
-    # the non-empty streams: all of them, or the last one alone
-    drawing = range(0 if per else n_workers - 1, n_workers)
     # numpy releases the GIL in the Haar draws and the kernels
-    with ThreadPoolExecutor(min(len(drawing), usable_cpus())) as pool:
+    with ThreadPoolExecutor(threads) as pool:
         streams = list(pool.map(stream, drawing))
     n_done, mean, m2 = reduce(_merge_moments, streams)
     stderr = math.sqrt(m2 / (n_done - 1) / n_done)

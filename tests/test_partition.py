@@ -130,9 +130,9 @@ def spy_draw_threads(monkeypatch):
     seen = set()
     real_draw = SU2.mc_draw
 
-    def mc_draw(rng, shape=()):
+    def mc_draw(rng, shape=(), out=None):
         seen.add(threading.get_ident())
-        return real_draw(rng, shape)
+        return real_draw(rng, shape, out)
 
     monkeypatch.setattr(SU2, "mc_draw", staticmethod(mc_draw))
     return seen
