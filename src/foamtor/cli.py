@@ -25,6 +25,8 @@ from .partition import (fit_scaling, fit_toy, toy_laplace, z_char_appendix,
 from .torsion import TorsionValue, torsion_batch, torus_volume_csv, torus_volume_grid
 from .twisted import min_b2, sample_flat
 
+TORUS_VOLUME_TOL = 1e-10   # --check torus-volume passes iff every abs error is below this
+
 
 def _load_foam(source):
     if source.startswith("@") or os.path.exists(source):
@@ -195,14 +197,15 @@ def cmd_torsion(args):
             raise ValueError("--grid %d: need at least 1 point" % args.grid)
         rows = torus_volume_grid(args.grid, rng)
         max_err = max(r[4] for r in rows)
+        passed = max_err < TORUS_VOLUME_TOL
         if args.format == "csv":
             _emit(args, torus_volume_csv(rows))
         else:
             _emit(args, {"config": _config_echo(args, seed),
                          "check": "torus-volume",
                          "grid": args.grid, "max_abs_error": max_err,
-                         "tolerance": 1e-10, "passed": bool(max_err < 1e-10)})
-        return 0 if max_err < 1e-10 else 1
+                         "tolerance": TORUS_VOLUME_TOL, "passed": passed})
+        return 0 if passed else 1
     foam, samples = sample_flat(_load_foam(args.foam), args.group, args.samples, rng)
     values = [v.to_json() if isinstance(v, TorsionValue) else {"error": str(v)}
               for v in torsion_batch(samples, rng)]

@@ -354,6 +354,7 @@ def unit_vectors(v):
 
 
 PSI_RANGE = (0.15, np.pi - 0.15)    # class angles drawn by the analytic families
+ANALYTIC_FOAMS = ("torus", "appendix")   # the builtins with analytic SU(2) families
 
 
 def analytic_flat_batch(kind, rng, signs, families=None, psi_a=None, psi_b=None,
@@ -441,7 +442,7 @@ def analytic_flat(foam, rng, sign=+1, family=None, psi_a=None, psi_b=None, psi_h
     """
     if isinstance(foam, str):
         foam = _builtin_foam(foam)
-    kind = match_builtin(foam, ("torus", "appendix"))
+    kind = match_builtin(foam, ANALYTIC_FOAMS)
     if kind is None:
         raise ValueError("no analytic flat family for foam %r" % foam.name)
     if kind == "appendix" and family is None:

@@ -131,26 +131,27 @@ class Foam:
             for l in f.letters:
                 if l.edge not in self._index:
                     raise FoamError("face word uses undeclared edge %r" % l.edge)
-        self._check_connected()
         if self.n_vertices > 1:
+            if len(self._spanning_tree()) != self.n_vertices - 1:
+                raise FoamError("1-skeleton is not connected")
             for fi, f in enumerate(self.faces):
                 self._check_chaining(fi, f)
 
-    def _check_connected(self):
-        if self.n_vertices == 1:
-            return
-        adj = {v: set() for v in range(self.n_vertices)}
-        for _, s, d in self.edges:
-            adj[s].add(d)
-            adj[d].add(s)
-        seen, stack = {0}, [0]
+    def _spanning_tree(self):
+        """Edge indices of the depth-first tree of the 1-skeleton from vertex
+        0, which marks a vertex when it is pushed; spanning iff connected."""
+        adj = {v: [] for v in range(self.n_vertices)}
+        for i, (_, s, d) in enumerate(self.edges):
+            adj[s].append((d, i))
+            adj[d].append((s, i))
+        tree, seen, stack = set(), {0}, [0]
         while stack:
-            for w in adj[stack.pop()]:
+            for w, i in adj[stack.pop()]:
                 if w not in seen:
                     seen.add(w)
+                    tree.add(i)
                     stack.append(w)
-        if len(seen) != self.n_vertices:
-            raise FoamError("1-skeleton is not connected")
+        return tree
 
     def _endpoints(self, letter):
         _, s, d = self.edges[self._index[letter.edge]]
@@ -173,6 +174,19 @@ class Foam:
 # ----------------------------------------------------------------------
 # text format
 
+def _parse_letter(tok):
+    """The Letter a token writes: an edge id, or an edge id followed by ^-1."""
+    if tok.endswith("^-1"):
+        base, exp = tok[:-3], -1
+    elif "^" in tok:
+        raise FoamError("bad exponent in %r (only ^-1 is allowed)" % tok)
+    else:
+        base, exp = tok, 1
+    if not _ID_RE.match(base):
+        raise FoamError("bad edge id %r" % base)
+    return Letter(base, exp)
+
+
 def parse_foam(text, name="foam"):
     """Parse the line-oriented foam format.
 
@@ -186,18 +200,7 @@ def parse_foam(text, name="foam"):
     n_vertices = None
 
     def err(lineno, col, msg):
-        raise FoamError("line %d, col %d: %s" % (lineno, col, msg))
-
-    def parse_letter(tok, lineno, col):
-        if tok.endswith("^-1"):
-            base, exp = tok[:-3], -1
-        elif "^" in tok:
-            err(lineno, col, "bad exponent in %r (only ^-1 is allowed)" % tok)
-        else:
-            base, exp = tok, 1
-        if not _ID_RE.match(base):
-            err(lineno, col, "bad edge id %r" % base)
-        return Letter(base, exp)
+        raise FoamError("line %d, col %d: %s" % (lineno, col, msg)) from None
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -225,7 +228,10 @@ def parse_foam(text, name="foam"):
             letters = []
             for tok in toks:
                 col = raw.index(tok) + 1
-                l = parse_letter(tok, lineno, col)
+                try:
+                    l = _parse_letter(tok)
+                except FoamError as exc:
+                    err(lineno, col, exc)
                 if l.edge not in endpoints:
                     err(lineno, col, "undeclared edge %r in face word" % l.edge)
                 letters.append(l)
@@ -270,20 +276,7 @@ def reduce_foam(foam):
     """
     if foam.is_reduced():
         return foam
-    adj = {v: [] for v in range(foam.n_vertices)}
-    for i, (e, s, d) in enumerate(foam.edges):
-        adj[s].append((d, i))
-        adj[d].append((s, i))
-    tree = set()
-    seen = {0}
-    stack = [0]
-    while stack:
-        v = stack.pop()
-        for w, i in adj[v]:
-            if w not in seen:
-                seen.add(w)
-                tree.add(i)
-                stack.append(w)
+    tree = foam._spanning_tree()
     keep = [i for i in range(foam.E) if i not in tree]
     kept_ids = {foam.edges[i][0] for i in keep}
     new_edges = tuple((foam.edges[i][0], 0, 0) for i in keep)
@@ -418,14 +411,7 @@ def _as_word(word):
     if isinstance(word, FaceWord):
         return word
     if isinstance(word, str):
-        toks = word.split()
-        letters = []
-        for t in toks:
-            if t.endswith("^-1"):
-                letters.append(Letter(t[:-3], -1))
-            else:
-                letters.append(Letter(t, 1))
-        return FaceWord(tuple(letters))
+        return FaceWord(tuple(map(_parse_letter, word.split())))
     return FaceWord(tuple(word))
 
 
@@ -436,21 +422,17 @@ def _commutator(a, b):
     return (Letter(a, 1), Letter(b, 1), Letter(a, -1), Letter(b, -1))
 
 
-def builtin(name, g=None):
+def builtin(name):
     """Canonical reduced foams: sphere, torus, genus:g, appendix, dunce_hat,
     projective_plane.  genus:0 is the sphere (one trivially attached face)."""
-    key = name.lower()
-    if key.startswith("genus:"):
-        key, g = "genus", key.split(":", 1)[1]
-        g = int(g) if g.isdecimal() else -1
-    if key == "torus":
-        key, g = "genus", 1
-    if key == "sphere" or (key == "genus" and g == 0):
+    key = "genus:1" if name.lower() == "torus" else name.lower()
+    g = key[6:] if key.startswith("genus:") else None
+    if g is not None and not g.isdecimal():
+        raise FoamError("builtin %r: genus:g needs an integer g >= 0" % name)
+    if key == "sphere" or g is not None and int(g) == 0:
         return Foam(name="sphere", edges=(), faces=(FaceWord((), "disk"),))
-    if key == "genus":
-        if g is None or g < 0:
-            raise FoamError("builtin %r: genus:g needs an integer g >= 0" % name)
-        edges, word = [], ()
+    if g is not None:
+        g, edges, word = int(g), [], ()
         for i in range(1, g + 1):
             a, b = "a%d" % i, "b%d" % i
             edges += [(a, 0, 0), (b, 0, 0)]

@@ -287,8 +287,8 @@ def su2_heat_kernel_series(tau, psi):
     if tau <= 0:
         raise ValueError("tau must be positive")
     psi = np.atleast_1d(np.asarray(psi, dtype=float))
-    n = np.arange(1, _su2_nmax(tau) + 1, dtype=float)
-    coef = n * np.exp(-tau * (n * n - 1.0) / 4.0)
+    j = np.arange(_su2_nmax(tau)) / 2.0
+    coef = SU2.dim(j) * np.exp(-tau * SU2.casimir(j))
     x2 = 2.0 * np.cos(psi)
     b1, b2 = np.full_like(psi, coef[-1]), np.zeros_like(psi)
     for c in coef[-2::-1]:
@@ -437,11 +437,15 @@ class SU2:
 
     @staticmethod
     def casimir(label):
+        """j(j + 1) of spin j, for a label in N/2 or an array of labels, as
+        floats: exactly (n^2 - 1)/4 with n = 2j + 1."""
+        label = np.asarray(label, dtype=float)
         return label * (label + 1.0)
 
     @staticmethod
     def dim(label):
-        return int(round(2 * label)) + 1
+        """2j + 1, the dimension of the spin-j irreps, as floats."""
+        return 2.0 * np.asarray(label, dtype=float) + 1.0
 
     @staticmethod
     def heat_kernel(tau, psi):

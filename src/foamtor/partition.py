@@ -17,13 +17,14 @@ from functools import reduce
 import numpy as np
 
 from .foam import reduce_foam
-from .groups import get_group
+from .groups import SU2, get_group
 
 MC_TAU_FLOOR = 0.02
 MC_CHUNK = 50_000       # z_mc holds at most about this many samples at once
 MC_RAW_LETTERS = 256    # longest face word z_mc walks on unnormalized draws
 CSV_COLUMNS = "tau,lambda_tau,value,stderr,method"
 SELECT_FACTOR = 5.0     # the log model is chosen iff it cuts the residual RMS this much
+LIMIT_TAUS = (1e-4, 1e-5, 1e-6)   # char_sum_limit's extrapolation points
 
 
 def lambda_tau(tau):
@@ -116,8 +117,9 @@ def z_mc(foam, group, tau, n_samples, seed, n_workers=1):
     The non-empty streams run concurrently on a thread pool of at most
     usable_cpus() threads, and their moments are merged in stream order, so
     the result depends on the seed and n_workers only.  At most about
-    MC_CHUNK samples are held in memory at once across all streams (a
-    stream's draws do not depend on how it is chunked).  From the CLI:
+    MC_CHUNK samples are held in memory at once across the drawing streams,
+    each chunked at MC_CHUNK over their number (a stream's draws do not
+    depend on how it is chunked).  From the CLI:
     ``foamtor ztau --method mc --workers N``.
 
     The draw buffers, one per pool thread, are allocated by the calling
@@ -150,12 +152,12 @@ def z_mc(foam, group, tau, n_samples, seed, n_workers=1):
         raise ValueError("n_samples=%r: Monte Carlo needs at least 2 samples "
                          "for a standard error" % (n_samples,))
     per, rest = divmod(n_samples, n_workers)
-    step = -(-MC_CHUNK // n_workers)
     long_words = max(map(len, foam.words_idx), default=0) > MC_RAW_LETTERS
     draw = group.haar if long_words else group.mc_draw
 
     # the non-empty streams: all of them, or the last one alone
     drawing = range(0 if per else n_workers - 1, n_workers)
+    step = -(-MC_CHUNK // len(drawing))
     threads = min(len(drawing), usable_cpus())
     # at most `threads` streams run at once, so each takes a buffer off this
     # list and puts it back when done (list pop and append are atomic)
@@ -195,12 +197,11 @@ def z_mc(foam, group, tau, n_samples, seed, n_workers=1):
 # character sums (SU(2), normalized Haar: no volume prefactors)
 
 def _surface_sum_direct(g, tau, nmax):
+    """sum_j dim(j)^{2-2g} e^{-tau C(j)} over the first nmax spins, 10**6 at a time."""
     total = 0.0
-    n0 = 1
-    while n0 <= nmax:
-        n = np.arange(n0, min(n0 + 10 ** 6, nmax + 1), dtype=float)
-        total += float(np.sum(n ** (2 - 2 * g) * np.exp(-tau * (n * n - 1.0) / 4.0)))
-        n0 += 10 ** 6
+    for k in range(0, nmax, 10 ** 6):
+        j = np.arange(k, min(k + 10 ** 6, nmax)) / 2.0
+        total += float(np.sum(SU2.dim(j) ** (2 - 2 * g) * np.exp(-tau * SU2.casimir(j))))
     return total
 
 
@@ -246,26 +247,24 @@ def z_char_appendix(tau):
     if tau <= 0:
         raise ValueError("tau must be positive")
     nmax = int(math.ceil(2.0 * 14.0 / math.sqrt(tau))) + 1
-    n = np.arange(1, nmax + 1, dtype=float)
-    e = np.exp(-tau * (n * n - 1.0) / 4.0)
+    e = np.exp(-tau * SU2.casimir(np.arange(nmax) / 2.0))
     tails = np.cumsum(e[::-1])[::-1]
     return ZEstimate(tau, float(np.sum(tails * tails)), 0.0, "char-appendix",
                      {"truncation": nmax})
 
 
-def char_sum_limit(g=1, taus=(1e-4, 1e-5, 1e-6)):
+def char_sum_limit(g=1):
     """Richardson extrapolation of Lambda_tau^{-b2_0} Z_tau as tau -> 0.
 
     The genus-g exponent is b2_0 = 3, 1, 0 for g = 0, 1, >= 2; the correction
     series is polynomial in sqrt(tau), so a quadratic fit in h = sqrt(tau)
-    extrapolates the limit.
+    through the points LIMIT_TAUS extrapolates the limit.
     """
     omega = {0: 3, 1: 1}.get(g, 0)
-    h = np.sqrt(np.asarray(taus, dtype=float))
+    h = np.sqrt(np.asarray(LIMIT_TAUS))
     f = np.array([float(lambda_tau(t)) ** -omega * z_char_surface(g, t).value
-                  for t in taus])
-    coef = np.polyfit(h, f, min(2, len(taus) - 1))
-    return float(coef[-1])
+                  for t in LIMIT_TAUS])
+    return float(np.polyfit(h, f, 2)[-1])
 
 
 # ----------------------------------------------------------------------

@@ -100,12 +100,15 @@ def _basis_pipeline(reps, seeds):
             for tau0, tau1, tau2, seed in zip(*map(np.linalg.det, cols), seeds)]
 
 
-def _torsion(samples, reports, rng):
-    """Torsion, or the ValueError refusing it, at every sample with its report.
+def torsion_batch(samples, rng):
+    """torsion_at at every sample, in order, a refusal giving its ValueError in
+    place of a TorsionValue.  Raises ValueError if any sample is not flat.
+
     The refusals here draw no seed; every other sample draws one from rng,
     in order, and joins the completion group of its ranks."""
+    samples = list(samples)
     out, groups = [], {}
-    for i, (s, rep) in enumerate(zip(samples, reports)):
+    for i, (s, rep) in enumerate(zip(samples, cohomology_batch(samples))):
         if isinstance(s, FlatSample) and s.possibly_singular:
             out.append(SingularSampleError("sample is flagged possibly singular"))
         elif rep.rank_warning:
@@ -127,16 +130,10 @@ def torsion_at(sample, rng):
     singular-value gap.  One seed is drawn from rng per accepted sample.
     torsion_batch of one sample.
     """
-    (value,) = _torsion([sample], [cohomology(sample)], rng)
+    (value,) = torsion_batch([sample], rng)
     if isinstance(value, ValueError):
         raise value
     return value
-
-
-def torsion_batch(samples, rng):
-    """torsion_at at every sample, in order, a refusal giving its ValueError in
-    place of a TorsionValue.  Raises ValueError if any sample is not flat."""
-    return _torsion(samples, cohomology_batch(samples), rng)
 
 
 def singular_value_torsion(sample):

@@ -33,8 +33,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .connection import FLAT_TOL, _flat_samples, _records, analytic_flat_batch, \
-    face_residual, find_flat_batch, word_jacobian
+from .connection import ANALYTIC_FOAMS, FLAT_TOL, _flat_samples, _records, \
+    analytic_flat_batch, face_residual, find_flat_batch, word_jacobian
 from .foam import _presentation, builtin, match_builtin, reduce_foam
 from .groups import get_group
 
@@ -209,7 +209,7 @@ def sample_flat(foam_or_name, group, n_samples, rng):
     if n_samples < 1:
         raise ValueError("the number of samples must be at least 1, got %d" % n_samples)
     foam = reduce_foam(builtin(foam_or_name) if isinstance(foam_or_name, str) else foam_or_name)
-    kind = match_builtin(foam, ("torus", "appendix")) if group.name == "su2" else None
+    kind = match_builtin(foam, ANALYTIC_FOAMS) if group.name == "su2" else None
     index = range(n_samples)
     if kind == "torus":
         samples = analytic_flat_batch(kind, rng, [(+1, -1)[i % 2] for i in index])

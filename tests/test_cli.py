@@ -2,9 +2,16 @@ import argparse
 import gc
 import json
 import math
+import os
+import pathlib
+import subprocess
+import sys
 import warnings
 
+from foamtor import __version__
 from foamtor.cli import _parser, main
+
+SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
 
 
 def run(capsys, *argv):
@@ -456,3 +463,18 @@ def test_every_option_is_read_by_its_command(tmp_path, capsys):
     unread = {cmd: sorted(declared[cmd] - read[cmd]) for cmd in declared
               if declared[cmd] - read[cmd]}
     assert unread == {}
+
+
+def test_python_dash_m_runs_the_cli():
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+
+    def foamtor(*argv):
+        return subprocess.run([sys.executable, "-m", "foamtor", *argv], env=env,
+                              capture_output=True, text=True, timeout=120)
+
+    version = foamtor("--version")
+    assert version.returncode == 0 and version.stdout.strip() == __version__
+    analyze = foamtor("analyze", "--foam", "torus", "--samples", "2", "--seed", "1")
+    assert analyze.returncode == 0, analyze.stderr
+    assert json.loads(analyze.stdout)["twisted"]["b2_0"] == 1

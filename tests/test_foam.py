@@ -39,6 +39,17 @@ def test_parse_errors_carry_position():
         parse_foam("edges: a\nface: a^2\n")
 
 
+def test_words_outside_a_file_refuse_what_the_parser_refuses():
+    # a word given as a string is read by the parser's letter rule:
+    # "a1^2" was read as an edge named 'a1^2'
+    with pytest.raises(FoamError, match="bad exponent"):
+        tietze1_expand(builtin("torus"), "a1^2", "c")
+    from foamtor.foam import _as_word
+    with pytest.raises(FoamError, match="bad exponent"):
+        _as_word("a^2")
+    assert str(_as_word("a b^-1")) == "a b^-1"
+
+
 def test_parse_multivertex_chaining():
     theta = ("edges: e1 e2 e3\nvertices: 2\n"
              "edge e1: 0 1\nedge e2: 0 1\nedge e3: 0 1\n"
@@ -69,6 +80,23 @@ def test_reduce_theta_graph():
     assert r.F == f.F
     # tree contraction preserves the rational Betti numbers
     assert cellular_homology(f).betti == cellular_homology(r).betti
+
+
+def test_reduce_keeps_the_depth_first_tree_of_every_foam():
+    # the tree comes from one stack walk from vertex 0 that marks a vertex
+    # when it is pushed: on the square, a breadth-first walk would keep e3
+    # and a recursive one e2, each with other face words
+    triangle = ("edges: e1 e2 e3 e4 e5\nvertices: 3\nedge e1: 0 1\nedge e2: 1 2\n"
+                "edge e3: 2 0\nedge e4: 0 1\nedge e5: 1 1\n"
+                "face: e1 e2 e3\nface: e1 e4^-1\nface: e5 e2 e3 e4\n")
+    square = ("edges: e1 e2 e3 e4\nvertices: 4\nedge e1: 0 1\nedge e2: 0 2\n"
+              "edge e3: 2 3\nedge e4: 1 3\nface: e1 e4 e3^-1 e2^-1\n")
+    for text, edges, words in (
+            (triangle, ("e2", "e4", "e5"), ["e2", "e4^-1", "e5 e2 e4"]),
+            (square, ("e4",), ["e4"])):
+        r = reduce_foam(parse_foam(text))
+        assert r.edges == tuple((e, 0, 0) for e in edges)
+        assert [str(f) for f in r.faces] == words
 
 
 def test_reduce_idempotent():
@@ -197,9 +225,9 @@ def test_builtin_catalog():
     assert g2.E == 4 and g2.F == 1 and len(g2.faces[0]) == 8
     app = builtin("appendix")
     assert app.E == 3 and app.F == 2
-    assert builtin("genus", 0).name == "sphere"
+    assert builtin("genus:0").name == "sphere"
     with pytest.raises(FoamError):
-        builtin("genus", -1)
+        builtin("genus:-1")
     with pytest.raises(FoamError):
         builtin("unknown_thing")
 

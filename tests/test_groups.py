@@ -108,6 +108,10 @@ def test_character_values_and_casimir():
     assert abs(SU2G.character(1.0, np.array(math.pi / 2)) + 1.0) < 1e-12
     assert SU2G.casimir(0.5) == 0.75
     assert SU2G.dim(1.5) == 4
+    # one rule for a label and for an array of labels, in floats
+    j = np.arange(7) / 2.0
+    assert SU2G.dim(j).tolist() == [1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0]
+    assert SU2G.casimir(j).tolist() == ((SU2G.dim(j) ** 2 - 1.0) / 4.0).tolist()
     assert U1G.casimir(3) == 9.0
     assert U1G.dim(5) == 1
 

@@ -126,12 +126,12 @@ def test_z_mc_threaded_streams_are_reproducible(monkeypatch):
 
 
 def spy_draw_threads(monkeypatch):
-    """Make SU2.mc_draw record the threads that call it, in the set returned."""
-    seen = set()
+    """Make SU2.mc_draw record the thread of each call, in the list returned."""
+    seen = []
     real_draw = SU2.mc_draw
 
     def mc_draw(rng, shape=(), out=None):
-        seen.add(threading.get_ident())
+        seen.append(threading.get_ident())
         return real_draw(rng, shape, out)
 
     monkeypatch.setattr(SU2, "mc_draw", staticmethod(mc_draw))
@@ -153,7 +153,7 @@ def test_z_mc_pool_is_capped_at_cpu_count(monkeypatch, pinned):
     est = z_mc(t, "su2", 0.5, 1000 * workers + 3, seed=5, n_workers=workers)
     assert (est.value, est.stderr) == (ref.value, ref.stderr)
     assert est.meta["n_workers"] == workers
-    assert 1 <= len(seen) <= cpus
+    assert 1 <= len(set(seen)) <= cpus
 
 
 @pytest.mark.parametrize("workers", [10 ** 14, 10 ** 18])
@@ -165,7 +165,9 @@ def test_z_mc_work_grows_with_samples_not_workers(monkeypatch, workers):
     seen = spy_draw_threads(monkeypatch)
     est = z_mc(t, "su2", 0.5, 1000, seed=5, n_workers=workers)
     assert est.meta == {"n_samples": 1000, "seed": 5, "n_workers": workers}
-    assert 1 <= len(seen) <= usable_cpus()
+    # the one drawing stream is chunked for itself, not for all the workers
+    # (chunks of MC_CHUNK / n_workers samples, rounded up, drew one at a time)
+    assert len(seen) == 1
     # the last stream's 1000 samples, drawn in one piece: the stream does not
     # depend on its chunks, only the moment merge rounds differently
     g = SU2.haar(np.random.default_rng([5, workers - 1]), (1000, t.E))
@@ -315,6 +317,42 @@ def test_monotonicity_in_tau():
         [z_char_appendix(t).value for t in taus],
     ):
         assert np.all(np.diff(vals) < 0.0)
+
+
+# float.hex of the character routes on CHAR_TAUS, recorded before SU2.dim and
+# SU2.casimir became the routes' one statement of the SU(2) irreps
+CHAR_TAUS = (1e-6, 1e-4, 1e-3, 0.01, 0.1, 0.5, 1.0, 1.5, 3.0, 25.0)
+CHAR_HEX = {
+    "surface:0": ("0x1.a6960658137dbp+31", "0x1.b0bd229ada224p+21", "0x1.b5ffda504748dp+16",
+                  "0x1.bc38fe6da3a42p+11", "0x1.cbc025fb8287cp+6", "0x1.6b91a2c397051p+3",
+                  "0x1.234fe5e58029dp+2", "0x1.675e013d941c5p+1", "0x1.71b177487b38fp+0",
+                  "0x1.0000007b9821bp+0"),
+    "surface:1": ("0x1.bafd1326b2699p+10", "0x1.617fe647f6936p+7", "0x1.bc82aa4c03060p+5",
+                  "0x1.14484f463a9d1p+4", "0x1.4efd8987c3baap+2", "0x1.230c21acbb2ddp+1",
+                  "0x1.a244d9e90c483p+0", "0x1.60cfd94107e2cp+0", "0x1.1b9ebe9965e51p+0",
+                  "0x1.0000001ee6087p+0"),
+    "surface:2": ("0x1.a4e05ab7ae944p+0", "0x1.a2d919e312e42p+0", "0x1.9e1071bc7739bp+0",
+                  "0x1.8fbbda32b89dcp+0", "0x1.697bfbf05b2f7p+0", "0x1.3984ae09a4bd5p+0",
+                  "0x1.227bdbc584bb6p+0", "0x1.1640be7956dc7p+0", "0x1.06d0f6c47b1ebp+0",
+                  "0x1.00000007b9822p+0"),
+    "surface:3": ("0x1.151320510689fp+0", "0x1.15123929613c4p+0", "0x1.150a37e04f000p+0",
+                  "0x1.14c01b26952dep+0", "0x1.127ad64d065f7p+0", "0x1.0c55f92d623fap+0",
+                  "0x1.0802999869100p+0", "0x1.055afeafbdc9bp+0", "0x1.01b1b95d4e799p+0",
+                  "0x1.00000001ee608p+0"),
+    "appendix": ("0x1.ef172556b1b00p+30", "0x1.fafe3965750d4p+20", "0x1.009d5b2c82432p+16",
+                 "0x1.04a1879c3d50ap+11", "0x1.1195fbdd8f9f3p+6", "0x1.cc1a4d8f4c8a2p+2",
+                 "0x1.8c8d58b401c04p+1", "0x1.05cab54fa2397p+1", "0x1.3d33a2a716cbcp+0",
+                 "0x1.0000003dcc10ep+0"),
+}
+
+
+def test_character_routes_keep_their_recorded_bits():
+    got = {"surface:%d" % g: tuple(z_char_surface(g, t).value.hex() for t in CHAR_TAUS)
+           for g in range(4)}
+    got["appendix"] = tuple(z_char_appendix(t).value.hex() for t in CHAR_TAUS)
+    assert got == CHAR_HEX
+    assert (char_sum_limit(0).hex(), char_sum_limit(1).hex()) == (
+        "0x1.3bd3cc9bf759bp+7", "0x1.921fb5354f31ap+2")
 
 
 def test_char_sum_limit_torus():

@@ -219,6 +219,10 @@ def test_torsion_batch_refuses_only_the_refused_samples():
     assert [type(v) for v in got] == [TorsionValue, SingularSampleError, TorsionValue,
                                       SingularSampleError, TorsionValue]
     assert "possibly singular" in str(got[1]) and "ill-conditioned" in str(got[3])
+    # an iterator of the samples gives the same values: it gave [], once
+    # cohomology_batch had taken the samples out of it
+    again = torsion_batch(iter(samples), np.random.default_rng(5))
+    assert list(map(repr, again)) == list(map(repr, got))
     # the per-sample loop: refused samples draw no seed
     ref_rng = np.random.default_rng(5)
     for s, v in zip(samples, got):
