@@ -13,12 +13,16 @@ holonomies and its prefix products the frames of delta1 (word_jacobian).
 Every holonomy and residual here is read off it (face_residual sums the
 residual); only the fused Monte Carlo word_angle walks faces on its own.
 The walk is laid out component-major: it builds the right-multiplication
-tables (group.right_table) of every edge element and its inverse once, keeps
-the running product as (elem_dim, ...) and multiplies it by one table per
-letter (group.right_mul), and writes the frames into one (L, elem_dim, ...)
-array, L the number of letters.  H (..., F, elem_dim) and the frames
-(..., L, elem_dim) it returns are views of that memory, so delta1 reads the
-frames without stacking them.
+table (group.right_table) of every edge element once, and that of its
+inverse from it (group.inv_table: for SU(2) a transposed view), keeps the
+running product as (elem_dim, ...), multiplies it by one table per letter
+(group.right_mul), and writes the frames into one (elem_dim, L, ...) array,
+L the number of letters.  H (..., F, elem_dim) and the frames
+(..., L, elem_dim) it returns are views of that memory, so group.adjoint
+reads each frame component as one contiguous row.  delta1 adds the
+letters' signed Ad blocks by occurrence rank (_letter_plan): one gathered
+add for the first letter of every (face, edge) block, one for the second,
+and so on, planned once per word_jacobian call and once per projection.
 
 A flat sample is a Connection: FlatSample adds the residual and the
 classification, so every function of a connection takes a sample as it is.
@@ -155,25 +159,26 @@ def _face_walk(group, words_idx, g):
     out component-major as the module docstring describes."""
     batch = g.shape[:-2]
     # tables (..., E) of every edge element and its inverse; [..., e] is edge e's
-    fwd, back = group.right_table(g), group.right_table(group.inv(g))
+    fwd = group.right_table(g)
+    back = group.inv_table(fwd)
     L = sum(len(word_idx) for word_idx in words_idx)
     H = np.empty((len(words_idx), group.elem_dim) + batch)
-    frames = np.empty((L, group.elem_dim) + batch)
+    frames = np.empty((group.elem_dim, L) + batch)
     one = group.identity().reshape((group.elem_dim,) + (1,) * len(batch))
     i = 0
     for f, word_idx in enumerate(words_idx):
         P = one
         for e, s in word_idx:
             if s > 0:
-                frames[i] = P
+                frames[:, i] = P
                 P = group.right_mul(P, fwd[..., e])
             else:
                 P = group.right_mul(P, back[..., e])
-                frames[i] = P
+                frames[:, i] = P
             i += 1
         H[f] = P
-    axes = tuple(range(2, H.ndim)) + (0, 1)     # (X, elem_dim, ...) -> (..., X, elem_dim)
-    return H.transpose(axes), frames.transpose(axes)
+    axes = tuple(range(2, H.ndim))      # the batch axes of H and frames
+    return H.transpose(axes + (0, 1)), frames.transpose(axes + (1, 0))
 
 
 def face_residual(group, H):
@@ -186,6 +191,42 @@ def face_residual(group, H):
     return res
 
 
+def _letter_plan(words_idx, E, d):
+    """Per occurrence rank k, the rows (F, d, E) of _jacobian's block stack
+    [Ad(P_1) .. Ad(P_L), -Ad(P_1) .. -Ad(P_L), 0] that J's block (f, e)
+    takes from the letter writing it for the (k+1)-th time: +-Ad by the
+    exponent, or the zero block where face f has fewer letters e^+-1."""
+    L = sum(len(word_idx) for word_idx in words_idx)
+    ranks, seen = [], {}
+    i = 0
+    for f, word_idx in enumerate(words_idx):
+        for e, s in word_idx:
+            k = seen[f, e] = seen.get((f, e), -1) + 1
+            if k == len(ranks):
+                ranks.append(np.full((len(words_idx), E), 2 * L))
+            ranks[k][f, e] = i if s > 0 else L + i
+            i += 1
+    return [idx[:, None, :] * d + np.arange(d)[:, None] for idx in ranks]
+
+
+def _jacobian(group, words_idx, ranks, g):
+    """word_jacobian with the letter plan built by the caller: one gather
+    and one add per rank.  Each block sums 0 + s1 B1 + s2 B2 + ... in word
+    order, signed zeros included: a sum that starts at +0 is never -0, so
+    the zero blocks that pad the later ranks leave it as it is."""
+    H, frames = _face_walk(group, words_idx, g)
+    batch = g.shape[:-2]
+    E, d = g.shape[-2], group.dim_g
+    F, L = len(words_idx), frames.shape[-2]
+    A = group.adjoint(frames)
+    B = np.concatenate((A, -A, np.zeros(batch + (1, d, d))), axis=-3)
+    B = B.reshape(batch + ((2 * L + 1) * d, d))
+    J = np.zeros(batch + (F, d, E, d))
+    for rows in ranks:
+        J += np.take(B, rows, axis=-2)
+    return H, J.reshape(batch + (F * d, E * d))
+
+
 def word_jacobian(group, words_idx, g):
     """Face holonomies and the linearized curvature delta1 in one walk.
 
@@ -196,21 +237,14 @@ def word_jacobian(group, words_idx, g):
     to first order: face f's block at edge e sums +Ad(P_{i-1}) over letters
     l_i = e and -Ad(P_i) over letters l_i = e^-1, with P_i the product of the
     first i letters.  No log is taken, so J is defined at any connection.
+
+    The blocks are added by occurrence rank (_letter_plan, _jacobian): the
+    first letter of every block at once, then every second, ..., so a
+    surface word takes two adds and a a a^-1 three, with the bits of one add
+    per letter in word order.
     """
-    H, frames = _face_walk(group, words_idx, g)
-    batch = g.shape[:-2]
-    E, d = g.shape[-2], group.dim_g
-    F = len(words_idx)
-    J = np.zeros(batch + (F, d, E, d))
-    if frames.shape[-2]:
-        B = group.adjoint(frames)
-        letters = [(f, e, s) for f, word_idx in enumerate(words_idx) for e, s in word_idx]
-        for i, (f, e, s) in enumerate(letters):
-            if s > 0:
-                J[..., f, :, e, :] += B[..., i, :, :]
-            else:
-                J[..., f, :, e, :] -= B[..., i, :, :]
-    return H, J.reshape(batch + (F * d, E * d))
+    ranks = _letter_plan(words_idx, g.shape[-2], group.dim_g)
+    return _jacobian(group, words_idx, ranks, g)
 
 
 def holonomy(conn, f):
@@ -261,15 +295,17 @@ PROJECT_TOL = 1e-24
 MAX_ITERS = 5000         # steps before the starts still above PROJECT_TOL are dropped
 
 
-def _curvature(group, words_idx, g):
+def _curvature(group, words_idx, plan, g):
     """(residual, cut, r, J) of a batch (n, E, elem_dim) of connections.
 
     r stacks log H_f per sample, residual = |r|^2, and cut flags the samples
     with a face holonomy on the cut locus, where log (hence r) is unusable.
+    The cut test and log read one class angle per holonomy.
     """
-    H, J = word_jacobian(group, words_idx, g)
-    cut = np.any(group.distance(H) > np.pi - EPS_LOG, axis=-1)
-    r = group.log(H, check_cut_locus=False).reshape(g.shape[0], -1)
+    H, J = _jacobian(group, words_idx, plan, g)
+    psi = group.distance(H)
+    cut = np.any(psi > np.pi - EPS_LOG, axis=-1)
+    r = group.log(H, check_cut_locus=False, psi=psi).reshape(g.shape[0], -1)
     return np.sum(r * r, axis=-1), cut, r, J
 
 
@@ -287,13 +323,14 @@ def _descend(group, words_idx, g, rng, trace=None):
     on the cut locus are jittered up to CUT_RETRIES times.
     """
     n, E = g.shape[:2]
-    res, cut, r, J = _curvature(group, words_idx, g)
+    plan = _letter_plan(words_idx, E, group.dim_g)
+    res, cut, r, J = _curvature(group, words_idx, plan, g)
     for _ in range(CUT_RETRIES):
         if not cut.any():
             break
         kick = group.exp(rng.normal(scale=0.05, size=(n, E, group.dim_g)))
         g = np.where(cut[:, None, None], group.mul(kick, g), g)
-        res, cut, r, J = _curvature(group, words_idx, g)
+        res, cut, r, J = _curvature(group, words_idx, plan, g)
     if cut.any():
         raise CutLocusError("%d starts stay on the cut locus after %d retries"
                             % (int(cut.sum()), CUT_RETRIES))
@@ -306,7 +343,7 @@ def _descend(group, words_idx, g, rng, trace=None):
         y = np.linalg.solve(J @ Jt + lam[:, None, None] * eye, r[..., None])
         xi = -(Jt @ y).reshape(n, E, group.dim_g)
         g_new = group.mul(group.exp(xi), g)
-        res_new, cut_new, r_new, J_new = _curvature(group, words_idx, g_new)
+        res_new, cut_new, r_new, J_new = _curvature(group, words_idx, plan, g_new)
         ok = ~cut_new & (res_new < res)
         # rejected at the damping cap: g, J and lam stay as they are, so the
         # same step is rejected forever (a non-flat critical point)
@@ -332,9 +369,11 @@ def find_flat_batch(foam, group, rng, n, trace=None):
     is appended after every step.
     """
     group = get_group(group)
+    if n < 0:
+        raise ValueError("the number of starts must be at least 0, got %d" % n)
     foam = reduce_foam(foam)
     g = group.haar(rng, (n, foam.E))
-    if foam.E == 0 or foam.F == 0:
+    if n == 0 or foam.E == 0 or foam.F == 0:
         res = face_residual(group, _face_walk(group, foam.words_idx, g)[0])
         return _flat_samples(foam, group, g, res.tolist())
     g, res = _descend(group, foam.words_idx, g, rng, trace=trace)

@@ -4,8 +4,9 @@ SU(2) is realized as the unit quaternions q = (w, x, y, z) with the Hamilton
 product, which has one formula: p q = sum_i p_i R[i] over the signed
 right-multiplication table R of q (su2_right_table), summed in component
 order and renormalized (su2_right_mul) on a component-major p (4, ...).
-su2_mul broadcasts (..., 4) arrays through it, and U(1) has the same two
-hooks, so a walk over many products builds each table once.  Lie-algebra
+The table of q^-1 is the transpose of q's (su2_inv_table).  su2_mul
+broadcasts (..., 4) arrays through it, and U(1) has the same three hooks,
+so a walk over many products builds each table once.  Lie-algebra
 vectors live in R^3 (orthonormal basis {i sigma_1, i sigma_2, i sigma_3}),
 the class angle of g = exp(psi n.sigma_vec) is psi = arccos(w) in [0, pi],
 and Ad_g is the rotation by 2 psi about the axis of g.  U(1) elements are angles theta in [0, 2 pi) with Lie algebra R.
@@ -84,21 +85,30 @@ def su2_right_mul(p, R):
     The four partial products are summed in component order and the squared
     norm left to right, s0 + s1 + s2 + s3, which is how np.linalg.norm sums
     four components (see su2_haar), so long product chains stay on the unit
-    sphere with the bits of out / np.linalg.norm(out, axis=-1).
+    sphere with the bits of out / np.linalg.norm(out, axis=-1).  The sums
+    reduce the leading axis of C-ordered partial products (contiguous rows
+    for a transposed R too), row after row, from -0, which keeps a -0 sum.
     """
-    t = p[:, None] * R
-    out = t[0] + t[1]
-    out += t[2]
-    out += t[3]
-    s = out * out
-    out /= np.sqrt(s[0] + s[1] + s[2] + s[3])
+    t = np.multiply(p[:, None], R, order="C")
+    out = np.add.reduce(t, axis=0, initial=-0.0)
+    out /= np.sqrt(np.add.reduce(out * out, axis=0))
     return out
 
 
+def su2_inv_table(R):
+    """The right-multiplication table of q^-1 from the table R of q, as a view:
+    R's transpose, entry for entry the signed components of su2_inv(q)."""
+    return R.swapaxes(0, 1)
+
+
 def su2_mul(a, b):
-    """The renormalized Hamilton product of a and b (..., 4), broadcast."""
-    a, b = np.broadcast_arrays(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
-    return np.moveaxis(su2_right_mul(np.moveaxis(a, -1, 0), su2_right_table(b)), 0, -1)
+    """The renormalized Hamilton product of a and b (..., 4), broadcast: both
+    padded to the same number of axes, a's component axis moved to the front."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    nd = max(a.ndim, b.ndim)
+    a, b = (x.reshape((1,) * (nd - x.ndim) + x.shape) for x in (a, b))
+    p = su2_right_mul(a.transpose((nd - 1,) + tuple(range(nd - 1))), su2_right_table(b))
+    return p.transpose(tuple(range(1, nd)) + (0,))
 
 
 def su2_inv(a):
@@ -116,10 +126,13 @@ def su2_identity(shape=()):
 def su2_exp(v):
     """exp of a Lie vector v in R^3; |v| is the class angle of the result."""
     v = np.asarray(v, dtype=float)
-    th = np.linalg.norm(v, axis=-1, keepdims=True)
+    th = np.sqrt(np.add.reduce(v * v, axis=-1, keepdims=True))     # np.linalg.norm's sum
     small = th < 1e-12
     sinc = np.where(small, 1.0 - th * th / 6.0, np.sin(th) / np.where(small, 1.0, th))
-    return np.concatenate([np.cos(th), sinc * v], axis=-1)
+    out = np.empty(v.shape[:-1] + (4,))
+    np.cos(th, out=out[..., :1])
+    np.multiply(sinc, v, out=out[..., 1:])
+    return out
 
 
 def su2_word_angle(word_idx, g):
@@ -176,36 +189,51 @@ def su2_word_angle(word_idx, g):
 
 def su2_class_angle(q):
     """Riemannian distance to the identity = class angle psi in [0, pi]."""
-    # atan2 keeps full precision near psi = 0 and pi, unlike arccos(w)
+    # atan2 keeps full precision near psi = 0 and pi, unlike arccos(w); |v|
+    # is summed as np.linalg.norm sums it
     q = np.asarray(q)
-    return np.arctan2(np.linalg.norm(q[..., 1:], axis=-1), q[..., 0])
+    v = q[..., 1:]
+    return np.arctan2(np.sqrt(np.add.reduce(v * v, axis=-1)), q[..., 0])
 
 
-def su2_log(q, check_cut_locus=True):
-    """Inverse of su2_exp; errors within EPS_LOG of the cut locus psi = pi."""
+def su2_log(q, check_cut_locus=True, psi=None):
+    """Inverse of su2_exp; errors within EPS_LOG of the cut locus psi = pi.
+    psi: the class angles of q, if the caller has them."""
     q = np.asarray(q, dtype=float)
-    psi = su2_class_angle(q)
+    v = q[..., 1:]
+    vn = np.sqrt(np.add.reduce(v * v, axis=-1))
+    if psi is None:
+        psi = np.arctan2(vn, q[..., 0])
     if check_cut_locus and np.any(psi > np.pi - EPS_LOG):
         raise CutLocusError("log within %g of the cut locus (g ~ -1)" % EPS_LOG)
-    vn = np.linalg.norm(q[..., 1:], axis=-1)
     small = vn < 1e-12
     fac = np.where(small, 1.0, psi / np.where(small, 1.0, vn))
-    return fac[..., None] * q[..., 1:]
+    return fac[..., None] * v
 
 
 def su2_adjoint(q):
-    """Rotation matrix of Ad_q on R^3: rotation by 2 psi about the axis of q."""
-    w, x, y, z = (np.asarray(q)[..., i] for i in range(4))
-    R = np.empty(np.shape(w) + (3, 3))
-    R[..., 0, 0] = 1 - 2 * (y * y + z * z)
-    R[..., 0, 1] = 2 * (x * y - z * w)
-    R[..., 0, 2] = 2 * (x * z + y * w)
-    R[..., 1, 0] = 2 * (x * y + z * w)
-    R[..., 1, 1] = 1 - 2 * (x * x + z * z)
-    R[..., 1, 2] = 2 * (y * z - x * w)
-    R[..., 2, 0] = 2 * (x * z - y * w)
-    R[..., 2, 1] = 2 * (y * z + x * w)
-    R[..., 2, 2] = 1 - 2 * (x * x + y * y)
+    """Rotation matrix of Ad_q on R^3: rotation by 2 psi about the axis of q.
+
+    The components are the rows of q.T (contiguous for the face walk's
+    component-major frames), their nine products are formed once, and each
+    entry is written through R.T: R (..., 3, 3) is C-ordered, with the bits
+    of R[0, 0] = 1 - 2 (y y + z z), R[0, 1] = 2 (x y - z w), ...
+    """
+    q = np.asarray(q, dtype=float)
+    w, x, y, z = q.T
+    R = np.empty(q.shape[:-1] + (3, 3))
+    A = R.T                     # A[j, i, ...] is R[..., i, j], batch reversed
+    xx, yy, zz, xy, xz, yz = x * x, y * y, z * z, x * y, x * z, y * z
+    wx, wy, wz = x * w, y * w, z * w
+    for (i, j), op, a, b in (((0, 0), np.add, yy, zz), ((0, 1), np.subtract, xy, wz),
+                             ((0, 2), np.add, xz, wy), ((1, 0), np.add, xy, wz),
+                             ((1, 1), np.add, xx, zz), ((1, 2), np.subtract, yz, wx),
+                             ((2, 0), np.subtract, xz, wy), ((2, 1), np.add, yz, wx),
+                             ((2, 2), np.add, xx, yy)):
+        op(a, b, out=A[j, i, ...])
+    R *= 2.0
+    for i in range(3):
+        np.subtract(1.0, A[i, i, ...], out=A[i, i, ...])
     return R
 
 
@@ -300,6 +328,29 @@ def su2_heat_kernel_series(tau, psi):
     return b1
 
 
+def _row_sum(term, k0, n):
+    """term(k0) + ... + term(k0 + n - 1), arrays, in the order numpy sums a
+    row of n numbers (but for the sign of a zero sum): left to right below 8;
+    up to 128, eight partial sums of every eighth term, combined as
+    ((s0 + s1) + (s2 + s3)) + ((s4 + s5) + (s6 + s7)), then the last n mod 8
+    terms; beyond 128, two halves, the first a multiple of 8 long."""
+    if n > 128:
+        half = n // 2 - (n // 2) % 8
+        return _row_sum(term, k0, half) + _row_sum(term, k0 + half, n - half)
+    if n < 8:
+        acc, tail = term(k0), 1
+    else:
+        s = [term(k0 + j) for j in range(8)]
+        tail = n - n % 8
+        for i in range(8, tail):
+            s[i % 8] += term(k0 + i)
+        acc = (s[0] + s[1]) + (s[2] + s[3])
+        acc += (s[4] + s[5]) + (s[6] + s[7])
+    for k in range(k0 + tail, k0 + n):
+        acc += term(k)
+    return acc
+
+
 def su2_heat_kernel_images(tau, psi):
     """Gaussian image sum over the cut locus (Poisson resummation of the series).
 
@@ -338,16 +389,7 @@ def su2_heat_kernel_images(tau, psi):
     generic = ~(near0 | nearpi)
     if np.any(generic):
         pg = psi if generic.all() else psi[generic]
-        if len(ks) < 8:
-            # numpy sums a row of fewer than 8 terms left to right, so adding
-            # the images one at a time, k = -kmax..kmax (tau up to ~12), into
-            # one accumulator has the bits of the row sum without its 2-D
-            # temporaries
-            acc = np.zeros_like(pg)
-            for k in ks:
-                acc += f(pg + 2 * np.pi * k)
-        else:
-            acc = f(pg[:, None] + 2 * np.pi * ks[None, :]).sum(axis=1)
+        acc = _row_sum(lambda k: f(pg + 2 * np.pi * k), -kmax, len(ks))
         acc /= np.sin(pg)
         out[generic] = acc
     if np.any(near0):
@@ -387,14 +429,21 @@ def u1_heat_kernel_series(tau, theta):
 
 
 def u1_heat_kernel_images(tau, theta):
-    """Poisson resummation: K_tau(theta) = sqrt(pi/tau) sum_k e^{-(theta+2pi k)^2/4tau}."""
+    """Poisson resummation: K_tau(theta) = sqrt(pi/tau) sum_k e^{-(theta+2pi k)^2/4tau},
+    one image at a time, summed as numpy sums a row of them (_row_sum)."""
     if tau <= 0:
         raise ValueError("tau must be positive")
     theta = np.atleast_1d(np.asarray(theta, dtype=float))
     kmax = max(2, int(math.ceil(math.sqrt(180.0 * tau) / (2 * math.pi))) + 2)
-    ks = np.arange(-kmax, kmax + 1, dtype=float)
-    x = theta[..., None] + 2 * np.pi * ks
-    return math.sqrt(math.pi / tau) * np.exp(-x * x / (4.0 * tau)).sum(axis=-1)
+    scale = -(4.0 * tau)
+
+    def image(k):       # e^{-x x / 4 tau}, x = theta + 2 pi k, bit for bit
+        x = theta + 2 * math.pi * k
+        x *= x
+        x /= scale
+        return np.exp(x, out=x)
+
+    return math.sqrt(math.pi / tau) * _row_sum(image, -kmax, 2 * kmax + 1)
 
 
 # ----------------------------------------------------------------------
@@ -411,6 +460,7 @@ class SU2:
     mul = staticmethod(su2_mul)
     right_table = staticmethod(su2_right_table)
     right_mul = staticmethod(su2_right_mul)
+    inv_table = staticmethod(su2_inv_table)
     inv = staticmethod(su2_inv)
     exp = staticmethod(su2_exp)
     adjoint = staticmethod(su2_adjoint)
@@ -481,6 +531,11 @@ class U1:
         return u1_wrap(p + R)
 
     @staticmethod
+    def inv_table(R):
+        """The table of q^-1 from the table R of q."""
+        return u1_wrap(-R)
+
+    @staticmethod
     def inv(a):
         return u1_wrap(-a)
 
@@ -489,7 +544,8 @@ class U1:
         return u1_wrap(np.asarray(v, dtype=float))
 
     @staticmethod
-    def log(g, check_cut_locus=True):
+    def log(g, check_cut_locus=True, psi=None):
+        """The angle of g in (-pi, pi]; psi (distance(g)) is not needed."""
         t = u1_wrap(np.asarray(g, dtype=float))
         if check_cut_locus and np.any(np.abs(t - np.pi) < EPS_LOG):
             raise CutLocusError("log within %g of the cut locus (theta = pi)" % EPS_LOG)

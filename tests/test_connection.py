@@ -202,6 +202,18 @@ def test_find_flat_sphere_trivial():
     assert s.residual == 0.0
 
 
+@pytest.mark.parametrize("group", ["su2", "u1"])
+@pytest.mark.parametrize("name", ["sphere", "genus:2", "dunce_hat"])
+def test_find_flat_batch_of_no_starts_is_empty_and_a_negative_count_is_refused(name, group):
+    # zero starts raised numpy's "cannot reshape array of size 0" from the
+    # curvature of an empty batch on every foam with edges and faces, and a
+    # negative count numpy's "negative dimensions are not allowed"
+    foam = builtin(name)
+    assert find_flat_batch(foam, group, np.random.default_rng(0), 0) == []
+    with pytest.raises(ValueError, match="number of starts.*-1"):
+        find_flat_batch(foam, group, np.random.default_rng(0), -1)
+
+
 def test_find_flat_u1_any_start_is_flat():
     rng = np.random.default_rng(10)
     samples = find_flat_batch(builtin("torus"), "u1", rng, 5)

@@ -18,8 +18,9 @@ import pathlib
 import zlib
 
 import numpy as np
+from hypothesis import given, settings, strategies as st
 
-from foamtor.connection import word_jacobian
+from foamtor.connection import _face_walk, word_jacobian
 from foamtor.foam import builtin, parse_foam, reduce_foam
 from foamtor.groups import get_group, su2_mul
 
@@ -100,3 +101,54 @@ def face_walk_table():
 def test_face_walk_keeps_its_recorded_bits():
     ref = json.loads((GOLDEN / "face_walk.json").read_text())
     assert face_walk_table() == ref
+
+
+def per_letter_jacobian(G, words_idx, g):
+    """delta1 as it was assembled before letters were grouped by occurrence
+    rank: one indexed add of +-Ad(frame) per letter, in word order."""
+    H, frames = _face_walk(G, words_idx, g)
+    batch = g.shape[:-2]
+    E, d, F = g.shape[-2], G.dim_g, len(words_idx)
+    J = np.zeros(batch + (F, d, E, d))
+    if frames.shape[-2]:
+        B = G.adjoint(frames)
+        letters = [(f, e, s) for f, word_idx in enumerate(words_idx) for e, s in word_idx]
+        for i, (f, e, s) in enumerate(letters):
+            if s > 0:
+                J[..., f, :, e, :] += B[..., i, :, :]
+            else:
+                J[..., f, :, e, :] -= B[..., i, :, :]
+    return H, J.reshape(batch + (F * d, E * d))
+
+
+@st.composite
+def _jacobian_cases(draw):
+    """(group, words_idx, g): 0-3 faces of 0-12 letters over 1-4 edges, with
+    repeated letters of both signs, as lists or tuples, on Haar or exact-zero
+    elements of batch shape (), (1,) or (3, 4)."""
+    G = get_group(draw(st.sampled_from(["su2", "u1"])))
+    E = draw(st.integers(1, 4))
+    letter = st.tuples(st.integers(0, E - 1), st.sampled_from([1, -1]))
+    words = draw(st.lists(st.lists(letter, max_size=12), max_size=3))
+    if draw(st.booleans()):
+        words = tuple(tuple(word) for word in words)
+    shape = draw(st.sampled_from([(), (1,), (3, 4)])) + (E,)
+    seed = draw(st.integers(0, 2 ** 32 - 1))
+    if draw(st.booleans()):
+        zeros = ZERO_ELEMENTS[G.name]
+        g = zeros[np.random.default_rng(seed).integers(len(zeros), size=shape)]
+    else:
+        g = G.haar(np.random.default_rng(seed), shape)
+    return G, words, g
+
+
+@settings(max_examples=300, deadline=None)
+@given(_jacobian_cases())
+def test_rank_grouped_delta1_equals_the_per_letter_loop(case):
+    # int64 views, so that signed zeros count
+    G, words, g = case
+    H, J = word_jacobian(G, words, g)
+    H0, J0 = per_letter_jacobian(G, words, g)
+    assert J.shape == J0.shape and H.shape == H0.shape
+    assert np.array_equal(J.view(np.int64), J0.view(np.int64))
+    assert np.array_equal(H.view(np.int64), H0.view(np.int64))

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import pathlib
@@ -337,6 +338,32 @@ def test_u1_heat_kernel_methods_agree():
         a = u1_heat_kernel_series(tau, theta)
         b = u1_heat_kernel_images(tau, theta)
         assert np.max(np.abs(a - b)) < 1e-10 * np.max(np.abs(a))
+
+
+# angles and taus on which the two U(1) heat-kernel evaluators keep recorded
+# bits: 7 to 141 images (rows of fewer than 8 terms, pairwise row sums, and
+# one past numpy's 128-term block), 1 to 120 series terms, angles in and
+# outside [0, 2 pi), and 25,000 draws
+U1_HK_ANGLES = {
+    "grid": np.concatenate([np.linspace(0.0, 2 * math.pi, 97), [-3.0, -1e-9, 7.5, 40.0]]),
+    "draws": np.random.default_rng(22).uniform(0.0, math.pi, 25_000),
+}
+U1_HK_TAUS = (0.01, 0.05, 0.3, 0.6, 1.0, 1.5, 3.0, 10.0, 25.0, 200.0, 1000.0)
+U1_HK_EVALUATORS = {"series": u1_heat_kernel_series, "images": u1_heat_kernel_images}
+
+
+def u1_heat_kernel_table():
+    """{angles: {evaluator: {repr(tau): SHA-256 of the values}}}."""
+    return {name: {key: {repr(tau): hashlib.sha256(fn(tau, theta).tobytes()).hexdigest()
+                         for tau in U1_HK_TAUS}
+                   for key, fn in U1_HK_EVALUATORS.items()}
+            for name, theta in U1_HK_ANGLES.items()}
+
+
+def test_u1_heat_kernels_keep_their_recorded_bits():
+    # recorded while both evaluators still built 2-D arrays of their terms
+    ref = json.loads((GOLDEN / "u1_heat_kernels.json").read_text())
+    assert u1_heat_kernel_table() == ref
 
 
 @pytest.mark.parametrize("G,images,series", [

@@ -5,7 +5,9 @@ tree, and checks that every job passed its independent check and that the
 trace reports every per-layer metric BENCHMARK.json declares.  It checks the
 metric names only, not that each counter is live: the torsion.torsion_at
 spans read 0 in these rounds, because the CLI goes through torsion_batch,
-which perfbench/tracing.py does not wrap.  The mc
+which perfbench/tracing.py does not wrap.  On descent it also checks that
+the group methods every projection step calls (mul, exp, adjoint, log)
+count calls, so that a step that stops going through them shows.  The mc
 workload is left out: it runs none of the twisted-complex or torsion code
 and costs a few seconds more.
 """
@@ -32,3 +34,6 @@ def test_traced_round_passes_and_reports_every_layer(workload):
     declared = json.loads((ROOT / "BENCHMARK.json").read_text())["per_layer"]
     missing = [m["name"] for m in declared if m["name"] not in result["metrics"]]
     assert not missing
+    if workload == "descent":
+        for method in ("mul", "exp", "adjoint", "log"):
+            assert result["metrics"]["groups.%s.calls" % method]["value"] > 0, method
