@@ -38,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .foam import Foam, _as_word, builtin as _builtin_foam, match_builtin, reduce_foam
-from .groups import EPS_LOG, SU2, CutLocusError, get_group, su2_normalize
+from .groups import EPS_LOG, SU2, get_group, su2_normalize
 
 FLAT_TOL = 1e-10
 
@@ -135,18 +135,17 @@ def _records(cls, **columns):
     return out
 
 
-def _flat_samples(foam, group, g, residuals, component_tags=None, b0=None, b2=None,
-                  possibly_singular=None):
-    """FlatSample(foam, group, g[i], residuals[i], ...) for every i of a stack
-    g (n, E, elem_dim), group a group class: one element check over all n*E
-    rows, refusing as Connection does.  The other columns are sequences; one
-    left as None takes its field's default."""
+def _flat_samples(foam, group, g, residuals, component_tags=None):
+    """FlatSample(foam, group, g[i], residuals[i], component_tags[i]) for every
+    i of a stack g (n, E, elem_dim), group a group class: one element check
+    over all n*E rows, refusing as Connection does.  The samples are not yet
+    classified (b0, b2 None); component_tags left as None tags none."""
     _check_elements(foam, group, g)
     n = len(g)
     return _records(FlatSample, foam=[foam] * n, group=[group] * n, data=list(g),
-                    residual=residuals, b0=b0 or [None] * n, b2=b2 or [None] * n,
+                    residual=residuals, b0=[None] * n, b2=[None] * n,
                     component_tag=component_tags or [None] * n,
-                    possibly_singular=possibly_singular or [False] * n)
+                    possibly_singular=[False] * n)
 
 
 # ----------------------------------------------------------------------
@@ -286,7 +285,6 @@ LM_GROW = 10.0           # damping factor after a rejected step
 # a smaller lam is lost to rounding there; a larger one only shrinks steps
 # that are already negligible.
 LM_LAMBDA_RANGE = (1e-12, 1e12)
-CUT_RETRIES = 10         # jitters of the starts on the cut locus before giving up
 # Projection goes far below the FLAT_TOL gate.  At the singular points of the
 # representation variety delta1 . delta0 grows like sqrt(residual): stopping
 # at the gate's 1e-10 would leave it near 1e-5, while 1e-24 puts it near
@@ -296,44 +294,35 @@ MAX_ITERS = 5000         # steps before the starts still above PROJECT_TOL are d
 
 
 def _curvature(group, words_idx, plan, g):
-    """(residual, cut, r, J) of a batch (n, E, elem_dim) of connections.
+    """(residual, r, J) of a batch (n, E, elem_dim) of connections.
 
-    r stacks log H_f per sample, residual = |r|^2, and cut flags the samples
-    with a face holonomy on the cut locus, where log (hence r) is unusable.
-    The cut test and log read one class angle per holonomy.
+    r stacks log H_f per sample and residual = |r|^2, or inf for a sample with
+    a face holonomy on the cut locus, where log (hence r) is unusable.  The
+    cut test and log read one class angle per holonomy.
     """
     H, J = _jacobian(group, words_idx, plan, g)
     psi = group.distance(H)
     cut = np.any(psi > np.pi - EPS_LOG, axis=-1)
     r = group.log(H, check_cut_locus=False, psi=psi).reshape(g.shape[0], -1)
-    return np.sum(r * r, axis=-1), cut, r, J
+    return np.where(cut, np.inf, np.sum(r * r, axis=-1)), r, J
 
 
-def _descend(group, words_idx, g, rng, trace=None):
+def _descend(group, words_idx, g, trace=None):
     """Batched damped Gauss-Newton projection; returns (g, residual).
 
     Each sample takes the minimum-norm Levenberg-Marquardt step
     xi = -J^T (J J^T + lam I)^-1 log H and moves g <- exp(xi) g.  The step is
-    accepted per sample only if it lowers the residual without putting a
-    holonomy on the cut locus; lam shrinks on accept and grows on reject, so
-    the per-sample residual never increases.  Once every sample is under
-    PROJECT_TOL, one more step polishes the samples it helps, so that rank
-    decisions at the limit point do not sit on the SVD noise floor; samples
-    stalled at a non-flat critical point do not hold that step back.  Starts
-    on the cut locus are jittered up to CUT_RETRIES times.
+    accepted per sample iff it lowers the residual (inf on the cut locus, so
+    a start there keeps the first step off it); lam shrinks on accept and
+    grows on reject, so the per-sample residual never increases.  Once every
+    sample is under PROJECT_TOL, one more step polishes the samples it helps,
+    so that rank decisions at the limit point do not sit on the SVD noise
+    floor; samples stalled at a non-flat critical point, or on the cut locus
+    (an SU(2) holonomy of exactly -1 has log 0), do not hold that step back.
     """
     n, E = g.shape[:2]
     plan = _letter_plan(words_idx, E, group.dim_g)
-    res, cut, r, J = _curvature(group, words_idx, plan, g)
-    for _ in range(CUT_RETRIES):
-        if not cut.any():
-            break
-        kick = group.exp(rng.normal(scale=0.05, size=(n, E, group.dim_g)))
-        g = np.where(cut[:, None, None], group.mul(kick, g), g)
-        res, cut, r, J = _curvature(group, words_idx, plan, g)
-    if cut.any():
-        raise CutLocusError("%d starts stay on the cut locus after %d retries"
-                            % (int(cut.sum()), CUT_RETRIES))
+    res, r, J = _curvature(group, words_idx, plan, g)
     eye = np.eye(r.shape[-1])
     lam = np.full(n, LM_LAMBDA0)
     stalled = np.zeros(n, dtype=bool)
@@ -343,8 +332,8 @@ def _descend(group, words_idx, g, rng, trace=None):
         y = np.linalg.solve(J @ Jt + lam[:, None, None] * eye, r[..., None])
         xi = -(Jt @ y).reshape(n, E, group.dim_g)
         g_new = group.mul(group.exp(xi), g)
-        res_new, cut_new, r_new, J_new = _curvature(group, words_idx, plan, g_new)
-        ok = ~cut_new & (res_new < res)
+        res_new, r_new, J_new = _curvature(group, words_idx, plan, g_new)
+        ok = res_new < res
         # rejected at the damping cap: g, J and lam stay as they are, so the
         # same step is rejected forever (a non-flat critical point)
         stalled = ~ok & (lam == LM_LAMBDA_RANGE[1])
@@ -364,9 +353,9 @@ def find_flat_batch(foam, group, rng, n, trace=None):
     """n independent projections onto the flat set, advanced together for speed.
 
     Each of the n Haar starts is projected to a residual of PROJECT_TOL within
-    MAX_ITERS steps; the starts that do not get there are dropped, so fewer
-    than n samples may come back.  When trace is a list, the residual vector
-    is appended after every step.
+    MAX_ITERS steps; the starts that do not get there (_descend) are dropped,
+    so fewer than n samples, possibly none, may come back.  When trace is a
+    list, the residual vector is appended after every step.
     """
     group = get_group(group)
     if n < 0:
@@ -376,7 +365,7 @@ def find_flat_batch(foam, group, rng, n, trace=None):
     if n == 0 or foam.E == 0 or foam.F == 0:
         res = face_residual(group, _face_walk(group, foam.words_idx, g)[0])
         return _flat_samples(foam, group, g, res.tolist())
-    g, res = _descend(group, foam.words_idx, g, rng, trace=trace)
+    g, res = _descend(group, foam.words_idx, g, trace=trace)
     ok = res <= PROJECT_TOL
     return _flat_samples(foam, group, g[ok], res[ok].tolist())
 

@@ -74,7 +74,7 @@ class Foam:
     n_vertices: int = 1
     edges: tuple = ()      # ((id, src, dst), ...)
     faces: tuple = ()      # (FaceWord, ...)
-    _index: dict = field(default_factory=dict, repr=False, compare=False)
+    _index: dict = field(init=False, repr=False, compare=False)
     words_idx: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -339,14 +339,12 @@ def cellular_homology(foam):
     b0 = V - r1
     b1 = E - r1 - r2
     b2 = F - r2
-    report = CellularReport(
+    return CellularReport(
         boundary1=tuple(tuple(r) for r in d1),
         boundary2=tuple(tuple(r) for r in d2),
         betti=(b0, b1, b2),
         euler=V - E + F,
     )
-    assert b0 - b1 + b2 == report.euler
-    return report
 
 
 # ----------------------------------------------------------------------

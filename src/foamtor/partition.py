@@ -278,7 +278,6 @@ class ScalingFit:
     residual_rms: float
     residual_rms_pure: float
     residual_rms_withlog: float
-    residuals: tuple
     tau_grid: tuple
     coeffs: dict = field(default_factory=dict)
 
@@ -319,10 +318,9 @@ def _select(taus, x, y, w, alternative, model="auto"):
     use_log = {"pure": False, "with-log": True}.get(model, rms_p >= SELECT_FACTOR * rms_l)
     grid = tuple(map(float, taus))
     if use_log:
-        return ScalingFit(float(om), float(log_const), True, rms_l, rms_p, rms_l,
-                          tuple(map(float, rl)), grid, coeffs)
-    return ScalingFit(float(cp[0]), float(cp[1]), False, rms_p, rms_p, rms_l,
-                      tuple(map(float, rp)), grid, {})
+        return ScalingFit(float(om), float(log_const), True, rms_l, rms_p, rms_l, grid,
+                          coeffs)
+    return ScalingFit(float(cp[0]), float(cp[1]), False, rms_p, rms_p, rms_l, grid, {})
 
 
 def fit_scaling(points, model="auto"):

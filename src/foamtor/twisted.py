@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .connection import ANALYTIC_FOAMS, FLAT_TOL, _flat_samples, _records, \
+from .connection import ANALYTIC_FOAMS, FLAT_TOL, FlatSample, _records, \
     analytic_flat_batch, face_residual, find_flat_batch, word_jacobian
 from .foam import _presentation, builtin, match_builtin, reduce_foam
 from .groups import get_group
@@ -91,15 +91,10 @@ def _rank_arrays(mats):
     return rank, s, gap, warn
 
 
-def _svd_ranks(mats):
-    """svd_rank of every matrix in a stack (n, rows, cols), from _rank_arrays."""
-    rank, s, gap, warn = _rank_arrays(mats)
-    return list(zip(rank.tolist(), s, gap.tolist(), warn.tolist()))
-
-
 def svd_rank(mat):
-    """(rank, singular values, gap, warn): gap = min(counted)/max(discarded)."""
-    return _svd_ranks(mat[None])[0]
+    """(rank, singular values, gap, warn) of one matrix, as _rank_arrays reads it."""
+    rank, s, gap, warn = _rank_arrays(mat[None])
+    return int(rank[0]), s[0], float(gap[0]), bool(warn[0])
 
 
 @dataclass(frozen=True)
@@ -227,7 +222,8 @@ def min_b2(foam_or_name, group, n_samples, rng):
     """Minimum twisted b2 over flat samples, with the stratification histogram.
 
     Samples whose kernel dimension exceeds the minimum seen within their
-    component tag are flagged possibly singular.
+    component tag are flagged possibly singular; the flagged copies reuse the
+    samples sample_flat checked (connection._records).
     """
     samples = sample_flat(foam_or_name, group, n_samples, rng)[1]
     reports = cohomology_batch(samples)
@@ -240,10 +236,12 @@ def min_b2(foam_or_name, group, n_samples, rng):
         least[tag] = min(kernel, least.get(tag, kernel))
     hist = Counter(b2)
     strata = Counter(zip(b0, b2))
-    flagged = _flat_samples(samples[0].foam, samples[0].group,
-                            np.stack([s.data for s in samples]),
-                            [s.residual for s in samples], tags, b0, b2,
-                            [kernel > least[tag] for tag, kernel in zip(tags, kernels)])
+    flagged = _records(FlatSample, foam=[s.foam for s in samples],
+                       group=[s.group for s in samples], data=[s.data for s in samples],
+                       residual=[s.residual for s in samples], b0=b0, b2=b2,
+                       component_tag=tags,
+                       possibly_singular=[kernel > least[tag]
+                                          for tag, kernel in zip(tags, kernels)])
     return MinB2Report(
         b2_0=min(hist), histogram=dict(sorted(hist.items())),
         strata=dict(sorted(strata.items())), samples=flagged,

@@ -8,7 +8,7 @@ import subprocess
 import sys
 import warnings
 
-from foamtor import __version__
+from foamtor import __version__, twisted
 from foamtor.cli import _parser, main
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
@@ -266,6 +266,14 @@ def test_no_flat_connection_found_is_an_error(tmp_path, capsys):
         err = capsys.readouterr().err
         assert code == 2, command
         assert err.startswith("error: ") and "no flat connection" in err, command
+
+
+def test_analyze_exits_1_on_rank_warnings(capsys, monkeypatch):
+    # the exit code README promises for thin singular-value gaps
+    monkeypatch.setattr(twisted, "GAP_WARN", 1e300)
+    code, out = run(capsys, "analyze", "--foam", "torus", "--samples", "4", "--seed", "1")
+    assert code == 1
+    assert "4 samples had thin singular-value gaps" in json.loads(out)["warnings"]
 
 
 def test_flat_refuses_a_foam_without_a_flat_connection_like_analyze(tmp_path, capsys):

@@ -4,12 +4,13 @@ import warnings
 import numpy as np
 import pytest
 
-from foamtor.connection import (Connection, _flat_samples, analytic_flat,
+from foamtor.cli import main
+from foamtor.connection import (PROJECT_TOL, Connection, _flat_samples, analytic_flat,
                                 analytic_flat_batch, find_flat_batch, flatness_residual,
                                 gauge_act, holonomy, holonomy_word, word_jacobian)
 from foamtor.foam import builtin, parse_foam, serialize_foam
-from foamtor.groups import get_group, su2_mul
-from foamtor.twisted import cohomology
+from foamtor.groups import EPS_LOG, get_group, su2_mul
+from foamtor.twisted import cohomology, sample_flat
 
 SU2 = get_group("su2")
 
@@ -158,6 +159,39 @@ def test_projection_stops_at_nonflat_critical_points():
         samples = find_flat_batch(foam, "su2", np.random.default_rng(1), 10, trace=trace)
     assert len(trace) < 100
     assert len(samples) < 10 and all(s.residual <= 1e-24 for s in samples)
+
+
+def test_a_start_on_the_cut_locus_is_projected_like_any_other(monkeypatch):
+    # theta = pi/2 on <a | a a>: the holonomy pi is on the cut locus, where
+    # the residual reads inf, and the first step the log gives is accepted
+    u1 = get_group("u1")
+    monkeypatch.setattr(u1, "haar", staticmethod(
+        lambda rng, shape=(), out=None: np.full(tuple(shape) + (1,), 0.5 * np.pi)))
+    foam = builtin("projective_plane")
+    start = Connection(foam, u1, [[0.5 * np.pi]])
+    assert u1.distance(holonomy(start, 0)) > np.pi - EPS_LOG
+    samples = find_flat_batch(foam, u1, np.random.default_rng(0), 3)
+    assert len(samples) == 3
+    assert all(s.residual <= PROJECT_TOL and flatness_residual(s) <= PROJECT_TOL
+               for s in samples)
+
+
+def test_starts_that_never_leave_the_cut_locus_are_dropped(monkeypatch, capsys):
+    # a = i on <a | a a>: the holonomy is exactly -1 and its log 0, so every
+    # step is the zero step, rejected until the damping cap stalls the start
+    monkeypatch.setattr(SU2, "haar", staticmethod(
+        lambda rng, shape=(), out=None: np.broadcast_to([0.0, 1.0, 0.0, 0.0],
+                                                        tuple(shape) + (4,)).copy()))
+    trace = []
+    samples = find_flat_batch(builtin("projective_plane"), SU2,
+                              np.random.default_rng(0), 4, trace=trace)
+    assert samples == []
+    assert len(trace) < 100 and np.all(np.isinf(trace[-1]))
+    # with every start dropped, no flat sample is kept: a refusal, exit 2
+    with pytest.raises(RuntimeError, match="no flat connection found within budget"):
+        sample_flat("projective_plane", SU2, 4, np.random.default_rng(0))
+    assert main(["analyze", "--foam", "projective_plane", "--samples", "4"]) == 2
+    assert capsys.readouterr().err == "error: no flat connection found within budget\n"
 
 
 @pytest.mark.parametrize("name,group", [

@@ -385,6 +385,27 @@ def test_fit_scaling_torus_constant():
     assert abs(fit.dominant_part - 2 * math.pi) <= 0.1 * 2 * math.pi
 
 
+def test_fit_scaling_weighs_an_exact_point_as_the_most_precise_mc_point():
+    # exact points (stderr 0) among MC points weigh 1/min(stderr/value) of the
+    # MC points, and each MC point 1/(its stderr/value)
+    taus = np.logspace(-3, -1, 6)
+    vals = lambda_tau(taus) ** 1.5 * (1.0 + 0.05 * np.array([1.0, -1.0, 2.0, -2.0, 1.0, 0.0]))
+    rel = np.array([0.0, 0.01, 0.0, 0.04, 0.02, 0.0])
+    pts = [ZEstimate(float(t), float(v), float(r * v), "mc" if r else "char-surface")
+           for t, v, r in zip(taus, vals, rel)]
+    fit = fit_scaling(pts, model="pure")
+    X = np.column_stack([np.log(lambda_tau(taus)), np.ones_like(taus)])
+
+    def wls(w):
+        return np.linalg.lstsq(X * w[:, None], np.log(vals) * w, rcond=None)[0]
+
+    want = wls(1.0 / np.where(rel > 0, rel, 0.01))
+    assert fit.omega == pytest.approx(want[0], rel=1e-10)
+    assert fit.log_const == pytest.approx(want[1], rel=1e-10)
+    # the weights decide the answer: exact points at weight 1 give another fit
+    assert abs(wls(1.0 / np.where(rel > 0, rel, 1.0))[0] - fit.omega) > 1e-3
+
+
 def test_fit_scaling_appendix_flags_nonmonomial():
     taus = np.logspace(-3, -1, 8)
     pts = [z_char_appendix(t) for t in taus]

@@ -9,7 +9,7 @@ from foamtor.connection import (Connection, analytic_flat, find_flat_batch,
 from foamtor.foam import (builtin, parse_foam, serialize_foam, tietze1_expand,
                           tietze2_add_face)
 from foamtor.groups import get_group
-from foamtor.twisted import (EPS_ABS, EPS_RANK, GAP_WARN, _svd_ranks, build_delta0,
+from foamtor.twisted import (EPS_ABS, EPS_RANK, GAP_WARN, _rank_arrays, build_delta0,
                              build_delta1, cohomology, cohomology_batch, min_b2,
                              sample_flat, svd_rank)
 
@@ -230,16 +230,20 @@ def _rank_rule(s):
 
 
 def _assert_rank_rule(mats):
-    got = _svd_ranks(mats)
-    assert len(got) == len(mats)
+    rank, sv, gap, warn = _rank_arrays(mats)
+    assert len(rank) == len(sv) == len(gap) == len(warn) == len(mats)
     if mats.shape[-1] * mats.shape[-2] == 0:
         want = [(0, np.zeros(0), np.inf, False)] * len(mats)
     else:
         want = [_rank_rule(s) for s in np.linalg.svd(mats, compute_uv=False)]
-    for (rank, sv, gap, warn), (rank_, sv_, gap_, warn_) in zip(got, want):
-        assert (rank, gap, warn) == (rank_, gap_, bool(warn_))
-        assert np.array_equal(sv, sv_)
-        assert (type(rank), type(gap), type(warn)) == (int, float, bool)
+    for i, (rank_, sv_, gap_, warn_) in enumerate(want):
+        assert (rank[i], gap[i], warn[i]) == (rank_, gap_, bool(warn_))
+        assert np.array_equal(sv[i], sv_)
+        # a lone matrix is the stack of one, read out as Python scalars
+        one = svd_rank(mats[i])
+        assert (one[0], one[2], one[3]) == (rank_, gap_, bool(warn_))
+        assert np.array_equal(one[1], sv_)
+        assert (type(one[0]), type(one[2]), type(one[3])) == (int, float, bool)
     return want
 
 
