@@ -300,6 +300,13 @@ def su2_character(j, psi):
     return out
 
 
+def _check_tau(tau):
+    """ValueError unless tau is finite and positive: the domain of every heat
+    kernel and Z_tau estimate (z_char_surface also takes tau = 0, genus >= 2)."""
+    if not 0.0 < tau < math.inf:
+        raise ValueError("tau %r is not finite and positive" % float(tau))
+
+
 def _su2_nmax(tau):
     jmax = math.ceil(HK_TRUNC_C / math.sqrt(tau))
     return 2 * jmax + 1
@@ -312,8 +319,7 @@ def su2_heat_kernel_series(tau, psi):
     sum_n n e^{-tau (n^2-1)/4} U_{n-1}(cos psi), summed by Clenshaw's
     recurrence; U_{n-1} is a polynomial, so psi = 0 and pi need no care.
     """
-    if tau <= 0:
-        raise ValueError("tau must be positive")
+    _check_tau(tau)
     psi = np.atleast_1d(np.asarray(psi, dtype=float))
     j = np.arange(_su2_nmax(tau)) / 2.0
     coef = SU2.dim(j) * np.exp(-tau * SU2.casimir(j))
@@ -359,8 +365,7 @@ def su2_heat_kernel_images(tau, psi):
                      sum_k (psi + 2 pi k) e^{-(psi+2 pi k)^2/tau} / sin(psi)
     with Taylor branches where sin(psi) degenerates.
     """
-    if tau <= 0:
-        raise ValueError("tau must be positive")
+    _check_tau(tau)
     psi = np.atleast_1d(np.asarray(psi, dtype=float))
     shape, psi = psi.shape, psi.ravel()
     pref = math.exp(tau / 4.0) * math.sqrt(4.0 * math.pi) * tau ** -1.5
@@ -419,8 +424,7 @@ def u1_distance(theta):
 
 
 def u1_heat_kernel_series(tau, theta):
-    if tau <= 0:
-        raise ValueError("tau must be positive")
+    _check_tau(tau)
     theta = np.atleast_1d(np.asarray(theta, dtype=float))
     nmax = math.ceil(HK_TRUNC_C / math.sqrt(tau))
     n = np.arange(1, nmax + 1, dtype=float)
@@ -431,8 +435,7 @@ def u1_heat_kernel_series(tau, theta):
 def u1_heat_kernel_images(tau, theta):
     """Poisson resummation: K_tau(theta) = sqrt(pi/tau) sum_k e^{-(theta+2pi k)^2/4tau},
     one image at a time, summed as numpy sums a row of them (_row_sum)."""
-    if tau <= 0:
-        raise ValueError("tau must be positive")
+    _check_tau(tau)
     theta = np.atleast_1d(np.asarray(theta, dtype=float))
     kmax = max(2, int(math.ceil(math.sqrt(180.0 * tau) / (2 * math.pi))) + 2)
     scale = -(4.0 * tau)

@@ -17,7 +17,7 @@ from functools import reduce
 import numpy as np
 
 from .foam import reduce_foam
-from .groups import SU2, get_group
+from .groups import SU2, _check_tau, get_group
 
 MC_TAU_FLOOR = 0.02
 MC_CHUNK = 50_000       # z_mc holds at most about this many samples at once
@@ -54,11 +54,13 @@ def zestimates_csv(points):
 
 
 def _impossible(point):
-    """Why a point cannot be a Z_tau estimate (a tau that is not finite and
-    positive, a value that is not finite, or a stderr that is not finite and
+    """Why a point cannot be a Z_tau estimate (a tau outside _check_tau's
+    domain, a value that is not finite, or a stderr that is not finite and
     >= 0), or None."""
-    if not 0.0 < point.tau < math.inf:
-        return "tau %r is not finite and positive" % point.tau
+    try:
+        _check_tau(point.tau)
+    except ValueError as e:
+        return str(e)
     if not math.isfinite(point.value):
         return "value %r is not finite" % point.value
     if not 0.0 <= point.stderr < math.inf:
@@ -135,6 +137,7 @@ def z_mc(foam, group, tau, n_samples, seed, n_workers=1):
     Below the MC floor the integrand variance swamps 1e7-sample estimates;
     use the character evaluators there.
     """
+    _check_tau(tau)
     if tau < MC_TAU_FLOOR:
         raise ValueError(
             "tau=%g is below the MC floor %g; use a character-sum evaluator"
@@ -213,15 +216,11 @@ def z_char_surface(g, tau):
     tau > 0 is summed term by term up to n = 2j+1 = 24/sqrt(tau) + 1, where
     the terms fall below e^-144, at a cost that grows like tau^-1/2.  tau = 0
     is allowed for g >= 2 where the series converges (Euler-Maclaurin tail);
-    for g <= 1 the tau = 0 series diverges.
+    for g <= 1 the tau = 0 series diverges, and _check_tau refuses it.
     """
     if g < 0:
         raise ValueError("genus must be >= 0")
-    if tau < 0:
-        raise ValueError("tau must be >= 0")
-    if tau == 0.0:
-        if g <= 1:
-            raise ValueError("the tau=0 series diverges for genus <= 1")
+    if tau == 0.0 and g >= 2:
         p = 2 * g - 2
         N = 100_000
         n = np.arange(1, N + 1, dtype=float)
@@ -229,6 +228,7 @@ def z_char_surface(g, tau):
         tail = (N ** (1 - p) / (p - 1) - 0.5 * N ** -p + p / 12.0 * N ** -(p + 1))
         return ZEstimate(0.0, head + tail, 0.0, "char-surface",
                          {"g": g, "truncation": N, "tail": "euler-maclaurin"})
+    _check_tau(tau)
     nmax = int(math.ceil(2.0 * 12.0 / math.sqrt(tau))) + 1
     val = _surface_sum_direct(g, tau, nmax)
     return ZEstimate(tau, val, 0.0, "char-surface", {"g": g, "truncation": nmax})
@@ -244,8 +244,7 @@ def z_char_appendix(tau):
     and validated against plain Monte Carlo (see the test suite).  Evaluated
     as sum_k (sum_{n>=k} e_n)^2 with e_n = e^{-tau (n^2-1)/4}, n = 2j+1.
     """
-    if tau <= 0:
-        raise ValueError("tau must be positive")
+    _check_tau(tau)
     nmax = int(math.ceil(2.0 * 14.0 / math.sqrt(tau))) + 1
     e = np.exp(-tau * SU2.casimir(np.arange(nmax) / 2.0))
     tails = np.cumsum(e[::-1])[::-1]
@@ -316,11 +315,10 @@ def _select(taus, x, y, w, alternative, model="auto"):
     om, log_const, rl, coeffs = alternative(cp[0])
     rms_p, rms_l = (float(np.sqrt(np.mean(r ** 2))) for r in (rp, rl))
     use_log = {"pure": False, "with-log": True}.get(model, rms_p >= SELECT_FACTOR * rms_l)
-    grid = tuple(map(float, taus))
-    if use_log:
-        return ScalingFit(float(om), float(log_const), True, rms_l, rms_p, rms_l, grid,
-                          coeffs)
-    return ScalingFit(float(cp[0]), float(cp[1]), False, rms_p, rms_p, rms_l, grid, {})
+    if not use_log:
+        om, log_const, coeffs = cp[0], cp[1], {}
+    return ScalingFit(float(om), float(log_const), use_log, rms_l if use_log else rms_p,
+                      rms_p, rms_l, tuple(map(float, taus)), coeffs)
 
 
 def fit_scaling(points, model="auto"):
@@ -329,11 +327,13 @@ def fit_scaling(points, model="auto"):
     model 'pure':     log Z ~ omega log Lambda + c
     model 'with-log': log Z ~ omega log Lambda + beta log log(1/tau) + c
     model 'auto' fits both and prefers with-log iff it reduces the residual
-    RMS by SELECT_FACTOR.  Both RMS values are always reported.  ValueError
-    names the first impossible point (see _impossible), counting from 1.
+    RMS by SELECT_FACTOR.  Both RMS values are always reported, so every
+    model needs log log(1/tau): ValueError names the first impossible point
+    (see _impossible) or tau >= 1, counting from 1.
     """
     for i, p in enumerate(points, 1):
-        why = _impossible(p)
+        why = _impossible(p) or (p.tau >= 1.0 and "tau %r is not below 1, where the "
+                                 "with-log model's log log(1/tau) is defined" % float(p.tau))
         if why:
             raise ValueError("point %d: %s" % (i, why))
     points = sorted(points, key=lambda p: p.tau)
@@ -385,8 +385,8 @@ def toy_laplace(tau, box_halfwidth=1.0):
     strips of one panel's rows are evaluated and mirrored.
     """
     taus = np.asarray(tau, dtype=float)
-    if np.any(taus <= 0):
-        raise ValueError("tau must be positive")
+    for t in taus.ravel().tolist():
+        _check_tau(t)
     L = _box(box_halfwidth)
     nodes, weights = np.polynomial.legendre.leggauss(24)
 

@@ -170,18 +170,24 @@ def gaussian_volume(sample, rank):
     return float(_gaussian_volumes(sample.foam, sample.group, sample.data[None], rank)[0])
 
 
-def _torus_chart_volumes(psi_a, psi_b, rng):
-    """Gaussian volumes at the torus flat points a = exp(psi_a n),
-    b = exp(psi_b n), one axis n per point drawn in order from rng.
+def _torus_chart(psi, rng):
+    """The torus flat chart on the n x n grid of class angles psi (n,):
+    arrays (psi_a, psi_b, Gaussian volume, sin^2 psi_a + sin^2 psi_b) over
+    its points, psi_a varying slowest, sin^2 as math.sin(x) ** 2 per angle.
 
-    The flat points are one (n, 2, 4) array, and _gaussian_volumes reads
-    their rank-2 volumes off one face walk and one stacked SVD.  Point for
-    point this is gaussian_volume(analytic_flat("torus", rng, psi_a=..,
-    psi_b=..), rank=2), with the same draws.
+    The points a = exp(psi_a n), b = exp(psi_b n), one axis n per point drawn
+    in order from rng, are one (n * n, 2, 4) array, and _gaussian_volumes
+    reads their rank-2 volumes off one face walk and one stacked SVD.  Point
+    for point the volume is gaussian_volume(analytic_flat("torus", rng,
+    psi_a=.., psi_b=..), rank=2), with the same draws.
     """
-    axes = unit_vectors(rng.standard_normal((len(psi_a), 3)))
+    n = len(psi)
+    psi_a, psi_b = np.repeat(psi, n), np.tile(psi, n)
+    axes = unit_vectors(rng.standard_normal((n * n, 3)))
     g = np.stack([SU2.exp(psi_a[:, None] * axes), SU2.exp(psi_b[:, None] * axes)], axis=1)
-    return _gaussian_volumes(builtin("torus"), SU2, g, 2)
+    sin2 = np.array([math.sin(x) ** 2 for x in psi.tolist()])
+    return (psi_a, psi_b, _gaussian_volumes(builtin("torus"), SU2, g, 2),
+            np.repeat(sin2, n) + np.tile(sin2, n))
 
 
 def torus_volume_grid(n_grid=20, rng=None):
@@ -192,11 +198,8 @@ def torus_volume_grid(n_grid=20, rng=None):
     from math.sin(x) ** 2 of each grid angle.
     """
     rng = np.random.default_rng(0) if rng is None else rng
-    grid = np.linspace(0.1, math.pi - 0.1, n_grid)
-    psi_a, psi_b = np.repeat(grid, n_grid), np.tile(grid, n_grid)
-    vol = _torus_chart_volumes(psi_a, psi_b, rng)
-    sin2 = _sin2(grid)
-    formula = 4.0 * (np.repeat(sin2, n_grid) + np.tile(sin2, n_grid))
+    psi_a, psi_b, vol, chart = _torus_chart(np.linspace(0.1, math.pi - 0.1, n_grid), rng)
+    formula = 4.0 * chart
     return list(zip(psi_a.tolist(), psi_b.tolist(), vol.tolist(), formula.tolist(),
                     np.abs(vol - formula).tolist()))
 
@@ -233,9 +236,7 @@ def torus_dominant_part(n_quad=24, rng=None):
     nodes, weights = np.polynomial.legendre.leggauss(n_quad)
     psi = 0.5 * math.pi * (nodes + 1.0)
     w = 0.5 * math.pi * weights
-    vols = _torus_chart_volumes(np.repeat(psi, n_quad), np.tile(psi, n_quad), rng)
-    sin2 = _sin2(psi)
-    chart = np.repeat(sin2, n_quad) + np.tile(sin2, n_quad)
+    vols, chart = _torus_chart(psi, rng)[2:]
     terms = np.repeat(w, n_quad) * np.tile(w, n_quad) * chart / vols
     # np.add.accumulate adds left to right, in node order (a sum may pair terms)
     acc = float(np.add.accumulate(terms)[-1])
@@ -243,8 +244,3 @@ def torus_dominant_part(n_quad=24, rng=None):
     vol_su2 = 2.0 * math.pi ** 2
     pref = vol_su2 ** -2 * (4.0 * math.pi) ** 2 * 2.0 ** -2
     return pref * 2.0 * sphere_area * acc
-
-
-def _sin2(angles):
-    """sin(x)^2 of each angle as math.sin(x) ** 2, once per angle."""
-    return np.array([math.sin(x) ** 2 for x in angles.tolist()])

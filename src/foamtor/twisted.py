@@ -221,27 +221,25 @@ def sample_flat(foam_or_name, group, n_samples, rng):
 def min_b2(foam_or_name, group, n_samples, rng):
     """Minimum twisted b2 over flat samples, with the stratification histogram.
 
-    Samples whose kernel dimension exceeds the minimum seen within their
-    component tag are flagged possibly singular; the flagged copies reuse the
-    samples sample_flat checked (connection._records).
+    A sample whose b2 is above the least b2 in its component tag is flagged
+    possibly singular; the flagged copies reuse the samples sample_flat
+    checked (connection._records).
     """
     samples = sample_flat(foam_or_name, group, n_samples, rng)[1]
     reports = cohomology_batch(samples)
     b0 = [rep.b0 for rep in reports]
     b2 = [rep.b2 for rep in reports]
     tags = [s.component_tag for s in samples]
-    kernels = [rep.b1 + rep.rank0 for rep in reports]     # dim ker delta1
     least = {}
-    for tag, kernel in zip(tags, kernels):
-        least[tag] = min(kernel, least.get(tag, kernel))
+    for tag, b in zip(tags, b2):
+        least[tag] = min(b, least.get(tag, b))
     hist = Counter(b2)
     strata = Counter(zip(b0, b2))
     flagged = _records(FlatSample, foam=[s.foam for s in samples],
                        group=[s.group for s in samples], data=[s.data for s in samples],
                        residual=[s.residual for s in samples], b0=b0, b2=b2,
                        component_tag=tags,
-                       possibly_singular=[kernel > least[tag]
-                                          for tag, kernel in zip(tags, kernels)])
+                       possibly_singular=[b > least[tag] for tag, b in zip(tags, b2)])
     return MinB2Report(
         b2_0=min(hist), histogram=dict(sorted(hist.items())),
         strata=dict(sorted(strata.items())), samples=flagged,

@@ -423,6 +423,20 @@ def test_a_one_point_tau_grid_needs_equal_bounds(capsys):
     assert code == 0 and [p["tau"] for p in json.loads(out)["points"]] == [0.3]
 
 
+def test_fit_refuses_a_tau_of_1_without_lapack_noise(tmp_path, capfd):
+    # the with-log model's log log(1/tau) was -inf at tau = 1: LAPACK printed
+    # DLASCL errors on stderr and the fit failed with "SVD did not converge"
+    csv_path = tmp_path / "ztau.csv"
+    assert main(["ztau", "--foam", "torus", "--method", "char", "--tau-grid", "0.01:1:6",
+                 "--format", "csv", "--out", str(csv_path)]) == 0
+    capfd.readouterr()
+    code = main(["fit", "--in", str(csv_path), "--model", "pure"])
+    captured = capfd.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith("error: point 6: tau 1.0 is not below 1"), captured.err
+    assert "DLASCL" not in captured.err and captured.err.count("\n") == 1, captured.err
+
+
 def test_a_genus_that_is_not_an_integer_is_refused_naming_the_key(capsys):
     # analyze --foam genus:x printed "invalid literal for int() with base 10: 'x'"
     for key in ("genus:x", "genus:1.5", "genus:-1"):

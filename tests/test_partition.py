@@ -10,7 +10,8 @@ from scipy.special import erf
 from foamtor import partition
 from foamtor.foam import builtin, parse_foam
 from foamtor.groups import (get_group, su2_haar, su2_heat_kernel_images,
-                            su2_heat_kernel_series, su2_mul)
+                            su2_heat_kernel_series, su2_mul, u1_heat_kernel_images,
+                            u1_heat_kernel_series)
 from foamtor.partition import (CSV_COLUMNS, MC_TAU_FLOOR, ZEstimate, char_sum_limit,
                                fit_scaling, fit_toy, lambda_tau, toy_laplace,
                                usable_cpus, z_char_appendix, z_char_surface, z_mc,
@@ -428,6 +429,44 @@ def test_fit_scaling_validates_input():
     bad = [ZEstimate(t, -1.0, 0.0, "x") for t in np.logspace(-3, -1, 5)]
     with pytest.raises(ValueError, match="positive"):
         fit_scaling(bad)
+
+
+TAU_ROUTES = {
+    "SU2.heat_kernel": lambda t: SU2.heat_kernel(t, [0.5]),
+    "U1.heat_kernel": lambda t: get_group("u1").heat_kernel(t, [0.5]),
+    "su2_heat_kernel_series": lambda t: su2_heat_kernel_series(t, [0.5]),
+    "su2_heat_kernel_images": lambda t: su2_heat_kernel_images(t, [0.5]),
+    "u1_heat_kernel_series": lambda t: u1_heat_kernel_series(t, [0.5]),
+    "u1_heat_kernel_images": lambda t: u1_heat_kernel_images(t, [0.5]),
+    "z_char_surface(1)": lambda t: z_char_surface(1, t),
+    "z_char_surface(2)": lambda t: z_char_surface(2, t),
+    "z_char_appendix": z_char_appendix,
+    "toy_laplace": toy_laplace,
+    "toy_laplace[array]": lambda t: toy_laplace(np.array([1e-3, t])),
+    "z_mc(torus)": lambda t: z_mc(builtin("torus"), "su2", t, 100, seed=0),
+    "z_mc(sphere)": lambda t: z_mc(builtin("sphere"), "su2", t, 100, seed=0),
+}
+
+
+@pytest.mark.parametrize("route, tau", [
+    (route, tau) for route in sorted(TAU_ROUTES) for tau in (math.inf, math.nan, -1.0, 0.0)
+    if (route, tau) != ("z_char_surface(2)", 0.0)])     # converges at tau = 0
+def test_every_tau_route_refuses_a_tau_that_is_not_finite_and_positive(route, tau):
+    # tau = inf gave NaN (SU(2) kernel, character sums, z_mc), 1.0 (U(1)
+    # kernel) or an OverflowError, and tau = nan "cannot convert float NaN"
+    with pytest.raises(ValueError, match="is not finite and positive"):
+        TAU_ROUTES[route](tau)
+
+
+def test_fit_scaling_refuses_a_tau_of_1_or_more_by_name():
+    # log log(1/tau) of the with-log model was -inf at tau = 1: LAPACK printed
+    # DLASCL errors and the fit died with "SVD did not converge"
+    pts = [z_char_surface(1, t) for t in np.logspace(-2, 0, 6)]
+    for model in ("pure", "with-log", "auto"):
+        with pytest.raises(ValueError, match="^point 6: tau 1.0 is not below 1"):
+            fit_scaling(pts, model=model)
+    with pytest.raises(ValueError, match="^point 1: tau 2.0 is not below 1"):
+        fit_scaling([ZEstimate(2.0, 1.0, 0.0, "x")] + pts[:5])
 
 
 def test_fit_scaling_refuses_impossible_points():

@@ -8,9 +8,9 @@ from foamtor.connection import analytic_flat, find_flat_batch, gauge_act
 from foamtor.foam import builtin
 from foamtor.groups import SU2
 from foamtor.partition import char_sum_limit
-from foamtor.torsion import (SingularSampleError, TorsionValue, _torus_chart_volumes,
-                             gaussian_volume, singular_value_torsion, torsion_at,
-                             torsion_batch, torus_dominant_part, torus_volume_grid)
+from foamtor.torsion import (SingularSampleError, TorsionValue, gaussian_volume,
+                             singular_value_torsion, torsion_at, torsion_batch,
+                             torus_dominant_part, torus_volume_grid)
 
 
 def test_basis_independence_genus2():
@@ -142,12 +142,12 @@ def test_torus_volume_grid_equals_point_by_point_volumes():
 
 
 def _volume_grid_per_point(n_grid, rng):
-    """torus_volume_grid's rows as they were formed point by point."""
+    """torus_volume_grid's rows as they were formed point by point, one
+    analytic flat point and gaussian_volume per row."""
     grid = np.linspace(0.1, math.pi - 0.1, n_grid)
-    psi_a, psi_b = np.repeat(grid, n_grid), np.tile(grid, n_grid)
     rows = []
-    for pa, pb, vol in zip(psi_a, psi_b, _torus_chart_volumes(psi_a, psi_b, rng)):
-        vol = float(vol)
+    for pa, pb in zip(np.repeat(grid, n_grid).tolist(), np.tile(grid, n_grid).tolist()):
+        vol = gaussian_volume(analytic_flat("torus", rng, psi_a=pa, psi_b=pb), rank=2)
         formula = 4.0 * (math.sin(pa) ** 2 + math.sin(pb) ** 2)
         rows.append((pa, pb, vol, formula, abs(vol - formula)))
     return rows
@@ -158,12 +158,12 @@ def _dominant_part_per_node(n_quad, rng):
     nodes, weights = np.polynomial.legendre.leggauss(n_quad)
     psi = 0.5 * math.pi * (nodes + 1.0)
     w = 0.5 * math.pi * weights
-    vols = _torus_chart_volumes(np.repeat(psi, n_quad), np.tile(psi, n_quad), rng)
     acc = 0.0
-    for k, vol_b2 in enumerate(vols):
+    for k in range(n_quad * n_quad):
         i, j = divmod(k, n_quad)
+        s = analytic_flat("torus", rng, psi_a=float(psi[i]), psi_b=float(psi[j]))
         chart = math.sin(psi[i]) ** 2 + math.sin(psi[j]) ** 2
-        acc += w[i] * w[j] * chart / float(vol_b2)
+        acc += w[i] * w[j] * chart / gaussian_volume(s, rank=2)
     pref = (2.0 * math.pi ** 2) ** -2 * (4.0 * math.pi) ** 2 * 2.0 ** -2
     return pref * 2.0 * (4.0 * math.pi) * acc
 
