@@ -9,10 +9,10 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import math
 import os
 import sys
+from json.encoder import encode_basestring_ascii as _json_str
 
 import numpy as np
 
@@ -55,11 +55,50 @@ def _tau_grid(source):
     return grid
 
 
+def _write_json(o, out, pad=""):
+    """The list out with the text json.dumps(o, indent=2, default=str) gives o
+    appended, pad being the indent of o's line: one pass, where an indented
+    json.dumps runs the pure-Python encoder's generators.  It recurses by its
+    module name, since a nested closure calling itself is a reference cycle."""
+    if isinstance(o, str):
+        out.append(_json_str(o))
+    elif o is None or o is True or o is False:
+        out.append("null" if o is None else "true" if o else "false")
+    elif isinstance(o, int):
+        out.append(int.__repr__(o))
+    elif isinstance(o, float):
+        out.append("NaN" if o != o else "Infinity" if o == math.inf
+                   else "-Infinity" if o == -math.inf else float.__repr__(o))
+    elif not isinstance(o, (list, tuple, dict)):
+        out.append(_json_str(str(o)))
+    elif not o:
+        out.append("{}" if isinstance(o, dict) else "[]")
+    else:
+        inner, is_dict = pad + "  ", isinstance(o, dict)
+        sep = ",\n" + inner
+        out.append(("{\n" if is_dict else "[\n") + inner)
+        for i, item in enumerate(o.items() if is_dict else o):
+            if i:
+                out.append(sep)
+            if is_dict:
+                key, item = item
+                if not isinstance(key, str):    # json's key coercion
+                    if not (isinstance(key, (int, float)) or key is None):
+                        raise TypeError("keys must be str, int, float, bool or None, "
+                                        "not " + type(key).__name__)
+                    key = _write_json(key, [])[0]
+                out.append(_json_str(key) + ": ")
+            _write_json(item, out, inner)
+        out.append("\n" + pad + ("}" if is_dict else "]"))
+    return out
+
+
 def _emit(args, payload):
     """Write payload to --out, or to stdout without one: a str (CSV) as it is,
-    anything else as indented JSON."""
+    anything else as indented JSON, the bytes json.dumps(payload, indent=2,
+    default=str) writes (_write_json)."""
     if not isinstance(payload, str):
-        payload = json.dumps(payload, indent=2, default=str) + "\n"
+        payload = "".join(_write_json(payload, [])) + "\n"
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(payload)

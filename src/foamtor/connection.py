@@ -26,9 +26,10 @@ and so on, planned once per word_jacobian call and once per projection.
 
 A flat sample is a Connection: FlatSample adds the residual and the
 classification, so every function of a connection takes a sample as it is.
-A sample set's records are built in one pass (_flat_samples): one element
-check over all its rows, refusing as Connection does, and the frozen records
-filled without their per-instance __init__ (_records).
+A sample set is built as a stack (_projected_stack, _analytic_stack), and its
+records in one pass (_flat_samples): one element check over all its rows,
+refusing as Connection does, and the frozen records filled without their
+per-instance __init__ (_records).
 """
 
 from __future__ import annotations
@@ -349,6 +350,22 @@ def _descend(group, words_idx, g, trace=None):
     return g, res
 
 
+def _projected_stack(foam, group, rng, n, trace=None):
+    """find_flat_batch's samples as _flat_samples' arguments (foam, group, g, ...)."""
+    group = get_group(group)
+    if n < 0:
+        raise ValueError("the number of starts must be at least 0, got %d" % n)
+    foam = reduce_foam(foam)
+    g = group.haar(rng, (n, foam.E))
+    if n == 0 or foam.E == 0 or foam.F == 0:
+        res = face_residual(group, _face_walk(group, foam.words_idx, g)[0])
+    else:
+        g, res = _descend(group, foam.words_idx, g, trace=trace)
+        ok = res <= PROJECT_TOL
+        g, res = g[ok], res[ok]
+    return foam, group, g, res.tolist(), [None] * len(g)
+
+
 def find_flat_batch(foam, group, rng, n, trace=None):
     """n independent projections onto the flat set, advanced together for speed.
 
@@ -357,17 +374,7 @@ def find_flat_batch(foam, group, rng, n, trace=None):
     so fewer than n samples, possibly none, may come back.  When trace is a
     list, the residual vector is appended after every step.
     """
-    group = get_group(group)
-    if n < 0:
-        raise ValueError("the number of starts must be at least 0, got %d" % n)
-    foam = reduce_foam(foam)
-    g = group.haar(rng, (n, foam.E))
-    if n == 0 or foam.E == 0 or foam.F == 0:
-        res = face_residual(group, _face_walk(group, foam.words_idx, g)[0])
-        return _flat_samples(foam, group, g, res.tolist())
-    g, res = _descend(group, foam.words_idx, g, trace=trace)
-    ok = res <= PROJECT_TOL
-    return _flat_samples(foam, group, g[ok], res[ok].tolist())
+    return _flat_samples(*_projected_stack(foam, group, rng, n, trace))
 
 
 # ----------------------------------------------------------------------
@@ -409,6 +416,13 @@ def analytic_flat_batch(kind, rng, signs, families=None, psi_a=None, psi_b=None,
     batch of one (analytic_flat) and a batch of n draw and compute the same
     numbers.
     """
+    return _flat_samples(*_analytic_stack(kind, rng, signs, families, psi_a, psi_b, psi_h,
+                                          axis))
+
+
+def _analytic_stack(kind, rng, signs, families=None, psi_a=None, psi_b=None, psi_h=None,
+                    axis=None):
+    """analytic_flat_batch's samples as _flat_samples' arguments (foam, SU2, g, ...)."""
     n = len(signs)
     if any(sgn not in (1, -1) for sgn in signs):
         raise ValueError("each sign must be +1 or -1, got %r" % (list(signs),))
@@ -453,7 +467,7 @@ def analytic_flat_batch(kind, rng, signs, families=None, psi_a=None, psi_b=None,
     res = face_residual(SU2, H)
     tags = (["torus:+" if sgn > 0 else "torus:-" for sgn in signs] if kind == "torus"
             else families)
-    return _flat_samples(foam, SU2, g, res.tolist(), list(tags))
+    return foam, SU2, g, res.tolist(), list(tags)
 
 
 def analytic_flat(foam, rng, sign=+1, family=None, psi_a=None, psi_b=None, psi_h=None,

@@ -16,7 +16,7 @@ from functools import reduce
 
 import numpy as np
 
-from .foam import reduce_foam
+from .foam import builtin, reduce_foam
 from .groups import SU2, _check_tau, get_group
 
 MC_TAU_FLOOR = 0.02
@@ -110,7 +110,7 @@ def _merge_moments(a, b):
 
 
 def z_mc(foam, group, tau, n_samples, seed, n_workers=1):
-    """Sample mean of prod_f K_tau(H_f(A)) over A ~ Haar^E.
+    """Sample mean of prod_f K_tau(H_f(A)) over A ~ Haar^E; foam is a Foam or a builtin key.
 
     The n_samples draws are split into n_workers streams, stream w drawing
     from default_rng([seed, w]): each stream gets n_samples // n_workers and
@@ -145,7 +145,7 @@ def z_mc(foam, group, tau, n_samples, seed, n_workers=1):
     if n_workers < 1:
         raise ValueError("n_workers=%r: need at least one worker stream" % (n_workers,))
     group = get_group(group)
-    foam = reduce_foam(foam)
+    foam = reduce_foam(builtin(foam) if isinstance(foam, str) else foam)
     if foam.E == 0:
         val = 1.0
         for _ in range(foam.F):
@@ -380,33 +380,43 @@ def toy_laplace(tau, box_halfwidth=1.0):
     Tensor Gauss-Legendre panels on a geometric grid refined toward the axes
     (the integrand crosses over at |x y| ~ sqrt(tau)), 24 nodes per panel.
     The 24-node rule is built once per call; each tau gets the bits of its
-    own scalar call.  The integrand matrix e^{-(x_i x_j)^2 / tau} is exactly
-    symmetric (x_i x_j = x_j x_i in IEEE arithmetic), so only its upper
-    strips of one panel's rows are evaluated and mirrored.
+    own scalar call.  Panel p >= 1 of the n + 1 is panel n = [L/2, L] times
+    2^-(n-p) exactly, so block (p, r) of the exponent matrix is block (n, n)
+    times 4^-((n-p)+(n-r)), exactly while no value overflows or goes
+    subnormal where exp can tell (tau >= 2^-960 sees to that): one exp call
+    for those 2n - 1 blocks, one for the n of them with the base panel
+    [0, L 2^-n], with the bits of evaluating every entry.  ValueError names
+    a (box, tau) whose exponents overflow, or a tau below 2^-960.
     """
     taus = np.asarray(tau, dtype=float)
     for t in taus.ravel().tolist():
         _check_tau(t)
     L = _box(box_halfwidth)
     nodes, weights = np.polynomial.legendre.leggauss(24)
+    X = 0.5 * (L - L * 0.5) * nodes + 0.5 * (L * 0.5 + L)     # panel [L/2, L]
 
     def z(t):
-        n_levels = max(4, int(math.ceil(math.log2(L / math.sqrt(t)))) + 4)
-        bounds = [L * 2.0 ** -k for k in range(n_levels + 1)] + [0.0]
-        bounds = np.array(bounds[::-1])
-        xs, ws = [], []
-        for a, b in zip(bounds[:-1], bounds[1:]):
-            xs.append(0.5 * (b - a) * nodes + 0.5 * (a + b))
-            ws.append(0.5 * (b - a) * weights)
-        xs = np.concatenate(xs)
-        ws = np.concatenate(ws)
-        vals = np.empty((len(xs), len(xs)))
-        for a in range(0, len(xs), len(nodes)):
-            b = a + len(nodes)
-            strip = np.exp(-np.outer(xs[a:b], xs[a:]) ** 2 / t)
-            vals[a:b, a:] = strip
-            vals[b:, a:b] = strip[:, len(nodes):].T
-        return 4.0 * float(ws @ vals @ ws)
+        with np.errstate(over="ignore"):
+            top = -np.outer(X, X) ** 2 / t
+        if top[-1, -1] == -math.inf or t < 2.0 ** -960:
+            raise ValueError("box half-width (--box) %r at tau %r leaves the toy's float "
+                             "range: it needs (x y)^2 / tau finite and tau >= 2^-960" % (L, t))
+        n = max(4, int(math.ceil(math.log2(L / math.sqrt(t)))) + 4)
+        bounds = np.array([0.0] + [L * 2.0 ** -k for k in range(n, -1, -1)])
+        ws = (0.5 * np.diff(bounds)[:, None] * weights).ravel()
+        x0 = 0.5 * bounds[1] * nodes + 0.5 * bounds[1]          # panel [0, L 2^-n]
+        # geo[:, k] is the block of every geometric (p, r) with p + r - 2 = k
+        depth = np.arange(2 * n - 2, -1, -1, dtype=np.int32)
+        geo = np.exp(np.ldexp(top[:, None, :], -2 * depth[:, None]))
+        cross = np.exp(np.ldexp(-np.outer(x0, X)[:, None, :] ** 2 / t,
+                                -2 * depth[n - 1:, None]))
+        vals = np.empty((n + 1, 24, n + 1, 24))
+        vals[0, :, 0] = np.exp(-np.outer(x0, x0) ** 2 / t)
+        vals[0, :, 1:] = cross
+        vals[1:, :, 0] = cross.transpose(1, 2, 0)
+        for p in range(1, n + 1):
+            vals[p, :, 1:] = geo[:, p - 1:p - 1 + n]
+        return 4.0 * float(ws @ vals.reshape(len(ws), -1) @ ws)
 
     if taus.ndim == 0:
         return z(float(taus))
@@ -419,18 +429,27 @@ def fit_toy(taus=None, values=None, box_halfwidth=1.0):
     Pure model:    log z ~ omega log Lambda + c.
     Log-amplitude: log z ~ omega log Lambda + log(beta log(1/tau) + c), the
     sqrt(tau)-times-logarithm law; selected when it beats the pure power by
-    SELECT_FACTOR in residual RMS.
+    SELECT_FACTOR in residual RMS.  ValueError names the first point (from 1)
+    with a tau outside _check_tau's domain or a value not finite and positive.
     """
     _box(box_halfwidth)
     if taus is None:
         taus = np.logspace(-6, -2, 9)
     taus = np.asarray(taus, dtype=float)
+    for i, t in enumerate(taus.tolist(), 1):
+        try:
+            _check_tau(t)
+        except ValueError as e:
+            raise ValueError("point %d: %s" % (i, e)) from None
     if len(taus) < 3:
         raise ValueError("the toy fit has 3 parameters: need at least 3 tau points "
                          "(--tau-grid), got %d" % len(taus))
     if values is None:
         values = toy_laplace(taus, box_halfwidth)
     vals = np.asarray(values, dtype=float)
+    for i, v in enumerate(vals.tolist(), 1):
+        if not 0.0 < v < math.inf:
+            raise ValueError("point %d: value %r is not finite and positive" % (i, v))
     x = np.log(lambda_tau(taus))
     y = np.log(vals)
     s = np.log(1.0 / taus)

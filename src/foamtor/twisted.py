@@ -23,7 +23,8 @@ The ranks of the whole stack are then decided in one array pass of the rank
 rule (_rank_arrays), which gives every sample what it gets alone; a lone
 matrix (svd_rank) is the stack of one, and cohomology() the batch of one.
 The Betti numbers and flags are array operations on the ranks, and the
-reports are built from those columns in one pass (connection._records).
+reports are built from those columns (_complex_columns) in one pass
+(connection._records); min_b2 reads the columns without the reports.
 """
 
 from __future__ import annotations
@@ -33,8 +34,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .connection import ANALYTIC_FOAMS, FLAT_TOL, FlatSample, _records, \
-    analytic_flat_batch, face_residual, find_flat_batch, word_jacobian
+from .connection import ANALYTIC_FOAMS, FLAT_TOL, FlatSample, _analytic_stack, \
+    _check_elements, _flat_samples, _projected_stack, _records, face_residual, \
+    word_jacobian
 from .foam import _presentation, builtin, match_builtin, reduce_foam
 from .groups import get_group
 
@@ -121,6 +123,31 @@ class CohomologyReport:
         return (self.b0, self.b1, self.b2)
 
 
+def _complex_columns(foam, group, g):
+    """CohomologyReport's fields, an array each, at a stack g (n, E, elem_dim)
+    of connections on foam; ValueError unless foam is reduced and all flat."""
+    if not foam.is_reduced():
+        raise ValueError("foam %r has %d vertices; reduce it first" % (foam.name, foam.V))
+    d = group.dim_g
+    H, d1 = word_jacobian(group, foam.words_idx, g)
+    res = face_residual(group, H)
+    if np.any(res > FLAT_TOL):
+        i = int(np.argmax(res > FLAT_TOL))
+        raise ValueError("connection %d is not flat (residual %.3e > %.1e)"
+                         % (i, res[i], FLAT_TOL))
+    d0 = _delta0(group, g)
+    r0, sv0, gap0, warn0 = _rank_arrays(d0)
+    r1, sv1, gap1, warn1 = _rank_arrays(d1)
+    b0 = d - r0
+    b1 = d * foam.E - r0 - r1
+    b2 = d * foam.F - r1
+    # b1 < 0 means the two independent rank decisions contradict im d0 < ker d1
+    return dict(rank0=r0, rank1=r1, b0=b0, b1=b1, b2=b2, sv0=sv0, sv1=sv1, delta0=d0,
+                delta1=d1, gap0=gap0, gap1=gap1, regular=b2 == 0,
+                reducible=b0 > group.center_dim, central=r0 == 0,
+                rank_warning=warn0 | warn1 | (b1 < 0))
+
+
 def cohomology_batch(samples):
     """Twisted Betti numbers at every flat connection of a sample set.
 
@@ -140,31 +167,9 @@ def cohomology_batch(samples):
                 (c.foam.V, _presentation(c.foam), c.group.name)
                 != (foam.V, _presentation(foam), group.name)):
             raise ValueError("the connections do not share one foam presentation and group")
-    if not foam.is_reduced():
-        raise ValueError("foam %r has %d vertices; reduce it first" % (foam.name, foam.V))
-    d = group.dim_g
-    g = np.stack([c.data for c in samples])
-    H, d1 = word_jacobian(group, foam.words_idx, g)
-    res = face_residual(group, H)
-    if np.any(res > FLAT_TOL):
-        i = int(np.argmax(res > FLAT_TOL))
-        raise ValueError("connection %d is not flat (residual %.3e > %.1e)"
-                         % (i, res[i], FLAT_TOL))
-    d0 = _delta0(group, g)
-    r0, sv0, gap0, warn0 = _rank_arrays(d0)
-    r1, sv1, gap1, warn1 = _rank_arrays(d1)
-    b0 = d - r0
-    b1 = d * foam.E - r0 - r1
-    b2 = d * foam.F - r1
-    # b1 < 0 means the two independent rank decisions contradict im d0 < ker d1
-    inconsistent = b1 < 0
-    return _records(
-        CohomologyReport, rank0=r0.tolist(), rank1=r1.tolist(), b0=b0.tolist(),
-        b1=b1.tolist(), b2=b2.tolist(), sv0=list(sv0), sv1=list(sv1), delta0=list(d0),
-        delta1=list(d1), gap0=gap0.tolist(), gap1=gap1.tolist(),
-        regular=(b2 == 0).tolist(),
-        reducible=(b0 > group.center_dim).tolist(), central=(r0 == 0).tolist(),
-        rank_warning=(warn0 | warn1 | inconsistent).tolist())
+    cols = _complex_columns(foam, group, np.stack([c.data for c in samples]))
+    return _records(CohomologyReport, **{k: list(v) if v.ndim > 1 else v.tolist()
+                                          for k, v in cols.items()})
 
 
 def cohomology(sample):
@@ -185,10 +190,30 @@ class MinB2Report:
         return len(self.strata) > 1
 
 
+def _sample_stack(foam_or_name, group, n_samples, rng):
+    """sample_flat's foam, and its samples as _flat_samples' arguments."""
+    group = get_group(group)
+    if n_samples < 1:
+        raise ValueError("the number of samples must be at least 1, got %d" % n_samples)
+    foam = reduce_foam(builtin(foam_or_name) if isinstance(foam_or_name, str) else foam_or_name)
+    kind = match_builtin(foam, ANALYTIC_FOAMS) if group.name == "su2" else None
+    index = range(n_samples)
+    if kind == "torus":
+        stack = _analytic_stack(kind, rng, [(+1, -1)[i % 2] for i in index])
+    elif kind == "appendix":
+        stack = _analytic_stack(kind, rng, [(+1, +1, -1, +1)[i % 4] for i in index],
+                                [("irred", "red")[i % 2] for i in index])
+    else:
+        stack = _projected_stack(foam, group, rng, n_samples)
+    if not len(stack[2]):
+        raise RuntimeError("no flat connection found within budget")
+    return foam, stack
+
+
 def sample_flat(foam_or_name, group, n_samples, rng):
     """Flat samples for analysis: analytic families where the foam is the
     builtin torus or three-edge/two-face appendix foam, Gauss-Newton
-    projection otherwise.
+    projection otherwise.  Returns the reduced foam and the samples.
 
     The foam is recognised by structure (foam.match_builtin: its edge ids and
     face words after reduction), never by name, so a renamed copy of a builtin
@@ -200,47 +225,30 @@ def sample_flat(foam_or_name, group, n_samples, rng):
     building it alone.  find_flat_batch projects every other foam to its
     PROJECT_TOL and drops the starts that do not get there; RuntimeError
     ("no flat connection found within budget") if it drops them all."""
-    group = get_group(group)
-    if n_samples < 1:
-        raise ValueError("the number of samples must be at least 1, got %d" % n_samples)
-    foam = reduce_foam(builtin(foam_or_name) if isinstance(foam_or_name, str) else foam_or_name)
-    kind = match_builtin(foam, ANALYTIC_FOAMS) if group.name == "su2" else None
-    index = range(n_samples)
-    if kind == "torus":
-        samples = analytic_flat_batch(kind, rng, [(+1, -1)[i % 2] for i in index])
-    elif kind == "appendix":
-        samples = analytic_flat_batch(kind, rng, [(+1, +1, -1, +1)[i % 4] for i in index],
-                                      [("irred", "red")[i % 2] for i in index])
-    else:
-        samples = find_flat_batch(foam, group, rng, n_samples)
-    if not samples:
-        raise RuntimeError("no flat connection found within budget")
-    return foam, samples
+    foam, stack = _sample_stack(foam_or_name, group, n_samples, rng)
+    return foam, _flat_samples(*stack)
 
 
 def min_b2(foam_or_name, group, n_samples, rng):
     """Minimum twisted b2 over flat samples, with the stratification histogram.
 
     A sample whose b2 is above the least b2 in its component tag is flagged
-    possibly singular; the flagged copies reuse the samples sample_flat
-    checked (connection._records).
+    possibly singular.  sample_flat's stack (_sample_stack) gets one element
+    check, one complex (_complex_columns) and its flagged records, once.
     """
-    samples = sample_flat(foam_or_name, group, n_samples, rng)[1]
-    reports = cohomology_batch(samples)
-    b0 = [rep.b0 for rep in reports]
-    b2 = [rep.b2 for rep in reports]
-    tags = [s.component_tag for s in samples]
+    foam, group, g, res, tags = _sample_stack(foam_or_name, group, n_samples, rng)[1]
+    _check_elements(foam, group, g)
+    cols = _complex_columns(foam, group, g)
+    b0, b2 = cols["b0"].tolist(), cols["b2"].tolist()
     least = {}
     for tag, b in zip(tags, b2):
         least[tag] = min(b, least.get(tag, b))
     hist = Counter(b2)
     strata = Counter(zip(b0, b2))
-    flagged = _records(FlatSample, foam=[s.foam for s in samples],
-                       group=[s.group for s in samples], data=[s.data for s in samples],
-                       residual=[s.residual for s in samples], b0=b0, b2=b2,
-                       component_tag=tags,
+    flagged = _records(FlatSample, foam=[foam] * len(g), group=[group] * len(g), data=list(g),
+                       residual=res, b0=b0, b2=b2, component_tag=tags,
                        possibly_singular=[b > least[tag] for tag, b in zip(tags, b2)])
     return MinB2Report(
         b2_0=min(hist), histogram=dict(sorted(hist.items())),
         strata=dict(sorted(strata.items())), samples=flagged,
-        rank_warnings=sum(rep.rank_warning for rep in reports))
+        rank_warnings=int(np.count_nonzero(cols["rank_warning"])))

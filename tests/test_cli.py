@@ -8,8 +8,12 @@ import subprocess
 import sys
 import warnings
 
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
 from foamtor import __version__, twisted
-from foamtor.cli import _parser, main
+from foamtor.cli import _emit, _parser, _write_json, main
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
 
@@ -204,6 +208,72 @@ def test_toy_refuses_a_box_that_is_not_positive_and_finite(capsys):
         captured = capsys.readouterr()
         assert code == 2 and captured.out == "", box
         assert captured.err.startswith("error: ") and "--box" in captured.err, box
+
+
+def test_toy_refuses_a_box_whose_panel_grid_overflows(capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["toy", "--box", "1e80", "--tau-grid", "1e-3:1e-2:3"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith("error: box half-width (--box) 1e+80 at tau 0.001 ")
+
+
+def test_toy_answers_above_tau_1(capsys):
+    # the toy law is defined there, so fit_toy has no tau < 1 rule (the
+    # with-log model of fit_scaling has)
+    code, out = run(capsys, "toy", "--tau-grid", "1e-3:3:6")
+    assert code == 0 and json.loads(out)["points"][-1]["tau"] == 3.0
+
+
+# JSON-like payloads with what json.dumps treats specially: non-ASCII and
+# control characters, -0.0, 1e-05, NaN and the infinities, bools, None,
+# non-str keys (coerced), tuples, and numpy scalars (a float64 is a float;
+# the others go through default=str)
+_SCALARS = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.floats(), st.text(),
+    st.sampled_from([-0.0, 1e-05, math.nan, math.inf, -math.inf, "\u00e9\u2028\x00\x1f\"\\",
+                     np.float64(-0.0), np.float64(1e-05), np.float64(math.nan), np.int64(-7),
+                     np.float32(0.1), np.bool_(True), np.str_("s")]))
+_KEYS = st.one_of(st.text(), st.integers(), st.floats(), st.booleans(), st.none(),
+                  st.sampled_from([np.float64(2.5), np.float64(math.inf)]))
+_PAYLOADS = st.recursive(
+    _SCALARS, lambda inner: st.one_of(st.lists(inner, max_size=4),
+                                      st.lists(inner, max_size=4).map(tuple),
+                                      st.dictionaries(_KEYS, inner, max_size=4)),
+    max_leaves=24)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_PAYLOADS)
+def test_the_json_writer_gives_the_bytes_of_an_indented_json_dumps(payload):
+    assert "".join(_write_json(payload, [])) == json.dumps(payload, indent=2, default=str)
+
+
+def test_the_json_writer_refuses_the_keys_json_refuses():
+    for key in (np.int64(1), (1, 2), np.bool_(True)):
+        with pytest.raises(TypeError) as ours:
+            _write_json({"a": 1, key: 2}, [])
+        with pytest.raises(TypeError) as theirs:
+            json.dumps({"a": 1, key: 2}, indent=2, default=str)
+        assert str(ours.value) == str(theirs.value)
+
+
+def test_writing_a_payload_leaves_no_cyclic_garbage(tmp_path):
+    # a writer that recursed through a nested closure would leave a
+    # function-cell cycle per write for the cyclic collector
+    payload = {"a": [1, 2.5, {"b": (None, True, [])}], "c": {}, 3: np.float64(0.5)}
+    args = argparse.Namespace(out=str(tmp_path / "payload.json"))
+    gc.collect()
+    gc.disable()
+    try:
+        _emit(args, payload)
+        found = gc.collect()
+    finally:
+        gc.enable()
+    assert found == 0
+    text = (tmp_path / "payload.json").read_text(encoding="utf-8")
+    assert text == json.dumps(payload, indent=2, default=str) + "\n"
 
 
 def test_foam_file_input(tmp_path, capsys):

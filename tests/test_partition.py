@@ -1,6 +1,8 @@
 import math
 import os
+import re
 import threading
+import warnings
 
 import numpy as np
 import pytest
@@ -49,6 +51,14 @@ def test_z_mc_deterministic_and_worker_streams():
     # different worker partition => different stream, statistically compatible
     assert c.value != a.value
     assert abs(c.value - a.value) < 5.0 * math.hypot(a.stderr, c.stderr)
+
+
+def test_z_mc_takes_a_builtin_name_as_sample_flat_does():
+    by_name = z_mc("torus", "su2", 0.3, 20000, seed=4)
+    by_foam = z_mc(builtin("torus"), "su2", 0.3, 20000, seed=4)
+    assert by_name == by_foam
+    assert np.float64([by_name.value, by_name.stderr]).tobytes() == \
+        np.float64([by_foam.value, by_foam.stderr]).tobytes()
 
 
 def test_z_mc_refuses_too_few_samples():
@@ -559,6 +569,71 @@ def test_toy_refuses_a_box_that_is_not_positive_and_finite():
             toy_laplace(1e-3, box)
         with pytest.raises(ValueError, match="--box"):
             fit_toy(np.logspace(-4, -2, 3), box_halfwidth=box)
+
+
+def re_float(x):
+    return re.escape(repr(float(x)))
+
+
+def _toy_per_strip(t, L):
+    """toy_laplace at one tau as it evaluated the upper strip of each panel's
+    rows, exp(-(x_i x_j)^2 / tau) entry by entry, and mirrored it."""
+    nodes, weights = np.polynomial.legendre.leggauss(24)
+    n_levels = max(4, int(math.ceil(math.log2(L / math.sqrt(t)))) + 4)
+    bounds = np.array(([L * 2.0 ** -k for k in range(n_levels + 1)] + [0.0])[::-1])
+    xs = np.concatenate([0.5 * (b - a) * nodes + 0.5 * (a + b)
+                         for a, b in zip(bounds[:-1], bounds[1:])])
+    ws = np.concatenate([0.5 * (b - a) * weights for a, b in zip(bounds[:-1], bounds[1:])])
+    vals = np.empty((len(xs), len(xs)))
+    for a in range(0, len(xs), 24):
+        strip = np.exp(-np.outer(xs[a:a + 24], xs[a:]) ** 2 / t)
+        vals[a:a + 24, a:] = strip
+        vals[a + 24:, a:a + 24] = strip[:, 24:].T
+    return 4.0 * float(ws @ vals @ ws)
+
+
+def test_toy_laplace_keeps_the_per_strip_bits_near_the_ends_of_the_float_range():
+    # the geometric blocks are one block's exponents times powers of 4; boxes
+    # far from 1 put the exponents and squares near the ends of the float
+    # range, where the scaling must still be exact and nothing may warn
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for box, tau in ((1e-200, 1e-3), (1e-100, 1e-3), (1e-100, 1e-250), (1e20, 1e-3),
+                         (1e75, 1e299), (1e75, 1e290), (7.7e76, 1e300)):
+            assert toy_laplace(tau, box) == _toy_per_strip(tau, box), (box, tau)
+
+
+def test_toy_refuses_a_box_and_tau_outside_its_float_range():
+    # box 1e80: (x y)^2 overflows; tau 1e-300: squares that go subnormal
+    # would reach exp
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for box, tau in ((1e80, 1e-3), (1e80, 1e200), (1e77, 1e-3), (1.0, 1e-300)):
+            with pytest.raises(ValueError, match=r"^box half-width \(--box\) %s at tau %s "
+                               "leaves the toy's float range" % (re_float(box), re_float(tau))):
+                toy_laplace(tau, box)
+        with pytest.raises(ValueError, match="tau 1e-300 leaves"):
+            fit_toy(np.array([1e-3, 1e-2, 1e-300]))
+
+
+@pytest.mark.parametrize("bad", [0.0, -1e-3, math.inf, math.nan])
+def test_fit_toy_refuses_a_tau_outside_the_domain_naming_the_point(bad, capfd):
+    taus = [1e-4, 1e-3, 1e-2, bad]
+    why = r"^point 4: tau %s is not finite and positive$" % re_float(bad)
+    with pytest.raises(ValueError, match=why):
+        fit_toy(taus=taus, values=[0.01, 0.02, 0.05, 0.1])
+    with pytest.raises(ValueError, match=why):
+        fit_toy(taus=taus)
+    # refused before any least squares: LAPACK printed DLASCL lines here
+    assert capfd.readouterr().err == ""
+
+
+@pytest.mark.parametrize("bad", [0.0, -0.1, math.inf, -math.inf, math.nan])
+def test_fit_toy_refuses_a_value_that_is_not_finite_and_positive(bad, capfd):
+    with pytest.raises(ValueError, match=r"^point 2: value %s is not finite and positive$"
+                       % re_float(bad)):
+        fit_toy(taus=[1e-4, 1e-3, 1e-2], values=[0.01, bad, 0.05])
+    assert capfd.readouterr().err == ""
 
 
 def test_fit_toy_refuses_fewer_points_than_parameters():

@@ -1,4 +1,6 @@
 import math
+import pathlib
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -475,3 +477,43 @@ def test_sample_flat_projects_foams_that_are_not_builtins():
         assert report.b2_0 == 1 and report.histogram == {1: 20}, foam
         assert report.rank_warnings == 0
         assert all(s.component_tag is None for s in report.samples)
+
+
+@pytest.mark.parametrize("source, n", [("torus", 200), ("appendix", 200), ("genus:2", 12),
+                                       ("genus2_dup.foam", 12)])
+def test_min_b2_on_the_stack_equals_the_reports_of_the_sample_records(source, n):
+    # min_b2 reads the sampled stack without building sample or report
+    # records; its answer is the one rebuilt from sample_flat's records
+    if source.endswith(".foam"):
+        path = pathlib.Path(__file__).parent / "golden" / source
+        source = parse_foam(path.read_text(encoding="utf-8"), name=source)
+    report = min_b2(source, "su2", n, np.random.default_rng(3))
+    foam, samples = sample_flat(source, "su2", n, np.random.default_rng(3))
+    reports = cohomology_batch(samples)
+    b2 = [r.b2 for r in reports]
+    least = {}
+    for s, b in zip(samples, b2):
+        least[s.component_tag] = min(b, least.get(s.component_tag, b))
+    assert report.histogram == dict(sorted(Counter(b2).items()))
+    assert report.strata == dict(sorted(Counter((r.b0, r.b2) for r in reports).items()))
+    assert report.b2_0 == min(b2)
+    assert report.rank_warnings == sum(r.rank_warning for r in reports)
+    assert [(s.b0, s.b2, s.possibly_singular) for s in report.samples] == [
+        (r.b0, r.b2, b > least[s.component_tag]) for s, r, b in zip(samples, reports, b2)]
+    for flagged, s in zip(report.samples, samples):
+        assert flagged.foam == s.foam and flagged.group is s.group
+        assert flagged.data.tobytes() == s.data.tobytes()
+        assert (flagged.residual, flagged.component_tag) == (s.residual, s.component_tag)
+    assert len(report.samples) == len(samples)
+
+
+def test_sample_flat_returns_the_reduced_input_foam_and_samples_on_their_own():
+    # a renamed builtin is sampled analytically on the builtin, and comes
+    # back under its own name; a file foam is projected on itself
+    renamed = parse_foam(serialize_foam(builtin("appendix")), name="mine.foam")
+    foam, samples = sample_flat(renamed, "su2", 4, np.random.default_rng(0))
+    assert foam.name == "mine.foam"
+    assert all(s.foam is samples[0].foam and s.foam.name == "appendix" for s in samples)
+    moved = tietze1_expand(builtin("torus"), "a1 b1", "c")
+    foam, samples = sample_flat(moved, "su2", 2, np.random.default_rng(0))
+    assert all(s.foam is foam for s in samples)
