@@ -22,8 +22,8 @@ from .foam import (FoamError, builtin, cellular_homology, match_builtin, parse_f
 from .groups import get_group
 from .partition import (fit_scaling, fit_toy, toy_laplace, z_char_appendix,
                         z_char_surface, z_mc, zestimates_csv, zestimates_from_csv)
-from .torsion import TorsionValue, torsion_batch, torus_volume_csv, torus_volume_grid
-from .twisted import min_b2, sample_flat
+from .torsion import TorsionValue, _torsion_columns, torus_volume_csv, torus_volume_grid
+from .twisted import _sampled_complex, min_b2, sample_flat
 
 TORUS_VOLUME_TOL = 1e-10   # --check torus-volume passes iff every abs error is below this
 
@@ -226,6 +226,8 @@ def cmd_fit(args):
 def cmd_torsion(args):
     seed = _seed_of(args)
     rng = np.random.default_rng(seed)
+    if args.samples < 1:
+        raise ValueError("the number of samples must be at least 1, got %d" % args.samples)
     if args.format == "csv" and args.check != "torus-volume":
         raise ValueError("--format csv applies only to --check torus-volume")
     if args.check == "torus-volume":
@@ -245,9 +247,9 @@ def cmd_torsion(args):
                          "grid": args.grid, "max_abs_error": max_err,
                          "tolerance": TORUS_VOLUME_TOL, "passed": passed})
         return 0 if passed else 1
-    foam, samples = sample_flat(_load_foam(args.foam), args.group, args.samples, rng)
+    foam, _, cols = _sampled_complex(_load_foam(args.foam), args.group, args.samples, rng)
     values = [v.to_json() if isinstance(v, TorsionValue) else {"error": str(v)}
-              for v in torsion_batch(samples, rng)]
+              for v in _torsion_columns(cols, [False] * len(cols["b0"]), rng)]
     payload = {"config": _config_echo(args, seed), "foam": foam.name,
                "torsion": values}
     _emit(args, payload)

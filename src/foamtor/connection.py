@@ -12,6 +12,8 @@ One walk, _face_walk, multiplies out the face words: its products are the
 holonomies and its prefix products the frames of delta1 (word_jacobian).
 Every holonomy and residual here is read off it (face_residual sums the
 residual); only the fused Monte Carlo word_angle walks faces on its own.
+A projection hands the H and delta1 of each sample's accepting step to the
+twisted complex (_projected_stack): word_jacobian's bits, batch elementwise.
 The walk is laid out component-major: it builds the right-multiplication
 table (group.right_table) of every edge element once, and that of its
 inverse from it (group.inv_table: for SU(2) a transposed view), keeps the
@@ -295,7 +297,7 @@ MAX_ITERS = 5000         # steps before the starts still above PROJECT_TOL are d
 
 
 def _curvature(group, words_idx, plan, g):
-    """(residual, r, J) of a batch (n, E, elem_dim) of connections.
+    """(residual, r, H, J) of a batch (n, E, elem_dim) of connections.
 
     r stacks log H_f per sample and residual = |r|^2, or inf for a sample with
     a face holonomy on the cut locus, where log (hence r) is unusable.  The
@@ -305,11 +307,12 @@ def _curvature(group, words_idx, plan, g):
     psi = group.distance(H)
     cut = np.any(psi > np.pi - EPS_LOG, axis=-1)
     r = group.log(H, check_cut_locus=False, psi=psi).reshape(g.shape[0], -1)
-    return np.where(cut, np.inf, np.sum(r * r, axis=-1)), r, J
+    return np.where(cut, np.inf, np.sum(r * r, axis=-1)), r, H, J
 
 
 def _descend(group, words_idx, g, trace=None):
-    """Batched damped Gauss-Newton projection; returns (g, residual).
+    """Batched damped Gauss-Newton projection; returns (g, residual, H, J),
+    H and J word_jacobian's at g, kept from the step that accepted it.
 
     Each sample takes the minimum-norm Levenberg-Marquardt step
     xi = -J^T (J J^T + lam I)^-1 log H and moves g <- exp(xi) g.  The step is
@@ -323,7 +326,7 @@ def _descend(group, words_idx, g, trace=None):
     """
     n, E = g.shape[:2]
     plan = _letter_plan(words_idx, E, group.dim_g)
-    res, r, J = _curvature(group, words_idx, plan, g)
+    res, r, H, J = _curvature(group, words_idx, plan, g)
     eye = np.eye(r.shape[-1])
     lam = np.full(n, LM_LAMBDA0)
     stalled = np.zeros(n, dtype=bool)
@@ -333,7 +336,7 @@ def _descend(group, words_idx, g, trace=None):
         y = np.linalg.solve(J @ Jt + lam[:, None, None] * eye, r[..., None])
         xi = -(Jt @ y).reshape(n, E, group.dim_g)
         g_new = group.mul(group.exp(xi), g)
-        res_new, r_new, J_new = _curvature(group, words_idx, plan, g_new)
+        res_new, r_new, H_new, J_new = _curvature(group, words_idx, plan, g_new)
         ok = res_new < res
         # rejected at the damping cap: g, J and lam stay as they are, so the
         # same step is rejected forever (a non-flat critical point)
@@ -341,40 +344,45 @@ def _descend(group, words_idx, g, trace=None):
         g = np.where(ok[:, None, None], g_new, g)
         res = np.where(ok, res_new, res)
         r = np.where(ok[:, None], r_new, r)
+        H = np.where(ok[:, None, None], H_new, H)
         J = np.where(ok[:, None, None], J_new, J)
-        lam = np.clip(np.where(ok, lam * LM_SHRINK, lam * LM_GROW), *LM_LAMBDA_RANGE)
+        lam = np.where(ok, lam * LM_SHRINK, lam * LM_GROW)  # np.clip's bits, less overhead
+        lam = np.minimum(np.maximum(lam, LM_LAMBDA_RANGE[0]), LM_LAMBDA_RANGE[1])
         if trace is not None:
             trace.append(res.copy())
         if polish:
             break
-    return g, res
+    return g, res, H, J
 
 
 def _projected_stack(foam, group, rng, n, trace=None):
-    """find_flat_batch's samples as _flat_samples' arguments (foam, group, g, ...)."""
+    """find_flat_batch's samples as _flat_samples' arguments (foam, group, g,
+    ...), and word_jacobian's (H, J) at g from the projection's last step."""
     group = get_group(group)
     if n < 0:
         raise ValueError("the number of starts must be at least 0, got %d" % n)
-    foam = reduce_foam(foam)
+    foam = reduce_foam(_builtin_foam(foam) if isinstance(foam, str) else foam)
     g = group.haar(rng, (n, foam.E))
     if n == 0 or foam.E == 0 or foam.F == 0:
-        res = face_residual(group, _face_walk(group, foam.words_idx, g)[0])
+        H, J = word_jacobian(group, foam.words_idx, g)
+        res = face_residual(group, H)
     else:
-        g, res = _descend(group, foam.words_idx, g, trace=trace)
+        g, res, H, J = _descend(group, foam.words_idx, g, trace=trace)
         ok = res <= PROJECT_TOL
-        g, res = g[ok], res[ok]
-    return foam, group, g, res.tolist(), [None] * len(g)
+        g, res, H, J = g[ok], res[ok], H[ok], J[ok]
+    return (foam, group, g, res.tolist(), [None] * len(g)), (H, J)
 
 
 def find_flat_batch(foam, group, rng, n, trace=None):
     """n independent projections onto the flat set, advanced together for speed.
 
-    Each of the n Haar starts is projected to a residual of PROJECT_TOL within
-    MAX_ITERS steps; the starts that do not get there (_descend) are dropped,
-    so fewer than n samples, possibly none, may come back.  When trace is a
-    list, the residual vector is appended after every step.
+    foam is a Foam or a builtin key.  Each of the n Haar starts is projected
+    to a residual of PROJECT_TOL within MAX_ITERS steps; the starts that do
+    not get there (_descend) are dropped, so fewer than n samples, possibly
+    none, may come back.  When trace is a list, the residual vector is
+    appended after every step.
     """
-    return _flat_samples(*_projected_stack(foam, group, rng, n, trace))
+    return _flat_samples(*_projected_stack(foam, group, rng, n, trace)[0])
 
 
 # ----------------------------------------------------------------------

@@ -386,7 +386,8 @@ def toy_laplace(tau, box_halfwidth=1.0):
     subnormal where exp can tell (tau >= 2^-960 sees to that): one exp call
     for those 2n - 1 blocks, one for the n of them with the base panel
     [0, L 2^-n], with the bits of evaluating every entry.  ValueError names
-    a (box, tau) whose exponents overflow, or a tau below 2^-960.
+    a (box, tau) whose exponents overflow, or a tau below 2^-960, and,
+    before allocating, one whose grid has more than 128 panels.
     """
     taus = np.asarray(tau, dtype=float)
     for t in taus.ravel().tolist():
@@ -402,6 +403,9 @@ def toy_laplace(tau, box_halfwidth=1.0):
             raise ValueError("box half-width (--box) %r at tau %r leaves the toy's float "
                              "range: it needs (x y)^2 / tau finite and tau >= 2^-960" % (L, t))
         n = max(4, int(math.ceil(math.log2(L / math.sqrt(t)))) + 4)
+        if n > 128:     # a matrix side of 24 * 129 = 3,096, 77 MB
+            raise ValueError("box half-width (--box) %r at tau %r (--tau-grid) needs %d "
+                             "panels, more than the toy's 128" % (L, t, n))
         bounds = np.array([0.0] + [L * 2.0 ** -k for k in range(n, -1, -1)])
         ws = (0.5 * np.diff(bounds)[:, None] * weights).ravel()
         x0 = 0.5 * bounds[1] * nodes + 0.5 * bounds[1]          # panel [0, L 2^-n]

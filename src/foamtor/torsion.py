@@ -11,17 +11,18 @@ determinants are nevertheless built explicitly from random orthonormal
 completions d^0, d^1, which gives the basis-independence check for free:
 the reported magnitude must not depend on the random completions.
 
-torsion_batch reads a sample set's complexes from one cohomology_batch call
-and runs one stacked pipeline per completion group (the samples of equal
-ranks; one foam and group fix the Betti numbers by the ranks, and make every
-completed basis square): one full SVD per differential, one QR per
-completion, one SVD for h^1 and one det per tau^k.  A sample flagged
-possibly singular or with a rank warning is refused before it draws a seed;
-every other one draws its seed from rng in input order and its rotations
-from default_rng(seed), so it gets the bits it gets alone.  The torus-chart
-grids stack their flat points to one (n, 2, 4) array and read the Gaussian
-volumes off one face walk and one stacked SVD; their rows and quadrature
-terms are array operations on one math.sin per distinct angle.
+torsion_batch and the torsion command (with no records) run one core on a
+stacked complex (_torsion_columns): one pipeline per completion group (the
+samples of equal ranks; one foam and group fix the Betti numbers by the
+ranks, and make every completed basis square), sliced out of the delta
+stacks: one full SVD per differential, one QR per completion, one SVD for
+h^1 and one det per tau^k.  A sample flagged possibly singular or with a
+rank warning is refused before it draws a seed; every other one draws its
+seed from rng in input order and its rotations from default_rng(seed), so
+it gets the bits it gets alone.  The torus-chart grids stack their flat
+points to one (n, 2, 4) array and read the Gaussian volumes off one face
+walk and one stacked SVD; their rows and quadrature terms are array
+operations on one math.sin per distinct angle.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ import numpy as np
 from .connection import FlatSample, unit_vectors, word_jacobian
 from .foam import builtin
 from .groups import SU2
-from .twisted import cohomology, cohomology_batch
+from .twisted import _complex_columns, _sample_arrays, cohomology
 
 __all__ = ["TorsionValue", "torsion_at", "torsion_batch", "torus_volume_grid",
            "torus_dominant_part", "gaussian_volume"]
@@ -68,14 +69,14 @@ def _random_orthonormal(basis, z):
     return basis @ (q * np.sign(np.diagonal(r, axis1=-2, axis2=-1))[:, None, :])
 
 
-def _basis_pipeline(reps, seeds):
-    """TorsionValues or refusals at the reports of one completion group,
-    sample i completing its bases from default_rng(seeds[i])."""
-    rep = reps[0]
-    d0 = np.stack([r.delta0 for r in reps])
-    d1 = np.stack([r.delta1 for r in reps])
+def _basis_pipeline(cols, index, seeds):
+    """TorsionValues or refusals at the samples index of one completion group of
+    a complex's columns, sample index[i] rotating by default_rng(seeds[i])."""
+    rank0, rank1, b0, b1, b2 = (int(cols[k][index[0]])
+                                for k in ("rank0", "rank1", "b0", "b1", "b2"))
+    d0, d1 = cols["delta0"][index], cols["delta1"][index]
     (u0, _, vt0), (u1, _, vt1) = np.linalg.svd(d0), np.linalg.svd(d1)
-    img0, ker1 = u0[..., :rep.rank0], np.swapaxes(vt1[:, rep.rank1:], -1, -2)
+    img0, ker1 = u0[..., :rank0], np.swapaxes(vt1[:, rank1:], -1, -2)
     # h^1: harmonic representatives, ker delta1 minus im delta0
     uh = np.linalg.svd(ker1 - img0 @ (np.swapaxes(img0, -1, -2) @ ker1), full_matrices=False)[0]
     # d^0, d^1 complete the kernels of delta0, delta1; each sample rotates
@@ -84,20 +85,39 @@ def _basis_pipeline(reps, seeds):
     dd0, dd1, h0, h2, h1 = (
         _random_orthonormal(b, np.stack([sub.standard_normal((b.shape[-1],) * 2)
                                          for sub in subs]))
-        for b in (np.swapaxes(vt0[:, :rep.rank0], -1, -2),
-                  np.swapaxes(vt1[:, :rep.rank1], -1, -2),
-                  np.swapaxes(vt0[:, rep.rank0:], -1, -2), u1[..., rep.rank1:],
-                  uh[..., :rep.b1]))
-    cols = [np.concatenate(c, axis=-1)
+        for b in (np.swapaxes(vt0[:, :rank0], -1, -2),
+                  np.swapaxes(vt1[:, :rank1], -1, -2),
+                  np.swapaxes(vt0[:, rank0:], -1, -2), u1[..., rank1:], uh[..., :b1]))
+    mats = [np.concatenate(c, axis=-1)
             for c in ([h0, dd0], [d0 @ dd0, h1, dd1], [d1 @ dd1, h2])]
-    case = "irreducible" if rep.b0 == 0 else "reducible"
+    case = "irreducible" if b0 == 0 else "reducible"
     dims = {k: b.shape[-1] for k, b in zip(("d0", "d1", "h0", "h1", "h2"),
                                            (dd0, dd1, h0, h1, h2))}
     return [SingularSampleError("zero pivot in a torsion determinant; misclassified rank")
             if abs(tau0) < 1e-12 or abs(tau2) < 1e-12 else
-            TorsionValue(float(abs(tau1) / (abs(tau0) * abs(tau2))), case, rep.b0, rep.b1,
-                         rep.b2, {"seed": seed, "dims": dict(dims)})
-            for tau0, tau1, tau2, seed in zip(*map(np.linalg.det, cols), seeds)]
+            TorsionValue(float(abs(tau1) / (abs(tau0) * abs(tau2))), case, b0, b1, b2,
+                         {"seed": seed, "dims": dict(dims)})
+            for tau0, tau1, tau2, seed in zip(*map(np.linalg.det, mats), seeds)]
+
+
+def _torsion_columns(cols, singular, rng):
+    """torsion_batch at the samples of a complex's columns (_complex_columns),
+    singular[i] flagging sample i possibly singular."""
+    out, groups = [], {}
+    for i, flagged in enumerate(singular):
+        if flagged:
+            out.append(SingularSampleError("sample is flagged possibly singular"))
+        elif cols["rank_warning"][i]:
+            out.append(SingularSampleError("ill-conditioned rank decision (gaps %.2e, %.2e)"
+                                           % (cols["gap0"][i], cols["gap1"][i])))
+        else:
+            out.append(None)
+            key = int(cols["rank0"][i]), int(cols["rank1"][i])
+            groups.setdefault(key, []).append((i, int(rng.integers(2 ** 32))))
+    for index, seeds in (zip(*members) for members in groups.values()):
+        for i, value in zip(index, _basis_pipeline(cols, list(index), seeds)):
+            out[i] = value
+    return out
 
 
 def torsion_batch(samples, rng):
@@ -107,20 +127,9 @@ def torsion_batch(samples, rng):
     The refusals here draw no seed; every other sample draws one from rng,
     in order, and joins the completion group of its ranks."""
     samples = list(samples)
-    out, groups = [], {}
-    for i, (s, rep) in enumerate(zip(samples, cohomology_batch(samples))):
-        if isinstance(s, FlatSample) and s.possibly_singular:
-            out.append(SingularSampleError("sample is flagged possibly singular"))
-        elif rep.rank_warning:
-            out.append(SingularSampleError(
-                "ill-conditioned rank decision (gaps %.2e, %.2e)" % (rep.gap0, rep.gap1)))
-        else:
-            out.append(None)
-            groups.setdefault((rep.rank0, rep.rank1), []).append((i, rep, int(rng.integers(2 ** 32))))
-    for index, reps, seeds in (zip(*members) for members in groups.values()):
-        for i, value in zip(index, _basis_pipeline(reps, seeds)):
-            out[i] = value
-    return out
+    cols = _complex_columns(*_sample_arrays(samples)) if samples else {}
+    return _torsion_columns(
+        cols, [isinstance(s, FlatSample) and s.possibly_singular for s in samples], rng)
 
 
 def torsion_at(sample, rng):

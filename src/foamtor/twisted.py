@@ -19,12 +19,14 @@ The complex is built for a whole sample set at once: the connections are
 stacked to (n, E, elem_dim), one word_jacobian walk over the face words
 gives the holonomies (the flatness gate) and delta1, delta0 is I - Ad(g)
 over all edges in one call, and each differential gets one stacked SVD.
+A projected set reads them off its projection instead (_sampled_complex).
 The ranks of the whole stack are then decided in one array pass of the rank
 rule (_rank_arrays), which gives every sample what it gets alone; a lone
 matrix (svd_rank) is the stack of one, and cohomology() the batch of one.
 The Betti numbers and flags are array operations on the ranks, and the
 reports are built from those columns (_complex_columns) in one pass
-(connection._records); min_b2 reads the columns without the reports.
+(connection._records); min_b2 and the torsion command read the columns
+without the reports.
 """
 
 from __future__ import annotations
@@ -123,13 +125,14 @@ class CohomologyReport:
         return (self.b0, self.b1, self.b2)
 
 
-def _complex_columns(foam, group, g):
+def _complex_columns(foam, group, g, walk=None):
     """CohomologyReport's fields, an array each, at a stack g (n, E, elem_dim)
-    of connections on foam; ValueError unless foam is reduced and all flat."""
+    of connections on foam, walk word_jacobian's (H, delta1) at g if a
+    projection has it; ValueError unless foam is reduced and all flat."""
     if not foam.is_reduced():
         raise ValueError("foam %r has %d vertices; reduce it first" % (foam.name, foam.V))
     d = group.dim_g
-    H, d1 = word_jacobian(group, foam.words_idx, g)
+    H, d1 = word_jacobian(group, foam.words_idx, g) if walk is None else walk
     res = face_residual(group, H)
     if np.any(res > FLAT_TOL):
         i = int(np.argmax(res > FLAT_TOL))
@@ -148,6 +151,17 @@ def _complex_columns(foam, group, g):
                 rank_warning=warn0 | warn1 | (b1 < 0))
 
 
+def _sample_arrays(samples):
+    """(foam, group, stack (n, E, elem_dim)) of samples sharing those, or ValueError."""
+    foam, group = samples[0].foam, samples[0].group
+    for c in samples:
+        if (c.foam is not foam or c.group is not group) and (
+                (c.foam.V, _presentation(c.foam), c.group.name)
+                != (foam.V, _presentation(foam), group.name)):
+            raise ValueError("the connections do not share one foam presentation and group")
+    return foam, group, np.stack([c.data for c in samples])
+
+
 def cohomology_batch(samples):
     """Twisted Betti numbers at every flat connection of a sample set.
 
@@ -161,13 +175,7 @@ def cohomology_batch(samples):
     samples = list(samples)
     if not samples:
         return []
-    foam, group = samples[0].foam, samples[0].group
-    for c in samples:
-        if (c.foam is not foam or c.group is not group) and (
-                (c.foam.V, _presentation(c.foam), c.group.name)
-                != (foam.V, _presentation(foam), group.name)):
-            raise ValueError("the connections do not share one foam presentation and group")
-    cols = _complex_columns(foam, group, np.stack([c.data for c in samples]))
+    cols = _complex_columns(*_sample_arrays(samples))
     return _records(CohomologyReport, **{k: list(v) if v.ndim > 1 else v.tolist()
                                           for k, v in cols.items()})
 
@@ -191,7 +199,8 @@ class MinB2Report:
 
 
 def _sample_stack(foam_or_name, group, n_samples, rng):
-    """sample_flat's foam, and its samples as _flat_samples' arguments."""
+    """sample_flat's foam, its samples as _flat_samples' arguments, and the
+    projection's (H, delta1) at them, or None."""
     group = get_group(group)
     if n_samples < 1:
         raise ValueError("the number of samples must be at least 1, got %d" % n_samples)
@@ -199,15 +208,23 @@ def _sample_stack(foam_or_name, group, n_samples, rng):
     kind = match_builtin(foam, ANALYTIC_FOAMS) if group.name == "su2" else None
     index = range(n_samples)
     if kind == "torus":
-        stack = _analytic_stack(kind, rng, [(+1, -1)[i % 2] for i in index])
+        stack, walk = _analytic_stack(kind, rng, [(+1, -1)[i % 2] for i in index]), None
     elif kind == "appendix":
-        stack = _analytic_stack(kind, rng, [(+1, +1, -1, +1)[i % 4] for i in index],
-                                [("irred", "red")[i % 2] for i in index])
+        stack, walk = _analytic_stack(kind, rng, [(+1, +1, -1, +1)[i % 4] for i in index],
+                                      [("irred", "red")[i % 2] for i in index]), None
     else:
-        stack = _projected_stack(foam, group, rng, n_samples)
+        stack, walk = _projected_stack(foam, group, rng, n_samples)
     if not len(stack[2]):
         raise RuntimeError("no flat connection found within budget")
-    return foam, stack
+    return foam, stack, walk
+
+
+def _sampled_complex(foam_or_name, group, n_samples, rng):
+    """sample_flat's foam and stack (foam, group, g, residuals, tags), after
+    one element check, and its complex's columns, from the projection's walk."""
+    foam, stack, walk = _sample_stack(foam_or_name, group, n_samples, rng)
+    _check_elements(*stack[:3])
+    return foam, stack, _complex_columns(*stack[:3], walk)
 
 
 def sample_flat(foam_or_name, group, n_samples, rng):
@@ -225,7 +242,7 @@ def sample_flat(foam_or_name, group, n_samples, rng):
     building it alone.  find_flat_batch projects every other foam to its
     PROJECT_TOL and drops the starts that do not get there; RuntimeError
     ("no flat connection found within budget") if it drops them all."""
-    foam, stack = _sample_stack(foam_or_name, group, n_samples, rng)
+    foam, stack = _sample_stack(foam_or_name, group, n_samples, rng)[:2]
     return foam, _flat_samples(*stack)
 
 
@@ -233,12 +250,11 @@ def min_b2(foam_or_name, group, n_samples, rng):
     """Minimum twisted b2 over flat samples, with the stratification histogram.
 
     A sample whose b2 is above the least b2 in its component tag is flagged
-    possibly singular.  sample_flat's stack (_sample_stack) gets one element
-    check, one complex (_complex_columns) and its flagged records, once.
+    possibly singular.  sample_flat's stack gets one element check, one
+    complex (_sampled_complex) and its flagged records, once.
     """
-    foam, group, g, res, tags = _sample_stack(foam_or_name, group, n_samples, rng)[1]
-    _check_elements(foam, group, g)
-    cols = _complex_columns(foam, group, g)
+    (foam, group, g, res, tags), cols = _sampled_complex(foam_or_name, group, n_samples,
+                                                         rng)[1:]
     b0, b2 = cols["b0"].tolist(), cols["b2"].tolist()
     least = {}
     for tag, b in zip(tags, b2):

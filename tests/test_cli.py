@@ -570,3 +570,34 @@ def test_python_dash_m_runs_the_cli():
     analyze = foamtor("analyze", "--foam", "torus", "--samples", "2", "--seed", "1")
     assert analyze.returncode == 0, analyze.stderr
     assert json.loads(analyze.stdout)["twisted"]["b2_0"] == 1
+
+
+def test_torus_volume_check_refuses_samples_below_one(capsys):
+    # the check passed with exit 0 and echoed the count, where every other
+    # command refuses --samples below 1
+    for count in ("0", "-5"):
+        code = main(["torsion", "--foam", "torus", "--check", "torus-volume", "--grid", "3",
+                     "--samples", count])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == "", count
+        assert captured.err == "error: the number of samples must be at least 1, got %s\n" \
+            % count
+    # a valid count is still ignored
+    outs = []
+    for count in ("1", "7"):
+        code, out = run(capsys, "torsion", "--foam", "torus", "--check", "torus-volume",
+                        "--grid", "3", "--samples", count)
+        assert code == 0
+        payload = json.loads(out)
+        del payload["config"]["samples"]
+        outs.append(payload)
+    assert outs[0] == outs[1]
+
+
+def test_toy_refuses_a_panel_grid_over_its_memory_bound(capsys):
+    # box 1e76 at tau 1e-3 built 262 panels, a 6,312^2 integrand matrix
+    code = main(["toy", "--box", "1e76", "--tau-grid", "1e-3:1e-2:3"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith("error: box half-width (--box) 1e+76 at tau 0.001 ")
+    assert "--tau-grid" in captured.err and "262 panels" in captured.err

@@ -455,3 +455,17 @@ def test_connection_refuses_rows_that_are_not_group_elements():
     # rows within rounding of the unit sphere pass
     near = SU2.identity((2,)) * (1.0 + 1e-12)
     assert Connection(torus, "su2", near).data.shape == (2, 4)
+
+
+@pytest.mark.parametrize("name,group", [("genus:2", "su2"), ("dunce_hat", "su2"),
+                                        ("torus", "u1")])
+def test_find_flat_batch_takes_a_builtin_key_like_sample_flat(name, group):
+    # a builtin name raised AttributeError: 'str' object has no attribute
+    # 'is_reduced'; the name and its Foam project the same starts
+    by_name = find_flat_batch(name, group, np.random.default_rng(4), 3)
+    by_foam = find_flat_batch(builtin(name), group, np.random.default_rng(4), 3)
+    assert len(by_name) == len(by_foam) > 0
+    for a, b in zip(by_name, by_foam):
+        assert a.data.tobytes() == b.data.tobytes()
+        assert np.float64(a.residual).tobytes() == np.float64(b.residual).tobytes()
+        assert a.foam.name == b.foam.name

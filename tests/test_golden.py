@@ -25,7 +25,11 @@ unread.  analyze_torus_200, analyze_appendix_200, flat_appendix_12 (irred
 +1 and -1 and red) and the CSV torsion_torus_volume (all 900 rows, where
 the JSON pins only the largest error) were recorded while a sample set's
 draws, element checks and records, and the torus grid's rows, were still
-made one at a time.  Every command runs from tests/golden/, so a foam file
+made one at a time.  torsion_genus5, torsion_projective_plane and
+torsion_genus2_t1 (genus 2 with an edge c = a1 b1 added by a Tietze-1 move,
+read from genus2_t1.foam) were recorded while a projected sample set's
+complex still walked its face words once more after the projection.
+Every command runs from tests/golden/, so a foam file
 is echoed as a relative path.  The
 stacked SVD and the batched face walk give the same bits per matrix as
 single calls with numpy's LAPACK; the files were recorded with numpy 2.4.6
@@ -57,6 +61,9 @@ CASES = {
     "torsion_torus_volume": "torsion --foam torus --check torus-volume --grid 30 --seed 2",
     "torsion_torus_u1": "torsion --foam torus --group u1 --samples 10 --seed 3",
     "torsion_genus2_dup": "torsion --foam genus2_dup.foam --samples 20 --seed 5",
+    "torsion_genus5": "torsion --foam genus:5 --samples 8 --seed 5",
+    "torsion_projective_plane": "torsion --foam projective_plane --samples 10 --seed 5",
+    "torsion_genus2_t1": "torsion --foam genus2_t1.foam --samples 10 --seed 5",
     "flat_torus": "flat --foam torus --samples 5 --seed 3",
     "flat_appendix": "flat --foam appendix --samples 5 --seed 3",
     "flat_appendix_12": "flat --foam appendix --samples 12 --seed 9",

@@ -2,6 +2,7 @@ import math
 import os
 import re
 import threading
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -668,3 +669,26 @@ def test_zestimates_from_csv_refuses_a_missing_header_by_line():
         zestimates_from_csv("\n\ntau,value\n" + rows)
     assert len(zestimates_from_csv("\n" + CSV_COLUMNS + "\n" + rows)) == 2
     assert zestimates_from_csv("") == []
+
+
+def test_toy_refuses_a_panel_grid_over_its_memory_bound_before_allocating():
+    # box 1e76 at tau 1e-3 built n = 262 panels (a 6,312^2 matrix, 319 MB)
+    # and box 1 at tau 1e-280 n = 470 (about 1 GB); at most 128 are allowed,
+    # a matrix side of 3,096 (77 MB)
+    for box, tau, n in ((1e76, 1e-3, 262), (1.0, 1e-280, 470)):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=r"^box half-width \(--box\) %s at tau %s "
+                               r"\(--tau-grid\) needs %d panels" % (re_float(box),
+                                                                   re_float(tau), n)):
+                toy_laplace(tau, box)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1e6, (box, tau, peak)
+
+
+def test_toy_answers_a_grid_of_128_panels():
+    # the largest grid the bound allows (a 3,096^2 matrix); the accepted
+    # cases with n = 76 and n = 88 keep their per-strip bits above
+    assert 0.0 < toy_laplace(1e-3, 2.0 ** 124 * 1e-3 ** 0.5 * 0.75) < math.inf
