@@ -22,8 +22,8 @@ from .foam import (FoamError, builtin, cellular_homology, match_builtin, parse_f
 from .groups import get_group
 from .partition import (fit_scaling, fit_toy, toy_laplace, z_char_appendix,
                         z_char_surface, z_mc, zestimates_csv, zestimates_from_csv)
-from .torsion import TorsionValue, _torsion_columns, torus_volume_csv, torus_volume_grid
-from .twisted import _sampled_complex, min_b2, sample_flat
+from .torsion import TorsionValue, _torsion_columns, _torus_volume_columns, torus_volume_csv
+from .twisted import _b2_strata, _sampled_complex, sample_flat
 
 TORUS_VOLUME_TOL = 1e-10   # --check torus-volume passes iff every abs error is below this
 
@@ -135,7 +135,8 @@ def cmd_analyze(args):
     rng = np.random.default_rng(seed)
     foam = reduce_foam(_load_foam(args.foam))
     cell = cellular_homology(foam)
-    report = min_b2(foam, args.group, args.samples, rng)
+    (*_, tags), cols = _sampled_complex(foam, args.group, args.samples, rng)[1:]
+    report, singular = _b2_strata(tags, cols)
     warnings = []
     if report.stratified:
         warnings.append("multiple (b0, b2) strata sampled: representation variety "
@@ -152,7 +153,7 @@ def cmd_analyze(args):
             "strata": [{"b0": k[0], "b2": k[1], "count": v}
                        for k, v in report.strata.items()],
             "b2_0": report.b2_0,
-            "possibly_singular": sum(s.possibly_singular for s in report.samples),
+            "possibly_singular": sum(singular),
         },
         "predicted_omega": report.b2_0,
         # b0 - b1 + b2 = dim G * euler holds for any two ranks, so the key is
@@ -236,11 +237,11 @@ def cmd_torsion(args):
                              "--group %s" % (args.foam, args.group))
         if args.grid < 1:
             raise ValueError("--grid %d: need at least 1 point" % args.grid)
-        rows = torus_volume_grid(args.grid, rng)
-        max_err = max(r[4] for r in rows)
+        columns = _torus_volume_columns(args.grid, rng)
+        max_err = float(columns[4].max())
         passed = max_err < TORUS_VOLUME_TOL
         if args.format == "csv":
-            _emit(args, torus_volume_csv(rows))
+            _emit(args, torus_volume_csv(columns))
         else:
             _emit(args, {"config": _config_echo(args, seed),
                          "check": "torus-volume",

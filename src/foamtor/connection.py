@@ -301,12 +301,13 @@ def _curvature(group, words_idx, plan, g):
 
     r stacks log H_f per sample and residual = |r|^2, or inf for a sample with
     a face holonomy on the cut locus, where log (hence r) is unusable.  The
-    cut test and log read one class angle per holonomy.
+    cut test and log read one group.polar pass per holonomy: its class angle
+    and the norm (SU(2)) or wrapped angle (U(1)) that log divides by.
     """
     H, J = _jacobian(group, words_idx, plan, g)
-    psi = group.distance(H)
-    cut = np.any(psi > np.pi - EPS_LOG, axis=-1)
-    r = group.log(H, check_cut_locus=False, psi=psi).reshape(g.shape[0], -1)
+    polar = group.polar(H)
+    cut = np.any(polar[0] > np.pi - EPS_LOG, axis=-1)
+    r = group.log(H, check_cut_locus=False, polar=polar).reshape(g.shape[0], -1)
     return np.where(cut, np.inf, np.sum(r * r, axis=-1)), r, H, J
 
 

@@ -187,28 +187,32 @@ def su2_word_angle(word_idx, g):
     return np.arctan2(np.sqrt(x, out=x), w, out=w)
 
 
-def su2_class_angle(q):
-    """Riemannian distance to the identity = class angle psi in [0, pi]."""
+def su2_polar(q):
+    """(psi, |v|) of q = (w, v): the class angle psi in [0, pi] and the norm
+    of the vector part, from one sum of squares."""
     # atan2 keeps full precision near psi = 0 and pi, unlike arccos(w); |v|
     # is summed as np.linalg.norm sums it
-    q = np.asarray(q)
-    v = q[..., 1:]
-    return np.arctan2(np.sqrt(np.add.reduce(v * v, axis=-1)), q[..., 0])
-
-
-def su2_log(q, check_cut_locus=True, psi=None):
-    """Inverse of su2_exp; errors within EPS_LOG of the cut locus psi = pi.
-    psi: the class angles of q, if the caller has them."""
     q = np.asarray(q, dtype=float)
     v = q[..., 1:]
     vn = np.sqrt(np.add.reduce(v * v, axis=-1))
-    if psi is None:
-        psi = np.arctan2(vn, q[..., 0])
+    return np.arctan2(vn, q[..., 0]), vn
+
+
+def su2_class_angle(q):
+    """Riemannian distance to the identity = class angle psi in [0, pi]."""
+    return su2_polar(q)[0]
+
+
+def su2_log(q, check_cut_locus=True, polar=None):
+    """Inverse of su2_exp; errors within EPS_LOG of the cut locus psi = pi.
+    polar: su2_polar(q), if the caller has it."""
+    q = np.asarray(q, dtype=float)
+    psi, vn = su2_polar(q) if polar is None else polar
     if check_cut_locus and np.any(psi > np.pi - EPS_LOG):
         raise CutLocusError("log within %g of the cut locus (g ~ -1)" % EPS_LOG)
     small = vn < 1e-12
     fac = np.where(small, 1.0, psi / np.where(small, 1.0, vn))
-    return fac[..., None] * v
+    return fac[..., None] * q[..., 1:]
 
 
 def su2_adjoint(q):
@@ -418,9 +422,15 @@ def u1_wrap(theta):
     return np.mod(theta, 2.0 * np.pi)
 
 
-def u1_distance(theta):
+def u1_polar(theta):
+    """(psi, t) of angles theta: the class angle psi in [0, pi] and theta
+    wrapped to t in [0, 2 pi), from one wrap."""
     t = u1_wrap(np.asarray(theta, dtype=float))
-    return np.minimum(t, 2.0 * np.pi - t)
+    return np.minimum(t, 2.0 * np.pi - t), t
+
+
+def u1_distance(theta):
+    return u1_polar(theta)[0]
 
 
 def u1_heat_kernel_series(tau, theta):
@@ -473,6 +483,7 @@ class SU2:
     word_angle = staticmethod(su2_word_angle)
 
     log = staticmethod(su2_log)
+    polar = staticmethod(su2_polar)
     distance = staticmethod(su2_class_angle)
     character = staticmethod(su2_character)
 
@@ -547,9 +558,14 @@ class U1:
         return u1_wrap(np.asarray(v, dtype=float))
 
     @staticmethod
-    def log(g, check_cut_locus=True, psi=None):
-        """The angle of g in (-pi, pi]; psi (distance(g)) is not needed."""
-        t = u1_wrap(np.asarray(g, dtype=float))
+    def polar(g):
+        """u1_polar of the angles of g: (distance(g), the wrapped angles)."""
+        return u1_polar(np.asarray(g)[..., 0])
+
+    @staticmethod
+    def log(g, check_cut_locus=True, polar=None):
+        """The angle of g in (-pi, pi]; polar: U1.polar(g), if the caller has it."""
+        t = (U1.polar(g) if polar is None else polar)[1][..., None]
         if check_cut_locus and np.any(np.abs(t - np.pi) < EPS_LOG):
             raise CutLocusError("log within %g of the cut locus (theta = pi)" % EPS_LOG)
         return np.where(t <= np.pi, t, t - 2.0 * np.pi)

@@ -10,6 +10,7 @@ quantified against Lambda_tau = (4 pi tau)^{-1/2}.
 from __future__ import annotations
 
 import math
+import numbers
 import os
 from dataclasses import dataclass, field
 from functools import reduce
@@ -25,6 +26,7 @@ MC_RAW_LETTERS = 256    # longest face word z_mc walks on unnormalized draws
 CSV_COLUMNS = "tau,lambda_tau,value,stderr,method"
 SELECT_FACTOR = 5.0     # the log model is chosen iff it cuts the residual RMS this much
 LIMIT_TAUS = (1e-4, 1e-5, 1e-6)   # char_sum_limit's extrapolation points
+FD_STEP = np.finfo(float).eps ** 0.5  # fit_toy's relative finite-difference step
 
 
 def lambda_tau(tau):
@@ -208,6 +210,14 @@ def _surface_sum_direct(g, tau, nmax):
     return total
 
 
+def _check_genus(g):
+    """The genus g as an int; ValueError unless it is a non-negative integer
+    (an int or a numpy integer)."""
+    if not (isinstance(g, numbers.Integral) and g >= 0):
+        raise ValueError("genus %r is not a non-negative integer" % (g,))
+    return int(g)
+
+
 def z_char_surface(g, tau):
     """Character sum for the genus-g surface foam:
 
@@ -217,9 +227,9 @@ def z_char_surface(g, tau):
     the terms fall below e^-144, at a cost that grows like tau^-1/2.  tau = 0
     is allowed for g >= 2 where the series converges (Euler-Maclaurin tail);
     for g <= 1 the tau = 0 series diverges, and _check_tau refuses it.
+    ValueError names a genus that is not a non-negative integer.
     """
-    if g < 0:
-        raise ValueError("genus must be >= 0")
+    g = _check_genus(g)
     if tau == 0.0 and g >= 2:
         p = 2 * g - 2
         N = 100_000
@@ -257,8 +267,10 @@ def char_sum_limit(g=1):
 
     The genus-g exponent is b2_0 = 3, 1, 0 for g = 0, 1, >= 2; the correction
     series is polynomial in sqrt(tau), so a quadratic fit in h = sqrt(tau)
-    through the points LIMIT_TAUS extrapolates the limit.
+    through the points LIMIT_TAUS extrapolates the limit.  ValueError names a
+    genus that is not a non-negative integer.
     """
+    g = _check_genus(g)
     omega = {0: 3, 1: 1}.get(g, 0)
     h = np.sqrt(np.asarray(LIMIT_TAUS))
     f = np.array([float(lambda_tau(t)) ** -omega * z_char_surface(g, t).value
@@ -435,6 +447,14 @@ def fit_toy(taus=None, values=None, box_halfwidth=1.0):
     sqrt(tau)-times-logarithm law; selected when it beats the pure power by
     SELECT_FACTOR in residual RMS.  ValueError names the first point (from 1)
     with a tau outside _check_tau's domain or a value not finite and positive.
+
+    The log-amplitude model runs MINPACK's lmder (scipy.optimize.leastsq)
+    from two starts, with ftol = xtol = gtol = 1e-8, factor 100, no diag
+    (MINPACK scales by the Jacobian's column norms) and at most 20,000
+    evaluations, and the Jacobian written out as least_squares' default
+    2-point rule: h_i = sqrt(eps) sign(p_i) max(1, |p_i|) (sign(0) = 1).  So
+    it has the bits least_squares(method="lm") gives under the x_scale
+    default of scipy 1.16 and later, without depending on that default.
     """
     _box(box_halfwidth)
     if taus is None:
@@ -458,23 +478,37 @@ def fit_toy(taus=None, values=None, box_halfwidth=1.0):
     y = np.log(vals)
     s = np.log(1.0 / taus)
 
-    from scipy.optimize import least_squares
+    from scipy.optimize import leastsq
 
     def resid(p):
-        om, beta, c = p
+        om, beta, c = p.tolist()
         inner = beta * s + c
-        if np.any(inner <= 0):
+        if (inner <= 0).any():
             return np.full_like(y, 1e3)
         return om * x + np.log(inner) - y
+
+    def jac(p):
+        # column i is (r(p + h_i e_i) - r(p)) / ((p_i + h_i) - p_i)
+        f0 = resid(p)
+        h = np.where(p >= 0, FD_STEP, -FD_STEP) * np.maximum(1.0, np.abs(p))
+        J = np.empty((len(f0), len(p)))
+        for i in range(len(p)):
+            q = p.copy()
+            q[i] = p[i] + h[i]
+            J[:, i] = (resid(q) - f0) / ((p[i] + h[i]) - p[i])
+        return J
 
     def log_amplitude(omega0):
         best = None
         for beta0 in (0.1, 1.0):
-            sol = least_squares(resid, [omega0, beta0, 1.0], method="lm", max_nfev=20000)
-            if best is None or sol.cost < best.cost:
-                best = sol
-        om, beta, c = best.x
-        return om, math.log(c) if c > 0 else -math.inf, resid(best.x), {
+            p, _, info = leastsq(resid, [omega0, beta0, 1.0], Dfun=jac, full_output=True,
+                                 ftol=1e-8, xtol=1e-8, gtol=1e-8, maxfev=20000,
+                                 factor=100)[:3]
+            cost = 0.5 * np.dot(info["fvec"], info["fvec"])
+            if best is None or cost < best[1]:
+                best = p, cost
+        om, beta, c = best[0]
+        return om, math.log(c) if c > 0 else -math.inf, resid(best[0]), {
             "beta_log": float(beta), "const": float(c),
             "law": "lambda^omega * (beta ln(1/tau) + c)"}
 

@@ -18,16 +18,18 @@ ranks, and make every completed basis square), sliced out of the delta
 stacks: one full SVD per differential, one QR per completion, one SVD for
 h^1 and one det per tau^k.  A sample flagged possibly singular or with a
 rank warning is refused before it draws a seed; every other one draws its
-seed from rng in input order and its rotations from default_rng(seed), so
-it gets the bits it gets alone.  The torus-chart grids stack their flat
-points to one (n, 2, 4) array and read the Gaussian volumes off one face
-walk and one stacked SVD; their rows and quadrature terms are array
-operations on one math.sin per distinct angle.
+seed from rng in input order and its rotations from one draw of
+default_rng(seed) (_rotation_normals), so it gets the bits it gets alone.
+The torus-chart grids stack their flat points to one (n, 2, 4) array and
+read the Gaussian volumes off one face walk and one stacked SVD; their
+rows and quadrature terms are array operations on one math.sin per
+distinct angle.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -69,6 +71,16 @@ def _random_orthonormal(basis, z):
     return basis @ (q * np.sign(np.diagonal(r, axis1=-2, axis2=-1))[:, None, :])
 
 
+def _rotation_normals(seeds, ks):
+    """A stack (len(seeds), k, k) of normals for each k of ks.  Sample i draws
+    all its blocks in one standard_normal call on default_rng(seeds[i]),
+    split in the order of ks: the stream of one (k, k) call per block."""
+    z = np.array([np.random.default_rng(seed).standard_normal(sum(k * k for k in ks))
+                  for seed in seeds])
+    blocks = np.split(z, np.cumsum([k * k for k in ks])[:-1], axis=1)
+    return [b.reshape(len(seeds), k, k) for b, k in zip(blocks, ks)]
+
+
 def _basis_pipeline(cols, index, seeds):
     """TorsionValues or refusals at the samples index of one completion group of
     a complex's columns, sample index[i] rotating by default_rng(seeds[i])."""
@@ -80,14 +92,11 @@ def _basis_pipeline(cols, index, seeds):
     # h^1: harmonic representatives, ker delta1 minus im delta0
     uh = np.linalg.svd(ker1 - img0 @ (np.swapaxes(img0, -1, -2) @ ker1), full_matrices=False)[0]
     # d^0, d^1 complete the kernels of delta0, delta1; each sample rotates
-    # d^0, d^1, h^0, h^2, h^1 in that order, with k x k normals from its rng
-    subs = [np.random.default_rng(seed) for seed in seeds]
-    dd0, dd1, h0, h2, h1 = (
-        _random_orthonormal(b, np.stack([sub.standard_normal((b.shape[-1],) * 2)
-                                         for sub in subs]))
-        for b in (np.swapaxes(vt0[:, :rank0], -1, -2),
-                  np.swapaxes(vt1[:, :rank1], -1, -2),
-                  np.swapaxes(vt0[:, rank0:], -1, -2), u1[..., rank1:], uh[..., :b1]))
+    # d^0, d^1, h^0, h^2, h^1 in that order
+    bases = (np.swapaxes(vt0[:, :rank0], -1, -2), np.swapaxes(vt1[:, :rank1], -1, -2),
+             np.swapaxes(vt0[:, rank0:], -1, -2), u1[..., rank1:], uh[..., :b1])
+    dd0, dd1, h0, h2, h1 = map(_random_orthonormal, bases,
+                               _rotation_normals(seeds, [b.shape[-1] for b in bases]))
     mats = [np.concatenate(c, axis=-1)
             for c in ([h0, dd0], [d0 @ dd0, h1, dd1], [d1 @ dd1, h2])]
     case = "irreducible" if b0 == 0 else "reducible"
@@ -199,6 +208,19 @@ def _torus_chart(psi, rng):
             np.repeat(sin2, n) + np.tile(sin2, n))
 
 
+def _torus_volume_columns(n_grid, rng):
+    """torus_volume_grid's columns (psi_a, psi_b, volume, formula, abs error),
+    an array each."""
+    psi_a, psi_b, vol, chart = _torus_chart(np.linspace(0.1, math.pi - 0.1, n_grid), rng)
+    formula = 4.0 * chart
+    return psi_a, psi_b, vol, formula, np.abs(vol - formula)
+
+
+def _rows(columns):
+    """The rows of Python floats of equal-length arrays."""
+    return list(zip(*(c.tolist() for c in columns)))
+
+
 def torus_volume_grid(n_grid=20, rng=None):
     """Gaussian volume over the torus flat chart vs 4(sin^2 psi_a + sin^2 psi_b).
 
@@ -207,15 +229,13 @@ def torus_volume_grid(n_grid=20, rng=None):
     from math.sin(x) ** 2 of each grid angle.
     """
     rng = np.random.default_rng(0) if rng is None else rng
-    psi_a, psi_b, vol, chart = _torus_chart(np.linspace(0.1, math.pi - 0.1, n_grid), rng)
-    formula = 4.0 * chart
-    return list(zip(psi_a.tolist(), psi_b.tolist(), vol.tolist(), formula.tolist(),
-                    np.abs(vol - formula).tolist()))
+    return _rows(_torus_volume_columns(n_grid, rng))
 
 
-def torus_volume_csv(rows):
+def torus_volume_csv(columns):
+    """The CSV text of torus_volume_grid's columns (_torus_volume_columns)."""
     lines = ["psi_a,psi_b,vol,formula,abs_error"]
-    for r in rows:
+    for r in _rows(columns):
         lines.append("%.12g,%.12g,%.15g,%.15g,%.3e" % r)
     return "\n".join(lines) + "\n"
 
@@ -239,8 +259,11 @@ def torus_dominant_part(n_quad=24, rng=None):
     and vol_B2 evaluated numerically from the singular values of delta1.
     The result must match the tau -> 0 limit of the character sum.  The
     quadrature terms are formed as arrays and summed in node order; the
-    result is a Python float.
+    result is a Python float.  ValueError names an n_quad that is not a
+    positive integer (an int or a numpy integer).
     """
+    if not (isinstance(n_quad, numbers.Integral) and n_quad >= 1):
+        raise ValueError("n_quad %r is not a positive integer" % (n_quad,))
     rng = np.random.default_rng(1) if rng is None else rng
     nodes, weights = np.polynomial.legendre.leggauss(n_quad)
     psi = 0.5 * math.pi * (nodes + 1.0)

@@ -25,14 +25,15 @@ rule (_rank_arrays), which gives every sample what it gets alone; a lone
 matrix (svd_rank) is the stack of one, and cohomology() the batch of one.
 The Betti numbers and flags are array operations on the ranks, and the
 reports are built from those columns (_complex_columns) in one pass
-(connection._records); min_b2 and the torsion command read the columns
-without the reports.
+(connection._records); min_b2 and the analyze and torsion commands read
+the columns without the reports, and the analyze command reads min_b2's
+rule (_b2_strata) without sample records too.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -246,25 +247,34 @@ def sample_flat(foam_or_name, group, n_samples, rng):
     return foam, _flat_samples(*stack)
 
 
-def min_b2(foam_or_name, group, n_samples, rng):
-    """Minimum twisted b2 over flat samples, with the stratification histogram.
-
-    A sample whose b2 is above the least b2 in its component tag is flagged
-    possibly singular.  sample_flat's stack gets one element check, one
-    complex (_sampled_complex) and its flagged records, once.
-    """
-    (foam, group, g, res, tags), cols = _sampled_complex(foam_or_name, group, n_samples,
-                                                         rng)[1:]
+def _b2_strata(tags, cols):
+    """min_b2's rule on a complex's columns (_complex_columns) with component
+    tags: a MinB2Report with no samples, and each sample's possibly-singular
+    flag, b2 above the least b2 in its tag."""
     b0, b2 = cols["b0"].tolist(), cols["b2"].tolist()
     least = {}
     for tag, b in zip(tags, b2):
         least[tag] = min(b, least.get(tag, b))
     hist = Counter(b2)
-    strata = Counter(zip(b0, b2))
-    flagged = _records(FlatSample, foam=[foam] * len(g), group=[group] * len(g), data=list(g),
-                       residual=res, b0=b0, b2=b2, component_tag=tags,
-                       possibly_singular=[b > least[tag] for tag, b in zip(tags, b2)])
-    return MinB2Report(
+    report = MinB2Report(
         b2_0=min(hist), histogram=dict(sorted(hist.items())),
-        strata=dict(sorted(strata.items())), samples=flagged,
+        strata=dict(sorted(Counter(zip(b0, b2)).items())), samples=[],
         rank_warnings=int(np.count_nonzero(cols["rank_warning"])))
+    return report, [b > least[tag] for tag, b in zip(tags, b2)]
+
+
+def min_b2(foam_or_name, group, n_samples, rng):
+    """Minimum twisted b2 over flat samples, with the stratification histogram.
+
+    A sample whose b2 is above the least b2 in its component tag is flagged
+    possibly singular.  sample_flat's stack gets one element check, one
+    complex (_sampled_complex), one pass of the rule (_b2_strata) and its
+    flagged records, once.
+    """
+    (foam, group, g, res, tags), cols = _sampled_complex(foam_or_name, group, n_samples,
+                                                         rng)[1:]
+    report, singular = _b2_strata(tags, cols)
+    return replace(report, samples=_records(
+        FlatSample, foam=[foam] * len(g), group=[group] * len(g), data=list(g), residual=res,
+        b0=cols["b0"].tolist(), b2=cols["b2"].tolist(), component_tag=tags,
+        possibly_singular=singular))

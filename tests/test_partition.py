@@ -7,6 +7,7 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy
 from scipy.integrate import quad
 from scipy.special import erf
 
@@ -277,6 +278,28 @@ def test_z_char_surface_errors():
         z_char_surface(0, 0.0)
     with pytest.raises(ValueError):
         z_char_surface(-1, 1.0)
+
+
+@pytest.mark.parametrize("genus", [2.5, 1.5, 0.5, 2.0, -1, math.nan, "2"])
+def test_z_char_surface_refuses_a_genus_that_is_not_a_nonnegative_integer(genus):
+    # genus 2.5 at tau = 0 summed n^-3, zeta(3), the sum of no surface
+    why = r"^genus %s is not a non-negative integer$" % re.escape(repr(genus))
+    for tau in (0.0, 0.1):
+        with pytest.raises(ValueError, match=why):
+            z_char_surface(genus, tau)
+
+
+@pytest.mark.parametrize("genus", [1.5, 0.5, 1.0, -1])
+def test_char_sum_limit_refuses_a_genus_that_is_not_a_nonnegative_integer(genus):
+    # genus 1.5 read its exponent as 0, the one of genus >= 2, and gave 8.5499
+    with pytest.raises(ValueError, match=r"^genus %s is not a non-negative integer$"
+                       % re.escape(repr(genus))):
+        char_sum_limit(genus)
+
+
+def test_character_routes_take_numpy_integer_genera():
+    assert z_char_surface(np.int64(2), 0.0).value == z_char_surface(2, 0.0).value
+    assert char_sum_limit(np.int64(1)) == char_sum_limit(1)
 
 
 def test_commutator_character_identity_mc():
@@ -635,6 +658,46 @@ def test_fit_toy_refuses_a_value_that_is_not_finite_and_positive(bad, capfd):
                        % re_float(bad)):
         fit_toy(taus=[1e-4, 1e-3, 1e-2], values=[0.01, bad, 0.05])
     assert capfd.readouterr().err == ""
+
+
+def _toy_fit_by_least_squares(taus, box):
+    """fit_toy as it was fitted by scipy's least_squares(method="lm") with its
+    own finite differences, from the same starts."""
+    from scipy.optimize import least_squares
+    taus = np.asarray(taus, dtype=float)
+    x = np.log(lambda_tau(taus))
+    y = np.log(toy_laplace(taus, box))
+    s = np.log(1.0 / taus)
+
+    def resid(p):
+        om, beta, c = p
+        inner = beta * s + c
+        if np.any(inner <= 0):
+            return np.full_like(y, 1e3)
+        return om * x + np.log(inner) - y
+
+    def log_amplitude(omega0):
+        sols = [least_squares(resid, [omega0, beta0, 1.0], method="lm", max_nfev=20000)
+                for beta0 in (0.1, 1.0)]
+        best = min(sols, key=lambda sol: sol.cost)     # the first of equal costs
+        om, beta, c = best.x
+        return om, math.log(c) if c > 0 else -math.inf, resid(best.x), {
+            "beta_log": float(beta), "const": float(c),
+            "law": "lambda^omega * (beta ln(1/tau) + c)"}
+
+    return partition._select(taus, x, y, np.ones_like(y), log_amplitude)
+
+
+@pytest.mark.skipif(tuple(map(int, scipy.__version__.split(".")[:2])) < (1, 16),
+                    reason="least_squares scaled by x_scale=1.0 before scipy 1.16")
+@pytest.mark.parametrize("taus, box", [(np.logspace(-6, -2, 9), 1.0),
+                                       (np.logspace(-6, -2, 9), 2.0),
+                                       (np.logspace(-4, -2, 3), 1.0),
+                                       (np.logspace(-5, -1, 7), 0.5)])
+def test_fit_toy_keeps_the_bits_of_the_least_squares_fit(taus, box):
+    # MINPACK's lmder fed the written-out 2-point Jacobian takes the steps
+    # least_squares(method="lm") took with its finite differences
+    assert repr(fit_toy(taus, box_halfwidth=box)) == repr(_toy_fit_by_least_squares(taus, box))
 
 
 def test_fit_toy_refuses_fewer_points_than_parameters():

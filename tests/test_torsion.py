@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -8,9 +9,9 @@ from foamtor.connection import analytic_flat, find_flat_batch, gauge_act
 from foamtor.foam import builtin
 from foamtor.groups import SU2
 from foamtor.partition import char_sum_limit
-from foamtor.torsion import (SingularSampleError, TorsionValue, gaussian_volume,
-                             singular_value_torsion, torsion_at, torsion_batch,
-                             torus_dominant_part, torus_volume_grid)
+from foamtor.torsion import (SingularSampleError, TorsionValue, _rotation_normals,
+                             gaussian_volume, singular_value_torsion, torsion_at,
+                             torsion_batch, torus_dominant_part, torus_volume_grid)
 
 
 def test_basis_independence_genus2():
@@ -206,6 +207,29 @@ def test_torus_dominant_part_matches_character_limit():
     quad = torus_dominant_part(n_quad=16)
     assert abs(limit - 2 * math.pi) < 1e-5
     assert abs(quad - limit) < 1e-3 * abs(limit)
+
+
+@pytest.mark.parametrize("n_quad", [0, -3, 2.5, 2.0, "24"])
+def test_torus_dominant_part_refuses_a_quadrature_order_by_name(n_quad):
+    # numpy's leggauss said "deg must be a positive integer" or raised a
+    # TypeError, neither naming n_quad
+    with pytest.raises(ValueError, match=r"^n_quad %s is not a positive integer$"
+                       % re.escape(repr(n_quad))):
+        torus_dominant_part(n_quad)
+
+
+@pytest.mark.parametrize("ks", [(1, 2, 0, 3, 1), (0, 0, 0, 0, 0), (3, 3, 0, 0, 2),
+                                (0, 6, 3, 0, 0), (4, 0, 0, 0, 0)])
+def test_one_rotation_draw_per_sample_is_the_stream_of_one_draw_per_block(ks):
+    # the basis pipeline draws d^0, d^1, h^0, h^2, h^1's normals in one call
+    # per sample; they must be those of five sequential (k, k) draws
+    seeds = np.random.default_rng(sum(ks)).integers(2 ** 32, size=40).tolist()
+    got = _rotation_normals(seeds, ks)
+    assert [b.shape for b in got] == [(len(seeds), k, k) for k in ks]
+    for i, seed in enumerate(seeds):
+        sub = np.random.default_rng(seed)
+        for block, k in zip(got, ks):
+            assert np.array_equal(block[i], sub.standard_normal((k, k)))
 
 
 def test_torsion_batch_refuses_only_the_refused_samples():
