@@ -329,9 +329,10 @@ def main(argv=None):
     args = _parser().parse_args(argv)
     try:
         return args.func(args)
-    # RuntimeError is "no flat connection found": every start was dropped
-    except (FoamError, ValueError, OSError, RuntimeError) as exc:
-        print("error: %s" % exc, file=sys.stderr)
+    # RuntimeError is "no flat connection found": every start was dropped;
+    # MemoryError an array the machine cannot allocate, numpy naming its size
+    except (FoamError, ValueError, OSError, RuntimeError, MemoryError) as exc:
+        print("error: %s" % (str(exc) or type(exc).__name__), file=sys.stderr)
         return 2
 
 

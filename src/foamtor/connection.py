@@ -13,7 +13,9 @@ holonomies and its prefix products the frames of delta1 (word_jacobian).
 Every holonomy and residual here is read off it (face_residual sums the
 residual); only the fused Monte Carlo word_angle walks faces on its own.
 A projection hands the H and delta1 of each sample's accepting step to the
-twisted complex (_projected_stack): word_jacobian's bits, batch elementwise.
+twisted complex (_projected_stack), and an analytic family the H and frames
+of its residual walk (_analytic_stack), which word_jacobian(..., walk=)
+assembles: word_jacobian's bits, batch elementwise.
 The walk is laid out component-major: it builds the right-multiplication
 table (group.right_table) of every edge element once, and that of its
 inverse from it (group.inv_table: for SU(2) a transposed view), keeps the
@@ -211,12 +213,12 @@ def _letter_plan(words_idx, E, d):
     return [idx[:, None, :] * d + np.arange(d)[:, None] for idx in ranks]
 
 
-def _jacobian(group, words_idx, ranks, g):
+def _jacobian(group, words_idx, ranks, g, walk=None):
     """word_jacobian with the letter plan built by the caller: one gather
     and one add per rank.  Each block sums 0 + s1 B1 + s2 B2 + ... in word
     order, signed zeros included: a sum that starts at +0 is never -0, so
     the zero blocks that pad the later ranks leave it as it is."""
-    H, frames = _face_walk(group, words_idx, g)
+    H, frames = _face_walk(group, words_idx, g) if walk is None else walk
     batch = g.shape[:-2]
     E, d = g.shape[-2], group.dim_g
     F, L = len(words_idx), frames.shape[-2]
@@ -229,16 +231,18 @@ def _jacobian(group, words_idx, ranks, g):
     return H, J.reshape(batch + (F * d, E * d))
 
 
-def word_jacobian(group, words_idx, g):
+def word_jacobian(group, words_idx, g, walk=None):
     """Face holonomies and the linearized curvature delta1 in one walk.
 
     g has shape (..., E, elem_dim) and words_idx lists each face word as
-    (edge index, exponent) pairs.  Returns H of shape (..., F, elem_dim) and
-    J of shape (..., F*d, E*d), d = dim G.  J is the right-trivialized
-    Jacobian of the curvature map, H_f(exp(eps v) g) = exp(eps (J v)_f) H_f(g)
-    to first order: face f's block at edge e sums +Ad(P_{i-1}) over letters
-    l_i = e and -Ad(P_i) over letters l_i = e^-1, with P_i the product of the
-    first i letters.  No log is taken, so J is defined at any connection.
+    (edge index, exponent) pairs; walk, _face_walk's (H, frames) at g, stands
+    in for the walk where the caller has made it.  Returns H of shape
+    (..., F, elem_dim) and J of shape (..., F*d, E*d), d = dim G.  J is the
+    right-trivialized Jacobian of the curvature map, H_f(exp(eps v) g) =
+    exp(eps (J v)_f) H_f(g) to first order: face f's block at edge e sums
+    +Ad(P_{i-1}) over letters l_i = e and -Ad(P_i) over letters l_i = e^-1,
+    with P_i the product of the first i letters.  No log is taken, so J is
+    defined at any connection.
 
     The blocks are added by occurrence rank (_letter_plan, _jacobian): the
     first letter of every block at once, then every second, ..., so a
@@ -246,7 +250,7 @@ def word_jacobian(group, words_idx, g):
     per letter in word order.
     """
     ranks = _letter_plan(words_idx, g.shape[-2], group.dim_g)
-    return _jacobian(group, words_idx, ranks, g)
+    return _jacobian(group, words_idx, ranks, g, walk)
 
 
 def holonomy(conn, f):
@@ -414,9 +418,11 @@ def analytic_flat_batch(kind, rng, signs, families=None, psi_a=None, psi_b=None,
     families on the torus, the angles and axis when no sample is 'red', and
     a sign -1 on a 'red' sample.
 
-    A first loop draws each sample's numbers in turn, in this order: the torus
-    and 'red' draw the axis (three normals) and then their free angles (one
-    uniform call), 'irred' draws the normals of a and b (one (2, 4) call).
+    A first loop draws each sample's numbers in turn, into rows of arrays
+    allocated once, in this order: the torus and 'red' draw the axis (three
+    normals) and then their free angles (uniforms u, mapped at once to
+    PSI_RANGE as rng.uniform maps them), 'irred' draws the normals of a and
+    b (one (2, 4) row).
     The samples are then built at once: one unit_vectors call, one exp over
     every (sample, edge), one su2_normalize of every 'irred' sample's
     normals (the arithmetic of SU2.haar), one stacked (n, E, 4) array, one
@@ -426,12 +432,14 @@ def analytic_flat_batch(kind, rng, signs, families=None, psi_a=None, psi_b=None,
     numbers.
     """
     return _flat_samples(*_analytic_stack(kind, rng, signs, families, psi_a, psi_b, psi_h,
-                                          axis))
+                                          axis)[0])
 
 
 def _analytic_stack(kind, rng, signs, families=None, psi_a=None, psi_b=None, psi_h=None,
                     axis=None):
-    """analytic_flat_batch's samples as _flat_samples' arguments (foam, SU2, g, ...)."""
+    """analytic_flat_batch's samples as _flat_samples' arguments (foam, SU2, g, ...),
+    and the (H, frames) of the face walk that gave their residuals, from which
+    word_jacobian(..., walk=) reads delta1 without walking again."""
     n = len(signs)
     if any(sgn not in (1, -1) for sgn in signs):
         raise ValueError("each sign must be +1 or -1, got %r" % (list(signs),))
@@ -452,31 +460,33 @@ def _analytic_stack(kind, rng, signs, families=None, psi_a=None, psi_b=None, psi
     foam = _builtin_foam(kind)
     fixed = (psi_a, psi_b, psi_h)[:foam.E]
     free = [k for k, p in enumerate(fixed) if p is None]
-    axes, angles, normals = [], [], []
+    m = int(np.count_nonzero(chart))
+    axes, u, normals = np.empty((m, 3)), np.empty((m, len(free))), np.empty((n - m, 2, 4))
+    if axis is not None:
+        axes[:] = axis
+    rows_a, rows_u, rows_n = iter(axes), iter(u), iter(normals)
     for on_chart in chart.tolist():
-        if on_chart:
-            axes.append(rng.standard_normal(3) if axis is None else axis)
-            angles.append(rng.uniform(*PSI_RANGE, size=len(free)))
-        else:
-            normals.append(rng.standard_normal((2, 4)))
-    m = len(axes)
+        if not on_chart:
+            rng.standard_normal(out=next(rows_n))
+            continue
+        if axis is None:
+            rng.standard_normal(out=next(rows_a))
+        rng.random(out=next(rows_u))
     psi = np.tile([np.nan if p is None else float(p) for p in fixed], (m, 1))
-    psi[:, free] = np.reshape(angles, (m, len(free)))
+    # rng.uniform(*PSI_RANGE)'s arithmetic on its doubles, low + (high - low) u
+    psi[:, free] = PSI_RANGE[0] + (PSI_RANGE[1] - PSI_RANGE[0]) * u
     signs = np.asarray(signs, dtype=float)
     g = np.empty((n, foam.E, 4))
     if kind == "torus":
         psi[:, 1] *= signs
     else:
-        c = np.ascontiguousarray(np.reshape(normals, (n - m, 2, 4)).T)
-        g[~chart, :2] = su2_normalize(c).T
+        g[~chart, :2] = su2_normalize(np.ascontiguousarray(normals.T)).T
         g[~chart, 2] = SU2.identity() * signs[~chart, None]
-    axes = unit_vectors(np.reshape(np.asarray(axes, dtype=float), (m, 3)))
-    g[chart] = SU2.exp(psi[..., None] * axes[:, None, :])
-    H = _face_walk(SU2, foam.words_idx, g)[0]
-    res = face_residual(SU2, H)
+    g[chart] = SU2.exp(psi[..., None] * unit_vectors(axes)[:, None, :])
+    walk = _face_walk(SU2, foam.words_idx, g)
     tags = (["torus:+" if sgn > 0 else "torus:-" for sgn in signs] if kind == "torus"
             else families)
-    return foam, SU2, g, res.tolist(), list(tags)
+    return (foam, SU2, g, face_residual(SU2, walk[0]).tolist(), list(tags)), walk
 
 
 def analytic_flat(foam, rng, sign=+1, family=None, psi_a=None, psi_b=None, psi_h=None,

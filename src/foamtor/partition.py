@@ -13,7 +13,7 @@ import math
 import numbers
 import os
 from dataclasses import dataclass, field
-from functools import reduce
+from functools import lru_cache, reduce
 
 import numpy as np
 
@@ -27,6 +27,7 @@ CSV_COLUMNS = "tau,lambda_tau,value,stderr,method"
 SELECT_FACTOR = 5.0     # the log model is chosen iff it cuts the residual RMS this much
 LIMIT_TAUS = (1e-4, 1e-5, 1e-6)   # char_sum_limit's extrapolation points
 FD_STEP = np.finfo(float).eps ** 0.5  # fit_toy's relative finite-difference step
+CHAR_MAX_TERMS = 10 ** 7  # the most terms a character sum adds (tau ~ 6e-12 on a surface)
 
 
 def lambda_tau(tau):
@@ -210,6 +211,18 @@ def _surface_sum_direct(g, tau, nmax):
     return total
 
 
+def _char_terms(tau, cutoff):
+    """The truncation 2 cutoff / sqrt(tau) + 1 of a character sum at tau, where
+    its terms fall below e^-cutoff^2; ValueError names a tau outside _check_tau's
+    domain or, before any term is summed, one past CHAR_MAX_TERMS."""
+    _check_tau(tau)
+    nmax = int(math.ceil(2.0 * cutoff / math.sqrt(tau))) + 1
+    if nmax > CHAR_MAX_TERMS:
+        raise ValueError("tau %r needs %d character-sum terms, more than the %d it sums"
+                         % (tau, nmax, CHAR_MAX_TERMS))
+    return nmax
+
+
 def _check_genus(g):
     """The genus g as an int; ValueError unless it is a non-negative integer
     (an int or a numpy integer)."""
@@ -227,7 +240,8 @@ def z_char_surface(g, tau):
     the terms fall below e^-144, at a cost that grows like tau^-1/2.  tau = 0
     is allowed for g >= 2 where the series converges (Euler-Maclaurin tail);
     for g <= 1 the tau = 0 series diverges, and _check_tau refuses it.
-    ValueError names a genus that is not a non-negative integer.
+    ValueError names a genus that is not a non-negative integer, and a tau
+    below about 6e-12, whose truncation passes CHAR_MAX_TERMS (_char_terms).
     """
     g = _check_genus(g)
     if tau == 0.0 and g >= 2:
@@ -238,8 +252,7 @@ def z_char_surface(g, tau):
         tail = (N ** (1 - p) / (p - 1) - 0.5 * N ** -p + p / 12.0 * N ** -(p + 1))
         return ZEstimate(0.0, head + tail, 0.0, "char-surface",
                          {"g": g, "truncation": N, "tail": "euler-maclaurin"})
-    _check_tau(tau)
-    nmax = int(math.ceil(2.0 * 12.0 / math.sqrt(tau))) + 1
+    nmax = _char_terms(tau, 12.0)
     val = _surface_sum_direct(g, tau, nmax)
     return ZEstimate(tau, val, 0.0, "char-surface", {"g": g, "truncation": nmax})
 
@@ -252,10 +265,11 @@ def z_char_appendix(tau):
 
     Derived from two applications of int da chi_j([a,h]) = |chi_j(h)|^2/(2j+1)
     and validated against plain Monte Carlo (see the test suite).  Evaluated
-    as sum_k (sum_{n>=k} e_n)^2 with e_n = e^{-tau (n^2-1)/4}, n = 2j+1.
+    as sum_k (sum_{n>=k} e_n)^2 with e_n = e^{-tau (n^2-1)/4}, n = 2j+1, up
+    to n = 28/sqrt(tau) + 1; ValueError names a tau whose truncation passes
+    CHAR_MAX_TERMS (_char_terms).
     """
-    _check_tau(tau)
-    nmax = int(math.ceil(2.0 * 14.0 / math.sqrt(tau))) + 1
+    nmax = _char_terms(tau, 14.0)
     e = np.exp(-tau * SU2.casimir(np.arange(nmax) / 2.0))
     tails = np.cumsum(e[::-1])[::-1]
     return ZEstimate(tau, float(np.sum(tails * tails)), 0.0, "char-appendix",
@@ -378,6 +392,17 @@ def fit_scaling(points, model="auto"):
 # ----------------------------------------------------------------------
 # toy Laplace integral with a non-integrable transverse singularity
 
+@lru_cache(maxsize=4)
+def _gauss_legendre(n):
+    """np.polynomial.legendre.leggauss(n), built once per process for the
+    last few orders n (toy_laplace's 24, torus_dominant_part's n_quad) and
+    shared as read-only arrays."""
+    rule = np.polynomial.legendre.leggauss(n)
+    for a in rule:
+        a.flags.writeable = False
+    return rule
+
+
 def _box(box_halfwidth):
     L = float(box_halfwidth)
     if not 0.0 < L < math.inf:
@@ -391,13 +416,14 @@ def toy_laplace(tau, box_halfwidth=1.0):
 
     Tensor Gauss-Legendre panels on a geometric grid refined toward the axes
     (the integrand crosses over at |x y| ~ sqrt(tau)), 24 nodes per panel.
-    The 24-node rule is built once per call; each tau gets the bits of its
-    own scalar call.  Panel p >= 1 of the n + 1 is panel n = [L/2, L] times
-    2^-(n-p) exactly, so block (p, r) of the exponent matrix is block (n, n)
-    times 4^-((n-p)+(n-r)), exactly while no value overflows or goes
-    subnormal where exp can tell (tau >= 2^-960 sees to that): one exp call
-    for those 2n - 1 blocks, one for the n of them with the base panel
-    [0, L 2^-n], with the bits of evaluating every entry.  ValueError names
+    The 24-node rule is built once per process (_gauss_legendre); each tau
+    gets the bits of its own scalar call.  Panel p >= 1 of the n + 1 is
+    panel n = [L/2, L] times 2^-(n-p) exactly, so block (p, r) of the
+    exponent matrix is block (n, n) times 4^-((n-p)+(n-r)), exactly while no
+    value overflows or goes subnormal where exp can tell (tau >= 2^-960 sees
+    to that): one exp call for those 2n - 1 blocks, one for the n of them
+    with the base panel [0, L 2^-n], with the bits of evaluating every
+    entry.  ValueError names
     a (box, tau) whose exponents overflow, or a tau below 2^-960, and,
     before allocating, one whose grid has more than 128 panels.
     """
@@ -405,7 +431,7 @@ def toy_laplace(tau, box_halfwidth=1.0):
     for t in taus.ravel().tolist():
         _check_tau(t)
     L = _box(box_halfwidth)
-    nodes, weights = np.polynomial.legendre.leggauss(24)
+    nodes, weights = _gauss_legendre(24)
     X = 0.5 * (L - L * 0.5) * nodes + 0.5 * (L * 0.5 + L)     # panel [L/2, L]
 
     def z(t):

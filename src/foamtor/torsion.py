@@ -37,6 +37,7 @@ import numpy as np
 from .connection import FlatSample, unit_vectors, word_jacobian
 from .foam import builtin
 from .groups import SU2
+from .partition import _gauss_legendre
 from .twisted import _complex_columns, _sample_arrays, cohomology
 
 __all__ = ["TorsionValue", "torsion_at", "torsion_batch", "torus_volume_grid",
@@ -258,14 +259,15 @@ def torus_dominant_part(n_quad=24, rng=None):
     vol_F = (sin^2 psi_a + sin^2 psi_b) dpsi_a dpsi_b sin(theta) dtheta dphi,
     and vol_B2 evaluated numerically from the singular values of delta1.
     The result must match the tau -> 0 limit of the character sum.  The
-    quadrature terms are formed as arrays and summed in node order; the
-    result is a Python float.  ValueError names an n_quad that is not a
+    Gauss-Legendre rule is built once per process (partition._gauss_legendre);
+    the quadrature terms are formed as arrays and summed in node order, and
+    the result is a Python float.  ValueError names an n_quad that is not a
     positive integer (an int or a numpy integer).
     """
     if not (isinstance(n_quad, numbers.Integral) and n_quad >= 1):
         raise ValueError("n_quad %r is not a positive integer" % (n_quad,))
     rng = np.random.default_rng(1) if rng is None else rng
-    nodes, weights = np.polynomial.legendre.leggauss(n_quad)
+    nodes, weights = _gauss_legendre(n_quad)
     psi = 0.5 * math.pi * (nodes + 1.0)
     w = 0.5 * math.pi * weights
     vols, chart = _torus_chart(psi, rng)[2:]

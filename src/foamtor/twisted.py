@@ -19,7 +19,8 @@ The complex is built for a whole sample set at once: the connections are
 stacked to (n, E, elem_dim), one word_jacobian walk over the face words
 gives the holonomies (the flatness gate) and delta1, delta0 is I - Ad(g)
 over all edges in one call, and each differential gets one stacked SVD.
-A projected set reads them off its projection instead (_sampled_complex).
+A sampled set reads them off the walk that built it instead (_sampled_complex):
+a projection's last step, or the residual walk of an analytic family.
 The ranks of the whole stack are then decided in one array pass of the rank
 rule (_rank_arrays), which gives every sample what it gets alone; a lone
 matrix (svd_rank) is the stack of one, and cohomology() the batch of one.
@@ -41,7 +42,7 @@ from .connection import ANALYTIC_FOAMS, FLAT_TOL, FlatSample, _analytic_stack, \
     _check_elements, _flat_samples, _projected_stack, _records, face_residual, \
     word_jacobian
 from .foam import _presentation, builtin, match_builtin, reduce_foam
-from .groups import get_group
+from .groups import SU2, get_group
 
 EPS_RANK = 1e-9      # relative SVD threshold: sigma counts iff sigma > EPS_RANK * sigma_max
 EPS_ABS = 1e-12      # absolute floor: the differentials have O(1) entries (Ad is
@@ -128,8 +129,8 @@ class CohomologyReport:
 
 def _complex_columns(foam, group, g, walk=None):
     """CohomologyReport's fields, an array each, at a stack g (n, E, elem_dim)
-    of connections on foam, walk word_jacobian's (H, delta1) at g if a
-    projection has it; ValueError unless foam is reduced and all flat."""
+    of connections on foam, walk word_jacobian's (H, delta1) at g if the
+    set's builder has it; ValueError unless foam is reduced and all flat."""
     if not foam.is_reduced():
         raise ValueError("foam %r has %d vertices; reduce it first" % (foam.name, foam.V))
     d = group.dim_g
@@ -199,9 +200,10 @@ class MinB2Report:
         return len(self.strata) > 1
 
 
-def _sample_stack(foam_or_name, group, n_samples, rng):
-    """sample_flat's foam, its samples as _flat_samples' arguments, and the
-    projection's (H, delta1) at them, or None."""
+def _sample_stack(foam_or_name, group, n_samples, rng, delta1=False):
+    """sample_flat's foam, its samples as _flat_samples' arguments, and, if
+    delta1, word_jacobian's (H, delta1) at them from the walk that built them:
+    a projection's last step, or an analytic set's residual walk."""
     group = get_group(group)
     if n_samples < 1:
         raise ValueError("the number of samples must be at least 1, got %d" % n_samples)
@@ -209,21 +211,23 @@ def _sample_stack(foam_or_name, group, n_samples, rng):
     kind = match_builtin(foam, ANALYTIC_FOAMS) if group.name == "su2" else None
     index = range(n_samples)
     if kind == "torus":
-        stack, walk = _analytic_stack(kind, rng, [(+1, -1)[i % 2] for i in index]), None
+        stack, walk = _analytic_stack(kind, rng, [(+1, -1)[i % 2] for i in index])
     elif kind == "appendix":
         stack, walk = _analytic_stack(kind, rng, [(+1, +1, -1, +1)[i % 4] for i in index],
-                                      [("irred", "red")[i % 2] for i in index]), None
+                                      [("irred", "red")[i % 2] for i in index])
     else:
         stack, walk = _projected_stack(foam, group, rng, n_samples)
     if not len(stack[2]):
         raise RuntimeError("no flat connection found within budget")
-    return foam, stack, walk
+    if kind is not None and delta1:
+        walk = word_jacobian(SU2, stack[0].words_idx, stack[2], walk)
+    return foam, stack, walk if delta1 else None
 
 
 def _sampled_complex(foam_or_name, group, n_samples, rng):
     """sample_flat's foam and stack (foam, group, g, residuals, tags), after
-    one element check, and its complex's columns, from the projection's walk."""
-    foam, stack, walk = _sample_stack(foam_or_name, group, n_samples, rng)
+    one element check, and its complex's columns, from the walk that built it."""
+    foam, stack, walk = _sample_stack(foam_or_name, group, n_samples, rng, delta1=True)
     _check_elements(*stack[:3])
     return foam, stack, _complex_columns(*stack[:3], walk)
 

@@ -1,4 +1,4 @@
-"""The projection's last walk feeds the twisted complex.
+"""The walk that builds a sample set feeds the twisted complex.
 
 A projected sample set keeps, beside each kept connection g, the face
 holonomies H and delta1 J of the Levenberg-Marquardt step that accepted g
@@ -6,7 +6,10 @@ holonomies H and delta1 J of the Levenberg-Marquardt step that accepted g
 place of a second word_jacobian walk.  The walk works elementwise over the
 batch axis, so the carried pair is word_jacobian at the kept g, bit for bit;
 the torsion command runs on that stacked complex (torsion._torsion_columns)
-and writes what torsion_batch of sample_flat's samples gives.
+and writes what torsion_batch of sample_flat's samples gives.  An analytic
+set (connection._analytic_stack) keeps the holonomies and frames of the walk
+that gave its residuals, and word_jacobian assembles delta1 from them only
+where a complex is built: flat and analytic_flat_batch plan no delta1.
 """
 
 import json
@@ -94,3 +97,39 @@ def test_a_projected_job_walks_its_faces_only_in_the_projection(name, monkeypatc
     assert main(["torsion", "--foam", name, "--samples", "6", "--seed", "3"]) == 0
     capsys.readouterr()
     assert len(walks) == alone
+
+
+@pytest.mark.parametrize("name", ["torus", "appendix"])
+def test_an_analytic_set_walks_its_faces_once_and_flat_assembles_no_delta1(name, monkeypatch,
+                                                                          capsys):
+    # the walk that gives an analytic set its residuals hands its frames to
+    # delta1; flat and analytic_flat_batch, which use no delta1, plan none
+    walks, plans = [], []
+    walk, plan = connection._face_walk, connection._letter_plan
+    monkeypatch.setattr(connection, "_face_walk", lambda *a: walks.append(1) or walk(*a))
+    monkeypatch.setattr(connection, "_letter_plan", lambda *a: plans.append(1) or plan(*a))
+    for argv in (["analyze", "--samples", "20"], ["torsion", "--samples", "6"]):
+        assert main(argv + ["--foam", name, "--seed", "3"]) == 0
+        assert (len(walks), len(plans)) == (1, 1), argv
+        walks.clear(), plans.clear()
+    min_b2(name, "su2", 8, np.random.default_rng(3))
+    assert (len(walks), len(plans)) == (1, 1)
+    walks.clear(), plans.clear()
+    assert main(["flat", "--foam", name, "--samples", "5", "--seed", "3"]) == 0
+    sample_flat(name, "su2", 5, np.random.default_rng(3))
+    families = None if name == "torus" else ["irred", "red"]
+    connection.analytic_flat_batch(name, np.random.default_rng(3), [1, 1], families)
+    assert (len(walks), len(plans)) == (3, 0)
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("name", ["torus", "appendix"])
+def test_the_handed_walk_gives_word_jacobian_at_the_analytic_samples(name):
+    families = None if name == "torus" else ["irred", "red", "irred", "red"]
+    signs = [1, -1, 1, 1] if name == "torus" else [1, 1, -1, 1]
+    (foam, G, g, _, _), walk = connection._analytic_stack(
+        name, np.random.default_rng(4), signs, families)
+    H, J = word_jacobian(G, foam.words_idx, g, walk)
+    H1, J1 = word_jacobian(G, foam.words_idx, g)
+    assert H.tobytes() == np.ascontiguousarray(H1).tobytes()
+    assert J.tobytes() == np.ascontiguousarray(J1).tobytes()

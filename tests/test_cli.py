@@ -601,3 +601,40 @@ def test_toy_refuses_a_panel_grid_over_its_memory_bound(capsys):
     assert code == 2 and captured.out == ""
     assert captured.err.startswith("error: box half-width (--box) 1e+76 at tau 0.001 ")
     assert "--tau-grid" in captured.err and "262 panels" in captured.err
+
+
+@pytest.mark.parametrize("foam,grid", [("torus", "1e-300:1e-299:2"),
+                                       ("appendix", "1e-20:1e-20:1")])
+def test_ztau_char_refuses_a_tau_over_the_term_budget_with_exit_2(foam, grid, capsys):
+    # the torus looped over 2.4e151 terms and never returned; the appendix
+    # died with numpy's _ArrayMemoryError traceback asking for 2.04 TiB
+    code = main(["ztau", "--foam", foam, "--method", "char", "--tau-grid", grid])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith("error: tau 1e-") and "character-sum terms" in captured.err
+
+
+NO_MEMORY = ("Unable to allocate 2.04 TiB for an array with shape (280000000001,) and "
+             "data type float64")
+
+
+@pytest.mark.parametrize("core,argv", [
+    ("sample_flat", ["flat", "--foam", "genus:3", "--samples", "100000000000"]),
+    ("_sampled_complex", ["analyze", "--foam", "genus:2", "--samples", "100000000000"]),
+    ("_torus_volume_columns", ["torsion", "--foam", "torus", "--check", "torus-volume",
+                               "--grid", "10000000"])])
+def test_an_allocation_the_machine_cannot_make_is_refused_with_exit_2(core, argv, capsys,
+                                                                       monkeypatch):
+    # these printed numpy's _ArrayMemoryError traceback and exited 1, the exit
+    # code of a failed consistency check; the core raises here, so that no
+    # test asks the machine for the memory
+    from foamtor import cli
+
+    def refuse(*args, **kwargs):
+        raise MemoryError(NO_MEMORY)
+
+    monkeypatch.setattr(cli, core, refuse)
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == "error: %s\n" % NO_MEMORY

@@ -342,7 +342,10 @@ def test_analytic_flat_batch_equals_single_calls_field_for_field():
              ("appendix", signs, fams, {"psi_b": 2.0, "axis": [0.0, 3.0, 4.0]}),
              ("appendix", signs, fams, {"psi_a": 0.4, "psi_b": 0.5, "psi_h": 0.6}),
              ("appendix", [1, -1, -1], ["irred"] * 3, {}),
+             ("appendix", [1] * 4, ["red"] * 4, {}),
              ("torus", signs, None, {"psi_b": 0.7}),
+             ("torus", signs, None, {"axis": [0.3, -1.2, 2.0]}),
+             ("torus", signs, None, {"psi_a": 0.2, "psi_b": 0.3}),
              ("torus", signs, None, {"psi_a": 0.2, "psi_b": 0.3, "axis": [1.0, 1.0, 0.0]})]
     for seed in (0, 5):
         for kind, sgns, families, fixed in cases:

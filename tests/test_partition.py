@@ -1,5 +1,7 @@
+import json
 import math
 import os
+import pathlib
 import re
 import threading
 import tracemalloc
@@ -755,3 +757,72 @@ def test_toy_answers_a_grid_of_128_panels():
     # the largest grid the bound allows (a 3,096^2 matrix); the accepted
     # cases with n = 76 and n = 88 keep their per-strip bits above
     assert 0.0 < toy_laplace(1e-3, 2.0 ** 124 * 1e-3 ** 0.5 * 0.75) < math.inf
+
+
+@pytest.mark.parametrize("route,tau", [(lambda t: z_char_surface(1, t), 1e-300),
+                                       (lambda t: z_char_surface(3, t), 1e-20),
+                                       (z_char_appendix, 1e-20), (z_char_appendix, 1e-300)])
+def test_character_sums_refuse_a_tau_over_their_term_budget_before_summing(route, tau):
+    # the torus at tau 1e-300 looped over 2.4e151 terms, 10**6 at a time, and
+    # the appendix at tau 1e-20 asked numpy for 2.04 TiB (np.arange(nmax))
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=r"^tau %s needs \d+ character-sum terms, "
+                           r"more than the %d it sums$" % (re_float(tau),
+                                                           partition.CHAR_MAX_TERMS)):
+            route(tau)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1e6, peak
+
+
+def test_the_character_term_budget_refuses_only_a_truncation_above_it(monkeypatch):
+    # tau 1e-6 sums n = 2j + 1 up to 24 / sqrt(tau) + 1 = 24,001 (torus) and
+    # 28,001 (appendix) terms, the most any golden, test or demo sums
+    want = z_char_surface(1, 1e-6).value, z_char_appendix(1e-6).value
+    for budget, ok in ((24_000, False), (24_001, True), (28_001, True)):
+        monkeypatch.setattr(partition, "CHAR_MAX_TERMS", budget)
+        if ok:
+            assert z_char_surface(1, 1e-6).value == want[0]
+        else:
+            with pytest.raises(ValueError, match=r"^tau 1e-06 needs 24001 character-sum"):
+                z_char_surface(1, 1e-6)
+        if budget == 28_001:
+            assert z_char_appendix(1e-6).value == want[1]
+        else:
+            with pytest.raises(ValueError, match=r"^tau 1e-06 needs 28001 character-sum"):
+                z_char_appendix(1e-6)
+
+
+@pytest.mark.parametrize("n", [1, 2, 12, 24, 33])
+def test_the_gauss_rule_is_leggauss_built_once_and_read_only(n):
+    nodes, weights = partition._gauss_legendre(n)
+    ref_nodes, ref_weights = np.polynomial.legendre.leggauss(n)
+    assert nodes.tobytes() == ref_nodes.tobytes()
+    assert weights.tobytes() == ref_weights.tobytes()
+    again = partition._gauss_legendre(n)
+    assert again[0] is nodes and again[1] is weights
+    for a in (nodes, weights):
+        with pytest.raises(ValueError, match="read-only"):
+            a[0] = 0.0
+        with pytest.raises(ValueError, match="read-only"):
+            a *= 2.0
+    assert nodes.tobytes() == ref_nodes.tobytes()
+
+
+def test_toy_and_dominant_part_keep_their_bits_in_either_order():
+    # toy_laplace and torus_dominant_part share the cached rule; whichever
+    # builds it first, each keeps its recorded bits
+    from foamtor.torsion import torus_dominant_part
+    golden = pathlib.Path(__file__).parent / "golden"
+    toy = json.loads((golden / "toy.json").read_text())
+    quad = json.loads((golden / "torus_grids.json").read_text())["torus_dominant_part_12"]
+    taus = np.array(toy["config"]["tau_grid"])
+    values = [p["value"] for p in toy["points"]]
+    for first in ("toy", "quad"):
+        partition._gauss_legendre.cache_clear()
+        if first == "quad":
+            assert torus_dominant_part(12) == quad
+        assert toy_laplace(taus).tolist() == values
+        assert torus_dominant_part(12) == quad
