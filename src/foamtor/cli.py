@@ -201,15 +201,17 @@ def cmd_ztau(args):
 
 def _char_evaluator(foam, group):
     """tau -> Z_tau by the character sum of the builtin foam that has this
-    foam's presentation (genus:0 is the sphere); refuses any other foam."""
-    if get_group(group).name != "su2":
-        raise ValueError("character evaluators are implemented for SU(2)")
+    foam's presentation (genus:0 is the sphere); refuses any other foam, and
+    the appendix over any group but SU(2), whose N(j1, j2) its sum is."""
+    group = get_group(group)
     genus = foam.E // 2
     key = match_builtin(foam, ("genus:%d" % genus, "appendix"))
+    if key == "appendix" and group.name != "su2":
+        raise ValueError("the appendix character sum is SU(2)'s, not %s" % group.name)
     if key == "appendix":
         return z_char_appendix
     if key is not None:
-        return functools.partial(z_char_surface, genus)
+        return functools.partial(z_char_surface, genus, group=group)
     raise ValueError("no character evaluator for foam %r; use --method mc" % foam.name)
 
 

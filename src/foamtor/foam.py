@@ -430,7 +430,7 @@ def builtin(name):
     if key == "sphere" or g is not None and int(g) == 0:
         return Foam(name="sphere", edges=(), faces=(FaceWord((), "disk"),))
     if g is not None:
-        g, edges, word = int(g), [], ()
+        g, edges, word = int(g), [], []
         for i in range(1, g + 1):
             a, b = "a%d" % i, "b%d" % i
             edges += [(a, 0, 0), (b, 0, 0)]

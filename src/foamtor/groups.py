@@ -306,7 +306,7 @@ def su2_character(j, psi):
 
 def _check_tau(tau):
     """ValueError unless tau is finite and positive: the domain of every heat
-    kernel and Z_tau estimate (z_char_surface also takes tau = 0, genus >= 2)."""
+    kernel and Z_tau estimate (z_char_surface also takes tau = 0 where Omega = 0)."""
     if not 0.0 < tau < math.inf:
         raise ValueError("tau %r is not finite and positive" % float(tau))
 
@@ -325,8 +325,8 @@ def su2_heat_kernel_series(tau, psi):
     """
     _check_tau(tau)
     psi = np.atleast_1d(np.asarray(psi, dtype=float))
-    j = np.arange(_su2_nmax(tau)) / 2.0
-    coef = SU2.dim(j) * np.exp(-tau * SU2.casimir(j))
+    dim, casimir = SU2.irreps(np.arange(_su2_nmax(tau)))
+    coef = dim * np.exp(-tau * casimir)
     x2 = 2.0 * np.cos(psi)
     b1, b2 = np.full_like(psi, coef[-1]), np.zeros_like(psi)
     for c in coef[-2::-1]:
@@ -469,6 +469,7 @@ class SU2:
     dim_g = 3          # dim of the Lie algebra
     elem_dim = 4       # trailing axis length of raw element arrays
     center_dim = 0     # Lie-algebra dimension of the center
+    rank = 1           # dimension of a maximal torus
 
     mul = staticmethod(su2_mul)
     right_table = staticmethod(su2_right_table)
@@ -500,16 +501,12 @@ class SU2:
         return np.abs(q, out=q) <= ELEMENT_TOL
 
     @staticmethod
-    def casimir(label):
-        """j(j + 1) of spin j, for a label in N/2 or an array of labels, as
-        floats: exactly (n^2 - 1)/4 with n = 2j + 1."""
-        label = np.asarray(label, dtype=float)
-        return label * (label + 1.0)
-
-    @staticmethod
-    def dim(label):
-        """2j + 1, the dimension of the spin-j irreps, as floats."""
-        return 2.0 * np.asarray(label, dtype=float) + 1.0
+    def irreps(i):
+        """(dim, Casimir) of the irreps at places i of a character sum, as
+        floats: spin j = i/2, dim 2j + 1 and C = j(j + 1), exactly (n^2 - 1)/4
+        with n = 2j + 1."""
+        j = np.asarray(i) / 2.0
+        return 2.0 * j + 1.0, j * (j + 1.0)
 
     @staticmethod
     def heat_kernel(tau, psi):
@@ -529,6 +526,7 @@ class U1:
     dim_g = 1
     elem_dim = 1
     center_dim = 1     # the whole group is central
+    rank = 1
 
     @staticmethod
     def mul(a, b):
@@ -612,12 +610,11 @@ class U1:
         return np.cos(label * np.asarray(theta, dtype=float))
 
     @staticmethod
-    def casimir(label):
-        return float(label) ** 2
-
-    @staticmethod
-    def dim(label):
-        return 1
+    def irreps(i):
+        """(dim, Casimir) of the irreps at places i of a character sum, as
+        floats: charges n = 0, 1, -1, 2, -2, ..., dim 1 and C = n^2."""
+        n = np.ceil(np.asarray(i) / 2.0)
+        return np.ones_like(n), n * n
 
     @staticmethod
     def heat_kernel(tau, theta):

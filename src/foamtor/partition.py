@@ -2,9 +2,10 @@
 
 Z_tau(foam, G) = int dA prod_f K_tau(H_f(A)) with normalized Haar measure.
 Estimators: plain Monte Carlo over Haar-random connections (with standard
-errors), the genus-g character sum sum_j (2j+1)^{2-2g} e^{-tau j(j+1)}, and
-the exact double character sum for the three-edge/two-face foam.  Scaling is
-quantified against Lambda_tau = (4 pi tau)^{-1/2}.
+errors), the genus-g character sum sum_rho dim^{2-2g} e^{-tau C} over the
+group's irreps table, and the exact SU(2) double character sum for the
+three-edge/two-face foam.  Scaling is quantified against
+Lambda_tau = (4 pi tau)^{-1/2}.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ SELECT_FACTOR = 5.0     # the log model is chosen iff it cuts the residual RMS t
 LIMIT_TAUS = (1e-4, 1e-5, 1e-6)   # char_sum_limit's extrapolation points
 FD_STEP = np.finfo(float).eps ** 0.5  # fit_toy's relative finite-difference step
 CHAR_MAX_TERMS = 10 ** 7  # the most terms a character sum adds (tau ~ 6e-12 on a surface)
+CHAR_CHUNK = 10 ** 6      # the most terms a character sum holds at once
 
 
 def lambda_tau(tau):
@@ -200,14 +202,16 @@ def z_mc(foam, group, tau, n_samples, seed, n_workers=1):
 
 
 # ----------------------------------------------------------------------
-# character sums (SU(2), normalized Haar: no volume prefactors)
+# character sums (normalized Haar: no volume prefactors)
 
-def _surface_sum_direct(g, tau, nmax):
-    """sum_j dim(j)^{2-2g} e^{-tau C(j)} over the first nmax spins, 10**6 at a time."""
+def _surface_sum_direct(group, g, tau, nmax):
+    """sum dim^{2-2g} e^{-tau C} over the group's first nmax irreps, CHAR_CHUNK at a time."""
     total = 0.0
-    for k in range(0, nmax, 10 ** 6):
-        j = np.arange(k, min(k + 10 ** 6, nmax)) / 2.0
-        total += float(np.sum(SU2.dim(j) ** (2 - 2 * g) * np.exp(-tau * SU2.casimir(j))))
+    for k in range(0, nmax, CHAR_CHUNK):
+        dim, casimir = group.irreps(np.arange(k, min(k + CHAR_CHUNK, nmax)))
+        casimir *= -tau
+        total += float(np.sum(dim ** (2 - 2 * g) * np.exp(casimir, out=casimir)))
+        del dim, casimir    # so the next chunk's table is the most held at once
     return total
 
 
@@ -223,28 +227,30 @@ def _char_terms(tau, cutoff):
     return nmax
 
 
-def _check_genus(g):
-    """The genus g as an int; ValueError unless it is a non-negative integer
-    (an int or a numpy integer)."""
+def _genus_omega(g, group):
+    """(g, Omega): the genus as an int and the b2 of the trivial (g = 0), an
+    abelian (g = 1) or an irreducible (g >= 2) generic point; ValueError
+    unless g is a non-negative integer (an int or a numpy integer)."""
     if not (isinstance(g, numbers.Integral) and g >= 0):
         raise ValueError("genus %r is not a non-negative integer" % (g,))
-    return int(g)
+    return int(g), {0: group.dim_g, 1: group.rank}.get(g, group.center_dim)
 
 
-def z_char_surface(g, tau):
-    """Character sum for the genus-g surface foam:
+def z_char_surface(g, tau, group="su2"):
+    """Character sum for the genus-g surface foam over the group's irreps table:
 
-        Z_tau = sum_{j in N/2} (2j+1)^{2-2g} e^{-tau j(j+1)}.
+        Z_tau = sum_rho dim_rho^{2-2g} e^{-tau C_rho}  (SU(2): n = 2j+1, C = (n^2-1)/4).
 
-    tau > 0 is summed term by term up to n = 2j+1 = 24/sqrt(tau) + 1, where
-    the terms fall below e^-144, at a cost that grows like tau^-1/2.  tau = 0
-    is allowed for g >= 2 where the series converges (Euler-Maclaurin tail);
-    for g <= 1 the tau = 0 series diverges, and _check_tau refuses it.
+    tau > 0 is summed term by term up to place 24/sqrt(tau) + 1, where the
+    terms fall below e^-144, at a cost that grows like tau^-1/2.  tau = 0 is
+    allowed where Omega = 0 (SU(2), g >= 2) and the series converges
+    (Euler-Maclaurin tail); elsewhere it diverges, and _check_tau refuses it.
     ValueError names a genus that is not a non-negative integer, and a tau
     below about 6e-12, whose truncation passes CHAR_MAX_TERMS (_char_terms).
     """
-    g = _check_genus(g)
-    if tau == 0.0 and g >= 2:
+    group = get_group(group)
+    g, omega = _genus_omega(g, group)
+    if tau == 0.0 and omega == 0:
         p = 2 * g - 2
         N = 100_000
         n = np.arange(1, N + 1, dtype=float)
@@ -253,7 +259,7 @@ def z_char_surface(g, tau):
         return ZEstimate(0.0, head + tail, 0.0, "char-surface",
                          {"g": g, "truncation": N, "tail": "euler-maclaurin"})
     nmax = _char_terms(tau, 12.0)
-    val = _surface_sum_direct(g, tau, nmax)
+    val = _surface_sum_direct(group, g, tau, nmax)
     return ZEstimate(tau, val, 0.0, "char-surface", {"g": g, "truncation": nmax})
 
 
@@ -266,28 +272,36 @@ def z_char_appendix(tau):
     Derived from two applications of int da chi_j([a,h]) = |chi_j(h)|^2/(2j+1)
     and validated against plain Monte Carlo (see the test suite).  Evaluated
     as sum_k (sum_{n>=k} e_n)^2 with e_n = e^{-tau (n^2-1)/4}, n = 2j+1, up
-    to n = 28/sqrt(tau) + 1; ValueError names a tau whose truncation passes
-    CHAR_MAX_TERMS (_char_terms).
+    to n = 28/sqrt(tau) + 1, CHAR_CHUNK terms at a time from the top: each
+    chunk's tail sums start from the running tail of the chunks above it, so
+    up to CHAR_CHUNK terms it is one cumulative sum.  ValueError names a tau
+    whose truncation passes CHAR_MAX_TERMS (_char_terms).
     """
     nmax = _char_terms(tau, 14.0)
-    e = np.exp(-tau * SU2.casimir(np.arange(nmax) / 2.0))
-    tails = np.cumsum(e[::-1])[::-1]
-    return ZEstimate(tau, float(np.sum(tails * tails)), 0.0, "char-appendix",
-                     {"truncation": nmax})
+    total, tail = 0.0, 0.0
+    for top in range(nmax, 0, -CHAR_CHUNK):
+        tails = np.exp(-tau * SU2.irreps(np.arange(max(top - CHAR_CHUNK, 0), top))[1][::-1])
+        tails[0] += tail
+        np.cumsum(tails, out=tails)
+        tail = float(tails[-1])
+        total += float(np.sum(tails[::-1] * tails[::-1]))
+        del tails       # so the next chunk's table is the most held at once
+    return ZEstimate(tau, total, 0.0, "char-appendix", {"truncation": nmax})
 
 
-def char_sum_limit(g=1):
-    """Richardson extrapolation of Lambda_tau^{-b2_0} Z_tau as tau -> 0.
+def char_sum_limit(g=1, group="su2"):
+    """Richardson extrapolation of Lambda_tau^{-Omega} Z_tau as tau -> 0.
 
-    The genus-g exponent is b2_0 = 3, 1, 0 for g = 0, 1, >= 2; the correction
-    series is polynomial in sqrt(tau), so a quadratic fit in h = sqrt(tau)
-    through the points LIMIT_TAUS extrapolates the limit.  ValueError names a
-    genus that is not a non-negative integer.
+    The genus-g exponent Omega is the b2 of _genus_omega (SU(2): 3, 1, 0 for
+    g = 0, 1, >= 2; U(1): 1); the correction series is polynomial in
+    sqrt(tau), so a quadratic fit in h = sqrt(tau) through the points
+    LIMIT_TAUS extrapolates the limit.  ValueError names a genus that is not
+    a non-negative integer.
     """
-    g = _check_genus(g)
-    omega = {0: 3, 1: 1}.get(g, 0)
+    group = get_group(group)
+    g, omega = _genus_omega(g, group)
     h = np.sqrt(np.asarray(LIMIT_TAUS))
-    f = np.array([float(lambda_tau(t)) ** -omega * z_char_surface(g, t).value
+    f = np.array([float(lambda_tau(t)) ** -omega * z_char_surface(g, t, group).value
                   for t in LIMIT_TAUS])
     return float(np.polyfit(h, f, 2)[-1])
 

@@ -390,12 +390,42 @@ def test_ztau_char_sums_the_foam_it_was_given(tmp_path, capsys):
 
 def test_ztau_char_refusals_exit_2(tmp_path, capsys):
     (tmp_path / "torus").write_text(TORUS_FILE + "face: a1 b1 a1^-1 b1^-1\n")
-    for extra in (["--foam", "torus", "--group", "u1"], ["--foam", "dunce_hat"],
+    for extra in (["--foam", "appendix", "--group", "u1"], ["--foam", "dunce_hat"],
                   ["--foam", str(tmp_path / "torus")]):
         code = main(["ztau", "--method", "char", "--tau-grid", "0.1:0.1:1"] + extra)
         captured = capsys.readouterr()
         assert code == 2, extra
         assert captured.err.startswith("error: ") and captured.out == "", extra
+        # the appendix sum's N(j1, j2) is SU(2)'s
+        assert ("u1" in captured.err) == ("u1" in extra), captured.err
+
+
+def test_ztau_char_sums_a_u1_surface(capsys):
+    # the exact sum agrees with the U(1) torus golden, whose Monte Carlo
+    # integrand is the constant K_tau(1)
+    golden = json.loads((pathlib.Path(__file__).parent / "golden"
+                         / "ztau_mc_torus_u1.json").read_text())
+    code, out = run(capsys, "ztau", "--foam", "torus", "--group", "u1", "--method", "char",
+                    "--tau-grid", "0.6:1.5:2")
+    points = json.loads(out)["points"]
+    assert code == 0
+    assert [p["tau"] for p in points] == [p["tau"] for p in golden["points"]] == [0.6, 1.5]
+    for p, q in zip(points, golden["points"]):
+        assert p["method"] == "char-surface"
+        assert abs(p["value"] / q["value"] - 1.0) < 1e-15, p
+
+
+def test_every_quick_start_line_parses():
+    # a renamed flag or a dropped choice breaks README's CLI block; the lines
+    # are parsed, not run
+    readme = (pathlib.Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## Quick start (CLI)", 1)[1].split("```")[1]
+    lines = [line.split("#", 1)[0].split() for line in block.splitlines()]
+    lines = [words[1:] for words in lines if words[:1] == ["foamtor"]]
+    assert len(lines) >= 9
+    for argv in lines:
+        args = _parser().parse_args(argv)
+        assert callable(args.func), argv
 
 
 def test_ztau_workers_below_one_are_refused_by_both_methods(capsys):

@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -230,6 +232,17 @@ def test_builtin_catalog():
         builtin("genus:-1")
     with pytest.raises(FoamError):
         builtin("unknown_thing")
+
+
+def test_a_genus_builtin_is_built_in_time_linear_in_its_handles():
+    # the surface word grew as a tuple, one copy per handle: genus:40000 took
+    # about 30 s, and genus:100000 passed 120 s
+    start = time.perf_counter()
+    foam = builtin("genus:40000")
+    assert time.perf_counter() - start < 5.0
+    assert foam.E == 80_000 and len(foam.faces[0]) == 160_000
+    assert foam.faces[0].letters[-4:] == (Letter("a40000", 1), Letter("b40000", 1),
+                                          Letter("a40000", -1), Letter("b40000", -1))
 
 
 def test_serialize_roundtrip_builtins():

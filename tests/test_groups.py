@@ -107,14 +107,19 @@ def test_character_values_and_casimir():
     assert abs(SU2G.character(0.5, SU2G.distance(SU2G.identity())) - 2.0) < 1e-12
     # chi_1 at psi = pi/2: sin(3 pi/2)/sin(pi/2) = -1
     assert abs(SU2G.character(1.0, np.array(math.pi / 2)) + 1.0) < 1e-12
-    assert SU2G.casimir(0.5) == 0.75
-    assert SU2G.dim(1.5) == 4
-    # one rule for a label and for an array of labels, in floats
-    j = np.arange(7) / 2.0
-    assert SU2G.dim(j).tolist() == [1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0]
-    assert SU2G.casimir(j).tolist() == ((SU2G.dim(j) ** 2 - 1.0) / 4.0).tolist()
-    assert U1G.casimir(3) == 9.0
-    assert U1G.dim(5) == 1
+    # one table per group: (dim, Casimir) of the irreps at places i of a
+    # character sum, in floats, for a place and for an array of places
+    dim, casimir = SU2G.irreps(np.arange(7))        # spins 0, 1/2, ..., 3
+    assert dim.tolist() == [1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0]
+    assert casimir.tolist() == ((dim ** 2 - 1.0) / 4.0).tolist()
+    assert SU2G.irreps(1) == (2.0, 0.75)
+    dim, casimir = U1G.irreps(np.arange(5))         # charges 0, 1, -1, 2, -2
+    assert dim.tolist() == [1.0] * 5
+    assert casimir.tolist() == [0.0, 1.0, 1.0, 4.0, 4.0]
+    assert U1G.irreps(6) == (1.0, 9.0)
+    assert (SU2G.rank, U1G.rank) == (1, 1)
+    for group in (SU2G, U1G):
+        assert not hasattr(group, "dim") and not hasattr(group, "casimir")
 
 
 def test_heat_kernel_at_identity_vs_partial_sum():

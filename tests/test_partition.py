@@ -356,8 +356,8 @@ def test_monotonicity_in_tau():
         assert np.all(np.diff(vals) < 0.0)
 
 
-# float.hex of the character routes on CHAR_TAUS, recorded before SU2.dim and
-# SU2.casimir became the routes' one statement of the SU(2) irreps
+# float.hex of the character routes on CHAR_TAUS, recorded before the SU(2)
+# irreps table (then SU2.dim and SU2.casimir) became the routes' one statement
 CHAR_TAUS = (1e-6, 1e-4, 1e-3, 0.01, 0.1, 0.5, 1.0, 1.5, 3.0, 25.0)
 CHAR_HEX = {
     "surface:0": ("0x1.a6960658137dbp+31", "0x1.b0bd229ada224p+21", "0x1.b5ffda504748dp+16",
@@ -390,6 +390,20 @@ def test_character_routes_keep_their_recorded_bits():
     assert got == CHAR_HEX
     assert (char_sum_limit(0).hex(), char_sum_limit(1).hex()) == (
         "0x1.3bd3cc9bf759bp+7", "0x1.921fb5354f31ap+2")
+
+
+@pytest.mark.parametrize("g", range(4))
+def test_the_u1_surface_sum_is_the_heat_kernel_at_the_identity(g):
+    # a surface word's U(1) holonomy is trivial, so Z_tau = K_tau(1) at every
+    # genus, and Lambda^-1 Z_tau = sqrt(4 pi tau) sqrt(pi / tau) = 2 pi
+    u1 = get_group("u1")
+    for tau in (0.05, 0.6, 1.5, 3.0):
+        want = float(u1.heat_kernel(tau, [0.0])[0])
+        assert abs(z_char_surface(g, tau, "u1").value / want - 1.0) < 1e-14, tau
+    assert abs(char_sum_limit(g, "u1") - 2.0 * math.pi) < 1e-12
+    # Omega = 1 at every genus: the tau = 0 sum diverges, and is refused
+    with pytest.raises(ValueError, match="^tau 0.0 is not finite and positive$"):
+        z_char_surface(g, 0.0, u1)
 
 
 def test_char_sum_limit_torus():
@@ -793,6 +807,39 @@ def test_the_character_term_budget_refuses_only_a_truncation_above_it(monkeypatc
         else:
             with pytest.raises(ValueError, match=r"^tau 1e-06 needs 28001 character-sum"):
                 z_char_appendix(1e-6)
+
+
+def _appendix_unchunked(tau, nmax):
+    j = np.arange(nmax) / 2.0
+    tails = np.cumsum(np.exp(-tau * (j * (j + 1.0)))[::-1])[::-1]
+    return float(np.sum(tails * tails))
+
+
+def test_the_appendix_sum_holds_one_chunk_of_terms_at_a_time():
+    # 5.1e6 terms: the sum of them all at once peaked at 117 MB
+    tracemalloc.start()
+    try:
+        est = z_char_appendix(3e-11)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert est.meta["truncation"] > 5 * partition.CHAR_CHUNK
+    assert peak <= 40e6, peak
+    want = _appendix_unchunked(3e-11, est.meta["truncation"])
+    assert abs(est.value / want - 1.0) < 1e-15
+
+
+@pytest.mark.parametrize("chunk", [7, 1000, 14_000, 28_000, 28_001])
+def test_the_character_sums_carry_their_tails_across_chunks(monkeypatch, chunk):
+    # tau 1e-6: 24,001 surface and 28,001 appendix terms; a chunk of them all
+    # is the one-pass sum, bit for bit (the surface adds its chunk sums one
+    # by one: 3,429 of them at a chunk of 7)
+    want = _appendix_unchunked(1e-6, 28_001), z_char_surface(2, 1e-6).value
+    monkeypatch.setattr(partition, "CHAR_CHUNK", chunk)
+    got = z_char_appendix(1e-6).value, z_char_surface(2, 1e-6).value
+    if chunk >= 28_001:
+        assert got == want
+    assert abs(got[0] / want[0] - 1.0) < 1e-15 and abs(got[1] / want[1] - 1.0) < 1e-14
 
 
 @pytest.mark.parametrize("n", [1, 2, 12, 24, 33])
