@@ -36,7 +36,7 @@ print("analytic torus sample residual = %.2e, tag = %s"
 for name in ("torus", "genus:2", "genus:3"):
     foam = builtin(name)
     samples = find_flat_batch(foam, "su2", rng, 50)
-    worst = max(x.residual for x in samples)
+    worst = samples.residual.max()
     print("%-8s projection: %d/50 converged, worst residual %.1e"
           % (foam.name, len(samples), worst))
 

@@ -9,7 +9,7 @@ from .foam import (Foam, FaceWord, Letter, CellularReport, FoamError, builtin,
                    tietze1_collapse, tietze1_expand, tietze2_add_face,
                    verify_redundancy)
 from .groups import SU2, U1, CutLocusError, get_group
-from .connection import (Connection, FlatSample, analytic_flat,
+from .connection import (Connection, FlatSample, SampleSet, analytic_flat,
                          analytic_flat_batch, find_flat_batch,
                          flatness_residual, gauge_act, holonomy, holonomy_word,
                          word_jacobian)

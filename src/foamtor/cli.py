@@ -22,8 +22,8 @@ from .foam import (FoamError, builtin, cellular_homology, match_builtin, parse_f
 from .groups import get_group
 from .partition import (fit_scaling, fit_toy, toy_laplace, z_char_appendix,
                         z_char_surface, z_mc, zestimates_csv, zestimates_from_csv)
-from .torsion import TorsionValue, _torsion_columns, _torus_volume_columns, torus_volume_csv
-from .twisted import _b2_strata, _sampled_complex, sample_flat
+from .torsion import TorsionValue, _torus_volume_columns, torsion_batch, torus_volume_csv
+from .twisted import min_b2, sample_flat
 
 TORUS_VOLUME_TOL = 1e-10   # --check torus-volume passes iff every abs error is below this
 
@@ -135,8 +135,7 @@ def cmd_analyze(args):
     rng = np.random.default_rng(seed)
     foam = reduce_foam(_load_foam(args.foam))
     cell = cellular_homology(foam)
-    (*_, tags), cols = _sampled_complex(foam, args.group, args.samples, rng)[1:]
-    report, singular = _b2_strata(tags, cols)
+    report = min_b2(foam, args.group, args.samples, rng)
     warnings = []
     if report.stratified:
         warnings.append("multiple (b0, b2) strata sampled: representation variety "
@@ -153,7 +152,7 @@ def cmd_analyze(args):
             "strata": [{"b0": k[0], "b2": k[1], "count": v}
                        for k, v in report.strata.items()],
             "b2_0": report.b2_0,
-            "possibly_singular": sum(singular),
+            "possibly_singular": int(np.count_nonzero(report.samples.possibly_singular)),
         },
         "predicted_omega": report.b2_0,
         # b0 - b1 + b2 = dim G * euler holds for any two ranks, so the key is
@@ -250,9 +249,9 @@ def cmd_torsion(args):
                          "grid": args.grid, "max_abs_error": max_err,
                          "tolerance": TORUS_VOLUME_TOL, "passed": passed})
         return 0 if passed else 1
-    foam, _, cols = _sampled_complex(_load_foam(args.foam), args.group, args.samples, rng)
+    foam, samples = sample_flat(_load_foam(args.foam), args.group, args.samples, rng)
     values = [v.to_json() if isinstance(v, TorsionValue) else {"error": str(v)}
-              for v in _torsion_columns(cols, [False] * len(cols["b0"]), rng)]
+              for v in torsion_batch(samples, rng)]
     payload = {"config": _config_echo(args, seed), "foam": foam.name,
                "torsion": values}
     _emit(args, payload)

@@ -12,10 +12,9 @@ One walk, _face_walk, multiplies out the face words: its products are the
 holonomies and its prefix products the frames of delta1 (word_jacobian).
 Every holonomy and residual here is read off it (face_residual sums the
 residual); only the fused Monte Carlo word_angle walks faces on its own.
-A projection hands the H and delta1 of each sample's accepting step to the
-twisted complex (_projected_stack), and an analytic family the H and frames
-of its residual walk (_analytic_stack), which word_jacobian(..., walk=)
-assembles: word_jacobian's bits, batch elementwise.
+A projection keeps the H and delta1 of each sample's accepting step, and an
+analytic family the H and frames of its residual walk, which
+word_jacobian(..., walk=) assembles: word_jacobian's bits, batch elementwise.
 The walk is laid out component-major: it builds the right-multiplication
 table (group.right_table) of every edge element once, and that of its
 inverse from it (group.inv_table: for SU(2) a transposed view), keeps the
@@ -30,15 +29,16 @@ and so on, planned once per word_jacobian call and once per projection.
 
 A flat sample is a Connection: FlatSample adds the residual and the
 classification, so every function of a connection takes a sample as it is.
-A sample set is built as a stack (_projected_stack, _analytic_stack), and its
-records in one pass (_flat_samples): one element check over all its rows,
-refusing as Connection does, and the frozen records filled without their
-per-instance __init__ (_records).
+A sample set is a SampleSet, one array per field: the builders
+(find_flat_batch, analytic_flat_batch) fill it with the walk that built it,
+and the twisted complex, min_b2's rule and torsion read it.  It runs one
+element check over all its rows, refusing as Connection does, and builds a
+FlatSample record only for the row it is asked for.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -109,7 +109,7 @@ class FlatSample(Connection):
 
 
 # ----------------------------------------------------------------------
-# records of a whole sample set
+# a whole sample set, as columns
 
 def _check_elements(foam, group, g):
     """ValueError naming the edge of the first row of g (..., E, elem_dim)
@@ -123,34 +123,55 @@ def _check_elements(foam, group, g):
                          % (foam.edge_ids[k % foam.E], rows[k].tolist(), group.name))
 
 
-def _records(cls, **columns):
-    """One instance of the frozen dataclass cls per row of columns (each field
-    -> a sequence of its values), without the generated __init__ and its
-    object.__setattr__ per field.  The instances keep cls's equality, hash,
-    repr and immutability; the caller supplies what __post_init__ computes."""
-    names = tuple(cls.__dataclass_fields__)
-    if set(columns) != set(names):
-        raise TypeError("%s records need the columns %s" % (cls.__name__, ", ".join(names)))
-    new = object.__new__
-    out = []
-    for row in zip(*(columns[name] for name in names)):
-        obj = new(cls)
-        obj.__dict__.update(zip(names, row))
-        out.append(obj)
-    return out
+@dataclass(frozen=True, eq=False)
+class SampleSet:
+    """Flat samples on one foam and group, one array per field.
 
+    g (n, E, elem_dim) stacks the connections, residual and tags (n,) hold
+    their residuals and component tags.  H (n, F, elem_dim) and either
+    delta1 (n, F*d, E*d) or frames (n, L, elem_dim) are the builder's face
+    walk: a projection's accepting step, or an analytic family's residual
+    walk, which word_jacobian(..., walk=) turns into delta1 only where a
+    complex is built.  min_b2 fills b0, b2 and possibly_singular (n,).
+    Construction runs one element check over all n*E rows, refusing as
+    Connection does.  set[i] is sample i as a FlatSample, set[a:b] the
+    SampleSet of those rows; len goes by sample, and iteration by set[i].
+    """
 
-def _flat_samples(foam, group, g, residuals, component_tags=None):
-    """FlatSample(foam, group, g[i], residuals[i], component_tags[i]) for every
-    i of a stack g (n, E, elem_dim), group a group class: one element check
-    over all n*E rows, refusing as Connection does.  The samples are not yet
-    classified (b0, b2 None); component_tags left as None tags none."""
-    _check_elements(foam, group, g)
-    n = len(g)
-    return _records(FlatSample, foam=[foam] * n, group=[group] * n, data=list(g),
-                    residual=residuals, b0=[None] * n, b2=[None] * n,
-                    component_tag=component_tags or [None] * n,
-                    possibly_singular=[False] * n)
+    foam: Foam
+    group: object
+    g: np.ndarray
+    residual: np.ndarray
+    tags: tuple
+    H: np.ndarray | None = None
+    delta1: np.ndarray | None = None
+    frames: np.ndarray | None = None
+    b0: np.ndarray | None = None
+    b2: np.ndarray | None = None
+    possibly_singular: np.ndarray | None = None
+
+    def __post_init__(self):
+        object.__setattr__(self, "group", get_group(self.group))
+        object.__setattr__(self, "g", np.asarray(self.g, dtype=float))
+        _check_elements(self.foam, self.group, self.g)
+
+    def __len__(self):
+        return len(self.g)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            columns = {f.name: getattr(self, f.name) for f in fields(self)[2:]}
+            return replace(self, **{k: v[i] for k, v in columns.items() if v is not None})
+
+        def at(column, cast, default=None):
+            return default if column is None else cast(column[i])
+        # the set's element check covers this row: skip __init__ and its second check
+        sample = object.__new__(FlatSample)
+        sample.__dict__.update(foam=self.foam, group=self.group, data=self.g[i],
+                               residual=float(self.residual[i]), b0=at(self.b0, int),
+                               b2=at(self.b2, int), component_tag=self.tags[i],
+                               possibly_singular=at(self.possibly_singular, bool, False))
+        return sample
 
 
 # ----------------------------------------------------------------------
@@ -360,9 +381,16 @@ def _descend(group, words_idx, g, trace=None):
     return g, res, H, J
 
 
-def _projected_stack(foam, group, rng, n, trace=None):
-    """find_flat_batch's samples as _flat_samples' arguments (foam, group, g,
-    ...), and word_jacobian's (H, J) at g from the projection's last step."""
+def find_flat_batch(foam, group, rng, n, trace=None):
+    """n independent projections onto the flat set, advanced together for speed.
+
+    foam is a Foam or a builtin key.  Each of the n Haar starts is projected
+    to a residual of PROJECT_TOL within MAX_ITERS steps; the starts that do
+    not get there (_descend) are dropped, so fewer than n samples, possibly
+    none, may come back, as a SampleSet on the reduced foam that carries H
+    and delta1 from each kept sample's accepting step.  When trace is a list,
+    the residual vector is appended after every step.
+    """
     group = get_group(group)
     if n < 0:
         raise ValueError("the number of starts must be at least 0, got %d" % n)
@@ -375,19 +403,7 @@ def _projected_stack(foam, group, rng, n, trace=None):
         g, res, H, J = _descend(group, foam.words_idx, g, trace=trace)
         ok = res <= PROJECT_TOL
         g, res, H, J = g[ok], res[ok], H[ok], J[ok]
-    return (foam, group, g, res.tolist(), [None] * len(g)), (H, J)
-
-
-def find_flat_batch(foam, group, rng, n, trace=None):
-    """n independent projections onto the flat set, advanced together for speed.
-
-    foam is a Foam or a builtin key.  Each of the n Haar starts is projected
-    to a residual of PROJECT_TOL within MAX_ITERS steps; the starts that do
-    not get there (_descend) are dropped, so fewer than n samples, possibly
-    none, may come back.  When trace is a list, the residual vector is
-    appended after every step.
-    """
-    return _flat_samples(*_projected_stack(foam, group, rng, n, trace)[0])
+    return SampleSet(foam, group, g, res, (None,) * len(g), H=H, delta1=J)
 
 
 # ----------------------------------------------------------------------
@@ -416,7 +432,8 @@ def analytic_flat_batch(kind, rng, signs, families=None, psi_a=None, psi_b=None,
     psi_h; sign +1 only).  An axis or angle left as None is drawn.  Before
     any draw, ValueError names each parameter that no sample uses: psi_h and
     families on the torus, the angles and axis when no sample is 'red', and
-    a sign -1 on a 'red' sample.
+    a sign -1 on a 'red' sample; it also names families of another length
+    than signs, and an angle or axis that is not finite.
 
     A first loop draws each sample's numbers in turn, into rows of arrays
     allocated once, in this order: the torus and 'red' draw the axis (three
@@ -429,17 +446,9 @@ def analytic_flat_batch(kind, rng, signs, families=None, psi_a=None, psi_b=None,
     residual walk over the face words and one element check over all rows.
     Sample for sample this gives the bits of building each one alone, so a
     batch of one (analytic_flat) and a batch of n draw and compute the same
-    numbers.
+    numbers.  The SampleSet keeps the H and frames of the residual walk, for
+    the complex to assemble delta1 from without walking again.
     """
-    return _flat_samples(*_analytic_stack(kind, rng, signs, families, psi_a, psi_b, psi_h,
-                                          axis)[0])
-
-
-def _analytic_stack(kind, rng, signs, families=None, psi_a=None, psi_b=None, psi_h=None,
-                    axis=None):
-    """analytic_flat_batch's samples as _flat_samples' arguments (foam, SU2, g, ...),
-    and the (H, frames) of the face walk that gave their residuals, from which
-    word_jacobian(..., walk=) reads delta1 without walking again."""
     n = len(signs)
     if any(sgn not in (1, -1) for sgn in signs):
         raise ValueError("each sign must be +1 or -1, got %r" % (list(signs),))
@@ -450,6 +459,8 @@ def _analytic_stack(kind, rng, signs, families=None, psi_a=None, psi_b=None, psi
         raise ValueError("no analytic flat family for %r" % kind)
     elif families is None or any(fam not in ("irred", "red") for fam in families):
         raise ValueError("appendix family must be 'irred' or 'red'")
+    elif len(families) != n:
+        raise ValueError("families has %d entries for %d signs" % (len(families), n))
     else:
         chart = np.array([fam == "red" for fam in families], dtype=bool)
         if not chart.any():
@@ -457,6 +468,9 @@ def _analytic_stack(kind, rng, signs, families=None, psi_a=None, psi_b=None, psi
                            axis=axis)
         if any(sgn != 1 for sgn, red in zip(signs, chart) if red):
             _refuse_unused("appendix 'red'", sign=-1)
+    for name, value in (("psi_a", psi_a), ("psi_b", psi_b), ("psi_h", psi_h), ("axis", axis)):
+        if value is not None and not np.all(np.isfinite(np.asarray(value, dtype=float))):
+            raise ValueError("%s %r is not finite" % (name, value))
     foam = _builtin_foam(kind)
     fixed = (psi_a, psi_b, psi_h)[:foam.E]
     free = [k for k, p in enumerate(fixed) if p is None]
@@ -483,10 +497,10 @@ def _analytic_stack(kind, rng, signs, families=None, psi_a=None, psi_b=None, psi
         g[~chart, :2] = su2_normalize(np.ascontiguousarray(normals.T)).T
         g[~chart, 2] = SU2.identity() * signs[~chart, None]
     g[chart] = SU2.exp(psi[..., None] * unit_vectors(axes)[:, None, :])
-    walk = _face_walk(SU2, foam.words_idx, g)
+    H, frames = _face_walk(SU2, foam.words_idx, g)
     tags = (["torus:+" if sgn > 0 else "torus:-" for sgn in signs] if kind == "torus"
             else families)
-    return (foam, SU2, g, face_residual(SU2, walk[0]).tolist(), list(tags)), walk
+    return SampleSet(foam, SU2, g, face_residual(SU2, H), tuple(tags), H=H, frames=frames)
 
 
 def analytic_flat(foam, rng, sign=+1, family=None, psi_a=None, psi_b=None, psi_h=None,

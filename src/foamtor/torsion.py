@@ -11,15 +11,15 @@ determinants are nevertheless built explicitly from random orthonormal
 completions d^0, d^1, which gives the basis-independence check for free:
 the reported magnitude must not depend on the random completions.
 
-torsion_batch and the torsion command (with no records) run one core on a
-stacked complex (_torsion_columns): one pipeline per completion group (the
-samples of equal ranks; one foam and group fix the Betti numbers by the
-ranks, and make every completed basis square), sliced out of the delta
-stacks: one full SVD per differential, one QR per completion, one SVD for
-h^1 and one det per tau^k.  A sample flagged possibly singular or with a
-rank warning is refused before it draws a seed; every other one draws its
-seed from rng in input order and its rotations from one draw of
-default_rng(seed) (_rotation_normals), so it gets the bits it gets alone.
+torsion_batch reads one stacked complex of a SampleSet (twisted's
+_complex_columns): one pipeline per completion group (the samples of equal
+ranks; one foam and group fix the Betti numbers by the ranks, and make
+every completed basis square), sliced out of the delta stacks: one full SVD
+per differential, one QR per completion, one SVD for h^1 and one det per
+tau^k.  A sample the set flags possibly singular or with a rank warning is
+refused before it draws a seed; every other one draws its seed from rng in
+input order and its rotations from one draw of default_rng(seed)
+(_rotation_normals), so it gets the bits it gets alone.
 The torus-chart grids stack their flat points to one (n, 2, 4) array and
 read the Gaussian volumes off one face walk and one stacked SVD; their
 rows and quadrature terms are array operations on one math.sin per
@@ -34,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .connection import FlatSample, unit_vectors, word_jacobian
+from .connection import unit_vectors, word_jacobian
 from .foam import builtin
 from .groups import SU2
 from .partition import _gauss_legendre
@@ -110,12 +110,21 @@ def _basis_pipeline(cols, index, seeds):
             for tau0, tau1, tau2, seed in zip(*map(np.linalg.det, mats), seeds)]
 
 
-def _torsion_columns(cols, singular, rng):
-    """torsion_batch at the samples of a complex's columns (_complex_columns),
-    singular[i] flagging sample i possibly singular."""
+def torsion_batch(samples, rng):
+    """torsion_at at every sample of a SampleSet or of Connections, in order,
+    a refusal giving its ValueError in place of a TorsionValue.  Raises
+    ValueError if any sample is not flat.
+
+    The refusals here draw no seed; every other sample draws one from rng,
+    in order, and joins the completion group of its ranks."""
+    samples = _sample_arrays(samples)
+    if not samples:
+        return []
+    cols = _complex_columns(samples)
+    singular = samples.possibly_singular
     out, groups = [], {}
-    for i, flagged in enumerate(singular):
-        if flagged:
+    for i in range(len(samples)):
+        if singular is not None and singular[i]:
             out.append(SingularSampleError("sample is flagged possibly singular"))
         elif cols["rank_warning"][i]:
             out.append(SingularSampleError("ill-conditioned rank decision (gaps %.2e, %.2e)"
@@ -128,18 +137,6 @@ def _torsion_columns(cols, singular, rng):
         for i, value in zip(index, _basis_pipeline(cols, list(index), seeds)):
             out[i] = value
     return out
-
-
-def torsion_batch(samples, rng):
-    """torsion_at at every sample, in order, a refusal giving its ValueError in
-    place of a TorsionValue.  Raises ValueError if any sample is not flat.
-
-    The refusals here draw no seed; every other sample draws one from rng,
-    in order, and joins the completion group of its ranks."""
-    samples = list(samples)
-    cols = _complex_columns(*_sample_arrays(samples)) if samples else {}
-    return _torsion_columns(
-        cols, [isinstance(s, FlatSample) and s.possibly_singular for s in samples], rng)
 
 
 def torsion_at(sample, rng):

@@ -15,20 +15,18 @@ b2 = dim G * F - rk delta1.  Ranks are decided by SVD with a relative
 threshold and an explicit spectral-gap diagnostic; a thin gap raises a
 warning flag, never a silent answer.
 
-The complex is built for a whole sample set at once: the connections are
-stacked to (n, E, elem_dim), one word_jacobian walk over the face words
-gives the holonomies (the flatness gate) and delta1, delta0 is I - Ad(g)
-over all edges in one call, and each differential gets one stacked SVD.
-A sampled set reads them off the walk that built it instead (_sampled_complex):
-a projection's last step, or the residual walk of an analytic family.
-The ranks of the whole stack are then decided in one array pass of the rank
-rule (_rank_arrays), which gives every sample what it gets alone; a lone
-matrix (svd_rank) is the stack of one, and cohomology() the batch of one.
-The Betti numbers and flags are array operations on the ranks, and the
-reports are built from those columns (_complex_columns) in one pass
-(connection._records); min_b2 and the analyze and torsion commands read
-the columns without the reports, and the analyze command reads min_b2's
-rule (_b2_strata) without sample records too.
+The complex is built for a whole sample set at once, a connection.SampleSet
+(_complex_columns; cohomology_batch stacks a list of connections into one):
+delta0 is I - Ad(g) over all edges in one call, and H and delta1 come from
+the walk that built the set, a projection's last step or the residual walk
+of an analytic family, or from one word_jacobian walk over the face words
+where it has none.  Each differential gets one stacked SVD, and the ranks
+of the whole stack are then decided in one array pass of the rank rule
+(_rank_arrays), which gives every sample what it gets alone; a lone matrix
+(svd_rank) is the stack of one, and cohomology() the batch of one.  The
+Betti numbers and flags are array operations on the ranks: min_b2 runs its
+rule on those columns and returns the set classified, and CohomologyReport
+records are built only where cohomology_batch is asked for them.
 """
 
 from __future__ import annotations
@@ -38,11 +36,10 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .connection import ANALYTIC_FOAMS, FLAT_TOL, FlatSample, _analytic_stack, \
-    _check_elements, _flat_samples, _projected_stack, _records, face_residual, \
-    word_jacobian
+from .connection import ANALYTIC_FOAMS, FLAT_TOL, SampleSet, analytic_flat_batch, \
+    face_residual, find_flat_batch, word_jacobian
 from .foam import _presentation, builtin, match_builtin, reduce_foam
-from .groups import SU2, get_group
+from .groups import get_group
 
 EPS_RANK = 1e-9      # relative SVD threshold: sigma counts iff sigma > EPS_RANK * sigma_max
 EPS_ABS = 1e-12      # absolute floor: the differentials have O(1) entries (Ad is
@@ -127,14 +124,19 @@ class CohomologyReport:
         return (self.b0, self.b1, self.b2)
 
 
-def _complex_columns(foam, group, g, walk=None):
-    """CohomologyReport's fields, an array each, at a stack g (n, E, elem_dim)
-    of connections on foam, walk word_jacobian's (H, delta1) at g if the
-    set's builder has it; ValueError unless foam is reduced and all flat."""
+def _complex_columns(samples):
+    """CohomologyReport's fields, an array each, at a SampleSet, delta1 read
+    off the walk its builder carried if it has one; ValueError unless the
+    foam is reduced and every sample flat."""
+    foam, group, g = samples.foam, samples.group, samples.g
     if not foam.is_reduced():
         raise ValueError("foam %r has %d vertices; reduce it first" % (foam.name, foam.V))
     d = group.dim_g
-    H, d1 = word_jacobian(group, foam.words_idx, g) if walk is None else walk
+    if samples.delta1 is not None:
+        H, d1 = samples.H, samples.delta1
+    else:
+        walk = None if samples.frames is None else (samples.H, samples.frames)
+        H, d1 = word_jacobian(group, foam.words_idx, g, walk)
     res = face_residual(group, H)
     if np.any(res > FLAT_TOL):
         i = int(np.argmax(res > FLAT_TOL))
@@ -154,32 +156,43 @@ def _complex_columns(foam, group, g, walk=None):
 
 
 def _sample_arrays(samples):
-    """(foam, group, stack (n, E, elem_dim)) of samples sharing those, or ValueError."""
+    """samples as a SampleSet: a SampleSet as it is, Connections (FlatSamples
+    among them) stacked into one, None if there are none; ValueError unless
+    they share one foam presentation and group."""
+    if isinstance(samples, SampleSet):
+        return samples
+    samples = list(samples)
+    if not samples:
+        return None
     foam, group = samples[0].foam, samples[0].group
     for c in samples:
         if (c.foam is not foam or c.group is not group) and (
                 (c.foam.V, _presentation(c.foam), c.group.name)
                 != (foam.V, _presentation(foam), group.name)):
             raise ValueError("the connections do not share one foam presentation and group")
-    return foam, group, np.stack([c.data for c in samples])
+    return SampleSet(foam, group, np.stack([c.data for c in samples]),
+                     np.array([getattr(c, "residual", np.nan) for c in samples]),
+                     tuple(getattr(c, "component_tag", None) for c in samples),
+                     possibly_singular=np.array([getattr(c, "possibly_singular", False)
+                                                 for c in samples]))
 
 
 def cohomology_batch(samples):
     """Twisted Betti numbers at every flat connection of a sample set.
 
-    samples are Connections (a FlatSample is one); the complex is that of
-    their foam.  Raises ValueError unless they share one group and
-    presentation (edge ids and face words, as foam.match_builtin compares
-    them) on a single-vertex foam, or if any of them is not flat.  Returns one
-    CohomologyReport per sample, in order; each equals what that sample
-    gives on its own.
+    samples is a SampleSet or Connections (a FlatSample is one); the complex
+    is that of their foam.  Raises ValueError unless they share one group
+    and presentation (edge ids and face words, as foam.match_builtin
+    compares them) on a single-vertex foam, or if any of them is not flat.
+    Returns one CohomologyReport per sample, in order; each equals what that
+    sample gives on its own.
     """
-    samples = list(samples)
+    samples = _sample_arrays(samples)
     if not samples:
         return []
-    cols = _complex_columns(*_sample_arrays(samples))
-    return _records(CohomologyReport, **{k: list(v) if v.ndim > 1 else v.tolist()
-                                          for k, v in cols.items()})
+    cols = _complex_columns(samples)
+    return [CohomologyReport(**dict(zip(cols, row)))
+            for row in zip(*(list(v) if v.ndim > 1 else v.tolist() for v in cols.values()))]
 
 
 def cohomology(sample):
@@ -192,7 +205,7 @@ class MinB2Report:
     b2_0: int
     histogram: dict            # b2 -> count
     strata: dict               # (b0, b2) -> count
-    samples: list              # FlatSamples annotated with b0/b2
+    samples: SampleSet         # the samples, classified (b0, b2, possibly_singular)
     rank_warnings: int = 0
 
     @property
@@ -200,42 +213,10 @@ class MinB2Report:
         return len(self.strata) > 1
 
 
-def _sample_stack(foam_or_name, group, n_samples, rng, delta1=False):
-    """sample_flat's foam, its samples as _flat_samples' arguments, and, if
-    delta1, word_jacobian's (H, delta1) at them from the walk that built them:
-    a projection's last step, or an analytic set's residual walk."""
-    group = get_group(group)
-    if n_samples < 1:
-        raise ValueError("the number of samples must be at least 1, got %d" % n_samples)
-    foam = reduce_foam(builtin(foam_or_name) if isinstance(foam_or_name, str) else foam_or_name)
-    kind = match_builtin(foam, ANALYTIC_FOAMS) if group.name == "su2" else None
-    index = range(n_samples)
-    if kind == "torus":
-        stack, walk = _analytic_stack(kind, rng, [(+1, -1)[i % 2] for i in index])
-    elif kind == "appendix":
-        stack, walk = _analytic_stack(kind, rng, [(+1, +1, -1, +1)[i % 4] for i in index],
-                                      [("irred", "red")[i % 2] for i in index])
-    else:
-        stack, walk = _projected_stack(foam, group, rng, n_samples)
-    if not len(stack[2]):
-        raise RuntimeError("no flat connection found within budget")
-    if kind is not None and delta1:
-        walk = word_jacobian(SU2, stack[0].words_idx, stack[2], walk)
-    return foam, stack, walk if delta1 else None
-
-
-def _sampled_complex(foam_or_name, group, n_samples, rng):
-    """sample_flat's foam and stack (foam, group, g, residuals, tags), after
-    one element check, and its complex's columns, from the walk that built it."""
-    foam, stack, walk = _sample_stack(foam_or_name, group, n_samples, rng, delta1=True)
-    _check_elements(*stack[:3])
-    return foam, stack, _complex_columns(*stack[:3], walk)
-
-
 def sample_flat(foam_or_name, group, n_samples, rng):
     """Flat samples for analysis: analytic families where the foam is the
     builtin torus or three-edge/two-face appendix foam, Gauss-Newton
-    projection otherwise.  Returns the reduced foam and the samples.
+    projection otherwise.  Returns the reduced foam and the SampleSet.
 
     The foam is recognised by structure (foam.match_builtin: its edge ids and
     face words after reduction), never by name, so a renamed copy of a builtin
@@ -246,39 +227,44 @@ def sample_flat(foam_or_name, group, n_samples, rng):
     from one draw loop, with each sample's draws in the order and bits of
     building it alone.  find_flat_batch projects every other foam to its
     PROJECT_TOL and drops the starts that do not get there; RuntimeError
-    ("no flat connection found within budget") if it drops them all."""
-    foam, stack = _sample_stack(foam_or_name, group, n_samples, rng)[:2]
-    return foam, _flat_samples(*stack)
-
-
-def _b2_strata(tags, cols):
-    """min_b2's rule on a complex's columns (_complex_columns) with component
-    tags: a MinB2Report with no samples, and each sample's possibly-singular
-    flag, b2 above the least b2 in its tag."""
-    b0, b2 = cols["b0"].tolist(), cols["b2"].tolist()
-    least = {}
-    for tag, b in zip(tags, b2):
-        least[tag] = min(b, least.get(tag, b))
-    hist = Counter(b2)
-    report = MinB2Report(
-        b2_0=min(hist), histogram=dict(sorted(hist.items())),
-        strata=dict(sorted(Counter(zip(b0, b2)).items())), samples=[],
-        rank_warnings=int(np.count_nonzero(cols["rank_warning"])))
-    return report, [b > least[tag] for tag, b in zip(tags, b2)]
+    ("no flat connection found within budget") if it drops them all.  Either
+    way the set keeps the walk that built it, for the complex to read."""
+    group = get_group(group)
+    if n_samples < 1:
+        raise ValueError("the number of samples must be at least 1, got %d" % n_samples)
+    foam = reduce_foam(builtin(foam_or_name) if isinstance(foam_or_name, str) else foam_or_name)
+    kind = match_builtin(foam, ANALYTIC_FOAMS) if group.name == "su2" else None
+    index = range(n_samples)
+    if kind == "torus":
+        samples = analytic_flat_batch(kind, rng, [(+1, -1)[i % 2] for i in index])
+    elif kind == "appendix":
+        samples = analytic_flat_batch(kind, rng, [(+1, +1, -1, +1)[i % 4] for i in index],
+                                      [("irred", "red")[i % 2] for i in index])
+    else:
+        samples = find_flat_batch(foam, group, rng, n_samples)
+    if not samples:
+        raise RuntimeError("no flat connection found within budget")
+    return foam, samples
 
 
 def min_b2(foam_or_name, group, n_samples, rng):
     """Minimum twisted b2 over flat samples, with the stratification histogram.
 
     A sample whose b2 is above the least b2 in its component tag is flagged
-    possibly singular.  sample_flat's stack gets one element check, one
-    complex (_sampled_complex), one pass of the rule (_b2_strata) and its
-    flagged records, once.
+    possibly singular.  sample_flat's set gets one complex, read off the
+    walk that built it, and one pass of the rule over the complex's
+    columns; the report's samples are that set, classified.
     """
-    (foam, group, g, res, tags), cols = _sampled_complex(foam_or_name, group, n_samples,
-                                                         rng)[1:]
-    report, singular = _b2_strata(tags, cols)
-    return replace(report, samples=_records(
-        FlatSample, foam=[foam] * len(g), group=[group] * len(g), data=list(g), residual=res,
-        b0=cols["b0"].tolist(), b2=cols["b2"].tolist(), component_tag=tags,
-        possibly_singular=singular))
+    samples = sample_flat(foam_or_name, group, n_samples, rng)[1]
+    cols = _complex_columns(samples)
+    b0, b2 = cols["b0"].tolist(), cols["b2"].tolist()
+    least = {}
+    for tag, b in zip(samples.tags, b2):
+        least[tag] = min(b, least.get(tag, b))
+    singular = np.array([b > least[tag] for tag, b in zip(samples.tags, b2)], dtype=bool)
+    hist = Counter(b2)
+    return MinB2Report(
+        b2_0=min(hist), histogram=dict(sorted(hist.items())),
+        strata=dict(sorted(Counter(zip(b0, b2)).items())),
+        samples=replace(samples, b0=cols["b0"], b2=cols["b2"], possibly_singular=singular),
+        rank_warnings=int(np.count_nonzero(cols["rank_warning"])))

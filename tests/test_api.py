@@ -42,7 +42,7 @@ def test_every_entry_point_takes_a_group_as_its_class_or_its_name(name):
         conn = ft.Connection(torus, group, found[0].data)
         return (ft.get_group(group), conn.group, found[0].group,
                 sampled[0].group,
-                [s.data.tobytes() for s in found + sampled], report.b2_0,
+                [s.data.tobytes() for s in [*found, *sampled]], report.b2_0,
                 report.histogram, ft.z_mc(torus, group, 0.5, 200, seed=1).value,
                 ft.z_char_surface(2, 0.6, group).value)
 

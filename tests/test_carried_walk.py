@@ -1,15 +1,15 @@
 """The walk that builds a sample set feeds the twisted complex.
 
-A projected sample set keeps, beside each kept connection g, the face
-holonomies H and delta1 J of the Levenberg-Marquardt step that accepted g
-(connection._projected_stack), and twisted._complex_columns reads them in
-place of a second word_jacobian walk.  The walk works elementwise over the
-batch axis, so the carried pair is word_jacobian at the kept g, bit for bit;
-the torsion command runs on that stacked complex (torsion._torsion_columns)
-and writes what torsion_batch of sample_flat's samples gives.  An analytic
-set (connection._analytic_stack) keeps the holonomies and frames of the walk
-that gave its residuals, and word_jacobian assembles delta1 from them only
-where a complex is built: flat and analytic_flat_batch plan no delta1.
+A projected SampleSet (find_flat_batch) keeps, beside each kept connection
+g, the face holonomies H and delta1 of the Levenberg-Marquardt step that
+accepted g, and the twisted complex reads them in place of a second
+word_jacobian walk.  The walk works elementwise over the batch axis, so the
+carried pair is word_jacobian at the kept g, bit for bit; the torsion
+command runs torsion_batch on sample_flat's set and writes what
+torsion_batch of its FlatSample records gives.  An analytic set
+(analytic_flat_batch) keeps the holonomies and frames of the walk that gave
+its residuals, and word_jacobian assembles delta1 from them only where a
+complex is built: flat and analytic_flat_batch plan no delta1.
 """
 
 import json
@@ -20,7 +20,7 @@ import pytest
 
 from foamtor import connection
 from foamtor.cli import main
-from foamtor.connection import _projected_stack, word_jacobian
+from foamtor.connection import find_flat_batch, word_jacobian
 from foamtor.foam import builtin, parse_foam
 from foamtor.torsion import TorsionValue, torsion_batch
 from foamtor.twisted import min_b2, sample_flat
@@ -44,10 +44,10 @@ CASES = [(name, "su2") for name in SU2_FOAMS] + [("torus", "u1"), ("genus:2", "u
 def test_the_carried_walk_is_word_jacobian_at_the_kept_connections(name, group):
     foam = _foam(name)
     for seed in (0, 1):
-        (rfoam, G, g, res, _), (H, J) = _projected_stack(
-            foam, group, np.random.default_rng(seed), 5)
-        assert len(g) > 0
-        H1, J1 = word_jacobian(G, rfoam.words_idx, g)
+        found = find_flat_batch(foam, group, np.random.default_rng(seed), 5)
+        H, J = found.H, found.delta1
+        assert len(found) > 0
+        H1, J1 = word_jacobian(found.group, found.foam.words_idx, found.g)
         # byte for byte: signed zeros and the last bits included
         assert H.shape == H1.shape and H.tobytes() == np.ascontiguousarray(H1).tobytes()
         assert J.shape == J1.shape and J.tobytes() == np.ascontiguousarray(J1).tobytes()
@@ -68,7 +68,11 @@ def test_the_stacked_torsion_command_writes_what_torsion_batch_gives(name, capsy
         assert code == 0
         rng = np.random.default_rng(seed)
         foam, samples = sample_flat(_foam(name), "su2", 6, rng)
+        state = rng.bit_generator.state
         ref = _torsion_json(torsion_batch(samples, rng))
+        # the set's records, their delta1 from a fresh walk, write the same
+        rng.bit_generator.state = state
+        assert json.dumps(_torsion_json(torsion_batch(list(samples), rng))) == json.dumps(ref)
         got = json.loads(out)
         assert got["foam"] == foam.name
         assert json.dumps(got["torsion"]) == json.dumps(ref), (name, seed)
@@ -87,7 +91,7 @@ def test_a_projected_job_walks_its_faces_only_in_the_projection(name, monkeypatc
     monkeypatch.setattr(connection, "_face_walk", counted)
     monkeypatch.chdir(GOLDEN)
     foam = _foam(name)
-    _projected_stack(foam, "su2", np.random.default_rng(3), 6)
+    find_flat_batch(foam, "su2", np.random.default_rng(3), 6)
     alone = len(walks)
     assert alone > 1
     walks.clear()
@@ -127,9 +131,9 @@ def test_an_analytic_set_walks_its_faces_once_and_flat_assembles_no_delta1(name,
 def test_the_handed_walk_gives_word_jacobian_at_the_analytic_samples(name):
     families = None if name == "torus" else ["irred", "red", "irred", "red"]
     signs = [1, -1, 1, 1] if name == "torus" else [1, 1, -1, 1]
-    (foam, G, g, _, _), walk = connection._analytic_stack(
-        name, np.random.default_rng(4), signs, families)
-    H, J = word_jacobian(G, foam.words_idx, g, walk)
+    found = connection.analytic_flat_batch(name, np.random.default_rng(4), signs, families)
+    G, foam, g = found.group, found.foam, found.g
+    H, J = word_jacobian(G, foam.words_idx, g, (found.H, found.frames))
     H1, J1 = word_jacobian(G, foam.words_idx, g)
     assert H.tobytes() == np.ascontiguousarray(H1).tobytes()
     assert J.tobytes() == np.ascontiguousarray(J1).tobytes()

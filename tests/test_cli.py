@@ -644,13 +644,26 @@ def test_ztau_char_refuses_a_tau_over_the_term_budget_with_exit_2(foam, grid, ca
     assert captured.err.startswith("error: tau 1e-") and "character-sum terms" in captured.err
 
 
+def test_the_cli_imports_no_private_name_from_connection_or_twisted():
+    # the commands call the public builders, so that a wrapper of
+    # find_flat_batch or min_b2 sees every command that samples
+    import ast
+    from foamtor import cli
+    tree = ast.parse(pathlib.Path(cli.__file__).read_text(encoding="utf-8"))
+    private = [(node.module, alias.name) for node in ast.walk(tree)
+               if isinstance(node, ast.ImportFrom)
+               and node.module in ("connection", "twisted")
+               for alias in node.names if alias.name.startswith("_")]
+    assert private == []
+
+
 NO_MEMORY = ("Unable to allocate 2.04 TiB for an array with shape (280000000001,) and "
              "data type float64")
 
 
 @pytest.mark.parametrize("core,argv", [
     ("sample_flat", ["flat", "--foam", "genus:3", "--samples", "100000000000"]),
-    ("_sampled_complex", ["analyze", "--foam", "genus:2", "--samples", "100000000000"]),
+    ("min_b2", ["analyze", "--foam", "genus:2", "--samples", "100000000000"]),
     ("_torus_volume_columns", ["torsion", "--foam", "torus", "--check", "torus-volume",
                                "--grid", "10000000"])])
 def test_an_allocation_the_machine_cannot_make_is_refused_with_exit_2(core, argv, capsys,

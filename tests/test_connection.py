@@ -1,3 +1,4 @@
+import hashlib
 import math
 import warnings
 
@@ -5,9 +6,10 @@ import numpy as np
 import pytest
 
 from foamtor.cli import main
-from foamtor.connection import (PROJECT_TOL, Connection, _flat_samples, analytic_flat,
-                                analytic_flat_batch, find_flat_batch, flatness_residual,
-                                gauge_act, holonomy, holonomy_word, word_jacobian)
+from foamtor.connection import (PROJECT_TOL, Connection, FlatSample, SampleSet,
+                                analytic_flat, analytic_flat_batch, find_flat_batch,
+                                flatness_residual, gauge_act, holonomy, holonomy_word,
+                                word_jacobian)
 from foamtor.foam import builtin, parse_foam, serialize_foam
 from foamtor.groups import EPS_LOG, get_group, su2_mul
 from foamtor.twisted import cohomology, sample_flat
@@ -185,7 +187,7 @@ def test_starts_that_never_leave_the_cut_locus_are_dropped(monkeypatch, capsys):
     trace = []
     samples = find_flat_batch(builtin("projective_plane"), SU2,
                               np.random.default_rng(0), 4, trace=trace)
-    assert samples == []
+    assert len(samples) == 0
     assert len(trace) < 100 and np.all(np.isinf(trace[-1]))
     # with every start dropped, no flat sample is kept: a refusal, exit 2
     with pytest.raises(RuntimeError, match="no flat connection found within budget"):
@@ -243,7 +245,7 @@ def test_find_flat_batch_of_no_starts_is_empty_and_a_negative_count_is_refused(n
     # curvature of an empty batch on every foam with edges and faces, and a
     # negative count numpy's "negative dimensions are not allowed"
     foam = builtin(name)
-    assert find_flat_batch(foam, group, np.random.default_rng(0), 0) == []
+    assert len(find_flat_batch(foam, group, np.random.default_rng(0), 0)) == 0
     with pytest.raises(ValueError, match="number of starts.*-1"):
         find_flat_batch(foam, group, np.random.default_rng(0), -1)
 
@@ -324,6 +326,26 @@ def test_analytic_flat_batch_refuses_parameters_no_sample_uses():
     assert mixed[1].residual < 1e-15
 
 
+def test_analytic_flat_batch_refuses_mismatched_or_non_finite_arguments_before_drawing():
+    # families longer than signs let a bare StopIteration escape, shorter ones
+    # sent uninitialized normals to su2_normalize (a RuntimeWarning, then an
+    # IndexError), and an infinite angle or axis drew and warned before the
+    # element check refused it
+    rng = np.random.default_rng(17)
+    cases = [("appendix", [1], ["irred", "red"], {}, "families"),
+             ("appendix", [1, 1, 1], ["irred"], {}, "families"),
+             ("torus", [1, -1], None, {"psi_a": np.inf}, "psi_a"),
+             ("torus", [1], None, {"psi_b": np.nan}, "psi_b"),
+             ("appendix", [1], ["red"], {"psi_h": -np.inf}, "psi_h"),
+             ("torus", [1, -1], None, {"axis": [np.inf, 0, 0]}, "axis"),
+             ("appendix", [1, 1], ["irred", "red"], {"axis": [0, np.nan, 1]}, "axis")]
+    for kind, signs, families, kwargs, param in cases:
+        state = rng.bit_generator.state
+        with pytest.raises(ValueError, match=param):
+            analytic_flat_batch(kind, rng, signs, families, **kwargs)
+        assert rng.bit_generator.state == state, (kind, param)
+
+
 def _fields(sample):
     """Every field of a FlatSample, data and residual as bytes (-0.0 is not 0.0)."""
     conn = sample
@@ -369,12 +391,71 @@ def test_a_sample_set_refuses_a_row_that_is_not_an_element_naming_its_edge():
         bad[i, e] *= 1.5
         with pytest.raises(ValueError, match="^edge '%s' carries .* not an element of su2$"
                            % name):
-            _flat_samples(appendix, SU2, bad, [0.0] * 4)
-    assert [c.data.tolist() for c in _flat_samples(appendix, SU2, g, [0.0] * 4)] == g.tolist()
+            SampleSet(appendix, SU2, bad, np.zeros(4), (None,) * 4)
+    assert [c.data.tolist() for c in SampleSet(appendix, SU2, g, np.zeros(4), (None,) * 4)] \
+        == g.tolist()
+    # like Connection, a set takes its group by name and its rows as lists
+    listed = SampleSet(appendix, "su2", g.tolist(), [0.0] * 4, (None,) * 4)
+    assert listed.group is SU2 and listed.g.tobytes() == g.tobytes()
     # a zero axis puts NaN rows in an analytic batch
     with np.errstate(invalid="ignore"):
         with pytest.raises(ValueError, match="^edge 'a1' carries "):
             analytic_flat_batch("torus", np.random.default_rng(0), [1, -1], axis=[0, 0, 0])
+
+
+# SHA-256 over each record's data bytes, residual bytes and repr(tag), in
+# order, recorded from the FlatSample lists the builders returned before
+# they returned a SampleSet
+SET_BUILDS = {
+    "find_flat_batch genus:2 su2": (
+        lambda: find_flat_batch("genus:2", "su2", np.random.default_rng(5), 6),
+        "f288bcbf5b7327af224c2d1d6690428d09e0cec330c0893f75fe19120ec98436"),
+    "find_flat_batch torus u1": (
+        lambda: find_flat_batch("torus", "u1", np.random.default_rng(6), 4),
+        "6702e170883e1ca3bd029dbfb443dd0e8e44f347a2a749a02923464c10b2794b"),
+    "analytic_flat_batch torus": (
+        lambda: analytic_flat_batch("torus", np.random.default_rng(7), [1, -1, -1, 1]),
+        "7e681349df3195cffb51d85cb21750ab135c9058a0752c79e2d43705c71a4d95"),
+    "analytic_flat_batch appendix": (
+        lambda: analytic_flat_batch("appendix", np.random.default_rng(8), [1, 1, -1, 1, -1],
+                                    ["irred", "red", "irred", "red", "irred"]),
+        "91f1c1b00dbdf9c6511cbe671c05a087def6f7204e9f4b75fc51ebd7e7c785ca"),
+    "sample_flat appendix": (
+        lambda: sample_flat("appendix", "su2", 6, np.random.default_rng(9))[1],
+        "67bf4b850bb92733a118cdfc20dc0381bbf76156a4dd8d5016f6bc4d8f2c2075"),
+    "sample_flat dunce_hat": (
+        lambda: sample_flat("dunce_hat", "su2", 5, np.random.default_rng(10))[1],
+        "25b0d39f80d876d98aab39be658901fb7b6b93a8fd1225dbe75fff2b02aa48ee"),
+}
+
+
+@pytest.mark.parametrize("build", sorted(SET_BUILDS))
+def test_a_sample_set_gives_the_records_of_its_rows(build):
+    make, pin = SET_BUILDS[build]
+    samples = make()
+    assert type(samples) is SampleSet and len(samples) == len(samples.g) > 0
+    records = list(samples)
+    digest = hashlib.sha256()
+    for i, s in enumerate(records):
+        assert type(s) is FlatSample and s.foam is samples.foam and s.group is samples.group
+        assert _fields(s) == _fields(samples[i]) == _fields(samples[i - len(samples)])
+        assert s.data.tobytes() == samples.g[i].tobytes()
+        assert (s.b0, s.b2, s.component_tag, s.possibly_singular) == (
+            None, None, samples.tags[i], False)
+        digest.update(s.data.tobytes() + np.float64(s.residual).tobytes()
+                      + repr(s.component_tag).encode())
+    assert digest.hexdigest() == pin
+    # a slice is the SampleSet of those rows, its walk sliced with them
+    for a, b in ((0, 2), (1, None), (-2, None), (3, 1)):
+        part = samples[a:b]
+        assert type(part) is SampleSet and part.foam is samples.foam
+        assert list(map(_fields, part)) == list(map(_fields, records[a:b]))
+        for column in ("H", "delta1", "frames"):
+            whole = getattr(samples, column)
+            assert (getattr(part, column) is None) if whole is None else (
+                getattr(part, column).tobytes() == whole[a:b].tobytes())
+    with pytest.raises(IndexError):
+        samples[len(samples)]
 
 
 def test_analytic_flat_recognises_a_foam_by_structure():

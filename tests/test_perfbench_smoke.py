@@ -7,7 +7,10 @@ metric names only, not that each counter is live: the torsion.torsion_at
 spans read 0 in these rounds, because the CLI goes through torsion_batch,
 which perfbench/tracing.py does not wrap.  On descent it also checks that
 the group methods every projection step calls (mul, exp, adjoint, log)
-count calls, so that a step that stops going through them shows.  The mc
+count calls, so that a step that stops going through them shows, and that
+the projection's own counters are live (find_flat_batch's calls, its
+descent steps and the starts it was asked for), so that a command that
+reaches the projection past find_flat_batch shows too.  The mc
 workload is left out: it runs none of the twisted-complex or torsion code
 and costs a few seconds more.
 """
@@ -35,5 +38,7 @@ def test_traced_round_passes_and_reports_every_layer(workload):
     missing = [m["name"] for m in declared if m["name"] not in result["metrics"]]
     assert not missing
     if workload == "descent":
-        for method in ("mul", "exp", "adjoint", "log"):
-            assert result["metrics"]["groups.%s.calls" % method]["value"] > 0, method
+        for name in ("groups.mul.calls", "groups.exp.calls", "groups.adjoint.calls",
+                     "groups.log.calls", "connection.find_flat_batch.calls",
+                     "connection.descent.iters", "connection.flat.requested"):
+            assert result["metrics"][name]["value"] > 0, name

@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import math
 import re
 
@@ -12,6 +13,7 @@ from foamtor.partition import char_sum_limit
 from foamtor.torsion import (SingularSampleError, TorsionValue, _rotation_normals,
                              gaussian_volume, singular_value_torsion, torsion_at,
                              torsion_batch, torus_dominant_part, torus_volume_grid)
+from foamtor.twisted import min_b2
 
 
 def test_basis_independence_genus2():
@@ -255,6 +257,25 @@ def test_torsion_batch_refuses_only_the_refused_samples():
     seeds = np.random.default_rng(5)
     assert [v.bases_meta["seed"] for v in got if isinstance(v, TorsionValue)] == \
         [int(seeds.integers(2 ** 32)) for _ in range(3)]
+
+
+def _torsion_json(values):
+    return json.dumps([v.to_json() if isinstance(v, TorsionValue) else {"error": str(v)}
+                       for v in values])
+
+
+@pytest.mark.parametrize("name,n", [("torus", 8), ("appendix", 24), ("genus:2", 6)])
+def test_torsion_batch_of_a_sample_set_writes_what_its_records_give(name, n):
+    # a classified SampleSet, and the same set with one more sample flagged,
+    # give the JSON of their FlatSample records: the same refusals, seeds
+    # and values, whether delta1 comes off the set's walk or a fresh one
+    samples = min_b2(name, "su2", n, np.random.default_rng(3)).samples
+    flags = samples.possibly_singular.copy()
+    flags[1] = True
+    for s in (samples, dataclasses.replace(samples, possibly_singular=flags)):
+        got = _torsion_json(torsion_batch(s, np.random.default_rng(5)))
+        assert got == _torsion_json(torsion_batch(list(s), np.random.default_rng(5)))
+    assert "possibly singular" in got
 
 
 def test_singular_value_torsion_refuses_a_connection_that_is_not_flat():

@@ -1,3 +1,4 @@
+import json
 import math
 import pathlib
 from collections import Counter
@@ -325,7 +326,10 @@ def test_euler_identity_exact():
 def test_cohomology_batch_equals_one_sample_at_a_time(name, group):
     rng = np.random.default_rng(13)
     foam, samples = sample_flat(name, group, 8, rng)
-    samples = samples + [Connection.identity(foam, group)]
+    # the set and the list of its records give the same reports
+    assert _reports_json(cohomology_batch(samples)) == _reports_json(
+        cohomology_batch(list(samples)))
+    samples = [*samples, Connection.identity(foam, group)]
     G = get_group(group)
     d = G.dim_g
     batch = cohomology_batch(samples)
@@ -349,6 +353,12 @@ def test_cohomology_batch_equals_one_sample_at_a_time(name, group):
                 assert np.array_equal(sv, np.linalg.svd(mat, compute_uv=False))
     if (name, group) == ("appendix", "su2"):
         assert {rep.b0 for rep in batch} == {0, 1, 3}   # irreducible, reducible, trivial
+
+
+def _reports_json(reports):
+    """The JSON text of CohomologyReports, field by field, arrays as lists."""
+    return json.dumps([{k: v.tolist() if isinstance(v, np.ndarray) else v
+                        for k, v in vars(r).items()} for r in reports])
 
 
 def test_cohomology_batch_of_nothing_is_empty():
