@@ -12,9 +12,6 @@ One walk, _face_walk, multiplies out the face words: its products are the
 holonomies and its prefix products the frames of delta1 (word_jacobian).
 Every holonomy and residual here is read off it (face_residual sums the
 residual); only the fused Monte Carlo word_angle walks faces on its own.
-A projection keeps the H and delta1 of each sample's accepting step, and an
-analytic family the H and frames of its residual walk, which
-word_jacobian(..., walk=) assembles: word_jacobian's bits, batch elementwise.
 The walk is laid out component-major: it builds the right-multiplication
 table (group.right_table) of every edge element once, and that of its
 inverse from it (group.inv_table: for SU(2) a transposed view), keeps the
@@ -29,11 +26,11 @@ and so on, planned once per word_jacobian call and once per projection.
 
 A flat sample is a Connection: FlatSample adds the residual and the
 classification, so every function of a connection takes a sample as it is.
-A sample set is a SampleSet, one array per field: the builders
-(find_flat_batch, analytic_flat_batch) fill it with the walk that built it,
-and the twisted complex, min_b2's rule and torsion read it.  It runs one
-element check over all its rows, refusing as Connection does, and builds a
-FlatSample record only for the row it is asked for.
+A sample set is a SampleSet, one array per field, which the twisted
+complex, min_b2's rule and torsion read.  It checks all its rows at once,
+refusing as Connection does, walks its faces once for H and delta1 unless
+its builder hands them over (a projection, from each accepting step), and
+builds a FlatSample record only for the row it is asked for.
 """
 
 from __future__ import annotations
@@ -127,33 +124,35 @@ def _check_elements(foam, group, g):
 class SampleSet:
     """Flat samples on one foam and group, one array per field.
 
-    g (n, E, elem_dim) stacks the connections, residual and tags (n,) hold
-    their residuals and component tags.  H (n, F, elem_dim) and either
-    delta1 (n, F*d, E*d) or frames (n, L, elem_dim) are the builder's face
-    walk: a projection's accepting step, or an analytic family's residual
-    walk, which word_jacobian(..., walk=) turns into delta1 only where a
-    complex is built.  min_b2 fills b0, b2 and possibly_singular (n,).
-    Construction runs one element check over all n*E rows, refusing as
-    Connection does.  set[i] is sample i as a FlatSample, set[a:b] the
-    SampleSet of those rows; len goes by sample, and iteration by set[i].
+    g (n, E, elem_dim) stacks the connections; residual and tags (n,) hold
+    their residuals and component tags, H (n, F, elem_dim) and delta1
+    (n, F*d, E*d) word_jacobian at g.  Construction runs one element check
+    over all n*E rows, refusing as Connection does, then fills what its
+    builder left out: H and delta1 from one walk, the residual as
+    face_residual of H, tags None.  min_b2 fills b0, b2 and
+    possibly_singular (n,).  set[i] is sample i as a FlatSample, set[a:b]
+    the SampleSet of those rows; len goes by sample, iteration by set[i].
     """
 
     foam: Foam
     group: object
     g: np.ndarray
-    residual: np.ndarray
-    tags: tuple
+    residual: np.ndarray | None = None
+    tags: tuple | None = None
     H: np.ndarray | None = None
     delta1: np.ndarray | None = None
-    frames: np.ndarray | None = None
     b0: np.ndarray | None = None
     b2: np.ndarray | None = None
     possibly_singular: np.ndarray | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "group", get_group(self.group))
-        object.__setattr__(self, "g", np.asarray(self.g, dtype=float))
-        _check_elements(self.foam, self.group, self.g)
+        group, g = get_group(self.group), np.asarray(self.g, dtype=float)
+        _check_elements(self.foam, group, g)
+        H, d1 = ((self.H, self.delta1) if self.delta1 is not None
+                 else word_jacobian(group, self.foam.words_idx, g))
+        res = face_residual(group, H) if self.residual is None else self.residual
+        tags = (None,) * len(g) if self.tags is None else self.tags
+        self.__dict__.update(group=group, g=g, H=H, delta1=d1, residual=res, tags=tags)
 
     def __len__(self):
         return len(self.g)
@@ -234,12 +233,12 @@ def _letter_plan(words_idx, E, d):
     return [idx[:, None, :] * d + np.arange(d)[:, None] for idx in ranks]
 
 
-def _jacobian(group, words_idx, ranks, g, walk=None):
+def _jacobian(group, words_idx, ranks, g):
     """word_jacobian with the letter plan built by the caller: one gather
     and one add per rank.  Each block sums 0 + s1 B1 + s2 B2 + ... in word
     order, signed zeros included: a sum that starts at +0 is never -0, so
     the zero blocks that pad the later ranks leave it as it is."""
-    H, frames = _face_walk(group, words_idx, g) if walk is None else walk
+    H, frames = _face_walk(group, words_idx, g)
     batch = g.shape[:-2]
     E, d = g.shape[-2], group.dim_g
     F, L = len(words_idx), frames.shape[-2]
@@ -252,12 +251,11 @@ def _jacobian(group, words_idx, ranks, g, walk=None):
     return H, J.reshape(batch + (F * d, E * d))
 
 
-def word_jacobian(group, words_idx, g, walk=None):
+def word_jacobian(group, words_idx, g):
     """Face holonomies and the linearized curvature delta1 in one walk.
 
     g has shape (..., E, elem_dim) and words_idx lists each face word as
-    (edge index, exponent) pairs; walk, _face_walk's (H, frames) at g, stands
-    in for the walk where the caller has made it.  Returns H of shape
+    (edge index, exponent) pairs.  Returns H of shape
     (..., F, elem_dim) and J of shape (..., F*d, E*d), d = dim G.  J is the
     right-trivialized Jacobian of the curvature map, H_f(exp(eps v) g) =
     exp(eps (J v)_f) H_f(g) to first order: face f's block at edge e sums
@@ -271,7 +269,7 @@ def word_jacobian(group, words_idx, g, walk=None):
     per letter in word order.
     """
     ranks = _letter_plan(words_idx, g.shape[-2], group.dim_g)
-    return _jacobian(group, words_idx, ranks, g, walk)
+    return _jacobian(group, words_idx, ranks, g)
 
 
 def holonomy(conn, f):
@@ -397,13 +395,10 @@ def find_flat_batch(foam, group, rng, n, trace=None):
     foam = reduce_foam(_builtin_foam(foam) if isinstance(foam, str) else foam)
     g = group.haar(rng, (n, foam.E))
     if n == 0 or foam.E == 0 or foam.F == 0:
-        H, J = word_jacobian(group, foam.words_idx, g)
-        res = face_residual(group, H)
-    else:
-        g, res, H, J = _descend(group, foam.words_idx, g, trace=trace)
-        ok = res <= PROJECT_TOL
-        g, res, H, J = g[ok], res[ok], H[ok], J[ok]
-    return SampleSet(foam, group, g, res, (None,) * len(g), H=H, delta1=J)
+        return SampleSet(foam, group, g)
+    g, res, H, J = _descend(group, foam.words_idx, g, trace=trace)
+    ok = res <= PROJECT_TOL
+    return SampleSet(foam, group, g[ok], res[ok], H=H[ok], delta1=J[ok])
 
 
 # ----------------------------------------------------------------------
@@ -433,7 +428,8 @@ def analytic_flat_batch(kind, rng, signs, families=None, psi_a=None, psi_b=None,
     any draw, ValueError names each parameter that no sample uses: psi_h and
     families on the torus, the angles and axis when no sample is 'red', and
     a sign -1 on a 'red' sample; it also names families of another length
-    than signs, and an angle or axis that is not finite.
+    than signs, an angle that is not one finite number, and an axis that is
+    not three finite numbers with a finite non-zero norm.
 
     A first loop draws each sample's numbers in turn, into rows of arrays
     allocated once, in this order: the torus and 'red' draw the axis (three
@@ -442,12 +438,11 @@ def analytic_flat_batch(kind, rng, signs, families=None, psi_a=None, psi_b=None,
     b (one (2, 4) row).
     The samples are then built at once: one unit_vectors call, one exp over
     every (sample, edge), one su2_normalize of every 'irred' sample's
-    normals (the arithmetic of SU2.haar), one stacked (n, E, 4) array, one
-    residual walk over the face words and one element check over all rows.
-    Sample for sample this gives the bits of building each one alone, so a
-    batch of one (analytic_flat) and a batch of n draw and compute the same
-    numbers.  The SampleSet keeps the H and frames of the residual walk, for
-    the complex to assemble delta1 from without walking again.
+    normals (the arithmetic of SU2.haar) and one stacked (n, E, 4) array,
+    which the SampleSet checks and walks once for its H, delta1 and
+    residuals.  Sample for sample this gives the bits of building each one
+    alone, so a batch of one (analytic_flat) and a batch of n draw and
+    compute the same numbers.
     """
     n = len(signs)
     if any(sgn not in (1, -1) for sgn in signs):
@@ -468,9 +463,11 @@ def analytic_flat_batch(kind, rng, signs, families=None, psi_a=None, psi_b=None,
                            axis=axis)
         if any(sgn != 1 for sgn, red in zip(signs, chart) if red):
             _refuse_unused("appendix 'red'", sign=-1)
-    for name, value in (("psi_a", psi_a), ("psi_b", psi_b), ("psi_h", psi_h), ("axis", axis)):
-        if value is not None and not np.all(np.isfinite(np.asarray(value, dtype=float))):
-            raise ValueError("%s %r is not finite" % (name, value))
+    for name, value, shape in (("psi_a", psi_a, ()), ("psi_b", psi_b, ()),
+                               ("psi_h", psi_h, ()), ("axis", axis, (3,))):
+        if value is not None and not _fits(value, shape):
+            raise ValueError("%s %r is not %s" % (name, value, "three finite numbers with a "
+                             "finite non-zero norm" if shape else "one finite number"))
     foam = _builtin_foam(kind)
     fixed = (psi_a, psi_b, psi_h)[:foam.E]
     free = [k for k, p in enumerate(fixed) if p is None]
@@ -497,10 +494,9 @@ def analytic_flat_batch(kind, rng, signs, families=None, psi_a=None, psi_b=None,
         g[~chart, :2] = su2_normalize(np.ascontiguousarray(normals.T)).T
         g[~chart, 2] = SU2.identity() * signs[~chart, None]
     g[chart] = SU2.exp(psi[..., None] * unit_vectors(axes)[:, None, :])
-    H, frames = _face_walk(SU2, foam.words_idx, g)
     tags = (["torus:+" if sgn > 0 else "torus:-" for sgn in signs] if kind == "torus"
             else families)
-    return SampleSet(foam, SU2, g, face_residual(SU2, H), tuple(tags), H=H, frames=frames)
+    return SampleSet(foam, SU2, g, tags=tuple(tags))
 
 
 def analytic_flat(foam, rng, sign=+1, family=None, psi_a=None, psi_b=None, psi_h=None,
@@ -524,6 +520,15 @@ def analytic_flat(foam, rng, sign=+1, family=None, psi_a=None, psi_b=None, psi_h
         family = "irred"
     return analytic_flat_batch(kind, rng, [sign], None if family is None else [family],
                                psi_a=psi_a, psi_b=psi_b, psi_h=psi_h, axis=axis)[0]
+
+
+def _fits(value, shape):
+    """Whether value is finite floats of this shape, a vector of finite non-zero norm."""
+    try:
+        v = np.asarray(value, dtype=float)
+    except (TypeError, ValueError):
+        return False
+    return v.shape == shape and np.isfinite(v).all() and (not shape or 0.0 < v @ v < np.inf)
 
 
 def _refuse_unused(label, **params):

@@ -132,7 +132,8 @@ class Foam:
                 if l.edge not in self._index:
                     raise FoamError("face word uses undeclared edge %r" % l.edge)
         if self.n_vertices > 1:
-            if len(self._spanning_tree()) != self.n_vertices - 1:
+            # under V - 1 edges: refused before an adjacency list per vertex
+            if self.n_vertices > self.E + 1 or len(self._spanning_tree()) < self.V - 1:
                 raise FoamError("1-skeleton is not connected")
             for fi, f in enumerate(self.faces):
                 self._check_chaining(fi, f)
@@ -209,25 +210,25 @@ def parse_foam(text, name="foam"):
         if ":" not in line:
             err(lineno, 1, "expected 'key: ...'")
         key, _, rest = line.partition(":")
-        key = key.strip()
-        toks = rest.split()
+        at = len(raw) - len(raw.lstrip()) + len(key) + 2    # column of rest's first char
+        words = [(at + m.start(), m.group()) for m in re.finditer(r"\S+", rest)]
+        key, toks = key.strip(), [tok for _, tok in words]
         if key == "edges":
-            for tok in toks:
+            for col, tok in words:
                 if not _ID_RE.match(tok):
-                    err(lineno, raw.index(tok) + 1, "bad edge id %r" % tok)
+                    err(lineno, col, "bad edge id %r" % tok)
                 if tok in endpoints:
-                    err(lineno, raw.index(tok) + 1, "duplicate edge %r" % tok)
+                    err(lineno, col, "duplicate edge %r" % tok)
                 edge_order.append(tok)
                 endpoints[tok] = (0, 0)
         elif key == "vertices":
-            if len(toks) != 1 or not toks[0].isdigit():
+            if len(toks) != 1 or not toks[0].isdecimal():
                 err(lineno, 1, "expected 'vertices: <count>'")
             n_vertices = int(toks[0])
         elif key == "face" or key.startswith("face "):
             fname = key[4:].strip() or None
             letters = []
-            for tok in toks:
-                col = raw.index(tok) + 1
+            for col, tok in words:
                 try:
                     l = _parse_letter(tok)
                 except FoamError as exc:
@@ -240,9 +241,11 @@ def parse_foam(text, name="foam"):
             eid = key[4:].strip()
             if eid not in endpoints:
                 err(lineno, 1, "endpoint declaration for undeclared edge %r" % eid)
-            if len(toks) != 2:
+            try:
+                src, dst = map(int, toks)
+            except ValueError:
                 err(lineno, 1, "expected 'edge %s: <src> <dst>'" % eid)
-            endpoints[eid] = (int(toks[0]), int(toks[1]))
+            endpoints[eid] = (src, dst)
         else:
             err(lineno, 1, "unknown key %r" % key)
 

@@ -17,10 +17,8 @@ warning flag, never a silent answer.
 
 The complex is built for a whole sample set at once, a connection.SampleSet
 (_complex_columns; cohomology_batch stacks a list of connections into one):
-delta0 is I - Ad(g) over all edges in one call, and H and delta1 come from
-the walk that built the set, a projection's last step or the residual walk
-of an analytic family, or from one word_jacobian walk over the face words
-where it has none.  Each differential gets one stacked SVD, and the ranks
+delta0 is I - Ad(g) over all edges in one call, and delta1 is the set's
+own (word_jacobian at g).  Each differential gets one stacked SVD, and the ranks
 of the whole stack are then decided in one array pass of the rank rule
 (_rank_arrays), which gives every sample what it gets alone; a lone matrix
 (svd_rank) is the stack of one, and cohomology() the batch of one.  The
@@ -125,19 +123,14 @@ class CohomologyReport:
 
 
 def _complex_columns(samples):
-    """CohomologyReport's fields, an array each, at a SampleSet, delta1 read
-    off the walk its builder carried if it has one; ValueError unless the
-    foam is reduced and every sample flat."""
+    """CohomologyReport's fields, an array each, at a SampleSet, delta1 the
+    set's own; ValueError unless the foam is reduced and every sample flat
+    (the residual recomputed from the set's H, whatever the builder said)."""
     foam, group, g = samples.foam, samples.group, samples.g
     if not foam.is_reduced():
         raise ValueError("foam %r has %d vertices; reduce it first" % (foam.name, foam.V))
-    d = group.dim_g
-    if samples.delta1 is not None:
-        H, d1 = samples.H, samples.delta1
-    else:
-        walk = None if samples.frames is None else (samples.H, samples.frames)
-        H, d1 = word_jacobian(group, foam.words_idx, g, walk)
-    res = face_residual(group, H)
+    d, d1 = group.dim_g, samples.delta1
+    res = face_residual(group, samples.H)
     if np.any(res > FLAT_TOL):
         i = int(np.argmax(res > FLAT_TOL))
         raise ValueError("connection %d is not flat (residual %.3e > %.1e)"
@@ -157,8 +150,8 @@ def _complex_columns(samples):
 
 def _sample_arrays(samples):
     """samples as a SampleSet: a SampleSet as it is, Connections (FlatSamples
-    among them) stacked into one, None if there are none; ValueError unless
-    they share one foam presentation and group."""
+    among them) stacked into one with their tags and flags, None if there
+    are none; ValueError unless they share one foam presentation and group."""
     if isinstance(samples, SampleSet):
         return samples
     samples = list(samples)
@@ -171,8 +164,7 @@ def _sample_arrays(samples):
                 != (foam.V, _presentation(foam), group.name)):
             raise ValueError("the connections do not share one foam presentation and group")
     return SampleSet(foam, group, np.stack([c.data for c in samples]),
-                     np.array([getattr(c, "residual", np.nan) for c in samples]),
-                     tuple(getattr(c, "component_tag", None) for c in samples),
+                     tags=tuple(getattr(c, "component_tag", None) for c in samples),
                      possibly_singular=np.array([getattr(c, "possibly_singular", False)
                                                  for c in samples]))
 
@@ -227,8 +219,7 @@ def sample_flat(foam_or_name, group, n_samples, rng):
     from one draw loop, with each sample's draws in the order and bits of
     building it alone.  find_flat_batch projects every other foam to its
     PROJECT_TOL and drops the starts that do not get there; RuntimeError
-    ("no flat connection found within budget") if it drops them all.  Either
-    way the set keeps the walk that built it, for the complex to read."""
+    ("no flat connection found within budget") if it drops them all."""
     group = get_group(group)
     if n_samples < 1:
         raise ValueError("the number of samples must be at least 1, got %d" % n_samples)
@@ -251,9 +242,8 @@ def min_b2(foam_or_name, group, n_samples, rng):
     """Minimum twisted b2 over flat samples, with the stratification histogram.
 
     A sample whose b2 is above the least b2 in its component tag is flagged
-    possibly singular.  sample_flat's set gets one complex, read off the
-    walk that built it, and one pass of the rule over the complex's
-    columns; the report's samples are that set, classified.
+    possibly singular.  sample_flat's set gets one complex and one pass of
+    the rule over its columns; the report's samples are that set, classified.
     """
     samples = sample_flat(foam_or_name, group, n_samples, rng)[1]
     cols = _complex_columns(samples)

@@ -1,5 +1,8 @@
+import ast
 import dataclasses
 import inspect
+import math
+import pathlib
 
 import numpy as np
 import pytest
@@ -114,3 +117,23 @@ def test_every_function_of_a_connection_takes_a_sample(fn):
         conn = ft.Connection(s.foam, s.group, s.data)
         got, want = SAMPLE_FUNCTIONS[fn](s), SAMPLE_FUNCTIONS[fn](conn)
         assert _bits(got) == _bits(want), name
+
+
+def test_the_library_quick_start_runs_and_gives_what_its_comments_state():
+    # README's library block, run statement by statement; each expression's
+    # value is kept under its source text
+    readme = (pathlib.Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## Quick start (library)", 1)[1].split("```python", 1)[1]
+    block = block.split("```", 1)[0]
+    scope, values = {}, {}
+    for node in ast.parse(block).body:
+        if isinstance(node, ast.Expr):
+            code = compile(ast.Expression(node.value), "README.md", "eval")
+            values[ast.get_source_segment(block, node.value)] = eval(code, scope)
+        else:
+            exec(compile(ast.Module([node], []), "README.md", "exec"), scope)
+    assert values["ft.cellular_homology(foam).betti"] == (1, 2, 1)
+    assert values["ft.cohomology(sample).betti"] == (1, 2, 1)
+    assert values['ft.min_b2("genus:2", "su2", 100, rng).b2_0'] == 0
+    assert abs(values["ft.torsion_at(sample, rng).magnitude"] - 1.0) < 1e-12
+    assert abs(values["ft.char_sum_limit(1)"] - 2.0 * math.pi) < 1e-6

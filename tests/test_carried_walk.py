@@ -1,15 +1,15 @@
-"""The walk that builds a sample set feeds the twisted complex.
+"""Every sample set holds one walk, H and delta1 at its g, for the twisted
+complex to read.
 
-A projected SampleSet (find_flat_batch) keeps, beside each kept connection
-g, the face holonomies H and delta1 of the Levenberg-Marquardt step that
-accepted g, and the twisted complex reads them in place of a second
+A projected SampleSet (find_flat_batch) is handed, beside each kept
+connection g, the face holonomies H and delta1 of the Levenberg-Marquardt
+step that accepted g, so the complex reads them in place of a second
 word_jacobian walk.  The walk works elementwise over the batch axis, so the
 carried pair is word_jacobian at the kept g, bit for bit; the torsion
 command runs torsion_batch on sample_flat's set and writes what
-torsion_batch of its FlatSample records gives.  An analytic set
-(analytic_flat_batch) keeps the holonomies and frames of the walk that gave
-its residuals, and word_jacobian assembles delta1 from them only where a
-complex is built: flat and analytic_flat_batch plan no delta1.
+torsion_batch of its FlatSample records gives.  Any other set, an analytic
+family's (analytic_flat_batch) or SampleSet(foam, group, g) alone, fills
+its own: one word_jacobian walk at g, whose H also gives the residuals.
 """
 
 import json
@@ -20,7 +20,7 @@ import pytest
 
 from foamtor import connection
 from foamtor.cli import main
-from foamtor.connection import find_flat_batch, word_jacobian
+from foamtor.connection import SampleSet, face_residual, find_flat_batch, word_jacobian
 from foamtor.foam import builtin, parse_foam
 from foamtor.torsion import TorsionValue, torsion_batch
 from foamtor.twisted import min_b2, sample_flat
@@ -104,10 +104,10 @@ def test_a_projected_job_walks_its_faces_only_in_the_projection(name, monkeypatc
 
 
 @pytest.mark.parametrize("name", ["torus", "appendix"])
-def test_an_analytic_set_walks_its_faces_once_and_flat_assembles_no_delta1(name, monkeypatch,
-                                                                          capsys):
-    # the walk that gives an analytic set its residuals hands its frames to
-    # delta1; flat and analytic_flat_batch, which use no delta1, plan none
+def test_an_analytic_set_walks_its_faces_and_plans_delta1_once(name, monkeypatch, capsys):
+    # the set's one word_jacobian walk gives its residuals and delta1, so
+    # analyze, torsion and min_b2 walk and plan once; flat, which uses no
+    # delta1, still assembles it once per set
     walks, plans = [], []
     walk, plan = connection._face_walk, connection._letter_plan
     monkeypatch.setattr(connection, "_face_walk", lambda *a: walks.append(1) or walk(*a))
@@ -123,7 +123,7 @@ def test_an_analytic_set_walks_its_faces_once_and_flat_assembles_no_delta1(name,
     sample_flat(name, "su2", 5, np.random.default_rng(3))
     families = None if name == "torus" else ["irred", "red"]
     connection.analytic_flat_batch(name, np.random.default_rng(3), [1, 1], families)
-    assert (len(walks), len(plans)) == (3, 0)
+    assert (len(walks), len(plans)) == (3, 3)
     capsys.readouterr()
 
 
@@ -132,8 +132,32 @@ def test_the_handed_walk_gives_word_jacobian_at_the_analytic_samples(name):
     families = None if name == "torus" else ["irred", "red", "irred", "red"]
     signs = [1, -1, 1, 1] if name == "torus" else [1, 1, -1, 1]
     found = connection.analytic_flat_batch(name, np.random.default_rng(4), signs, families)
-    G, foam, g = found.group, found.foam, found.g
-    H, J = word_jacobian(G, foam.words_idx, g, (found.H, found.frames))
-    H1, J1 = word_jacobian(G, foam.words_idx, g)
-    assert H.tobytes() == np.ascontiguousarray(H1).tobytes()
-    assert J.tobytes() == np.ascontiguousarray(J1).tobytes()
+    H1, J1 = word_jacobian(found.group, found.foam.words_idx, found.g)
+    assert found.H.tobytes() == np.ascontiguousarray(H1).tobytes()
+    assert found.delta1.tobytes() == np.ascontiguousarray(J1).tobytes()
+
+
+SETS = {
+    "analytic torus": lambda: connection.analytic_flat_batch(
+        "torus", np.random.default_rng(5), [1, -1, -1, 1]),
+    "analytic appendix": lambda: connection.analytic_flat_batch(
+        "appendix", np.random.default_rng(6), [1, 1, -1, 1], ["irred", "red", "irred", "red"]),
+    "projected genus:2 su2": lambda: find_flat_batch("genus:2", "su2",
+                                                     np.random.default_rng(7), 4),
+    "projected torus u1": lambda: find_flat_batch("torus", "u1", np.random.default_rng(8), 4),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SETS))
+def test_a_set_built_from_its_connections_alone_fills_its_walk_residual_and_tags(name):
+    built = SETS[name]()
+    alone = SampleSet(built.foam, built.group.name, built.g)
+    H, J = word_jacobian(built.group, built.foam.words_idx, built.g)
+    assert alone.group is built.group and alone.g.tobytes() == built.g.tobytes()
+    assert alone.H.shape == H.shape and alone.H.tobytes() == np.ascontiguousarray(H).tobytes()
+    assert alone.delta1.shape == J.shape and alone.delta1.tobytes() == J.tobytes()
+    residual = face_residual(built.group, H)
+    assert alone.residual.shape == (len(built),)
+    assert alone.residual.tobytes() == residual.tobytes()
+    assert alone.tags == (None,) * len(built)
+    assert (alone.b0, alone.b2, alone.possibly_singular) == (None, None, None)

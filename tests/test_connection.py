@@ -346,6 +346,26 @@ def test_analytic_flat_batch_refuses_mismatched_or_non_finite_arguments_before_d
         assert rng.bit_generator.state == state, (kind, param)
 
 
+def test_analytic_flat_batch_refuses_a_mis_shaped_angle_or_axis_by_name_before_drawing():
+    # a two-entry axis gave numpy's broadcast error, a (2, 3) axis was taken
+    # as one axis per sample, a zero axis warned in unit_vectors and a list
+    # angle failed in float(), the last two after the draws
+    rng = np.random.default_rng(18)
+    cases = [("torus", [1, -1], None, {"axis": [1, 0]}, "axis"),
+             ("torus", [1, -1], None, {"axis": np.ones((2, 3))}, "axis"),
+             ("torus", [1, -1], None, {"axis": [0, 0, 0]}, "axis"),
+             ("appendix", [1], ["red"], {"axis": [1e-200, 0, 0]}, "axis"),
+             ("appendix", [1, 1], ["irred", "red"], {"axis": "x"}, "axis"),
+             ("torus", [1, -1], None, {"psi_a": [1.0, 2.0]}, "psi_a"),
+             ("torus", [1], None, {"psi_b": np.array([0.5])}, "psi_b"),
+             ("appendix", [1], ["red"], {"psi_h": "x"}, "psi_h")]
+    for kind, signs, families, kwargs, param in cases:
+        state = rng.bit_generator.state
+        with pytest.raises(ValueError, match="^%s " % param):
+            analytic_flat_batch(kind, rng, signs, families, **kwargs)
+        assert rng.bit_generator.state == state, (kind, kwargs)
+
+
 def _fields(sample):
     """Every field of a FlatSample, data and residual as bytes (-0.0 is not 0.0)."""
     conn = sample
@@ -397,10 +417,12 @@ def test_a_sample_set_refuses_a_row_that_is_not_an_element_naming_its_edge():
     # like Connection, a set takes its group by name and its rows as lists
     listed = SampleSet(appendix, "su2", g.tolist(), [0.0] * 4, (None,) * 4)
     assert listed.group is SU2 and listed.g.tobytes() == g.tobytes()
-    # a zero axis puts NaN rows in an analytic batch
-    with np.errstate(invalid="ignore"):
-        with pytest.raises(ValueError, match="^edge 'a1' carries "):
-            analytic_flat_batch("torus", np.random.default_rng(0), [1, -1], axis=[0, 0, 0])
+    # the check comes before the set walks its faces: a NaN row is named
+    # by its edge, not met as a warning in the walk
+    bad = np.array(g)
+    bad[1, 1] = np.nan
+    with pytest.raises(ValueError, match="^edge 'b' carries "):
+        SampleSet(appendix, SU2, bad)
 
 
 # SHA-256 over each record's data bytes, residual bytes and repr(tag), in
@@ -450,7 +472,7 @@ def test_a_sample_set_gives_the_records_of_its_rows(build):
         part = samples[a:b]
         assert type(part) is SampleSet and part.foam is samples.foam
         assert list(map(_fields, part)) == list(map(_fields, records[a:b]))
-        for column in ("H", "delta1", "frames"):
+        for column in ("H", "delta1"):
             whole = getattr(samples, column)
             assert (getattr(part, column) is None) if whole is None else (
                 getattr(part, column).tobytes() == whole[a:b].tobytes())

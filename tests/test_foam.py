@@ -1,9 +1,11 @@
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from foamtor.cli import main
 from foamtor.foam import (FaceWord, Foam, FoamError, Letter, builtin,
                           cellular_homology, match_builtin, parse_foam, reduce_foam,
                           serialize_foam, tietze1_collapse, tietze1_expand,
@@ -308,3 +310,77 @@ def test_tietze_moves_name_the_missing_edge():
     for move in moves:
         with pytest.raises(FoamError, match="foam 'genus1' has no edge 'zz'"):
             move()
+
+
+# every refusal of the module, with the message it gives; parse_foam's carry
+# the line and column of the offending token
+REFUSALS = {
+    "letter exponent 2": (lambda: Letter("a", 2), "letter exponent must be +1 or -1, got 2"),
+    "no vertex": (lambda: Foam(n_vertices=0), "a foam needs at least one vertex"),
+    "bad edge id": (lambda: Foam(edges=(("1a", 0, 0),)), "bad edge id '1a'"),
+    "duplicate edge id": (lambda: Foam(edges=(("a", 0, 0), ("a", 0, 0))),
+                          "duplicate edge id 'a'"),
+    "endpoint out of range": (lambda: Foam(edges=(("a", 0, 1),)),
+                              "edge 'a' endpoints out of range"),
+    "face on an undeclared edge": (
+        lambda: Foam(edges=(("a", 0, 0),), faces=(FaceWord((Letter("b", 1),)),)),
+        "face word uses undeclared edge 'b'"),
+    "bad id in a face word": (lambda: parse_foam("edges: a\nface: a 1b\n"),
+                              "line 2, col 9: bad edge id '1b'"),
+    "undeclared edge in a face word": (
+        lambda: parse_foam("edges: b\nface: a\n"),
+        "line 2, col 7: undeclared edge 'a' in face word"),
+    "bad exponent after indent": (
+        lambda: parse_foam("edges: a\n  face:  a^2\n"),
+        "line 2, col 10: bad exponent in 'a^2' (only ^-1 is allowed)"),
+    "no colon": (lambda: parse_foam("edges a b\n"), "line 1, col 1: expected 'key: ...'"),
+    "bad id in edges": (lambda: parse_foam("edges: a 1b\n"),
+                        "line 1, col 10: bad edge id '1b'"),
+    "duplicate id in edges": (lambda: parse_foam("edges: a b a\n"),
+                              "line 1, col 12: duplicate edge 'a'"),
+    "bad vertex count": (lambda: parse_foam("edges: a\nvertices: x\n"),
+                         "line 2, col 1: expected 'vertices: <count>'"),
+    "superscript vertex count": (lambda: parse_foam("edges: a\nvertices: ²\n"),
+                                 "line 2, col 1: expected 'vertices: <count>'"),
+    "endpoints of an undeclared edge": (
+        lambda: parse_foam("edges: a\nedge b: 0 0\n"),
+        "line 2, col 1: endpoint declaration for undeclared edge 'b'"),
+    "one endpoint": (lambda: parse_foam("edges: a\nvertices: 2\nedge a: 0\n"),
+                     "line 3, col 1: expected 'edge a: <src> <dst>'"),
+    "non-integer endpoint": (lambda: parse_foam("edges: a\nvertices: 2\nedge a: 0 x\n"),
+                             "line 3, col 1: expected 'edge a: <src> <dst>'"),
+    "fewer edges than a tree": (
+        lambda: parse_foam("edges: a\nvertices: 1000000\nedge a: 0 1\n"),
+        "1-skeleton is not connected"),
+    "tietze1_expand bad id": (lambda: tietze1_expand(builtin("torus"), "a1", "1c"),
+                              "bad edge id '1c'"),
+    "tietze1_collapse inverse lead": (
+        lambda: tietze1_collapse(parse_foam("edges: a c\nface: c^-1 a\n"), "c"),
+        "edge 'c' is not collapsible"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REFUSALS))
+def test_every_refusal_gives_its_message(case):
+    make, message = REFUSALS[case]
+    with pytest.raises(FoamError) as refused:
+        make()
+    assert str(refused.value) == message
+
+
+def test_a_wide_disconnected_skeleton_is_refused_before_it_is_allocated(tmp_path, capsys):
+    # a connected 1-skeleton needs V - 1 edges: one declared line of a million
+    # vertices used to build a million adjacency lists before refusing
+    text = "edges: a\nvertices: 1000000\nedge a: 0 1\n"
+    tracemalloc.start()
+    try:
+        with pytest.raises(FoamError, match="^1-skeleton is not connected$"):
+            parse_foam(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    path = tmp_path / "wide.foam"
+    path.write_text(text)
+    assert main(["analyze", "--foam", str(path)]) == 2
+    assert "1-skeleton is not connected" in capsys.readouterr().err

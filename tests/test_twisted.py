@@ -365,6 +365,25 @@ def test_cohomology_batch_of_nothing_is_empty():
     assert cohomology_batch([]) == []
 
 
+def test_every_complex_reader_refuses_a_set_that_is_not_flat_by_its_residual():
+    # a set fills its residual from its own walk, but the complex recomputes
+    # it from H: a residual handed over by a builder is no pass
+    from foamtor.connection import SampleSet
+    from foamtor.torsion import torsion_at
+    rng = np.random.default_rng(15)
+    flat, rough = analytic_flat("torus", rng), Connection.haar(builtin("torus"), "su2", rng)
+    message = r"^connection %d is not flat \(residual \d\.\d{3}e[-+]\d+ > 1\.0e-10\)$"
+    with pytest.raises(ValueError, match=message % 1):
+        cohomology_batch([flat, rough])
+    with pytest.raises(ValueError, match=message % 1):
+        cohomology_batch(SampleSet(flat.foam, "su2", np.stack([flat.data, rough.data]),
+                                   residual=np.zeros(2)))
+    with pytest.raises(ValueError, match=message % 0):
+        cohomology(rough)
+    with pytest.raises(ValueError, match=message % 0):
+        torsion_at(rough, rng)
+
+
 def test_cohomology_batch_names_the_nonflat_sample():
     rng = np.random.default_rng(14)
     t = builtin("torus")
