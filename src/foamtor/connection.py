@@ -126,8 +126,9 @@ class SampleSet:
 
     g (n, E, elem_dim) stacks the connections; residual and tags (n,) hold
     their residuals and component tags, H (n, F, elem_dim) and delta1
-    (n, F*d, E*d) word_jacobian at g.  Construction runs one element check
-    over all n*E rows, refusing as Connection does, then fills what its
+    (n, F*d, E*d) word_jacobian at g.  Construction refuses a g of any other
+    shape, naming the shape it got and the one it needs, runs one element
+    check over all n*E rows, refusing as Connection does, then fills what its
     builder left out: H and delta1 from one walk, the residual as
     face_residual of H, tags None.  min_b2 fills b0, b2 and
     possibly_singular (n,).  set[i] is sample i as a FlatSample, set[a:b]
@@ -147,6 +148,10 @@ class SampleSet:
 
     def __post_init__(self):
         group, g = get_group(self.group), np.asarray(self.g, dtype=float)
+        if g.ndim != 3 or g.shape[1:] != (self.foam.E, group.elem_dim):
+            raise ValueError("g has shape %r; a SampleSet on foam %r over %s needs (n, %d, %d)"
+                             % (g.shape, self.foam.name, group.name, self.foam.E,
+                                group.elem_dim))
         _check_elements(self.foam, group, g)
         H, d1 = ((self.H, self.delta1) if self.delta1 is not None
                  else word_jacobian(group, self.foam.words_idx, g))

@@ -9,6 +9,7 @@ floating-point rank.
 
 from __future__ import annotations
 
+import functools
 import re
 from dataclasses import dataclass, field
 
@@ -197,6 +198,7 @@ def parse_foam(text, name="foam"):
     """
     edge_order = []
     endpoints = {}
+    declared = {}       # edge id -> (line, endpoint columns) of its 'edge a:' line
     faces = []
     n_vertices = None
 
@@ -225,6 +227,8 @@ def parse_foam(text, name="foam"):
             if len(toks) != 1 or not toks[0].isdecimal():
                 err(lineno, 1, "expected 'vertices: <count>'")
             n_vertices = int(toks[0])
+            if n_vertices < 1:
+                err(lineno, words[0][0], "a foam needs at least one vertex")
         elif key == "face" or key.startswith("face "):
             fname = key[4:].strip() or None
             letters = []
@@ -246,11 +250,16 @@ def parse_foam(text, name="foam"):
             except ValueError:
                 err(lineno, 1, "expected 'edge %s: <src> <dst>'" % eid)
             endpoints[eid] = (src, dst)
+            declared[eid] = (lineno, [col for col, _ in words])
         else:
             err(lineno, 1, "unknown key %r" % key)
 
     if n_vertices is None:
         n_vertices = 1
+    for eid, (lineno, cols) in declared.items():
+        for col, v in zip(cols, endpoints[eid]):
+            if not 0 <= v < n_vertices:
+                err(lineno, col, "edge %r endpoint %d is outside 0..%d" % (eid, v, n_vertices - 1))
     edges = tuple((e,) + endpoints[e] for e in edge_order)
     return Foam(name=name, n_vertices=n_vertices, edges=edges, faces=tuple(faces))
 
@@ -423,9 +432,12 @@ def _commutator(a, b):
     return (Letter(a, 1), Letter(b, 1), Letter(a, -1), Letter(b, -1))
 
 
+@functools.lru_cache(maxsize=16)
 def builtin(name):
     """Canonical reduced foams: sphere, torus, genus:g, appendix, dunce_hat,
-    projective_plane.  genus:0 is the sphere (one trivially attached face)."""
+    projective_plane.  genus:0 is the sphere (one trivially attached face).
+    Each key is built once per process (a bounded cache): a Foam is frozen,
+    so every caller may share it."""
     key = "genus:1" if name.lower() == "torus" else name.lower()
     g = key[6:] if key.startswith("genus:") else None
     if g is not None and not g.isdecimal():

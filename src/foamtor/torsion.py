@@ -11,12 +11,13 @@ determinants are nevertheless built explicitly from random orthonormal
 completions d^0, d^1, which gives the basis-independence check for free:
 the reported magnitude must not depend on the random completions.
 
-torsion_batch reads one stacked complex of a SampleSet (twisted's
-_complex_columns): one pipeline per completion group (the samples of equal
-ranks; one foam and group fix the Betti numbers by the ranks, and make
-every completed basis square), sliced out of the delta stacks: one full SVD
-per differential, one QR per completion, one SVD for h^1 and one det per
-tau^k.  A sample the set flags possibly singular or with a rank warning is
+torsion_batch reads one stacked complex of a SampleSet, its one input
+(twisted's _complex_columns), and torsion_at that of its sample's one-row
+set (twisted._one_row): one pipeline per completion group (the samples of
+equal ranks; one foam and group fix the Betti numbers by the ranks, and
+make every completed basis square), sliced out of the delta stacks: one
+full SVD per differential, one QR per completion, one SVD for h^1 and one
+det per tau^k.  A sample the set flags possibly singular or with a rank warning is
 refused before it draws a seed; every other one draws its seed from rng in
 input order and its rotations from one draw of default_rng(seed)
 (_rotation_normals), so it gets the bits it gets alone.
@@ -38,7 +39,7 @@ from .connection import unit_vectors, word_jacobian
 from .foam import builtin
 from .groups import SU2
 from .partition import _gauss_legendre
-from .twisted import _complex_columns, _sample_arrays, cohomology
+from .twisted import _complex_columns, _one_row, cohomology
 
 __all__ = ["TorsionValue", "torsion_at", "torsion_batch", "torus_volume_grid",
            "torus_dominant_part", "gaussian_volume"]
@@ -111,15 +112,12 @@ def _basis_pipeline(cols, index, seeds):
 
 
 def torsion_batch(samples, rng):
-    """torsion_at at every sample of a SampleSet or of Connections, in order,
-    a refusal giving its ValueError in place of a TorsionValue.  Raises
-    ValueError if any sample is not flat.
+    """torsion_at at every sample of a SampleSet, in order, a refusal giving
+    its ValueError in place of a TorsionValue.  TypeError unless samples is a
+    SampleSet; ValueError if any sample is not flat.
 
     The refusals here draw no seed; every other sample draws one from rng,
     in order, and joins the completion group of its ranks."""
-    samples = _sample_arrays(samples)
-    if not samples:
-        return []
     cols = _complex_columns(samples)
     singular = samples.possibly_singular
     out, groups = [], {}
@@ -144,9 +142,10 @@ def torsion_at(sample, rng):
 
     Refuses samples flagged possibly singular and samples with a thin
     singular-value gap.  One seed is drawn from rng per accepted sample.
-    torsion_batch of one sample.
+    torsion_batch of the sample's one-row set (twisted._one_row), which
+    keeps a FlatSample's possibly_singular flag.
     """
-    (value,) = torsion_batch([sample], rng)
+    (value,) = torsion_batch(_one_row(sample), rng)
     if isinstance(value, ValueError):
         raise value
     return value

@@ -15,16 +15,17 @@ b2 = dim G * F - rk delta1.  Ranks are decided by SVD with a relative
 threshold and an explicit spectral-gap diagnostic; a thin gap raises a
 warning flag, never a silent answer.
 
-The complex is built for a whole sample set at once, a connection.SampleSet
-(_complex_columns; cohomology_batch stacks a list of connections into one):
-delta0 is I - Ad(g) over all edges in one call, and delta1 is the set's
-own (word_jacobian at g).  Each differential gets one stacked SVD, and the ranks
-of the whole stack are then decided in one array pass of the rank rule
-(_rank_arrays), which gives every sample what it gets alone; a lone matrix
-(svd_rank) is the stack of one, and cohomology() the batch of one.  The
-Betti numbers and flags are array operations on the ranks: min_b2 runs its
-rule on those columns and returns the set classified, and CohomologyReport
-records are built only where cohomology_batch is asked for them.
+The complex is built for a whole sample set at once, a connection.SampleSet,
+the one input of the batch readers (_complex_columns refuses any other with
+TypeError): delta0 is I - Ad(g) over all edges in one call, and delta1 is the
+set's own (word_jacobian at g).  Each differential gets one stacked SVD, and
+the ranks of the whole stack are then decided in one array pass of the rank
+rule (_rank_arrays), which gives every sample what it gets alone; a lone
+matrix (svd_rank) is the stack of one, and cohomology() reads the one-row set
+of its sample (_one_row).  The Betti numbers and flags are array operations
+on the ranks: min_b2 runs its rule on those columns and returns the set
+classified, and CohomologyReport records are built only where
+cohomology_batch is asked for them.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ import numpy as np
 
 from .connection import ANALYTIC_FOAMS, FLAT_TOL, SampleSet, analytic_flat_batch, \
     face_residual, find_flat_batch, word_jacobian
-from .foam import _presentation, builtin, match_builtin, reduce_foam
+from .foam import builtin, match_builtin, reduce_foam
 from .groups import get_group
 
 EPS_RANK = 1e-9      # relative SVD threshold: sigma counts iff sigma > EPS_RANK * sigma_max
@@ -124,8 +125,11 @@ class CohomologyReport:
 
 def _complex_columns(samples):
     """CohomologyReport's fields, an array each, at a SampleSet, delta1 the
-    set's own; ValueError unless the foam is reduced and every sample flat
-    (the residual recomputed from the set's H, whatever the builder said)."""
+    set's own; TypeError for anything but a SampleSet, ValueError unless the
+    foam is reduced and every sample flat (the residual recomputed from the
+    set's H, whatever the builder said)."""
+    if not isinstance(samples, SampleSet):
+        raise TypeError("expected a SampleSet, got %s" % type(samples).__name__)
     foam, group, g = samples.foam, samples.group, samples.g
     if not foam.is_reduced():
         raise ValueError("foam %r has %d vertices; reduce it first" % (foam.name, foam.V))
@@ -148,48 +152,31 @@ def _complex_columns(samples):
                 rank_warning=warn0 | warn1 | (b1 < 0))
 
 
-def _sample_arrays(samples):
-    """samples as a SampleSet: a SampleSet as it is, Connections (FlatSamples
-    among them) stacked into one with their tags and flags, None if there
-    are none; ValueError unless they share one foam presentation and group."""
-    if isinstance(samples, SampleSet):
-        return samples
-    samples = list(samples)
-    if not samples:
-        return None
-    foam, group = samples[0].foam, samples[0].group
-    for c in samples:
-        if (c.foam is not foam or c.group is not group) and (
-                (c.foam.V, _presentation(c.foam), c.group.name)
-                != (foam.V, _presentation(foam), group.name)):
-            raise ValueError("the connections do not share one foam presentation and group")
-    return SampleSet(foam, group, np.stack([c.data for c in samples]),
-                     tags=tuple(getattr(c, "component_tag", None) for c in samples),
-                     possibly_singular=np.array([getattr(c, "possibly_singular", False)
-                                                 for c in samples]))
+def _one_row(sample):
+    """The one-row SampleSet of a Connection; a FlatSample keeps its
+    component tag and its possibly_singular flag."""
+    return SampleSet(sample.foam, sample.group, sample.data[None],
+                     tags=(getattr(sample, "component_tag", None),),
+                     possibly_singular=np.array([getattr(sample, "possibly_singular", False)]))
 
 
 def cohomology_batch(samples):
-    """Twisted Betti numbers at every flat connection of a sample set.
+    """Twisted Betti numbers at every flat connection of a SampleSet.
 
-    samples is a SampleSet or Connections (a FlatSample is one); the complex
-    is that of their foam.  Raises ValueError unless they share one group
-    and presentation (edge ids and face words, as foam.match_builtin
-    compares them) on a single-vertex foam, or if any of them is not flat.
-    Returns one CohomologyReport per sample, in order; each equals what that
+    TypeError unless samples is a SampleSet; ValueError unless its foam has a
+    single vertex and every sample is flat.  Returns one CohomologyReport
+    per sample, in order (none for an empty set); each equals what that
     sample gives on its own.
     """
-    samples = _sample_arrays(samples)
-    if not samples:
-        return []
     cols = _complex_columns(samples)
     return [CohomologyReport(**dict(zip(cols, row)))
             for row in zip(*(list(v) if v.ndim > 1 else v.tolist() for v in cols.values()))]
 
 
 def cohomology(sample):
-    """Twisted Betti numbers at a flat connection, with rank diagnostics."""
-    return cohomology_batch([sample])[0]
+    """Twisted Betti numbers at a flat connection, with rank diagnostics:
+    cohomology_batch of the sample's one-row set."""
+    return cohomology_batch(_one_row(sample))[0]
 
 
 @dataclass(frozen=True)

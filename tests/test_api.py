@@ -30,6 +30,23 @@ def test_no_function_takes_a_foam_beside_its_connection(module):
     assert doubled == []
 
 
+def test_every_batch_reader_takes_a_sample_set_and_refuses_a_list():
+    # a batch reader reads one SampleSet: a list of samples is refused by
+    # type, so no reader grows a second input format
+    sample = ft.analytic_flat("torus", np.random.default_rng(0))
+    readers = []
+    for module in (twisted, torsion):
+        for name, fn in inspect.getmembers(module, inspect.isfunction):
+            params = inspect.signature(fn).parameters
+            if name.startswith("_") or fn.__module__ != module.__name__ or "samples" not in params:
+                continue
+            readers.append(name)
+            extra = {"rng": np.random.default_rng(1)} if "rng" in params else {}
+            with pytest.raises(TypeError, match="SampleSet"):
+                fn(samples=[sample], **extra)
+    assert {"cohomology_batch", "torsion_batch"} <= set(readers)
+
+
 @pytest.mark.parametrize("name", ["su2", "u1"])
 def test_every_entry_point_takes_a_group_as_its_class_or_its_name(name):
     # a group is its class: the name, the class and get_group's answer are one

@@ -7,7 +7,7 @@ step that accepted g, so the complex reads them in place of a second
 word_jacobian walk.  The walk works elementwise over the batch axis, so the
 carried pair is word_jacobian at the kept g, bit for bit; the torsion
 command runs torsion_batch on sample_flat's set and writes what
-torsion_batch of its FlatSample records gives.  Any other set, an analytic
+torsion_batch of its rows rebuilt as a new set gives.  Any other set, an analytic
 family's (analytic_flat_batch) or SampleSet(foam, group, g) alone, fills
 its own: one word_jacobian walk at g, whose H also gives the residuals.
 """
@@ -70,9 +70,11 @@ def test_the_stacked_torsion_command_writes_what_torsion_batch_gives(name, capsy
         foam, samples = sample_flat(_foam(name), "su2", 6, rng)
         state = rng.bit_generator.state
         ref = _torsion_json(torsion_batch(samples, rng))
-        # the set's records, their delta1 from a fresh walk, write the same
+        # the set's rows rebuilt, their delta1 from a fresh walk, write the same
         rng.bit_generator.state = state
-        assert json.dumps(_torsion_json(torsion_batch(list(samples), rng))) == json.dumps(ref)
+        fresh = SampleSet(samples.foam, samples.group, samples.g, tags=samples.tags,
+                          possibly_singular=samples.possibly_singular)
+        assert json.dumps(_torsion_json(torsion_batch(fresh, rng))) == json.dumps(ref)
         got = json.loads(out)
         assert got["foam"] == foam.name
         assert json.dumps(got["torsion"]) == json.dumps(ref), (name, seed)

@@ -374,6 +374,15 @@ def _fields(sample):
             sample.b2, sample.component_tag, sample.possibly_singular)
 
 
+def test_analytic_flat_batch_refuses_a_kind_without_a_family_before_drawing():
+    rng = np.random.default_rng(0)
+    state = rng.bit_generator.state
+    with pytest.raises(ValueError) as refused:
+        analytic_flat_batch("genus:2", rng, [1, -1])
+    assert str(refused.value) == "no analytic flat family for 'genus:2'"
+    assert rng.bit_generator.state == state
+
+
 def test_analytic_flat_batch_equals_single_calls_field_for_field():
     # draws come in one call per sample and irred normals are normalized in
     # one pass; each sample keeps the draws and bits of analytic_flat
@@ -423,6 +432,25 @@ def test_a_sample_set_refuses_a_row_that_is_not_an_element_naming_its_edge():
     bad[1, 1] = np.nan
     with pytest.raises(ValueError, match="^edge 'b' carries "):
         SampleSet(appendix, SU2, bad)
+
+
+def test_a_sample_set_refuses_g_of_any_shape_but_n_edges_by_elem_dim():
+    # a torus set of three edges a row gave Betti numbers off a 3 x 9 delta1,
+    # a fourth axis gave arrays as Betti numbers, and (2, 4) an IndexError
+    torus = builtin("torus")
+    for shape in ((2, 3), (1, 2, 2), (2,), ()):
+        g = SU2.identity(shape)
+        with pytest.raises(ValueError) as refused:
+            SampleSet(torus, SU2, g)
+        assert str(refused.value) == ("g has shape %r; a SampleSet on foam 'genus1' over su2 "
+                                      "needs (n, 2, 4)" % (g.shape,))
+    # the shape is refused before the element check and the walk
+    with pytest.raises(ValueError, match=r"^g has shape \(2, 3, 1\); .* over u1 needs "
+                                         r"\(n, 2, 1\)$"):
+        SampleSet(torus, "u1", np.full((2, 3, 1), np.nan))
+    with pytest.raises(ValueError, match=r"^g has shape \(3, 2, 4\); .* over u1 needs"):
+        SampleSet(torus, "u1", np.zeros((3, 2, 4)))
+    assert len(SampleSet(torus, SU2, SU2.identity((0, 2)))) == 0
 
 
 # SHA-256 over each record's data bytes, residual bytes and repr(tag), in
@@ -506,6 +534,9 @@ def test_holonomy_word_takes_a_word_as_a_string():
     from foamtor.foam import FaceWord, Letter
     want = holonomy_word(conn, FaceWord((Letter("b1", -1), Letter("a1", 1))))
     assert holonomy_word(conn, "b1^-1 a1").tobytes() == want.tobytes()
+    # and as a plain sequence of Letters
+    letters = (Letter("b1", -1), Letter("a1", 1))
+    assert holonomy_word(conn, letters).tobytes() == want.tobytes()
 
 
 def test_holonomy_word_arbitrary():

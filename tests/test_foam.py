@@ -239,6 +239,7 @@ def test_builtin_catalog():
 def test_a_genus_builtin_is_built_in_time_linear_in_its_handles():
     # the surface word grew as a tuple, one copy per handle: genus:40000 took
     # about 30 s, and genus:100000 passed 120 s
+    builtin.cache_clear()
     start = time.perf_counter()
     foam = builtin("genus:40000")
     assert time.perf_counter() - start < 5.0
@@ -247,11 +248,36 @@ def test_a_genus_builtin_is_built_in_time_linear_in_its_handles():
                                           Letter("a40000", -1), Letter("b40000", -1))
 
 
+def test_a_char_ztau_job_builds_its_genus_foam_once(monkeypatch, capsys):
+    # the foam is loaded by its key and matched against the character sums'
+    # builtins by the same key: the match used to build it a second time
+    builtin.cache_clear()
+    built = []
+    validate = Foam._validate
+
+    def counted(foam):
+        built.append(foam.name)
+        return validate(foam)
+
+    monkeypatch.setattr(Foam, "_validate", counted)
+    assert main(["ztau", "--foam", "genus:2000", "--method", "char",
+                 "--tau-grid", "0.5:0.5:1"]) == 0
+    assert '"method": "char"' in capsys.readouterr().out
+    assert built.count("genus2000") == 1
+
+
 def test_serialize_roundtrip_builtins():
     for name in ("sphere", "torus", "genus:3", "appendix", "dunce_hat",
                  "projective_plane"):
         f = builtin(name)
         assert parse_foam(serialize_foam(f), name=f.name) == f
+
+
+def test_an_empty_face_on_a_two_vertex_foam_is_accepted():
+    # an empty word chains trivially: nothing to check against the endpoints
+    f = parse_foam("edges: a\nvertices: 2\nedge a: 0 1\nface:\n")
+    assert (f.V, f.E, f.faces) == (2, 1, (FaceWord((), None),))
+    assert cellular_homology(f).betti == (1, 0, 1)
 
 
 def test_serialize_roundtrip_multivertex():
@@ -349,6 +375,18 @@ REFUSALS = {
                      "line 3, col 1: expected 'edge a: <src> <dst>'"),
     "non-integer endpoint": (lambda: parse_foam("edges: a\nvertices: 2\nedge a: 0 x\n"),
                              "line 3, col 1: expected 'edge a: <src> <dst>'"),
+    "no vertex in a file": (lambda: parse_foam("edges: a\nvertices: 0\n"),
+                            "line 2, col 11: a foam needs at least one vertex"),
+    "endpoint past the vertex count": (
+        lambda: parse_foam("edges: a\nvertices: 2\nedge a: 0 5\n"),
+        "line 3, col 11: edge 'a' endpoint 5 is outside 0..1"),
+    "endpoint declared before the vertex count": (
+        lambda: parse_foam("edges: a\nedge a: 0 5\nvertices: 2\n"),
+        "line 2, col 11: edge 'a' endpoint 5 is outside 0..1"),
+    "negative endpoint": (lambda: parse_foam("edges: a\nvertices: 2\nedge a: -1 0\n"),
+                          "line 3, col 9: edge 'a' endpoint -1 is outside 0..1"),
+    "endpoint without a vertex count": (lambda: parse_foam("edges: a\nedge a: 0 1\n"),
+                                        "line 2, col 11: edge 'a' endpoint 1 is outside 0..0"),
     "fewer edges than a tree": (
         lambda: parse_foam("edges: a\nvertices: 1000000\nedge a: 0 1\n"),
         "1-skeleton is not connected"),

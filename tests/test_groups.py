@@ -442,3 +442,18 @@ def test_heat_kernels_keep_the_shape_of_their_angles(case, shape, boundary):
     out = fn(tau, angles.reshape(shape))
     assert out.shape == shape
     assert np.array_equal(out.ravel(), fn(tau, angles))
+
+
+def test_get_group_refuses_a_group_it_does_not_know():
+    for group in ("su3", None, 5):
+        with pytest.raises(ValueError) as refused:
+            get_group(group)
+        assert str(refused.value) == "unknown group %r (expected 'su2' or 'u1')" % (group,)
+
+
+def test_u1_log_refuses_the_cut_locus_unless_told_not_to_check():
+    g = U1G.exp(np.array([math.pi]))
+    with pytest.raises(CutLocusError) as refused:
+        U1G.log(g)
+    assert str(refused.value) == "log within %g of the cut locus (theta = pi)" % EPS_LOG
+    assert U1G.log(g, check_cut_locus=False).tolist() == [math.pi]

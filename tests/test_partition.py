@@ -873,3 +873,11 @@ def test_toy_and_dominant_part_keep_their_bits_in_either_order():
             assert torus_dominant_part(12) == quad
         assert toy_laplace(taus).tolist() == values
         assert torus_dominant_part(12) == quad
+
+
+def test_usable_cpus_counts_the_cpus_where_the_os_has_no_affinity_set(monkeypatch):
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    assert usable_cpus() == 3
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert usable_cpus() == 1

@@ -6,7 +6,7 @@ import re
 import numpy as np
 import pytest
 
-from foamtor.connection import analytic_flat, find_flat_batch, gauge_act
+from foamtor.connection import SampleSet, analytic_flat, find_flat_batch, gauge_act
 from foamtor.foam import builtin
 from foamtor.groups import SU2
 from foamtor.partition import char_sum_limit
@@ -241,14 +241,10 @@ def test_torsion_batch_refuses_only_the_refused_samples():
     # near-central: the counted singular values sit at the SVD noise floor
     thin = analytic_flat("torus", rng, psi_a=2e-11, psi_b=3e-11)
     samples = [good[0], flagged, good[1], thin, good[2]]
-    got = torsion_batch(samples, np.random.default_rng(5))
+    got = torsion_batch(_stacked(samples), np.random.default_rng(5))
     assert [type(v) for v in got] == [TorsionValue, SingularSampleError, TorsionValue,
                                       SingularSampleError, TorsionValue]
     assert "possibly singular" in str(got[1]) and "ill-conditioned" in str(got[3])
-    # an iterator of the samples gives the same values: it gave [], once
-    # cohomology_batch had taken the samples out of it
-    again = torsion_batch(iter(samples), np.random.default_rng(5))
-    assert list(map(repr, again)) == list(map(repr, got))
     # the per-sample loop: refused samples draw no seed
     ref_rng = np.random.default_rng(5)
     for s, v in zip(samples, got):
@@ -259,6 +255,12 @@ def test_torsion_batch_refuses_only_the_refused_samples():
         [int(seeds.integers(2 ** 32)) for _ in range(3)]
 
 
+def _stacked(records):
+    """One SampleSet of flat records on one foam, with their possibly_singular flags."""
+    return SampleSet(records[0].foam, records[0].group, np.stack([r.data for r in records]),
+                     possibly_singular=np.array([r.possibly_singular for r in records]))
+
+
 def _torsion_json(values):
     return json.dumps([v.to_json() if isinstance(v, TorsionValue) else {"error": str(v)}
                        for v in values])
@@ -267,14 +269,16 @@ def _torsion_json(values):
 @pytest.mark.parametrize("name,n", [("torus", 8), ("appendix", 24), ("genus:2", 6)])
 def test_torsion_batch_of_a_sample_set_writes_what_its_records_give(name, n):
     # a classified SampleSet, and the same set with one more sample flagged,
-    # give the JSON of their FlatSample records: the same refusals, seeds
-    # and values, whether delta1 comes off the set's walk or a fresh one
+    # give the JSON of their rows rebuilt as a new set: the same refusals,
+    # seeds and values, whether delta1 comes off the set's walk or a fresh one
     samples = min_b2(name, "su2", n, np.random.default_rng(3)).samples
     flags = samples.possibly_singular.copy()
     flags[1] = True
     for s in (samples, dataclasses.replace(samples, possibly_singular=flags)):
         got = _torsion_json(torsion_batch(s, np.random.default_rng(5)))
-        assert got == _torsion_json(torsion_batch(list(s), np.random.default_rng(5)))
+        fresh = SampleSet(s.foam, s.group, s.g, tags=s.tags,
+                          possibly_singular=s.possibly_singular)
+        assert got == _torsion_json(torsion_batch(fresh, np.random.default_rng(5)))
     assert "possibly singular" in got
 
 
@@ -297,7 +301,7 @@ def test_torsion_batch_keeps_input_order_across_completion_groups():
     thin = analytic_flat("appendix", rng, family="red", psi_a=2e-11, psi_b=3e-11,
                          psi_h=1e-11)
     samples = [red[0], irred[0], flagged, irred[1], red[1], thin, red[2], irred[2]]
-    got = torsion_batch(samples, np.random.default_rng(5))
+    got = torsion_batch(_stacked(samples), np.random.default_rng(5))
     refused = {2: "possibly singular", 5: "ill-conditioned"}
     # the one-sample-at-a-time loop drew one seed per accepted sample, in order
     seeds = np.random.default_rng(5)
