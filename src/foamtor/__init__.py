@@ -12,9 +12,9 @@ from .groups import SU2, U1, CutLocusError, get_group
 from .connection import (Connection, FlatSample, SampleSet, analytic_flat,
                          analytic_flat_batch, find_flat_batch,
                          flatness_residual, gauge_act, holonomy, holonomy_word,
-                         word_jacobian)
+                         sample_flat, word_jacobian)
 from .twisted import (CohomologyReport, MinB2Report, build_delta0, build_delta1,
-                      cohomology, cohomology_batch, min_b2, sample_flat, svd_rank)
+                      cohomology, cohomology_batch, min_b2, svd_rank)
 from .torsion import (TorsionValue, gaussian_volume, torsion_at, torsion_batch,
                       torus_dominant_part, torus_volume_grid)
 from .partition import (ScalingFit, ZEstimate, char_sum_limit, fit_scaling,

@@ -168,9 +168,9 @@ def cmd_analyze(args):
 def cmd_flat(args):
     seed = _seed_of(args)
     rng = np.random.default_rng(seed)
-    foam, samples = sample_flat(_load_foam(args.foam), args.group, args.samples, rng)
+    samples = sample_flat(_load_foam(args.foam), args.group, args.samples, rng)
     payload = {"config": _config_echo(args, seed),
-               "foam": foam.name,
+               "foam": samples.foam.name,
                "samples": [s.to_json() for s in samples]}
     _emit(args, payload)
     return 0
@@ -249,10 +249,10 @@ def cmd_torsion(args):
                          "grid": args.grid, "max_abs_error": max_err,
                          "tolerance": TORUS_VOLUME_TOL, "passed": passed})
         return 0 if passed else 1
-    foam, samples = sample_flat(_load_foam(args.foam), args.group, args.samples, rng)
+    samples = sample_flat(_load_foam(args.foam), args.group, args.samples, rng)
     values = [v.to_json() if isinstance(v, TorsionValue) else {"error": str(v)}
               for v in torsion_batch(samples, rng)]
-    payload = {"config": _config_echo(args, seed), "foam": foam.name,
+    payload = {"config": _config_echo(args, seed), "foam": samples.foam.name,
                "torsion": values}
     _emit(args, payload)
     return 0

@@ -31,6 +31,10 @@ complex, min_b2's rule and torsion read.  It checks all its rows at once,
 refusing as Connection does, walks its faces once for H and delta1 unless
 its builder hands them over (a projection, from each accepting step), and
 builds a FlatSample record only for the row it is asked for.
+
+Every builder reads its foam by one rule (foam.reduce_foam: a Foam or a
+builtin key), takes a special route by the reduced foam's structure
+(foam.match_builtin), never by its name, and returns a set on that foam.
 """
 
 from __future__ import annotations
@@ -39,7 +43,7 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from .foam import Foam, _as_word, builtin as _builtin_foam, match_builtin, reduce_foam
+from .foam import Foam, _as_word, match_builtin, reduce_foam
 from .groups import EPS_LOG, SU2, get_group, su2_normalize
 
 FLAT_TOL = 1e-10
@@ -397,7 +401,7 @@ def find_flat_batch(foam, group, rng, n, trace=None):
     group = get_group(group)
     if n < 0:
         raise ValueError("the number of starts must be at least 0, got %d" % n)
-    foam = reduce_foam(_builtin_foam(foam) if isinstance(foam, str) else foam)
+    foam = reduce_foam(foam)
     g = group.haar(rng, (n, foam.E))
     if n == 0 or foam.E == 0 or foam.F == 0:
         return SampleSet(foam, group, g)
@@ -407,7 +411,7 @@ def find_flat_batch(foam, group, rng, n, trace=None):
 
 
 # ----------------------------------------------------------------------
-# analytic flat families for the builtin foams
+# analytic flat families, and sample_flat's choice of a builder
 
 def unit_vectors(v):
     """v (..., 3) over the norms of its rows.  Each squared norm is the row's
@@ -421,10 +425,13 @@ PSI_RANGE = (0.15, np.pi - 0.15)    # class angles drawn by the analytic familie
 ANALYTIC_FOAMS = ("torus", "appendix")   # the builtins with analytic SU(2) families
 
 
-def analytic_flat_batch(kind, rng, signs, families=None, psi_a=None, psi_b=None,
+def analytic_flat_batch(foam, rng, signs, families=None, psi_a=None, psi_b=None,
                         psi_h=None, axis=None):
-    """Exact SU(2) flat samples on the builtin torus or appendix foam, one per
+    """Exact SU(2) flat samples on the torus or the appendix foam, one per
     entry of signs (each +1 or -1), built together.
+
+    foam is a Foam or a builtin key, recognised by structure (match_builtin);
+    the set lives on the reduced foam, and any other foam is refused.
 
     torus: a = exp(psi_a n), b = exp(sign psi_b n) about a common axis n.
     appendix: families[i] is 'irred' (a, b Haar random, h = sign * identity)
@@ -452,11 +459,13 @@ def analytic_flat_batch(kind, rng, signs, families=None, psi_a=None, psi_b=None,
     n = len(signs)
     if any(sgn not in (1, -1) for sgn in signs):
         raise ValueError("each sign must be +1 or -1, got %r" % (list(signs),))
+    foam = reduce_foam(foam)
+    kind = match_builtin(foam, ANALYTIC_FOAMS)
+    if kind is None:
+        raise ValueError("no analytic flat family for foam %r" % foam.name)
     if kind == "torus":
         _refuse_unused("torus", psi_h=psi_h, families=families)
         chart = np.ones(n, dtype=bool)      # samples on a common-axis chart
-    elif kind != "appendix":
-        raise ValueError("no analytic flat family for %r" % kind)
     elif families is None or any(fam not in ("irred", "red") for fam in families):
         raise ValueError("appendix family must be 'irred' or 'red'")
     elif len(families) != n:
@@ -473,7 +482,6 @@ def analytic_flat_batch(kind, rng, signs, families=None, psi_a=None, psi_b=None,
         if value is not None and not _fits(value, shape):
             raise ValueError("%s %r is not %s" % (name, value, "three finite numbers with a "
                              "finite non-zero norm" if shape else "one finite number"))
-    foam = _builtin_foam(kind)
     fixed = (psi_a, psi_b, psi_h)[:foam.E]
     free = [k for k, p in enumerate(fixed) if p is None]
     m = int(np.count_nonzero(chart))
@@ -507,24 +515,48 @@ def analytic_flat_batch(kind, rng, signs, families=None, psi_a=None, psi_b=None,
 def analytic_flat(foam, rng, sign=+1, family=None, psi_a=None, psi_b=None, psi_h=None,
                   axis=None):
     """One exact SU(2) flat sample of an analytic family: analytic_flat_batch
-    with one sample.
-
-    foam is a Foam or a builtin key, recognised by structure
-    (foam.match_builtin).  The torus (genus:1) has a = exp(psi_a n),
-    b = exp(sign psi_b n) about a common axis n; the appendix foam has family
-    'irred' (the default: h = sign * identity, a and b Haar random) or 'red'
-    (a, b, h on a common axis).  Any other foam is refused with ValueError
-    (find_flat_batch projects), and so is a parameter the family does not use.
+    with one sample, which recognises the foam, refuses any other (and any
+    parameter its family does not use) and builds the sample on the reduced
+    foam.  The torus (genus:1) has a = exp(psi_a n), b = exp(sign psi_b n)
+    about a common axis n; the appendix foam has family 'irred' (the
+    default: h = sign * identity, a and b Haar random) or 'red' (a, b, h on
+    a common axis).
     """
-    if isinstance(foam, str):
-        foam = _builtin_foam(foam)
-    kind = match_builtin(foam, ANALYTIC_FOAMS)
-    if kind is None:
-        raise ValueError("no analytic flat family for foam %r" % foam.name)
-    if kind == "appendix" and family is None:
+    if family is None and match_builtin(foam, ("appendix",)):
         family = "irred"
-    return analytic_flat_batch(kind, rng, [sign], None if family is None else [family],
+    return analytic_flat_batch(foam, rng, [sign], None if family is None else [family],
                                psi_a=psi_a, psi_b=psi_b, psi_h=psi_h, axis=axis)[0]
+
+
+def sample_flat(foam, group, n_samples, rng):
+    """Flat samples for analysis, as a SampleSet on the reduced foam:
+    analytic families on the torus and the appendix foam over SU(2),
+    Gauss-Newton projection otherwise.
+
+    The foam is recognised by structure (match_builtin), never by name, so a
+    renamed copy of a builtin gets its families and a builtin changed by a
+    Tietze move is projected.  The torus alternates the two commuting
+    branches (sign +, -) and the appendix foam cycles irred +, red, irred -,
+    red, so every component is sampled.  find_flat_batch drops the starts it
+    cannot project; RuntimeError ("no flat connection found within budget")
+    if it drops them all.
+    """
+    group = get_group(group)
+    if n_samples < 1:
+        raise ValueError("the number of samples must be at least 1, got %d" % n_samples)
+    foam = reduce_foam(foam)
+    kind = match_builtin(foam, ANALYTIC_FOAMS) if group is SU2 else None
+    index = range(n_samples)
+    if kind == "torus":
+        samples = analytic_flat_batch(foam, rng, [(+1, -1)[i % 2] for i in index])
+    elif kind == "appendix":
+        samples = analytic_flat_batch(foam, rng, [(+1, +1, -1, +1)[i % 4] for i in index],
+                                      [("irred", "red")[i % 2] for i in index])
+    else:
+        samples = find_flat_batch(foam, group, rng, n_samples)
+    if not samples:
+        raise RuntimeError("no flat connection found within budget")
+    return samples
 
 
 def _fits(value, shape):

@@ -283,9 +283,12 @@ def serialize_foam(foam):
 def reduce_foam(foam):
     """Deformation retract with one vertex: V -> 1, E -> E-V+1, F unchanged.
 
+    foam is a Foam or a builtin key: the one rule for reading a foam argument.
     Tree-edge letters are deleted from the face words; idempotent on reduced
     foams.
     """
+    if isinstance(foam, str):
+        foam = builtin(foam)
     if foam.is_reduced():
         return foam
     tree = foam._spanning_tree()
@@ -408,13 +411,15 @@ def tietze2_add_face(foam, word, name=None):
 
 def verify_redundancy(word, samples):
     """Max distance to the identity of the word's holonomy over flat samples,
-    the word read in the edges of each sample's own foam."""
+    the word read in the edges of each sample's own foam.  ValueError for no
+    samples: an empty set (find_flat_batch drops every start it cannot
+    project) is no evidence that the relation holds."""
     from .connection import holonomy_word
     word = _as_word(word)
-    worst = 0.0
-    for s in samples:
-        worst = max(worst, float(s.group.distance(holonomy_word(s, word))))
-    return worst
+    distances = [float(s.group.distance(holonomy_word(s, word))) for s in samples]
+    if not distances:
+        raise ValueError("verify_redundancy needs at least one sample; got none")
+    return max(0.0, *distances)
 
 
 def _as_word(word):
@@ -472,9 +477,9 @@ def _presentation(foam):
 
 def match_builtin(foam, keys):
     """The first of the builtin keys whose foam has this foam's presentation
-    once reduced: the same edge ids in the same order and the same face words,
-    letter for letter and in the same order.  Names, of the foam and of its
-    faces, play no part.  None if no key matches.
+    once reduced (reduce_foam): the same edge ids in the same order and the
+    same face words, letter for letter and in the same order.  Names, of the
+    foam and of its faces, play no part.  None if no key matches.
     """
     shape = _presentation(reduce_foam(foam))
     return next((key for key in keys if _presentation(builtin(key)) == shape), None)

@@ -288,8 +288,11 @@ def su2_normalize(c):
 
 
 def su2_character(j, psi):
-    """chi_j at class angle psi: sin((2j+1) psi)/sin(psi), chi_j(1) = 2j+1."""
-    n = int(round(2 * j)) + 1
+    """chi_j at class angle psi: sin((2j+1) psi)/sin(psi), chi_j(1) = 2j+1.
+    ValueError unless the spin j names an irrep: 2j an integer >= 0."""
+    if not (2 * j >= 0 and float(2 * j).is_integer()):
+        raise ValueError("spin %r names no irrep of SU(2): 2j must be an integer >= 0" % (j,))
+    n = int(2 * j) + 1
     psi = np.asarray(psi, dtype=float)
     s = np.sin(psi)
     near0 = psi < 1e-5
@@ -606,7 +609,11 @@ class U1:
 
     @staticmethod
     def character(label, theta):
-        """cos(label theta) at angles theta."""
+        """cos(label theta) at angles theta; ValueError unless the charge
+        label is an integer, the label of an irrep."""
+        if not float(label).is_integer():
+            raise ValueError("charge %r names no irrep of U(1): it must be an integer"
+                             % (label,))
         return np.cos(label * np.asarray(theta, dtype=float))
 
     @staticmethod

@@ -18,7 +18,7 @@ from functools import lru_cache, reduce
 
 import numpy as np
 
-from .foam import builtin, reduce_foam
+from .foam import reduce_foam
 from .groups import SU2, _check_tau, get_group
 
 MC_TAU_FLOOR = 0.02
@@ -150,7 +150,7 @@ def z_mc(foam, group, tau, n_samples, seed, n_workers=1):
     if n_workers < 1:
         raise ValueError("n_workers=%r: need at least one worker stream" % (n_workers,))
     group = get_group(group)
-    foam = reduce_foam(builtin(foam) if isinstance(foam, str) else foam)
+    foam = reduce_foam(foam)
     if foam.E == 0:
         val = 1.0
         for _ in range(foam.F):

@@ -15,17 +15,17 @@ b2 = dim G * F - rk delta1.  Ranks are decided by SVD with a relative
 threshold and an explicit spectral-gap diagnostic; a thin gap raises a
 warning flag, never a silent answer.
 
-The complex is built for a whole sample set at once, a connection.SampleSet,
-the one input of the batch readers (_complex_columns refuses any other with
-TypeError): delta0 is I - Ad(g) over all edges in one call, and delta1 is the
-set's own (word_jacobian at g).  Each differential gets one stacked SVD, and
-the ranks of the whole stack are then decided in one array pass of the rank
-rule (_rank_arrays), which gives every sample what it gets alone; a lone
-matrix (svd_rank) is the stack of one, and cohomology() reads the one-row set
-of its sample (_one_row).  The Betti numbers and flags are array operations
-on the ranks: min_b2 runs its rule on those columns and returns the set
-classified, and CohomologyReport records are built only where
-cohomology_batch is asked for them.
+The complex is built for a whole sample set at once, a connection.SampleSet
+(min_b2 reads connection.sample_flat's), the one input of the batch readers
+(_complex_columns refuses any other with TypeError): delta0 is I - Ad(g) over
+all edges in one call, and delta1 is the set's own (word_jacobian at g).
+Each differential gets one stacked SVD, and the ranks of the whole stack are
+then decided in one array pass of the rank rule (_rank_arrays), which gives
+every sample what it gets alone; a lone matrix (svd_rank) is the stack of
+one, and cohomology() reads the one-row set of its sample (_one_row).  The
+Betti numbers and flags are array operations on the ranks: min_b2 runs its
+rule on those columns and returns the set classified, and CohomologyReport
+records are built only where cohomology_batch is asked for them.
 """
 
 from __future__ import annotations
@@ -35,10 +35,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .connection import ANALYTIC_FOAMS, FLAT_TOL, SampleSet, analytic_flat_batch, \
-    face_residual, find_flat_batch, word_jacobian
-from .foam import builtin, match_builtin, reduce_foam
-from .groups import get_group
+from .connection import FLAT_TOL, SampleSet, face_residual, sample_flat, word_jacobian
 
 EPS_RANK = 1e-9      # relative SVD threshold: sigma counts iff sigma > EPS_RANK * sigma_max
 EPS_ABS = 1e-12      # absolute floor: the differentials have O(1) entries (Ad is
@@ -108,7 +105,7 @@ class CohomologyReport:
     b2: int
     sv0: np.ndarray = field(compare=False)
     sv1: np.ndarray = field(compare=False)
-    # the differentials the ranks were read from, for torsion to reuse
+    # the differentials the ranks were read from (torsion reads _complex_columns)
     delta0: np.ndarray = field(compare=False, repr=False)
     delta1: np.ndarray = field(compare=False, repr=False)
     gap0: float = np.inf
@@ -192,39 +189,6 @@ class MinB2Report:
         return len(self.strata) > 1
 
 
-def sample_flat(foam_or_name, group, n_samples, rng):
-    """Flat samples for analysis: analytic families where the foam is the
-    builtin torus or three-edge/two-face appendix foam, Gauss-Newton
-    projection otherwise.  Returns the reduced foam and the SampleSet.
-
-    The foam is recognised by structure (foam.match_builtin: its edge ids and
-    face words after reduction), never by name, so a renamed copy of a builtin
-    gets its families and a builtin changed by a Tietze move is projected.
-    Over SU(2) the torus alternates the two commuting branches (sign +, -)
-    and the appendix foam cycles irred +, red, irred -, red, so every
-    component is sampled.  analytic_flat_batch builds the whole set at once
-    from one draw loop, with each sample's draws in the order and bits of
-    building it alone.  find_flat_batch projects every other foam to its
-    PROJECT_TOL and drops the starts that do not get there; RuntimeError
-    ("no flat connection found within budget") if it drops them all."""
-    group = get_group(group)
-    if n_samples < 1:
-        raise ValueError("the number of samples must be at least 1, got %d" % n_samples)
-    foam = reduce_foam(builtin(foam_or_name) if isinstance(foam_or_name, str) else foam_or_name)
-    kind = match_builtin(foam, ANALYTIC_FOAMS) if group.name == "su2" else None
-    index = range(n_samples)
-    if kind == "torus":
-        samples = analytic_flat_batch(kind, rng, [(+1, -1)[i % 2] for i in index])
-    elif kind == "appendix":
-        samples = analytic_flat_batch(kind, rng, [(+1, +1, -1, +1)[i % 4] for i in index],
-                                      [("irred", "red")[i % 2] for i in index])
-    else:
-        samples = find_flat_batch(foam, group, rng, n_samples)
-    if not samples:
-        raise RuntimeError("no flat connection found within budget")
-    return foam, samples
-
-
 def min_b2(foam_or_name, group, n_samples, rng):
     """Minimum twisted b2 over flat samples, with the stratification histogram.
 
@@ -232,7 +196,7 @@ def min_b2(foam_or_name, group, n_samples, rng):
     possibly singular.  sample_flat's set gets one complex and one pass of
     the rule over its columns; the report's samples are that set, classified.
     """
-    samples = sample_flat(foam_or_name, group, n_samples, rng)[1]
+    samples = sample_flat(foam_or_name, group, n_samples, rng)
     cols = _complex_columns(samples)
     b0, b2 = cols["b0"].tolist(), cols["b2"].tolist()
     least = {}

@@ -57,7 +57,7 @@ def test_every_entry_point_takes_a_group_as_its_class_or_its_name(name):
     def outcomes(group):
         rng = np.random.default_rng(3)
         found = ft.find_flat_batch(torus, group, rng, 2)
-        sampled = ft.sample_flat("torus", group, 2, rng)[1]
+        sampled = ft.sample_flat("torus", group, 2, rng)
         report = ft.min_b2("torus", group, 2, rng)
         conn = ft.Connection(torus, group, found[0].data)
         return (ft.get_group(group), conn.group, found[0].group,
@@ -70,6 +70,57 @@ def test_every_entry_point_takes_a_group_as_its_class_or_its_name(name):
     assert want[:4] == (cls,) * 4
     for group in (name.upper(), cls, ft.get_group(name)):
         assert outcomes(group) == want
+
+
+def _foam_inputs(key):
+    """A builtin's key, its Foam, a parsed copy named mine.foam and, for the
+    torus, its alias genus:1 and a two-vertex copy whose tree edge t
+    reduction removes: each a foam argument that reduces to the builtin's
+    presentation."""
+    inputs = [key, ft.builtin(key),
+              ft.parse_foam(ft.serialize_foam(ft.builtin(key)), name="mine.foam")]
+    if key == "torus":
+        inputs += ["genus:1", ft.parse_foam(
+            "vertices: 2\nedges: t a1 b1\nedge t: 0 1\nface: a1 b1 a1^-1 b1^-1\n",
+            name="tree.foam")]
+    return inputs
+
+
+ANALYTIC_ARGS = {"torus": ([1, -1, -1], None),
+                 "appendix": ([1, -1, 1], ["irred", "irred", "red"])}
+BUILDERS = {
+    "find_flat_batch": (["genus:2"],
+                        lambda foam, key, rng: ft.find_flat_batch(foam, "su2", rng, 2)),
+    "analytic_flat_batch": (["torus", "appendix"],
+                            lambda foam, key, rng: ft.analytic_flat_batch(
+                                foam, rng, *ANALYTIC_ARGS[key])),
+    "analytic_flat": (["torus", "appendix"],
+                      lambda foam, key, rng: ft.analytic_flat(foam, rng)),
+    "sample_flat": (["torus", "appendix", "genus:2"],
+                    lambda foam, key, rng: ft.sample_flat(foam, "su2", 3, rng)),
+    "min_b2": (["torus", "appendix", "genus:2"],
+               lambda foam, key, rng: ft.min_b2(foam, "su2", 3, rng).samples),
+}
+
+
+@pytest.mark.parametrize("builder", sorted(BUILDERS))
+def test_every_builder_returns_its_samples_on_the_callers_reduced_foam(builder):
+    # a foam argument is a Foam or a builtin key, reduced and recognised by
+    # structure: the returned set (a sample, for analytic_flat) lives on
+    # reduce_foam(input), name included, and every input of one builtin
+    # draws the same bits from the same seed
+    keys, build = BUILDERS[builder]
+    for key in keys:
+        want = None
+        for foam in _foam_inputs(key):
+            got = build(foam, key, np.random.default_rng(11))
+            data = got.data if isinstance(got, ft.FlatSample) else got.g
+            assert got.foam == ft.reduce_foam(foam), (key, foam)
+            assert got.foam.name == (foam.name if isinstance(foam, ft.Foam)
+                                     else ft.builtin(foam).name)
+            assert len(data) > 0
+            want = data.tobytes() if want is None else want
+            assert data.tobytes() == want, (key, foam)
 
 
 def test_a_flat_sample_is_a_connection():

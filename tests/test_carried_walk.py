@@ -67,7 +67,7 @@ def test_the_stacked_torsion_command_writes_what_torsion_batch_gives(name, capsy
         out = capsys.readouterr().out
         assert code == 0
         rng = np.random.default_rng(seed)
-        foam, samples = sample_flat(_foam(name), "su2", 6, rng)
+        samples = sample_flat(_foam(name), "su2", 6, rng)
         state = rng.bit_generator.state
         ref = _torsion_json(torsion_batch(samples, rng))
         # the set's rows rebuilt, their delta1 from a fresh walk, write the same
@@ -76,7 +76,7 @@ def test_the_stacked_torsion_command_writes_what_torsion_batch_gives(name, capsy
                           possibly_singular=samples.possibly_singular)
         assert json.dumps(_torsion_json(torsion_batch(fresh, rng))) == json.dumps(ref)
         got = json.loads(out)
-        assert got["foam"] == foam.name
+        assert got["foam"] == samples.foam.name
         assert json.dumps(got["torsion"]) == json.dumps(ref), (name, seed)
 
 

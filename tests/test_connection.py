@@ -379,7 +379,7 @@ def test_analytic_flat_batch_refuses_a_kind_without_a_family_before_drawing():
     state = rng.bit_generator.state
     with pytest.raises(ValueError) as refused:
         analytic_flat_batch("genus:2", rng, [1, -1])
-    assert str(refused.value) == "no analytic flat family for 'genus:2'"
+    assert str(refused.value) == "no analytic flat family for foam 'genus2'"
     assert rng.bit_generator.state == state
 
 
@@ -471,10 +471,10 @@ SET_BUILDS = {
                                     ["irred", "red", "irred", "red", "irred"]),
         "91f1c1b00dbdf9c6511cbe671c05a087def6f7204e9f4b75fc51ebd7e7c785ca"),
     "sample_flat appendix": (
-        lambda: sample_flat("appendix", "su2", 6, np.random.default_rng(9))[1],
+        lambda: sample_flat("appendix", "su2", 6, np.random.default_rng(9)),
         "67bf4b850bb92733a118cdfc20dc0381bbf76156a4dd8d5016f6bc4d8f2c2075"),
     "sample_flat dunce_hat": (
-        lambda: sample_flat("dunce_hat", "su2", 5, np.random.default_rng(10))[1],
+        lambda: sample_flat("dunce_hat", "su2", 5, np.random.default_rng(10)),
         "25b0d39f80d876d98aab39be658901fb7b6b93a8fd1225dbe75fff2b02aa48ee"),
 }
 

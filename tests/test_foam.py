@@ -213,6 +213,18 @@ def test_tietze2_and_redundancy():
     assert worst > 0.1
 
 
+def test_verify_redundancy_refuses_no_samples():
+    # no samples answered 0.0, "the relation holds exactly", with no evidence;
+    # find_flat_batch returns an empty set when it asks for no starts or
+    # drops them all
+    from foamtor.connection import find_flat_batch
+    empty = find_flat_batch(builtin("torus"), "su2", np.random.default_rng(0), 0)
+    assert len(empty) == 0
+    for samples in ([], empty, iter(())):
+        with pytest.raises(ValueError, match="at least one sample"):
+            verify_redundancy("a1 b1", samples)
+
+
 def test_verify_redundancy_refuses_a_word_off_the_foam():
     # the word names an edge the samples' foam lacks: refused as
     # tietze2_add_face refuses it, not a bare KeyError

@@ -271,6 +271,22 @@ def test_character_reads_angles_when_told():
                        rtol=1e-14, atol=1e-14)
 
 
+def test_a_character_refuses_a_label_that_names_no_irrep():
+    # spin 0.3 was rounded to chi_1/2, spin -1 gave -1.0 and charge 0.5
+    # gave cos(theta / 2), none of them a character
+    psi = np.array([0.5])
+    for j in (0.3, -1, -0.5, 1.25, math.nan, math.inf):
+        with pytest.raises(ValueError, match="spin %r " % j):
+            SU2G.character(j, psi)
+    for n in (0.5, -2.25, math.nan, math.inf):
+        with pytest.raises(ValueError, match="charge %r " % n):
+            U1G.character(n, psi)
+    # every label of an irrep still answers, given as an int or a float
+    assert SU2G.character(0, psi)[0] == 1.0
+    assert SU2G.character(1, psi)[0] == SU2G.character(1.0, psi)[0]
+    assert U1G.character(-3, psi)[0] == U1G.character(-3.0, psi)[0] == math.cos(1.5)
+
+
 def test_heat_kernel_positive():
     psi = np.linspace(0.0, math.pi, 500)
     for tau in (0.01, 0.05, 0.2, 1.0):

@@ -325,7 +325,8 @@ def test_euler_identity_exact():
                                   "dunce_hat", "projective_plane"])
 def test_cohomology_batch_equals_one_sample_at_a_time(name, group):
     rng = np.random.default_rng(13)
-    foam, samples = sample_flat(name, group, 8, rng)
+    samples = sample_flat(name, group, 8, rng)
+    foam = samples.foam
     # the set and its rows rebuilt as a new set, delta1 from a fresh walk,
     # give the same reports
     assert _reports_json(cohomology_batch(samples)) == _reports_json(
@@ -468,7 +469,7 @@ def test_sample_flat_batched_equals_per_sample_loop(kind):
     for n in (1, 2, 3, 4, 5, 200):
         for seed in (0, 1, 2, 31):
             rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-            foam, samples = sample_flat(kind, "su2", n, rng)
+            samples = sample_flat(kind, "su2", n, rng)
             ref = _per_sample_analytic(kind, n, ref_rng)
             assert len(samples) == n
             for s, (data, residual, tag) in zip(samples, ref):
@@ -483,8 +484,9 @@ def test_sample_flat_takes_renamed_builtins_analytically():
     text = serialize_foam(builtin("torus"))
     for name in ("mytorus", "genus3", "appendix"):
         renamed = parse_foam(text, name=name)
-        _, samples = sample_flat(renamed, "su2", 6, np.random.default_rng(4))
-        _, ref = sample_flat("torus", "su2", 6, np.random.default_rng(4))
+        samples = sample_flat(renamed, "su2", 6, np.random.default_rng(4))
+        ref = sample_flat("torus", "su2", 6, np.random.default_rng(4))
+        assert samples.foam is renamed and samples.foam.name == name
         assert [s.component_tag for s in samples] == [s.component_tag for s in ref]
         for s, r in zip(samples, ref):
             assert np.array_equal(s.data, r.data), name
@@ -512,7 +514,7 @@ def test_min_b2_on_the_stack_equals_the_reports_of_the_sample_records(source, n)
         path = pathlib.Path(__file__).parent / "golden" / source
         source = parse_foam(path.read_text(encoding="utf-8"), name=source)
     report = min_b2(source, "su2", n, np.random.default_rng(3))
-    foam, samples = sample_flat(source, "su2", n, np.random.default_rng(3))
+    samples = sample_flat(source, "su2", n, np.random.default_rng(3))
     reports = cohomology_batch(samples)
     b2 = [r.b2 for r in reports]
     least = {}
@@ -532,12 +534,14 @@ def test_min_b2_on_the_stack_equals_the_reports_of_the_sample_records(source, n)
 
 
 def test_sample_flat_returns_the_reduced_input_foam_and_samples_on_their_own():
-    # a renamed builtin is sampled analytically on the builtin, and comes
-    # back under its own name; a file foam is projected on itself
+    # the set lives on the reduced input foam: a renamed builtin is sampled
+    # analytically on itself, its rows under its own name, and a file foam
+    # is projected on itself
     renamed = parse_foam(serialize_foam(builtin("appendix")), name="mine.foam")
-    foam, samples = sample_flat(renamed, "su2", 4, np.random.default_rng(0))
-    assert foam.name == "mine.foam"
-    assert all(s.foam is samples[0].foam and s.foam.name == "appendix" for s in samples)
+    samples = sample_flat(renamed, "su2", 4, np.random.default_rng(0))
+    assert samples.foam is renamed and samples.tags == ("irred", "red", "irred", "red")
+    assert all(s.foam is samples.foam and s.foam.name == "mine.foam" for s in samples)
     moved = tietze1_expand(builtin("torus"), "a1 b1", "c")
-    foam, samples = sample_flat(moved, "su2", 2, np.random.default_rng(0))
-    assert all(s.foam is foam for s in samples)
+    samples = sample_flat(moved, "su2", 2, np.random.default_rng(0))
+    assert all(s.foam is samples.foam for s in samples)
+    assert samples.foam is moved and samples.tags == (None, None)
