@@ -8,6 +8,7 @@ see README.  Exit code 0 means all internal consistency checks passed.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import math
 import os
@@ -22,7 +23,7 @@ from .foam import (FoamError, builtin, cellular_homology, match_builtin, parse_f
 from .groups import get_group
 from .partition import (fit_scaling, fit_toy, toy_laplace, z_char_appendix,
                         z_char_surface, z_mc, zestimates_csv, zestimates_from_csv)
-from .torsion import TorsionValue, _torus_volume_columns, torsion_batch, torus_volume_csv
+from .torsion import _torus_volume_columns, torsion_batch, torus_volume_csv
 from .twisted import min_b2, sample_flat
 
 TORUS_VOLUME_TOL = 1e-10   # --check torus-volume passes iff every abs error is below this
@@ -55,11 +56,19 @@ def _tau_grid(source):
     return grid
 
 
+@functools.cache
+def _field_names(cls):
+    """The field names of dataclass cls in declaration order, else None."""
+    return (tuple(f.name for f in dataclasses.fields(cls))
+            if dataclasses.is_dataclass(cls) else None)
+
+
 def _write_json(o, out, pad=""):
-    """The list out with the text json.dumps(o, indent=2, default=str) gives o
-    appended, pad being the indent of o's line: one pass, where an indented
-    json.dumps runs the pure-Python encoder's generators.  It recurses by its
-    module name, since a nested closure calling itself is a reference cycle."""
+    """The list out with the text json.dumps(o, indent=2, default=f) gives o
+    appended, f as in _emit and pad the indent of o's line: one pass, where
+    an indented json.dumps runs the pure-Python encoder's generators.  It
+    recurses by its module name, since a nested closure calling itself is a
+    reference cycle."""
     if isinstance(o, str):
         out.append(_json_str(o))
     elif o is None or o is True or o is False:
@@ -70,7 +79,11 @@ def _write_json(o, out, pad=""):
         out.append("NaN" if o != o else "Infinity" if o == math.inf
                    else "-Infinity" if o == -math.inf else float.__repr__(o))
     elif not isinstance(o, (list, tuple, dict)):
-        out.append(_json_str(str(o)))
+        names = _field_names(type(o))
+        if names is None:
+            out.append(_json_str(str(o)))
+        else:
+            _write_json({k: getattr(o, k) for k in names}, out, pad)
     elif not o:
         out.append("{}" if isinstance(o, dict) else "[]")
     else:
@@ -96,7 +109,8 @@ def _write_json(o, out, pad=""):
 def _emit(args, payload):
     """Write payload to --out, or to stdout without one: a str (CSV) as it is,
     anything else as indented JSON, the bytes json.dumps(payload, indent=2,
-    default=str) writes (_write_json)."""
+    default=f) writes, f mapping a record (a dataclass instance) to the dict
+    of its fields in declaration order and anything else to its str."""
     if not isinstance(payload, str):
         payload = "".join(_write_json(payload, [])) + "\n"
     if args.out:
@@ -117,10 +131,13 @@ def _common(sub, samples_default=100):
 
 
 def _seed_of(args):
-    if args.seed is not None:
-        return args.seed
-    env = os.environ.get("FOAMTOR_SEED")
-    return int(env) if env else 0
+    """--seed, else FOAMTOR_SEED, else 0; ValueError names the source of a
+    seed that is not a non-negative integer."""
+    source, text = (("--seed", args.seed) if args.seed is not None
+                    else ("FOAMTOR_SEED", os.environ.get("FOAMTOR_SEED") or "0"))
+    if not str(text).isdecimal():
+        raise ValueError("%s %r is not a non-negative integer" % (source, text))
+    return int(text)
 
 
 def _config_echo(args, seed):
@@ -169,10 +186,14 @@ def cmd_flat(args):
     seed = _seed_of(args)
     rng = np.random.default_rng(seed)
     samples = sample_flat(_load_foam(args.foam), args.group, args.samples, rng)
-    payload = {"config": _config_echo(args, seed),
-               "foam": samples.foam.name,
-               "samples": [s.to_json() for s in samples]}
-    _emit(args, payload)
+    group, edges = samples.group, samples.foam.edge_ids
+    rows = [{"connection": {e: {group.name: x[0] if group.elem_dim == 1 else x}
+                            for e, x in zip(edges, s.data.tolist())},
+             "residual": s.residual, "b0": s.b0, "b2": s.b2,
+             "component_tag": s.component_tag, "possibly_singular": s.possibly_singular}
+            for s in samples]
+    _emit(args, {"config": _config_echo(args, seed), "foam": samples.foam.name,
+                 "samples": rows})
     return 0
 
 
@@ -194,7 +215,7 @@ def cmd_ztau(args):
         _emit(args, zestimates_csv(points))
     else:
         _emit(args, {"config": _config_echo(args, seed),
-                     "points": [p.to_json() for p in points]})
+                     "points": points})
     return 0
 
 
@@ -220,7 +241,7 @@ def cmd_fit(args):
     fit = fit_scaling(points, model=args.model)
     payload = {"config": {"in": args.infile, "model": args.model,
                           "version": __version__},
-               "fit": fit.to_json()}
+               "fit": fit}
     _emit(args, payload)
     return 0
 
@@ -250,7 +271,7 @@ def cmd_torsion(args):
                          "tolerance": TORUS_VOLUME_TOL, "passed": passed})
         return 0 if passed else 1
     samples = sample_flat(_load_foam(args.foam), args.group, args.samples, rng)
-    values = [v.to_json() if isinstance(v, TorsionValue) else {"error": str(v)}
+    values = [{"error": str(v)} if isinstance(v, ValueError) else v
               for v in torsion_batch(samples, rng)]
     payload = {"config": _config_echo(args, seed), "foam": samples.foam.name,
                "torsion": values}
@@ -266,7 +287,7 @@ def cmd_toy(args):
         "config": {"tau_grid": list(map(float, taus)), "box": args.box,
                    "version": __version__},
         "points": [{"tau": float(t), "value": v} for t, v in zip(taus, values)],
-        "fit": fit.to_json(),
+        "fit": fit,
         "selected_model": "sqrt(tau)*log(1/tau)" if fit.with_log_correction else "pure power",
     }
     _emit(args, payload)

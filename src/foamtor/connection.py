@@ -26,11 +26,12 @@ and so on, planned once per word_jacobian call and once per projection.
 
 A flat sample is a Connection: FlatSample adds the residual and the
 classification, so every function of a connection takes a sample as it is.
-A sample set is a SampleSet, one array per field, which the twisted
-complex, min_b2's rule and torsion read.  It checks all its rows at once,
-refusing as Connection does, walks its faces once for H and delta1 unless
-its builder hands them over (a projection, from each accepting step), and
-builds a FlatSample record only for the row it is asked for.
+Both are plain records; the flat command writes their rows.  A sample set
+is a SampleSet, one array per field, which the twisted complex, min_b2's
+rule and torsion read.  It checks all its rows at once, refusing as
+Connection does, walks its faces once for H and delta1 unless its builder
+hands them over (a projection, from each accepting step), and builds a
+FlatSample, by its constructor, only for the row it is asked for.
 
 Every builder reads its foam by one rule (foam.reduce_foam: a Foam or a
 builtin key), takes a special route by the reduced foam's structure
@@ -72,10 +73,6 @@ class Connection:
     def __getitem__(self, edge_id):
         return self.data[self.foam.edge_index(edge_id)]
 
-    def to_json(self):
-        return {e: self.group.to_json(self.data[i])
-                for i, e in enumerate(self.foam.edge_ids)}
-
     @classmethod
     def identity(cls, foam, group):
         group = get_group(group)
@@ -89,24 +86,13 @@ class Connection:
 
 @dataclass(frozen=True, eq=False)
 class FlatSample(Connection):
-    """A connection on the flat set, with its residual and classification;
-    its JSON nests the connection's edge map under "connection"."""
+    """A connection on the flat set, with its residual and classification."""
 
     residual: float
     b0: int | None = None
     b2: int | None = None
     component_tag: str | None = None
     possibly_singular: bool = False
-
-    def to_json(self):
-        return {
-            "connection": super().to_json(),
-            "residual": self.residual,
-            "b0": self.b0,
-            "b2": self.b2,
-            "component_tag": self.component_tag,
-            "possibly_singular": self.possibly_singular,
-        }
 
 
 # ----------------------------------------------------------------------
@@ -132,11 +118,13 @@ class SampleSet:
     their residuals and component tags, H (n, F, elem_dim) and delta1
     (n, F*d, E*d) word_jacobian at g.  Construction refuses a g of any other
     shape, naming the shape it got and the one it needs, runs one element
-    check over all n*E rows, refusing as Connection does, then fills what its
-    builder left out: H and delta1 from one walk, the residual as
-    face_residual of H, tags None.  min_b2 fills b0, b2 and
-    possibly_singular (n,).  set[i] is sample i as a FlatSample, set[a:b]
-    the SampleSet of those rows; len goes by sample, iteration by set[i].
+    check over all n*E rows, refusing as Connection does, and refuses a
+    handed column of another shape, naming it, or H without delta1 or the
+    reverse.  It then fills what its builder left out: H and delta1 from one
+    walk, the residual as face_residual of H, tags None.  min_b2 fills b0,
+    b2 and possibly_singular (n,).  set[i] is sample i as a FlatSample, built
+    by its constructor, set[a:b] the SampleSet of those rows; len goes by
+    sample, iteration by set[i].
     """
 
     foam: Foam
@@ -157,10 +145,23 @@ class SampleSet:
                              % (g.shape, self.foam.name, group.name, self.foam.E,
                                 group.elem_dim))
         _check_elements(self.foam, group, g)
+        n, F, d = len(g), self.foam.F, group.dim_g
+        for name, shape in (("residual", (n,)), ("tags", (n,)), ("b0", (n,)), ("b2", (n,)),
+                            ("possibly_singular", (n,)), ("H", (n, F, group.elem_dim)),
+                            ("delta1", (n, F * d, self.foam.E * d))):
+            column = getattr(self, name)
+            # None passes, a tuple (the tags) goes by its len: np.shape builds an array of each
+            got = (shape if column is None else (len(column),) if isinstance(column, tuple)
+                   else np.shape(column))
+            if got != shape:
+                raise ValueError("%s has shape %r; a SampleSet of %d samples on foam %r over %s "
+                                 "needs %r" % (name, got, n, self.foam.name, group.name, shape))
+        if (self.H is None) != (self.delta1 is None):
+            raise ValueError("H and delta1 are handed together or not at all")
         H, d1 = ((self.H, self.delta1) if self.delta1 is not None
                  else word_jacobian(group, self.foam.words_idx, g))
         res = face_residual(group, H) if self.residual is None else self.residual
-        tags = (None,) * len(g) if self.tags is None else self.tags
+        tags = (None,) * n if self.tags is None else self.tags
         self.__dict__.update(group=group, g=g, H=H, delta1=d1, residual=res, tags=tags)
 
     def __len__(self):
@@ -173,13 +174,9 @@ class SampleSet:
 
         def at(column, cast, default=None):
             return default if column is None else cast(column[i])
-        # the set's element check covers this row: skip __init__ and its second check
-        sample = object.__new__(FlatSample)
-        sample.__dict__.update(foam=self.foam, group=self.group, data=self.g[i],
-                               residual=float(self.residual[i]), b0=at(self.b0, int),
-                               b2=at(self.b2, int), component_tag=self.tags[i],
-                               possibly_singular=at(self.possibly_singular, bool, False))
-        return sample
+        return FlatSample(self.foam, self.group, self.g[i], float(self.residual[i]),
+                          at(self.b0, int), at(self.b2, int), self.tags[i],
+                          at(self.possibly_singular, bool, False))
 
 
 # ----------------------------------------------------------------------

@@ -518,10 +518,6 @@ class SU2:
             return su2_heat_kernel_images(tau, psi)
         return su2_heat_kernel_series(tau, psi)
 
-    @staticmethod
-    def to_json(data):
-        return {"su2": [float(v) for v in np.asarray(data).reshape(4)]}
-
 
 class U1:
 
@@ -629,10 +625,6 @@ class U1:
         if tau <= 1.0:
             return u1_heat_kernel_images(tau, theta)
         return u1_heat_kernel_series(tau, theta)
-
-    @staticmethod
-    def to_json(data):
-        return {"u1": float(np.asarray(data).reshape(1)[0])}
 
 
 GROUPS = {"su2": SU2, "u1": U1}

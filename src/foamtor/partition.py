@@ -45,10 +45,6 @@ class ZEstimate:
     method: str                    # "mc" | "char-surface" | "char-appendix" | "toy"
     meta: dict = field(default_factory=dict)
 
-    def to_json(self):
-        return {"tau": self.tau, "value": self.value, "stderr": self.stderr,
-                "method": self.method, "meta": self.meta}
-
 
 def zestimates_csv(points):
     lines = [CSV_COLUMNS]
@@ -311,27 +307,18 @@ def char_sum_limit(g=1, group="su2"):
 
 @dataclass(frozen=True)
 class ScalingFit:
+    """A fit of log Z_tau against log Lambda_tau (_select); dominant_part is
+    exp(log_const), the constant in front of Lambda_tau^omega."""
+
     omega: float
     log_const: float
+    dominant_part: float
     with_log_correction: bool
     residual_rms: float
     residual_rms_pure: float
     residual_rms_withlog: float
     tau_grid: tuple
     coeffs: dict = field(default_factory=dict)
-
-    @property
-    def dominant_part(self):
-        return math.exp(self.log_const)
-
-    def to_json(self):
-        return {"omega": self.omega, "log_const": self.log_const,
-                "dominant_part": self.dominant_part,
-                "with_log_correction": self.with_log_correction,
-                "residual_rms": self.residual_rms,
-                "residual_rms_pure": self.residual_rms_pure,
-                "residual_rms_withlog": self.residual_rms_withlog,
-                "tau_grid": list(self.tau_grid), "coeffs": self.coeffs}
 
 
 def _wls(X, y, w):
@@ -357,8 +344,8 @@ def _select(taus, x, y, w, alternative, model="auto"):
     use_log = {"pure": False, "with-log": True}.get(model, rms_p >= SELECT_FACTOR * rms_l)
     if not use_log:
         om, log_const, coeffs = cp[0], cp[1], {}
-    return ScalingFit(float(om), float(log_const), use_log, rms_l if use_log else rms_p,
-                      rms_p, rms_l, tuple(map(float, taus)), coeffs)
+    return ScalingFit(float(om), float(log_const), math.exp(log_const), use_log,
+                      rms_l if use_log else rms_p, rms_p, rms_l, tuple(map(float, taus)), coeffs)
 
 
 def fit_scaling(points, model="auto"):

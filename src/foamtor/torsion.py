@@ -58,11 +58,6 @@ class TorsionValue:
     b2: int
     bases_meta: dict
 
-    def to_json(self):
-        return {"magnitude": self.magnitude, "case": self.case,
-                "b0": self.b0, "b1": self.b1, "b2": self.b2,
-                "bases_meta": self.bases_meta}
-
 
 def _random_orthonormal(basis, z):
     """Rotate a stack (m, n, k) of orthonormal bases within their spans by the
@@ -185,6 +180,12 @@ def gaussian_volume(sample, rank):
     return float(_gaussian_volumes(sample.foam, sample.group, sample.data[None], rank)[0])
 
 
+def _check_grid_size(name, n):
+    """ValueError naming n unless it is a positive integer (an int or a numpy integer)."""
+    if not (isinstance(n, numbers.Integral) and n >= 1):
+        raise ValueError("%s %r is not a positive integer" % (name, n))
+
+
 def _torus_chart(psi, rng):
     """The torus flat chart on the n x n grid of class angles psi (n,):
     arrays (psi_a, psi_b, Gaussian volume, sin^2 psi_a + sin^2 psi_b) over
@@ -223,8 +224,10 @@ def torus_volume_grid(n_grid=20, rng=None):
 
     Returns rows (psi_a, psi_b, volume, formula, abs error) of Python floats
     on an n x n grid of class angles in [0.1, pi - 0.1], formed as arrays
-    from math.sin(x) ** 2 of each grid angle.
+    from math.sin(x) ** 2 of each grid angle.  ValueError names an n_grid
+    that is not a positive integer (an int or a numpy integer).
     """
+    _check_grid_size("n_grid", n_grid)
     rng = np.random.default_rng(0) if rng is None else rng
     return _rows(_torus_volume_columns(n_grid, rng))
 
@@ -260,8 +263,7 @@ def torus_dominant_part(n_quad=24, rng=None):
     the result is a Python float.  ValueError names an n_quad that is not a
     positive integer (an int or a numpy integer).
     """
-    if not (isinstance(n_quad, numbers.Integral) and n_quad >= 1):
-        raise ValueError("n_quad %r is not a positive integer" % (n_quad,))
+    _check_grid_size("n_quad", n_quad)
     rng = np.random.default_rng(1) if rng is None else rng
     nodes, weights = _gauss_legendre(n_quad)
     psi = 0.5 * math.pi * (nodes + 1.0)

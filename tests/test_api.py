@@ -1,8 +1,10 @@
 import ast
 import dataclasses
+import importlib
 import inspect
 import math
 import pathlib
+import pkgutil
 
 import numpy as np
 import pytest
@@ -121,6 +123,56 @@ def test_every_builder_returns_its_samples_on_the_callers_reduced_foam(builder):
             assert len(data) > 0
             want = data.tobytes() if want is None else want
             assert data.tobytes() == want, (key, foam)
+
+
+GOLDEN = pathlib.Path(__file__).resolve().parent / "golden"
+COMMANDS = [
+    "analyze --foam torus --samples 4 --seed 1", "flat --foam appendix --samples 3 --seed 1",
+    "flat --foam torus --group u1 --samples 2 --seed 1",
+    "ztau --foam torus --tau-grid 0.01:0.1:4 --seed 1",
+    "ztau --foam genus:2 --method mc --samples 200 --tau-grid 0.5:0.5:1 --seed 1",
+    "fit --in %s" % (GOLDEN / "ztau_char_torus.csv"),
+    "torsion --foam appendix --samples 6 --seed 1",
+    "torsion --foam torus --check torus-volume --grid 2 --seed 1", "toy --tau-grid 1e-4:1e-2:5",
+]
+
+
+def test_no_type_serializes_itself_and_every_record_a_command_writes_is_a_dataclass(
+        monkeypatch):
+    # the output format is the CLI's one decision: no class writes its own
+    # JSON, and a command puts its records (dataclass instances, which the
+    # writer gives as their fields) in its payload as they are, beside plain
+    # JSON data
+    from foamtor import cli
+    for info in pkgutil.iter_modules(ft.__path__):
+        if info.name == "__main__":     # importing it runs the CLI
+            continue
+        module = importlib.import_module("foamtor." + info.name)
+        for name, cls in inspect.getmembers(module, inspect.isclass):
+            assert not hasattr(cls, "to_json"), (module.__name__, name)
+    payloads = []
+    monkeypatch.setattr(cli, "_emit", lambda args, payload: payloads.append(payload))
+    records = set()
+
+    def walk(o):
+        if isinstance(o, dict):
+            assert all(isinstance(k, str) for k in o)
+            for v in o.values():
+                walk(v)
+        elif isinstance(o, (list, tuple)):
+            for v in o:
+                walk(v)
+        elif dataclasses.is_dataclass(o):
+            records.add(type(o))
+            for f in dataclasses.fields(o):
+                walk(getattr(o, f.name))
+        else:
+            assert o is None or type(o) in (str, int, float, bool), type(o)
+
+    for command in COMMANDS:
+        assert cli.main(command.split()) == 0, command
+        walk(payloads.pop())
+    assert records == {ft.TorsionValue, ft.ZEstimate, ft.ScalingFit}
 
 
 def test_a_flat_sample_is_a_connection():

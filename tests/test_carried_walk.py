@@ -12,6 +12,7 @@ family's (analytic_flat_batch) or SampleSet(foam, group, g) alone, fills
 its own: one word_jacobian walk at g, whose H also gives the residuals.
 """
 
+import dataclasses
 import json
 import pathlib
 
@@ -54,7 +55,7 @@ def test_the_carried_walk_is_word_jacobian_at_the_kept_connections(name, group):
 
 
 def _torsion_json(values):
-    return [v.to_json() if isinstance(v, TorsionValue) else {"error": str(v)}
+    return [dataclasses.asdict(v) if isinstance(v, TorsionValue) else {"error": str(v)}
             for v in values]
 
 

@@ -1,4 +1,5 @@
 import argparse
+import dataclasses
 import gc
 import json
 import math
@@ -14,6 +15,8 @@ from hypothesis import given, settings, strategies as st
 
 from foamtor import __version__, twisted
 from foamtor.cli import _emit, _parser, _write_json, main
+from foamtor.partition import ScalingFit, ZEstimate
+from foamtor.torsion import TorsionValue
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
 
@@ -228,8 +231,9 @@ def test_toy_answers_above_tau_1(capsys):
 
 # JSON-like payloads with what json.dumps treats specially: non-ASCII and
 # control characters, -0.0, 1e-05, NaN and the infinities, bools, None,
-# non-str keys (coerced), tuples, and numpy scalars (a float64 is a float;
-# the others go through default=str)
+# non-str keys (coerced), tuples, numpy scalars (a float64 is a float; the
+# others go through default's str), and the records commands write (default
+# gives a record the dict of its fields)
 _SCALARS = st.one_of(
     st.none(), st.booleans(), st.integers(), st.floats(), st.text(),
     st.sampled_from([-0.0, 1e-05, math.nan, math.inf, -math.inf, "\u00e9\u2028\x00\x1f\"\\",
@@ -237,17 +241,36 @@ _SCALARS = st.one_of(
                      np.float32(0.1), np.bool_(True), np.str_("s")]))
 _KEYS = st.one_of(st.text(), st.integers(), st.floats(), st.booleans(), st.none(),
                   st.sampled_from([np.float64(2.5), np.float64(math.inf)]))
+_META = st.dictionaries(st.text(max_size=3), _SCALARS, max_size=3)
+_RECORDS = st.one_of(
+    st.builds(TorsionValue, st.floats(), st.sampled_from(["irreducible", "reducible"]),
+              st.integers(0, 9), st.integers(0, 9), st.integers(0, 9),
+              st.fixed_dictionaries({"seed": st.integers(0, 2 ** 32 - 1),
+                                     "dims": st.dictionaries(st.text(max_size=2),
+                                                             st.integers(0, 9))})),
+    st.builds(ZEstimate, st.floats(), st.floats(), st.floats(), st.text(max_size=8), _META),
+    st.builds(ScalingFit, st.floats(), st.floats(), st.floats(), st.booleans(), st.floats(),
+              st.floats(), st.floats(), st.lists(st.floats(), max_size=4).map(tuple), _META))
 _PAYLOADS = st.recursive(
-    _SCALARS, lambda inner: st.one_of(st.lists(inner, max_size=4),
-                                      st.lists(inner, max_size=4).map(tuple),
-                                      st.dictionaries(_KEYS, inner, max_size=4)),
+    st.one_of(_SCALARS, _RECORDS),
+    lambda inner: st.one_of(st.lists(inner, max_size=4),
+                            st.lists(inner, max_size=4).map(tuple),
+                            st.dictionaries(_KEYS, inner, max_size=4)),
     max_leaves=24)
+
+
+def _fields_or_str(o):
+    """json.dumps's default for a payload: a record's fields dict, else str."""
+    if dataclasses.is_dataclass(o) and not isinstance(o, type):
+        return {f.name: getattr(o, f.name) for f in dataclasses.fields(o)}
+    return str(o)
 
 
 @settings(max_examples=400, deadline=None)
 @given(_PAYLOADS)
 def test_the_json_writer_gives_the_bytes_of_an_indented_json_dumps(payload):
-    assert "".join(_write_json(payload, [])) == json.dumps(payload, indent=2, default=str)
+    assert "".join(_write_json(payload, [])) == json.dumps(payload, indent=2,
+                                                            default=_fields_or_str)
 
 
 def test_the_json_writer_refuses_the_keys_json_refuses():
@@ -290,6 +313,23 @@ def test_seed_env_default(capsys, monkeypatch):
     monkeypatch.setenv("FOAMTOR_SEED", "123")
     _, out = run(capsys, "analyze", "--foam", "sphere", "--samples", "2")
     assert json.loads(out)["config"]["seed"] == 123
+
+
+@pytest.mark.parametrize("where,value", [("--seed", "-1"), ("FOAMTOR_SEED", "abc"),
+                                         ("FOAMTOR_SEED", "-2"), ("FOAMTOR_SEED", "1.5")])
+def test_a_seed_is_refused_by_its_source(where, value, capsys, monkeypatch):
+    # numpy said "expected non-negative integer" and int() "invalid literal
+    # for int() with base 10", neither naming where the seed came from
+    argv = ["analyze", "--foam", "torus", "--samples", "2"]
+    if where == "--seed":
+        argv += ["--seed", value]
+    else:
+        monkeypatch.setenv("FOAMTOR_SEED", value)
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == "error: %s %r is not a non-negative integer\n" % (
+        where, int(value) if where == "--seed" else value)
 
 
 def test_parse_error_exit_code(tmp_path, capsys):

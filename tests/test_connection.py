@@ -1,4 +1,5 @@
 import hashlib
+import json
 import math
 import warnings
 
@@ -453,6 +454,37 @@ def test_a_sample_set_refuses_g_of_any_shape_but_n_edges_by_elem_dim():
     assert len(SampleSet(torus, SU2, SU2.identity((0, 2)))) == 0
 
 
+def test_a_sample_set_refuses_a_column_of_any_length_but_n_naming_it():
+    # a one-entry tags or residual column ended iteration after one record
+    # (its IndexError stops a for loop), a one-row H made the flatness gate
+    # read row 0's residual for every row, and a short possibly_singular
+    # column failed in torsion_batch with an IndexError
+    from foamtor.torsion import torsion_batch
+    torus = builtin("torus")
+    s = sample_flat("torus", "su2", 3, np.random.default_rng(0))
+    for column, value in (("tags", ("x",)), ("residual", np.zeros(1)),
+                          ("b0", np.zeros(4, dtype=int)), ("b2", [1, 1]),
+                          ("possibly_singular", np.array([False, True])),
+                          ("possibly_singular", True), ("residual", np.float64(0.0))):
+        with pytest.raises(ValueError, match="^%s has shape " % column):
+            SampleSet(torus, SU2, s.g, **{column: value})
+    g = np.array(s.g)
+    g[2] = SU2.haar(np.random.default_rng(1), (2,))
+    with pytest.raises(ValueError, match=r"^H has shape \(1, 1, 4\); .* needs \(3, 1, 4\)$"):
+        SampleSet(torus, SU2, g, H=s.H[:1], delta1=s.delta1)
+    with pytest.raises(ValueError, match=r"^delta1 has shape \(3, 3, 3\); .* needs "
+                                         r"\(3, 3, 6\)$"):
+        SampleSet(torus, SU2, g, H=s.H, delta1=s.delta1[:, :, :3])
+    for handed in ({"H": s.H}, {"delta1": s.delta1}):
+        with pytest.raises(ValueError, match="^H and delta1 are handed together"):
+            SampleSet(torus, SU2, s.g, **handed)
+    # a set of the right lengths still answers as before
+    flags = np.array([False, True, False])
+    values = torsion_batch(SampleSet(torus, SU2, s.g, possibly_singular=flags),
+                           np.random.default_rng(2))
+    assert len(values) == 3 and isinstance(values[1], ValueError)
+
+
 # SHA-256 over each record's data bytes, residual bytes and repr(tag), in
 # order, recorded from the FlatSample lists the builders returned before
 # they returned a SampleSet
@@ -549,14 +581,14 @@ def test_holonomy_word_arbitrary():
     assert np.max(np.abs(holonomy_word(conn, w) - expected)) < 1e-12
 
 
-def test_connection_json():
-    rng = np.random.default_rng(15)
-    conn = Connection.haar(builtin("appendix"), "su2", rng)
-    js = conn.to_json()
-    assert set(js) == {"a", "b", "h"}
-    s = analytic_flat("torus", rng)
-    payload = s.to_json()
-    assert payload["residual"] < 1e-14 and "component_tag" in payload
+def test_connection_json(capsys):
+    # flat writes each sample's connection as its edge map, then its
+    # residual and classification
+    for foam, edges in (("appendix", {"a", "b", "h"}), ("torus", {"a1", "b1"})):
+        assert main(["flat", "--foam", foam, "--samples", "2", "--seed", "15"]) == 0
+        for row in json.loads(capsys.readouterr().out)["samples"]:
+            assert set(row["connection"]) == edges
+            assert row["residual"] < 1e-14 and row["component_tag"] is not None
 
 
 def test_analytic_flat_refuses_a_sign_other_than_plus_or_minus_one():

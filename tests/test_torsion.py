@@ -220,6 +220,14 @@ def test_torus_dominant_part_refuses_a_quadrature_order_by_name(n_quad):
         torus_dominant_part(n_quad)
 
 
+@pytest.mark.parametrize("n_grid", [0, -3, 2.5, 2.0, "8"])
+def test_torus_volume_grid_refuses_a_grid_size_by_name(n_grid):
+    # 0 gave no rows, so no maximum error, and 2.5 numpy's unnamed TypeError
+    with pytest.raises(ValueError, match=r"^n_grid %s is not a positive integer$"
+                       % re.escape(repr(n_grid))):
+        torus_volume_grid(n_grid)
+
+
 @pytest.mark.parametrize("ks", [(1, 2, 0, 3, 1), (0, 0, 0, 0, 0), (3, 3, 0, 0, 2),
                                 (0, 6, 3, 0, 0), (4, 0, 0, 0, 0)])
 def test_one_rotation_draw_per_sample_is_the_stream_of_one_draw_per_block(ks):
@@ -262,8 +270,8 @@ def _stacked(records):
 
 
 def _torsion_json(values):
-    return json.dumps([v.to_json() if isinstance(v, TorsionValue) else {"error": str(v)}
-                       for v in values])
+    return json.dumps([dataclasses.asdict(v) if isinstance(v, TorsionValue)
+                       else {"error": str(v)} for v in values])
 
 
 @pytest.mark.parametrize("name,n", [("torus", 8), ("appendix", 24), ("genus:2", 6)])
