@@ -21,6 +21,7 @@ __all__ = [
 ]
 
 _ID_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*$")
+_CACHE_EDGES = 4096     # the largest foam builtin caches (genus:2048: about 2 MB)
 
 
 class FoamError(ValueError):
@@ -437,26 +438,47 @@ def _commutator(a, b):
     return (Letter(a, 1), Letter(b, 1), Letter(a, -1), Letter(b, -1))
 
 
-@functools.lru_cache(maxsize=16)
+def _genus(name):
+    """g for the builtin key genus:g (the torus: 1), None for any other key."""
+    key = name.lower()
+    if key == "torus":
+        return 1
+    if not key.startswith("genus:"):
+        return None
+    if not key[6:].isdecimal():
+        raise FoamError("builtin %r: genus:g needs an integer g >= 0" % name)
+    return int(key[6:])
+
+
+def _genus_presentation(g):
+    """genus:g's presentation (see _presentation) from tuples alone: edges
+    a1, b1, ..., ag, bg and one face [a1, b1] ... [ag, bg]."""
+    ids = tuple("%s%d" % (c, i) for i in range(1, g + 1) for c in "ab")
+    word = tuple(p for e in range(0, 2 * g, 2)
+                 for p in ((e, 1), (e + 1, 1), (e, -1), (e + 1, -1)))
+    return ids, (word,)
+
+
 def builtin(name):
     """Canonical reduced foams: sphere, torus, genus:g, appendix, dunce_hat,
     projective_plane.  genus:0 is the sphere (one trivially attached face).
-    Each key is built once per process (a bounded cache): a Foam is frozen,
-    so every caller may share it."""
-    key = "genus:1" if name.lower() == "torus" else name.lower()
-    g = key[6:] if key.startswith("genus:") else None
-    if g is not None and not g.isdecimal():
-        raise FoamError("builtin %r: genus:g needs an integer g >= 0" % name)
-    if key == "sphere" or g is not None and int(g) == 0:
+    Each key of at most _CACHE_EDGES edges is built once per process, in a
+    cache of 16 foams (a Foam is frozen, so every caller may share it), and
+    a larger genus at each call, so the cache holds some 34 MB at most."""
+    g = _genus(name)
+    if g is not None and 2 * g > _CACHE_EDGES:
+        return _build_builtin(name)
+    return _cached_builtin(name)
+
+
+def _build_builtin(name):
+    key, g = name.lower(), _genus(name)
+    if key == "sphere" or g == 0:
         return Foam(name="sphere", edges=(), faces=(FaceWord((), "disk"),))
     if g is not None:
-        g, edges, word = int(g), [], []
-        for i in range(1, g + 1):
-            a, b = "a%d" % i, "b%d" % i
-            edges += [(a, 0, 0), (b, 0, 0)]
-            word += _commutator(a, b)
-        return Foam(name="genus%d" % g, edges=tuple(edges),
-                    faces=(FaceWord(word, "surface"),))
+        ids, (word,) = _genus_presentation(g)
+        return Foam(name="genus%d" % g, edges=tuple((e, 0, 0) for e in ids),
+                    faces=(FaceWord(tuple(Letter(ids[e], s) for e, s in word), "surface"),))
     if key == "appendix":
         edges = (("a", 0, 0), ("b", 0, 0), ("h", 0, 0))
         return Foam(name="appendix", edges=edges,
@@ -471,15 +493,30 @@ def builtin(name):
     raise FoamError("unknown builtin %r" % name)
 
 
+_cached_builtin = functools.lru_cache(maxsize=16)(_build_builtin)
+builtin.cache_clear, builtin.cache_info = _cached_builtin.cache_clear, _cached_builtin.cache_info
+
+
 def _presentation(foam):
-    return foam.edge_ids, tuple(f.letters for f in foam.faces)
+    """A reduced foam's edge ids and its face words as (edge index, exponent)
+    pairs, which name the same letters."""
+    return foam.edge_ids, foam.words_idx
 
 
 def match_builtin(foam, keys):
     """The first of the builtin keys whose foam has this foam's presentation
     once reduced (reduce_foam): the same edge ids in the same order and the
     same face words, letter for letter and in the same order.  Names, of the
-    foam and of its faces, play no part.  None if no key matches.
+    foam and of its faces, play no part.  None if no key matches.  A genus:g
+    key beyond builtin's cache is matched with no foam built, so a foam
+    loaded by that key is built once, however large.
     """
     shape = _presentation(reduce_foam(foam))
-    return next((key for key in keys if _presentation(builtin(key)) == shape), None)
+    return next((key for key in keys if _key_presentation(key) == shape), None)
+
+
+def _key_presentation(key):
+    g = _genus(key)
+    if g is not None and 2 * g > _CACHE_EDGES:
+        return _genus_presentation(g)
+    return _presentation(builtin(key))

@@ -26,11 +26,15 @@ A group is its class: SU2 and U1 are never instantiated, and get_group
 returns the class for its name.  The class functions (character,
 heat_kernel) take class angles, distance(g) for elements g.  ``word_angle``
 gives the class angle of a face word's holonomy without forming the product
-as an element; Monte Carlo uses it with the heat kernel.
+as an element; Monte Carlo uses it with the heat kernel.  SU(2) reads the
+word as blocks: a commutator x y x^-1 y^-1 of two edges' letters is one
+block, whose angle has a closed form when it is the whole word (the torus,
+each face of the appendix), and which enters a longer product (genus
+g >= 2) as one quaternion; any other letter is a block of its own.
 
 Haar draws are Fortran-ordered: the batch axes vary fastest, so the row
 g[..., e, i] of one edge's component is contiguous, which is what
-word_angle reads once per face letter.  The values are those of the
+word_angle reads once per face block.  The values are those of the
 generator's stream (SU(2): its normals over their norm, drawn in cache-sized
 blocks by su2_haar_normals), so seeded draws do not depend on the layout or
 the blocking.  Monte Carlo draws through each group's ``mc_draw``: for SU(2)
@@ -135,50 +139,190 @@ def su2_exp(v):
     return out
 
 
+def _su2_word_blocks(word_idx):
+    """A face word read as blocks, left to right: (e1, s1, e2, s2) for a
+    commutator x y x^-1 y^-1 of two edges' letters x = g_e1^s1, y = g_e2^s2,
+    and (e, s) for any other letter."""
+    blocks, i = [], 0
+    while i < len(word_idx):
+        (e1, s1), nxt = word_idx[i], word_idx[i + 1:i + 4]
+        if len(nxt) == 3 and nxt[0][0] != e1 and nxt[1] == (e1, -s1) \
+                and nxt[2] == (nxt[0][0], -nxt[0][1]):
+            blocks.append((e1, s1) + nxt[0])
+            i += 4
+        else:
+            blocks.append((e1, s1))
+            i += 1
+    return blocks
+
+
+def _su2_commutator_angle(g, e1, s1, e2, s2):
+    """The class angle of the commutator x y x^-1 y^-1 of x = a^s1 and
+    y = b^s2, for a = (a0, A) and b = (b0, B) the rows of edges e1 and e2.
+
+    With sigma = s1 s2, x y = (s, U + W) for s = a0 b0 - sigma A.B, U = s2 P,
+    P = a0 B + sigma b0 A, and W = sigma X, X = A x B; and x y x* y* =
+    (x y)(y x)* = (s^2 + |U|^2 - |W|^2, 2 (s W + U x W)).  U is orthogonal
+    to W, so the vector part has norm 2 |W| r, r^2 = s^2 + |P|^2, and the
+    class angle is 2 atan2(|X|, r).  The sums of squares run on four rows.
+    """
+    a0, a1, a2, a3 = (g[..., e1, i] for i in range(4))
+    b0, b1, b2, b3 = (g[..., e2, i] for i in range(4))
+    minus, plus = (np.subtract, np.add) if s1 * s2 > 0 else (np.add, np.subtract)
+    r, p, x, t = (np.empty(g.shape[:-2]) for _ in range(4))
+    np.multiply(a1, b1, out=t)
+    t += np.multiply(a2, b2, out=p)
+    t += np.multiply(a3, b3, out=p)
+    minus(np.multiply(a0, b0, out=r), t, out=r)
+    r *= r
+    for ai, bi in ((a1, b1), (a2, b2), (a3, b3)):
+        plus(np.multiply(a0, bi, out=p), np.multiply(b0, ai, out=t), out=p)
+        r += np.multiply(p, p, out=p)
+    np.subtract(np.multiply(a2, b3, out=x), np.multiply(a3, b2, out=t), out=x)
+    x *= x
+    for (u1, v1), (u2, v2) in (((a3, b1), (a1, b3)), ((a1, b2), (a2, b1))):
+        np.subtract(np.multiply(u1, v1, out=p), np.multiply(u2, v2, out=t), out=p)
+        x += np.multiply(p, p, out=p)
+    np.arctan2(np.sqrt(x, out=x), np.sqrt(r, out=r), out=r)
+    r *= 2.0
+    return r
+
+
+def _su2_commutator(g, e1, s1, e2, s2, row):
+    """The commutator x y x^-1 y^-1 (see _su2_commutator_angle) as a
+    quaternion (w, v), from the products d = A.B, nA = |A|^2 and nB = |B|^2:
+
+        w = |a|^2 |b|^2 - 2 |X|^2,   |X|^2 = nA nB - d^2,
+        v = 2 sigma (s W + U x W) = 2 s sigma X + s1 (2 alpha A - 2 beta B),
+
+    as U x W = s2 sigma P x X and P x X = alpha A - beta B for
+    alpha = a0 nB + sigma b0 d and beta = a0 d + sigma b0 nA.  Its scale is
+    the |a|^2 |b|^2 of the four letters, so a product of unit rows stays a
+    unit row however many commutators it takes; the factors 2 are exact.
+    row() gives a sample-length row; returns the four rows of (w, v) and the
+    four rows it spent, having held eight at once.
+    """
+    a = [g[..., e1, i] for i in range(4)]
+    b = [g[..., e2, i] for i in range(4)]
+    minus, plus = (np.subtract, np.add) if s1 * s2 > 0 else (np.add, np.subtract)
+    d, na, nb, xx, t = (row() for _ in range(5))
+    for n, u, v in ((d, a, b), (na, a, a), (nb, b, b)):
+        np.multiply(u[1], v[1], out=n)
+        n += np.multiply(u[2], v[2], out=t)
+        n += np.multiply(u[3], v[3], out=t)
+    np.subtract(np.multiply(na, nb, out=xx), np.multiply(d, d, out=t), out=xx)
+    al, be = row(), row()
+    plus(np.multiply(a[0], nb, out=al), np.multiply(b[0], d, out=t), out=al)
+    plus(np.multiply(a[0], d, out=be), np.multiply(b[0], na, out=t), out=be)
+    al += al
+    be += be
+    w = na
+    w += np.multiply(a[0], a[0], out=t)
+    nb += np.multiply(b[0], b[0], out=t)
+    w *= nb
+    xx += xx
+    w -= xx
+    s = nb
+    minus(np.multiply(a[0], b[0], out=s), d, out=s)
+    s += s
+    # v_i = 2 s (sigma X)_i +- (2 alpha A_i - 2 beta B_i), sigma X_i = a_j b_k - a_k b_j
+    # with j, k swapped for sigma < 0
+    vplus, vminus = (np.add, np.subtract) if s1 > 0 else (np.subtract, np.add)
+    v = (d, xx, row())
+    for r, i, j, k in ((v[0], 1, 2, 3), (v[1], 2, 3, 1), (v[2], 3, 1, 2)):
+        j, k = (j, k) if s1 * s2 > 0 else (k, j)
+        np.subtract(np.multiply(a[j], b[k], out=r), np.multiply(a[k], b[j], out=t), out=r)
+        r *= s
+        vplus(r, np.multiply(al, a[i], out=t), out=r)
+        vminus(r, np.multiply(be, b[i], out=t), out=r)
+    return [w, *v], [s, al, be, t]
+
+
+def _su2_times(q, f, s, tmp):
+    """q = q (w2, s v2) in place, for rows q = [w, x, y, z] and f = (w2, x2,
+    y2, z2), with five temporary rows tmp, or four if f's z2 row may be
+    overwritten."""
+    w, x, y, z = q
+    w2, x2, y2, z2 = f
+    dot, cx, cy, t, *cz = tmp
+    # z2 is read last by the cz sum, so a spent factor takes it there
+    cz = cz[0] if cz else z2
+    # (w, v)(w2, s v2) = (w w2 - s v.v2, v w2 + s (w v2 + v x v2)), as
+    # dot = x x2 + y y2 + z z2 and cx = w x2 + y z2 - z y2, summed left
+    # to right
+    for out, (a1, b1), (a2, b2), (a3, b3), op in (
+            (dot, (x, x2), (y, y2), (z, z2), np.add),
+            (cx, (w, x2), (y, z2), (z, y2), np.subtract),
+            (cy, (w, y2), (z, x2), (x, z2), np.subtract),
+            (cz, (w, z2), (x, y2), (y, x2), np.subtract)):
+        np.multiply(a1, b1, out=out)
+        out += np.multiply(a2, b2, out=t)
+        op(out, np.multiply(a3, b3, out=t), out=out)
+    w *= w2
+    x *= w2
+    y *= w2
+    z *= w2
+    if s > 0:
+        w -= dot
+        x += cx
+        y += cy
+        z += cz
+    else:
+        w += dot
+        x -= cx
+        y -= cy
+        z -= cz
+
+
 def su2_word_angle(word_idx, g):
     """Class angle of the holonomy of a face word, g of shape (..., E, 4).
 
-    One multiply chain per quaternion component: an inverse letter enters as
-    a sign flip of its vector part, and the product is neither stacked nor
+    The word is read as blocks (_su2_word_blocks): a commutator
+    x y x^-1 y^-1 of two edges' letters is one block, and any other letter
+    a block of its own.  A word that is one commutator has its angle in
+    closed form (_su2_commutator_angle).  Otherwise one multiply chain per
+    quaternion component runs over the blocks: a letter is its row of g, an
+    inverse letter entering as a sign flip of its vector part, and a
+    commutator is its quaternion at its four letters' scale, formed from its
+    two letters (_su2_commutator).  The product is neither stacked nor
     renormalized, since atan2(|v|, w) does not depend on its norm.  So the
     rows of g may carry any positive scale, such as the raw normals of
     su2_haar_normals: the angle then differs from that of the unit rows by
-    rounding only.  The chains run in place, on rows allocated once per call.
+    rounding only, and a product of unit rows stays of unit norm however
+    long.  The chains run in place on reused rows: at most twelve at once,
+    nine for a word without commutators and four for one commutator.
     """
-    if not word_idx:
+    blocks = _su2_word_blocks(word_idx)
+    if not blocks:
         return np.zeros(g.shape[:-2])
-    (e, s), rest = word_idx[0], word_idx[1:]
-    w, x, y, z, dot, cx, cy, cz, t = (np.empty(g.shape[:-2]) for _ in range(9))
-    np.copyto(w, g[..., e, 0])
-    for r, i in ((x, 1), (y, 2), (z, 3)):
-        np.multiply(g[..., e, i], 1.0 if s > 0 else -1.0, out=r)
-    for e, s in rest:
-        w2, x2, y2, z2 = (g[..., e, i] for i in range(4))
-        # (w, v)(w2, s v2) = (w w2 - s v.v2, v w2 + s (w v2 + v x v2)), as
-        # dot = x x2 + y y2 + z z2 and cx = w x2 + y z2 - z y2, summed left
-        # to right
-        for out, (a1, b1), (a2, b2), (a3, b3), op in (
-                (dot, (x, x2), (y, y2), (z, z2), np.add),
-                (cx, (w, x2), (y, z2), (z, y2), np.subtract),
-                (cy, (w, y2), (z, x2), (x, z2), np.subtract),
-                (cz, (w, z2), (x, y2), (y, x2), np.subtract)):
-            np.multiply(a1, b1, out=out)
-            out += np.multiply(a2, b2, out=t)
-            op(out, np.multiply(a3, b3, out=t), out=out)
-        w *= w2
-        x *= w2
-        y *= w2
-        z *= w2
-        if s > 0:
-            w -= dot
-            x += cx
-            y += cy
-            z += cz
+    if len(blocks) == 1 and len(blocks[0]) == 4:
+        return _su2_commutator_angle(g, *blocks[0])
+    spare = []
+
+    def row():
+        return spare.pop() if spare else np.empty(g.shape[:-2])
+
+    q = None
+    for b in blocks:
+        commutator = len(b) == 4
+        if commutator:
+            f, spent = _su2_commutator(g, *b, row)
+            spare += spent
+            s = 1
         else:
-            w += dot
-            x -= cx
-            y -= cy
-            z -= cz
+            f, s = [g[..., b[0], i] for i in range(4)], b[1]
+        if q is None and commutator:
+            q = f
+        elif q is None:
+            q = [row() for _ in range(4)]
+            np.copyto(q[0], f[0])
+            for r, c in zip(q[1:], f[1:]):
+                np.multiply(c, 1.0 if s > 0 else -1.0, out=r)
+        else:
+            tmp = [row() for _ in range(4 if commutator else 5)]
+            _su2_times(q, f, s, tmp)
+            spare += tmp + (f if commutator else [])
+    w, x, y, z = q
     np.multiply(x, x, out=x)
     np.multiply(y, y, out=y)
     x += y

@@ -110,6 +110,25 @@ def _merge_moments(a, b):
     return n, ma + d * (nb / n), qa + qb + d * d * (na * nb / n)
 
 
+def _chunk_moments(group, tau, words, g):
+    """(n, mean, sum of squared deviations) of prod_f K_tau(H_f) over the n
+    samples of g (n, E, elem_dim).  The first face's kernel values hold the
+    product, and nothing outlives the call, so the first word is walked with
+    no other sample-length row held."""
+    vals = None
+    for word in words:
+        if vals is None:
+            vals = group.heat_kernel(tau, group.word_angle(word, g))
+        else:
+            vals *= group.heat_kernel(tau, group.word_angle(word, g))
+    if vals is None:
+        vals = np.ones(len(g))
+    mean = float(vals.mean())
+    vals -= mean
+    vals *= vals
+    return len(g), mean, float(vals.sum())
+
+
 def z_mc(foam, group, tau, n_samples, seed, n_workers=1):
     """Sample mean of prod_f K_tau(H_f(A)) over A ~ Haar^E; foam is a Foam or a builtin key.
 
@@ -134,6 +153,10 @@ def z_mc(foam, group, tau, n_samples, seed, n_workers=1):
     an estimate can differ from one on unit quaternions in its last bits
     only.  A word longer than MC_RAW_LETTERS could overflow the product of
     unnormalized rows, so such a foam draws unit rows (group.haar) instead.
+    SU(2) walks each face word by blocks (su2_word_angle): a commutator of
+    two edges' letters in closed form, or as one factor of a longer
+    product, and any other letter one at a time; so a chunk holds its draw
+    buffer and at most twelve rows of its length (_chunk_moments).
 
     Below the MC floor the integrand variance swamps 1e7-sample estimates;
     use the character evaluators there.
@@ -176,13 +199,7 @@ def z_mc(foam, group, tau, n_samples, seed, n_workers=1):
         for start in range(0, n, step):
             m = min(step, n - start)
             g = draw(wrng, (m, foam.E), out=buf[:m])
-            vals = np.ones(m)
-            for word in foam.words_idx:
-                vals *= group.heat_kernel(tau, group.word_angle(word, g))
-            mean = float(vals.mean())
-            vals -= mean
-            vals *= vals
-            parts.append((m, mean, float(vals.sum())))
+            parts.append(_chunk_moments(group, tau, foam.words_idx, g))
         buffers.append(buf)
         return reduce(_merge_moments, parts)
 

@@ -278,6 +278,27 @@ def test_a_char_ztau_job_builds_its_genus_foam_once(monkeypatch, capsys):
     assert built.count("genus2000") == 1
 
 
+def test_a_char_ztau_job_beyond_the_cache_builds_its_genus_foam_once(monkeypatch, capsys):
+    # genus:3000 has more edges than builtin caches: the match reads a
+    # genus:g key's presentation with no foam built, so the foam is still
+    # built once
+    built = []
+    validate = Foam._validate
+
+    def counted(foam):
+        built.append(foam.name)
+        return validate(foam)
+
+    monkeypatch.setattr(Foam, "_validate", counted)
+    assert main(["ztau", "--foam", "genus:3000", "--method", "char",
+                 "--tau-grid", "0.5:0.5:1"]) == 0
+    assert '"method": "char"' in capsys.readouterr().out
+    assert built == ["genus3000"]
+    keys = tuple("genus:%d" % g for g in range(5))
+    for g in range(5):
+        assert match_builtin(parse_foam(serialize_foam(builtin("genus:%d" % g))), keys) == keys[g]
+
+
 def test_serialize_roundtrip_builtins():
     for name in ("sphere", "torus", "genus:3", "appendix", "dunce_hat",
                  "projective_plane"):
@@ -434,3 +455,24 @@ def test_a_wide_disconnected_skeleton_is_refused_before_it_is_allocated(tmp_path
     path.write_text(text)
     assert main(["analyze", "--foam", str(path)]) == 2
     assert "1-skeleton is not connected" in capsys.readouterr().err
+
+
+def test_the_builtin_cache_keeps_no_foam_beyond_its_edge_budget():
+    # builtin's cache held any foam it built: a cached genus:100000 held
+    # 105 MB, so sixteen large keys kept about 1.7 GB alive.  Foams of more
+    # than 4096 edges (genus:2049 and up) are built at each call instead
+    builtin.cache_clear()
+    small = builtin("genus:2048")
+    assert builtin("genus:2048") is small and small.E == 4096
+    big = builtin("genus:2049")
+    assert builtin("genus:2049") == big and builtin("genus:2049") is not big
+    del big
+    tracemalloc.start()
+    try:
+        for g in range(2050, 2054):
+            builtin("genus:%d" % g)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert held < 10 ** 6     # one such foam holds about 2 MB
+    assert builtin.cache_info().currsize == 1

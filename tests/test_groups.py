@@ -7,8 +7,9 @@ import numpy as np
 import pytest
 
 from foamtor.connection import word_jacobian
-from foamtor.foam import builtin, reduce_foam
-from foamtor.groups import (EPS_LOG, HAAR_BLOCK, CutLocusError, get_group, su2_haar,
+from foamtor.foam import builtin, parse_foam, reduce_foam
+from foamtor.groups import (EPS_LOG, HAAR_BLOCK, CutLocusError, _su2_word_blocks,
+                            get_group, su2_haar,
                             su2_haar_normals, su2_heat_kernel_images,
                             su2_heat_kernel_series, su2_mul, su2_word_angle,
                             u1_heat_kernel_images, u1_heat_kernel_series)
@@ -206,6 +207,52 @@ def test_su2_word_angle_does_not_depend_on_row_scale(name):
     for word in words:
         ref = su2_word_angle(word, g)
         assert np.max(np.abs(su2_word_angle(word, scaled) - ref)) <= 2e-15, name
+
+
+# face words of two edges a, b, and the commutator blocks the walk reads in
+# each (the other letters are walked one at a time)
+BLOCK_WORDS = {
+    "b a b^-1 a^-1": 1,
+    "a b a^-1 b": 0,                       # not a commutator
+    "a a a^-1 a^-1": 0,                    # one edge: angle 0 on either path
+    "a^-1 b^-1 a b": 1,
+    "a b a^-1 b^-1 a b a^-1 b^-1": 2,      # edges repeated across blocks
+    "a b a^-1 b^-1 a": 1,                  # a commutator, then a free letter
+    "a^-1 b a b^-1 b a^-1 b^-1 a": 2,      # sigma = -1: (a^-1, b) and (b, a^-1)
+    "a b a^-1 b^-1 " * 175: 175,           # test_z_mc_walks_long_words_on_unit_rows
+}
+
+
+@pytest.mark.parametrize("text", sorted(BLOCK_WORDS), ids=lambda t: t[:40].strip())
+def test_word_angle_reads_commutator_blocks_as_their_letters(text):
+    # a commutator x y x^-1 y^-1 is walked as one block, in closed form when
+    # it is the whole word; the angle is that of the letter-by-letter
+    # holonomy, and does not depend on the rows' scale
+    word = parse_foam("edges: a b\nface: " + text).words_idx[0]
+    assert sum(len(b) == 4 for b in _su2_word_blocks(word)) == BLOCK_WORDS[text]
+    rng = np.random.default_rng(23)
+    g = su2_haar(rng, (4000, 2))
+    H = word_jacobian(SU2G, [word], g)[0][..., 0, :]
+    got = su2_word_angle(word, g)
+    assert np.max(np.abs(got - SU2G.distance(H))) <= 1e-12
+    if len(word) < 100:
+        scaled = g * rng.uniform(0.1, 10.0, g.shape[:-1] + (1,))
+        assert np.max(np.abs(su2_word_angle(word, scaled) - got)) <= 2e-15
+    else:
+        # 175 equal commutators repeat one commutator's rounding 175 times
+        # (the letter chain read 3e-14 here): the bound grows with the word
+        scaled = g * rng.uniform(0.9, 1.1, g.shape[:-1] + (1,))
+        assert np.max(np.abs(su2_word_angle(word, scaled) - got)) <= 1e-12
+
+
+def test_word_angle_keeps_a_long_commutator_product_at_unit_scale():
+    # each commutator enters the product at its four letters' scale, so on
+    # unit rows 1,100 of them stay a unit quaternion; at half that scale the
+    # squared norm fell as 2^-2k and read 0 past some 537 commutators
+    word = builtin("genus:1100").words_idx[0]
+    g = su2_haar(np.random.default_rng(29), (6, 2200))
+    H = word_jacobian(SU2G, [word], g)[0][..., 0, :]
+    assert np.max(np.abs(su2_word_angle(word, g) - SU2G.distance(H))) <= 1e-12
 
 
 def test_haar_component_rows_are_contiguous():

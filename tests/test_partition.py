@@ -206,6 +206,26 @@ def test_z_mc_walks_long_words_on_unit_rows():
     assert abs(est.stderr - stderr) <= 1e-12 * stderr
 
 
+def test_z_mc_holds_its_draw_buffer_and_twelve_sample_rows(monkeypatch):
+    # the walk of a product of commutators holds at most twelve rows of a
+    # chunk's length (the letter chain nine), the first face's kernel values
+    # hold the integrand, and no row outlives its chunk; a kernel that
+    # holds one temporary more fails here before it shows in the RSS
+    chunk = 20_000
+    monkeypatch.setattr(partition, "MC_CHUNK", chunk)
+    foam = builtin("genus:3")
+    z_mc(foam, "su2", 0.5, 2 * chunk, seed=1)
+    tracemalloc.start()
+    try:
+        z_mc(foam, "su2", 0.5, 2 * chunk, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    row = 8 * chunk
+    draw_buffer = foam.E * SU2.elem_dim * row
+    assert peak <= draw_buffer + 12.5 * row
+
+
 def test_z_mc_variance_of_a_constant_integrand_is_zero(monkeypatch):
     # U(1) torus: every commutator word is trivial, so the integrand is the
     # constant K_tau(0); merged chunk moments carry no cancellation residue
