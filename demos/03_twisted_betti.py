@@ -10,7 +10,7 @@ function (demo 04).
 
 import numpy as np
 
-from foamtor import (Connection, analytic_flat, build_delta0, build_delta1,
+from foamtor import (SampleSet, analytic_flat, build_delta0, build_delta1,
                      builtin, cellular_homology, cohomology, min_b2)
 
 rng = np.random.default_rng(1)
@@ -29,7 +29,7 @@ print("torus twisted Betti:", rep.betti, " rank delta1 =", rep.rank1,
 for name in ("sphere", "torus", "genus:2", "dunce_hat"):
     foam = builtin(name)
     cell = cellular_homology(foam).betti
-    triv = cohomology(Connection.identity(foam, "su2")).betti
+    triv = cohomology(SampleSet.identity(foam, "su2")).betti
     print("%-10s cellular %s -> twisted at trivial %s" % (foam.name, cell, triv))
 
 # -- the genus table: b2_0 = 3, 1, 0, 0 for genus 0..3 over SU(2)

@@ -186,12 +186,18 @@ def cmd_flat(args):
     seed = _seed_of(args)
     rng = np.random.default_rng(seed)
     samples = sample_flat(_load_foam(args.foam), args.group, args.samples, rng)
-    group, edges = samples.group, samples.foam.edge_ids
+    group, edges, n = samples.group, samples.foam.edge_ids, len(samples)
+
+    def column(values, default):
+        return [default] * n if values is None else values.tolist()
     rows = [{"connection": {e: {group.name: x[0] if group.elem_dim == 1 else x}
-                            for e, x in zip(edges, s.data.tolist())},
-             "residual": s.residual, "b0": s.b0, "b2": s.b2,
-             "component_tag": s.component_tag, "possibly_singular": s.possibly_singular}
-            for s in samples]
+                            for e, x in zip(edges, g)},
+             "residual": res, "b0": b0, "b2": b2, "component_tag": tag,
+             "possibly_singular": singular}
+            for g, res, b0, b2, tag, singular in zip(
+                samples.g.tolist(), samples.residual.tolist(), column(samples.b0, None),
+                column(samples.b2, None), samples.tags,
+                column(samples.possibly_singular, False))]
     _emit(args, {"config": _config_echo(args, seed), "foam": samples.foam.name,
                  "samples": rows})
     return 0

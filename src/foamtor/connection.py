@@ -24,14 +24,12 @@ letters' signed Ad blocks by occurrence rank (_letter_plan): one gathered
 add for the first letter of every (face, edge) block, one for the second,
 and so on, planned once per word_jacobian call and once per projection.
 
-A flat sample is a Connection: FlatSample adds the residual and the
-classification, so every function of a connection takes a sample as it is.
-Both are plain records; the flat command writes their rows.  A sample set
-is a SampleSet, one array per field, which the twisted complex, min_b2's
-rule and torsion read.  It checks all its rows at once, refusing as
-Connection does, walks its faces once for H and delta1 unless its builder
-hands them over (a projection, from each accepting step), and builds a
-FlatSample, by its constructor, only for the row it is asked for.
+Samples have one type, the columnar SampleSet: one array per field, which
+every sample reader here, in the twisted complex, min_b2's rule and torsion
+takes (a one-row set is one connection), giving one value per row, and the
+flat command writes row by row.  It checks all its rows at once, walks its
+faces once for H and delta1 unless its builder hands them over (a
+projection, from each accepting step), and slices its columns for set[i].
 
 Every builder reads its foam by one rule (foam.reduce_foam: a Foam or a
 builtin key), takes a special route by the reduced foam's structure
@@ -40,7 +38,9 @@ builtin key), takes a special route by the reduced foam's structure
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields, replace
+import copy
+import numbers
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -50,58 +50,13 @@ from .groups import EPS_LOG, SU2, get_group, su2_normalize
 FLAT_TOL = 1e-10
 
 
-@dataclass(frozen=True, eq=False)
-class Connection:
-    """Edge assignment e -> g_e, ordered by the foam's edge list.
-
-    data has shape (E, elem_dim); rows follow foam.edge_ids, and conn[e] is
-    edge e's row.  A row that is not a group element (group.is_element: a
-    unit quaternion to ELEMENT_TOL, a finite angle) is refused with
-    ValueError naming its edge.
-    """
-
-    foam: Foam
-    group: object
-    data: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "group", get_group(self.group))
-        arr = np.asarray(self.data, dtype=float).reshape(self.foam.E, self.group.elem_dim)
-        _check_elements(self.foam, self.group, arr)
-        object.__setattr__(self, "data", arr)
-
-    def __getitem__(self, edge_id):
-        return self.data[self.foam.edge_index(edge_id)]
-
-    @classmethod
-    def identity(cls, foam, group):
-        group = get_group(group)
-        return cls(foam, group, group.identity((foam.E,)))
-
-    @classmethod
-    def haar(cls, foam, group, rng):
-        group = get_group(group)
-        return cls(foam, group, group.haar(rng, (foam.E,)))
-
-
-@dataclass(frozen=True, eq=False)
-class FlatSample(Connection):
-    """A connection on the flat set, with its residual and classification."""
-
-    residual: float
-    b0: int | None = None
-    b2: int | None = None
-    component_tag: str | None = None
-    possibly_singular: bool = False
-
-
 # ----------------------------------------------------------------------
 # a whole sample set, as columns
 
 def _check_elements(foam, group, g):
     """ValueError naming the edge of the first row of g (..., E, elem_dim)
     that is not an element of group, from one group.is_element call over all
-    its rows: the one element check of every Connection."""
+    its rows: the one element check of every SampleSet."""
     rows = g.reshape(-1, group.elem_dim)
     ok = group.is_element(rows)
     if not ok.all():
@@ -112,19 +67,26 @@ def _check_elements(foam, group, g):
 
 @dataclass(frozen=True, eq=False)
 class SampleSet:
-    """Flat samples on one foam and group, one array per field.
+    """Connections on one foam and group, one array per field: a builder's
+    flat samples, or one connection as the set of one row.
 
-    g (n, E, elem_dim) stacks the connections; residual and tags (n,) hold
-    their residuals and component tags, H (n, F, elem_dim) and delta1
-    (n, F*d, E*d) word_jacobian at g.  Construction refuses a g of any other
-    shape, naming the shape it got and the one it needs, runs one element
-    check over all n*E rows, refusing as Connection does, and refuses a
-    handed column of another shape, naming it, or H without delta1 or the
+    g (n, E, elem_dim) stacks the connections, rows following foam.edge_ids;
+    residual and tags (n,) hold their residuals and component tags, H
+    (n, F, elem_dim) and delta1 (n, F*d, E*d) word_jacobian at g.
+    Construction refuses a g of any other shape, naming the shape it got and
+    the one it needs, runs one element check over all n*E rows, refusing a
+    row that is not a group element (group.is_element: a unit quaternion to
+    ELEMENT_TOL, a finite angle) with ValueError naming its edge, and refuses
+    a handed column of another shape, naming it, or H without delta1 or the
     reverse.  It then fills what its builder left out: H and delta1 from one
     walk, the residual as face_residual of H, tags None.  min_b2 fills b0,
-    b2 and possibly_singular (n,).  set[i] is sample i as a FlatSample, built
-    by its constructor, set[a:b] the SampleSet of those rows; len goes by
-    sample, iteration by set[i].
+    b2 and possibly_singular (n,).
+
+    set[i], for an integer i (Python or numpy; negative counts from the
+    end), is the one-row set set[i:i+1], and set[a:b] the set of those rows,
+    taken column by column with no second check; an integer out of range is
+    an IndexError and any other index a TypeError.  len goes by row, and
+    iteration yields the one-row sets.
     """
 
     foam: Foam
@@ -164,19 +126,45 @@ class SampleSet:
         tags = (None,) * n if self.tags is None else self.tags
         self.__dict__.update(group=group, g=g, H=H, delta1=d1, residual=res, tags=tags)
 
+    @classmethod
+    def identity(cls, foam, group):
+        """The one-row set of the identity connection on foam."""
+        group = get_group(group)
+        return cls(foam, group, group.identity((1, foam.E)))
+
+    @classmethod
+    def haar(cls, foam, group, rng, n):
+        """n Haar-random connections on foam, from one group.haar draw of
+        shape (n, E): a set of one draws the bits of one (E,) draw."""
+        group = get_group(group)
+        return cls(foam, group, group.haar(rng, (n, foam.E)))
+
     def __len__(self):
         return len(self.g)
 
     def __getitem__(self, i):
-        if isinstance(i, slice):
-            columns = {f.name: getattr(self, f.name) for f in fields(self)[2:]}
-            return replace(self, **{k: v[i] for k, v in columns.items() if v is not None})
+        if isinstance(i, numbers.Integral):
+            n = len(self)
+            if not -n <= i < n:
+                raise IndexError("index %d is out of range for a SampleSet of %d samples"
+                                 % (i, n))
+            k = int(i) % n
+            i = slice(k, k + 1)
+        elif not isinstance(i, slice):
+            raise TypeError("a SampleSet is indexed by an integer or a slice, not %s"
+                            % type(i).__name__)
+        part = copy.copy(self)      # the rows of a checked set: no __post_init__
+        for f in fields(self)[2:]:
+            column = getattr(self, f.name)
+            if column is not None:
+                part.__dict__[f.name] = column[i]
+        return part
 
-        def at(column, cast, default=None):
-            return default if column is None else cast(column[i])
-        return FlatSample(self.foam, self.group, self.g[i], float(self.residual[i]),
-                          at(self.b0, int), at(self.b2, int), self.tags[i],
-                          at(self.possibly_singular, bool, False))
+
+def _check_set(samples):
+    """TypeError unless samples is a SampleSet, the one input of every sample reader."""
+    if not isinstance(samples, SampleSet):
+        raise TypeError("expected a SampleSet, got %s" % type(samples).__name__)
 
 
 # ----------------------------------------------------------------------
@@ -278,32 +266,37 @@ def word_jacobian(group, words_idx, g):
     return _jacobian(group, words_idx, ranks, g)
 
 
-def holonomy(conn, f):
-    """Holonomy of face f of conn.foam: ordered product of g_e^{+-1} along
-    the face word (raw element array)."""
-    return _face_walk(conn.group, [conn.foam.words_idx[f]], conn.data)[0][0]
+def holonomy_word(samples, word):
+    """Holonomies (n, elem_dim) of a word in the edges of samples.foam, one
+    per connection of the set; the word is a FaceWord, a sequence of Letters
+    or a string such as "a b^-1"."""
+    _check_set(samples)
+    idx = [(samples.foam.edge_index(l.edge), l.exponent) for l in _as_word(word).letters]
+    return _face_walk(samples.group, [idx], samples.g)[0][:, 0]
 
 
-def holonomy_word(conn, word):
-    """Holonomy of a word in the edges of conn.foam (raw element array); the
-    word is a FaceWord, a sequence of Letters or a string such as "a b^-1"."""
-    idx = [(conn.foam.edge_index(l.edge), l.exponent) for l in _as_word(word).letters]
-    return _face_walk(conn.group, [idx], conn.data)[0][0]
+def verify_redundancy(word, samples):
+    """Max distance to the identity of the word's holonomy over a set's
+    connections, the word read in the edges of its foam.  ValueError for an
+    empty set (find_flat_batch drops every start it cannot project): no
+    samples are no evidence that the relation holds."""
+    H = holonomy_word(samples, word)
+    if not len(samples):
+        raise ValueError("verify_redundancy needs at least one sample; got none")
+    return max(0.0, float(samples.group.distance(H).max()))
 
 
-def flatness_residual(conn):
-    """Sum over faces of distance(H_f, 1)^2; zero iff the connection is flat."""
-    H = _face_walk(conn.group, conn.foam.words_idx, conn.data)[0]
-    return float(face_residual(conn.group, H))
-
-
-def gauge_act(h, conn):
-    """Conjugate every edge element by the element array h (single-vertex
-    gauge transformation)."""
-    group = conn.group
-    hb = np.broadcast_to(np.asarray(h, dtype=float), conn.data.shape)
-    new = group.mul(group.mul(hb, conn.data), group.inv(hb))
-    return Connection(conn.foam, group, new)
+def gauge_act(h, samples):
+    """The set of samples' connections with every edge element conjugated by
+    h (single-vertex gauge transformation).  ValueError names an h that is
+    not one element of the set's group, before any product."""
+    _check_set(samples)
+    group = samples.group
+    hv = np.asarray(h, dtype=float)
+    if hv.shape != (group.elem_dim,) or not group.is_element(hv[None])[0]:
+        raise ValueError("h %r is not one element of %s" % (hv.tolist(), group.name))
+    hb = np.broadcast_to(hv, samples.g.shape)
+    return SampleSet(samples.foam, group, group.mul(group.mul(hb, samples.g), group.inv(hb)))
 
 
 # ----------------------------------------------------------------------
@@ -511,8 +504,8 @@ def analytic_flat_batch(foam, rng, signs, families=None, psi_a=None, psi_b=None,
 
 def analytic_flat(foam, rng, sign=+1, family=None, psi_a=None, psi_b=None, psi_h=None,
                   axis=None):
-    """One exact SU(2) flat sample of an analytic family: analytic_flat_batch
-    with one sample, which recognises the foam, refuses any other (and any
+    """One exact SU(2) flat sample of an analytic family, as the one-row set
+    of analytic_flat_batch, which recognises the foam, refuses any other (and any
     parameter its family does not use) and builds the sample on the reduced
     foam.  The torus (genus:1) has a = exp(psi_a n), b = exp(sign psi_b n)
     about a common axis n; the appendix foam has family 'irred' (the
@@ -522,7 +515,7 @@ def analytic_flat(foam, rng, sign=+1, family=None, psi_a=None, psi_b=None, psi_h
     if family is None and match_builtin(foam, ("appendix",)):
         family = "irred"
     return analytic_flat_batch(foam, rng, [sign], None if family is None else [family],
-                               psi_a=psi_a, psi_b=psi_b, psi_h=psi_h, axis=axis)[0]
+                               psi_a=psi_a, psi_b=psi_b, psi_h=psi_h, axis=axis)
 
 
 def sample_flat(foam, group, n_samples, rng):

@@ -17,7 +17,7 @@ __all__ = [
     "Letter", "FaceWord", "Foam", "CellularReport", "FoamError",
     "parse_foam", "serialize_foam", "reduce_foam", "cellular_homology",
     "tietze1_expand", "tietze1_collapse", "tietze2_add_face",
-    "verify_redundancy", "builtin", "match_builtin",
+    "builtin", "match_builtin",
 ]
 
 _ID_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*$")
@@ -402,25 +402,12 @@ def tietze1_collapse(foam, edge_id):
 
 
 def tietze2_add_face(foam, word, name=None):
-    """Add a relation claimed redundant; pair with verify_redundancy."""
+    """Add a relation claimed redundant; pair with connection.verify_redundancy."""
     word = _as_word(word)
     for l in word.letters:
         foam.edge_index(l.edge)
     return Foam(name=foam.name, n_vertices=foam.n_vertices, edges=foam.edges,
                 faces=foam.faces + (FaceWord(word.letters, name),))
-
-
-def verify_redundancy(word, samples):
-    """Max distance to the identity of the word's holonomy over flat samples,
-    the word read in the edges of each sample's own foam.  ValueError for no
-    samples: an empty set (find_flat_batch drops every start it cannot
-    project) is no evidence that the relation holds."""
-    from .connection import holonomy_word
-    word = _as_word(word)
-    distances = [float(s.group.distance(holonomy_word(s, word))) for s in samples]
-    if not distances:
-        raise ValueError("verify_redundancy needs at least one sample; got none")
-    return max(0.0, *distances)
 
 
 def _as_word(word):

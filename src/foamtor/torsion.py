@@ -12,8 +12,8 @@ completions d^0, d^1, which gives the basis-independence check for free:
 the reported magnitude must not depend on the random completions.
 
 torsion_batch reads one stacked complex of a SampleSet, its one input
-(twisted's _complex_columns), and torsion_at that of its sample's one-row
-set (twisted._one_row): one pipeline per completion group (the samples of
+(twisted's _complex_columns), and torsion_at that of a one-row set: one
+pipeline per completion group (the samples of
 equal ranks; one foam and group fix the Betti numbers by the ranks, and
 make every completed basis square), sliced out of the delta stacks: one
 full SVD per differential, one QR per completion, one SVD for h^1 and one
@@ -21,10 +21,11 @@ det per tau^k.  A sample the set flags possibly singular or with a rank warning 
 refused before it draws a seed; every other one draws its seed from rng in
 input order and its rotations from one draw of default_rng(seed)
 (_rotation_normals), so it gets the bits it gets alone.
-The torus-chart grids stack their flat points to one (n, 2, 4) array and
-read the Gaussian volumes off one face walk and one stacked SVD; their
-rows and quadrature terms are array operations on one math.sin per
-distinct angle.
+gaussian_volume and singular_value_torsion read a set too, one value per
+row.  The torus-chart grids stack their flat points to one raw (n, 2, 4)
+array, with no set or element check, and read the Gaussian volumes off one
+face walk and the stacked SVD of gaussian_volume's core; their rows and
+quadrature terms are array operations on one math.sin per distinct angle.
 """
 
 from __future__ import annotations
@@ -35,11 +36,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .connection import unit_vectors, word_jacobian
+from .connection import _check_set, unit_vectors, word_jacobian
 from .foam import builtin
 from .groups import SU2
 from .partition import _gauss_legendre
-from .twisted import _complex_columns, _one_row, cohomology
+from .twisted import _complex_columns, _single
 
 __all__ = ["TorsionValue", "torsion_at", "torsion_batch", "torus_volume_grid",
            "torus_dominant_part", "gaussian_volume"]
@@ -132,52 +133,55 @@ def torsion_batch(samples, rng):
     return out
 
 
-def torsion_at(sample, rng):
-    """Torsion magnitude at a flat sample via the explicit basis pipeline.
+def torsion_at(samples, rng):
+    """Torsion magnitude at a flat sample, a one-row SampleSet (_single), via
+    the explicit basis pipeline: the one value of torsion_batch.
 
-    Refuses samples flagged possibly singular and samples with a thin
-    singular-value gap.  One seed is drawn from rng per accepted sample.
-    torsion_batch of the sample's one-row set (twisted._one_row), which
-    keeps a FlatSample's possibly_singular flag.
+    Refuses a sample flagged possibly singular or with a thin singular-value
+    gap.  One seed is drawn from rng if the sample is accepted.
     """
-    (value,) = torsion_batch(_one_row(sample), rng)
+    _single(samples, "torsion_at")
+    (value,) = torsion_batch(samples, rng)
     if isinstance(value, ValueError):
         raise value
     return value
 
 
-def singular_value_torsion(sample):
+def singular_value_torsion(samples):
     """Independent route: |tor| = prod sv(delta0) / prod sv(delta1) over the
-    ranks of the sample's cohomology report (which refuses a non-flat one)."""
-    rep = cohomology(sample)
-    return float(np.prod(rep.sv0[:rep.rank0]) / np.prod(rep.sv1[:rep.rank1]))
+    ranks of the complex's columns (which refuse a set with a non-flat
+    sample), one value per row of a SampleSet, from the singular values
+    alone: no basis is built or rotated."""
+    cols = _complex_columns(samples)
+    return np.array([np.prod(s0[:r0]) / np.prod(s1[:r1]) for s0, r0, s1, r1
+                     in zip(cols["sv0"], cols["rank0"], cols["sv1"], cols["rank1"])])
 
 
 # ----------------------------------------------------------------------
 # Gaussian volumes and the torus dominant part
 
-def _gaussian_volumes(foam, group, g, rank):
-    """vol(delta1) at every connection of a stack g (n, E, elem_dim) on foam:
-    delta1 from one face walk, and the product of its rank largest singular
-    values from one stacked SVD.  ValueError names a rank outside
-    0..min(dim G * F, dim G * E), the number of singular values of delta1."""
+def _gaussian_volumes(foam, group, delta1, rank):
+    """vol of every delta1 of a stack (n, dim G * F, dim G * E) on foam: the
+    product of its rank largest singular values, from one stacked SVD.
+    ValueError names a rank outside 0..min(dim G * F, dim G * E), the number
+    of singular values of delta1."""
     top = group.dim_g * min(foam.F, foam.E)
     if not 0 <= rank <= top:
         raise ValueError("rank %d is outside 0..%d, the singular values of delta1 on foam %r"
                          % (rank, top, foam.name))
-    d1 = word_jacobian(group, foam.words_idx, g)[1]
-    return np.prod(np.linalg.svd(d1, compute_uv=False)[:, :rank], axis=-1)
+    return np.prod(np.linalg.svd(delta1, compute_uv=False)[:, :rank], axis=-1)
 
 
-def gaussian_volume(sample, rank):
-    """vol(delta1) on the sample's foam: product of the rank largest
-    singular values of delta1.
+def gaussian_volume(samples, rank):
+    """vol(delta1) at every connection of a SampleSet, (n,): the product of
+    the rank largest singular values of the set's delta1.
 
     This is the Hessian volume of the Gaussian transverse integral.  rank is
     the family's generic rank, fixed so that near-degenerate points do not
-    flip the count.  The batch of one of _gaussian_volumes.
+    flip the count.
     """
-    return float(_gaussian_volumes(sample.foam, sample.group, sample.data[None], rank)[0])
+    _check_set(samples)
+    return _gaussian_volumes(samples.foam, samples.group, samples.delta1, rank)
 
 
 def _check_grid_size(name, n):
@@ -192,17 +196,20 @@ def _torus_chart(psi, rng):
     its points, psi_a varying slowest, sin^2 as math.sin(x) ** 2 per angle.
 
     The points a = exp(psi_a n), b = exp(psi_b n), one axis n per point drawn
-    in order from rng, are one (n * n, 2, 4) array, and _gaussian_volumes
-    reads their rank-2 volumes off one face walk and one stacked SVD.  Point
-    for point the volume is gaussian_volume(analytic_flat("torus", rng,
-    psi_a=.., psi_b=..), rank=2), with the same draws.
+    in order from rng, are one raw (n * n, 2, 4) array, not a SampleSet, so
+    no element check or residual is computed; one face walk gives their
+    delta1 and _gaussian_volumes their rank-2 volumes.  Point for point the
+    volume is gaussian_volume(analytic_flat("torus", rng, psi_a=..,
+    psi_b=..), rank=2)[0], with the same draws.
     """
     n = len(psi)
     psi_a, psi_b = np.repeat(psi, n), np.tile(psi, n)
     axes = unit_vectors(rng.standard_normal((n * n, 3)))
     g = np.stack([SU2.exp(psi_a[:, None] * axes), SU2.exp(psi_b[:, None] * axes)], axis=1)
     sin2 = np.array([math.sin(x) ** 2 for x in psi.tolist()])
-    return (psi_a, psi_b, _gaussian_volumes(builtin("torus"), SU2, g, 2),
+    torus = builtin("torus")
+    d1 = word_jacobian(SU2, torus.words_idx, g)[1]
+    return (psi_a, psi_b, _gaussian_volumes(torus, SU2, d1, 2),
             np.repeat(sin2, n) + np.tile(sin2, n))
 
 

@@ -16,16 +16,17 @@ threshold and an explicit spectral-gap diagnostic; a thin gap raises a
 warning flag, never a silent answer.
 
 The complex is built for a whole sample set at once, a connection.SampleSet
-(min_b2 reads connection.sample_flat's), the one input of the batch readers
-(_complex_columns refuses any other with TypeError): delta0 is I - Ad(g) over
-all edges in one call, and delta1 is the set's own (word_jacobian at g).
-Each differential gets one stacked SVD, and the ranks of the whole stack are
-then decided in one array pass of the rank rule (_rank_arrays), which gives
-every sample what it gets alone; a lone matrix (svd_rank) is the stack of
-one, and cohomology() reads the one-row set of its sample (_one_row).  The
-Betti numbers and flags are array operations on the ranks: min_b2 runs its
-rule on those columns and returns the set classified, and CohomologyReport
-records are built only where cohomology_batch is asked for them.
+(min_b2 reads connection.sample_flat's), the one input of every reader here
+(any other is a TypeError): delta0 is I - Ad(g) over all edges in one call,
+one matrix per row (build_delta0), and delta1 is the set's own
+(word_jacobian at g; build_delta1).  Each differential gets one stacked SVD,
+and the ranks of the whole stack are then decided in one array pass of the
+rank rule (_rank_arrays), which gives every sample what it gets alone; a
+lone matrix (svd_rank) is the stack of one, and cohomology() reads a
+one-row set.  The Betti numbers and flags are array operations on the ranks:
+min_b2 runs its rule on those columns and returns the set classified, and
+CohomologyReport records are built only where cohomology_batch is asked for
+them.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .connection import FLAT_TOL, SampleSet, face_residual, sample_flat, word_jacobian
+from .connection import FLAT_TOL, _check_set, face_residual, sample_flat
 
 EPS_RANK = 1e-9      # relative SVD threshold: sigma counts iff sigma > EPS_RANK * sigma_max
 EPS_ABS = 1e-12      # absolute floor: the differentials have O(1) entries (Ad is
@@ -49,14 +50,18 @@ def _delta0(group, g):
     return (np.eye(d) - group.adjoint(g)).reshape(g.shape[:-2] + (g.shape[-2] * d, d))
 
 
-def build_delta0(conn):
-    """(dim G * E) x (dim G) matrix with edge blocks I - Ad(g_e)."""
-    return _delta0(conn.group, conn.data)
+def build_delta0(samples):
+    """delta0 at every connection of a SampleSet, (n, dim G * E, dim G):
+    edge blocks I - Ad(g_e)."""
+    _check_set(samples)
+    return _delta0(samples.group, samples.g)
 
 
-def build_delta1(conn):
-    """(dim G * F) x (dim G * E) word differential of conn.foam, at any connection."""
-    return word_jacobian(conn.group, conn.foam.words_idx, conn.data)[1]
+def build_delta1(samples):
+    """The word differential (n, dim G * F, dim G * E) of samples.foam at every
+    connection of a SampleSet, flat or not: the set's own delta1."""
+    _check_set(samples)
+    return samples.delta1
 
 
 def _rank_arrays(mats):
@@ -125,8 +130,7 @@ def _complex_columns(samples):
     set's own; TypeError for anything but a SampleSet, ValueError unless the
     foam is reduced and every sample flat (the residual recomputed from the
     set's H, whatever the builder said)."""
-    if not isinstance(samples, SampleSet):
-        raise TypeError("expected a SampleSet, got %s" % type(samples).__name__)
+    _check_set(samples)
     foam, group, g = samples.foam, samples.group, samples.g
     if not foam.is_reduced():
         raise ValueError("foam %r has %d vertices; reduce it first" % (foam.name, foam.V))
@@ -149,12 +153,13 @@ def _complex_columns(samples):
                 rank_warning=warn0 | warn1 | (b1 < 0))
 
 
-def _one_row(sample):
-    """The one-row SampleSet of a Connection; a FlatSample keeps its
-    component tag and its possibly_singular flag."""
-    return SampleSet(sample.foam, sample.group, sample.data[None],
-                     tags=(getattr(sample, "component_tag", None),),
-                     possibly_singular=np.array([getattr(sample, "possibly_singular", False)]))
+def _single(samples, reader):
+    """TypeError unless samples is a SampleSet, ValueError naming its length
+    unless it has one row: the input of the one-sample readers."""
+    _check_set(samples)
+    if len(samples) != 1:
+        raise ValueError("%s reads a one-row SampleSet, not one of %d rows; use %s_batch"
+                         % (reader, len(samples), reader))
 
 
 def cohomology_batch(samples):
@@ -170,10 +175,11 @@ def cohomology_batch(samples):
             for row in zip(*(list(v) if v.ndim > 1 else v.tolist() for v in cols.values()))]
 
 
-def cohomology(sample):
+def cohomology(samples):
     """Twisted Betti numbers at a flat connection, with rank diagnostics:
-    cohomology_batch of the sample's one-row set."""
-    return cohomology_batch(_one_row(sample))[0]
+    the one report of cohomology_batch at a one-row SampleSet (_single)."""
+    _single(samples, "cohomology")
+    return cohomology_batch(samples)[0]
 
 
 @dataclass(frozen=True)

@@ -8,7 +8,7 @@ import time
 
 import numpy as np
 
-from foamtor.connection import Connection, find_flat_batch, gauge_act
+from foamtor.connection import SampleSet, find_flat_batch, gauge_act
 from foamtor.foam import (FaceWord, Foam, Letter, builtin, cellular_homology,
                           tietze1_collapse, tietze1_expand, tietze2_add_face)
 from foamtor.groups import get_group
@@ -144,7 +144,7 @@ def _random_presentation(rng, idx):
 
 
 def _flat_probes(foam, rng):
-    probes = [Connection.identity(foam, "su2")]
+    probes = [SampleSet.identity(foam, "su2")]
     try:
         found = find_flat_batch(foam, "su2", rng, 3)
         probes += found
@@ -185,11 +185,11 @@ def test_criterion_9_structural_invariants():
             # face duplication raises b2 by dim G (rank decisions permitting)
             if foam.F and not rep.rank_warning:
                 dup = tietze2_add_face(foam, str(foam.faces[0]))
-                rep_dup = cohomology(Connection(dup, "su2", conn.data))
+                rep_dup = cohomology(SampleSet(dup, "su2", conn.g))
                 if not rep_dup.rank_warning:
                     assert rep_dup.b2 == rep.b2 + 3, foam.name
         # trivial-connection reduction to cellular cohomology
-        rep_triv = cohomology(Connection.identity(foam, "su2"))
+        rep_triv = cohomology(SampleSet.identity(foam, "su2"))
         assert rep_triv.betti == tuple(3 * b for b in cell), foam.name
         # Tietze-1 round trip, and Z_tau invariance under 2-expansion
         word = ""

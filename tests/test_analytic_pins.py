@@ -49,9 +49,8 @@ def analytic_pin_table():
     for name, (kind, signs, families, fixed) in CASES.items():
         rng = np.random.default_rng(zlib.crc32(name.encode()))
         batch = analytic_flat_batch(kind, rng, signs, families, **fixed)
-        table[name] = {"data": _digest(np.array([s.data for s in batch])),
-                       "residual": _digest(np.array([s.residual for s in batch])),
-                       "tags": [s.component_tag for s in batch],
+        table[name] = {"data": _digest(batch.g), "residual": _digest(batch.residual),
+                       "tags": list(batch.tags),
                        "next": _digest(rng.random(4))}
     return table
 

@@ -15,7 +15,7 @@ from foamtor import connection, foam, torsion, twisted
 SAMPLE_PARAMS = {"conn", "sample", "samples"}
 
 
-@pytest.mark.parametrize("module", [connection, twisted, torsion, foam],
+@pytest.mark.parametrize("module", [connection, twisted, torsion],
                          ids=lambda m: m.__name__)
 def test_no_function_takes_a_foam_beside_its_connection(module):
     # a connection carries its foam: a second foam argument could only disagree
@@ -32,21 +32,31 @@ def test_no_function_takes_a_foam_beside_its_connection(module):
     assert doubled == []
 
 
+SAMPLE_READERS = {"holonomy_word", "verify_redundancy", "gauge_act", "build_delta0",
+                  "build_delta1", "cohomology", "cohomology_batch", "torsion_at",
+                  "torsion_batch", "singular_value_torsion", "gaussian_volume"}
+
+
 def test_every_batch_reader_takes_a_sample_set_and_refuses_a_list():
-    # a batch reader reads one SampleSet: a list of samples is refused by
-    # type, so no reader grows a second input format
+    # a sample has one type, the SampleSet (one connection is a one-row set):
+    # every public reader of samples takes it as samples and refuses a list
+    # of samples by type, so no reader grows a second input format, and the
+    # package exports no per-sample record
     sample = ft.analytic_flat("torus", np.random.default_rng(0))
+    extra = {"rng": np.random.default_rng(1), "word": "a1 b1", "h": ft.SU2.identity(),
+             "rank": 2}
     readers = []
-    for module in (twisted, torsion):
+    for module in (connection, twisted, torsion, foam):
         for name, fn in inspect.getmembers(module, inspect.isfunction):
             params = inspect.signature(fn).parameters
-            if name.startswith("_") or fn.__module__ != module.__name__ or "samples" not in params:
+            if name.startswith("_") or fn.__module__ != module.__name__ or not (
+                    SAMPLE_PARAMS & set(params)):
                 continue
             readers.append(name)
-            extra = {"rng": np.random.default_rng(1)} if "rng" in params else {}
             with pytest.raises(TypeError, match="SampleSet"):
-                fn(samples=[sample], **extra)
-    assert {"cohomology_batch", "torsion_batch"} <= set(readers)
+                fn(samples=[sample], **{k: v for k, v in extra.items() if k in params})
+    assert sorted(readers) == sorted(SAMPLE_READERS)
+    assert not hasattr(ft, "Connection") and not hasattr(ft, "FlatSample")
 
 
 @pytest.mark.parametrize("name", ["su2", "u1"])
@@ -61,10 +71,9 @@ def test_every_entry_point_takes_a_group_as_its_class_or_its_name(name):
         found = ft.find_flat_batch(torus, group, rng, 2)
         sampled = ft.sample_flat("torus", group, 2, rng)
         report = ft.min_b2("torus", group, 2, rng)
-        conn = ft.Connection(torus, group, found[0].data)
+        conn = ft.SampleSet(torus, group, found.g[:1])
         return (ft.get_group(group), conn.group, found[0].group,
-                sampled[0].group,
-                [s.data.tobytes() for s in [*found, *sampled]], report.b2_0,
+                sampled[0].group, found.g.tobytes(), sampled.g.tobytes(), report.b2_0,
                 report.histogram, ft.z_mc(torus, group, 0.5, 200, seed=1).value,
                 ft.z_char_surface(2, 0.6, group).value)
 
@@ -108,7 +117,7 @@ BUILDERS = {
 @pytest.mark.parametrize("builder", sorted(BUILDERS))
 def test_every_builder_returns_its_samples_on_the_callers_reduced_foam(builder):
     # a foam argument is a Foam or a builtin key, reduced and recognised by
-    # structure: the returned set (a sample, for analytic_flat) lives on
+    # structure: the returned set (of one row, for analytic_flat) lives on
     # reduce_foam(input), name included, and every input of one builtin
     # draws the same bits from the same seed
     keys, build = BUILDERS[builder]
@@ -116,7 +125,7 @@ def test_every_builder_returns_its_samples_on_the_callers_reduced_foam(builder):
         want = None
         for foam in _foam_inputs(key):
             got = build(foam, key, np.random.default_rng(11))
-            data = got.data if isinstance(got, ft.FlatSample) else got.g
+            data = got.g
             assert got.foam == ft.reduce_foam(foam), (key, foam)
             assert got.foam.name == (foam.name if isinstance(foam, ft.Foam)
                                      else ft.builtin(foam).name)
@@ -175,19 +184,23 @@ def test_no_type_serializes_itself_and_every_record_a_command_writes_is_a_datacl
     assert records == {ft.TorsionValue, ft.ZEstimate, ft.ScalingFit}
 
 
-def test_a_flat_sample_is_a_connection():
-    # one record per sample: the connection's fields, then the residual and
-    # the classification, in this order
-    assert issubclass(ft.FlatSample, ft.Connection)
-    assert [f.name for f in dataclasses.fields(ft.FlatSample)] == [
-        "foam", "group", "data", "residual", "b0", "b2", "component_tag",
-        "possibly_singular"]
-    # the inherited builders cannot make a sample without its residual
-    torus = ft.builtin("torus")
-    with pytest.raises(TypeError, match="residual"):
-        ft.FlatSample.identity(torus, "su2")
-    with pytest.raises(TypeError, match="residual"):
-        ft.FlatSample.haar(torus, "su2", np.random.default_rng(0))
+@pytest.mark.parametrize("group", ["su2", "u1"])
+def test_the_set_constructors_build_connections_with_the_draws_of_one_connection(group):
+    # SampleSet.identity is the one-row identity connection, and
+    # SampleSet.haar's n rows are one group.haar draw: a set of one draws
+    # the bits of one edge-array draw, and leaves the generator as it does
+    G = ft.get_group(group)
+    genus2 = ft.builtin("genus:2")
+    one = ft.SampleSet.identity(genus2, group)
+    assert len(one) == 1 and one.group is G and one.residual.tolist() == [0.0]
+    assert one.g.tobytes() == G.identity((1, genus2.E)).tobytes()
+    for n in (1, 3):
+        rng, ref = np.random.default_rng(4), np.random.default_rng(4)
+        drawn = ft.SampleSet.haar(genus2, group, rng, n)
+        assert len(drawn) == n and drawn.foam is genus2
+        assert drawn.g.tobytes() == np.stack([G.haar(ref, (genus2.E,))
+                                              for _ in range(n)]).tobytes()
+        assert rng.random() == ref.random()
 
 
 def _api_samples():
@@ -196,16 +209,14 @@ def _api_samples():
         "torus": ft.analytic_flat("torus", rng),
         "appendix-irred": ft.analytic_flat("appendix", rng, family="irred"),
         "appendix-red": ft.analytic_flat("appendix", rng, family="red"),
-        "genus2": ft.find_flat_batch(ft.builtin("genus:2"), "su2", rng, 1)[0],
-        "torus-u1": ft.find_flat_batch(ft.builtin("torus"), "u1", rng, 1)[0],
+        "genus2": ft.find_flat_batch(ft.builtin("genus:2"), "su2", rng, 2)[1],
+        "torus-u1": ft.find_flat_batch(ft.builtin("torus"), "u1", rng, 1),
     }
 
 
 def _bits(x):
     """x as comparable bytes: arrays and floats bit for bit (-0.0 is not
-    0.0), a Connection by its data, a report field by field."""
-    if isinstance(x, ft.Connection):
-        return type(x), _bits(x.data)
+    0.0), a record or a set field by field."""
     if dataclasses.is_dataclass(x):
         return type(x), tuple(_bits(getattr(x, f.name)) for f in dataclasses.fields(x))
     if isinstance(x, (np.ndarray, float)):
@@ -215,26 +226,27 @@ def _bits(x):
 
 
 SAMPLE_FUNCTIONS = {
-    "holonomy": lambda c: connection.holonomy(c, c.foam.F - 1),
+    "H": lambda c: c.H,
     "holonomy_word": lambda c: connection.holonomy_word(c, c.foam.faces[0]),
-    "flatness_residual": connection.flatness_residual,
     "build_delta0": twisted.build_delta0,
     "build_delta1": twisted.build_delta1,
     "gauge_act": lambda c: connection.gauge_act(
         c.group.haar(np.random.default_rng(5)), c),
-    "sample[e]": lambda c: c[c.foam.edge_ids[-1]],
     "cohomology": twisted.cohomology,
     "gaussian_volume": lambda c: torsion.gaussian_volume(c, 1),
-    "verify_redundancy": lambda c: foam.verify_redundancy(c.foam.faces[0], [c]),
+    "singular_value_torsion": torsion.singular_value_torsion,
+    "verify_redundancy": lambda c: connection.verify_redundancy(c.foam.faces[0], c),
 }
 
 
 @pytest.mark.parametrize("fn", sorted(SAMPLE_FUNCTIONS))
 def test_every_function_of_a_connection_takes_a_sample(fn):
-    # a sample answers as its own connection does, bit for bit
+    # a builder's sample, with its tag and the walk its builder handed over
+    # (a projection's accepting step), answers as the set of its bare
+    # connection does, walking its own faces, bit for bit
     for name, s in _api_samples().items():
-        assert isinstance(s, ft.FlatSample)
-        conn = ft.Connection(s.foam, s.group, s.data)
+        assert type(s) is ft.SampleSet and len(s) == 1
+        conn = ft.SampleSet(s.foam, s.group, s.g)
         got, want = SAMPLE_FUNCTIONS[fn](s), SAMPLE_FUNCTIONS[fn](conn)
         assert _bits(got) == _bits(want), name
 

@@ -1,16 +1,16 @@
+import dataclasses
 import hashlib
 import json
 import math
+import re
 import warnings
 
 import numpy as np
 import pytest
 
 from foamtor.cli import main
-from foamtor.connection import (PROJECT_TOL, Connection, FlatSample, SampleSet,
-                                analytic_flat, analytic_flat_batch, find_flat_batch,
-                                flatness_residual, gauge_act, holonomy, holonomy_word,
-                                word_jacobian)
+from foamtor.connection import (PROJECT_TOL, SampleSet, analytic_flat, analytic_flat_batch,
+                                find_flat_batch, gauge_act, holonomy_word, word_jacobian)
 from foamtor.foam import builtin, parse_foam, serialize_foam
 from foamtor.groups import EPS_LOG, get_group, su2_mul
 from foamtor.twisted import cohomology, sample_flat
@@ -19,11 +19,12 @@ SU2 = get_group("su2")
 
 
 def naive_holonomy(foam, conn, f):
-    """Independent oracle: re-parse the face word and multiply element by element."""
+    """Independent oracle: re-parse the face word and multiply element by
+    element, at the one connection of the set conn."""
     G = conn.group
     acc = G.identity()
     for letter in foam.faces[f].letters:
-        g = conn[letter.edge]
+        g = conn.g[0, foam.edge_index(letter.edge)]
         acc = G.mul(acc, g if letter.exponent == 1 else G.inv(g))
     return acc
 
@@ -31,17 +32,17 @@ def naive_holonomy(foam, conn, f):
 def test_holonomy_torus_is_group_commutator():
     rng = np.random.default_rng(0)
     t = builtin("torus")
-    conn = Connection.haar(t, "su2", rng)
-    a, b = conn.data
+    conn = SampleSet.haar(t, "su2", rng, 1)
+    a, b = conn.g[0]
     expected = su2_mul(su2_mul(a, b), su2_mul(SU2.inv(a), SU2.inv(b)))
-    assert np.max(np.abs(holonomy(conn, 0) - expected)) < 1e-12
+    assert np.max(np.abs(conn.H[0, 0] - expected)) < 1e-12
 
 
 def test_holonomy_empty_word_is_identity():
     rng = np.random.default_rng(1)
     s = builtin("sphere")
-    conn = Connection.haar(s, "su2", rng)
-    assert np.max(np.abs(holonomy(conn, 0) - SU2.identity())) <= 1e-12
+    conn = SampleSet.haar(s, "su2", rng, 1)
+    assert np.max(np.abs(conn.H[0, 0] - SU2.identity())) <= 1e-12
 
 
 def test_holonomy_matches_naive_oracle_on_builtins():
@@ -49,19 +50,19 @@ def test_holonomy_matches_naive_oracle_on_builtins():
     for name in ("torus", "genus:2", "genus:3", "appendix", "dunce_hat",
                  "projective_plane"):
         foam = builtin(name)
-        conn = Connection.haar(foam, "su2", rng)
+        conn = SampleSet.haar(foam, "su2", rng, 1)
         for f in range(foam.F):
-            assert np.max(np.abs(holonomy(conn, f) - naive_holonomy(foam, conn, f))) <= 1e-12
+            assert np.max(np.abs(conn.H[0, f] - naive_holonomy(foam, conn, f))) <= 1e-12
 
 
 def test_holonomy_gauge_covariance():
     rng = np.random.default_rng(3)
     foam = builtin("genus:2")
     for _ in range(10):
-        conn = Connection.haar(foam, "su2", rng)
+        conn = SampleSet.haar(foam, "su2", rng, 1)
         h = SU2.haar(rng)
-        lhs = holonomy(gauge_act(h, conn), 0)
-        rhs = SU2.mul(SU2.mul(h, holonomy(conn, 0)), SU2.inv(h))
+        lhs = gauge_act(h, conn).H[0, 0]
+        rhs = SU2.mul(SU2.mul(h, conn.H[0, 0]), SU2.inv(h))
         assert np.max(np.abs(lhs - rhs)) <= 1e-12
 
 
@@ -69,8 +70,8 @@ def test_residual_commuting_pair_is_flat():
     t = builtin("torus")
     n = np.array([0.3, -0.5, 0.7])
     n /= np.linalg.norm(n)
-    conn = Connection(t, "su2", np.stack([SU2.exp(1.2 * n), SU2.exp(0.4 * n)]))
-    assert flatness_residual(conn) < 1e-15
+    conn = SampleSet(t, "su2", np.stack([SU2.exp(1.2 * n), SU2.exp(0.4 * n)])[None])
+    assert conn.residual[0] < 1e-15
 
 
 def test_residual_quarter_turn_pair():
@@ -79,42 +80,56 @@ def test_residual_quarter_turn_pair():
     t = builtin("torus")
     a = SU2.exp(np.array([0.0, 0.0, math.pi / 2]))
     b = SU2.exp(np.array([math.pi / 2, 0.0, 0.0]))
-    conn = Connection(t, "su2", np.stack([a, b]))
-    h = holonomy(conn, 0)
+    conn = SampleSet(t, "su2", np.stack([a, b])[None])
+    h = conn.H[0, 0]
     assert abs(h[0] + 1.0) < 1e-12
-    assert abs(flatness_residual(conn) - math.pi ** 2) < 1e-10
+    assert abs(conn.residual[0] - math.pi ** 2) < 1e-10
 
 
 def test_residual_sphere_always_zero():
     rng = np.random.default_rng(4)
     s = builtin("sphere")
-    assert flatness_residual(Connection.haar(s, "su2", rng)) == 0.0
+    assert SampleSet.haar(s, "su2", rng, 1).residual.tolist() == [0.0]
 
 
 def test_gauge_act_trivial_and_central():
     rng = np.random.default_rng(5)
     foam = builtin("genus:2")
-    conn = Connection.haar(foam, "su2", rng)
+    conn = SampleSet.haar(foam, "su2", rng, 3)
     for h in (SU2.identity(), np.array([-1.0, 0.0, 0.0, 0.0])):
         moved = gauge_act(h, conn)
-        assert np.max(np.abs(moved.data - conn.data)) < 1e-12
+        assert type(moved) is SampleSet and moved.foam is conn.foam
+        assert np.max(np.abs(moved.g - conn.g)) < 1e-12
+
+
+@pytest.mark.parametrize("group,h", [
+    ("su2", [2.0, 0.0, 0.0, 0.0]), ("su2", [0.0, 0.0, 0.0, 0.0]),
+    ("su2", [np.nan, 0.0, 0.0, 0.0]), ("su2", [1.0, 0.0, 0.0]),
+    ("su2", [[1.0, 0.0, 0.0, 0.0]] * 2), ("u1", [np.inf]), ("u1", [0.1, 0.2])])
+def test_gauge_act_refuses_an_h_that_is_not_one_group_element(group, h):
+    # 2 * identity conjugated as identity (h / |h|), the zero quaternion
+    # divided by zero, and a NaN h was blamed on edge 'a1'
+    conn = SampleSet.haar(builtin("genus:2"), group, np.random.default_rng(5), 2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=r"^h \[.*\] is not one element of %s$" % group):
+            gauge_act(h, conn)
 
 
 def test_gauge_invariance_of_residual():
     rng = np.random.default_rng(6)
     foam = builtin("genus:2")
     for _ in range(20):
-        conn = Connection.haar(foam, "su2", rng)
+        conn = SampleSet.haar(foam, "su2", rng, 1)
         h = SU2.haar(rng)
-        assert abs(flatness_residual(gauge_act(h, conn))
-                   - flatness_residual(conn)) < 1e-12
+        assert abs(gauge_act(h, conn).residual[0] - conn.residual[0]) < 1e-12
 
 
 def test_find_flat_genus2_success_rate():
     rng = np.random.default_rng(7)
     samples = find_flat_batch(builtin("genus:2"), "su2", rng, 100)
     assert len(samples) >= 95
-    assert all(s.residual < 1e-10 for s in samples)
+    assert np.all(samples.residual < 1e-10)
 
 
 def test_find_flat_torus_lands_on_commuting_pairs():
@@ -124,8 +139,7 @@ def test_find_flat_torus_lands_on_commuting_pairs():
     t = builtin("torus")
     samples = find_flat_batch(t, "su2", rng, 20)
     assert len(samples) >= 18
-    for s in samples:
-        assert SU2.distance(holonomy(s, 0)) < 1e-7
+    assert np.all(SU2.distance(samples.H[:, 0]) < 1e-7)
 
 
 def test_descent_is_monotone_per_sample():
@@ -161,7 +175,7 @@ def test_projection_stops_at_nonflat_critical_points():
         warnings.simplefilter("error")
         samples = find_flat_batch(foam, "su2", np.random.default_rng(1), 10, trace=trace)
     assert len(trace) < 100
-    assert len(samples) < 10 and all(s.residual <= 1e-24 for s in samples)
+    assert len(samples) < 10 and np.all(samples.residual <= 1e-24)
 
 
 def test_a_start_on_the_cut_locus_is_projected_like_any_other(monkeypatch):
@@ -171,12 +185,13 @@ def test_a_start_on_the_cut_locus_is_projected_like_any_other(monkeypatch):
     monkeypatch.setattr(u1, "haar", staticmethod(
         lambda rng, shape=(), out=None: np.full(tuple(shape) + (1,), 0.5 * np.pi)))
     foam = builtin("projective_plane")
-    start = Connection(foam, u1, [[0.5 * np.pi]])
-    assert u1.distance(holonomy(start, 0)) > np.pi - EPS_LOG
+    start = SampleSet(foam, u1, [[[0.5 * np.pi]]])
+    assert u1.distance(start.H[0, 0]) > np.pi - EPS_LOG
     samples = find_flat_batch(foam, u1, np.random.default_rng(0), 3)
     assert len(samples) == 3
-    assert all(s.residual <= PROJECT_TOL and flatness_residual(s) <= PROJECT_TOL
-               for s in samples)
+    # the handed residual, and the one a set walking its own faces computes
+    assert np.all(samples.residual <= PROJECT_TOL)
+    assert np.all(SampleSet(foam, u1, samples.g).residual <= PROJECT_TOL)
 
 
 def test_starts_that_never_leave_the_cut_locus_are_dropped(monkeypatch, capsys):
@@ -205,16 +220,16 @@ def test_word_jacobian_matches_finite_differences(name, group):
     rng = np.random.default_rng(18)
     foam = builtin(name)
     G = get_group(group)
-    conn = Connection.haar(foam, G, rng)
-    H, J = word_jacobian(G, foam.words_idx, conn.data)
+    conn = SampleSet.haar(foam, G, rng, 1)
+    H, J = word_jacobian(G, foam.words_idx, conn.g[0])
     for f in range(foam.F):
-        assert np.max(np.abs(H[f] - holonomy(conn, f))) == 0.0
+        assert np.max(np.abs(H[f] - conn.H[0, f])) == 0.0
     if not (name == "torus" and group == "u1"):     # abelian torus: always flat
-        assert flatness_residual(conn) > 1e-3
+        assert conn.residual[0] > 1e-3
     v = rng.standard_normal(G.dim_g * foam.E)
     v /= np.linalg.norm(v)
     for eps in (1e-4, 1e-5, 1e-6):
-        moved = G.mul(G.exp(eps * v.reshape(foam.E, G.dim_g)), conn.data)
+        moved = G.mul(G.exp(eps * v.reshape(foam.E, G.dim_g)), conn.g[0])
         H_eps, _ = word_jacobian(G, foam.words_idx, moved)
         fd = G.log(G.mul(H_eps, G.inv(H))).reshape(-1) / eps
         assert np.linalg.norm(fd - J @ v) < 10.0 * eps
@@ -235,8 +250,8 @@ def test_word_jacobian_batched_equals_stacked_single_calls():
 
 def test_find_flat_sphere_trivial():
     rng = np.random.default_rng(9)
-    s = find_flat_batch(builtin("sphere"), "su2", rng, 1)[0]
-    assert s.residual == 0.0
+    s = find_flat_batch(builtin("sphere"), "su2", rng, 1)
+    assert s.residual.tolist() == [0.0]
 
 
 @pytest.mark.parametrize("group", ["su2", "u1"])
@@ -254,26 +269,26 @@ def test_find_flat_batch_of_no_starts_is_empty_and_a_negative_count_is_refused(n
 def test_find_flat_u1_any_start_is_flat():
     rng = np.random.default_rng(10)
     samples = find_flat_batch(builtin("torus"), "u1", rng, 5)
-    assert all(s.residual < 1e-30 for s in samples)
+    assert np.all(samples.residual < 1e-30)
 
 
 def test_analytic_flat_torus():
     rng = np.random.default_rng(11)
     s = analytic_flat("torus", rng, psi_a=1.0, psi_b=0.5, axis=[0, 0, 1], sign=+1)
-    assert s.residual < 1e-15
-    assert s.component_tag == "torus:+"
+    assert len(s) == 1 and s.residual[0] < 1e-15
+    assert s.tags == ("torus:+",)
     s2 = analytic_flat("torus", rng, psi_a=1.0, psi_b=0.5, sign=-1)
-    assert s2.residual < 1e-15 and s2.component_tag == "torus:-"
+    assert s2.residual[0] < 1e-15 and s2.tags == ("torus:-",)
 
 
 def test_analytic_flat_appendix_families():
     rng = np.random.default_rng(12)
     irred = analytic_flat("appendix", rng, family="irred", sign=-1)
-    assert irred.residual < 1e-15
-    assert abs(irred["h"][0] + 1.0) < 1e-15
+    assert irred.residual[0] < 1e-15
+    assert abs(irred.g[0, irred.foam.edge_index("h"), 0] + 1.0) < 1e-15
     red = analytic_flat("appendix", rng, family="red")
-    assert red.residual < 1e-15
-    assert red.component_tag == "red"
+    assert red.residual[0] < 1e-15
+    assert red.tags == ("red",)
 
 
 def test_analytic_flat_rejects_unknown():
@@ -324,7 +339,7 @@ def test_analytic_flat_batch_refuses_parameters_no_sample_uses():
     # once one sample is 'red', the angles and axis are its own
     mixed = analytic_flat_batch("appendix", rng, [1, 1], ["irred", "red"], psi_a=0.4,
                                 axis=[0, 0, 1])
-    assert mixed[1].residual < 1e-15
+    assert mixed.residual[1] < 1e-15
 
 
 def test_analytic_flat_batch_refuses_mismatched_or_non_finite_arguments_before_drawing():
@@ -367,12 +382,11 @@ def test_analytic_flat_batch_refuses_a_mis_shaped_angle_or_axis_by_name_before_d
         assert rng.bit_generator.state == state, (kind, kwargs)
 
 
-def _fields(sample):
-    """Every field of a FlatSample, data and residual as bytes (-0.0 is not 0.0)."""
-    conn = sample
-    return (conn.foam, conn.group, conn.data.shape, conn.data.tobytes(),
-            np.float64(sample.residual).tobytes(), type(sample.residual), sample.b0,
-            sample.b2, sample.component_tag, sample.possibly_singular)
+def _fields(samples):
+    """Every column of a SampleSet, an array as its shape, dtype and bytes
+    (-0.0 is not 0.0)."""
+    return tuple((v.shape, v.dtype, v.tobytes()) if isinstance(v, np.ndarray) else v
+                 for v in (getattr(samples, f.name) for f in dataclasses.fields(samples)))
 
 
 def test_analytic_flat_batch_refuses_a_kind_without_a_family_before_drawing():
@@ -413,7 +427,7 @@ def test_analytic_flat_batch_equals_single_calls_field_for_field():
 
 
 def test_a_sample_set_refuses_a_row_that_is_not_an_element_naming_its_edge():
-    # one element check over every row of the stack, refusing as Connection does
+    # one element check over every row of the stack
     appendix = builtin("appendix")
     g = SU2.haar(np.random.default_rng(1), (4, 3))
     for i, e, name in ((0, 0, "a"), (2, 2, "h"), (3, 1, "b")):
@@ -422,9 +436,9 @@ def test_a_sample_set_refuses_a_row_that_is_not_an_element_naming_its_edge():
         with pytest.raises(ValueError, match="^edge '%s' carries .* not an element of su2$"
                            % name):
             SampleSet(appendix, SU2, bad, np.zeros(4), (None,) * 4)
-    assert [c.data.tolist() for c in SampleSet(appendix, SU2, g, np.zeros(4), (None,) * 4)] \
+    assert [c.g[0].tolist() for c in SampleSet(appendix, SU2, g, np.zeros(4), (None,) * 4)] \
         == g.tolist()
-    # like Connection, a set takes its group by name and its rows as lists
+    # a set takes its group by name and its rows as lists
     listed = SampleSet(appendix, "su2", g.tolist(), [0.0] * 4, (None,) * 4)
     assert listed.group is SU2 and listed.g.tobytes() == g.tobytes()
     # the check comes before the set walks its faces: a NaN row is named
@@ -485,8 +499,8 @@ def test_a_sample_set_refuses_a_column_of_any_length_but_n_naming_it():
     assert len(values) == 3 and isinstance(values[1], ValueError)
 
 
-# SHA-256 over each record's data bytes, residual bytes and repr(tag), in
-# order, recorded from the FlatSample lists the builders returned before
+# SHA-256 over each row's connection bytes, residual bytes and repr(tag), in
+# order, recorded from the per-sample records the builders returned before
 # they returned a SampleSet
 SET_BUILDS = {
     "find_flat_batch genus:2 su2": (
@@ -519,13 +533,13 @@ def test_a_sample_set_gives_the_records_of_its_rows(build):
     records = list(samples)
     digest = hashlib.sha256()
     for i, s in enumerate(records):
-        assert type(s) is FlatSample and s.foam is samples.foam and s.group is samples.group
-        assert _fields(s) == _fields(samples[i]) == _fields(samples[i - len(samples)])
-        assert s.data.tobytes() == samples.g[i].tobytes()
-        assert (s.b0, s.b2, s.component_tag, s.possibly_singular) == (
-            None, None, samples.tags[i], False)
-        digest.update(s.data.tobytes() + np.float64(s.residual).tobytes()
-                      + repr(s.component_tag).encode())
+        assert type(s) is SampleSet and len(s) == 1
+        assert s.foam is samples.foam and s.group is samples.group
+        assert _fields(s) == _fields(samples[i]) == _fields(samples[i - len(samples)]) \
+            == _fields(samples[i:i + 1])
+        assert (s.b0, s.b2, s.tags, s.possibly_singular) == (
+            None, None, samples.tags[i:i + 1], None)
+        digest.update(s.g[0].tobytes() + s.residual.tobytes() + repr(s.tags[0]).encode())
     assert digest.hexdigest() == pin
     # a slice is the SampleSet of those rows, its walk sliced with them
     for a, b in ((0, 2), (1, None), (-2, None), (3, 1)):
@@ -540,6 +554,32 @@ def test_a_sample_set_gives_the_records_of_its_rows(build):
         samples[len(samples)]
 
 
+@pytest.mark.parametrize("index,want", [
+    (1, [1]), (np.int64(2), [2]), (-1, [2]), (np.int32(-3), [0]),
+    (slice(0, 2), [0, 1]), (slice(None, None, -2), [2, 0]), (slice(5, 9), []),
+    (3, IndexError("index 3 is out of range for a SampleSet of 3 samples")),
+    (np.int64(-4), IndexError("index -4 is out of range for a SampleSet of 3 samples")),
+    (np.array([0, 1]), TypeError("a SampleSet is indexed by an integer or a slice, "
+                                 "not ndarray")),
+    (1.0, TypeError("a SampleSet is indexed by an integer or a slice, not float")),
+    ("0", TypeError("a SampleSet is indexed by an integer or a slice, not str"))])
+def test_a_sample_set_is_indexed_by_an_integer_or_a_slice(index, want):
+    # an index array failed inside float() ("only 0-dimensional arrays can
+    # be converted to Python scalars"); an integer gives the one-row set, a
+    # slice the set of its rows, and iteration the one-row sets in order
+    samples = sample_flat("appendix", "su2", 3, np.random.default_rng(4))
+    assert [_fields(s) for s in samples] == [_fields(samples[i:i + 1]) for i in range(3)]
+    if isinstance(want, Exception):
+        with pytest.raises(type(want), match="^%s$" % re.escape(str(want))):
+            samples[index]
+        return
+    part = samples[index]
+    assert type(part) is SampleSet and part.foam is samples.foam and len(part) == len(want)
+    for column in ("g", "residual", "H", "delta1"):
+        assert getattr(part, column).tobytes() == getattr(samples, column)[want].tobytes()
+    assert part.tags == tuple(samples.tags[i] for i in want)
+
+
 def test_analytic_flat_recognises_a_foam_by_structure():
     # a renamed copy of a builtin takes the builtin's family with the same
     # bits; a Foam argument used to fail on foam_name.lower()
@@ -547,8 +587,8 @@ def test_analytic_flat_recognises_a_foam_by_structure():
         mine = parse_foam(serialize_foam(builtin(name)), name="mine")
         a = analytic_flat(mine, np.random.default_rng(3), **kwargs)
         b = analytic_flat(name, np.random.default_rng(3), **kwargs)
-        assert a.data.tobytes() == b.data.tobytes()
-        assert a.residual == b.residual and a.component_tag == b.component_tag
+        assert a.g.tobytes() == b.g.tobytes()
+        assert a.residual.tobytes() == b.residual.tobytes() and a.tags == b.tags
 
 
 def test_holonomy_word_refuses_an_edge_the_foam_lacks():
@@ -562,7 +602,7 @@ def test_holonomy_word_takes_a_word_as_a_string():
     # read by foam._as_word, as verify_redundancy and the Tietze moves read it
     conn = analytic_flat("torus", np.random.default_rng(17))
     got = holonomy_word(conn, "a1 b1 a1^-1 b1^-1")
-    assert got.tobytes() == holonomy(conn, 0).tobytes()
+    assert got.shape == (1, 4) and got.tobytes() == conn.H[:, 0].tobytes()
     from foamtor.foam import FaceWord, Letter
     want = holonomy_word(conn, FaceWord((Letter("b1", -1), Letter("a1", 1))))
     assert holonomy_word(conn, "b1^-1 a1").tobytes() == want.tobytes()
@@ -575,9 +615,10 @@ def test_holonomy_word_arbitrary():
     from foamtor.foam import FaceWord, Letter
     rng = np.random.default_rng(14)
     foam = builtin("appendix")
-    conn = Connection.haar(foam, "su2", rng)
+    conn = SampleSet.haar(foam, "su2", rng, 3)
     w = FaceWord((Letter("a", 1), Letter("h", -1), Letter("b", 1)))
-    expected = SU2.mul(SU2.mul(conn["a"], SU2.inv(conn["h"])), conn["b"])
+    a, b, h = (conn.g[:, foam.edge_index(e)] for e in "abh")
+    expected = SU2.mul(SU2.mul(a, SU2.inv(h)), b)
     assert np.max(np.abs(holonomy_word(conn, w) - expected)) < 1e-12
 
 
@@ -611,19 +652,19 @@ def test_connection_refuses_rows_that_are_not_group_elements():
     # both passed as connections and gave holonomies off the group
     torus = builtin("torus")
     with pytest.raises(ValueError, match="edge 'a1'"):
-        Connection(torus, "su2", 0.5 * SU2.identity((2,)))
-    bad = np.array([[0.3], [np.nan]])
+        SampleSet(torus, "su2", 0.5 * SU2.identity((1, 2)))
+    bad = np.array([[[0.3], [np.nan]]])
     with pytest.raises(ValueError, match="edge 'b1'"):
-        Connection(torus, "u1", bad)
+        SampleSet(torus, "u1", bad)
     with pytest.raises(ValueError, match="edge 'b1'"):
-        Connection(torus, "su2", np.array([[1.0, 0.0, 0.0, 0.0], [np.inf, 0.0, 0.0, 0.0]]))
+        SampleSet(torus, "su2", np.array([[[1.0, 0.0, 0.0, 0.0], [np.inf, 0.0, 0.0, 0.0]]]))
     with pytest.raises(ValueError, match="edge 'b1'"):
-        Connection(torus, "su2", np.array([[1.0, 0.0, 0.0, 0.0], [np.nan] * 4]))
+        SampleSet(torus, "su2", np.array([[[1.0, 0.0, 0.0, 0.0], [np.nan] * 4]]))
     with pytest.raises(ValueError, match="edge 'a1'"):
-        Connection(torus, "u1", np.array([[-np.inf], [0.3]]))
+        SampleSet(torus, "u1", np.array([[[-np.inf], [0.3]]]))
     # rows within rounding of the unit sphere pass
-    near = SU2.identity((2,)) * (1.0 + 1e-12)
-    assert Connection(torus, "su2", near).data.shape == (2, 4)
+    near = SU2.identity((1, 2)) * (1.0 + 1e-12)
+    assert SampleSet(torus, "su2", near).g.shape == (1, 2, 4)
 
 
 @pytest.mark.parametrize("name,group", [("genus:2", "su2"), ("dunce_hat", "su2"),
@@ -634,7 +675,6 @@ def test_find_flat_batch_takes_a_builtin_key_like_sample_flat(name, group):
     by_name = find_flat_batch(name, group, np.random.default_rng(4), 3)
     by_foam = find_flat_batch(builtin(name), group, np.random.default_rng(4), 3)
     assert len(by_name) == len(by_foam) > 0
-    for a, b in zip(by_name, by_foam):
-        assert a.data.tobytes() == b.data.tobytes()
-        assert np.float64(a.residual).tobytes() == np.float64(b.residual).tobytes()
-        assert a.foam.name == b.foam.name
+    assert by_name.g.tobytes() == by_foam.g.tobytes()
+    assert by_name.residual.tobytes() == by_foam.residual.tobytes()
+    assert by_name.foam.name == by_foam.foam.name

@@ -150,7 +150,7 @@ def test_heat_kernel_methods_agree():
 
 def test_su2_haar_normalizes_the_normal_stream():
     # Haar draws are the normals of the generator's stream over their norm, so
-    # every seeded draw (descent starts, Connection.haar) keeps its bits
+    # every seeded draw (descent starts, SampleSet.haar) keeps its bits
     for shape in ((), (2,), (5,), (20, 3), (300, 6), (4, 7, 3), (25000, 4)):
         q = np.random.default_rng(8).standard_normal(shape + (4,))
         ref = q / np.linalg.norm(q, axis=-1, keepdims=True)

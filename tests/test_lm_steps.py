@@ -23,7 +23,6 @@ import numpy as np
 
 from foamtor.connection import find_flat_batch
 from foamtor.foam import builtin, parse_foam
-from foamtor.groups import get_group
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
@@ -53,11 +52,8 @@ def lm_step_table():
             trace = []
             samples = find_flat_batch(foam, gname, np.random.default_rng(zlib.crc32(key.encode())),
                                       STARTS, trace=trace)
-            shape = (len(samples), foam.E, get_group(gname).elem_dim)
-            data = np.array([s.data for s in samples]).reshape(shape)
             table[key] = {"steps": len(trace), "trace": _digest(np.array(trace)),
-                          "data": _digest(data),
-                          "residual": _digest(np.array([s.residual for s in samples]))}
+                          "data": _digest(samples.g), "residual": _digest(samples.residual)}
     return table
 
 

@@ -6,7 +6,8 @@ import re
 import numpy as np
 import pytest
 
-from foamtor.connection import SampleSet, analytic_flat, find_flat_batch, gauge_act
+from foamtor.connection import (SampleSet, analytic_flat, analytic_flat_batch, find_flat_batch,
+                                gauge_act, sample_flat)
 from foamtor.foam import builtin
 from foamtor.groups import SU2
 from foamtor.partition import char_sum_limit
@@ -33,7 +34,11 @@ def test_matches_singular_value_route():
              else find_flat_batch(foam, "su2", rng, 1)[0])
         t = torsion_at(s, rng)
         ref = singular_value_torsion(s)
-        assert abs(t.magnitude - ref) < 1e-10 * ref
+        assert ref.shape == (1,) and abs(t.magnitude - ref[0]) < 1e-10 * ref[0]
+    # a set of many rows gives one value per row, each its one-row set's
+    samples = sample_flat("appendix", "su2", 6, rng)
+    assert singular_value_torsion(samples).tolist() == [
+        singular_value_torsion(one)[0] for one in samples]
 
 
 def test_torus_torsion_is_one():
@@ -115,7 +120,7 @@ def test_sphere_torsion_is_one():
 def test_refuses_flagged_singular():
     rng = np.random.default_rng(7)
     s = analytic_flat("torus", rng)
-    flagged = dataclasses.replace(s, possibly_singular=True)
+    flagged = dataclasses.replace(s, possibly_singular=np.array([True]))
     with pytest.raises(SingularSampleError):
         torsion_at(flagged, rng)
 
@@ -141,7 +146,7 @@ def test_torus_volume_grid_equals_point_by_point_volumes():
     rng = np.random.default_rng(4)
     for pa, pb, vol, _, _ in rows:
         s = analytic_flat("torus", rng, psi_a=pa, psi_b=pb)
-        assert vol == gaussian_volume(s, rank=2)
+        assert [vol] == gaussian_volume(s, rank=2).tolist()
 
 
 def _volume_grid_per_point(n_grid, rng):
@@ -150,7 +155,7 @@ def _volume_grid_per_point(n_grid, rng):
     grid = np.linspace(0.1, math.pi - 0.1, n_grid)
     rows = []
     for pa, pb in zip(np.repeat(grid, n_grid).tolist(), np.tile(grid, n_grid).tolist()):
-        vol = gaussian_volume(analytic_flat("torus", rng, psi_a=pa, psi_b=pb), rank=2)
+        vol = float(gaussian_volume(analytic_flat("torus", rng, psi_a=pa, psi_b=pb), rank=2)[0])
         formula = 4.0 * (math.sin(pa) ** 2 + math.sin(pb) ** 2)
         rows.append((pa, pb, vol, formula, abs(vol - formula)))
     return rows
@@ -166,7 +171,7 @@ def _dominant_part_per_node(n_quad, rng):
         i, j = divmod(k, n_quad)
         s = analytic_flat("torus", rng, psi_a=float(psi[i]), psi_b=float(psi[j]))
         chart = math.sin(psi[i]) ** 2 + math.sin(psi[j]) ** 2
-        acc += w[i] * w[j] * chart / gaussian_volume(s, rank=2)
+        acc += w[i] * w[j] * chart / float(gaussian_volume(s, rank=2)[0])
     pref = (2.0 * math.pi ** 2) ** -2 * (4.0 * math.pi) ** 2 * 2.0 ** -2
     return pref * 2.0 * (4.0 * math.pi) * acc
 
@@ -186,10 +191,12 @@ def test_torus_chart_rows_keep_the_bits_of_the_per_point_loops():
 
 def test_gaussian_volume_respects_fixed_rank():
     rng = np.random.default_rng(9)
-    s = analytic_flat("torus", rng, psi_a=0.02, psi_b=0.03)  # near-central
+    s = analytic_flat_batch("torus", rng, [1, -1, 1], psi_a=0.02, psi_b=0.03)  # near-central
     vol = gaussian_volume(s, rank=2)
     target = 4 * (math.sin(0.02) ** 2 + math.sin(0.03) ** 2)
-    assert abs(vol - target) < 1e-12
+    assert vol.shape == (3,) and np.max(np.abs(vol - target)) < 1e-12
+    # one value per row, each its one-row set's
+    assert vol.tolist() == [gaussian_volume(one, rank=2)[0] for one in s]
 
 
 def test_gaussian_volume_refuses_a_rank_delta1_cannot_have():
@@ -199,8 +206,8 @@ def test_gaussian_volume_refuses_a_rank_delta1_cannot_have():
     for rank in (-1, 4, 5):
         with pytest.raises(ValueError, match="rank %d " % rank):
             gaussian_volume(s, rank)
-    assert gaussian_volume(s, 0) == 1.0
-    assert gaussian_volume(s, 3) < 1e-12 < gaussian_volume(s, 2)
+    assert gaussian_volume(s, 0).tolist() == [1.0]
+    assert gaussian_volume(s, 3)[0] < 1e-12 < gaussian_volume(s, 2)[0]
 
 
 def test_torus_dominant_part_matches_character_limit():
@@ -245,7 +252,7 @@ def test_one_rotation_draw_per_sample_is_the_stream_of_one_draw_per_block(ks):
 def test_torsion_batch_refuses_only_the_refused_samples():
     rng = np.random.default_rng(23)
     good = [analytic_flat("torus", rng) for _ in range(3)]
-    flagged = dataclasses.replace(good[0], possibly_singular=True)
+    flagged = dataclasses.replace(good[0], possibly_singular=np.array([True]))
     # near-central: the counted singular values sit at the SVD noise floor
     thin = analytic_flat("torus", rng, psi_a=2e-11, psi_b=3e-11)
     samples = [good[0], flagged, good[1], thin, good[2]]
@@ -263,10 +270,11 @@ def test_torsion_batch_refuses_only_the_refused_samples():
         [int(seeds.integers(2 ** 32)) for _ in range(3)]
 
 
-def _stacked(records):
-    """One SampleSet of flat records on one foam, with their possibly_singular flags."""
-    return SampleSet(records[0].foam, records[0].group, np.stack([r.data for r in records]),
-                     possibly_singular=np.array([r.possibly_singular for r in records]))
+def _stacked(rows):
+    """One SampleSet of one-row sets on one foam, with their possibly_singular flags."""
+    flags = [r.possibly_singular is not None and bool(r.possibly_singular[0]) for r in rows]
+    return SampleSet(rows[0].foam, rows[0].group, np.concatenate([r.g for r in rows]),
+                     possibly_singular=np.array(flags))
 
 
 def _torsion_json(values):
@@ -291,9 +299,8 @@ def test_torsion_batch_of_a_sample_set_writes_what_its_records_give(name, n):
 
 
 def test_singular_value_torsion_refuses_a_connection_that_is_not_flat():
-    from foamtor.connection import Connection
     torus = builtin("torus")
-    conn = Connection.haar(torus, "su2", np.random.default_rng(8))
+    conn = SampleSet.haar(torus, "su2", np.random.default_rng(8), 1)
     with pytest.raises(ValueError, match="not flat"):
         singular_value_torsion(conn)
 
@@ -305,7 +312,7 @@ def test_torsion_batch_keeps_input_order_across_completion_groups():
     rng = np.random.default_rng(31)
     irred = [analytic_flat("appendix", rng, family="irred", sign=(-1) ** i) for i in range(3)]
     red = [analytic_flat("appendix", rng, family="red") for _ in range(3)]
-    flagged = dataclasses.replace(red[0], possibly_singular=True)
+    flagged = dataclasses.replace(red[0], possibly_singular=np.array([True]))
     thin = analytic_flat("appendix", rng, family="red", psi_a=2e-11, psi_b=3e-11,
                          psi_h=1e-11)
     samples = [red[0], irred[0], flagged, irred[1], red[1], thin, red[2], irred[2]]
@@ -320,6 +327,6 @@ def test_torsion_batch_keeps_input_order_across_completion_groups():
         rep = cohomology(s)
         assert (v.b0, v.b1, v.b2) == rep.betti
         assert v.case == ("irreducible" if rep.b0 == 0 else "reducible")
-        assert abs(v.magnitude - singular_value_torsion(s)) <= 1e-10 * v.magnitude
+        assert abs(v.magnitude - singular_value_torsion(s)[0]) <= 1e-10 * v.magnitude
         assert v.bases_meta["seed"] == int(seeds.integers(2 ** 32))
     assert {v.b0 for v in got if isinstance(v, TorsionValue)} == {0, 1}

@@ -58,8 +58,8 @@ def test_counted_functions_keep_the_attributes_the_counters_read():
     assert isinstance(cohomology(found[0]).rank_warning, bool)
     assert z_mc(builtin("torus"), "su2", 0.5, 100, seed=1).meta["n_samples"] == 100
     # _count_refusals counts the ValueErrors of torsion_at
-    with pytest.raises(ValueError):
-        torsion_at(dataclasses.replace(found[0], possibly_singular=True), rng)
+    with pytest.raises(ValueError, match="flagged possibly singular"):
+        torsion_at(dataclasses.replace(found[0], possibly_singular=np.array([True])), rng)
     g = SU2.mul(SU2.identity((3,)), SU2.identity((3,)))
     assert g.size // g.shape[-1] == 3
     assert SU2.heat_kernel(0.3, np.array([0.5, 1.0])).size == 2
