@@ -63,46 +63,61 @@ def _field_names(cls):
             if dataclasses.is_dataclass(cls) else None)
 
 
+def _json_scalar(o):
+    """json.dumps's text of a str, None, bool, int or float o (NaN and the
+    infinities included; a value, or a coerced dict key), else None."""
+    if isinstance(o, str):
+        return _json_str(o)
+    if o is None or o is True or o is False:
+        return "null" if o is None else "true" if o else "false"
+    if isinstance(o, int):
+        return int.__repr__(o)
+    if isinstance(o, float):
+        return ("NaN" if o != o else "Infinity" if o == math.inf
+                else "-Infinity" if o == -math.inf else float.__repr__(o))
+    return None
+
+
 def _write_json(o, out, pad=""):
     """The list out with the text json.dumps(o, indent=2, default=f) gives o
     appended, f as in _emit and pad the indent of o's line: one pass, where
-    an indented json.dumps runs the pure-Python encoder's generators.  It
-    recurses by its module name, since a nested closure calling itself is a
-    reference cycle."""
-    if isinstance(o, str):
-        out.append(_json_str(o))
-    elif o is None or o is True or o is False:
-        out.append("null" if o is None else "true" if o else "false")
-    elif isinstance(o, int):
-        out.append(int.__repr__(o))
-    elif isinstance(o, float):
-        out.append("NaN" if o != o else "Infinity" if o == math.inf
-                   else "-Infinity" if o == -math.inf else float.__repr__(o))
-    elif not isinstance(o, (list, tuple, dict)):
-        names = _field_names(type(o))
-        if names is None:
-            out.append(_json_str(str(o)))
-        else:
-            _write_json({k: getattr(o, k) for k in names}, out, pad)
-    elif not o:
+    an indented json.dumps runs the pure-Python encoder's generators.  A
+    container writes its str, int and finite float members in its own loop
+    and recurses for the rest by its module name, since a nested closure
+    calling itself is a reference cycle."""
+    if not isinstance(o, (list, tuple, dict)):
+        text = _json_scalar(o)
+        names = _field_names(type(o)) if text is None else None
+        if names is None:       # a scalar, or anything else as default's str
+            out.append(text if text is not None else _json_str(str(o)))
+            return out
+        o = {k: getattr(o, k) for k in names}     # a record: its fields
+    if not o:
         out.append("{}" if isinstance(o, dict) else "[]")
-    else:
-        inner, is_dict = pad + "  ", isinstance(o, dict)
-        sep = ",\n" + inner
-        out.append(("{\n" if is_dict else "[\n") + inner)
-        for i, item in enumerate(o.items() if is_dict else o):
-            if i:
-                out.append(sep)
-            if is_dict:
-                key, item = item
-                if not isinstance(key, str):    # json's key coercion
-                    if not (isinstance(key, (int, float)) or key is None):
-                        raise TypeError("keys must be str, int, float, bool or None, "
-                                        "not " + type(key).__name__)
-                    key = _write_json(key, [])[0]
-                out.append(_json_str(key) + ": ")
+        return out
+    inner, is_dict = pad + "  ", isinstance(o, dict)
+    sep, lead = ",\n" + inner, ("{\n" if is_dict else "[\n") + inner
+    for item in o.items() if is_dict else o:
+        if is_dict:
+            key, item = item
+            if not isinstance(key, str):    # json's key coercion
+                if not (isinstance(key, (int, float)) or key is None):
+                    raise TypeError("keys must be str, int, float, bool or None, "
+                                    "not " + type(key).__name__)
+                key = _json_scalar(key)
+            lead += _json_str(key) + ": "
+        t = type(item)
+        if t is str:
+            out.append(lead + _json_str(item))
+        elif t is int:
+            out.append(lead + int.__repr__(item))
+        elif t is float and -math.inf < item < math.inf:
+            out.append(lead + float.__repr__(item))
+        else:
+            out.append(lead)
             _write_json(item, out, inner)
-        out.append("\n" + pad + ("}" if is_dict else "]"))
+        lead = sep
+    out.append("\n" + pad + ("}" if is_dict else "]"))
     return out
 
 

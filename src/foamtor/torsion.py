@@ -16,11 +16,12 @@ torsion_batch reads one stacked complex of a SampleSet, its one input
 pipeline per completion group (the samples of
 equal ranks; one foam and group fix the Betti numbers by the ranks, and
 make every completed basis square), sliced out of the delta stacks: one
-full SVD per differential, one QR per completion, one SVD for h^1 and one
-det per tau^k.  A sample the set flags possibly singular or with a rank warning is
+full SVD per differential, one QR per completion, one SVD of the r0 x k
+overlap img0^T ker1 for h^1 (ker1 times its null space) and one det per
+tau^k.  A sample the set flags possibly singular or with a rank warning is
 refused before it draws a seed; every other one draws its seed from rng in
-input order and its rotations from one draw of default_rng(seed)
-(_rotation_normals), so it gets the bits it gets alone.
+input order and its rotations from one draw of Generator(Philox(key=seed)),
+on one Philox per call re-keyed per sample, so it gets the bits it gets alone.
 gaussian_volume and singular_value_torsion read a set too, one value per
 row.  The torus-chart grids stack their flat points to one raw (n, 2, 4)
 array, with no set or element check, and read the Gaussian volumes off one
@@ -69,32 +70,46 @@ def _random_orthonormal(basis, z):
     return basis @ (q * np.sign(np.diagonal(r, axis1=-2, axis2=-1))[:, None, :])
 
 
-def _rotation_normals(seeds, ks):
-    """A stack (len(seeds), k, k) of normals for each k of ks.  Sample i draws
-    all its blocks in one standard_normal call on default_rng(seeds[i]),
-    split in the order of ks: the stream of one (k, k) call per block."""
-    z = np.array([np.random.default_rng(seed).standard_normal(sum(k * k for k in ks))
-                  for seed in seeds])
+def _rotation_normals(gen, seeds, ks):
+    """A stack (len(seeds), k, k) of normals for each k of ks.  gen, a Generator
+    on a Philox, is re-keyed for sample i (counter 0, key (seeds[i], 0), empty
+    buffer: no SeedSequence hash) and draws its blocks in one call, split in
+    the order of ks: one (k, k) draw per block on Generator(Philox(key=seeds[i]))."""
+    state = {"bit_generator": "Philox", "buffer": np.zeros(4, np.uint64), "buffer_pos": 4,
+             "has_uint32": 0, "uinteger": 0,
+             "state": {"counter": np.zeros(4, np.uint64), "key": np.zeros(2, np.uint64)}}
+    z = np.empty((len(seeds), sum(k * k for k in ks)))
+    for row, seed in zip(z, seeds):
+        state["state"]["key"][0] = seed
+        gen.bit_generator.state = state
+        gen.standard_normal(out=row)
     blocks = np.split(z, np.cumsum([k * k for k in ks])[:-1], axis=1)
     return [b.reshape(len(seeds), k, k) for b, k in zip(blocks, ks)]
 
 
-def _basis_pipeline(cols, index, seeds):
+def _harmonic_basis(img0, ker1):
+    """Orthonormal bases of ker delta1 minus im delta0 from stacked orthonormal
+    bases img0 (n, m, r0) of im delta0 and ker1 (n, m, k) of ker delta1: ker1
+    times the right null space of the r0 x k overlap img0^T ker1."""
+    vt = np.linalg.svd(np.swapaxes(img0, -1, -2) @ ker1)[2]
+    return ker1 @ np.swapaxes(vt[:, img0.shape[-1]:], -1, -2)
+
+
+def _basis_pipeline(cols, index, seeds, gen):
     """TorsionValues or refusals at the samples index of one completion group of
-    a complex's columns, sample index[i] rotating by default_rng(seeds[i])."""
+    a complex's columns, sample index[i] rotating by Philox key seeds[i] on gen."""
     rank0, rank1, b0, b1, b2 = (int(cols[k][index[0]])
                                 for k in ("rank0", "rank1", "b0", "b1", "b2"))
     d0, d1 = cols["delta0"][index], cols["delta1"][index]
+    # full SVDs: vt0 keeps its rows when delta0 has none (E = 0)
     (u0, _, vt0), (u1, _, vt1) = np.linalg.svd(d0), np.linalg.svd(d1)
     img0, ker1 = u0[..., :rank0], np.swapaxes(vt1[:, rank1:], -1, -2)
-    # h^1: harmonic representatives, ker delta1 minus im delta0
-    uh = np.linalg.svd(ker1 - img0 @ (np.swapaxes(img0, -1, -2) @ ker1), full_matrices=False)[0]
-    # d^0, d^1 complete the kernels of delta0, delta1; each sample rotates
-    # d^0, d^1, h^0, h^2, h^1 in that order
+    # d^0, d^1 complete the kernels of delta0, delta1, h^1 is harmonic; each
+    # sample rotates d^0, d^1, h^0, h^2, h^1 in that order
     bases = (np.swapaxes(vt0[:, :rank0], -1, -2), np.swapaxes(vt1[:, :rank1], -1, -2),
-             np.swapaxes(vt0[:, rank0:], -1, -2), u1[..., rank1:], uh[..., :b1])
+             np.swapaxes(vt0[:, rank0:], -1, -2), u1[..., rank1:], _harmonic_basis(img0, ker1))
     dd0, dd1, h0, h2, h1 = map(_random_orthonormal, bases,
-                               _rotation_normals(seeds, [b.shape[-1] for b in bases]))
+                               _rotation_normals(gen, seeds, [b.shape[-1] for b in bases]))
     mats = [np.concatenate(c, axis=-1)
             for c in ([h0, dd0], [d0 @ dd0, h1, dd1], [d1 @ dd1, h2])]
     case = "irreducible" if b0 == 0 else "reducible"
@@ -127,8 +142,9 @@ def torsion_batch(samples, rng):
             out.append(None)
             key = int(cols["rank0"][i]), int(cols["rank1"][i])
             groups.setdefault(key, []).append((i, int(rng.integers(2 ** 32))))
+    gen = np.random.Generator(np.random.Philox(key=0))
     for index, seeds in (zip(*members) for members in groups.values()):
-        for i, value in zip(index, _basis_pipeline(cols, list(index), seeds)):
+        for i, value in zip(index, _basis_pipeline(cols, list(index), seeds, gen)):
             out[i] = value
     return out
 

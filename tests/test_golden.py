@@ -29,6 +29,14 @@ made one at a time.  torsion_genus5, torsion_projective_plane and
 torsion_genus2_t1 (genus 2 with an edge c = a1 b1 added by a Tietze-1 move,
 read from genus2_t1.foam) were recorded while a projected sample set's
 complex still walked its face words once more after the projection.
+The nine torsion_* files of flat samples (all but torsion_torus_volume)
+were re-recorded when the basis pipeline began to take h^1 from the null
+space of the small r0 x k overlap of im delta0 with ker delta1, and each
+sample's rotation normals from a Philox keyed by its seed (bases_meta.seed
+is that key), in place of an SVD of the projected kernel and a
+default_rng(seed): only magnitudes moved, each by at most 3.9e-15 relative,
+and test_torsion_magnitudes_are_the_singular_value_route ties every
+magnitude to the basis-free route at 1e-13.
 Every command runs from tests/golden/, so a foam file
 is echoed as a relative path.  The
 stacked SVD and the batched face walk give the same bits per matrix as
@@ -40,10 +48,12 @@ torsion magnitudes differently.
 import json
 import pathlib
 
+import numpy as np
 import pytest
 
-from foamtor.cli import main
-from foamtor.torsion import torus_dominant_part, torus_volume_grid
+from foamtor.cli import _load_foam, build_parser, main
+from foamtor.connection import sample_flat
+from foamtor.torsion import singular_value_torsion, torus_dominant_part, torus_volume_grid
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
@@ -101,6 +111,28 @@ def test_cli_output_is_unchanged(name, capsys, monkeypatch):
     out = capsys.readouterr().out
     assert code == 0
     assert out == (GOLDEN / (name + ".json")).read_text()
+
+
+TORSION_SAMPLE_CASES = sorted(k for k in CASES
+                              if k.startswith("torsion_") and "--check" not in CASES[k])
+
+
+@pytest.mark.parametrize("name", TORSION_SAMPLE_CASES)
+def test_torsion_magnitudes_are_the_singular_value_route(name, capsys, monkeypatch):
+    # every recorded torsion magnitude is the product of singular values of
+    # the same samples, whatever bases the pipeline completed and rotated
+    monkeypatch.chdir(GOLDEN)
+    args = build_parser().parse_args(CASES[name].split())
+    samples = sample_flat(_load_foam(args.foam), args.group, args.samples,
+                          np.random.default_rng(args.seed))
+    ref = singular_value_torsion(samples)
+    assert main(CASES[name].split()) == 0
+    values = json.loads(capsys.readouterr().out)["torsion"]
+    assert len(values) == len(ref)
+    checked = [(v["magnitude"], r) for v, r in zip(values, ref) if "magnitude" in v]
+    assert checked
+    for got, want in checked:
+        assert abs(got - want) <= 1e-13 * want, (name, got, want)
 
 
 @pytest.mark.parametrize("name", sorted(CSV_CASES))

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import pathlib
 import re
 
 import numpy as np
@@ -8,13 +9,13 @@ import pytest
 
 from foamtor.connection import (SampleSet, analytic_flat, analytic_flat_batch, find_flat_batch,
                                 gauge_act, sample_flat)
-from foamtor.foam import builtin
+from foamtor.foam import builtin, parse_foam
 from foamtor.groups import SU2
 from foamtor.partition import char_sum_limit
-from foamtor.torsion import (SingularSampleError, TorsionValue, _rotation_normals,
-                             gaussian_volume, singular_value_torsion, torsion_at,
-                             torsion_batch, torus_dominant_part, torus_volume_grid)
-from foamtor.twisted import min_b2
+from foamtor.torsion import (SingularSampleError, TorsionValue, _harmonic_basis,
+                             _rotation_normals, gaussian_volume, singular_value_torsion,
+                             torsion_at, torsion_batch, torus_dominant_part, torus_volume_grid)
+from foamtor.twisted import _complex_columns, min_b2
 
 
 def test_basis_independence_genus2():
@@ -238,15 +239,52 @@ def test_torus_volume_grid_refuses_a_grid_size_by_name(n_grid):
 @pytest.mark.parametrize("ks", [(1, 2, 0, 3, 1), (0, 0, 0, 0, 0), (3, 3, 0, 0, 2),
                                 (0, 6, 3, 0, 0), (4, 0, 0, 0, 0)])
 def test_one_rotation_draw_per_sample_is_the_stream_of_one_draw_per_block(ks):
-    # the basis pipeline draws d^0, d^1, h^0, h^2, h^1's normals in one call
-    # per sample; they must be those of five sequential (k, k) draws
+    # the basis pipeline re-keys one Philox per sample and draws d^0, d^1,
+    # h^0, h^2, h^1's normals in one call; they must be those of five
+    # sequential (k, k) draws on a fresh Generator(Philox(key=seed)), whatever
+    # the shared generator drew before
     seeds = np.random.default_rng(sum(ks)).integers(2 ** 32, size=40).tolist()
-    got = _rotation_normals(seeds, ks)
+    gen = np.random.Generator(np.random.Philox(key=0))
+    gen.standard_normal(3)
+    got = _rotation_normals(gen, seeds, ks)
     assert [b.shape for b in got] == [(len(seeds), k, k) for k in ks]
     for i, seed in enumerate(seeds):
-        sub = np.random.default_rng(seed)
+        sub = np.random.Generator(np.random.Philox(key=seed))
         for block, k in zip(got, ks):
             assert np.array_equal(block[i], sub.standard_normal((k, k)))
+
+
+_GOLDEN = pathlib.Path(__file__).parent / "golden"
+# the descent workload's eight foams, then the torus, the appendix, the torus
+# over U(1) (r0 = 0) and the sphere (E = 0)
+_HARMONIC_CASES = [("genus:2", "su2"), ("genus:3", "su2"), ("genus:4", "su2"),
+                   ("genus:5", "su2"), ("dunce_hat", "su2"), ("projective_plane", "su2"),
+                   ("genus2_dup.foam", "su2"), ("genus2_t1.foam", "su2"), ("torus", "su2"),
+                   ("appendix", "su2"), ("torus", "u1"), ("sphere", "su2")]
+
+
+@pytest.mark.parametrize("foam,group", _HARMONIC_CASES)
+def test_the_harmonic_basis_spans_ker_delta1_minus_im_delta0(foam, group):
+    if foam.endswith(".foam"):
+        foam = parse_foam((_GOLDEN / foam).read_text(), name=foam)
+    samples = sample_flat(foam, group, 3, np.random.default_rng(17))
+    cols = _complex_columns(samples)
+    checked = 0
+    for i in np.flatnonzero(~cols["rank_warning"]):
+        r0, r1, b1 = (int(cols[k][i]) for k in ("rank0", "rank1", "b1"))
+        d0, d1 = cols["delta0"][i], cols["delta1"][i]
+        img0 = np.linalg.svd(d0)[0][:, :r0]
+        ker1 = np.linalg.svd(d1)[2][r1:].T
+        h1 = _harmonic_basis(img0[None], ker1[None])[0]
+        assert h1.shape == (d1.shape[1], b1)
+        assert np.abs(h1.T @ h1 - np.eye(b1)).max(initial=0) < 1e-13
+        assert np.abs(d1 @ h1).max(initial=0) < 1e-12
+        assert np.abs(d0.T @ h1).max(initial=0) < 1e-12
+        # the projected kernel's SVD, the basis this one replaced
+        old = np.linalg.svd(ker1 - img0 @ (img0.T @ ker1), full_matrices=False)[0][:, :b1]
+        assert np.abs(h1 @ h1.T - old @ old.T).max(initial=0) < 1e-12
+        checked += 1
+    assert checked
 
 
 def test_torsion_batch_refuses_only_the_refused_samples():
