@@ -34,12 +34,14 @@ g >= 2) as one quaternion; any other letter is a block of its own.
 
 Haar draws are Fortran-ordered: the batch axes vary fastest, so the row
 g[..., e, i] of one edge's component is contiguous, which is what
-word_angle reads once per face block.  The values are those of the
+word_angle reads once per face block.  ``haar`` gives the values of one
 generator's stream (SU(2): its normals over their norm, drawn in cache-sized
 blocks by su2_haar_normals), so seeded draws do not depend on the layout or
-the blocking.  Monte Carlo draws through each group's ``mc_draw``: for SU(2)
-the normals unnormalized, since word_angle reads rows of any positive scale;
-for U(1) the Haar angles.
+the blocking.  Monte Carlo draws through each group's ``mc_draw``, which
+takes one generator per component row and fills each row in place from its
+own stream: for SU(2) the normals unnormalized, since word_angle reads rows
+of any positive scale (or over their norms, on request); for U(1) the Haar
+angles.
 """
 
 from __future__ import annotations
@@ -287,7 +289,7 @@ def su2_word_angle(word_idx, g):
     two letters (_su2_commutator).  The product is neither stacked nor
     renormalized, since atan2(|v|, w) does not depend on its norm.  So the
     rows of g may carry any positive scale, such as the raw normals of
-    su2_haar_normals: the angle then differs from that of the unit rows by
+    su2_mc_draw: the angle then differs from that of the unit rows by
     rounding only, and a product of unit rows stays of unit norm however
     long.  The chains run in place on reused rows: at most twelve at once,
     nine for a word without commutators and four for one commutator.
@@ -385,7 +387,7 @@ def su2_adjoint(q):
     return R
 
 
-def su2_haar_normals(rng, shape=(), out=None):
+def su2_haar_normals(rng, shape=()):
     """The four normals of Haar-uniform quaternions, unnormalized: the
     generator's stream rng.standard_normal(shape + (4,)) bit for bit, and the
     generator left as that one call leaves it.
@@ -394,12 +396,10 @@ def su2_haar_normals(rng, shape=(), out=None):
     contiguous and word_angle reads it without a copy.  The normals are drawn
     HAAR_BLOCK leading-axis rows at a time into one reused buffer, which
     stays in cache while it is copied into component-major (4, ...) memory;
-    the stream does not depend on the blocking.  With out, an array of shape
-    shape + (4,) such as a leading slice of a Fortran-ordered buffer, the
-    normals are written into out instead of new memory.
+    the stream does not depend on the blocking.
     """
     shape = tuple(shape)
-    c = np.empty((4,) + shape[::-1]) if out is None else out.T
+    c = np.empty((4,) + shape[::-1])
     if not shape:
         rng.standard_normal(out=c)
         return c
@@ -412,11 +412,26 @@ def su2_haar_normals(rng, shape=(), out=None):
     return c.T
 
 
-def su2_haar(rng, shape=(), out=None):
+def su2_haar(rng, shape=()):
     """Haar-uniform unit quaternions: su2_haar_normals over their norms,
     bit for bit q / np.linalg.norm(q, axis=-1, keepdims=True), and
-    Fortran-ordered like the normals (or written into out, as there)."""
-    return su2_normalize(su2_haar_normals(rng, shape, out).T).T
+    Fortran-ordered like the normals."""
+    return su2_normalize(su2_haar_normals(rng, shape).T).T
+
+
+def su2_mc_draw(rows, out, unit=False):
+    """Haar normals for Monte Carlo, written into out (m, E, 4): rows[k], a
+    generator, fills the component row out[:, k // 4, k % 4] by one
+    standard_normal call (a contiguous row when out is Fortran-ordered, such
+    as a leading slice of a Fortran-ordered buffer), so each row's values are
+    its generator's stream whatever m.  Unnormalized, since word_angle reads
+    rows of any positive scale; with unit, divided by their norms in place
+    (su2_normalize).  Returns out."""
+    for k, rng in enumerate(rows):
+        rng.standard_normal(out=out[:, k // 4, k % 4])
+    if unit:
+        su2_normalize(out.T)
+    return out
 
 
 def su2_normalize(c):
@@ -626,7 +641,7 @@ class SU2:
     exp = staticmethod(su2_exp)
     adjoint = staticmethod(su2_adjoint)
     haar = staticmethod(su2_haar)
-    mc_draw = staticmethod(su2_haar_normals)     # z_mc's draw: word_angle needs no norm
+    mc_draw = staticmethod(su2_mc_draw)
     identity = staticmethod(su2_identity)
     word_angle = staticmethod(su2_word_angle)
 
@@ -716,15 +731,21 @@ class U1:
         return np.ones(np.asarray(g).shape[:-1] + (1, 1))
 
     @staticmethod
-    def haar(rng, shape=(), out=None):
-        """Uniform angles, Fortran-ordered like su2_haar (or written into out)."""
-        theta = rng.uniform(0.0, 2.0 * np.pi, size=tuple(shape) + (1,))
-        if out is None:
-            return np.asfortranarray(theta)
-        out[...] = theta
-        return out
+    def haar(rng, shape=()):
+        """Uniform angles, Fortran-ordered like su2_haar."""
+        return np.asfortranarray(rng.uniform(0.0, 2.0 * np.pi, size=tuple(shape) + (1,)))
 
-    mc_draw = haar     # word_angle reads the angles as drawn
+    @staticmethod
+    def mc_draw(rows, out, unit=False):
+        """Haar angles for Monte Carlo, written into out (m, E, 1) as
+        su2_mc_draw writes normals: rows[k] fills the row out[:, k, 0] with
+        its generator's uniform [0, 1) values times 2 pi.  Every angle is an
+        element, so unit changes nothing.  Returns out."""
+        for k, rng in enumerate(rows):
+            row = out[:, k, 0]
+            rng.random(out=row)
+            row *= 2.0 * np.pi
+        return out
 
     @staticmethod
     def identity(shape=()):

@@ -132,42 +132,57 @@ def _chunk_moments(group, tau, words, g):
 def z_mc(foam, group, tau, n_samples, seed, n_workers=1):
     """Sample mean of prod_f K_tau(H_f(A)) over A ~ Haar^E; foam is a Foam or a builtin key.
 
-    The n_samples draws are split into n_workers streams, stream w drawing
-    from default_rng([seed, w]): each stream gets n_samples // n_workers and
-    the last one the rest too, so with fewer samples than workers only the
-    last stream draws, and the work grows with the samples, not the workers.
-    The non-empty streams run concurrently on a thread pool of at most
-    usable_cpus() threads, and their moments are merged in stream order, so
-    the result depends on the seed and n_workers only.  At most about
+    The n_samples draws are split into n_workers streams: each stream gets
+    n_samples // n_workers and the last one the rest too, so with fewer
+    samples than workers only the last stream draws, and the work grows
+    with the samples, not the workers.  Stream w draws each of the
+    E * elem_dim component rows of its connections from a generator of its
+    own: row k, edge k // elem_dim and component k % elem_dim, is the stream
+    of Generator(SFC64(c)) for the k-th of the E * elem_dim children c that
+    SeedSequence([seed, w]) spawns once, numpy's recipe for independent
+    streams.  The non-empty streams run concurrently on a thread pool of at
+    most usable_cpus() threads, and their moments are merged in stream
+    order, so the result depends on the seed and n_workers only.  At most about
     MC_CHUNK samples are held in memory at once across the drawing streams,
-    each chunked at MC_CHUNK over their number (a stream's draws do not
-    depend on how it is chunked).  From the CLI:
-    ``foamtor ztau --method mc --workers N``.
+    each chunked at MC_CHUNK over their number; every chunk fills each row
+    from where the row's generator left off, so a stream's draws do not
+    depend on how it is chunked.  From the CLI:
+    ``foamtor ztau --method mc --workers N``.  ValueError names a seed,
+    n_samples or n_workers that is not an integer (a bool is not one), and a
+    negative seed, before any draw.
 
-    The draw buffers, one per pool thread, are allocated by the calling
-    thread before the pool starts and reused by every chunk, so the memory
-    the process holds does not depend on how the pool threads interleave.
+    The draw buffers, one per pool thread, are Fortran-ordered, allocated by
+    the calling thread before the pool starts and reused by every chunk, so
+    each component row of a chunk is contiguous and filled in place, and the
+    memory the process holds does not depend on how the pool threads
+    interleave.
 
     A chunk is drawn by group.mc_draw, which for SU(2) gives the Haar normals
     unnormalized: word_angle reads angles that do not depend on the scale, so
     an estimate can differ from one on unit quaternions in its last bits
     only.  A word longer than MC_RAW_LETTERS could overflow the product of
-    unnormalized rows, so such a foam draws unit rows (group.haar) instead.
-    SU(2) walks each face word by blocks (su2_word_angle): a commutator of
-    two edges' letters in closed form, or as one factor of a longer
-    product, and any other letter one at a time; so a chunk holds its draw
-    buffer and at most twelve rows of its length (_chunk_moments).
+    unnormalized rows, so such a foam has mc_draw divide the same normals by
+    their norms in place.  SU(2) walks each face word by blocks
+    (su2_word_angle): a commutator of two edges' letters in closed form, or
+    as one factor of a longer product, and any other letter one at a time;
+    so a chunk holds its draw buffer and at most twelve rows of its length
+    (_chunk_moments).
 
     Below the MC floor the integrand variance swamps 1e7-sample estimates;
     use the character evaluators there.
     """
+    for name, value in (("seed", seed), ("n_samples", n_samples), ("n_workers", n_workers)):
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+            raise ValueError("%s=%r is not an integer" % (name, value))
+    if seed < 0:
+        raise ValueError("seed=%r is negative" % (seed,))
+    if n_workers < 1:
+        raise ValueError("n_workers=%r: need at least one worker stream" % (n_workers,))
     _check_tau(tau)
     if tau < MC_TAU_FLOOR:
         raise ValueError(
             "tau=%g is below the MC floor %g; use a character-sum evaluator"
             % (tau, MC_TAU_FLOOR))
-    if n_workers < 1:
-        raise ValueError("n_workers=%r: need at least one worker stream" % (n_workers,))
     group = get_group(group)
     foam = reduce_foam(foam)
     if foam.E == 0:
@@ -179,8 +194,7 @@ def z_mc(foam, group, tau, n_samples, seed, n_workers=1):
         raise ValueError("n_samples=%r: Monte Carlo needs at least 2 samples "
                          "for a standard error" % (n_samples,))
     per, rest = divmod(n_samples, n_workers)
-    long_words = max(map(len, foam.words_idx), default=0) > MC_RAW_LETTERS
-    draw = group.haar if long_words else group.mc_draw
+    unit = max(map(len, foam.words_idx), default=0) > MC_RAW_LETTERS
 
     # the non-empty streams: all of them, or the last one alone
     drawing = range(0 if per else n_workers - 1, n_workers)
@@ -192,13 +206,13 @@ def z_mc(foam, group, tau, n_samples, seed, n_workers=1):
                for _ in range(threads)]
 
     def stream(w):
-        wrng = np.random.default_rng([seed, w])
+        children = np.random.SeedSequence([seed, w]).spawn(foam.E * group.elem_dim)
+        rows = [np.random.Generator(np.random.SFC64(c)) for c in children]
         n = per + rest if w == n_workers - 1 else per
         buf = buffers.pop()
         parts = []
         for start in range(0, n, step):
-            m = min(step, n - start)
-            g = draw(wrng, (m, foam.E), out=buf[:m])
+            g = group.mc_draw(rows, buf[:min(step, n - start)], unit)
             parts.append(_chunk_moments(group, tau, foam.words_idx, g))
         buffers.append(buf)
         return reduce(_merge_moments, parts)

@@ -131,17 +131,24 @@ def torsion_batch(samples, rng):
     in order, and joins the completion group of its ranks."""
     cols = _complex_columns(samples)
     singular = samples.possibly_singular
-    out, groups = [], {}
-    for i in range(len(samples)):
-        if singular is not None and singular[i]:
+    singular = [False] * len(samples) if singular is None else singular.tolist()
+    ranks = zip(cols["rank0"].tolist(), cols["rank1"].tolist())
+    out, accepted = [], []
+    for i, (flagged, warn, key) in enumerate(zip(singular, cols["rank_warning"].tolist(),
+                                                 ranks)):
+        if flagged:
             out.append(SingularSampleError("sample is flagged possibly singular"))
-        elif cols["rank_warning"][i]:
+        elif warn:
             out.append(SingularSampleError("ill-conditioned rank decision (gaps %.2e, %.2e)"
                                            % (cols["gap0"][i], cols["gap1"][i])))
         else:
             out.append(None)
-            key = int(cols["rank0"][i]), int(cols["rank1"][i])
-            groups.setdefault(key, []).append((i, int(rng.integers(2 ** 32))))
+            accepted.append((i, key))
+    # one call draws the values, and leaves rng, of one int(rng.integers(2 ** 32))
+    # per accepted sample in order
+    groups = {}
+    for (i, key), seed in zip(accepted, rng.integers(2 ** 32, size=len(accepted)).tolist()):
+        groups.setdefault(key, []).append((i, seed))
     gen = np.random.Generator(np.random.Philox(key=0))
     for index, seeds in (zip(*members) for members in groups.values()):
         for i, value in zip(index, _basis_pipeline(cols, list(index), seeds, gen)):

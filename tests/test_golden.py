@@ -18,6 +18,11 @@ component rows by z_mc: genus 2 at tau = 0.6 runs the image-sum heat
 kernel, the appendix at tau = 1.5 the character series on two faces, and
 the torus over U(1) both U(1) evaluators on a constant integrand (its face
 is a commutator), so projective_plane over U(1) pins the U(1) draws.
+ztau_mc_genus2, ztau_mc_appendix and ztau_mc_projective_plane_u1 were
+re-recorded when z_mc began to draw each component row of a stream from an
+SFC64 generator of its own, spawned from SeedSequence([seed, w]); only their
+values and stderrs moved, and ztau_mc_torus_u1 kept its bytes, its
+integrand being constant.
 The toy_* files were recorded while toy built its Gauss-Legendre rule once
 per tau, and the ztau_char_*.csv files (CSV_CASES) with the fit_* outputs
 that read them back, while fit still took the first CSV line for the header

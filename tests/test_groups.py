@@ -178,25 +178,9 @@ def test_blocked_haar_draw_reads_one_normal_call(n, tail):
         assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
-@pytest.mark.parametrize("draw", [su2_haar_normals, su2_haar, U1G.haar],
-                         ids=["normals", "su2", "u1"])
-def test_haar_draw_into_buffer_slice(draw):
-    # z_mc draws each chunk into a leading slice of a reused Fortran-ordered
-    # buffer: the values are those of a fresh draw, in the buffer's memory
-    width = 1 if draw is U1G.haar else 4
-    buf = np.full((2 * HAAR_BLOCK + 7, 3, width), np.nan, order="F")
-    for m in (1, HAAR_BLOCK + 1, len(buf)):
-        rng, ref_rng = np.random.default_rng(13), np.random.default_rng(13)
-        want = draw(ref_rng, (m, 3))
-        got = draw(rng, (m, 3), out=buf[:m])
-        assert np.shares_memory(got, buf) and np.array_equal(got, want)
-        assert np.array_equal(buf[:m], want)
-        assert rng.bit_generator.state == ref_rng.bit_generator.state
-
-
 @pytest.mark.parametrize("name", ["torus", "genus:3", "appendix", "dunce_hat"])
 def test_su2_word_angle_does_not_depend_on_row_scale(name):
-    # z_mc walks the raw normals of su2_haar_normals: rows of any positive
+    # z_mc walks the raw normals of su2_mc_draw: rows of any positive
     # scale give the class angle of the unit rows to rounding
     foam = reduce_foam(builtin(name))
     rng = np.random.default_rng(22)

@@ -88,21 +88,43 @@ def test_z_mc_refuses_no_workers():
             z_mc(builtin("torus"), "su2", 0.5, 1000, seed=0, n_workers=w)
 
 
+@pytest.mark.parametrize("name, value", [
+    ("seed", None), ("seed", -1), ("seed", True), ("seed", "3"), ("seed", 3.0),
+    ("n_samples", 1000.0), ("n_samples", True), ("n_samples", "1000"),
+    ("n_workers", True), ("n_workers", 2.0), ("n_workers", None)])
+def test_z_mc_refuses_bad_integer_arguments_by_name(monkeypatch, name, value):
+    # seed=None raised a TypeError about len(), seed=-1 one that named no
+    # argument, n_samples=1000.0 one about float indices; seed=True, seed='3'
+    # and n_workers=True were taken and echoed into meta
+    seen = spy_draw_threads(monkeypatch)
+    args = {"seed": 0, "n_samples": 1000, "n_workers": 1, name: value}
+    with pytest.raises(ValueError, match="^%s=" % name):
+        z_mc(builtin("torus"), "su2", 0.5, **args)
+    assert seen == []
+
+
+def test_z_mc_takes_numpy_integer_arguments():
+    ref = z_mc(builtin("torus"), "su2", 0.5, 1000, seed=5, n_workers=2)
+    est = z_mc(builtin("torus"), "su2", 0.5, np.int64(1000), seed=np.uint32(5),
+               n_workers=np.int8(2))
+    assert (est.value, est.stderr) == (ref.value, ref.stderr)
+
+
 # z_mc(foam, "su2", tau, 20_001, seed=2024, n_workers=w) -> (value, stderr),
-# recorded with the unfused kernel (one su2_mul per letter, renormalized)
+# recorded when each component row began to draw from an SFC64 stream of its own
 GOLDEN_MC = {
-    ("torus", 0.5, 1): (2.2579646232789394, 0.0213433806996446),
-    ("torus", 0.5, 3): (2.2731579277420226, 0.021403085703779176),
-    ("torus", 1.5, 1): (1.3771083706757103, 0.0055228358499751565),
-    ("torus", 1.5, 3): (1.3827691423772854, 0.005514101550351057),
-    ("genus:2", 0.5, 1): (1.2226173041239488, 0.01481712734305439),
-    ("genus:2", 0.5, 3): (1.2301473047356188, 0.015008508310620613),
-    ("genus:2", 1.5, 1): (1.0874441780740463, 0.004907970910442823),
-    ("genus:2", 1.5, 3): (1.0879269113633436, 0.004912616577819709),
-    ("appendix", 0.5, 1): (7.031600061520076, 0.12153255724830546),
-    ("appendix", 0.5, 3): (7.17925924437807, 0.12264454586799003),
-    ("appendix", 1.5, 1): (2.030987565567377, 0.012928411500937678),
-    ("appendix", 1.5, 3): (2.0565350173209587, 0.012978519568558297),
+    ("torus", 0.5, 1): (2.296943880486918, 0.0216161841312858),
+    ("torus", 0.5, 3): (2.292410104363264, 0.021679894584860665),
+    ("torus", 1.5, 1): (1.380053930129754, 0.005575458757946675),
+    ("torus", 1.5, 3): (1.3815558575109657, 0.005547436120332627),
+    ("genus:2", 0.5, 1): (1.2218216948618181, 0.014806815162672854),
+    ("genus:2", 0.5, 3): (1.2449259979633487, 0.015045775244188415),
+    ("genus:2", 1.5, 1): (1.089493449123849, 0.00489136442419193),
+    ("genus:2", 1.5, 3): (1.0964200540950302, 0.0049094974351741125),
+    ("appendix", 0.5, 1): (7.478164617173108, 0.12804055382623322),
+    ("appendix", 0.5, 3): (7.4072338152570465, 0.12826715576084036),
+    ("appendix", 1.5, 1): (2.0693602652426795, 0.013152142110422232),
+    ("appendix", 1.5, 3): (2.0575979180820103, 0.013095010265356977),
 }
 
 
@@ -123,9 +145,9 @@ def test_z_mc_matches_recorded_values_tiny_chunks():
     # streams of elem_dim = 4 samples and near it: four class angles must
     # not be read as one quaternion by the heat kernel
     for foam, tau, n, workers, value, stderr in (
-            ("torus", 0.5, 4, 1, 0.18015804865263976, 0.1009629109373803),
-            ("genus:2", 1.5, 8, 2, 0.948406281503321, 0.23634509663515021),
-            ("appendix", 0.5, 6, 1, 0.8747979208742357, 0.4705969818424466)):
+            ("torus", 0.5, 4, 1, 0.6669962420606566, 0.36851118087315815),
+            ("genus:2", 1.5, 8, 2, 1.4916665979577002, 0.2966942001910142),
+            ("appendix", 0.5, 6, 1, 15.123388132207225, 13.17375835408492)):
         est = z_mc(builtin(foam), "su2", tau, n, seed=31, n_workers=workers)
         assert abs(est.value - value) <= 1e-12 * value, foam
         assert abs(est.stderr - stderr) <= 1e-12 * stderr, foam
@@ -140,14 +162,25 @@ def test_z_mc_threaded_streams_are_reproducible(monkeypatch):
     assert a.meta["n_samples"] == 30_001 and a.meta["n_workers"] == 3
 
 
+def mc_stream_draw(seed, w, m, E):
+    """The first m SU(2) samples of z_mc's worker stream w, (m, E, 4), rebuilt
+    from numpy alone: row k (edge k // 4, component k % 4) holds the
+    standard normals of Generator(SFC64(c)) for the k-th child c that
+    SeedSequence([seed, w]) spawns."""
+    g = np.empty((m, E, 4))
+    for k, c in enumerate(np.random.SeedSequence([seed, w]).spawn(4 * E)):
+        g[:, k // 4, k % 4] = np.random.Generator(np.random.SFC64(c)).standard_normal(m)
+    return g
+
+
 def spy_draw_threads(monkeypatch):
     """Make SU2.mc_draw record the thread of each call, in the list returned."""
     seen = []
     real_draw = SU2.mc_draw
 
-    def mc_draw(rng, shape=(), out=None):
+    def mc_draw(rows, out, unit=False):
         seen.append(threading.get_ident())
-        return real_draw(rng, shape, out)
+        return real_draw(rows, out, unit)
 
     monkeypatch.setattr(SU2, "mc_draw", staticmethod(mc_draw))
     return seen
@@ -185,7 +218,8 @@ def test_z_mc_work_grows_with_samples_not_workers(monkeypatch, workers):
     assert len(seen) == 1
     # the last stream's 1000 samples, drawn in one piece: the stream does not
     # depend on its chunks, only the moment merge rounds differently
-    g = SU2.haar(np.random.default_rng([5, workers - 1]), (1000, t.E))
+    g = mc_stream_draw(5, workers - 1, 1000, t.E)
+    g /= np.linalg.norm(g, axis=-1, keepdims=True)
     vals = SU2.heat_kernel(0.5, SU2.word_angle(t.words_idx[0], g))
     assert abs(est.value - vals.mean()) <= 1e-12 * vals.mean()
     stderr = vals.std(ddof=1) / math.sqrt(1000)
@@ -195,15 +229,66 @@ def test_z_mc_work_grows_with_samples_not_workers(monkeypatch, workers):
 def test_z_mc_walks_long_words_on_unit_rows():
     # a product of raw normals grows like 1.75 per letter and overflows
     # within about 600 letters (the estimate came back NaN): longer words
-    # than MC_RAW_LETTERS read the unit quaternions of SU2.haar instead
+    # than MC_RAW_LETTERS read the same normals over their norms instead
     foam = parse_foam("edges: a b\nface: " + "a b a^-1 b^-1 " * 175)
     assert len(foam.words_idx[0]) > partition.MC_RAW_LETTERS
     est = z_mc(foam, "su2", 0.5, 2000, seed=3)
-    g = SU2.haar(np.random.default_rng([3, 0]), (2000, 2))
+    g = mc_stream_draw(3, 0, 2000, 2)
+    g /= np.linalg.norm(g, axis=-1, keepdims=True)
     vals = SU2.heat_kernel(0.5, SU2.word_angle(foam.words_idx[0], g))
     assert est.value == vals.mean()
     stderr = vals.std(ddof=1) / math.sqrt(2000)
     assert abs(est.stderr - stderr) <= 1e-12 * stderr
+
+
+REFEREE_EXACT = {
+    ("torus", "su2"): lambda tau: z_char_surface(1, tau).value,
+    ("genus:2", "su2"): lambda tau: z_char_surface(2, tau).value,
+    ("appendix", "su2"): lambda tau: z_char_appendix(tau).value,
+    # the word a a reads K_tau(2 theta), whose Haar mean is 1 for every tau
+    ("projective_plane", "u1"): lambda tau: 1.0,
+}
+
+
+def test_z_mc_streams_agree_with_exact_values_over_seeds():
+    # the pooled z-scores of 160 seeded estimates against their exact values
+    # look standard normal: a stream that is biased, or whose rows are
+    # correlated, moves the mean or the spread
+    z = []
+    for (foam, group), exact in sorted(REFEREE_EXACT.items()):
+        for tau in (0.5, 1.5):
+            ref = exact(tau)
+            for seed in range(20):
+                est = z_mc(builtin(foam), group, tau, 20_001, seed=seed, n_workers=3)
+                z.append((est.value - ref) / est.stderr)
+    z = np.array(z)
+    assert len(z) == 160
+    assert np.max(np.abs(z)) < 4.5
+    assert abs(z.mean()) < 0.3
+    assert 0.8 <= z.std(ddof=1) <= 1.25
+
+
+def test_z_mc_rows_of_a_stream_are_uncorrelated(monkeypatch):
+    # the 24 component rows of a genus-3 stream's first chunk, each from its
+    # own generator, correlate pairwise no more than independent rows do
+    chunks = []
+    real_draw = SU2.mc_draw
+
+    def mc_draw(rows, out, unit=False):
+        g = real_draw(rows, out, unit)
+        chunks.append(g.copy())
+        return g
+
+    monkeypatch.setattr(SU2, "mc_draw", staticmethod(mc_draw))
+    monkeypatch.setattr(partition, "MC_CHUNK", 20_000)
+    z_mc(builtin("genus:3"), "su2", 0.5, 40_000, seed=9)
+    first = chunks[0]
+    m = len(first)
+    assert m == 20_000 and len(chunks) == 2
+    assert np.array_equal(first, mc_stream_draw(9, 0, m, 6))
+    r = np.corrcoef(first.reshape(m, -1).T)
+    off = r[~np.eye(len(r), dtype=bool)]
+    assert len(r) == 24 and np.max(np.abs(off)) < 5.0 / math.sqrt(m)
 
 
 def test_z_mc_holds_its_draw_buffer_and_twelve_sample_rows(monkeypatch):

@@ -294,7 +294,8 @@ def test_torsion_batch_refuses_only_the_refused_samples():
     # near-central: the counted singular values sit at the SVD noise floor
     thin = analytic_flat("torus", rng, psi_a=2e-11, psi_b=3e-11)
     samples = [good[0], flagged, good[1], thin, good[2]]
-    got = torsion_batch(_stacked(samples), np.random.default_rng(5))
+    rng5 = np.random.default_rng(5)
+    got = torsion_batch(_stacked(samples), rng5)
     assert [type(v) for v in got] == [TorsionValue, SingularSampleError, TorsionValue,
                                       SingularSampleError, TorsionValue]
     assert "possibly singular" in str(got[1]) and "ill-conditioned" in str(got[3])
@@ -306,6 +307,8 @@ def test_torsion_batch_refuses_only_the_refused_samples():
     seeds = np.random.default_rng(5)
     assert [v.bases_meta["seed"] for v in got if isinstance(v, TorsionValue)] == \
         [int(seeds.integers(2 ** 32)) for _ in range(3)]
+    # and leaves the generator where that loop leaves it
+    assert rng5.bit_generator.state == seeds.bit_generator.state
 
 
 def _stacked(rows):
